@@ -460,8 +460,9 @@ def cocycle_distance(
         for w in all_words(depth):
             if unknown.covers(w):
                 continue
-            a, b = u1.at(w), u2.at(w)
-            integral += min(ONE, u1.model.metric(a, b)) * mu.cylinder(w)
+            gap = min(ONE, u1.model.metric(u1.at(w), u2.at(w)))
+            if gap:
+                integral += gap * mu.cylinder(w)
         value += weight * integral
         undefined_bound += weight * unknown.measure(mu)
     truncation = weight if infinite_tail else ZERO

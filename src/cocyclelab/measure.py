@@ -18,7 +18,8 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import chain, cycle, product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DepthMismatch
@@ -38,7 +39,7 @@ def all_words(depth: int) -> Iterator[Word]:
 
 
 def check_word(w: Word) -> Word:
-    if any(c not in "01" for c in w):
+    if w.strip("01"):
         raise ValueError(f"not a 0/1 word: {w!r}")
     return w
 
@@ -105,12 +106,26 @@ class ProductMeasure:
             pair = self.cycle[(i - len(self.head) - 1) % len(self.cycle)]
         return pair[0] if bit == "0" else pair[1]
 
+    @cached_property
+    def _integer_weights(self) -> tuple[tuple, tuple]:
+        """``head`` and ``cycle`` with each weight as (numerator, denominator)."""
+        def split(pairs):
+            return tuple(tuple((p.numerator, p.denominator) for p in pair)
+                         for pair in pairs)
+        return split(self.head), split(self.cycle)
+
     def cylinder(self, w: Word) -> Fraction:
-        """Measure of the cylinder named by `w`."""
-        m = ONE
-        for i, bit in enumerate(check_word(w), start=1):
-            m *= self.weight(i, bit)
-        return m
+        """Measure of the cylinder named by `w`.
+
+        The weights' numerators and denominators are multiplied as
+        integers; the single `Fraction` at the end reduces once."""
+        head, period = self._integer_weights
+        num = den = 1
+        for pair, bit in zip(chain(head, cycle(period)), check_word(w)):
+            n, d = pair[bit == "1"]
+            num *= n
+            den *= d
+        return Fraction(num, den)
 
     def ratio(self, x: Word, y: Word) -> Fraction:
         """Radon-Nikodym ratio prod_i weight(i, y_i) / weight(i, x_i).
@@ -158,26 +173,30 @@ class ProductMeasure:
 def _normalize(words: Iterable[Word]) -> tuple[Word, ...]:
     """Canonical form: drop words nested inside others, merge full sibling
     pairs bottom-up, sort lexicographically with shorter words first."""
-    ws = sorted(set(check_word(w) for w in words), key=lambda w: (len(w), w))
-    # drop nested words (any word with a strict prefix already present)
-    kept: list[Word] = []
+    ws = sorted(set(words))
+    # one test for all words: strip stops at the first character not 0/1
+    if "".join(ws).strip("01"):
+        for w in ws:
+            check_word(w)
+    # levels[d] holds the kept words of length d
+    levels: list[set[Word]] = [
+        set() for _ in range(max(map(len, ws), default=-1) + 1)]
+    # in lexicographic order a word is nested exactly when it extends the
+    # last word kept: every word between a prefix p and w also starts with p
+    last = None
     for w in ws:
-        if not any(w.startswith(p) for p in kept if len(p) < len(w)):
-            kept.append(w)
-    # merge sibling pairs until stable
-    merged = True
-    current = set(kept)
-    while merged:
-        merged = False
-        for w in sorted(current, key=len, reverse=True):
-            if w and w in current:
-                sib = w[:-1] + ("1" if w[-1] == "0" else "0")
-                if sib in current:
-                    current.discard(w)
-                    current.discard(sib)
-                    current.add(w[:-1])
-                    merged = True
-    return tuple(sorted(current, key=lambda w: (len(w), w)))
+        if last is None or not w.startswith(last):
+            levels[len(w)].add(w)
+            last = w
+    # the kept words are prefix-free, so merging sibling pairs one level at
+    # a time, deepest first, reaches the unique fixed point
+    for depth in range(len(levels) - 1, 0, -1):
+        level = levels[depth]
+        for w in [w for w in level if w[-1] == "0" and w[:-1] + "1" in level]:
+            level.discard(w)
+            level.discard(w[:-1] + "1")
+            levels[depth - 1].add(w[:-1])
+    return tuple(w for level in levels for w in sorted(level))
 
 
 def _split(words: Sequence[Word]) -> tuple[list[Word], list[Word]]:
@@ -243,6 +262,10 @@ class CylinderSet:
 
     words: tuple[Word, ...]
 
+    @cached_property
+    def _members(self) -> frozenset[Word]:
+        return frozenset(self.words)
+
     @staticmethod
     def of(words: Iterable[Word]) -> "CylinderSet":
         return CylinderSet(_normalize(words))
@@ -286,7 +309,8 @@ class CylinderSet:
     def covers(self, w: Word) -> bool:
         """True when the cylinder of `w` is contained in this set."""
         check_word(w)
-        return any(w.startswith(p) for p in self.words if len(p) <= len(w))
+        members = self._members
+        return any(w[:k] in members for k in range(len(w) + 1))
 
     def words_at(self, depth: int) -> list[Word]:
         """The set as a disjoint list of depth-`depth` words (all member

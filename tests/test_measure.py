@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyclelab.measure import (ONE, ZERO, CylinderSet, ProductMeasure,
-                                all_words)
+                                _normalize, all_words, check_word)
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))
@@ -159,3 +159,131 @@ def test_csv_round_trip():
     s = CylinderSet.of(["0", "110"])
     text = s.to_csv(BIASED)
     assert CylinderSet.from_csv(text).words == s.words
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the fast paths: the straightforward implementations, kept
+# here only as references
+# ---------------------------------------------------------------------------
+
+def oracle_normalize(words):
+    """Quadratic canonical form: drop nested words by scanning every word
+    kept so far, then merge sibling pairs until nothing changes."""
+    for w in words:
+        if any(c not in "01" for c in w):
+            raise ValueError(f"not a 0/1 word: {w!r}")
+    ws = sorted(set(words), key=lambda w: (len(w), w))
+    kept = []
+    for w in ws:
+        if not any(w.startswith(p) for p in kept if len(p) < len(w)):
+            kept.append(w)
+    merged = True
+    current = set(kept)
+    while merged:
+        merged = False
+        for w in sorted(current, key=len, reverse=True):
+            if w and w in current:
+                sib = w[:-1] + ("1" if w[-1] == "0" else "0")
+                if sib in current:
+                    current.discard(w)
+                    current.discard(sib)
+                    current.add(w[:-1])
+                    merged = True
+    return tuple(sorted(current, key=lambda w: (len(w), w)))
+
+
+def oracle_covers(s, w):
+    return any(w.startswith(p) for p in s.words if len(p) <= len(w))
+
+
+@st.composite
+def nested_word_lists(draw):
+    """Word lists with duplicates, prefixes, siblings and extensions of
+    their own members, sometimes the empty word, up to depth 20."""
+    base = draw(st.lists(st.text(alphabet="01", max_size=20), max_size=30))
+    out = list(base)
+    for w in base:
+        kind = draw(st.sampled_from(["keep", "dup", "prefix", "sibling", "extend"]))
+        if kind == "dup":
+            out.append(w)
+        elif kind == "prefix":
+            out.append(w[:draw(st.integers(0, len(w)))])
+        elif kind == "sibling" and w:
+            out.append(w[:-1] + ("1" if w[-1] == "0" else "0"))
+        elif kind == "extend":
+            out.append(w + draw(st.text(alphabet="01", max_size=6)))
+    return draw(st.permutations(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_word_lists())
+def test_normalize_matches_oracle(words):
+    assert _normalize(words) == oracle_normalize(words)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32), st.floats(0.0, 0.6))
+def test_normalize_matches_oracle_on_depth10_tables(seed, drop):
+    rng = random.Random(seed)
+    words = [w for w in all_words(10) if rng.random() >= drop]
+    words += ["".join(rng.choice("01") for _ in range(rng.randint(0, 9)))
+              for _ in range(rng.randint(0, 3))]
+    rng.shuffle(words)
+    assert _normalize(words) == oracle_normalize(words)
+
+
+weight_pairs = st.integers(2, 12).flatmap(
+    lambda den: st.integers(1, den - 1).map(
+        lambda num: (Fraction(num, den), 1 - Fraction(num, den))))
+
+
+@st.composite
+def measures_and_words(draw):
+    head = draw(st.lists(weight_pairs, min_size=1, max_size=3))
+    cycle = draw(st.lists(weight_pairs, min_size=1, max_size=3))
+    mu = ProductMeasure.from_schedule(head, cycle)
+    period = len(head) + len(cycle)
+    words = draw(st.lists(
+        st.text(alphabet="01", min_size=0, max_size=3 * period + 2), max_size=10))
+    long_word = draw(st.text(alphabet="01", min_size=period + 1,
+                             max_size=3 * period + 2))
+    return mu, words + [long_word]
+
+
+@settings(max_examples=200, deadline=None)
+@given(measures_and_words())
+def test_cylinder_matches_weight_product(case):
+    mu, words = case
+    for w in words:
+        assert mu.cylinder(w) == naive_mass(mu, w)
+
+
+@pytest.mark.parametrize("bad", ["20", "0a1", "01 "])
+def test_bad_character_raises(bad):
+    with pytest.raises(ValueError):
+        check_word(bad)
+    with pytest.raises(ValueError):
+        UNIFORM.cylinder(bad)
+    with pytest.raises(ValueError):
+        CylinderSet.of(["0", bad])
+    with pytest.raises(ValueError):
+        CylinderSet.of(["0"]).covers(bad)
+
+
+@st.composite
+def sets_and_probes(draw):
+    s = draw(st.one_of(st.just(CylinderSet.empty()), st.just(CylinderSet.full()),
+                       cylinder_sets()))
+    probes = draw(st.lists(st.text(alphabet="01", max_size=8), max_size=10))
+    # words shorter than a member, and members themselves
+    for p in s.words:
+        probes += [p, p[:draw(st.integers(0, len(p)))]]
+    return s, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(sets_and_probes())
+def test_covers_matches_scan(case):
+    s, probes = case
+    for w in probes:
+        assert s.covers(w) == oracle_covers(s, w)
