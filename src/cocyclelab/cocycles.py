@@ -16,6 +16,8 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DepthExhausted, DepthMismatch, PostconditionFailure, SizeGuard
@@ -46,6 +48,12 @@ class StepFunction:
     @staticmethod
     def constant(model: GroupModel, value: Element, depth: int = 0) -> "StepFunction":
         return StepFunction(model, depth, {w: value for w in all_words(depth)})
+
+    @cached_property
+    def _increments(self) -> dict:
+        """`coboundary_increment`'s results for this function, keyed by
+        (generator, depth); they live exactly as long as the function."""
+        return {}
 
     def at(self, w: Word) -> Element:
         if len(w) < self.depth:
@@ -134,10 +142,6 @@ class PartialStepFunction:
                 raise DepthMismatch(f"table key {w!r} does not have depth {self.depth}")
 
     @staticmethod
-    def total(f: StepFunction) -> "PartialStepFunction":
-        return PartialStepFunction(f.model, f.depth, dict(f.table), CylinderSet.empty())
-
-    @staticmethod
     def masked(f: StepFunction, region: CylinderSet) -> "PartialStepFunction":
         """`f` with the given region carved out (the marker use)."""
         depth = max(f.depth, region.max_depth)
@@ -178,36 +182,23 @@ def coboundary_increment(
     depth: Optional[int] = None,
 ) -> PartialStepFunction:
     """The increment x -> f(sigma x) f(x)^-1, undefined on the remainder
-    of the truncated `sigma`."""
+    of the truncated `sigma`.
+
+    Computed once per (generator, depth) and kept on `f`, so a repeated
+    call returns the same object, whose table is read-only.  The
+    generator is keyed by value: actions are rebuilt every round."""
     e = max(f.depth, sigma.max_depth, depth or 0)
-    table = {}
-    for w in all_words(e):
-        img = sigma.apply(w)
-        if img is not None:
-            table[w] = f.model.mul(f.at(img), f.model.inv(f.at(w)))
-    return PartialStepFunction(f.model, e, table, sigma.remainder())
-
-
-@dataclass(frozen=True)
-class IncrementFamily:
-    """The per-generator increments of one step function, in the action's
-    enumeration order."""
-
-    f: StepFunction
-    action: GammaAction
-    parts: tuple[tuple[str, PartialStepFunction], ...]
-
-    @staticmethod
-    def of(f: StepFunction, action: GammaAction, depth: Optional[int] = None) -> "IncrementFamily":
-        parts = tuple(
-            (label, coboundary_increment(f, g, depth)) for label, g in action.generators)
-        return IncrementFamily(f, action, parts)
-
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.parts]
-
-    def value_report(self) -> dict:
-        return {label: part.value_set() for label, part in self.parts}
+    memo = f._increments
+    part = memo.get((sigma, e))
+    if part is None:
+        table = {}
+        for w in all_words(e):
+            img = sigma.apply(w)
+            if img is not None:
+                table[w] = f.model.mul(f.at(img), f.model.inv(f.at(w)))
+        part = memo[(sigma, e)] = PartialStepFunction(
+            f.model, e, MappingProxyType(table), sigma.remainder())
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -458,9 +449,11 @@ def cocycle_distance(
         integral = ZERO
         unknown = u1.undefined.union(u2.undefined)
         for w in all_words(depth):
-            if unknown.covers(w):
+            # `at` is None exactly on the undefined region (partition check)
+            a, b = u1.at(w), u2.at(w)
+            if a is None or b is None:
                 continue
-            gap = min(ONE, u1.model.metric(u1.at(w), u2.at(w)))
+            gap = min(ONE, u1.model.metric(a, b))
             if gap:
                 integral += gap * mu.cylinder(w)
         value += weight * integral
@@ -471,8 +464,11 @@ def cocycle_distance(
 
 @dataclass(frozen=True)
 class AgreementCheck:
+    """``agreement`` is the intersection of the per-generator sets."""
+
     agreement: CylinderSet
     undecided: CylinderSet
+    per_generator: Mapping[str, CylinderSet]
 
     def measure(self, mu: ProductMeasure) -> Fraction:
         return self.agreement.measure(mu)
@@ -486,61 +482,19 @@ def increment_agreement(
 ) -> AgreementCheck:
     """The set where every generator's increment of `new` is defined and
     equals that of `old`; undecided truncation mass is excluded from the
-    agreement set (conservative) and reported."""
+    agreement set (conservative) and reported.  Each generator's own
+    agreement set is kept too, keyed by its label."""
     agreement = CylinderSet.full()
     undecided = CylinderSet.empty()
-    for _, g in action.generators:
+    per_generator: dict[str, CylinderSet] = {}
+    for label, g in action.generators:
         u_old = coboundary_increment(old, g, depth)
         u_new = coboundary_increment(new, g, depth)
         e = max(u_old.depth, u_new.depth)
-        same = [w for w in all_words(e)
-                if u_old.at(w) is not None and u_old.at(w) == u_new.at(w)]
-        agreement = agreement.intersection(CylinderSet.of(same))
+        same = CylinderSet.of(
+            w for w in all_words(e)
+            if u_old.at(w) is not None and u_old.at(w) == u_new.at(w))
+        per_generator[label] = same
+        agreement = agreement.intersection(same)
         undecided = undecided.union(u_old.undefined).union(u_new.undefined)
-    return AgreementCheck(agreement, undecided)
-
-
-# ---------------------------------------------------------------------------
-# Approximating sequences
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ApproximantRound:
-    """One stage of the recursive approximation: the function, its
-    tolerance, its innerness level, and the per-generator change sets
-    against the previous stage."""
-
-    f: StepFunction
-    eps: Fraction
-    level: int
-    agreement_measure: Optional[Fraction]
-    change_sets: Mapping[str, CylinderSet]
-
-
-@dataclass(frozen=True)
-class CocycleApproximant:
-    action: GammaAction
-    rounds: tuple[ApproximantRound, ...]
-
-    def terminal(self) -> StepFunction:
-        return self.rounds[-1].f
-
-    def check_schedule(self) -> None:
-        for a, b in zip(self.rounds, self.rounds[1:]):
-            if not b.eps < a.eps / 2:
-                raise PostconditionFailure(
-                    "eps-halving", f"{b.eps} is not below {a.eps}/2")
-            if not b.level > a.level:
-                raise PostconditionFailure(
-                    "level-growth", f"levels {a.level} -> {b.level} do not increase")
-
-    def tail_bound(self, n: int) -> Fraction:
-        """Sum of the tolerances of the rounds after the n-th (1-based)."""
-        return sum((r.eps for r in self.rounds[n:]), ZERO)
-
-    def stabilization_union(self, label: str, n: int) -> CylinderSet:
-        """Union of the change sets of generator `label` after round n."""
-        out = CylinderSet.empty()
-        for r in self.rounds[n:]:
-            out = out.union(r.change_sets.get(label, CylinderSet.empty()))
-        return out
+    return AgreementCheck(agreement, undecided, per_generator)

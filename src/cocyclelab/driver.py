@@ -27,8 +27,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .cocycles import (CocycleKernel, StepFunction, coboundary_increment,
-                       cocycle_distance, increment_agreement,
-                       increments_within)
+                       cocycle_distance, increments_within)
 from .errors import CocycleLabError, ConfigError, SearchExhausted
 from .evc import (check_evc, delta_for, essential_value_certificate,
                   skew_connectivity, target_set, validate_witness)
@@ -348,25 +347,24 @@ class CocycleApproximant:
 # The recursion
 # ---------------------------------------------------------------------------
 
-def _generator_groups(action: GammaAction) -> list[tuple[tuple[str, ...], GammaAction]]:
-    """Split the generator list into inverse-closed subfamilies (a
+def _generator_groups(action: GammaAction) -> list[tuple[str, ...]]:
+    """Split the generator labels into inverse-closed groups (a
     self-inverse generator alone, otherwise the generator with its
     inverse) so per-generator ledgers stay well-defined."""
-    out: list[tuple[tuple[str, ...], GammaAction]] = []
+    out: list[tuple[str, ...]] = []
     seen: set[str] = set()
     for label, g in action.generators:
         if label in seen:
             continue
-        if frozenset(g.pieces) == frozenset((t, s) for s, t in g.pieces):
-            out.append(((label,), GammaAction(label, ((label, g),))))
+        inverse = frozenset((t, s) for s, t in g.pieces)
+        if frozenset(g.pieces) == inverse:
+            out.append((label,))
             seen.add(label)
             continue
-        partner = next((l2, g2) for l2, g2 in action.generators
-                       if l2 != label
-                       and frozenset(g2.pieces) == frozenset((t, s) for s, t in g.pieces))
-        out.append(((label, partner[0]),
-                    GammaAction(f"{label}+{partner[0]}", ((label, g), partner))))
-        seen.update((label, partner[0]))
+        partner = next(l2 for l2, g2 in action.generators
+                       if l2 != label and frozenset(g2.pieces) == inverse)
+        out.append((label, partner))
+        seen.update((label, partner))
     return out
 
 
@@ -468,16 +466,17 @@ def _run_recursion(config: PipelineConfig,
         except SearchExhausted as exc:
             fresh_rec = {"ok": False, "failure": str(exc)}
 
+        # a group's change set: where the increment of some generator in
+        # the group changed (the step's per-generator agreement sets)
         change_sets: dict[tuple[str, ...], CylinderSet] = {}
-        for labels, sub in _generator_groups(action):
-            agree = increment_agreement(f, out.f_tilde, sub)
-            change_sets[labels] = agree.agreement.complement()
+        for labels in _generator_groups(action):
+            agree = CylinderSet.full()
+            for label in labels:
+                agree = agree.intersection(out.agreement_sets[label])
+            change_sets[labels] = agree.complement()
 
         inc = increments_within(out.f_tilde, action, closure)
-        agreement = increment_agreement(f, out.f_tilde, action).measure(mu)
-        old_inc = [coboundary_increment(f, g) for g in action.maps()]
-        new_inc = [coboundary_increment(out.f_tilde, g) for g in action.maps()]
-        dist = cocycle_distance(old_inc, new_inc, mu).upper()
+        agreement, dist = out.agreement_mass, out.distance
 
         conditions = {
             "finite_values": len(out.f_tilde.value_set()),
@@ -619,7 +618,7 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
 
     # stabilization ledger: changes after round n stay under the eps tail
     ledger = {}
-    for labels, _ in _generator_groups(action):
+    for labels in _generator_groups(action):
         rows = []
         for n_idx in range(len(states)):
             union = CylinderSet.empty()

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Mapping, Optional
 
 from .cocycles import (PartialStepFunction, StepFunction,
                        coboundary_increment, cocycle_distance,
@@ -104,6 +104,11 @@ class RefinementChoice:
 
 @dataclass(frozen=True)
 class StepOutput:
+    """The step's artifacts and certificates.  ``agreement_sets`` (one
+    per generator label), ``agreement_mass`` and ``distance`` are the
+    exact numbers behind the agreement and distance certificates; the
+    independent validator never reads them."""
+
     n: int
     m: int
     working_depth: int
@@ -124,6 +129,9 @@ class StepOutput:
     c_set: CylinderSet
     admission: Certificate
     certificates: tuple[Certificate, ...]
+    agreement_sets: Mapping[str, CylinderSet]
+    agreement_mass: Fraction
+    distance: Fraction
 
     def certificate(self, clause: str) -> Certificate:
         for c in self.certificates:
@@ -326,16 +334,17 @@ def construct_step(inp: StepInput) -> StepOutput:
             f"core mass {core_mass} does not exceed delta * target mass "
             f"{delta * target_mass}; eps = {eps} is too large for this target")
 
-    certificates = _certify(inp, cover, delta, eps_prime, total_distortion,
-                            selection, partition, refinement, involution,
-                            f_tilde, theta, core, m, depth)
+    certificates, agreement_sets, agreement_mass, distance = _certify(
+        inp, cover, delta, eps_prime, total_distortion,
+        selection, partition, refinement, involution,
+        f_tilde, theta, core, m, depth)
     for cert in certificates:
         if not cert.ok:
             raise PostconditionFailure(cert.clause, cert.detail)
     return StepOutput(inp.n, m, depth, h, delta, eps, eps_prime, f_tilde,
                       theta, core, z0, cover, partition, refinement,
                       involution, b_set, a_set, c_set, admission,
-                      certificates)
+                      certificates, agreement_sets, agreement_mass, distance)
 
 
 def _certify(inp: StepInput, cover: Cover, delta: Fraction,
@@ -343,7 +352,12 @@ def _certify(inp: StepInput, cover: Cover, delta: Fraction,
              selection: CoreSelection, partition: FingerprintPartition,
              refinement: RefinementChoice, involution: InvolutionResult,
              f_tilde: StepFunction, theta: FiniteDepthMap, core: CylinderSet,
-             m: int, depth: int) -> tuple[Certificate, ...]:
+             m: int, depth: int) -> tuple[tuple[Certificate, ...],
+                                          Mapping[str, CylinderSet],
+                                          Fraction, Fraction]:
+    """The step's certificates, plus the numbers the agreement and
+    distance clauses decide on: the per-generator agreement sets, the
+    agreement measure and the distance bound."""
     f, mu, action, eps = inp.f, inp.mu, inp.action, Fraction(inp.eps)
     model = f.model
     certs: list[Certificate] = []
@@ -475,7 +489,7 @@ def _certify(inp: StepInput, cover: Cover, delta: Fraction,
         f"core mass {core_mass} vs selected share/2 - 10 eps "
         f"{selection.mass / 2 - 10 * eps}"))
 
-    return tuple(certs)
+    return tuple(certs), agreement.per_generator, agree_mass, dist.upper()
 
 
 def _fingerprint_value(f: StepFunction, z0: CylinderSet, w: Word,

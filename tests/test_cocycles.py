@@ -17,7 +17,8 @@ from cocyclelab.cocycles import (CocycleKernel, PartialStepFunction,
 from cocyclelab.errors import DepthExhausted
 from cocyclelab.groups import cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
-from cocyclelab.odometer import (adding_machine_action, coordinate_flip,
+from cocyclelab.odometer import (PiecewiseCylinderMap, adding_machine,
+                                 adding_machine_action, coordinate_flip,
                                  flip_action)
 
 Z2 = cyclic_group(2)
@@ -107,6 +108,27 @@ class TestIncrements:
         assert not check2.ok
         assert check2.violation_measure(UNIFORM) == 1
 
+    def test_repeat_is_the_same_object_and_depth_refines(self):
+        f = parity_function(2)
+        flip = coordinate_flip(1)
+        first = coboundary_increment(f, flip)
+        assert coboundary_increment(f, flip) is first
+        # keyed by value: a rebuilt, equal generator hits the same entry
+        assert coboundary_increment(f, coordinate_flip(1)) is first
+        assert coboundary_increment(f, flip, depth=1) is first
+        deeper = coboundary_increment(f, flip, depth=4)
+        assert deeper is not first and deeper.depth == 4
+        assert deeper == first.refine(4)
+        assert coboundary_increment(f, flip, depth=4) is deeper
+        with pytest.raises(TypeError):
+            first.table["00"] = 0
+
+    def test_memo_lives_on_the_instance(self):
+        flip = coordinate_flip(1)
+        first = coboundary_increment(parity_function(2), flip)
+        again = coboundary_increment(parity_function(2), flip)
+        assert again == first and again is not first
+
     def test_increment_agreement_exact_set(self):
         f, g = parity_function(2), first_bit(2)
         agree = increment_agreement(f, g, flip_action((2,)))
@@ -115,6 +137,16 @@ class TestIncrements:
         assert agree.measure(UNIFORM) == 0
         same = increment_agreement(f, f, flip_action((1, 2)))
         assert same.measure(UNIFORM) == 1
+
+    def test_agreement_is_the_intersection_of_its_generators(self):
+        f = StepFunction(Z4, 2, {"00": 0, "01": 1, "10": 0, "11": 3})
+        g = StepFunction(Z4, 2, {"00": 0, "01": 1, "10": 2, "11": 3})
+        agree = increment_agreement(f, g, flip_action((1, 2)))
+        assert set(agree.per_generator) == {"s1", "s2"}
+        both = agree.per_generator["s1"].intersection(agree.per_generator["s2"])
+        assert agree.agreement == both
+        # s2 pairs 10 with 11, so only the 0-half keeps its s2 increment
+        assert agree.per_generator["s2"] == CylinderSet.of(["0"])
 
 
 class TestTrivialOnOverflow:
@@ -239,3 +271,42 @@ def test_coboundary_kernel_is_always_a_cocycle(depth, class_depth):
     f = parity_function(depth)
     kernel = CocycleKernel.coboundary(f, class_depth=min(class_depth, depth))
     assert cocycle_check(kernel).ok
+
+
+def uncached_increment(f, sigma, depth=None):
+    """`coboundary_increment` as it was before memoization (the oracle)."""
+    e = max(f.depth, sigma.max_depth, depth or 0)
+    table = {}
+    for w in all_words(e):
+        img = sigma.apply(w)
+        if img is not None:
+            table[w] = f.model.mul(f.at(img), f.model.inv(f.at(w)))
+    return PartialStepFunction(f.model, e, table, sigma.remainder())
+
+
+@st.composite
+def step_functions(draw):
+    model = draw(st.sampled_from([Z2, Z4, S3]))
+    depth = draw(st.integers(0, 4))
+    values = draw(st.lists(st.sampled_from(model.elements()),
+                           min_size=1 << depth, max_size=1 << depth))
+    return StepFunction(model, depth, dict(zip(all_words(depth), values)))
+
+
+generators = st.one_of(
+    st.integers(1, 4).map(coordinate_flip),
+    st.integers(1, 5).map(adding_machine),
+    st.integers(1, 5).map(lambda d: adding_machine(d).inverse()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(step_functions(),
+       st.lists(st.tuples(generators, st.none() | st.integers(0, 6)),
+                min_size=1, max_size=5))
+def test_memoized_increment_matches_uncached_loop(f, calls):
+    for sigma, depth in calls:
+        got = coboundary_increment(f, sigma, depth)
+        expected = uncached_increment(f, sigma, depth)
+        assert got == expected and dict(got.table) == expected.table
+        rebuilt = PiecewiseCylinderMap(sigma.name, sigma.pieces)
+        assert coboundary_increment(f, rebuilt, depth) is got

@@ -9,18 +9,23 @@ import csv
 import io
 import json
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 import cocyclelab.driver as driver
+from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
+                                 coboundary_increment, cocycle_distance,
+                                 increment_agreement)
 from cocyclelab.driver import (PRESETS, PipelineConfig, RunReport, Schedule,
                                bounded_cocycle_pipeline, certify_report,
                                export_report, load_report,
                                norm_bounded_pipeline, run_theorem_02i,
                                run_theorem_02ii)
 from cocyclelab.errors import ConfigError
-from cocyclelab.odometer import adding_machine_action, flip_action
+from cocyclelab.odometer import GammaAction, adding_machine_action, flip_action
+from cocyclelab.stepper import construct_step
 
 
 def preset(name: str, **overrides) -> PipelineConfig:
@@ -192,6 +197,59 @@ class TestAddingRoundProfile:
         assert certify_report(report.records) == []
 
 
+class TestIncrementReuse:
+    def test_each_increment_is_computed_once(self, monkeypatch):
+        made = []
+        check = PartialStepFunction.__post_init__
+
+        def counting(self):
+            # frames: this check, the dataclass __init__, its caller
+            if sys._getframe(2).f_code.co_name == "coboundary_increment":
+                made.append(self)
+            check(self)
+
+        monkeypatch.setattr(PartialStepFunction, "__post_init__", counting)
+        _, report = run_theorem_02i(preset("z2-adding"))
+        # (old, new) function x (T, T~)
+        assert len(made) == 4
+        made.clear()
+        assert certify_report(report.records) == []
+        assert len(made) == 4
+
+    @pytest.mark.parametrize("name", ["z2-adding", "z2-flips"])
+    def test_round_numbers_match_a_fresh_computation(self, name, monkeypatch):
+        steps = []
+
+        def recording(inp):
+            out = construct_step(inp)
+            steps.append((inp, out))
+            return out
+
+        def fresh(f):
+            # a new instance carries no memoized increments
+            return StepFunction(f.model, f.depth, dict(f.table))
+
+        monkeypatch.setattr(driver, "construct_step", recording)
+        _, report = run_theorem_02i(preset(name))
+        rounds = report.by_kind("round")
+        assert len(rounds) == len(steps) == PRESETS[name]["rounds"]
+        for rec, (inp, out) in zip(rounds, steps):
+            old, new, action, mu = fresh(inp.f), fresh(out.f_tilde), inp.action, inp.mu
+            agreement = increment_agreement(old, new, action).measure(mu)
+            dist = cocycle_distance(
+                [coboundary_increment(old, g) for g in action.maps()],
+                [coboundary_increment(new, g) for g in action.maps()], mu)
+            assert rec["conditions"]["agreement"] == str(agreement)
+            assert rec["conditions"]["distance"] == str(dist.upper())
+            change = {}
+            for labels in driver._generator_groups(action):
+                sub = GammaAction("+".join(labels), tuple(
+                    (label, g) for label, g in action.generators if label in labels))
+                moved = increment_agreement(old, new, sub).agreement.complement()
+                change["+".join(labels)] = str(moved.measure(mu))
+            assert rec["artifacts"]["change_mass"] == change
+
+
 @pytest.fixture(scope="module")
 def stream_run():
     return run_theorem_02ii(preset("z2-flip-stream"))
@@ -231,11 +289,11 @@ class TestStreamRun:
 class TestGeneratorGroups:
     def test_adding_machine_pairs(self):
         groups = driver._generator_groups(adding_machine_action(5))
-        assert [labels for labels, _ in groups] == [("T", "T~")]
+        assert groups == [("T", "T~")]
 
     def test_flips_stay_single(self):
         groups = driver._generator_groups(flip_action((1, 2)))
-        assert [labels for labels, _ in groups] == [("s1",), ("s2",)]
+        assert groups == [("s1",), ("s2",)]
 
 
 class TestZeroRounds:
