@@ -23,11 +23,11 @@ from typing import Optional, Sequence
 import yaml
 
 from .driver import (PRESETS, PipelineConfig, Schedule, bounded_cocycle_pipeline,
-                     certify_report, export_report, load_report,
-                     norm_bounded_pipeline, run_theorem_02i, run_theorem_02ii,
-                     _initial_function)
+                     certify_report, export_report, first_round_eps,
+                     initial_function, load_report, norm_bounded_pipeline,
+                     run_theorem_02i, run_theorem_02ii)
 from .errors import CocycleLabError, ConfigError
-from .stepper import StepInput, construct_step, validate_step_output
+from .stepper import StepInput, construct_step
 
 
 def _load_config(text: str, rounds: Optional[int],
@@ -66,21 +66,15 @@ def _cmd_step(args) -> int:
     mu = config.build_measure()
     action = config.build_action(1)
     triple = Schedule.from_config(config).round_triple(0)
-    f = _initial_function(model, max(config.start_level, 1))
-    eps = None
-    if config.eps_start is not None:
-        from fractions import Fraction
-        eps = Fraction(config.eps_start)
-    if eps is None:
-        from .driver import _admission_bound
-        eps = _admission_bound(model, mu, triple)
+    f = initial_function(config, model)
+    eps, _ = first_round_eps(config, model, mu, triple)
     inp = StepInput(f=f, n=config.start_level, action=action,
                     family=tuple(model.parse(h) for h in config.family),
                     target=triple.base(), candidate=model.parse(triple.candidate),
                     u_index=triple.u_index, eps=eps, mu=mu,
                     depth_budget=config.depth_budget)
     out = construct_step(inp)
-    checks = validate_step_output(inp, out)
+    checks = out.check.validator_certificates()
     record = {
         "triple": triple.to_mapping(),
         "level": config.start_level,

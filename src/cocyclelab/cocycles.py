@@ -64,14 +64,6 @@ class StepFunction:
         seen = {self.model.key(v): v for v in self.table.values()}
         return tuple(seen[k] for k in sorted(seen))
 
-    def values_on(self, s: CylinderSet) -> tuple:
-        depth = max(self.depth, s.max_depth)
-        seen = {}
-        for w in s.words_at(depth):
-            v = self.at(w)
-            seen.setdefault(self.model.key(v), v)
-        return tuple(seen[k] for k in sorted(seen))
-
     def refine(self, depth: int) -> "StepFunction":
         if depth < self.depth:
             raise DepthMismatch("cannot coarsen a step function")
@@ -152,12 +144,6 @@ class PartialStepFunction:
         if len(w) < self.depth:
             raise DepthMismatch(f"word of depth {len(w)} too shallow for depth {self.depth}")
         return self.table.get(w[: self.depth])
-
-    def defined_set(self) -> CylinderSet:
-        return self.undefined.complement()
-
-    def undefined_measure(self, mu: ProductMeasure) -> Fraction:
-        return self.undefined.measure(mu)
 
     def value_set(self) -> tuple:
         seen = {self.model.key(v): v for v in self.table.values()}

@@ -36,8 +36,8 @@ from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
 from .measure import ZERO, CylinderSet, ProductMeasure, all_words
 from .odometer import (FiniteDepthMap, GammaAction, adding_machine_action,
                        coordinate_flip, flip_action)
-from .stepper import (Certificate, StepInput, StepOutput, construct_step,
-                      validate_step_output)
+from .stepper import (Certificate, StepArtifacts, StepInput, StepOutput,
+                      construct_step, validate_step_output)
 
 ADMISSION_FACTOR = 40  # eps <= mu(base) / (ADMISSION_FACTOR * covering number)
 SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
@@ -376,9 +376,23 @@ def _admission_bound(model: GroupModel, mu: ProductMeasure,
     return triple.base().measure(mu) / (ADMISSION_FACTOR * cover.number)
 
 
-def _initial_function(model: GroupModel, level: int) -> StepFunction:
+def initial_function(config: PipelineConfig,
+                     model: GroupModel) -> StepFunction:
+    """The constant-identity step function a run starts from."""
+    level = max(config.start_level, 1)
     e = model.identity()
     return StepFunction(model, level, {w: e for w in all_words(level)})
+
+
+def first_round_eps(config: PipelineConfig, model: GroupModel,
+                    mu: ProductMeasure, triple: Triple) -> tuple[Fraction, dict]:
+    """The first round's tolerance and its rule: the admission bound, or
+    the configured ``eps_start`` when that is smaller."""
+    admission = _admission_bound(model, mu, triple)
+    eps = admission
+    if config.eps_start is not None:
+        eps = min(Fraction(config.eps_start), admission)
+    return eps, {"admission": _frac(admission), "chosen": _frac(eps)}
 
 
 @dataclass
@@ -409,7 +423,7 @@ def _run_recursion(config: PipelineConfig,
         "closure": sorted(model.format(h) for h in closure),
     }]
 
-    f = _initial_function(model, max(config.start_level, 1))
+    f = initial_function(config, model)
     n = config.start_level
     eps_history: list[Fraction] = []
     reserves: list[Fraction] = []
@@ -425,16 +439,12 @@ def _run_recursion(config: PipelineConfig,
     for t in range(start_round, config.rounds):
         action = config.build_action(t + 1)
         triple = schedule.round_triple(t)
-        admission = _admission_bound(model, mu, triple)
         if not eps_history:
-            eps = admission
-            if config.eps_start is not None:
-                eps = min(Fraction(config.eps_start), admission)
-            rule = {"admission": _frac(admission), "chosen": _frac(eps)}
+            eps, rule = first_round_eps(config, model, mu, triple)
         else:
             candidates = {
                 "previous_half": eps_history[-1] / 2,
-                "admission": admission,
+                "admission": _admission_bound(model, mu, triple),
             }
             if reserves:
                 candidates["min_reserve"] = min(reserves)
@@ -451,7 +461,7 @@ def _run_recursion(config: PipelineConfig,
                         u_index=triple.u_index, eps=eps, mu=mu,
                         depth_budget=config.depth_budget)
         out = construct_step(inp)
-        validator = validate_step_output(inp, out)
+        check = out.check
 
         kernel = CocycleKernel.coboundary(out.f_tilde,
                                           class_depth=out.f_tilde.depth)
@@ -472,11 +482,11 @@ def _run_recursion(config: PipelineConfig,
         for labels in _generator_groups(action):
             agree = CylinderSet.full()
             for label in labels:
-                agree = agree.intersection(out.agreement_sets[label])
+                agree = agree.intersection(check.agreement.per_generator[label])
             change_sets[labels] = agree.complement()
 
         inc = increments_within(out.f_tilde, action, closure)
-        agreement, dist = out.agreement_mass, out.distance
+        agreement, dist = check.agreement_mass, check.distance
 
         conditions = {
             "finite_values": len(out.f_tilde.value_set()),
@@ -511,7 +521,8 @@ def _run_recursion(config: PipelineConfig,
             "conjugate": model.format(out.h),
             "admission": _cert_record(out.admission),
             "certificates": [_cert_record(c) for c in out.certificates],
-            "validator": [_cert_record(c) for c in validator],
+            "validator": [_cert_record(c)
+                          for c in check.validator_certificates()],
             "conditions": conditions,
             "witness": {
                 "core": _set_words(out.core),
@@ -827,19 +838,6 @@ def _load_checkpoint(config: PipelineConfig, out_dir: str):
 # Report certification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _ReplayOutput:
-    """The slice of a step output the independent validator reads."""
-
-    f_tilde: StepFunction
-    theta: "FiniteDepthMap"
-    core: CylinderSet
-    m: int
-    h: object
-    delta: Fraction
-    working_depth: int
-
-
 def certify_report(records: Sequence[dict]) -> list[dict]:
     """Re-validate a stored report from its embedded artifacts; returns a
     list of failure records (empty means the report is sound)."""
@@ -860,7 +858,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
     schedule = Schedule.from_config(config)
 
     rounds = [r for r in records if r.get("record") == "round"]
-    f_prev = _initial_function(model, max(config.start_level, 1))
+    f_prev = initial_function(config, model)
     n = config.start_level
     prev_eps: Optional[Fraction] = None
     functions = [f_prev]
@@ -885,7 +883,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         core = CylinderSet.of(rec["witness"]["core"])
         h = model.parse(rec["conjugate"])
         delta = Fraction(rec["delta"])
-        replay = _ReplayOutput(f, theta, core, rec["refined_level"], h, delta,
+        replay = StepArtifacts(f, theta, core, rec["refined_level"], h, delta,
                                rec["working_depth"])
         inp = StepInput(f=f_prev, n=n, action=action,
                         family=tuple(model.parse(x) for x in config.family),
@@ -945,25 +943,6 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
 # CSV exports
 # ---------------------------------------------------------------------------
 
-def function_csv(f: StepFunction) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["word", "value"])
-    for w, v in sorted(f.table.items()):
-        writer.writerow([w, f.model.format(v)])
-    return buf.getvalue()
-
-
-def set_csv(s: CylinderSet, mu: ProductMeasure) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["word", "depth", "mass_numerator", "mass_denominator"])
-    for w in s.words:
-        m = mu.cylinder(w)
-        writer.writerow([w, len(w), m.numerator, m.denominator])
-    return buf.getvalue()
-
-
 def export_report(records: Sequence[dict], out_dir: str,
                   kernel_guard: int = 12) -> list[str]:
     """Write CSV artifacts for a stored report; returns the paths."""
@@ -986,13 +965,13 @@ def export_report(records: Sequence[dict], out_dir: str,
     if finals:
         f = StepFunction(model, finals[0]["depth"],
                          {w: model.parse(v) for w, v in finals[0]["f"].items()})
-        emit("final_function.csv", function_csv(f))
+        emit("final_function.csv", f.to_csv())
         if f.depth <= kernel_guard:
             kernel = CocycleKernel.coboundary(f, class_depth=f.depth)
             emit("terminal_kernel.csv", kernel.to_csv(kernel_guard))
     for rec in (r for r in records if r.get("record") == "round"):
         core = CylinderSet.of(rec["witness"]["core"])
-        emit(f"round_{rec['round']:02d}_core.csv", set_csv(core, mu))
+        emit(f"round_{rec['round']:02d}_core.csv", core.to_csv(mu))
     ladders = [r for r in records if r.get("record") == "ladder"]
     if ladders:
         buf = io.StringIO()

@@ -66,10 +66,6 @@ class GroupModel(ABC):
         """Full element list for finite models, None when infinite."""
         return None
 
-    def order(self) -> Optional[int]:
-        els = self.elements()
-        return None if els is None else len(els)
-
     def format(self, a: Element) -> str:
         return "/".join(str(x) for x in self.key(a))
 
@@ -81,19 +77,8 @@ class GroupModel(ABC):
         """x g x^-1."""
         return self.mul(self.mul(x, g), self.inv(x))
 
-    def power(self, a: Element, n: int) -> Element:
-        out = self.identity()
-        base = a if n >= 0 else self.inv(a)
-        for _ in range(abs(n)):
-            out = self.mul(out, base)
-        return out
-
     @abstractmethod
     def conjugacy_class(self, g: Element, budget: int = 4096) -> "ConjugacyClass": ...
-
-    def describe(self) -> dict:
-        return {"kind": self.name}
-
 
 @dataclass(frozen=True)
 class ConjugacyClass:
@@ -180,9 +165,6 @@ class FiniteTableGroup(GroupModel):
                 raise UnboundedClass(f"class of {self.format(g)} exceeds budget {budget}")
         members = tuple(sorted(witnesses))
         return ConjugacyClass(g, members, {e: witnesses[e] for e in members})
-
-    def describe(self) -> dict:
-        return {"kind": "finite", "name": self.name, "order": len(self.table)}
 
     def table_csv(self) -> str:
         buf = io.StringIO()
@@ -280,10 +262,6 @@ class FreeAbelianGroup(GroupModel):
     def conjugacy_class(self, g, budget: int = 4096) -> ConjugacyClass:
         return ConjugacyClass(g, (g,), {g: self.identity()})
 
-    def describe(self) -> dict:
-        return {"kind": "free-abelian", "rank": self.rank}
-
-
 class DirectSumZGroup(GroupModel):
     """The direct sum of countably many copies of Z with the sup norm.
 
@@ -352,10 +330,6 @@ class DirectSumZGroup(GroupModel):
     def conjugacy_class(self, g, budget: int = 4096) -> ConjugacyClass:
         return ConjugacyClass(g, (g,), {g: ()})
 
-    def describe(self) -> dict:
-        return {"kind": "direct-sum-z", "generator_span": self.generator_span}
-
-
 class DirectProductGroup(GroupModel):
     """Direct product of two models; elements are pairs."""
 
@@ -422,10 +396,6 @@ class DirectProductGroup(GroupModel):
                 witnesses[e] = (cl.witnesses[a], cr.witnesses[b])
         members = tuple(sorted(members, key=self.key))
         return ConjugacyClass(g, members, witnesses)
-
-    def describe(self) -> dict:
-        return {"kind": "product", "left": self.left.describe(), "right": self.right.describe()}
-
 
 class RationalRatioGroup(GroupModel):
     """Positive rationals under multiplication; hosts Radon-Nikodym

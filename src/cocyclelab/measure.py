@@ -151,13 +151,6 @@ class ProductMeasure:
         k = (n - len(self.head)) % len(self.cycle)
         return ProductMeasure(head=(), cycle=self.cycle[k:] + self.cycle[:k])
 
-    def class_of(self, w: Word, n: int) -> list[Word]:
-        """The finite equivalence class of `w` at level `n`: all words that
-        agree with `w` beyond coordinate `n` (2^n words, lexicographic)."""
-        if len(w) < n:
-            raise DepthMismatch(f"word of depth {len(w)} has no level-{n} class")
-        return [p + w[n:] for p in all_words(n)]
-
     def schedule_key(self) -> tuple:
         """Hashable canonical form (used in reports)."""
         return (
@@ -335,18 +328,10 @@ class CylinderSet:
         suffixes = CylinderSet.of(w[n:] for w in self.words)
         return CylinderSet.of(p + s for p in all_words(n) for s in suffixes.words)
 
-    def suffix_part(self, n: int) -> "CylinderSet":
-        """For a set invariant under the level-`n` relation, the set of its
-        suffixes beyond coordinate n (a cylinder set of the shifted space)."""
-        if self.saturate(n) != self:
-            raise ValueError(f"set is not invariant at level {n}")
-        if self.is_full():
-            return CylinderSet.full()
-        return CylinderSet.of(w[n:] for w in self.words)
-
     def prepend_free(self, n: int) -> "CylinderSet":
-        """Embed a suffix-space set into the full space by freeing the first
-        n coordinates (inverse of :meth:`suffix_part`)."""
+        """Embed a suffix-space set (a set of words over the coordinates
+        beyond the n-th) into the full space by freeing the first n
+        coordinates."""
         if self.is_empty():
             return self
         if self.is_full():
@@ -354,10 +339,11 @@ class CylinderSet:
         return CylinderSet.of(p + s for p in all_words(n) for s in self.words)
 
     def to_csv(self, mu: ProductMeasure) -> str:
-        """Rows word,depth,numerator,denominator of the member cylinders."""
+        """Rows word,depth,mass_numerator,mass_denominator of the member
+        cylinders."""
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["word", "depth", "numerator", "denominator"])
+        writer.writerow(["word", "depth", "mass_numerator", "mass_denominator"])
         for w in self.words:
             m = mu.cylinder(w)
             writer.writerow([w, len(w), m.numerator, m.denominator])

@@ -16,9 +16,9 @@ image agree beyond the rewritten prefix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExhausted, ConfigError, DepthMismatch
 from .measure import ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words, check_word
@@ -73,35 +73,9 @@ class FiniteDepthMap:
     def inverse(self) -> "FiniteDepthMap":
         return FiniteDepthMap(self.depth, {t: s for s, t in self.moves.items()})
 
-    def compose(self, other: "FiniteDepthMap") -> "FiniteDepthMap":
-        """self after other, at the common refined depth."""
-        depth = max(self.depth, other.depth)
-        moves = {}
-        for w in all_words(depth):
-            img = self.apply(other.apply(w))
-            if img != w:
-                moves[w] = img
-        return FiniteDepthMap(depth, moves)
-
-    def is_involution(self) -> bool:
-        return all(self.moves.get(t) == s for s, t in self.moves.items())
-
-    def moved_words(self) -> list[Word]:
-        return sorted(self.moves)
-
-    def moved_set(self) -> CylinderSet:
-        return CylinderSet.of(self.moves)
-
     def derivative(self, mu: ProductMeasure, w: Word) -> Fraction:
         """d(mu o map)/d(mu) on the cylinder of `w` (constant there)."""
         return mu.ratio(w[: self.depth], self.apply(w)[: self.depth])
-
-    def max_distortion(self, mu: ProductMeasure) -> Fraction:
-        """max over cylinders of |derivative - 1|."""
-        worst = ZERO
-        for s, t in self.moves.items():
-            worst = max(worst, abs(mu.ratio(s, t) - 1))
-        return worst
 
     def image_of(self, s: CylinderSet) -> CylinderSet:
         words = s.words_at(max(self.depth, s.max_depth))
@@ -142,9 +116,6 @@ class PiecewiseCylinderMap:
     def domain(self) -> CylinderSet:
         return CylinderSet.of(s for s, _ in self.pieces)
 
-    def codomain(self) -> CylinderSet:
-        return CylinderSet.of(t for _, t in self.pieces)
-
     def remainder(self) -> CylinderSet:
         """Cylinders where the truncated map is undefined."""
         return self.domain().complement()
@@ -169,10 +140,6 @@ class PiecewiseCylinderMap:
         for s, t in self.pieces:
             worst = max(worst, mu.cylinder(t) / mu.cylinder(s))
         return worst
-
-    def moves_within_level(self, level: int) -> bool:
-        """True when every defined point stays in its level-`level` class."""
-        return all(len(s) <= level or s[level:] == t[level:] for s, t in self.pieces)
 
 
 def adding_machine(depth: int) -> PiecewiseCylinderMap:
@@ -256,12 +223,6 @@ class OverflowResult:
 
     def upper(self) -> CylinderSet:
         return self.known.union(self.unknown)
-
-    def known_measure(self, mu: ProductMeasure) -> Fraction:
-        return self.known.measure(mu)
-
-    def upper_measure(self, mu: ProductMeasure) -> Fraction:
-        return self.upper().measure(mu)
 
 
 def orbit_overflow(action: GammaAction, level: int) -> OverflowResult:

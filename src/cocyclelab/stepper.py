@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
-from .cocycles import (PartialStepFunction, StepFunction,
+from .cocycles import (AgreementCheck, PartialStepFunction, StepFunction,
                        coboundary_increment, cocycle_distance,
                        increment_agreement, increments_within,
                        trivial_on_overflow)
@@ -103,11 +103,137 @@ class RefinementChoice:
 
 
 @dataclass(frozen=True)
+class StepArtifacts:
+    """The slice of a step's output that :func:`check_step` reads: the
+    update, the pairing, the core, the refinement level, the conjugate,
+    delta and the working depth.  The construction's intermediates (z0,
+    the partition, the refinement, the involution, the a/b/c sets) are
+    not part of it, so the check cannot depend on them."""
+
+    f_tilde: StepFunction
+    theta: FiniteDepthMap
+    core: CylinderSet
+    m: int
+    h: Element
+    delta: Fraction
+    working_depth: int
+
+
+@dataclass(frozen=True)
+class StepCheck:
+    """The exact numbers behind the step's shared clauses (overflow_small
+    through distance) and the validator's delta consistency, computed by
+    :func:`check_step`.  Both clause lists of a report, the step's
+    certificates and the validator's, are rendered from one instance."""
+
+    eps: Fraction
+    m: int
+    delta: Fraction
+    cover_number: int
+    overflow_mass: Fraction
+    inner_ok: bool
+    inner_error: Optional[str]  # why innerness was undecidable, if it was
+    enlarged_size: int
+    confined: bool
+    core_inside: bool
+    core_disjoint: bool
+    core_mass: Fraction
+    target_mass: Fraction
+    membership_misses: int
+    worst_core: Fraction
+    agreement: AgreementCheck
+    agreement_mass: Fraction
+    distance: Fraction
+
+    def verdicts(self) -> dict[str, bool]:
+        """Clause name -> verdict for the ten shared clauses."""
+        eps = self.eps
+        return {
+            "overflow_small": self.overflow_mass < eps,
+            "inner": self.inner_ok,
+            "incremental": self.confined,
+            "core_inside": self.core_inside,
+            "core_disjoint": self.core_disjoint,
+            "core_mass": self.core_mass > self.delta * self.target_mass,
+            "core_membership": self.membership_misses == 0,
+            "core_derivative": self.worst_core < eps,
+            "agreement": self.agreement_mass > 1 - eps,
+            "distance": self.distance < eps,
+        }
+
+    def _render(self, details: dict[str, str]) -> tuple[Certificate, ...]:
+        verdicts = self.verdicts()
+        return tuple(Certificate(clause, verdicts[clause], detail)
+                     for clause, detail in details.items())
+
+    def step_certificates(self) -> tuple[Certificate, ...]:
+        """The shared clauses as worded in the step's certificate list."""
+        m, eps = self.m, self.eps
+        return self._render({
+            "overflow_small":
+                f"overflow measure at level {m}: {self.overflow_mass} < {eps}",
+            "inner": f"update is identity on the level-{m} overflow",
+            "incremental":
+                f"update increments stay in the enlarged value family "
+                f"({self.enlarged_size} elements)",
+            "core_inside": "core and its pairing image lie in the target set",
+            "core_disjoint":
+                "pairing image of the core is disjoint from the core",
+            "core_mass":
+                f"core mass {self.core_mass} > delta * target mass "
+                f"{self.delta * self.target_mass}",
+            "core_membership":
+                f"{self.membership_misses} core words leave the "
+                f"neighborhood translate",
+            "core_derivative":
+                f"core derivative deviation {self.worst_core} < {eps}",
+            "agreement":
+                f"increment agreement measure {self.agreement_mass} > {1 - eps}",
+            "distance":
+                f"increment distance at most {self.distance} < {eps}",
+        })
+
+    def validator_certificates(self) -> tuple[Certificate, ...]:
+        """Delta consistency, then the shared clauses as worded in the
+        validator's list."""
+        m, eps = self.m, self.eps
+        delta = Certificate(
+            "delta_consistency",
+            self.delta == Fraction(1, 3 * self.cover_number),
+            f"delta {self.delta} vs 1/(3 * {self.cover_number})")
+        return (delta,) + self._render({
+            "overflow_small":
+                f"overflow measure at level {m}: {self.overflow_mass} < {eps}",
+            "inner": (f"identity on level-{m} overflow"
+                      if self.inner_error is None else self.inner_error),
+            "incremental":
+                f"update increments confined to {self.enlarged_size} values",
+            "core_inside": "core and pairing image inside the target",
+            "core_disjoint": "pairing image disjoint from the core",
+            "core_mass":
+                f"core mass {self.core_mass} > {self.delta * self.target_mass}",
+            "core_membership": f"{self.membership_misses} core words fall outside",
+            "core_derivative": f"deviation {self.worst_core} < {eps}",
+            "agreement": f"agreement measure {self.agreement_mass} > {1 - eps}",
+            "distance": f"distance at most {self.distance} < {eps}",
+        })
+
+
+# clause order of the step's certificate list, which reports store as is
+CERTIFICATE_ORDER = (
+    "eps_prime", "core_selection", "saturation_mass", "partition_defect",
+    "conditional_uniformity", "suffix_derivative", "class_stability",
+    "overflow_small", "inner", "incremental", "transfer_derivative",
+    "transfer_fingerprint", "core_inside", "core_disjoint", "core_mass",
+    "core_membership", "core_derivative", "agreement", "distance",
+    "core_half_ledger")
+
+
+@dataclass(frozen=True)
 class StepOutput:
-    """The step's artifacts and certificates.  ``agreement_sets`` (one
-    per generator label), ``agreement_mass`` and ``distance`` are the
-    exact numbers behind the agreement and distance certificates; the
-    independent validator never reads them."""
+    """The step's artifacts and certificates.  ``check`` holds the exact
+    numbers behind the shared clauses, among them the per-generator
+    agreement sets, the agreement measure and the distance bound."""
 
     n: int
     m: int
@@ -129,9 +255,7 @@ class StepOutput:
     c_set: CylinderSet
     admission: Certificate
     certificates: tuple[Certificate, ...]
-    agreement_sets: Mapping[str, CylinderSet]
-    agreement_mass: Fraction
-    distance: Fraction
+    check: StepCheck
 
     def certificate(self, clause: str) -> Certificate:
         for c in self.certificates:
@@ -295,7 +419,9 @@ def construct_step(inp: StepInput) -> StepOutput:
     if not inc0.ok:
         raise ConfigError("input increments leave the declared value family")
 
-    cover = covering_number(model, inp.candidate, inp.u_index)
+    selection = select_core_and_conjugate(f, inp.target, inp.candidate,
+                                          inp.u_index, mu)
+    z0, h, cover = selection.z0, selection.h, selection.cover
     delta = Fraction(1, 3 * cover.number)
     admission = Certificate(
         "admission",
@@ -307,9 +433,6 @@ def construct_step(inp: StepInput) -> StepOutput:
     total_distortion = action.max_distortion_sum(mu)
     threshold = min(eps_prime, eps / (1 + total_distortion))
 
-    selection = select_core_and_conjugate(f, inp.target, inp.candidate,
-                                          inp.u_index, mu)
-    z0, h = selection.z0, selection.h
     fstar = PartialStepFunction.masked(f, z0.complement())
     partition = fingerprint_partition(fstar, inp.n, mu)
 
@@ -328,38 +451,38 @@ def construct_step(inp: StepInput) -> StepOutput:
     f_tilde = assemble_update(f, h, involution, b_set, m, depth)
     theta, core = build_transfer(z0, b_set, a_set, involution, m, depth)
 
-    core_mass = core.measure(mu)
-    if not core_mass > delta * target_mass:
+    check = check_step(inp, StepArtifacts(f_tilde, theta, core, m, h, delta,
+                                          depth))
+    if not check.verdicts()["core_mass"]:
         raise EmptyCore(
-            f"core mass {core_mass} does not exceed delta * target mass "
-            f"{delta * target_mass}; eps = {eps} is too large for this target")
+            f"core mass {check.core_mass} does not exceed delta * target mass "
+            f"{delta * check.target_mass}; eps = {eps} is too large for this "
+            f"target")
 
-    certificates, agreement_sets, agreement_mass, distance = _certify(
-        inp, cover, delta, eps_prime, total_distortion,
-        selection, partition, refinement, involution,
-        f_tilde, theta, core, m, depth)
+    by_clause = {c.clause: c for c in _certify(
+        inp, eps_prime, total_distortion, selection, partition, refinement,
+        involution, theta, check.core_mass, m)
+        + check.step_certificates()}
+    certificates = tuple(by_clause[clause] for clause in CERTIFICATE_ORDER)
     for cert in certificates:
         if not cert.ok:
             raise PostconditionFailure(cert.clause, cert.detail)
     return StepOutput(inp.n, m, depth, h, delta, eps, eps_prime, f_tilde,
                       theta, core, z0, cover, partition, refinement,
                       involution, b_set, a_set, c_set, admission,
-                      certificates, agreement_sets, agreement_mass, distance)
+                      certificates, check)
 
 
-def _certify(inp: StepInput, cover: Cover, delta: Fraction,
-             eps_prime: Fraction, total_distortion: Fraction,
-             selection: CoreSelection, partition: FingerprintPartition,
-             refinement: RefinementChoice, involution: InvolutionResult,
-             f_tilde: StepFunction, theta: FiniteDepthMap, core: CylinderSet,
-             m: int, depth: int) -> tuple[tuple[Certificate, ...],
-                                          Mapping[str, CylinderSet],
-                                          Fraction, Fraction]:
-    """The step's certificates, plus the numbers the agreement and
-    distance clauses decide on: the per-generator agreement sets, the
-    agreement measure and the distance bound."""
-    f, mu, action, eps = inp.f, inp.mu, inp.action, Fraction(inp.eps)
+def _certify(inp: StepInput, eps_prime: Fraction,
+             total_distortion: Fraction, selection: CoreSelection,
+             partition: FingerprintPartition, refinement: RefinementChoice,
+             involution: InvolutionResult, theta: FiniteDepthMap,
+             core_mass: Fraction, m: int) -> tuple[Certificate, ...]:
+    """The construction clauses: those that read the construction's
+    intermediates, which :func:`check_step` never sees."""
+    f, mu, eps = inp.f, inp.mu, Fraction(inp.eps)
     model = f.model
+    cover = selection.cover
     certs: list[Certificate] = []
 
     certs.append(Certificate(
@@ -405,24 +528,6 @@ def _certify(inp: StepInput, cover: Cover, delta: Fraction,
         "each class is a middle-block set, hence exactly invariant under "
         f"the deep exchange (budget {[str(4 * eps * c.mass) for c in partition.classes]})"))
 
-    overflow_mass = orbit_overflow(action, m).upper().measure(mu)
-    certs.append(Certificate(
-        "overflow_small", overflow_mass < eps,
-        f"overflow measure at level {m}: {overflow_mass} < {eps}"))
-
-    inner = trivial_on_overflow(f_tilde, action, m)
-    certs.append(Certificate(
-        "inner", inner.ok, f"update is identity on the level-{m} overflow"))
-
-    h = selection.h
-    enlarged = conjugate_closure(
-        model, tuple(inp.family) + (h, model.inv(h)))
-    inc = increments_within(f_tilde, action, enlarged)
-    certs.append(Certificate(
-        "incremental", inc.ok,
-        f"update increments stay in the enlarged value family "
-        f"({len(enlarged)} elements)"))
-
     worst_move = ZERO
     worst_print = 0
     for w in sorted(theta.moves):
@@ -440,56 +545,10 @@ def _certify(inp: StepInput, cover: Cover, delta: Fraction,
         f"{worst_print} moved words change their masked value"))
 
     certs.append(Certificate(
-        "core_inside", core.difference(inp.target).is_empty()
-        and theta.image_of(core).difference(inp.target).is_empty(),
-        "core and its pairing image lie in the target set"))
-
-    certs.append(Certificate(
-        "core_disjoint", theta.image_of(core).intersection(core).is_empty(),
-        "pairing image of the core is disjoint from the core"))
-
-    core_mass = core.measure(mu)
-    target_mass = inp.target.measure(mu)
-    certs.append(Certificate(
-        "core_mass", core_mass > delta * target_mass,
-        f"core mass {core_mass} > delta * target mass {delta * target_mass}"))
-
-    u_keys = {model.key(u) for u in model.neighborhood(inp.u_index)}
-    bad_membership = 0
-    worst_core = ZERO
-    for w in core.words_at(depth):
-        image = theta.apply(w)
-        increment = model.mul(f_tilde.at(image), model.inv(f_tilde.at(w)))
-        shifted = model.mul(increment, model.inv(inp.candidate))
-        if model.key(shifted) not in u_keys:
-            bad_membership += 1
-        worst_core = max(worst_core, abs(mu.ratio(w, image) - 1))
-    certs.append(Certificate(
-        "core_membership", bad_membership == 0,
-        f"{bad_membership} core words leave the neighborhood translate"))
-    certs.append(Certificate(
-        "core_derivative", worst_core < eps,
-        f"core derivative deviation {worst_core} < {eps}"))
-
-    agreement = increment_agreement(f, f_tilde, action)
-    agree_mass = agreement.measure(mu)
-    certs.append(Certificate(
-        "agreement", agree_mass > 1 - eps,
-        f"increment agreement measure {agree_mass} > {1 - eps}"))
-
-    old_inc = [coboundary_increment(f, g) for g in action.maps()]
-    new_inc = [coboundary_increment(f_tilde, g) for g in action.maps()]
-    dist = cocycle_distance(old_inc, new_inc, mu)
-    certs.append(Certificate(
-        "distance", dist.upper() < eps,
-        f"increment distance at most {dist.upper()} < {eps}"))
-
-    certs.append(Certificate(
         "core_half_ledger", core_mass > selection.mass / 2 - 10 * eps,
         f"core mass {core_mass} vs selected share/2 - 10 eps "
         f"{selection.mass / 2 - 10 * eps}"))
-
-    return tuple(certs), agreement.per_generator, agree_mass, dist.upper()
+    return tuple(certs)
 
 
 def _fingerprint_value(f: StepFunction, z0: CylinderSet, w: Word,
@@ -499,77 +558,58 @@ def _fingerprint_value(f: StepFunction, z0: CylinderSet, w: Word,
     return model.format(f.at(w))
 
 
-def validate_step_output(inp: StepInput,
-                         out: StepOutput) -> tuple[Certificate, ...]:
-    """Recheck the step's claims from the input and the output's
-    (update, pairing, core, m, h, delta) alone; nothing is trusted from
-    the construction's intermediates."""
+def check_step(inp: StepInput, art: StepArtifacts) -> StepCheck:
+    """Compute the step's shared clauses (and delta's covering number)
+    from the input and the artifact slice alone.  :func:`construct_step`
+    runs it once on its finished artifacts, and :func:`validate_step_output`
+    on whatever output it is given."""
     f, mu, action, eps = inp.f, inp.mu, inp.action, Fraction(inp.eps)
     model = f.model
-    f_tilde, theta, core, m, h = out.f_tilde, out.theta, out.core, out.m, out.h
-    depth = out.working_depth
-    certs: list[Certificate] = []
-
-    cover = covering_number(model, inp.candidate, inp.u_index)
-    certs.append(Certificate(
-        "delta_consistency", out.delta == Fraction(1, 3 * cover.number),
-        f"delta {out.delta} vs 1/(3 * {cover.number})"))
-
-    overflow_mass = orbit_overflow(action, m).upper().measure(mu)
-    certs.append(Certificate(
-        "overflow_small", overflow_mass < eps,
-        f"overflow measure at level {m}: {overflow_mass} < {eps}"))
+    f_tilde, theta, core, m, h = art.f_tilde, art.theta, art.core, art.m, art.h
 
     try:
-        inner = trivial_on_overflow(f_tilde, action, m)
-        inner_ok, inner_note = inner.ok, f"identity on level-{m} overflow"
+        inner_ok = trivial_on_overflow(f_tilde, action, m).ok
+        inner_error = None
     except DepthExhausted as exc:
-        inner_ok, inner_note = False, str(exc)
-    certs.append(Certificate("inner", inner_ok, inner_note))
+        inner_ok, inner_error = False, str(exc)
 
     enlarged = conjugate_closure(model, tuple(inp.family) + (h, model.inv(h)))
-    inc = increments_within(f_tilde, action, enlarged)
-    certs.append(Certificate(
-        "incremental", inc.ok,
-        f"update increments confined to {len(enlarged)} values"))
-
-    certs.append(Certificate(
-        "core_inside", core.difference(inp.target).is_empty()
-        and theta.image_of(core).difference(inp.target).is_empty(),
-        "core and pairing image inside the target"))
-    certs.append(Certificate(
-        "core_disjoint", theta.image_of(core).intersection(core).is_empty(),
-        "pairing image disjoint from the core"))
-
-    core_mass = core.measure(mu)
-    target_mass = inp.target.measure(mu)
-    certs.append(Certificate(
-        "core_mass", core_mass > out.delta * target_mass,
-        f"core mass {core_mass} > {out.delta * target_mass}"))
+    image = theta.image_of(core)
 
     u_keys = {model.key(u) for u in model.neighborhood(inp.u_index)}
-    bad = 0
+    misses = 0
     worst = ZERO
-    for w in core.words_at(depth):
-        image = theta.apply(w)
-        increment = model.mul(f_tilde.at(image), model.inv(f_tilde.at(w)))
+    for w in core.words_at(art.working_depth):
+        moved = theta.apply(w)
+        increment = model.mul(f_tilde.at(moved), model.inv(f_tilde.at(w)))
         if model.key(model.mul(increment, model.inv(inp.candidate))) not in u_keys:
-            bad += 1
-        worst = max(worst, abs(mu.ratio(w, image) - 1))
-    certs.append(Certificate(
-        "core_membership", bad == 0, f"{bad} core words fall outside"))
-    certs.append(Certificate(
-        "core_derivative", worst < eps, f"deviation {worst} < {eps}"))
+            misses += 1
+        worst = max(worst, abs(mu.ratio(w, moved) - 1))
 
-    agree_mass = increment_agreement(f, f_tilde, action).measure(mu)
-    certs.append(Certificate(
-        "agreement", agree_mass > 1 - eps,
-        f"agreement measure {agree_mass} > {1 - eps}"))
-
+    agreement = increment_agreement(f, f_tilde, action)
     old_inc = [coboundary_increment(f, g) for g in action.maps()]
     new_inc = [coboundary_increment(f_tilde, g) for g in action.maps()]
-    dist = cocycle_distance(old_inc, new_inc, mu)
-    certs.append(Certificate(
-        "distance", dist.upper() < eps,
-        f"distance at most {dist.upper()} < {eps}"))
-    return tuple(certs)
+    return StepCheck(
+        eps=eps, m=m, delta=art.delta,
+        cover_number=covering_number(model, inp.candidate,
+                                     inp.u_index).number,
+        overflow_mass=orbit_overflow(action, m).upper().measure(mu),
+        inner_ok=inner_ok, inner_error=inner_error,
+        enlarged_size=len(enlarged),
+        confined=increments_within(f_tilde, action, enlarged).ok,
+        core_inside=core.difference(inp.target).is_empty()
+        and image.difference(inp.target).is_empty(),
+        core_disjoint=image.intersection(core).is_empty(),
+        core_mass=core.measure(mu), target_mass=inp.target.measure(mu),
+        membership_misses=misses, worst_core=worst,
+        agreement=agreement, agreement_mass=agreement.measure(mu),
+        distance=cocycle_distance(old_inc, new_inc, mu).upper())
+
+
+def validate_step_output(inp: StepInput, out) -> tuple[Certificate, ...]:
+    """Recheck the step's claims from the input and the output's artifact
+    slice alone (`out` is a :class:`StepOutput` or :class:`StepArtifacts`);
+    nothing is trusted from the construction's intermediates."""
+    art = StepArtifacts(out.f_tilde, out.theta, out.core, out.m, out.h,
+                        out.delta, out.working_depth)
+    return check_step(inp, art).validator_certificates()

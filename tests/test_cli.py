@@ -1,4 +1,5 @@
 """Command line front end: exit codes and emitted records."""
+import hashlib
 import json
 import os
 import subprocess
@@ -33,6 +34,72 @@ class TestStep:
                                "--depth", "3")
         assert rc == 1
         assert json.loads(err.strip())["error"]
+
+
+# sha256 of `cocyclelab step --config <preset>` stdout, recorded before the
+# step's shared clauses were folded into one check; the check's rewrite,
+# the first-round eps rule and the CSV writers must leave them unchanged
+STEP_STDOUT_SHA256 = {
+    "z2-flips": "4084e23a018046ca8859013685cf9bf59957423125589baef32f105ef65601cc",
+    "z3-flips": "f635c0941227cbaebc3de7c14cdde37d6b8841f0b0637ccf34dc26973bb6c62a",
+    "z2-adding": "20a438862ddbc610d9ab85b78ea82970c1d1bb7b59397d5d2e92abf8d3bb31fb",
+    "z2-flip-stream": "3423f33415aafc3fce7e3bee985ba5a5a1076554f1ca6cf1a0b4086a6e125c3e",
+    "sum-z": "f413faeb5d0c378334dc060f944c2257f13831c158fa1cd53c0ed2a1cddce15e",
+    "sum-z-wide": "f97e166684b8e44a16065c56af737a7607021356ccfc14dbc16707d2d919c13b",
+}
+
+# sha256 of each CSV that `export` writes for a z2-flips report
+EXPORT_CSV_SHA256 = {
+    "final_function.csv": "7c25db49fdf807ec2f38504a81332e26bbf85647c16b61974c5c4102a0574723",
+    "ladder.csv": "f4bc9190f0955b3e3aa3deb05939117e41864d356d4ffd3b18ccf72659fbd883",
+    "round_01_core.csv": "c6580a6335888d2b8df64347f5ff5bbbf6488ee2b792b7d28811c13c4fdffbc6",
+    "round_02_core.csv": "d7634ecacb74ca0f777d02a1bf7e6be652946a8413cb6e48e68d372baae0dfb9",
+    "round_03_core.csv": "b33ac6939dce252e611ee23ae4696d992813d07ba8bc23c85a2d93230e18ec0f",
+    "round_04_core.csv": "5005068d2f07b678da924c976766a9250f1304fdd28c1d80621c7a30fc519bc4",
+    "round_05_core.csv": "84cf8c146163c8c7d01923208a2198ee331ad73028749f0e76cd2bbf0a31f80f",
+    "round_06_core.csv": "71a26e6eacc8914aa9ed33e93585aafdc05ca1a273892587eb02aaa9d42f398c",
+    "terminal_kernel.csv": "1b62e6ce918b636b99a690124cb4c50e98f8c4bc79d5b141bb1535d6f96b2398",
+}
+
+
+class TestFirstRoundEps:
+    def test_step_matches_first_run_round(self, tmp_path, capsys):
+        # eps_start above the admission bound (1/40) is capped by it
+        raw = {**PRESETS["z2-flips"], "eps_start": "1/4"}
+        path = tmp_path / "eps.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        rc, out, _ = run_cli(capsys, "step", "--config", str(path))
+        assert rc == 0
+        step = json.loads(out)
+        rc, out, _ = run_cli(capsys, "run", "--config", str(path),
+                             "--rounds", "1")
+        assert rc == 0
+        first = next(r for r in map(json.loads, out.splitlines())
+                     if r["record"] == "round")
+        assert step["eps"] == first["eps"] == "1/40"
+        assert step["refined_level"] == first["refined_level"]
+        assert step["conjugate"] == first["conjugate"]
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("preset", sorted(STEP_STDOUT_SHA256))
+    def test_step_stdout(self, capsys, preset):
+        rc, out, err = run_cli(capsys, "step", "--config", preset)
+        assert rc == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            STEP_STDOUT_SHA256[preset]
+
+    def test_export_csvs(self, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        rc, _, _ = run_cli(capsys, "run", "--config", "z2-flips", "--out", out)
+        assert rc == 0
+        rc, stdout, _ = run_cli(capsys, "export",
+                                os.path.join(out, "report.jsonl"),
+                                "--out", str(tmp_path / "csv"))
+        assert rc == 0
+        digests = {os.path.basename(p): hashlib.sha256(
+            Path(p).read_bytes()).hexdigest() for p in stdout.splitlines()}
+        assert digests == EXPORT_CSV_SHA256
 
 
 class TestRun:

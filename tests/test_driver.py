@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import cocyclelab.driver as driver
+import cocyclelab.stepper as stepper
 from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
                                  coboundary_increment, cocycle_distance,
                                  increment_agreement)
@@ -248,6 +249,42 @@ class TestIncrementReuse:
                 moved = increment_agreement(old, new, sub).agreement.complement()
                 change["+".join(labels)] = str(moved.measure(mu))
             assert rec["artifacts"]["change_mass"] == change
+
+
+class TestSingleCheck:
+    @pytest.mark.parametrize("name,rounds", [("z2-flips", 6), ("z2-adding", 1)])
+    def test_agreement_once_per_round(self, name, rounds, monkeypatch):
+        calls = []
+        real = stepper.increment_agreement
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(stepper, "increment_agreement", counting)
+        _, report = run_theorem_02i(preset(name))
+        assert len(calls) == rounds
+        calls.clear()
+        assert certify_report(report.records) == []
+        assert len(calls) == rounds
+
+    @pytest.mark.parametrize("name", ["z2-adding", "z2-flips"])
+    def test_stored_validator_matches_certify(self, name, monkeypatch):
+        replayed = []
+        real = driver.validate_step_output
+
+        def recording(inp, out):
+            checks = real(inp, out)
+            replayed.append([{"clause": c.clause, "ok": c.ok,
+                              "detail": c.detail} for c in checks])
+            return checks
+
+        _, report = run_theorem_02i(preset(name))
+        monkeypatch.setattr(driver, "validate_step_output", recording)
+        assert certify_report(report.records) == []
+        stored = [r["validator"] for r in report.by_kind("round")]
+        assert len(stored) == PRESETS[name]["rounds"]
+        assert replayed == stored
 
 
 @pytest.fixture(scope="module")

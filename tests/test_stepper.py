@@ -14,9 +14,11 @@ from cocyclelab.errors import (ConfigError, DepthExhausted, EmptyCore,
                                PostconditionFailure)
 from cocyclelab.groups import cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
-from cocyclelab.odometer import adding_machine_action, flip_action
-from cocyclelab.stepper import (StepInput, construct_step,
-                                image_safe_tolerance, validate_step_output)
+from cocyclelab.odometer import (FiniteDepthMap, adding_machine_action,
+                                 flip_action)
+from cocyclelab.stepper import (CERTIFICATE_ORDER, StepArtifacts, StepInput,
+                                construct_step, image_safe_tolerance,
+                                validate_step_output)
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -230,6 +232,46 @@ class TestErrorPaths:
             construct_step(reference_input(eps=Fraction(1, 10 ** 6)))
 
 
+def _lift_top_word(out):
+    # a non-identity value on the adding machine's undecided remainder
+    table = dict(out.f_tilde.table)
+    table["1" * out.working_depth] = 1
+    return dataclasses.replace(
+        out, f_tilde=StepFunction(Z2, out.working_depth, table))
+
+
+def _first_core_word(out):
+    return dataclasses.replace(out, core=CylinderSet.of(
+        out.core.words_at(out.working_depth)[:1]))
+
+
+# (clause, input, tampering of the constructed output); each tampering
+# breaks the named shared clause, possibly others with it
+TAMPERED = [
+    ("overflow_small", reference_input(),
+     lambda out: dataclasses.replace(out, m=1)),
+    ("inner", reference_input(), _lift_top_word),
+    ("incremental", VARIANTS[2][1],  # Z4: h = 0 shrinks the enlarged family
+     lambda out: dataclasses.replace(out, h=0)),
+    ("core_inside", VARIANTS[5][1],
+     lambda out: dataclasses.replace(
+         out, core=out.core.union(CylinderSet.of(["11"])))),
+    ("core_mass", reference_input(), _first_core_word),
+    ("core_membership", reference_input(),
+     lambda out: dataclasses.replace(
+         out, theta=FiniteDepthMap(out.working_depth, {}))),
+    ("core_derivative", VARIANTS[1][1],  # biased measure, first-coordinate flip
+     lambda out: dataclasses.replace(out, theta=FiniteDepthMap.from_pairs(
+         out.working_depth, [("0", "1")]))),
+    ("agreement", reference_input(),
+     lambda out: dataclasses.replace(out, f_tilde=out.f_tilde.right_translate_on(
+         CylinderSet.of(["001"]), 1))),
+    ("distance", reference_input(),
+     lambda out: dataclasses.replace(out, f_tilde=out.f_tilde.right_translate_on(
+         CylinderSet.of(["01"]), 1))),
+]
+
+
 class TestValidatorIndependence:
     def test_tampered_delta(self):
         inp = reference_input()
@@ -254,6 +296,39 @@ class TestValidatorIndependence:
             out, f_tilde=StepFunction(Z2, out.f_tilde.depth, table))
         bad = [c.clause for c in validate_step_output(inp, out) if not c.ok]
         assert bad
+
+    @pytest.mark.parametrize("clause,inp,tamper", TAMPERED,
+                             ids=[t[0] for t in TAMPERED])
+    def test_clause_fails(self, clause, inp, tamper):
+        out = tamper(construct_step(inp))
+        bad = [c.clause for c in validate_step_output(inp, out) if not c.ok]
+        assert clause in bad
+
+    def test_undecidable_inner_names_the_remainder(self):
+        inp = reference_input()
+        checks = validate_step_output(inp, _lift_top_word(construct_step(inp)))
+        inner = next(c for c in checks if c.clause == "inner")
+        assert not inner.ok
+        assert "undecided remainder" in inner.detail
+
+
+class TestSharedCheck:
+    @pytest.mark.parametrize("inp", [reference_input()] + [v[1] for v in VARIANTS],
+                             ids=["reference"] + [v[0] for v in VARIANTS])
+    def test_both_lists_come_from_the_step_check(self, inp):
+        out = construct_step(inp)
+        assert tuple(c.clause for c in out.certificates) == CERTIFICATE_ORDER
+        assert out.check.validator_certificates() == validate_step_output(inp, out)
+        shared = {c.clause: c for c in out.check.step_certificates()}
+        assert [c for c in out.certificates if c.clause in shared] == \
+            list(shared.values())
+
+    def test_artifact_slice_is_enough(self):
+        inp = reference_input()
+        out = construct_step(inp)
+        art = StepArtifacts(out.f_tilde, out.theta, out.core, out.m, out.h,
+                            out.delta, out.working_depth)
+        assert validate_step_output(inp, art) == validate_step_output(inp, out)
 
 
 class TestTolerances:
