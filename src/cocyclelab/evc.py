@@ -137,8 +137,8 @@ def check_evc(
     The search assembles involutions from pairings within kernel classes
     of the base set, matching words whose kernel value lands in the
     target (grouped by potential value for coboundary kernels), largest
-    measure first, and deepens the word level when the mass threshold is
-    out of reach at the current one.
+    measure first, at the first level that resolves the kernel and the
+    base.  No deeper level reaches more mass, so none is tried.
     """
     delta = Fraction(delta)
     model = kernel.model
@@ -156,30 +156,29 @@ def check_evc(
                               check.membership_margin)
 
     need = delta * base.measure(mu)
-    best_mass = ZERO
-    start = max(kernel.depth, base.max_depth)
-    if start > search_depth:
+    # Past this level each base word and kernel class splits by bits beyond
+    # the kernel depth, which keep kernel values, derivatives and the
+    # (-mass, word) order: the pairing only gains those bits, at equal mass.
+    level = max(kernel.depth, base.max_depth)
+    if level > search_depth:
         raise SearchExhausted(
-            f"kernel depth {start} already exceeds search depth {search_depth}",
+            f"kernel depth {level} already exceeds search depth {search_depth}",
             best={"required_mass": str(need)})
-    for level in range(start, search_depth + 1):
-        pairs, b_words, mass = _pair_search(kernel, base, target, target_keys,
-                                            delta, mu, level, need)
-        best_mass = max(best_mass, mass)
-        if mass > need:
-            theta = FiniteDepthMap.from_pairs(level, pairs)
-            part = CylinderSet.of(b_words)
-            check = validate_witness(kernel, base, target, delta, mu, part, theta)
-            if not check.ok:
-                raise PostconditionFailure(
-                    check.clause or "unknown",
-                    f"search produced an invalid witness: {check.detail}")
-            return EvcWitness(base, part, theta, delta, target,
-                              check.measure_slack, check.derivative_slack,
-                              check.membership_margin)
-    raise SearchExhausted(
-        f"no witness with mass above {need} within depth {search_depth}",
-        best={"required_mass": str(need), "achieved_mass": str(best_mass)})
+    pairs, b_words, mass = _pair_search(kernel, base, target, target_keys,
+                                        delta, mu, level, need)
+    if not mass > need:
+        raise SearchExhausted(
+            f"no witness with mass above {need} within depth {search_depth}",
+            best={"required_mass": str(need), "achieved_mass": str(mass)})
+    theta = FiniteDepthMap.from_pairs(level, pairs)
+    part = CylinderSet.of(b_words)
+    check = validate_witness(kernel, base, target, delta, mu, part, theta)
+    if not check.ok:
+        raise PostconditionFailure(
+            check.clause or "unknown",
+            f"search produced an invalid witness: {check.detail}")
+    return EvcWitness(base, part, theta, delta, target, check.measure_slack,
+                      check.derivative_slack, check.membership_margin)
 
 
 def _pair_search(
@@ -195,15 +194,16 @@ def _pair_search(
     """Greedy disjoint pairing at one word level.  A pair (x, y) admits x
     into B when the kernel value of (y, x) is a target and the x-side
     derivative is within delta; both sides may qualify.  Returns (pairs,
-    B-words, B-mass); stops early once the mass threshold is crossed."""
-    by_class: dict[Word, list[Word]] = {}
+    B-words, B-mass); stops early once the mass threshold is crossed.
+    A deeper level only appends bits to the words (see `check_evc`)."""
+    by_class: dict[Word, dict[Word, Fraction]] = {}
     for w in base.words_at(level):
-        by_class.setdefault(w[kernel.class_depth:], []).append(w)
+        by_class.setdefault(w[kernel.class_depth:], {})[w] = mu.cylinder(w)
     pairs: list[tuple[Word, Word]] = []
     b_words: list[Word] = []
     mass = ZERO
-    for cls_key in sorted(by_class):
-        members = sorted(by_class[cls_key], key=lambda w: (-mu.cylinder(w), w))
+    for _, mass_of in sorted(by_class.items()):
+        members = sorted(mass_of, key=lambda w: (-mass_of[w], w))
         if kernel.kind == "coboundary":
             found = _match_by_value(kernel, members, target, target_keys, delta, mu)
         else:
@@ -212,10 +212,10 @@ def _pair_search(
             pairs.append((x, y))
             if x_ok:
                 b_words.append(x)
-                mass += mu.cylinder(x)
+                mass += mass_of[x]
             if y_ok:
                 b_words.append(y)
-                mass += mu.cylinder(y)
+                mass += mass_of[y]
         if mass > need:
             break
     return pairs, b_words, mass

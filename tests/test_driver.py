@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import cocyclelab.driver as driver
+import cocyclelab.evc as evc
 import cocyclelab.stepper as stepper
 from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
                                  coboundary_increment, cocycle_distance,
@@ -482,6 +483,41 @@ class TestBoundedPipelines:
         record = report.by_kind("norm_bounds")[0]
         assert record["ok"]
         assert record["sup_family_norm"] == "5"
+
+
+class TestEvcSearch:
+    @pytest.mark.parametrize("budget", [14, 18])
+    def test_one_pair_search_per_check(self, budget, monkeypatch):
+        searches, checks = [], []
+        real_search, real_check = evc._pair_search, evc.check_evc
+
+        def counting_search(*args):
+            searches.append(args)
+            return real_search(*args)
+
+        def counting_check(*args, **kwargs):
+            before, outcome = len(searches), "exhausted"
+            try:
+                witness = real_check(*args, **kwargs)
+                # only the identity fast path returns a map that moves nothing
+                outcome = "pairs" if witness.theta.moves else "identity"
+                return witness
+            finally:
+                checks.append((outcome, len(searches) - before))
+
+        monkeypatch.setattr(evc, "_pair_search", counting_search)
+        monkeypatch.setattr(evc, "check_evc", counting_check)
+        monkeypatch.setattr(driver, "check_evc", counting_check)
+        norm_bounded_pipeline(preset("sum-z", depth_budget=budget))
+        # the unscheduled candidates 0/1 and 0/-1, on both bases
+        assert [o for o, _ in checks].count("exhausted") == 4
+        assert all(made == (0 if outcome == "identity" else 1)
+                   for outcome, made in checks)
+
+    def test_essential_values_do_not_depend_on_budget(self):
+        records = [norm_bounded_pipeline(preset("sum-z", depth_budget=budget))
+                   .by_kind("essential_values") for budget in (14, 18)]
+        assert records[0] == records[1]
 
 
 class TestExports:
