@@ -55,6 +55,12 @@ class StepFunction:
         (generator, depth); they live exactly as long as the function."""
         return {}
 
+    @cached_property
+    def _witnesses(self) -> dict:
+        """`evc.check_evc`'s outcomes on coboundary kernels of this
+        function, keyed by the search's inputs."""
+        return {}
+
     def at(self, w: Word) -> Element:
         if len(w) < self.depth:
             raise DepthMismatch(f"word of depth {len(w)} too shallow for depth {self.depth}")

@@ -36,7 +36,7 @@ from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
 from .measure import ZERO, CylinderSet, ProductMeasure, all_words
 from .odometer import (FiniteDepthMap, GammaAction, adding_machine_action,
                        coordinate_flip, flip_action)
-from .stepper import (Certificate, StepArtifacts, StepInput, StepOutput,
+from .stepper import (Certificate, StepArtifacts, StepInput,
                       construct_step, validate_step_output)
 
 ADMISSION_FACTOR = 40  # eps <= mu(base) / (ADMISSION_FACTOR * covering number)
@@ -400,7 +400,6 @@ class _RoundState:
     index: int
     triple: Triple
     eps: Fraction
-    output: StepOutput
     witness_slack: Fraction
     change_sets: dict[tuple[str, ...], CylinderSet]
 
@@ -500,8 +499,8 @@ def _run_recursion(config: PipelineConfig,
             "evc_search": fresh_rec,
         }
 
-        state = _RoundState(t + 1, triple, eps, out,
-                            witness_check.measure_slack, change_sets)
+        state = _RoundState(t + 1, triple, eps, witness_check.measure_slack,
+                            change_sets)
         states.append(state)
         eps_history.append(eps)
         reserves.append(witness_check.measure_slack / 4)
@@ -803,7 +802,8 @@ def _save_checkpoint(config, out_dir, records, f, n, eps_history, reserves,
     }
     tmp = os.path.join(out_dir, "checkpoint.json.tmp")
     with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        # json.dump would stream through the pure-Python encoder
+        fh.write(json.dumps(payload, sort_keys=True))
     os.replace(tmp, os.path.join(out_dir, "checkpoint.json"))
 
 
@@ -825,9 +825,8 @@ def _load_checkpoint(config: PipelineConfig, out_dir: str):
                         raw["triple"]["u_index"])
         change = {tuple(k.split("+")): CylinderSet.of(v)
                   for k, v in raw["change_sets"].items()}
-        # outputs are not rehydrated; resumed runs only need the ledger data
         states.append(_RoundState(raw["index"], triple, Fraction(raw["eps"]),
-                                  None, Fraction(raw["witness_slack"]), change))
+                                  Fraction(raw["witness_slack"]), change))
     eps_history = [Fraction(e) for e in payload["eps_history"]]
     reserves = [Fraction(r) for r in payload["reserves"]]
     return (list(payload["records"]), functions[-1], payload["level"],

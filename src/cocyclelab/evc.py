@@ -114,7 +114,7 @@ def validate_witness(
             return failed("membership",
                           f"kernel value {model.format(value)} at {w} "
                           "is outside the target set", mass - need)
-        worst_derivative = max(worst_derivative, abs(mu.ratio(w, img) - 1))
+        worst_derivative = max(worst_derivative, mu.deviation(w, img))
     if not worst_derivative < delta:
         return failed("derivative",
                       f"derivative deviation {worst_derivative} is not below "
@@ -139,10 +139,35 @@ def check_evc(
     target (grouped by potential value for coboundary kernels), largest
     measure first, at the first level that resolves the kernel and the
     base.  No deeper level reaches more mass, so none is tried.
+
+    On a coboundary kernel the outcome is kept on the potential, keyed by
+    the search's inputs, so a repeated search returns the same witness or
+    raises the same exhaustion without searching again.
     """
     delta = Fraction(delta)
-    model = kernel.model
     target = tuple(target)
+    if kernel.kind != "coboundary":
+        return _search_witness(kernel, base, target, delta, mu, search_depth)
+    key = (kernel.model, kernel.depth, kernel.class_depth, base,
+           tuple(kernel.model.key(t) for t in target), delta, mu, search_depth)
+    memo = kernel.potential._witnesses
+    outcome = memo.get(key)
+    if outcome is None:
+        try:
+            outcome = _search_witness(kernel, base, target, delta, mu,
+                                      search_depth)
+        except SearchExhausted as exc:
+            outcome = (str(exc), exc.best)
+        memo[key] = outcome
+    if isinstance(outcome, EvcWitness):
+        return outcome
+    message, best = outcome
+    raise SearchExhausted(message, best)
+
+
+def _search_witness(kernel, base, target, delta, mu, search_depth) -> EvcWitness:
+    """The search behind :func:`check_evc`, run once per distinct input."""
+    model = kernel.model
     target_keys = {model.key(t) for t in target}
     if base.is_empty():
         raise SearchExhausted("the base set is empty", best={})
@@ -234,9 +259,9 @@ def _match_generic(kernel, members, target_keys, delta, mu):
                 continue
             forward = kernel.value(y[: kernel.depth], x[: kernel.depth])
             x_ok = (model.key(forward) in target_keys
-                    and abs(mu.ratio(x, y) - 1) < delta)
+                    and mu.deviation(x, y) < delta)
             y_ok = (model.key(model.inv(forward)) in target_keys
-                    and abs(mu.ratio(y, x) - 1) < delta)
+                    and mu.deviation(y, x) < delta)
             if x_ok or y_ok:
                 used.update((x, y))
                 out.append((x, y, x_ok, y_ok))
@@ -261,11 +286,11 @@ def _match_by_value(kernel, members, target, target_keys, delta, mu):
             for y in groups.get(model.key(model.mul(t, pot[x])), ()):
                 if y in used or y == x:
                     continue
-                if not abs(mu.ratio(x, y) - 1) < delta:
+                if not mu.deviation(x, y) < delta:
                     continue
                 back = model.mul(pot[x], model.inv(pot[y]))
                 y_ok = (model.key(back) in target_keys
-                        and abs(mu.ratio(y, x) - 1) < delta)
+                        and mu.deviation(y, x) < delta)
                 used.update((x, y))
                 out.append((x, y, True, y_ok))
                 break

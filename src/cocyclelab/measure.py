@@ -69,8 +69,8 @@ class ProductMeasure:
     """Product measure with an eventually periodic rational weight schedule.
 
     ``head`` lists the weight pairs of the first coordinates, after which the
-    pairs in ``cycle`` repeat forever.  ``weight(i, b)`` is the mass the
-    i-th coordinate (1-based) gives to symbol ``b``.
+    pairs in ``cycle`` repeat forever; the pair of the i-th coordinate
+    (1-based) gives the masses of symbols 0 and 1 there.
     """
 
     head: tuple[WeightPair, ...]
@@ -97,15 +97,6 @@ class ProductMeasure:
             cycle=tuple(_as_pair(p) for p in cycle),
         )
 
-    def weight(self, i: int, bit: str) -> Fraction:
-        if i < 1:
-            raise ValueError("coordinates are 1-based")
-        if i <= len(self.head):
-            pair = self.head[i - 1]
-        else:
-            pair = self.cycle[(i - len(self.head) - 1) % len(self.cycle)]
-        return pair[0] if bit == "0" else pair[1]
-
     @cached_property
     def _integer_weights(self) -> tuple[tuple, tuple]:
         """``head`` and ``cycle`` with each weight as (numerator, denominator)."""
@@ -127,20 +118,37 @@ class ProductMeasure:
             den *= d
         return Fraction(num, den)
 
+    def _ratio_terms(self, x: Word, y: Word) -> tuple[int, int]:
+        """Numerator and denominator of ``ratio(x, y)``, unreduced: the
+        integer weights are multiplied over the coordinates where the
+        words differ."""
+        if len(x) != len(y):
+            raise DepthMismatch(f"ratio needs equal depths, got {len(x)} and {len(y)}")
+        head, period = self._integer_weights
+        num = den = 1
+        for pair, bx, by in zip(chain(head, cycle(period)),
+                                check_word(x), check_word(y)):
+            if bx != by:
+                ny, dy = pair[by == "1"]
+                nx, dx = pair[bx == "1"]
+                num *= ny * dx
+                den *= dy * nx
+        return num, den
+
     def ratio(self, x: Word, y: Word) -> Fraction:
-        """Radon-Nikodym ratio prod_i weight(i, y_i) / weight(i, x_i).
+        """Radon-Nikodym ratio: the product over coordinates i of the
+        weight of y_i over the weight of x_i.
 
         For a tail-preserving map sending the cylinder of ``x`` onto the
         cylinder of ``y`` this is the derivative d(mu o map)/d(mu) on ``x``.
         Both words must have the same depth.
         """
-        if len(x) != len(y):
-            raise DepthMismatch(f"ratio needs equal depths, got {len(x)} and {len(y)}")
-        r = ONE
-        for i, (bx, by) in enumerate(zip(check_word(x), check_word(y)), start=1):
-            if bx != by:
-                r *= self.weight(i, by) / self.weight(i, bx)
-        return r
+        return Fraction(*self._ratio_terms(x, y))
+
+    def deviation(self, x: Word, y: Word) -> Fraction:
+        """``|ratio(x, y) - 1|``, the distance of the derivative from 1."""
+        num, den = self._ratio_terms(x, y)
+        return Fraction(abs(num - den), den)
 
     def shift(self, n: int) -> "ProductMeasure":
         """The product measure seen by coordinates beyond the n-th."""

@@ -73,10 +73,6 @@ class FiniteDepthMap:
     def inverse(self) -> "FiniteDepthMap":
         return FiniteDepthMap(self.depth, {t: s for s, t in self.moves.items()})
 
-    def derivative(self, mu: ProductMeasure, w: Word) -> Fraction:
-        """d(mu o map)/d(mu) on the cylinder of `w` (constant there)."""
-        return mu.ratio(w[: self.depth], self.apply(w)[: self.depth])
-
     def image_of(self, s: CylinderSet) -> CylinderSet:
         words = s.words_at(max(self.depth, s.max_depth))
         return CylinderSet.of(self.apply(w) for w in words)
@@ -138,7 +134,7 @@ class PiecewiseCylinderMap:
         """max over pieces of measure(target)/measure(source)."""
         worst = ONE
         for s, t in self.pieces:
-            worst = max(worst, mu.cylinder(t) / mu.cylinder(s))
+            worst = max(worst, mu.ratio(s, t))
         return worst
 
 
@@ -297,8 +293,7 @@ def exchange_involution(
         return InvolutionResult(FiniteDepthMap.identity(0), (), CylinderSet.empty())
 
     def ratio_ok(a: Word, b: Word) -> bool:
-        r = mu.cylinder(b) / mu.cylinder(a)
-        return abs(r - 1) < eps and abs(1 / r - 1) < eps
+        return mu.deviation(a, b) < eps and mu.deviation(b, a) < eps
 
     best: Optional[tuple[list[tuple[Word, Word]], list[Word], Fraction]] = None
     for depth in range(max(inside.max_depth, 1), max_depth + 1):

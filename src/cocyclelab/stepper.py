@@ -514,9 +514,8 @@ def _certify(inp: StepInput, eps_prime: Fraction,
     deep_mu = mu.shift(m)
     worst_pair = ZERO
     for a, b in involution.pairs:
-        worst_pair = max(worst_pair,
-                         abs(deep_mu.cylinder(b) / deep_mu.cylinder(a) - 1),
-                         abs(deep_mu.cylinder(a) / deep_mu.cylinder(b) - 1))
+        worst_pair = max(worst_pair, deep_mu.deviation(a, b),
+                         deep_mu.deviation(b, a))
     certs.append(Certificate(
         "suffix_derivative", worst_pair < eps,
         f"exchange derivative deviation {worst_pair} < {eps} "
@@ -532,7 +531,7 @@ def _certify(inp: StepInput, eps_prime: Fraction,
     worst_print = 0
     for w in sorted(theta.moves):
         image = theta.apply(w)
-        worst_move = max(worst_move, abs(mu.ratio(w, image) - 1))
+        worst_move = max(worst_move, mu.deviation(w, image))
         fw = _fingerprint_value(f, selection.z0, w, model)
         fi = _fingerprint_value(f, selection.z0, image, model)
         if fw != fi:
@@ -584,7 +583,7 @@ def check_step(inp: StepInput, art: StepArtifacts) -> StepCheck:
         increment = model.mul(f_tilde.at(moved), model.inv(f_tilde.at(w)))
         if model.key(model.mul(increment, model.inv(inp.candidate))) not in u_keys:
             misses += 1
-        worst = max(worst, abs(mu.ratio(w, moved) - 1))
+        worst = max(worst, mu.deviation(w, moved))
 
     agreement = increment_agreement(f, f_tilde, action)
     old_inc = [coboundary_increment(f, g) for g in action.maps()]

@@ -6,6 +6,7 @@ level cascade are pinned against closed forms computed here.
 """
 import copy
 import csv
+import inspect
 import io
 import json
 import os
@@ -17,15 +18,16 @@ import pytest
 import cocyclelab.driver as driver
 import cocyclelab.evc as evc
 import cocyclelab.stepper as stepper
-from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
-                                 coboundary_increment, cocycle_distance,
-                                 increment_agreement)
+from cocyclelab.cocycles import (CocycleKernel, PartialStepFunction,
+                                 StepFunction, coboundary_increment,
+                                 cocycle_distance, increment_agreement)
 from cocyclelab.driver import (PRESETS, PipelineConfig, RunReport, Schedule,
                                bounded_cocycle_pipeline, certify_report,
                                export_report, load_report,
                                norm_bounded_pipeline, run_theorem_02i,
                                run_theorem_02ii)
-from cocyclelab.errors import ConfigError
+from cocyclelab.errors import ConfigError, SearchExhausted
+from cocyclelab.measure import CylinderSet
 from cocyclelab.odometer import GammaAction, adding_machine_action, flip_action
 from cocyclelab.stepper import construct_step
 
@@ -451,6 +453,8 @@ class TestCheckpoints:
             run_theorem_02i(config, out_dir=out_crash)
         monkeypatch.setattr(driver, "construct_step", real)
 
+        # the checkpoint's functions come back with empty increment and
+        # witness memos, which must not change a report byte
         _, resumed = run_theorem_02i(config, out_dir=out_crash, resume=True)
         assert resumed.text() == full.text()
 
@@ -486,16 +490,29 @@ class TestBoundedPipelines:
 
 
 class TestEvcSearch:
-    @pytest.mark.parametrize("budget", [14, 18])
-    def test_one_pair_search_per_check(self, budget, monkeypatch):
-        searches, checks = [], []
+    @staticmethod
+    def counting(monkeypatch):
+        """Count `_pair_search` calls per `check_evc`; each check is logged
+        as (search key, outcome, searches made)."""
+        searches, checks, kernels = [], [], []
         real_search, real_check = evc._pair_search, evc.check_evc
+        signature = inspect.signature(real_check)
 
         def counting_search(*args):
             searches.append(args)
             return real_search(*args)
 
         def counting_check(*args, **kwargs):
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            a = call.arguments
+            kernel = a["kernel"]
+            # the potential itself is kept alive by `kernels`, so its id
+            # names it for the whole run
+            key = (id(kernel.potential), kernel.depth, kernel.class_depth,
+                   a["base"], tuple(kernel.model.key(t) for t in a["target"]),
+                   Fraction(a["delta"]), a["mu"], a["search_depth"])
+            kernels.append(kernel)
             before, outcome = len(searches), "exhausted"
             try:
                 witness = real_check(*args, **kwargs)
@@ -503,16 +520,66 @@ class TestEvcSearch:
                 outcome = "pairs" if witness.theta.moves else "identity"
                 return witness
             finally:
-                checks.append((outcome, len(searches) - before))
+                checks.append((key, outcome, len(searches) - before))
 
         monkeypatch.setattr(evc, "_pair_search", counting_search)
         monkeypatch.setattr(evc, "check_evc", counting_check)
         monkeypatch.setattr(driver, "check_evc", counting_check)
+        return searches, checks
+
+    @pytest.mark.parametrize("budget", [14, 18])
+    def test_one_pair_search_per_check(self, budget, monkeypatch):
+        _, checks = self.counting(monkeypatch)
         norm_bounded_pipeline(preset("sum-z", depth_budget=budget))
         # the unscheduled candidates 0/1 and 0/-1, on both bases
-        assert [o for o, _ in checks].count("exhausted") == 4
-        assert all(made == (0 if outcome == "identity" else 1)
-                   for outcome, made in checks)
+        assert [o for _, o, _ in checks].count("exhausted") == 4
+        # one search per distinct key that passes the identity fast path,
+        # none when a key comes back
+        seen = set()
+        for key, outcome, made in checks:
+            assert made == (0 if outcome == "identity" or key in seen else 1)
+            seen.add(key)
+        # the last round's search is repeated by the terminal sweep
+        assert len(seen) < len(checks)
+
+    def test_adding_run_searches_once(self, monkeypatch):
+        searches, checks = self.counting(monkeypatch)
+        run_theorem_02i(preset("z2-adding"))
+        # the round's search, and the terminal sweep's on the same kernel
+        assert [made for _, _, made in checks] == [1, 0]
+        assert checks[0][0] == checks[1][0]
+        assert len(searches) == 1
+
+    def test_repeated_exhaustion_is_replayed(self, monkeypatch):
+        config = preset("sum-z")
+        approx, _ = run_theorem_02i(config)
+        model, mu, f = config.build_model(), config.build_measure(), approx.function
+        candidate = model.parse("0/1")
+        delta, _ = evc.delta_for(model, candidate, 1)
+        target = evc.target_set(model, candidate, 1)
+        base = CylinderSet.full()
+
+        def exhausted(potential, tolerance=delta):
+            kernel = CocycleKernel.coboundary(potential, class_depth=potential.depth)
+            with pytest.raises(SearchExhausted) as caught:
+                evc.check_evc(kernel, base, target, tolerance, mu)
+            return caught.value
+
+        first = exhausted(f)
+        searches, _ = self.counting(monkeypatch)
+        again = exhausted(f)
+        assert searches == []
+        assert again is not first
+        assert (str(again), again.best) == (str(first), first.best)
+        assert "achieved_mass" in first.best
+        # a copy of the function starts with an empty memo and searches
+        fresh = exhausted(StepFunction(f.model, f.depth, dict(f.table)))
+        assert len(searches) == 1
+        assert (str(fresh), fresh.best) == (str(first), first.best)
+        # another tolerance is another search
+        tighter = exhausted(f, delta / 2)
+        assert len(searches) == 2
+        assert tighter.best["required_mass"] == str(delta / 2)
 
     def test_essential_values_do_not_depend_on_budget(self):
         records = [norm_bounded_pipeline(preset("sum-z", depth_budget=budget))

@@ -1,7 +1,7 @@
 """Exact product-measure arithmetic and cylinder set algebra.
 
-Oracle policy: expected masses are recomputed here by direct weight
-products, never copied from the implementation.
+Oracle policy: expected masses and derivatives are recomputed here by
+direct weight products, never copied from the implementation.
 """
 import random
 from fractions import Fraction
@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cocyclelab.errors import DepthMismatch
 from cocyclelab.measure import (ONE, ZERO, CylinderSet, ProductMeasure,
                                 _normalize, all_words, check_word)
 
@@ -20,10 +21,27 @@ PERIOD2 = ProductMeasure.from_schedule(
 SCHEDULES = [UNIFORM, BIASED, PERIOD2]
 
 
+def weight(mu: ProductMeasure, i: int, bit: str) -> Fraction:
+    """The mass the i-th coordinate (1-based) gives to symbol `bit`."""
+    if i <= len(mu.head):
+        pair = mu.head[i - 1]
+    else:
+        pair = mu.cycle[(i - len(mu.head) - 1) % len(mu.cycle)]
+    return pair[0] if bit == "0" else pair[1]
+
+
 def naive_mass(mu: ProductMeasure, w: str) -> Fraction:
     out = ONE
     for i, bit in enumerate(w):
-        out *= mu.weight(i + 1, bit)
+        out *= weight(mu, i + 1, bit)
+    return out
+
+
+def naive_ratio(mu: ProductMeasure, x: str, y: str) -> Fraction:
+    out = ONE
+    for i, (bx, by) in enumerate(zip(x, y), start=1):
+        if bx != by:
+            out *= weight(mu, i, by) / weight(mu, i, bx)
     return out
 
 
@@ -258,12 +276,56 @@ def test_cylinder_matches_weight_product(case):
         assert mu.cylinder(w) == naive_mass(mu, w)
 
 
+@st.composite
+def measures_and_word_pairs(draw):
+    mu = draw(st.one_of(
+        st.just(UNIFORM),
+        weight_pairs.map(lambda pair: ProductMeasure.iid(pair[0])),
+        st.builds(ProductMeasure.from_schedule,
+                  st.lists(weight_pairs, min_size=1, max_size=3),
+                  st.lists(weight_pairs, min_size=1, max_size=3))))
+    period = len(mu.head) + len(mu.cycle)
+    pairs = []
+    # one depth up to three periods, and one beyond head + cycle
+    for depth in (draw(st.integers(0, 3 * period + 2)),
+                  draw(st.integers(period + 1, 3 * period + 2))):
+        words = st.text(alphabet="01", min_size=depth, max_size=depth)
+        pairs += draw(st.lists(st.tuples(words, words), min_size=1, max_size=5))
+        x = draw(words)
+        pairs.append((x, x))
+    return mu, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(measures_and_word_pairs())
+def test_ratio_and_deviation_match_weight_product(case):
+    mu, pairs = case
+    for x, y in pairs:
+        expected = naive_ratio(mu, x, y)
+        assert mu.ratio(x, y) == expected
+        assert mu.deviation(x, y) == abs(expected - 1)
+
+
+@pytest.mark.parametrize("mu", SCHEDULES, ids=["uniform", "iid13", "period2"])
+def test_ratio_needs_equal_depths(mu):
+    for derivative in (mu.ratio, mu.deviation):
+        for x, y in [("0", ""), ("01", "011"), ("110", "11")]:
+            with pytest.raises(DepthMismatch):
+                derivative(x, y)
+
+
 @pytest.mark.parametrize("bad", ["20", "0a1", "01 "])
 def test_bad_character_raises(bad):
     with pytest.raises(ValueError):
         check_word(bad)
     with pytest.raises(ValueError):
         UNIFORM.cylinder(bad)
+    same_depth = "0" * len(bad)
+    for derivative in (PERIOD2.ratio, PERIOD2.deviation):
+        with pytest.raises(ValueError):
+            derivative(bad, same_depth)
+        with pytest.raises(ValueError):
+            derivative(same_depth, bad)
     with pytest.raises(ValueError):
         CylinderSet.of(["0", bad])
     with pytest.raises(ValueError):
