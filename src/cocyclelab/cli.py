@@ -25,9 +25,9 @@ import yaml
 from .driver import (PRESETS, PipelineConfig, Schedule, bounded_cocycle_pipeline,
                      certify_report, export_report, first_round_eps,
                      initial_function, load_report, norm_bounded_pipeline,
-                     run_theorem_02i, run_theorem_02ii)
+                     run_theorem_02i, run_theorem_02ii, step_input)
 from .errors import CocycleLabError, ConfigError
-from .stepper import StepInput, construct_step
+from .stepper import construct_step
 
 
 def _load_config(text: str, rounds: Optional[int],
@@ -51,11 +51,9 @@ def _load_config(text: str, rounds: Optional[int],
 
 
 def _emit_report(report, out: Optional[str]) -> None:
+    """Name the report the pipeline wrote to `out`, or print it."""
     if out:
-        os.makedirs(out, exist_ok=True)
-        path = os.path.join(out, "report.jsonl")
-        report.write(path)
-        print(f"report written to {path}")
+        print(f"report written to {os.path.join(out, 'report.jsonl')}")
     else:
         sys.stdout.write(report.text())
 
@@ -66,13 +64,9 @@ def _cmd_step(args) -> int:
     mu = config.build_measure()
     action = config.build_action(1)
     triple = Schedule.from_config(config).round_triple(0)
-    f = initial_function(config, model)
     eps, _ = first_round_eps(config, model, mu, triple)
-    inp = StepInput(f=f, n=config.start_level, action=action,
-                    family=tuple(model.parse(h) for h in config.family),
-                    target=triple.base(), candidate=model.parse(triple.candidate),
-                    u_index=triple.u_index, eps=eps, mu=mu,
-                    depth_budget=config.depth_budget)
+    inp = step_input(config, model, mu, action, triple,
+                     initial_function(config, model), config.start_level, eps)
     out = construct_step(inp)
     checks = out.check.validator_certificates()
     record = {

@@ -45,10 +45,6 @@ class StepFunction:
             if len(w) != self.depth:
                 raise DepthMismatch(f"table key {w!r} does not have depth {self.depth}")
 
-    @staticmethod
-    def constant(model: GroupModel, value: Element, depth: int = 0) -> "StepFunction":
-        return StepFunction(model, depth, {w: value for w in all_words(depth)})
-
     @cached_property
     def _increments(self) -> dict:
         """`coboundary_increment`'s results for this function, keyed by

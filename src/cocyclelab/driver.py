@@ -24,7 +24,7 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .cocycles import (CocycleKernel, StepFunction, coboundary_increment,
                        cocycle_distance, increments_within)
@@ -299,6 +299,13 @@ def _function_table(f: StepFunction) -> dict:
     return {w: f.model.format(v) for w, v in sorted(f.table.items())}
 
 
+def _parse_table(model: GroupModel, table: Mapping[str, str]) -> StepFunction:
+    """The step function a stored table renders (see `_function_table`);
+    its depth is the length of its words."""
+    return StepFunction(model, len(next(iter(table))),
+                        {w: model.parse(v) for w, v in table.items()})
+
+
 def _set_words(s: CylinderSet) -> list[str]:
     return list(s.words)
 
@@ -395,18 +402,40 @@ def first_round_eps(config: PipelineConfig, model: GroupModel,
     return eps, {"admission": _frac(admission), "chosen": _frac(eps)}
 
 
-@dataclass
-class _RoundState:
-    index: int
-    triple: Triple
-    eps: Fraction
-    witness_slack: Fraction
-    change_sets: dict[tuple[str, ...], CylinderSet]
+def step_input(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
+               action: GammaAction, triple: Triple, f: StepFunction, n: int,
+               eps: Fraction) -> StepInput:
+    """The construction step's input for a scheduled round."""
+    return StepInput(f=f, n=n, action=action,
+                     family=tuple(model.parse(h) for h in config.family),
+                     target=triple.base(),
+                     candidate=model.parse(triple.candidate),
+                     u_index=triple.u_index, eps=eps, mu=mu,
+                     depth_budget=config.depth_budget)
+
+
+def _replay_rounds(config: PipelineConfig, model: GroupModel,
+                   records: Sequence[dict]
+                   ) -> tuple[list[StepFunction], list[Fraction], int]:
+    """Rebuild the round loop's state from its round records: the step
+    functions (the initial one first), the tolerances and the current
+    level."""
+    rounds = [r for r in records if r.get("record") == "round"]
+    functions = [initial_function(config, model)]
+    functions += [_parse_table(model, r["artifacts"]["f"]) for r in rounds]
+    eps_history = [Fraction(r["eps"]) for r in rounds]
+    level = rounds[-1]["refined_level"] if rounds else config.start_level
+    return functions, eps_history, level
 
 
 def _run_recursion(config: PipelineConfig,
                    out_dir: Optional[str] = None,
-                   resume: bool = False) -> tuple[CocycleApproximant, RunReport]:
+                   resume: bool = False,
+                   closing: Optional[Callable] = None
+                   ) -> tuple[CocycleApproximant, RunReport]:
+    """Run the rounds and the terminal records; `closing`, if given, maps
+    the approximant and the records to one more record.  With `out_dir`
+    each round is checkpointed and the finished report written there."""
     model = config.build_model()
     mu = config.build_measure()
     schedule = Schedule.from_config(config)
@@ -421,21 +450,16 @@ def _run_recursion(config: PipelineConfig,
         "schedule": [t.to_mapping() for t in schedule.triples],
         "closure": sorted(model.format(h) for h in closure),
     }]
-
-    f = initial_function(config, model)
-    n = config.start_level
-    eps_history: list[Fraction] = []
-    reserves: list[Fraction] = []
-    states: list[_RoundState] = []
-    functions: list[StepFunction] = [f]
-    start_round = 0
-
+    # per round, each generator group's change set; the only round state
+    # that the records do not hold
+    change_history: list[dict[tuple[str, ...], CylinderSet]] = []
     if resume and out_dir:
         loaded = _load_checkpoint(config, out_dir)
         if loaded is not None:
-            records, f, n, eps_history, reserves, states, functions, start_round = loaded
+            records, change_history = loaded
+    functions, eps_history, n = _replay_rounds(config, model, records)
 
-    for t in range(start_round, config.rounds):
+    for t in range(len(eps_history), config.rounds):
         action = config.build_action(t + 1)
         triple = schedule.round_triple(t)
         if not eps_history:
@@ -444,9 +468,9 @@ def _run_recursion(config: PipelineConfig,
             candidates = {
                 "previous_half": eps_history[-1] / 2,
                 "admission": _admission_bound(model, mu, triple),
+                "min_reserve": min(Fraction(r["witness"]["reserve"])
+                                   for r in records if r["record"] == "round"),
             }
-            if reserves:
-                candidates["min_reserve"] = min(reserves)
             eps = SCHEDULE_SHRINK * min(candidates.values())
             rule = {k: _frac(v) for k, v in candidates.items()}
             rule["shrink"] = _frac(SCHEDULE_SHRINK)
@@ -454,19 +478,14 @@ def _run_recursion(config: PipelineConfig,
         if eps <= 0:
             raise ConfigError(f"round {t + 1}: tolerance collapsed to {eps}")
 
-        inp = StepInput(f=f, n=n, action=action, family=family,
-                        target=triple.base(),
-                        candidate=model.parse(triple.candidate),
-                        u_index=triple.u_index, eps=eps, mu=mu,
-                        depth_budget=config.depth_budget)
+        inp = step_input(config, model, mu, action, triple, functions[-1], n,
+                         eps)
         out = construct_step(inp)
         check = out.check
 
         kernel = CocycleKernel.coboundary(out.f_tilde,
                                           class_depth=out.f_tilde.depth)
         targets = target_set(model, inp.candidate, triple.u_index)
-        witness_check = validate_witness(kernel, triple.base(), targets,
-                                         out.delta, mu, out.core, out.theta)
         try:
             fresh = check_evc(kernel, triple.base(), targets, out.delta, mu,
                               search_depth=config.depth_budget)
@@ -486,6 +505,7 @@ def _run_recursion(config: PipelineConfig,
 
         inc = increments_within(out.f_tilde, action, closure)
         agreement, dist = check.agreement_mass, check.distance
+        reserve = check.witness_slack / 4
 
         conditions = {
             "finite_values": len(out.f_tilde.value_set()),
@@ -495,15 +515,12 @@ def _run_recursion(config: PipelineConfig,
             "agreement_ok": agreement > 1 - eps,
             "distance": _frac(dist),
             "distance_ok": dist < eps,
-            "evc_witness_ok": witness_check.ok,
+            "evc_witness_ok": check.witness_ok,
             "evc_search": fresh_rec,
         }
 
-        state = _RoundState(t + 1, triple, eps, witness_check.measure_slack,
-                            change_sets)
-        states.append(state)
+        change_history.append(change_sets)
         eps_history.append(eps)
-        reserves.append(witness_check.measure_slack / 4)
         functions.append(out.f_tilde)
 
         records.append({
@@ -526,8 +543,8 @@ def _run_recursion(config: PipelineConfig,
             "witness": {
                 "core": _set_words(out.core),
                 "moves": sorted(out.theta.moves.items()),
-                "measure_slack": _frac(witness_check.measure_slack),
-                "reserve": _frac(witness_check.measure_slack / 4),
+                "measure_slack": _frac(check.witness_slack),
+                "reserve": _frac(reserve),
             },
             "artifacts": {
                 "f": _function_table(out.f_tilde),
@@ -540,20 +557,23 @@ def _run_recursion(config: PipelineConfig,
             },
         })
 
-        f = out.f_tilde
         n = out.m
         if out_dir:
-            _save_checkpoint(config, out_dir, records, f, n, eps_history,
-                             reserves, states, functions)
+            _save_checkpoint(config, out_dir, records, change_history)
 
     terminal_action = config.build_action(config.rounds)
     records.append({"record": "recurrence",
                     **schedule.recurrence_record(config.rounds)})
     records.extend(_terminal_records(config, model, mu, terminal_action,
-                                     closure, functions, states, eps_history, n))
-    approx = CocycleApproximant(f, n, config.rounds, tuple(eps_history))
+                                     closure, functions, change_history,
+                                     eps_history, n))
+    approx = CocycleApproximant(functions[-1], n, config.rounds,
+                                tuple(eps_history))
+    if closing is not None:
+        records.append(closing(approx, records))
     report = RunReport(tuple(records))
     if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
         report.write(os.path.join(out_dir, "report.jsonl"))
     return approx, report
 
@@ -561,7 +581,7 @@ def _run_recursion(config: PipelineConfig,
 def _terminal_records(config: PipelineConfig, model: GroupModel,
                       mu: ProductMeasure, action: GammaAction,
                       closure: tuple, functions: Sequence[StepFunction],
-                      states: Sequence[_RoundState],
+                      change_history: Sequence[dict],
                       eps_history: Sequence[Fraction],
                       final_level: int) -> list[dict]:
     f_final = functions[-1]
@@ -630,14 +650,15 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     ledger = {}
     for labels in _generator_groups(action):
         rows = []
-        for n_idx in range(len(states)):
+        for n_idx in range(len(change_history)):
             union = CylinderSet.empty()
             bound = ZERO
-            for state in states[n_idx:]:
+            for changes, eps in zip(change_history[n_idx:],
+                                    eps_history[n_idx:]):
                 # rounds before a generator joins contribute no changes
-                if labels in state.change_sets:
-                    union = union.union(state.change_sets[labels])
-                bound += state.eps
+                if labels in changes:
+                    union = union.union(changes[labels])
+                bound += eps
             rows.append({
                 "after_round": n_idx,
                 "change_mass": _frac(union.measure(mu)),
@@ -728,18 +749,16 @@ def bounded_cocycle_pipeline(config: PipelineConfig,
                              out_dir: Optional[str] = None) -> RunReport:
     """Run the recursion and close with the compact-range certificate:
     every generator's increments stay in {identity} u closure."""
-    approx, report = _run_recursion(config, out_dir)
-    bound = report.by_kind("boundedness")[0]
-    record = {
-        "record": "compact_range",
-        "range_set": ["0" if not bound["closure"] else "identity"] + bound["closure"],
-        "ok": bound["ok"],
-        "rounds": approx.rounds,
-    }
-    report = RunReport(report.records + (record,))
-    if out_dir:
-        report.write(os.path.join(out_dir, "report.jsonl"))
-    return report
+    def compact_range(approx: CocycleApproximant, records: list) -> dict:
+        bound = next(r for r in records if r["record"] == "boundedness")
+        return {
+            "record": "compact_range",
+            "range_set": (["0" if not bound["closure"] else "identity"]
+                          + bound["closure"]),
+            "ok": bound["ok"],
+            "rounds": approx.rounds,
+        }
+    return _run_recursion(config, out_dir, closing=compact_range)[1]
 
 
 def norm_bounded_pipeline(config: PipelineConfig,
@@ -752,53 +771,41 @@ def norm_bounded_pipeline(config: PipelineConfig,
     sup = closure_norm_bound(model, closure)
     if sup is None:
         raise ConfigError("the group model carries no norm")
-    approx, report = _run_recursion(config, out_dir)
-    action = config.build_action(config.rounds)
-    rows = {}
-    worst = ZERO
-    for label, g in action.generators:
-        inc = coboundary_increment(approx.function, g)
-        norms = [model.norm(v) for v in inc.value_set()]
-        c = max(norms, default=ZERO)
-        worst = max(worst, c)
-        rows[label] = {"c": _frac(c), "ok": c <= sup}
-    record = {
-        "record": "norm_bounds",
-        "sup_family_norm": _frac(sup),
-        "per_generator": rows,
-        "max_c": _frac(worst),
-        "ok": worst <= sup,
-    }
-    report = RunReport(report.records + (record,))
-    if out_dir:
-        report.write(os.path.join(out_dir, "report.jsonl"))
-    return report
+
+    def norm_bounds(approx: CocycleApproximant, records: list) -> dict:
+        rows = {}
+        worst = ZERO
+        for label, g in config.build_action(config.rounds).generators:
+            inc = coboundary_increment(approx.function, g)
+            c = max((model.norm(v) for v in inc.value_set()), default=ZERO)
+            worst = max(worst, c)
+            rows[label] = {"c": _frac(c), "ok": c <= sup}
+        return {
+            "record": "norm_bounds",
+            "sup_family_norm": _frac(sup),
+            "per_generator": rows,
+            "max_c": _frac(worst),
+            "ok": worst <= sup,
+        }
+    return _run_recursion(config, out_dir, closing=norm_bounds)[1]
 
 
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _save_checkpoint(config, out_dir, records, f, n, eps_history, reserves,
-                     states, functions) -> None:
+def _save_checkpoint(config: PipelineConfig, out_dir: str,
+                     records: Sequence[dict],
+                     change_history: Sequence[dict]) -> None:
+    """Write the config digest, the records so far and each round's
+    change sets; everything else a resumed run needs is rebuilt from the
+    round records."""
     os.makedirs(out_dir, exist_ok=True)
     payload = {
         "digest": config.digest(),
-        "round": len(states),
-        "level": n,
         "records": records,
-        "eps_history": [_frac(e) for e in eps_history],
-        "reserves": [_frac(r) for r in reserves],
-        "functions": [{"depth": fn.depth, "table": _function_table(fn)}
-                      for fn in functions],
-        "states": [{
-            "index": s.index,
-            "triple": s.triple.to_mapping(),
-            "eps": _frac(s.eps),
-            "witness_slack": _frac(s.witness_slack),
-            "change_sets": {"+".join(k): _set_words(v)
-                            for k, v in s.change_sets.items()},
-        } for s in states],
+        "change_sets": [{"+".join(k): _set_words(v) for k, v in changes.items()}
+                        for changes in change_history],
     }
     tmp = os.path.join(out_dir, "checkpoint.json.tmp")
     with open(tmp, "w") as fh:
@@ -808,29 +815,27 @@ def _save_checkpoint(config, out_dir, records, f, n, eps_history, reserves,
 
 
 def _load_checkpoint(config: PipelineConfig, out_dir: str):
+    """The records and change sets of the checkpoint in `out_dir`, or
+    None when there is none, it belongs to another config, or it cannot
+    be read; in each of those cases the run starts afresh."""
     path = os.path.join(out_dir, "checkpoint.json")
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("digest") != config.digest():
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+        if payload["digest"] != config.digest():
+            return None
+        records = list(payload["records"])
+        change_history = [{tuple(k.split("+")): CylinderSet.of(v)
+                           for k, v in changes.items()}
+                          for changes in payload["change_sets"]]
+    except (ValueError, KeyError, TypeError, AttributeError):
         return None
-    model = config.build_model()
-    functions = [StepFunction(model, fn["depth"],
-                              {w: model.parse(v) for w, v in fn["table"].items()})
-                 for fn in payload["functions"]]
-    states = []
-    for raw in payload["states"]:
-        triple = Triple(tuple(raw["triple"]["base"]), raw["triple"]["candidate"],
-                        raw["triple"]["u_index"])
-        change = {tuple(k.split("+")): CylinderSet.of(v)
-                  for k, v in raw["change_sets"].items()}
-        states.append(_RoundState(raw["index"], triple, Fraction(raw["eps"]),
-                                  Fraction(raw["witness_slack"]), change))
-    eps_history = [Fraction(e) for e in payload["eps_history"]]
-    reserves = [Fraction(r) for r in payload["reserves"]]
-    return (list(payload["records"]), functions[-1], payload["level"],
-            eps_history, reserves, states, functions, payload["round"])
+    rounds = sum(1 for r in records if r.get("record") == "round")
+    if rounds != len(change_history):
+        return None
+    return records, change_history
 
 
 # ---------------------------------------------------------------------------
@@ -857,26 +862,21 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
     schedule = Schedule.from_config(config)
 
     rounds = [r for r in records if r.get("record") == "round"]
-    f_prev = initial_function(config, model)
+    functions, eps_history, _ = _replay_rounds(config, model, rounds)
     n = config.start_level
-    prev_eps: Optional[Fraction] = None
-    functions = [f_prev]
-    for rec in rounds:
+    for i, rec in enumerate(rounds):
         t = rec["round"]
         where = f"round {t}"
         action = config.build_action(t)
         triple = schedule.round_triple(t - 1)
         if triple.to_mapping() != rec["triple"]:
             fail("schedule", where, "triple differs from the configured schedule")
-        eps = Fraction(rec["eps"])
-        if prev_eps is not None and not eps < prev_eps / 2:
+        eps = eps_history[i]
+        if i and not eps < eps_history[i - 1] / 2:
             fail("eps_halving", where,
-                 f"{eps} is not below half of {prev_eps}")
-        prev_eps = eps
+                 f"{eps} is not below half of {eps_history[i - 1]}")
 
-        f = StepFunction(model, len(next(iter(rec["artifacts"]["f"]))),
-                         {w: model.parse(v)
-                          for w, v in rec["artifacts"]["f"].items()})
+        f = functions[i + 1]
         theta = FiniteDepthMap(f.depth,
                                {w: img for w, img in rec["witness"]["moves"]})
         core = CylinderSet.of(rec["witness"]["core"])
@@ -884,12 +884,8 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         delta = Fraction(rec["delta"])
         replay = StepArtifacts(f, theta, core, rec["refined_level"], h, delta,
                                rec["working_depth"])
-        inp = StepInput(f=f_prev, n=n, action=action,
-                        family=tuple(model.parse(x) for x in config.family),
-                        target=triple.base(),
-                        candidate=model.parse(triple.candidate),
-                        u_index=triple.u_index, eps=eps, mu=mu,
-                        depth_budget=config.depth_budget)
+        inp = step_input(config, model, mu, action, triple, functions[i], n,
+                         eps)
         try:
             checks = validate_step_output(inp, replay)
         except CocycleLabError as exc:
@@ -906,8 +902,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         if not witness.ok:
             fail(f"evc-{witness.clause}", where, witness.detail or "")
 
-        f_prev, n = f, rec["refined_level"]
-        functions.append(f)
+        n = rec["refined_level"]
 
     finals = [r for r in records if r.get("record") == "final"]
     if finals:
@@ -962,8 +957,7 @@ def export_report(records: Sequence[dict], out_dir: str,
 
     finals = [r for r in records if r.get("record") == "final"]
     if finals:
-        f = StepFunction(model, finals[0]["depth"],
-                         {w: model.parse(v) for w, v in finals[0]["f"].items()})
+        f = _parse_table(model, finals[0]["f"])
         emit("final_function.csv", f.to_csv())
         if f.depth <= kernel_guard:
             kernel = CocycleKernel.coboundary(f, class_depth=f.depth)

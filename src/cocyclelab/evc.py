@@ -385,7 +385,6 @@ class ConnectivityReport:
     depth: int
     group_order: int
     components: int
-    representatives: tuple
 
 
 def skew_connectivity(
@@ -469,10 +468,4 @@ def skew_connectivity(
                     moved = index[model.key(model.mul(value, g))]
                     uf.union(vertex(second, gi), vertex(first, moved))
 
-    reps: dict[int, tuple] = {}
-    for w in sorted(word_index):
-        for gi, g in enumerate(elements):
-            root = uf.find(vertex(w, gi))
-            reps.setdefault(root, (w, model.format(g)))
-    return ConnectivityReport(level, len(elements), uf.count,
-                              tuple(sorted(reps.values())))
+    return ConnectivityReport(level, len(elements), uf.count)

@@ -236,11 +236,6 @@ def orbit_overflow(action: GammaAction, level: int) -> OverflowResult:
     return OverflowResult(level, known, unknown)
 
 
-def invariant_hull(s: CylinderSet, n: int) -> CylinderSet:
-    """Smallest level-`n` invariant cylinder set containing `s`."""
-    return s.saturate(n)
-
-
 # ---------------------------------------------------------------------------
 # Exchange involution
 # ---------------------------------------------------------------------------

@@ -161,6 +161,26 @@ class StepCheck:
             "distance": self.distance < eps,
         }
 
+    @property
+    def witness_ok(self) -> bool:
+        """Whether (core, theta) is an essential-value witness for the
+        target at tolerance delta, by the same clauses as
+        :func:`evc.validate_witness`: both inside, mass, membership (an
+        increment times the candidate's inverse lies in U exactly when
+        the increment lies in U times the candidate) and a derivative
+        below delta.  Its class clause holds trivially here, because the
+        update's depth is the working depth."""
+        return (self.core_inside
+                and self.core_mass > self.delta * self.target_mass
+                and self.membership_misses == 0
+                and self.worst_core < self.delta)
+
+    @property
+    def witness_slack(self) -> Fraction:
+        """The witness's measure slack: core mass above delta times the
+        target mass."""
+        return self.core_mass - self.delta * self.target_mass
+
     def _render(self, details: dict[str, str]) -> tuple[Certificate, ...]:
         verdicts = self.verdicts()
         return tuple(Certificate(clause, verdicts[clause], detail)
@@ -235,21 +255,16 @@ class StepOutput:
     numbers behind the shared clauses, among them the per-generator
     agreement sets, the agreement measure and the distance bound."""
 
-    n: int
     m: int
     working_depth: int
     h: Element
     delta: Fraction
-    eps: Fraction
     eps_prime: Fraction
     f_tilde: StepFunction
     theta: FiniteDepthMap
     core: CylinderSet
     z0: CylinderSet
-    cover: Cover
-    partition: FingerprintPartition
     refinement: RefinementChoice
-    involution: InvolutionResult
     b_set: CylinderSet
     a_set: CylinderSet
     c_set: CylinderSet
@@ -467,9 +482,8 @@ def construct_step(inp: StepInput) -> StepOutput:
     for cert in certificates:
         if not cert.ok:
             raise PostconditionFailure(cert.clause, cert.detail)
-    return StepOutput(inp.n, m, depth, h, delta, eps, eps_prime, f_tilde,
-                      theta, core, z0, cover, partition, refinement,
-                      involution, b_set, a_set, c_set, admission,
+    return StepOutput(m, depth, h, delta, eps_prime, f_tilde, theta, core, z0,
+                      refinement, b_set, a_set, c_set, admission,
                       certificates, check)
 
 

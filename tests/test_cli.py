@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from cocyclelab.cli import main
-from cocyclelab.driver import PRESETS
+from cocyclelab.driver import PRESETS, RunReport
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +182,33 @@ class TestWrappedPipelines:
         records = [json.loads(line) for line in out.splitlines()]
         assert records[-1]["record"] == "norm_bounds"
         assert records[-1]["ok"]
+
+
+class TestReportWrites:
+    @pytest.mark.parametrize("argv", [
+        ("run", "--config", "z2-flips"),
+        ("run-infinite", "--config", "z2-flip-stream"),
+        ("bounded", "--config", "z2-flips"),
+        ("norm-bounded", "--config", "sum-z"),
+    ])
+    def test_report_written_once(self, argv, tmp_path, capsys, monkeypatch):
+        writes = []
+        real = RunReport.write
+
+        def counting(self, path):
+            writes.append(path)
+            real(self, path)
+
+        monkeypatch.setattr(RunReport, "write", counting)
+        out = str(tmp_path / "out")
+        rc, stdout, _ = run_cli(capsys, *argv, "--rounds", "2", "--out", out)
+        path = os.path.join(out, "report.jsonl")
+        assert rc == 0
+        assert writes == [path]
+        assert stdout == f"report written to {path}\n"
+        with open(path) as fh:
+            assert json.loads(fh.readlines()[-1])["record"] in (
+                "final", "compact_range", "norm_bounds")
 
 
 class TestConfigHandling:

@@ -6,6 +6,7 @@ level cascade are pinned against closed forms computed here.
 """
 import copy
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -28,7 +29,8 @@ from cocyclelab.driver import (PRESETS, PipelineConfig, RunReport, Schedule,
                                run_theorem_02ii)
 from cocyclelab.errors import ConfigError, SearchExhausted
 from cocyclelab.measure import CylinderSet
-from cocyclelab.odometer import GammaAction, adding_machine_action, flip_action
+from cocyclelab.odometer import (FiniteDepthMap, GammaAction,
+                                 adding_machine_action, flip_action)
 from cocyclelab.stepper import construct_step
 
 
@@ -290,6 +292,90 @@ class TestSingleCheck:
         assert replayed == stored
 
 
+class TestWitnessOnce:
+    RUNNERS = {"z2-flips": run_theorem_02i, "z3-flips": run_theorem_02i,
+               "z2-adding": run_theorem_02i,
+               "z2-flip-stream": run_theorem_02ii}
+
+    @pytest.mark.parametrize("name", sorted(RUNNERS))
+    def test_step_check_matches_validate_witness(self, name, monkeypatch):
+        steps = []
+
+        def recording(inp):
+            out = construct_step(inp)
+            steps.append((inp, out))
+            return out
+
+        monkeypatch.setattr(driver, "construct_step", recording)
+        _, report = self.RUNNERS[name](preset(name))
+        rounds = report.by_kind("round")
+        assert len(rounds) == len(steps) == PRESETS[name]["rounds"]
+        for rec, (inp, out) in zip(rounds, steps):
+            kernel = CocycleKernel.coboundary(out.f_tilde,
+                                              class_depth=out.f_tilde.depth)
+            targets = evc.target_set(out.f_tilde.model, inp.candidate,
+                                     inp.u_index)
+            oracle = evc.validate_witness(kernel, inp.target, targets,
+                                          out.delta, inp.mu, out.core,
+                                          out.theta)
+            assert out.check.witness_ok == oracle.ok
+            assert out.check.witness_slack == oracle.measure_slack
+            assert rec["conditions"]["evc_witness_ok"] == oracle.ok
+            assert rec["witness"]["measure_slack"] == str(oracle.measure_slack)
+            assert rec["witness"]["reserve"] == str(oracle.measure_slack / 4)
+
+    @pytest.mark.parametrize("tamper", ["delta_zero", "delta_one",
+                                        "identity_theta", "core_outside"])
+    def test_failing_witness_agrees(self, tamper, monkeypatch):
+        steps = []
+
+        def recording(inp):
+            out = construct_step(inp)
+            steps.append((inp, out))
+            return out
+
+        monkeypatch.setattr(driver, "construct_step", recording)
+        run_theorem_02i(preset("z2-flips", rounds=3))
+        inp, out = steps[-1]
+        assert not inp.target.is_full()
+        art = stepper.StepArtifacts(out.f_tilde, out.theta, out.core, out.m,
+                                    out.h, out.delta, out.working_depth)
+        art = dataclasses.replace(art, **{
+            "delta_zero": {"delta": Fraction(0)},
+            "delta_one": {"delta": Fraction(1)},
+            "identity_theta": {
+                "theta": FiniteDepthMap.identity(out.working_depth)},
+            "core_outside": {"core": inp.target.complement()},
+        }[tamper])
+        kernel = CocycleKernel.coboundary(art.f_tilde,
+                                          class_depth=art.f_tilde.depth)
+        targets = evc.target_set(art.f_tilde.model, inp.candidate, inp.u_index)
+        oracle = evc.validate_witness(kernel, inp.target, targets, art.delta,
+                                      inp.mu, art.core, art.theta)
+        assert not oracle.ok
+        assert stepper.check_step(inp, art).witness_ok is False
+
+    def test_run_validates_only_inside_the_search(self, monkeypatch):
+        callers, from_driver = [], []
+        real = evc.validate_witness
+
+        def counting(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+
+        def counting_driver(*args):
+            from_driver.append(args)
+            return counting(*args)
+
+        monkeypatch.setattr(evc, "validate_witness", counting)
+        monkeypatch.setattr(driver, "validate_witness", counting_driver)
+        _, report = run_theorem_02i(preset("z2-flips"))
+        assert from_driver == []
+        assert callers and set(callers) == {"_search_witness"}
+        assert certify_report(report.records) == []
+        assert len(from_driver) == PRESETS["z2-flips"]["rounds"]
+
+
 @pytest.fixture(scope="module")
 def stream_run():
     return run_theorem_02ii(preset("z2-flip-stream"))
@@ -456,6 +542,108 @@ class TestCheckpoints:
         # the checkpoint's functions come back with empty increment and
         # witness memos, which must not change a report byte
         _, resumed = run_theorem_02i(config, out_dir=out_crash, resume=True)
+        assert resumed.text() == full.text()
+
+    @staticmethod
+    def crash_after(monkeypatch, rounds, runner, config, out):
+        """Run until the step of round `rounds` + 1 raises."""
+        calls = {"n": 0}
+        real = driver.construct_step
+
+        def bomb(inp):
+            calls["n"] += 1
+            if calls["n"] > rounds:
+                raise RuntimeError("simulated crash")
+            return real(inp)
+
+        monkeypatch.setattr(driver, "construct_step", bomb)
+        with pytest.raises(RuntimeError):
+            runner(config, out_dir=out)
+        monkeypatch.setattr(driver, "construct_step", real)
+
+    def test_stream_resume_after_crash(self, tmp_path, monkeypatch):
+        config = preset("z2-flip-stream")
+        _, full = run_theorem_02ii(config, out_dir=str(tmp_path / "full"))
+        out = str(tmp_path / "crash")
+        self.crash_after(monkeypatch, 2, run_theorem_02ii, config, out)
+
+        steps = []
+        real = driver.construct_step
+
+        def counting(inp):
+            steps.append(inp)
+            return real(inp)
+
+        monkeypatch.setattr(driver, "construct_step", counting)
+        _, resumed = run_theorem_02ii(config, out_dir=out, resume=True)
+        # only the rounds after the checkpoint run again
+        assert len(steps) == config.rounds - 2
+        assert resumed.text() == full.text()
+        with open(os.path.join(out, "report.jsonl")) as fh:
+            assert fh.read() == full.text()
+
+    def test_checkpoint_holds_records_and_change_sets(self, tmp_path):
+        out = str(tmp_path)
+        config = preset("z2-flips", rounds=3)
+        _, report = run_theorem_02i(config, out_dir=out)
+        with open(os.path.join(out, "checkpoint.json")) as fh:
+            payload = json.load(fh)
+        # no function table, tolerance or reserve beside the records
+        assert set(payload) == {"digest", "records", "change_sets"}
+        assert payload["digest"] == config.digest()
+        # the records as the report stores them, up to JSON canonical form
+        assert payload["records"] == [
+            json.loads(line) for line in report.lines()[:1 + config.rounds]]
+        assert len(payload["change_sets"]) == config.rounds
+        for changes in payload["change_sets"]:
+            assert set(changes) == {"s1", "s2"}
+            assert all(set(w) <= {"0", "1"}
+                       for words in changes.values() for w in words)
+
+    @staticmethod
+    def parent_layout(payload, config):
+        """The same checkpoint in the layout that stored every round's
+        function, tolerance, reserve and state beside the records."""
+        rounds = [r for r in payload["records"] if r["record"] == "round"]
+        model = config.build_model()
+        first = driver.initial_function(config, model)
+        tables = [driver._function_table(first)]
+        tables += [r["artifacts"]["f"] for r in rounds]
+        return {
+            "digest": payload["digest"],
+            "round": len(rounds),
+            "level": rounds[-1]["refined_level"],
+            "records": payload["records"],
+            "eps_history": [r["eps"] for r in rounds],
+            "reserves": [r["witness"]["reserve"] for r in rounds],
+            "functions": [{"depth": len(next(iter(t))), "table": t}
+                          for t in tables],
+            "states": [{"index": r["round"], "triple": r["triple"],
+                        "eps": r["eps"],
+                        "witness_slack": r["witness"]["measure_slack"],
+                        "change_sets": changes}
+                       for r, changes in zip(rounds, payload["change_sets"])],
+        }
+
+    @pytest.mark.parametrize("damage", ["parent_layout", "truncated"])
+    def test_unreadable_checkpoint_restarts(self, damage, tmp_path,
+                                            monkeypatch):
+        config = preset("z2-flips", rounds=4)
+        _, full = run_theorem_02i(config, out_dir=str(tmp_path / "full"))
+        out = str(tmp_path / "crash")
+        self.crash_after(monkeypatch, 2, run_theorem_02i, config, out)
+        path = os.path.join(out, "checkpoint.json")
+        with open(path) as fh:
+            text = fh.read()
+        if damage == "parent_layout":
+            text = json.dumps(self.parent_layout(json.loads(text), config),
+                              sort_keys=True)
+        else:
+            text = text[: len(text) // 2]
+        with open(path, "w") as fh:
+            fh.write(text)
+        assert driver._load_checkpoint(config, out) is None
+        _, resumed = run_theorem_02i(config, out_dir=out, resume=True)
         assert resumed.text() == full.text()
 
     def test_digest_mismatch_restarts(self, tmp_path):

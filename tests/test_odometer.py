@@ -16,7 +16,7 @@ from cocyclelab.odometer import (FiniteDepthMap, GammaAction,
                                  PiecewiseCylinderMap, adding_machine,
                                  adding_machine_action, coordinate_flip,
                                  exchange_involution, flip_action,
-                                 invariant_hull, orbit_overflow)
+                                 orbit_overflow)
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))
@@ -109,10 +109,6 @@ class TestOverflow:
         action = flip_action((3,))
         assert orbit_overflow(action, 2).upper().is_full()
         assert orbit_overflow(action, 3).upper().is_empty()
-
-    def test_invariant_hull_is_saturation(self):
-        s = CylinderSet.of(["110"])
-        assert invariant_hull(s, 2).words == s.saturate(2).words
 
 
 def increment_oracle_inverse(w: str) -> str | None:
