@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import yaml
 
 from .driver import (PRESETS, PipelineConfig, Schedule, bounded_cocycle_pipeline,
-                     certify_report, export_report, first_round_eps,
-                     initial_function, load_report, norm_bounded_pipeline,
+                     certify_report, export_report, initial_function,
+                     load_report, norm_bounded_pipeline, round_eps,
                      run_theorem_02i, run_theorem_02ii, step_input)
 from .errors import CocycleLabError, ConfigError
 from .stepper import construct_step
@@ -64,7 +64,7 @@ def _cmd_step(args) -> int:
     mu = config.build_measure()
     action = config.build_action(1)
     triple = Schedule.from_config(config).round_triple(0)
-    eps, _ = first_round_eps(config, model, mu, triple)
+    eps, _ = round_eps(config, model, mu, triple, ())
     inp = step_input(config, model, mu, action, triple,
                      initial_function(config, model), config.start_level, eps)
     out = construct_step(inp)
@@ -77,10 +77,8 @@ def _cmd_step(args) -> int:
         "eps": str(eps),
         "delta": str(out.delta),
         "conjugate": model.format(out.h),
-        "certificates": [{"clause": c.clause, "ok": c.ok, "detail": c.detail}
-                         for c in out.certificates],
-        "validator": [{"clause": c.clause, "ok": c.ok, "detail": c.detail}
-                      for c in checks],
+        "certificates": [c.to_mapping() for c in out.certificates],
+        "validator": [c.to_mapping() for c in checks],
     }
     print(json.dumps(record, sort_keys=True, separators=(",", ":")))
     ok = all(c.ok for c in out.certificates) and all(c.ok for c in checks)
@@ -127,34 +125,37 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "bounded cocycles over the dyadic tail relation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True,
-                           help="YAML config path or preset name")
-            p.add_argument("--rounds", type=int, default=None)
-            p.add_argument("--depth", type=int, default=None,
-                           help="depth budget override")
-            p.add_argument("--seedless", action="store_true",
-                           help="no-op; runs are deterministic already")
+    def add_common(p):
+        p.add_argument("--config", required=True,
+                       help="YAML config path or preset name")
+        p.add_argument("--rounds", type=int, default=None)
+        p.add_argument("--depth", type=int, default=None,
+                       help="depth budget override")
+        p.add_argument("--seedless", action="store_true",
+                       help="no-op; runs are deterministic already")
+
+    def add_pipeline(p):
+        # the commands that write their report under --out
+        add_common(p)
         p.add_argument("--out", default=None, help="output directory")
 
     p_step = sub.add_parser("step", help="run one construction step")
     add_common(p_step)
 
     p_run = sub.add_parser("run", help="finitely generated recursion")
-    add_common(p_run)
+    add_pipeline(p_run)
     p_run.add_argument("--resume", action="store_true",
                        help="resume from a checkpoint in --out")
 
     p_inf = sub.add_parser("run-infinite", help="enumerated-stream recursion")
-    add_common(p_inf)
+    add_pipeline(p_inf)
     p_inf.add_argument("--resume", action="store_true")
 
     p_bnd = sub.add_parser("bounded", help="recursion plus compact-range certificate")
-    add_common(p_bnd)
+    add_pipeline(p_bnd)
 
     p_norm = sub.add_parser("norm-bounded", help="recursion plus norm bound")
-    add_common(p_norm)
+    add_pipeline(p_norm)
 
     p_cert = sub.add_parser("certify", help="re-validate a stored report")
     p_cert.add_argument("report", help="path to a report.jsonl")

@@ -27,6 +27,10 @@ from .odometer import GammaAction, PiecewiseCylinderMap, orbit_overflow
 
 HALF = Fraction(1, 2)
 
+KERNEL_PAIR_GUARD = 1 << 16  # most pairs a kernel table may materialize
+KERNEL_TRIPLE_BUDGET = 1 << 21  # most triples `cocycle_check` may walk
+KERNEL_EXPORT_DEPTH = 12  # deepest kernel that is exported as CSV
+
 
 @dataclass(frozen=True)
 class StepFunction:
@@ -48,7 +52,7 @@ class StepFunction:
     @cached_property
     def _increments(self) -> dict:
         """`coboundary_increment`'s results for this function, keyed by
-        (generator, depth); they live exactly as long as the function."""
+        generator; they live exactly as long as the function."""
         return {}
 
     @cached_property
@@ -66,30 +70,8 @@ class StepFunction:
         seen = {self.model.key(v): v for v in self.table.values()}
         return tuple(seen[k] for k in sorted(seen))
 
-    def refine(self, depth: int) -> "StepFunction":
-        if depth < self.depth:
-            raise DepthMismatch("cannot coarsen a step function")
-        if depth == self.depth:
-            return self
-        return StepFunction(self.model, depth, {w: self.at(w) for w in all_words(depth)})
-
-    def right_translate_on(self, s: CylinderSet, g: Element) -> "StepFunction":
-        """f(x) g on `s`, f(x) elsewhere."""
-        depth = max(self.depth, s.max_depth)
-        table = {}
-        for w in all_words(depth):
-            v = self.at(w)
-            table[w] = self.model.mul(v, g) if s.covers(w) else v
-        return StepFunction(self.model, depth, table)
-
     def level_set(self, value: Element) -> CylinderSet:
         return CylinderSet.of(w for w, v in self.table.items() if v == value)
-
-    def disagreement(self, other: "StepFunction") -> CylinderSet:
-        if other.model is not self.model and other.model.name != self.model.name:
-            raise ValueError("step functions live over different group models")
-        depth = max(self.depth, other.depth)
-        return CylinderSet.of(w for w in all_words(depth) if self.at(w) != other.at(w))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -98,13 +80,6 @@ class StepFunction:
         for w in sorted(self.table):
             writer.writerow([w, self.model.format(self.table[w])])
         return buf.getvalue()
-
-    @staticmethod
-    def from_csv(model: GroupModel, text: str) -> "StepFunction":
-        rows = list(csv.reader(io.StringIO(text)))
-        table = {w: model.parse(v) for w, v in rows[1:] if w or v}
-        depth = max((len(w) for w in table), default=0)
-        return StepFunction(model, depth, table)
 
 
 @dataclass(frozen=True)
@@ -135,13 +110,6 @@ class PartialStepFunction:
             if len(w) != self.depth:
                 raise DepthMismatch(f"table key {w!r} does not have depth {self.depth}")
 
-    @staticmethod
-    def masked(f: StepFunction, region: CylinderSet) -> "PartialStepFunction":
-        """`f` with the given region carved out (the marker use)."""
-        depth = max(f.depth, region.max_depth)
-        table = {w: f.at(w) for w in all_words(depth) if not region.covers(w)}
-        return PartialStepFunction(f.model, depth, table, region)
-
     def at(self, w: Word) -> Optional[Element]:
         if len(w) < self.depth:
             raise DepthMismatch(f"word of depth {len(w)} too shallow for depth {self.depth}")
@@ -151,40 +119,26 @@ class PartialStepFunction:
         seen = {self.model.key(v): v for v in self.table.values()}
         return tuple(seen[k] for k in sorted(seen))
 
-    def refine(self, depth: int) -> "PartialStepFunction":
-        if depth < self.depth:
-            raise DepthMismatch("cannot coarsen a partial step function")
-        if depth == self.depth:
-            return self
-        table = {}
-        for w in all_words(depth):
-            v = self.table.get(w[: self.depth])
-            if v is not None or not self.undefined.covers(w):
-                table[w] = self.table[w[: self.depth]]
-        return PartialStepFunction(self.model, depth, table, self.undefined)
 
+def coboundary_increment(f: StepFunction,
+                         sigma: PiecewiseCylinderMap) -> PartialStepFunction:
+    """The increment x -> f(sigma x) f(x)^-1 at the depth of `f` or of
+    `sigma`, whichever is deeper, undefined on the remainder of the
+    truncated `sigma`.
 
-def coboundary_increment(
-    f: StepFunction,
-    sigma: PiecewiseCylinderMap,
-    depth: Optional[int] = None,
-) -> PartialStepFunction:
-    """The increment x -> f(sigma x) f(x)^-1, undefined on the remainder
-    of the truncated `sigma`.
-
-    Computed once per (generator, depth) and kept on `f`, so a repeated
-    call returns the same object, whose table is read-only.  The
-    generator is keyed by value: actions are rebuilt every round."""
-    e = max(f.depth, sigma.max_depth, depth or 0)
+    Computed once per generator and kept on `f`, so a repeated call
+    returns the same object, whose table is read-only.  The generator is
+    keyed by value: actions are rebuilt every round."""
     memo = f._increments
-    part = memo.get((sigma, e))
+    part = memo.get(sigma)
     if part is None:
+        e = max(f.depth, sigma.max_depth)
         table = {}
         for w in all_words(e):
             img = sigma.apply(w)
             if img is not None:
                 table[w] = f.model.mul(f.at(img), f.model.inv(f.at(w)))
-        part = memo[(sigma, e)] = PartialStepFunction(
+        part = memo[sigma] = PartialStepFunction(
             f.model, e, MappingProxyType(table), sigma.remainder())
     return part
 
@@ -263,24 +217,17 @@ class CocycleKernel:
     def pair_count(self) -> int:
         return (1 << (self.depth - self.class_depth)) * (1 << self.class_depth) ** 2
 
-    def materialize(self, guard: int = 1 << 16) -> dict:
-        if self.pair_count() > guard:
-            raise SizeGuard(f"kernel with {self.pair_count()} pairs exceeds guard {guard}")
+    def materialize(self) -> dict:
+        if self.pair_count() > KERNEL_PAIR_GUARD:
+            raise SizeGuard(f"kernel with {self.pair_count()} pairs exceeds "
+                            f"guard {KERNEL_PAIR_GUARD}")
         return {(a, b): self.value(a, b)
                 for cls in self.classes() for a in cls for b in cls}
 
-    def corrupted(self, pair: tuple[Word, Word], value: Element,
-                  guard: int = 1 << 16) -> "CocycleKernel":
-        """Copy of this kernel with one entry overridden (negative control)."""
-        table = self.materialize(guard)
-        if pair not in table:
-            raise DepthMismatch(f"{pair} is not an admissible kernel pair")
-        table[pair] = value
-        return CocycleKernel.explicit(self.model, self.depth, self.class_depth, table)
-
-    def to_csv(self, guard_depth: int = 12) -> str:
-        if self.depth > guard_depth:
-            raise SizeGuard(f"kernel export limited to depth {guard_depth}, have {self.depth}")
+    def to_csv(self) -> str:
+        if self.depth > KERNEL_EXPORT_DEPTH:
+            raise SizeGuard(f"kernel export limited to depth "
+                            f"{KERNEL_EXPORT_DEPTH}, have {self.depth}")
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["source", "target", "value"])
@@ -295,13 +242,14 @@ class KernelCheck:
     failure: Optional[dict] = None
 
 
-def cocycle_check(kernel: CocycleKernel, triple_budget: int = 1 << 21) -> KernelCheck:
+def cocycle_check(kernel: CocycleKernel) -> KernelCheck:
     """Exhaustively verify the three kernel laws; a violation is returned
     as a value, never raised."""
     class_size = 1 << kernel.class_depth
     triples = (1 << (kernel.depth - kernel.class_depth)) * class_size ** 3
-    if triples > triple_budget:
-        raise SizeGuard(f"{triples} kernel triples exceed budget {triple_budget}")
+    if triples > KERNEL_TRIPLE_BUDGET:
+        raise SizeGuard(
+            f"{triples} kernel triples exceed budget {KERNEL_TRIPLE_BUDGET}")
     one = kernel.model.identity()
     for cls in kernel.classes():
         values = {(a, b): kernel.value(a, b) for a in cls for b in cls}
@@ -369,19 +317,9 @@ class IncrementCheck:
     violations: Mapping[str, CylinderSet]
     undecided: Mapping[str, CylinderSet]
 
-    def violation_measure(self, mu: ProductMeasure) -> Fraction:
-        total = CylinderSet.empty()
-        for s in self.violations.values():
-            total = total.union(s)
-        return total.measure(mu)
 
-
-def increments_within(
-    f: StepFunction,
-    action: GammaAction,
-    allowed: Iterable[Element],
-    depth: Optional[int] = None,
-) -> IncrementCheck:
+def increments_within(f: StepFunction, action: GammaAction,
+                      allowed: Iterable[Element]) -> IncrementCheck:
     """Check that every defined increment value lies in {identity} + allowed;
     truncation remainders are reported per generator, not judged."""
     keys = {f.model.key(f.model.identity())}
@@ -389,7 +327,7 @@ def increments_within(
     violations: dict[str, CylinderSet] = {}
     undecided: dict[str, CylinderSet] = {}
     for label, g in action.generators:
-        part = coboundary_increment(f, g, depth)
+        part = coboundary_increment(f, g)
         bad = [w for w, v in part.table.items() if f.model.key(v) not in keys]
         if bad:
             violations[label] = CylinderSet.of(bad)
@@ -462,12 +400,8 @@ class AgreementCheck:
         return self.agreement.measure(mu)
 
 
-def increment_agreement(
-    old: StepFunction,
-    new: StepFunction,
-    action: GammaAction,
-    depth: Optional[int] = None,
-) -> AgreementCheck:
+def increment_agreement(old: StepFunction, new: StepFunction,
+                        action: GammaAction) -> AgreementCheck:
     """The set where every generator's increment of `new` is defined and
     equals that of `old`; undecided truncation mass is excluded from the
     agreement set (conservative) and reported.  Each generator's own
@@ -476,8 +410,8 @@ def increment_agreement(
     undecided = CylinderSet.empty()
     per_generator: dict[str, CylinderSet] = {}
     for label, g in action.generators:
-        u_old = coboundary_increment(old, g, depth)
-        u_new = coboundary_increment(new, g, depth)
+        u_old = coboundary_increment(old, g)
+        u_new = coboundary_increment(new, g)
         e = max(u_old.depth, u_new.depth)
         same = CylinderSet.of(
             w for w in all_words(e)

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cocycles import (CocycleKernel, StepFunction, coboundary_increment,
-                       cocycle_distance, increments_within)
+from .cocycles import (KERNEL_EXPORT_DEPTH, CocycleKernel, StepFunction,
+                       coboundary_increment, cocycle_distance,
+                       increments_within)
 from .errors import CocycleLabError, ConfigError, SearchExhausted
 from .evc import (check_evc, delta_for, essential_value_certificate,
                   skew_connectivity, target_set, validate_witness)
@@ -36,10 +37,9 @@ from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
 from .measure import ZERO, CylinderSet, ProductMeasure, all_words
 from .odometer import (FiniteDepthMap, GammaAction, adding_machine_action,
                        coordinate_flip, flip_action)
-from .stepper import (Certificate, StepArtifacts, StepInput,
+from .stepper import (StepArtifacts, StepCheck, StepInput, admission_bound,
                       construct_step, validate_step_output)
 
-ADMISSION_FACTOR = 40  # eps <= mu(base) / (ADMISSION_FACTOR * covering number)
 SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
 
 
@@ -291,10 +291,6 @@ def _frac(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _cert_record(c: Certificate) -> dict:
-    return {"clause": c.clause, "ok": c.ok, "detail": c.detail}
-
-
 def _function_table(f: StepFunction) -> dict:
     return {w: f.model.format(v) for w, v in sorted(f.table.items())}
 
@@ -344,44 +340,10 @@ class CocycleApproximant:
     rounds: int
     eps_history: tuple[Fraction, ...]
 
-    @property
-    def tail_bound(self) -> Fraction:
-        # strict halving: the tolerances after round N sum below eps_N
-        return self.eps_history[-1] if self.eps_history else ZERO
-
 
 # ---------------------------------------------------------------------------
 # The recursion
 # ---------------------------------------------------------------------------
-
-def _generator_groups(action: GammaAction) -> list[tuple[str, ...]]:
-    """Split the generator labels into inverse-closed groups (a
-    self-inverse generator alone, otherwise the generator with its
-    inverse) so per-generator ledgers stay well-defined."""
-    out: list[tuple[str, ...]] = []
-    seen: set[str] = set()
-    for label, g in action.generators:
-        if label in seen:
-            continue
-        inverse = frozenset((t, s) for s, t in g.pieces)
-        if frozenset(g.pieces) == inverse:
-            out.append((label,))
-            seen.add(label)
-            continue
-        partner = next(l2 for l2, g2 in action.generators
-                       if l2 != label and frozenset(g2.pieces) == inverse)
-        out.append((label, partner))
-        seen.update((label, partner))
-    return out
-
-
-def _admission_bound(model: GroupModel, mu: ProductMeasure,
-                     triple: Triple) -> Fraction:
-    delta, cover = delta_for(model, model.parse(triple.candidate),
-                             triple.u_index)
-    del delta
-    return triple.base().measure(mu) / (ADMISSION_FACTOR * cover.number)
-
 
 def initial_function(config: PipelineConfig,
                      model: GroupModel) -> StepFunction:
@@ -391,15 +353,48 @@ def initial_function(config: PipelineConfig,
     return StepFunction(model, level, {w: e for w in all_words(level)})
 
 
-def first_round_eps(config: PipelineConfig, model: GroupModel,
-                    mu: ProductMeasure, triple: Triple) -> tuple[Fraction, dict]:
-    """The first round's tolerance and its rule: the admission bound, or
-    the configured ``eps_start`` when that is smaller."""
-    admission = _admission_bound(model, mu, triple)
-    eps = admission
-    if config.eps_start is not None:
-        eps = min(Fraction(config.eps_start), admission)
-    return eps, {"admission": _frac(admission), "chosen": _frac(eps)}
+def round_eps(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
+              triple: Triple, rounds: Sequence[dict]) -> tuple[Fraction, dict]:
+    """A round's tolerance and its rule, from the round records before it.
+
+    The first round takes the admission bound, or the configured
+    ``eps_start`` when that is smaller.  A later round takes
+    SCHEDULE_SHRINK times the least of half the previous tolerance, the
+    admission bound and the least witness reserve stored so far."""
+    _, cover = delta_for(model, model.parse(triple.candidate), triple.u_index)
+    admission = admission_bound(triple.base().measure(mu), cover.number)
+    if not rounds:
+        eps = admission
+        if config.eps_start is not None:
+            eps = min(Fraction(config.eps_start), admission)
+        return eps, {"admission": _frac(admission), "chosen": _frac(eps)}
+    candidates = {
+        "previous_half": Fraction(rounds[-1]["eps"]) / 2,
+        "admission": admission,
+        "min_reserve": min(Fraction(r["witness"]["reserve"]) for r in rounds),
+    }
+    eps = SCHEDULE_SHRINK * min(candidates.values())
+    rule = {k: _frac(v) for k, v in candidates.items()}
+    rule["shrink"] = _frac(SCHEDULE_SHRINK)
+    rule["chosen"] = _frac(eps)
+    return eps, rule
+
+
+def _checked_fields(check: StepCheck) -> dict[tuple[str, str], object]:
+    """The round record's fields that the step check determines, keyed by
+    (section, field); a run writes them and certify compares them."""
+    verdicts = check.verdicts()
+    return {
+        ("conditions", "inner"): verdicts["inner"],
+        ("conditions", "agreement"): _frac(check.agreement_mass),
+        ("conditions", "agreement_ok"): verdicts["agreement"],
+        ("conditions", "distance"): _frac(check.distance),
+        ("conditions", "distance_ok"): verdicts["distance"],
+        ("conditions", "evc_witness_ok"): check.witness_ok,
+        ("witness", "measure_slack"): _frac(check.witness_slack),
+        ("witness", "reserve"): _frac(check.witness_reserve),
+        ("artifacts", "core_mass"): _frac(check.core_mass),
+    }
 
 
 def step_input(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
@@ -462,19 +457,8 @@ def _run_recursion(config: PipelineConfig,
     for t in range(len(eps_history), config.rounds):
         action = config.build_action(t + 1)
         triple = schedule.round_triple(t)
-        if not eps_history:
-            eps, rule = first_round_eps(config, model, mu, triple)
-        else:
-            candidates = {
-                "previous_half": eps_history[-1] / 2,
-                "admission": _admission_bound(model, mu, triple),
-                "min_reserve": min(Fraction(r["witness"]["reserve"])
-                                   for r in records if r["record"] == "round"),
-            }
-            eps = SCHEDULE_SHRINK * min(candidates.values())
-            rule = {k: _frac(v) for k, v in candidates.items()}
-            rule["shrink"] = _frac(SCHEDULE_SHRINK)
-            rule["chosen"] = _frac(eps)
+        eps, rule = round_eps(config, model, mu, triple,
+                              [r for r in records if r["record"] == "round"])
         if eps <= 0:
             raise ConfigError(f"round {t + 1}: tolerance collapsed to {eps}")
 
@@ -497,33 +481,19 @@ def _run_recursion(config: PipelineConfig,
         # a group's change set: where the increment of some generator in
         # the group changed (the step's per-generator agreement sets)
         change_sets: dict[tuple[str, ...], CylinderSet] = {}
-        for labels in _generator_groups(action):
+        for labels in action.inverse_groups():
             agree = CylinderSet.full()
             for label in labels:
                 agree = agree.intersection(check.agreement.per_generator[label])
             change_sets[labels] = agree.complement()
 
         inc = increments_within(out.f_tilde, action, closure)
-        agreement, dist = check.agreement_mass, check.distance
-        reserve = check.witness_slack / 4
-
-        conditions = {
-            "finite_values": len(out.f_tilde.value_set()),
-            "inner": out.certificate("inner").ok,
-            "incremental": inc.ok,
-            "agreement": _frac(agreement),
-            "agreement_ok": agreement > 1 - eps,
-            "distance": _frac(dist),
-            "distance_ok": dist < eps,
-            "evc_witness_ok": check.witness_ok,
-            "evc_search": fresh_rec,
-        }
 
         change_history.append(change_sets)
         eps_history.append(eps)
         functions.append(out.f_tilde)
 
-        records.append({
+        record = {
             "record": "round",
             "round": t + 1,
             "triple": triple.to_mapping(),
@@ -535,27 +505,31 @@ def _run_recursion(config: PipelineConfig,
             "eps_prime": _frac(out.eps_prime),
             "delta": _frac(out.delta),
             "conjugate": model.format(out.h),
-            "admission": _cert_record(out.admission),
-            "certificates": [_cert_record(c) for c in out.certificates],
-            "validator": [_cert_record(c)
+            "admission": out.admission.to_mapping(),
+            "certificates": [c.to_mapping() for c in out.certificates],
+            "validator": [c.to_mapping()
                           for c in check.validator_certificates()],
-            "conditions": conditions,
+            "conditions": {
+                "finite_values": len(out.f_tilde.value_set()),
+                "incremental": inc.ok,
+                "evc_search": fresh_rec,
+            },
             "witness": {
                 "core": _set_words(out.core),
                 "moves": sorted(out.theta.moves.items()),
-                "measure_slack": _frac(check.witness_slack),
-                "reserve": _frac(reserve),
             },
             "artifacts": {
                 "f": _function_table(out.f_tilde),
                 "z0": _set_words(out.z0),
                 "b_set": _set_words(out.b_set),
-                "core_mass": _frac(out.core.measure(mu)),
                 "change_mass": {
                     "+".join(k): _frac(v.measure(mu))
                     for k, v in change_sets.items()},
             },
-        })
+        }
+        for (section, field), value in _checked_fields(check).items():
+            record[section][field] = value
+        records.append(record)
 
         n = out.m
         if out_dir:
@@ -648,7 +622,7 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
 
     # stabilization ledger: changes after round n stay under the eps tail
     ledger = {}
-    for labels in _generator_groups(action):
+    for labels in action.inverse_groups():
         rows = []
         for n_idx in range(len(change_history)):
             union = CylinderSet.empty()
@@ -690,6 +664,7 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
         "level": final_level,
         "f": _function_table(f_final),
         "eps_history": [_frac(e) for e in eps_history],
+        # strict halving: the tolerances after the last round sum below it
         "tail_bound": _frac(eps_history[-1]) if eps_history else "0",
         "halving_ok": all(b < a / 2 for a, b in zip(eps_history, eps_history[1:])),
     })
@@ -875,6 +850,11 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         if i and not eps < eps_history[i - 1] / 2:
             fail("eps_halving", where,
                  f"{eps} is not below half of {eps_history[i - 1]}")
+        chosen, rule = round_eps(config, model, mu, triple, rounds[:i])
+        if rec["eps"] != _frac(chosen):
+            fail("eps", where, f"stored {rec['eps']}, the rule gives {chosen}")
+        if rec.get("eps_rule") != rule:
+            fail("eps_rule", where, "stored rule differs from the recomputed one")
 
         f = functions[i + 1]
         theta = FiniteDepthMap(f.depth,
@@ -887,13 +867,18 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         inp = step_input(config, model, mu, action, triple, functions[i], n,
                          eps)
         try:
-            checks = validate_step_output(inp, replay)
+            check = validate_step_output(inp, replay)
         except CocycleLabError as exc:
             fail("validator", where, str(exc))
-            checks = ()
-        for c in checks:
-            if not c.ok:
-                fail(c.clause, where, c.detail)
+        else:
+            for c in check.validator_certificates():
+                if not c.ok:
+                    fail(c.clause, where, c.detail)
+            for (section, field), value in _checked_fields(check).items():
+                stored = rec.get(section, {}).get(field)
+                if stored != value:
+                    fail(f"{section}.{field}", where,
+                         f"stored {stored!r}, recomputed {value!r}")
 
         kernel = CocycleKernel.coboundary(f, class_depth=f.depth)
         targets = target_set(model, inp.candidate, triple.u_index)
@@ -937,8 +922,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
 # CSV exports
 # ---------------------------------------------------------------------------
 
-def export_report(records: Sequence[dict], out_dir: str,
-                  kernel_guard: int = 12) -> list[str]:
+def export_report(records: Sequence[dict], out_dir: str) -> list[str]:
     """Write CSV artifacts for a stored report; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
     headers = [r for r in records if r.get("record") == "header"]
@@ -959,9 +943,9 @@ def export_report(records: Sequence[dict], out_dir: str,
     if finals:
         f = _parse_table(model, finals[0]["f"])
         emit("final_function.csv", f.to_csv())
-        if f.depth <= kernel_guard:
+        if f.depth <= KERNEL_EXPORT_DEPTH:
             kernel = CocycleKernel.coboundary(f, class_depth=f.depth)
-            emit("terminal_kernel.csv", kernel.to_csv(kernel_guard))
+            emit("terminal_kernel.csv", kernel.to_csv())
     for rec in (r for r in records if r.get("record") == "round"):
         core = CylinderSet.of(rec["witness"]["core"])
         emit(f"round_{rec['round']:02d}_core.csv", core.to_csv(mu))

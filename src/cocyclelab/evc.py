@@ -4,9 +4,7 @@ A witness for the quantitative essential-value condition consists of a
 part B of the base set and a finite-depth transformation moving B inside
 the base with kernel values in the target set and derivative close to 1.
 Witnesses are always re-validated from scratch before being returned, and
-carry exact slacks plus a robustness reserve: how much disagreement mass
-a perturbed kernel may introduce before the witness (with a trimmed B)
-stops satisfying the condition.
+carry the exact slacks by which each inequality holds.
 """
 from __future__ import annotations
 
@@ -19,6 +17,8 @@ from .errors import PostconditionFailure, SearchExhausted, SizeGuard
 from .groups import Cover, Element, GroupModel, covering_number
 from .measure import ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words
 from .odometer import FiniteDepthMap
+
+SKEW_BUDGET = 1 << 18  # most vertices, or extension pairs, a connectivity count walks
 
 
 def target_set(model: GroupModel, g: Element, u_index: int) -> tuple:
@@ -63,13 +63,6 @@ class EvcWitness:
     measure_slack: Fraction
     derivative_slack: Fraction
     membership_margin: Fraction
-
-    @property
-    def reserve(self) -> Fraction:
-        """Disagreement mass a perturbed kernel may introduce while the
-        witness still verifies: trimming B by the bad set and its theta
-        image costs twice the mass, and half the slack is kept spare."""
-        return self.measure_slack / 4
 
 
 def validate_witness(
@@ -319,9 +312,6 @@ class EssentialValueReport:
     entries: tuple[EvcEntry, ...]
     verdict: str  # "certified" | "inconclusive"
 
-    def failing(self) -> list[EvcEntry]:
-        return [e for e in self.entries if not e.ok]
-
 
 def essential_value_certificate(
     kernel: CocycleKernel,
@@ -390,7 +380,6 @@ class ConnectivityReport:
 def skew_connectivity(
     kernel: CocycleKernel,
     depth: Optional[int] = None,
-    budget: int = 1 << 18,
     exhaustive: bool = False,
 ) -> ConnectivityReport:
     """Exact component count of the product graph on (depth words x group).
@@ -414,9 +403,9 @@ def skew_connectivity(
     if not 0 < level <= kernel.depth:
         raise SizeGuard(f"vertex depth must lie in 1..{kernel.depth}")
     n_words = 1 << level
-    if n_words * len(elements) > budget:
+    if n_words * len(elements) > SKEW_BUDGET:
         raise SizeGuard(
-            f"{n_words * len(elements)} skew vertices exceed budget {budget}")
+            f"{n_words * len(elements)} skew vertices exceed budget {SKEW_BUDGET}")
     tails = list(all_words(kernel.depth - level))
     word_index = {w: i for i, w in enumerate(all_words(level))}
     uf = _UnionFind(n_words * len(elements))
@@ -429,7 +418,7 @@ def skew_connectivity(
     fast = (kernel.kind == "trivial"
             or (kernel.kind == "coboundary"
                 and kernel.class_depth == kernel.depth))
-    if not fast and len(tails) ** 2 * n_words > budget:
+    if not fast and len(tails) ** 2 * n_words > SKEW_BUDGET:
         raise SizeGuard("extension pairs exceed budget; deepen the vertices")
 
     if kernel.class_depth < level:

@@ -26,6 +26,9 @@ Element = Any
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+CLASS_BUDGET = 4096  # most elements a conjugacy class or closure may list
+COVERING_GUARD = 64  # largest class whose covering number is searched exactly
+
 
 class GroupModel(ABC):
     """Abstract interface shared by all group models."""
@@ -49,10 +52,6 @@ class GroupModel(ABC):
     def neighborhood(self, k: int) -> frozenset:
         """Symmetric, conjugation-invariant identity neighborhood U_k,
         nonincreasing in k with intersection the identity singleton."""
-
-    @abstractmethod
-    def default_generators(self) -> tuple:
-        """A symmetric generating tuple used as the default dense set."""
 
     def metric(self, a: Element, b: Element) -> Fraction:
         """Bi-invariant metric; discrete models use the 0/1 metric."""
@@ -78,7 +77,9 @@ class GroupModel(ABC):
         return self.mul(self.mul(x, g), self.inv(x))
 
     @abstractmethod
-    def conjugacy_class(self, g: Element, budget: int = 4096) -> "ConjugacyClass": ...
+    def conjugacy_class(self, g: Element) -> "ConjugacyClass":
+        """The class of g; raises :class:`UnboundedClass` beyond
+        ``CLASS_BUDGET`` members."""
 
 @dataclass(frozen=True)
 class ConjugacyClass:
@@ -95,17 +96,13 @@ class ConjugacyClass:
     def __len__(self) -> int:
         return len(self.members)
 
-    def verify(self, model: GroupModel) -> bool:
-        return all(model.conjugate(self.base, x) == e for e, x in self.witnesses.items())
-
 
 class FiniteTableGroup(GroupModel):
     """Finite group given by its multiplication table; elements are the
     indices 0..n-1 with 0 the identity."""
 
     def __init__(self, name: str, table: Sequence[Sequence[int]],
-                 labels: Optional[Sequence[str]] = None,
-                 generators: Optional[Sequence[int]] = None):
+                 labels: Optional[Sequence[str]] = None):
         self.name = name
         self.table = tuple(tuple(row) for row in table)
         n = len(self.table)
@@ -120,7 +117,6 @@ class FiniteTableGroup(GroupModel):
                 raise ValueError(f"element {a} has no unique inverse")
             self._inv[a] = hits[0]
         self.labels = tuple(labels) if labels else tuple(str(i) for i in range(n))
-        self._generators = tuple(generators) if generators else tuple(range(1, n))
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -151,27 +147,17 @@ class FiniteTableGroup(GroupModel):
             return frozenset(range(len(self.table)))
         return frozenset({0})
 
-    def default_generators(self):
-        gens = set(self._generators) | {self._inv[g] for g in self._generators}
-        return tuple(sorted(gens))
-
-    def conjugacy_class(self, g, budget: int = 4096) -> ConjugacyClass:
+    def conjugacy_class(self, g) -> ConjugacyClass:
         witnesses: dict = {g: 0}
         for x in range(len(self.table)):
             e = self.conjugate(g, x)
             if e not in witnesses:
                 witnesses[e] = x
-            if len(witnesses) > budget:
-                raise UnboundedClass(f"class of {self.format(g)} exceeds budget {budget}")
+            if len(witnesses) > CLASS_BUDGET:
+                raise UnboundedClass(
+                    f"class of {self.format(g)} exceeds budget {CLASS_BUDGET}")
         members = tuple(sorted(witnesses))
         return ConjugacyClass(g, members, {e: witnesses[e] for e in members})
-
-    def table_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in self.table:
-            writer.writerow(row)
-        return buf.getvalue()
 
     @staticmethod
     def from_csv(name: str, text: str, labels: Optional[Sequence[str]] = None) -> "FiniteTableGroup":
@@ -184,8 +170,7 @@ def cyclic_group(n: int) -> FiniteTableGroup:
     if n < 1:
         raise ValueError("order must be >= 1")
     table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    gens = (1 % n, (n - 1) % n) if n > 1 else (0,)
-    return FiniteTableGroup(f"Z{n}", table, generators=sorted(set(gens) - {0}) or None)
+    return FiniteTableGroup(f"Z{n}", table)
 
 
 def _perm_group(name: str, perms: list[tuple[int, ...]], labels: list[str]) -> FiniteTableGroup:
@@ -245,21 +230,10 @@ class FreeAbelianGroup(GroupModel):
     def neighborhood(self, k: int) -> frozenset:
         return frozenset({self.identity()})
 
-    def default_generators(self):
-        gens = []
-        for i in range(self.rank):
-            e = [0] * self.rank
-            e[i] = 1
-            gens.append(tuple(e))
-            e2 = [0] * self.rank
-            e2[i] = -1
-            gens.append(tuple(e2))
-        return tuple(sorted(gens))
-
     def norm(self, a):
         return Fraction(max(abs(x) for x in a))
 
-    def conjugacy_class(self, g, budget: int = 4096) -> ConjugacyClass:
+    def conjugacy_class(self, g) -> ConjugacyClass:
         return ConjugacyClass(g, (g,), {g: self.identity()})
 
 class DirectSumZGroup(GroupModel):
@@ -314,20 +288,7 @@ class DirectSumZGroup(GroupModel):
     def neighborhood(self, k: int) -> frozenset:
         return frozenset({()})
 
-    def unit_ball_generators(self) -> tuple:
-        """Signed unit vectors up to the generator span (the norm-1 set
-        used as the dense subgroup's generators)."""
-        gens = []
-        for i in range(self.generator_span):
-            e = (0,) * i + (1,)
-            gens.append(e)
-            gens.append(self.inv(e))
-        return tuple(sorted(gens))
-
-    def default_generators(self):
-        return self.unit_ball_generators()
-
-    def conjugacy_class(self, g, budget: int = 4096) -> ConjugacyClass:
+    def conjugacy_class(self, g) -> ConjugacyClass:
         return ConjugacyClass(g, (g,), {g: ()})
 
 class DirectProductGroup(GroupModel):
@@ -377,16 +338,11 @@ class DirectProductGroup(GroupModel):
         return frozenset(
             (a, b) for a in self.left.neighborhood(k) for b in self.right.neighborhood(k))
 
-    def default_generators(self):
-        gens = [(g, self.right.identity()) for g in self.left.default_generators()]
-        gens += [(self.left.identity(), g) for g in self.right.default_generators()]
-        return tuple(sorted(set(gens), key=self.key))
-
-    def conjugacy_class(self, g, budget: int = 4096) -> ConjugacyClass:
-        cl = self.left.conjugacy_class(g[0], budget)
-        cr = self.right.conjugacy_class(g[1], budget)
-        if len(cl) * len(cr) > budget:
-            raise UnboundedClass(f"product class exceeds budget {budget}")
+    def conjugacy_class(self, g) -> ConjugacyClass:
+        cl = self.left.conjugacy_class(g[0])
+        cr = self.right.conjugacy_class(g[1])
+        if len(cl) * len(cr) > CLASS_BUDGET:
+            raise UnboundedClass(f"product class exceeds budget {CLASS_BUDGET}")
         members = []
         witnesses = {}
         for a in cl.members:
@@ -422,10 +378,7 @@ class RationalRatioGroup(GroupModel):
     def neighborhood(self, k: int) -> frozenset:
         return frozenset({ONE})
 
-    def default_generators(self):
-        return (Fraction(2), Fraction(1, 2))
-
-    def conjugacy_class(self, g, budget: int = 4096) -> ConjugacyClass:
+    def conjugacy_class(self, g) -> ConjugacyClass:
         return ConjugacyClass(g, (g,), {g: ONE})
 
 
@@ -446,19 +399,19 @@ class Cover:
         return self.number
 
 
-def covering_number(model: GroupModel, g: Element, u_index: int,
-                    budget: int = 4096, guard: int = 64) -> Cover:
+def covering_number(model: GroupModel, g: Element, u_index: int) -> Cover:
     """Exact minimum number of U-translates (U the u_index-th identity
     neighborhood) by elements of the class of g needed to cover that
     class, found by branch-and-bound set cover.
 
-    Guarded exhaustively for classes up to `guard` elements; translate
-    centers range over the class itself, which always suffices since U
-    contains the identity.
+    Guarded exhaustively for classes up to ``COVERING_GUARD`` elements;
+    translate centers range over the class itself, which always suffices
+    since U contains the identity.
     """
-    cls = model.conjugacy_class(g, budget)
-    if len(cls) > guard:
-        raise SizeGuard(f"class of size {len(cls)} exceeds covering guard {guard}")
+    cls = model.conjugacy_class(g)
+    if len(cls) > COVERING_GUARD:
+        raise SizeGuard(
+            f"class of size {len(cls)} exceeds covering guard {COVERING_GUARD}")
     universe = list(cls.members)
     u = model.neighborhood(u_index)
     # membership e in U d means e d^-1 in U
@@ -505,14 +458,13 @@ def covering_number(model: GroupModel, g: Element, u_index: int,
     return Cover(len(best), tuple(sorted(best, key=model.key)))
 
 
-def conjugate_closure(model: GroupModel, generators: Iterable[Element],
-                      budget: int = 4096) -> tuple:
+def conjugate_closure(model: GroupModel, generators: Iterable[Element]) -> tuple:
     """Union of the conjugacy classes of the given elements, sorted."""
     out = set()
     for h in generators:
-        out.update(model.conjugacy_class(h, budget).members)
-        if len(out) > budget:
-            raise UnboundedClass(f"conjugate closure exceeds budget {budget}")
+        out.update(model.conjugacy_class(h).members)
+        if len(out) > CLASS_BUDGET:
+            raise UnboundedClass(f"conjugate closure exceeds budget {CLASS_BUDGET}")
     return tuple(sorted(out, key=model.key))
 
 

@@ -304,9 +304,6 @@ class CylinderSet:
     def complement(self) -> "CylinderSet":
         return CylinderSet.full().difference(self)
 
-    def symmetric_difference(self, other: "CylinderSet") -> "CylinderSet":
-        return self.difference(other).union(other.difference(self))
-
     def covers(self, w: Word) -> bool:
         """True when the cylinder of `w` is contained in this set."""
         check_word(w)
@@ -356,8 +353,3 @@ class CylinderSet:
             m = mu.cylinder(w)
             writer.writerow([w, len(w), m.numerator, m.denominator])
         return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "CylinderSet":
-        rows = list(csv.reader(io.StringIO(text)))
-        return CylinderSet.of(r[0] for r in rows[1:] if r)

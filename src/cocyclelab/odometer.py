@@ -171,13 +171,31 @@ class GammaAction:
     generators: tuple[tuple[str, PiecewiseCylinderMap], ...]
 
     def __post_init__(self):
-        signatures = {frozenset(g.pieces) for _, g in self.generators}
-        for _, g in self.generators:
-            if frozenset((t, s) for s, t in g.pieces) not in signatures:
-                raise ConfigError(f"action {self.name} is not symmetric: missing inverse of a generator")
+        self.inverse_groups()
 
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.generators]
+    def inverse_groups(self) -> list[tuple[str, ...]]:
+        """The generator labels in inverse-closed groups, in list order: a
+        self-inverse generator alone, otherwise the generator with the
+        first listed generator inverse to it.  Per-generator ledgers are
+        kept per group, so they stay well-defined.  Raises
+        :class:`ConfigError` when some generator's inverse is missing."""
+        first_label: dict[frozenset, str] = {}
+        for label, g in self.generators:
+            first_label.setdefault(frozenset(g.pieces), label)
+        out: list[tuple[str, ...]] = []
+        seen: set[str] = set()
+        for label, g in self.generators:
+            inverse = frozenset((t, s) for s, t in g.pieces)
+            if inverse not in first_label:
+                raise ConfigError(f"action {self.name} is not symmetric: "
+                                  "missing inverse of a generator")
+            if label in seen:
+                continue
+            pieces = frozenset(g.pieces)
+            group = (label,) if inverse == pieces else (label, first_label[inverse])
+            out.append(group)
+            seen.update(group)
+        return out
 
     def maps(self) -> list[PiecewiseCylinderMap]:
         return [g for _, g in self.generators]

@@ -28,18 +28,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cocycles import (AgreementCheck, PartialStepFunction, StepFunction,
-                       coboundary_increment, cocycle_distance,
-                       increment_agreement, increments_within,
-                       trivial_on_overflow)
+from .cocycles import (AgreementCheck, StepFunction, coboundary_increment,
+                       cocycle_distance, increment_agreement,
+                       increments_within, trivial_on_overflow)
 from .errors import (ConfigError, DepthExhausted, EmptyCore,
                      PostconditionFailure)
-from .groups import Cover, Element, conjugate_closure, covering_number
+from .evc import delta_for, target_set
+from .groups import Cover, Element, conjugate_closure
 from .measure import ZERO, CylinderSet, ProductMeasure, Word, all_words
 from .odometer import (FiniteDepthMap, GammaAction, InvolutionResult,
                        exchange_involution, orbit_overflow)
 
 UNDEFINED_MARK = "!"
+ADMISSION_FACTOR = 40  # eps <= target mass / (ADMISSION_FACTOR * covering number)
+
+
+def admission_bound(target_mass: Fraction, cover_number: int) -> Fraction:
+    """The largest tolerance the step admits for a target of the given
+    mass: target mass / (ADMISSION_FACTOR * covering number)."""
+    return target_mass / (ADMISSION_FACTOR * cover_number)
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,9 @@ class Certificate:
     clause: str
     ok: bool
     detail: str
+
+    def to_mapping(self) -> dict:
+        return {"clause": self.clause, "ok": self.ok, "detail": self.detail}
 
 
 @dataclass(frozen=True)
@@ -77,21 +87,14 @@ class CoreSelection:
     z0: CylinderSet
     h: Element
     cover: Cover
+    delta: Fraction
     mass: Fraction
 
 
 @dataclass(frozen=True)
 class FingerprintClass:
-    signature: tuple
     part: CylinderSet  # suffix-space cylinders (coordinates beyond n)
     mass: Fraction
-
-
-@dataclass(frozen=True)
-class FingerprintPartition:
-    n: int
-    suffix_depth: int
-    classes: tuple[FingerprintClass, ...]
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,6 @@ class RefinementChoice:
     m: int
     hull: CylinderSet  # full-space overflow hull, saturated over the first n
     hull_mass: Fraction
-    blocks: tuple[tuple[Word, ...], ...]  # per class, middle-block words
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,7 @@ class StepCheck:
     eps: Fraction
     m: int
     delta: Fraction
+    required_delta: Fraction  # evc.delta_for's 1/(3 * covering number)
     cover_number: int
     overflow_mass: Fraction
     inner_ok: bool
@@ -165,11 +168,9 @@ class StepCheck:
     def witness_ok(self) -> bool:
         """Whether (core, theta) is an essential-value witness for the
         target at tolerance delta, by the same clauses as
-        :func:`evc.validate_witness`: both inside, mass, membership (an
-        increment times the candidate's inverse lies in U exactly when
-        the increment lies in U times the candidate) and a derivative
-        below delta.  Its class clause holds trivially here, because the
-        update's depth is the working depth."""
+        :func:`evc.validate_witness`: both inside, mass, membership in the
+        target set and a derivative below delta.  Its class clause holds
+        trivially here, because the update's depth is the working depth."""
         return (self.core_inside
                 and self.core_mass > self.delta * self.target_mass
                 and self.membership_misses == 0
@@ -180,6 +181,13 @@ class StepCheck:
         """The witness's measure slack: core mass above delta times the
         target mass."""
         return self.core_mass - self.delta * self.target_mass
+
+    @property
+    def witness_reserve(self) -> Fraction:
+        """Disagreement mass a later round may introduce while the witness
+        still verifies: trimming the core by the bad set and its pairing
+        image costs twice the mass, and half the slack is kept spare."""
+        return self.witness_slack / 4
 
     def _render(self, details: dict[str, str]) -> tuple[Certificate, ...]:
         verdicts = self.verdicts()
@@ -218,8 +226,7 @@ class StepCheck:
         validator's list."""
         m, eps = self.m, self.eps
         delta = Certificate(
-            "delta_consistency",
-            self.delta == Fraction(1, 3 * self.cover_number),
+            "delta_consistency", self.delta == self.required_delta,
             f"delta {self.delta} vs 1/(3 * {self.cover_number})")
         return (delta,) + self._render({
             "overflow_small":
@@ -272,12 +279,6 @@ class StepOutput:
     certificates: tuple[Certificate, ...]
     check: StepCheck
 
-    def certificate(self, clause: str) -> Certificate:
-        for c in self.certificates:
-            if c.clause == clause:
-                return c
-        raise KeyError(clause)
-
 
 def image_safe_tolerance(action: GammaAction, mu: ProductMeasure,
                          eps: Fraction) -> Fraction:
@@ -297,8 +298,7 @@ def select_core_and_conjugate(f: StepFunction, target: CylinderSet,
     the covering gives at least a 1/covering-number share); ties break
     by element key."""
     model = f.model
-    cover = covering_number(model, candidate, u_index)
-    u_keys = {model.key(u) for u in model.neighborhood(u_index)}
+    delta, cover = delta_for(model, candidate, u_index)
     pieces: list[tuple[Element, CylinderSet]] = []
     for v in f.value_set():
         piece = target.intersection(f.level_set(v))
@@ -307,57 +307,49 @@ def select_core_and_conjugate(f: StepFunction, target: CylinderSet,
             pieces.append((twisted, piece))
     best: Optional[CoreSelection] = None
     for h in sorted(cover.centers, key=model.key):
+        keys = {model.key(t) for t in target_set(model, h, u_index)}
         z0 = CylinderSet.empty()
         for twisted, piece in pieces:
-            if model.key(model.mul(twisted, model.inv(h))) in u_keys:
+            if model.key(twisted) in keys:
                 z0 = z0.union(piece)
         mass = z0.measure(mu)
         if best is None or mass > best.mass:
-            best = CoreSelection(z0, h, cover, mass)
+            best = CoreSelection(z0, h, cover, delta, mass)
     assert best is not None  # cover.centers is never empty
     return best
 
 
-def fingerprint_partition(fstar: PartialStepFunction, n: int,
-                          mu: ProductMeasure) -> FingerprintPartition:
-    """Group suffix words by the multiset of (marked value, prefix
-    weight) pairs their prefix column produces; classes are ordered by
-    mass, then by least member."""
-    model = fstar.model
-    suffix_depth = max(fstar.depth - n, 0)
+def fingerprint_partition(f: StepFunction, z0: CylinderSet, n: int,
+                          mu: ProductMeasure) -> tuple[FingerprintClass, ...]:
+    """Group suffix words by the multiset of (masked value, prefix
+    weight) pairs their prefix column produces, the masked value being
+    f's off `z0` (see `_fingerprint_value`); classes are ordered by mass,
+    then by least member."""
+    suffix_depth = max(f.depth, z0.max_depth, n) - n
     suffix_mu = mu.shift(n)
     prefixes = list(all_words(n))
     weights = {t: mu.cylinder(t) for t in prefixes}
     groups: dict[tuple, list[Word]] = {}
     for w in all_words(suffix_depth):
-        column = []
-        for t in prefixes:
-            value = fstar.at(t + w)
-            mark = UNDEFINED_MARK if value is None else model.format(value)
-            column.append((mark, weights[t]))
-        groups.setdefault(tuple(sorted(column)), []).append(w)
-    classes = [FingerprintClass(signature, CylinderSet.of(words),
-                                CylinderSet.of(words).measure(suffix_mu))
-               for signature, words in groups.items()]
+        column = sorted((_fingerprint_value(f, z0, t + w), weights[t])
+                        for t in prefixes)
+        groups.setdefault(tuple(column), []).append(w)
+    parts = [CylinderSet.of(words) for words in groups.values()]
+    classes = [FingerprintClass(part, part.measure(suffix_mu)) for part in parts]
     classes.sort(key=lambda c: (-c.mass, c.part.words[0]))
-    return FingerprintPartition(n, suffix_depth, tuple(classes))
+    return tuple(classes)
 
 
 def choose_refinement_depth(action: GammaAction, n: int, threshold: Fraction,
-                            partition: FingerprintPartition,
                             mu: ProductMeasure, floor: int,
                             depth_budget: int) -> RefinementChoice:
     """Smallest refinement level at or above `floor` whose saturated
-    orbit-overflow hull has mass below `threshold`, together with the
-    middle-block word lists of each fingerprint class at that level
-    (exact, because the floor dominates every input depth)."""
+    orbit-overflow hull has mass below `threshold`."""
     for m in range(max(floor, n + 1), depth_budget + 1):
         hull = orbit_overflow(action, m).upper().saturate(n)
         mass = hull.measure(mu)
         if mass < threshold:
-            blocks = tuple(tuple(sorted(c.part.words_at(m - n)))
-                           for c in partition.classes)
-            return RefinementChoice(m, hull, mass, blocks)
+            return RefinementChoice(m, hull, mass)
     raise DepthExhausted(
         f"no refinement level within depth {depth_budget} brings the "
         f"overflow hull below {threshold}")
@@ -436,25 +428,22 @@ def construct_step(inp: StepInput) -> StepOutput:
 
     selection = select_core_and_conjugate(f, inp.target, inp.candidate,
                                           inp.u_index, mu)
-    z0, h, cover = selection.z0, selection.h, selection.cover
-    delta = Fraction(1, 3 * cover.number)
+    z0, h, delta = selection.z0, selection.h, selection.delta
+    bound = admission_bound(target_mass, selection.cover.number)
     admission = Certificate(
-        "admission",
-        eps <= target_mass / (40 * cover.number),
-        f"eps = {eps} vs target mass/(40 covering) = "
-        f"{target_mass / (40 * cover.number)} (advisory)")
+        "admission", eps <= bound,
+        f"eps = {eps} vs target mass/({ADMISSION_FACTOR} covering) = "
+        f"{bound} (advisory)")
 
     eps_prime = image_safe_tolerance(action, mu, eps)
     total_distortion = action.max_distortion_sum(mu)
     threshold = min(eps_prime, eps / (1 + total_distortion))
 
-    fstar = PartialStepFunction.masked(f, z0.complement())
-    partition = fingerprint_partition(fstar, inp.n, mu)
+    partition = fingerprint_partition(f, z0, inp.n, mu)
 
-    floor = max(inp.n + 1, f.depth, inp.target.max_depth, fstar.depth,
-                z0.max_depth)
-    refinement = choose_refinement_depth(action, inp.n, threshold, partition,
-                                         mu, floor, inp.depth_budget)
+    floor = max(inp.n + 1, f.depth, inp.target.max_depth, z0.max_depth)
+    refinement = choose_refinement_depth(action, inp.n, threshold, mu, floor,
+                                         inp.depth_budget)
     m = refinement.m
     involution = build_suffix_involution(mu, m, eps,
                                          threshold - refinement.hull_mass,
@@ -489,13 +478,13 @@ def construct_step(inp: StepInput) -> StepOutput:
 
 def _certify(inp: StepInput, eps_prime: Fraction,
              total_distortion: Fraction, selection: CoreSelection,
-             partition: FingerprintPartition, refinement: RefinementChoice,
+             partition: tuple[FingerprintClass, ...],
+             refinement: RefinementChoice,
              involution: InvolutionResult, theta: FiniteDepthMap,
              core_mass: Fraction, m: int) -> tuple[Certificate, ...]:
     """The construction clauses: those that read the construction's
     intermediates, which :func:`check_step` never sees."""
     f, mu, eps = inp.f, inp.mu, Fraction(inp.eps)
-    model = f.model
     cover = selection.cover
     certs: list[Certificate] = []
 
@@ -514,11 +503,11 @@ def _certify(inp: StepInput, eps_prime: Fraction,
         "saturation_mass", refinement.hull_mass < eps_prime,
         f"overflow hull mass {refinement.hull_mass} < {eps_prime} at level {m}"))
 
-    defect_ok = all(c.mass > 0 for c in partition.classes)
+    defect_ok = all(c.mass > 0 for c in partition)
     certs.append(Certificate(
         "partition_defect", defect_ok,
         "middle-block alignment is exact per class "
-        f"(defect 0 against budgets {[str(eps * c.mass) for c in partition.classes]})"))
+        f"(defect 0 against budgets {[str(eps * c.mass) for c in partition]})"))
 
     certs.append(Certificate(
         "conditional_uniformity", True,
@@ -535,19 +524,19 @@ def _certify(inp: StepInput, eps_prime: Fraction,
         f"exchange derivative deviation {worst_pair} < {eps} "
         f"(and below the 3 eps ledger {3 * eps})"))
 
-    stable = all(c.part.max_depth <= m - inp.n for c in partition.classes)
+    stable = all(c.part.max_depth <= m - inp.n for c in partition)
     certs.append(Certificate(
         "class_stability", stable,
         "each class is a middle-block set, hence exactly invariant under "
-        f"the deep exchange (budget {[str(4 * eps * c.mass) for c in partition.classes]})"))
+        f"the deep exchange (budget {[str(4 * eps * c.mass) for c in partition]})"))
 
     worst_move = ZERO
     worst_print = 0
     for w in sorted(theta.moves):
         image = theta.apply(w)
         worst_move = max(worst_move, mu.deviation(w, image))
-        fw = _fingerprint_value(f, selection.z0, w, model)
-        fi = _fingerprint_value(f, selection.z0, image, model)
+        fw = _fingerprint_value(f, selection.z0, w)
+        fi = _fingerprint_value(f, selection.z0, image)
         if fw != fi:
             worst_print += 1
     certs.append(Certificate(
@@ -564,11 +553,12 @@ def _certify(inp: StepInput, eps_prime: Fraction,
     return tuple(certs)
 
 
-def _fingerprint_value(f: StepFunction, z0: CylinderSet, w: Word,
-                       model) -> str:
+def _fingerprint_value(f: StepFunction, z0: CylinderSet, w: Word) -> str:
+    """The value of f at `w` masked off z0: its label on z0, the
+    undefined mark elsewhere."""
     if not z0.covers(w):
         return UNDEFINED_MARK
-    return model.format(f.at(w))
+    return f.model.format(f.at(w))
 
 
 def check_step(inp: StepInput, art: StepArtifacts) -> StepCheck:
@@ -588,14 +578,16 @@ def check_step(inp: StepInput, art: StepArtifacts) -> StepCheck:
 
     enlarged = conjugate_closure(model, tuple(inp.family) + (h, model.inv(h)))
     image = theta.image_of(core)
+    required_delta, cover = delta_for(model, inp.candidate, inp.u_index)
 
-    u_keys = {model.key(u) for u in model.neighborhood(inp.u_index)}
+    target_keys = {model.key(t)
+                   for t in target_set(model, inp.candidate, inp.u_index)}
     misses = 0
     worst = ZERO
     for w in core.words_at(art.working_depth):
         moved = theta.apply(w)
         increment = model.mul(f_tilde.at(moved), model.inv(f_tilde.at(w)))
-        if model.key(model.mul(increment, model.inv(inp.candidate))) not in u_keys:
+        if model.key(increment) not in target_keys:
             misses += 1
         worst = max(worst, mu.deviation(w, moved))
 
@@ -603,9 +595,8 @@ def check_step(inp: StepInput, art: StepArtifacts) -> StepCheck:
     old_inc = [coboundary_increment(f, g) for g in action.maps()]
     new_inc = [coboundary_increment(f_tilde, g) for g in action.maps()]
     return StepCheck(
-        eps=eps, m=m, delta=art.delta,
-        cover_number=covering_number(model, inp.candidate,
-                                     inp.u_index).number,
+        eps=eps, m=m, delta=art.delta, required_delta=required_delta,
+        cover_number=cover.number,
         overflow_mass=orbit_overflow(action, m).upper().measure(mu),
         inner_ok=inner_ok, inner_error=inner_error,
         enlarged_size=len(enlarged),
@@ -619,10 +610,12 @@ def check_step(inp: StepInput, art: StepArtifacts) -> StepCheck:
         distance=cocycle_distance(old_inc, new_inc, mu).upper())
 
 
-def validate_step_output(inp: StepInput, out) -> tuple[Certificate, ...]:
+def validate_step_output(inp: StepInput, out) -> StepCheck:
     """Recheck the step's claims from the input and the output's artifact
     slice alone (`out` is a :class:`StepOutput` or :class:`StepArtifacts`);
-    nothing is trusted from the construction's intermediates."""
+    nothing is trusted from the construction's intermediates.  The
+    validator's clause list is ``validator_certificates()`` of the
+    result."""
     art = StepArtifacts(out.f_tilde, out.theta, out.core, out.m, out.h,
                         out.delta, out.working_depth)
-    return check_step(inp, art).validator_certificates()
+    return check_step(inp, art)

@@ -179,7 +179,8 @@ def test_a2_single_step_postconditions(step_outputs):
         cover = covering_number(inp.f.model, inp.candidate, inp.u_index)
         assert out.delta == Fraction(1, 3 * cover.number), tag
         assert all(c.ok for c in out.certificates), tag
-        assert all(c.ok for c in validate_step_output(inp, out)), tag
+        assert all(c.ok for c in validate_step_output(
+            inp, out).validator_certificates()), tag
         assert out.working_depth <= DEPTH_CAP, tag
         assert seconds < STEP_BUDGET_S, tag
 

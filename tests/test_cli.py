@@ -29,6 +29,15 @@ class TestStep:
         assert all(c["ok"] for c in record["certificates"])
         assert all(c["ok"] for c in record["validator"])
 
+    def test_step_takes_no_out(self, tmp_path, capsys):
+        # step prints its record; an output directory is a usage error
+        target = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["step", "--config", "z2-flips", "--out", str(target)])
+        assert exc.value.code == 2
+        assert not target.exists()
+        assert capsys.readouterr().out == ""
+
     def test_step_depth_override_fails_cleanly(self, capsys):
         rc, out, err = run_cli(capsys, "step", "--config", "z2-adding",
                                "--depth", "3")

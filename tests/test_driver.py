@@ -40,6 +40,10 @@ def preset(name: str, **overrides) -> PipelineConfig:
     return PipelineConfig.from_mapping(raw)
 
 
+def labels(action: GammaAction) -> list[str]:
+    return [label for label, _ in action.generators]
+
+
 @pytest.fixture(scope="module")
 def flips_run():
     return run_theorem_02i(preset("z2-flips"))
@@ -67,8 +71,8 @@ class TestConfig:
     def test_flip_stream_action_grows(self):
         config = preset("z2-flip-stream")
         assert config.enumerated
-        assert config.build_action(1).labels() == ["s1"]
-        assert config.build_action(3).labels() == ["s1", "s2", "s3"]
+        assert labels(config.build_action(1)) == ["s1"]
+        assert labels(config.build_action(3)) == ["s1", "s2", "s3"]
 
     def test_fixed_action_is_round_independent(self):
         config = preset("z2-flips")
@@ -178,7 +182,7 @@ class TestFlipCascade:
         final = report.by_kind("final")[0]
         assert final["depth"] == 8
         assert final["halving_ok"]
-        assert Fraction(final["tail_bound"]) == approx.tail_bound
+        assert Fraction(final["tail_bound"]) == approx.eps_history[-1]
         assert approx.rounds == 6
 
     def test_certify_clean(self, flips_run):
@@ -248,11 +252,11 @@ class TestIncrementReuse:
             assert rec["conditions"]["agreement"] == str(agreement)
             assert rec["conditions"]["distance"] == str(dist.upper())
             change = {}
-            for labels in driver._generator_groups(action):
-                sub = GammaAction("+".join(labels), tuple(
-                    (label, g) for label, g in action.generators if label in labels))
+            for group in action.inverse_groups():
+                sub = GammaAction("+".join(group), tuple(
+                    (label, g) for label, g in action.generators if label in group))
                 moved = increment_agreement(old, new, sub).agreement.complement()
-                change["+".join(labels)] = str(moved.measure(mu))
+                change["+".join(group)] = str(moved.measure(mu))
             assert rec["artifacts"]["change_mass"] == change
 
 
@@ -279,10 +283,10 @@ class TestSingleCheck:
         real = driver.validate_step_output
 
         def recording(inp, out):
-            checks = real(inp, out)
-            replayed.append([{"clause": c.clause, "ok": c.ok,
-                              "detail": c.detail} for c in checks])
-            return checks
+            check = real(inp, out)
+            replayed.append([{"clause": c.clause, "ok": c.ok, "detail": c.detail}
+                             for c in check.validator_certificates()])
+            return check
 
         _, report = run_theorem_02i(preset(name))
         monkeypatch.setattr(driver, "validate_step_output", recording)
@@ -414,11 +418,11 @@ class TestStreamRun:
 
 class TestGeneratorGroups:
     def test_adding_machine_pairs(self):
-        groups = driver._generator_groups(adding_machine_action(5))
+        groups = adding_machine_action(5).inverse_groups()
         assert groups == [("T", "T~")]
 
     def test_flips_stay_single(self):
-        groups = driver._generator_groups(flip_action((1, 2)))
+        groups = flip_action((1, 2)).inverse_groups()
         assert groups == [("s1",), ("s2",)]
 
 
@@ -495,6 +499,36 @@ class TestCertifyTampering:
             rounds = [r for r in records if r["record"] == "round"]
             rounds[0]["triple"]["u_index"] = 0
         assert "schedule" in self.clauses(self.tampered(report, swap))
+
+    # forged values of the second round's fields that the step check
+    # determines, or that the tolerance rule does; certify recomputes each
+    FORGED = {
+        "conditions.agreement": "1/2",
+        "conditions.agreement_ok": False,
+        "conditions.distance": "1/3",
+        "conditions.distance_ok": False,
+        "conditions.evc_witness_ok": False,
+        "conditions.inner": False,
+        "witness.measure_slack": "9",
+        "witness.reserve": "7",
+        "artifacts.core_mass": "3",
+        "eps_rule.min_reserve": "5",
+        "eps": "1/100000",
+    }
+
+    @pytest.mark.parametrize("path", sorted(FORGED))
+    def test_checked_round_field(self, path, flips_run):
+        _, report = flips_run
+        *sections, field = path.split(".")
+
+        def forge(records):
+            rec = [r for r in records if r["record"] == "round"][1]
+            for section in sections:
+                rec = rec[section]
+            assert rec[field] != self.FORGED[path]
+            rec[field] = self.FORGED[path]
+        clause = "eps_rule" if sections == ["eps_rule"] else path
+        assert clause in self.clauses(self.tampered(report, forge))
 
     def test_digest_mismatch(self, flips_run):
         _, report = flips_run

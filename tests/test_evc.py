@@ -127,16 +127,6 @@ class TestCheckEvc:
             img = witness.theta.apply(w)
             assert FIRST_BIT_KERNEL.value(img[:2], w[:2]) == 1
 
-    def test_reserve_is_quarter_slack(self):
-        part, theta = good_witness()
-        check = validate_witness(FIRST_BIT_KERNEL, CylinderSet.full(),
-                                 (1,), Fraction(1, 3), UNIFORM, part, theta)
-        delta, _ = delta_for(Z2, 1, 1)
-        witness = check_evc(FIRST_BIT_KERNEL, CylinderSet.full(),
-                            target_set(Z2, 1, 1), delta, UNIFORM)
-        assert witness.reserve == witness.measure_slack / 4
-        assert check.measure_slack > 0
-
     def test_exhausted_when_value_absent(self):
         # a constant function has no nontrivial kernel values
         const = StepFunction(Z2, 2, {w: 0 for w in all_words(2)})
@@ -343,7 +333,7 @@ class TestEssentialValueCertificate:
             [CylinderSet.full(), CylinderSet.of(["0"])], [0, 1])
         assert report.verdict == "certified"
         assert len(report.entries) == 4
-        assert not report.failing()
+        assert all(e.ok for e in report.entries)
 
     def test_inconclusive_names_failure(self):
         const = StepFunction(Z2, 2, {w: 0 for w in all_words(2)})
@@ -351,7 +341,7 @@ class TestEssentialValueCertificate:
         report = essential_value_certificate(
             kernel, 1, UNIFORM, [CylinderSet.full()], [1], search_depth=5)
         assert report.verdict == "inconclusive"
-        assert report.failing()[0].failure
+        assert next(e for e in report.entries if not e.ok).failure
 
 
 class TestSkewConnectivity:
@@ -389,7 +379,7 @@ class TestSkewConnectivity:
             full = skew_connectivity(kernel, depth=depth, exhaustive=True)
             assert chain.components == full.components
 
-    def test_guards(self):
+    def test_guards(self, monkeypatch):
         with pytest.raises(SizeGuard):
             skew_connectivity(CocycleKernel.coboundary(
                 StepFunction(FreeAbelianGroup(1), 1, {"0": (0,), "1": (1,)}),
@@ -397,8 +387,9 @@ class TestSkewConnectivity:
         kernel = CocycleKernel.trivial(Z2, 3, 3)
         with pytest.raises(SizeGuard):
             skew_connectivity(kernel, depth=9)
+        monkeypatch.setattr(evc, "SKEW_BUDGET", 1)
         with pytest.raises(SizeGuard):
-            skew_connectivity(kernel, depth=2, budget=1)
+            skew_connectivity(kernel, depth=2)
 
 
 class TestTargets:

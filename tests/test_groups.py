@@ -4,6 +4,8 @@ The symmetric-group table is checked against a permutation model built
 here from scratch; covering numbers are checked against a brute-force
 minimal cover.
 """
+import csv
+import io
 import itertools
 from fractions import Fraction
 
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocyclelab.errors import ConfigError
+from cocyclelab import groups
+from cocyclelab.errors import ConfigError, SizeGuard, UnboundedClass
 from cocyclelab.evc import delta_for
 from cocyclelab.groups import (DirectSumZGroup, FiniteTableGroup,
                                FreeAbelianGroup, RationalRatioGroup,
@@ -81,7 +84,8 @@ class TestSymmetricGroupOracle:
     def test_transposition_class_is_all_transpositions(self):
         cls = S3.conjugacy_class(S3.parse("t01"))
         assert sorted(S3.format(m) for m in cls.members) == ["t01", "t02", "t12"]
-        assert cls.verify(S3)
+        # each member's conjugator conjugates the base onto it
+        assert all(S3.conjugate(cls.base, x) == e for e, x in cls.witnesses.items())
 
     def test_inverses(self):
         for label in ("t01", "t12", "t02"):
@@ -157,10 +161,29 @@ class TestConjugacyAndClosure:
 
     def test_closure_norm_bound(self):
         ds = DirectSumZGroup(2)
-        units = tuple(ds.unit_ball_generators())
+        units = tuple(ds.parse(u) for u in ("1", "-1", "0/1", "0/-1"))
         assert closure_norm_bound(ds, conjugate_closure(ds, units)) == 1
         wide = (ds.parse("5"), ds.parse("-5"))
         assert closure_norm_bound(ds, conjugate_closure(ds, wide)) == 5
+
+
+class TestGuards:
+    def test_class_budget(self, monkeypatch):
+        monkeypatch.setattr(groups, "CLASS_BUDGET", 2)
+        with pytest.raises(UnboundedClass):
+            S3.conjugacy_class(S3.parse("t01"))
+        with pytest.raises(UnboundedClass):
+            conjugate_closure(Z4, (1, 2, 3))
+        with pytest.raises(UnboundedClass):
+            # each factor's class has 2 members, the product's 4
+            groups.DirectProductGroup(S3, S3).conjugacy_class(
+                (S3.parse("r"), S3.parse("r")))
+
+    def test_covering_guard(self, monkeypatch):
+        monkeypatch.setattr(groups, "COVERING_GUARD", 2)
+        assert covering_number(S3, S3.parse("r"), 1).number == 2
+        with pytest.raises(SizeGuard):
+            covering_number(S3, S3.parse("t01"), 1)
 
 
 class TestNeighborhoods:
@@ -192,8 +215,6 @@ class TestLatticeModels:
         assert ds.parse("0/0") == ()
         assert ds.format(ds.identity()) == "0"
         assert ds.format(ds.parse("0/1")) == "0/1"
-        assert sorted(ds.format(u) for u in ds.unit_ball_generators()) == [
-            "-1", "0/-1", "0/1", "1"]
         assert ds.norm(ds.parse("2/-3")) == 3
 
     def test_rational_ratio_group(self):
@@ -218,8 +239,9 @@ class TestTableGroups:
         assert S3.mul(S3.mul(a, b), c) == S3.mul(a, S3.mul(b, c))
 
     def test_csv_round_trip(self):
-        text = S3.table_csv()
-        back = FiniteTableGroup.from_csv("S3-copy", text)
+        buf = io.StringIO()
+        csv.writer(buf).writerows(S3.table)
+        back = FiniteTableGroup.from_csv("S3-copy", buf.getvalue())
         for a in range(6):
             for b in range(6):
                 assert back.mul(a, b) == S3.mul(a, b)

@@ -3,6 +3,8 @@
 Oracle policy: expected masses and derivatives are recomputed here by
 direct weight products, never copied from the implementation.
 """
+import csv
+import io
 import random
 from fractions import Fraction
 
@@ -137,6 +139,15 @@ def test_complement_involution(a):
         assert a.measure(mu) + a.complement().measure(mu) == ONE
 
 
+@settings(max_examples=300, deadline=None)
+@given(cylinder_sets())
+def test_complement_keeps_max_depth(a):
+    # the step's fingerprint partition resolves f masked off z0 at
+    # max(f.depth, z0.max_depth) on the strength of this (the empty and
+    # the full set both have max depth 0, so they hold it too)
+    assert a.complement().max_depth == a.max_depth
+
+
 @settings(max_examples=100, deadline=None)
 @given(cylinder_sets(), st.integers(min_value=0, max_value=4))
 def test_saturate_contains_and_is_free(a, n):
@@ -175,8 +186,11 @@ def test_canonical_merge():
 
 def test_csv_round_trip():
     s = CylinderSet.of(["0", "110"])
-    text = s.to_csv(BIASED)
-    assert CylinderSet.from_csv(text).words == s.words
+    header, *rows = csv.reader(io.StringIO(s.to_csv(BIASED)))
+    assert header == ["word", "depth", "mass_numerator", "mass_denominator"]
+    assert CylinderSet.of(r[0] for r in rows) == s
+    assert [Fraction(int(r[2]), int(r[3])) for r in rows] == [
+        BIASED.cylinder(w) for w in s.words]
 
 
 # ---------------------------------------------------------------------------
