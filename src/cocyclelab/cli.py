@@ -128,15 +128,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     def add_common(p):
         p.add_argument("--config", required=True,
                        help="YAML config path or preset name")
-        p.add_argument("--rounds", type=int, default=None)
         p.add_argument("--depth", type=int, default=None,
                        help="depth budget override")
         p.add_argument("--seedless", action="store_true",
                        help="no-op; runs are deterministic already")
 
     def add_pipeline(p):
-        # the commands that write their report under --out
+        # the commands that run rounds and write their report under --out
         add_common(p)
+        p.add_argument("--rounds", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
 
     p_step = sub.add_parser("step", help="run one construction step")

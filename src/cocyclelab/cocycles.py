@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .errors import DepthExhausted, DepthMismatch, PostconditionFailure, SizeGuard
 from .groups import GroupModel, Element, RationalRatioGroup
 from .measure import ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words
-from .odometer import GammaAction, PiecewiseCylinderMap, orbit_overflow
+from .odometer import GammaAction, OverflowResult, PiecewiseCylinderMap
 
 HALF = Fraction(1, 2)
 
@@ -274,17 +274,11 @@ def cocycle_check(kernel: CocycleKernel) -> KernelCheck:
 # Predicates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InnerCheck:
-    ok: bool
-    level: int
-    offending: CylinderSet
-    undecided: CylinderSet
-
-
-def trivial_on_overflow(f: StepFunction, action: GammaAction, level: int) -> InnerCheck:
-    """Check that `f` is the identity wherever some generator moves a
-    point out of its level-`level` class.
+def trivial_on_overflow(f: StepFunction, over: OverflowResult,
+                        level: int) -> bool:
+    """Whether `f` is the identity wherever some generator moves a point
+    out of its level-`level` class, `over` being the action's
+    `orbit_overflow` at that level.
 
     Decides from the truncated overflow: identity on both the provable
     overflow and the undecided remainder passes; a non-identity value on
@@ -292,7 +286,6 @@ def trivial_on_overflow(f: StepFunction, action: GammaAction, level: int) -> Inn
     remainder raises :class:`DepthExhausted` (the truncation cannot
     certify either way).
     """
-    over = orbit_overflow(action, level)
     one = f.model.identity()
 
     def dirty(region: CylinderSet) -> CylinderSet:
@@ -300,40 +293,35 @@ def trivial_on_overflow(f: StepFunction, action: GammaAction, level: int) -> Inn
         return CylinderSet.of(
             w for w in region.words_at(depth) if f.at(w) != one)
 
-    bad_known = dirty(over.known)
-    if not bad_known.is_empty():
-        return InnerCheck(False, level, bad_known, over.unknown)
+    if not dirty(over.known).is_empty():
+        return False
     bad_unknown = dirty(over.unknown.difference(over.known))
     if not bad_unknown.is_empty():
         raise DepthExhausted(
             f"cannot certify level-{level} innerness: non-identity values on the "
             f"undecided remainder {bad_unknown.words}")
-    return InnerCheck(True, level, CylinderSet.empty(), over.unknown)
+    return True
 
 
 @dataclass(frozen=True)
 class IncrementCheck:
     ok: bool
     violations: Mapping[str, CylinderSet]
-    undecided: Mapping[str, CylinderSet]
 
 
 def increments_within(f: StepFunction, action: GammaAction,
                       allowed: Iterable[Element]) -> IncrementCheck:
     """Check that every defined increment value lies in {identity} + allowed;
-    truncation remainders are reported per generator, not judged."""
+    truncation remainders are not judged."""
     keys = {f.model.key(f.model.identity())}
     keys.update(f.model.key(h) for h in allowed)
     violations: dict[str, CylinderSet] = {}
-    undecided: dict[str, CylinderSet] = {}
     for label, g in action.generators:
         part = coboundary_increment(f, g)
         bad = [w for w, v in part.table.items() if f.model.key(v) not in keys]
         if bad:
             violations[label] = CylinderSet.of(bad)
-        if not part.undefined.is_empty():
-            undecided[label] = part.undefined
-    return IncrementCheck(not violations, violations, undecided)
+    return IncrementCheck(not violations, violations)
 
 
 @dataclass(frozen=True)
@@ -393,7 +381,6 @@ class AgreementCheck:
     """``agreement`` is the intersection of the per-generator sets."""
 
     agreement: CylinderSet
-    undecided: CylinderSet
     per_generator: Mapping[str, CylinderSet]
 
     def measure(self, mu: ProductMeasure) -> Fraction:
@@ -404,10 +391,9 @@ def increment_agreement(old: StepFunction, new: StepFunction,
                         action: GammaAction) -> AgreementCheck:
     """The set where every generator's increment of `new` is defined and
     equals that of `old`; undecided truncation mass is excluded from the
-    agreement set (conservative) and reported.  Each generator's own
+    agreement set (conservative).  Each generator's own
     agreement set is kept too, keyed by its label."""
     agreement = CylinderSet.full()
-    undecided = CylinderSet.empty()
     per_generator: dict[str, CylinderSet] = {}
     for label, g in action.generators:
         u_old = coboundary_increment(old, g)
@@ -418,5 +404,4 @@ def increment_agreement(old: StepFunction, new: StepFunction,
             if u_old.at(w) is not None and u_old.at(w) == u_new.at(w))
         per_generator[label] = same
         agreement = agreement.intersection(same)
-        undecided = undecided.union(u_old.undefined).union(u_new.undefined)
-    return AgreementCheck(agreement, undecided, per_generator)
+    return AgreementCheck(agreement, per_generator)

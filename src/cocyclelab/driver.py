@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cocycles import (KERNEL_EXPORT_DEPTH, CocycleKernel, StepFunction,
-                       coboundary_increment, cocycle_distance,
-                       increments_within)
+from .cocycles import (KERNEL_EXPORT_DEPTH, AgreementCheck, CocycleKernel,
+                       StepFunction, coboundary_increment, cocycle_distance,
+                       increment_agreement, increments_within)
 from .errors import CocycleLabError, ConfigError, SearchExhausted
 from .evc import (check_evc, delta_for, essential_value_certificate,
                   skew_connectivity, target_set, validate_witness)
@@ -38,7 +38,8 @@ from .measure import ZERO, CylinderSet, ProductMeasure, all_words
 from .odometer import (FiniteDepthMap, GammaAction, adding_machine_action,
                        coordinate_flip, flip_action)
 from .stepper import (StepArtifacts, StepCheck, StepInput, admission_bound,
-                      construct_step, validate_step_output)
+                      construct_step, image_safe_tolerance,
+                      validate_step_output)
 
 SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
 
@@ -276,6 +277,7 @@ class Schedule:
             if t not in seen:
                 seen.append(t)
         return {
+            "record": "recurrence",
             "executed": executed,
             "distinct": [t.label() for t in seen],
             "next_occurrence": {
@@ -300,10 +302,6 @@ def _parse_table(model: GroupModel, table: Mapping[str, str]) -> StepFunction:
     its depth is the length of its words."""
     return StepFunction(model, len(next(iter(table))),
                         {w: model.parse(v) for w, v in table.items()})
-
-
-def _set_words(s: CylinderSet) -> list[str]:
-    return list(s.words)
 
 
 @dataclass(frozen=True)
@@ -345,6 +343,23 @@ class CocycleApproximant:
 # The recursion
 # ---------------------------------------------------------------------------
 
+def _closure(config: PipelineConfig, model: GroupModel) -> tuple:
+    """The conjugate closure of the config's value family."""
+    return conjugate_closure(model, tuple(model.parse(h) for h in config.family))
+
+
+def _header(config: PipelineConfig, model: GroupModel, closure: tuple) -> dict:
+    """The report's first record."""
+    return {
+        "record": "header",
+        "format": 1,
+        "config": config.to_mapping(),
+        "config_digest": config.digest(),
+        "schedule": [t.to_mapping() for t in Schedule.from_config(config).triples],
+        "closure": sorted(model.format(h) for h in closure),
+    }
+
+
 def initial_function(config: PipelineConfig,
                      model: GroupModel) -> StepFunction:
     """The constant-identity step function a run starts from."""
@@ -380,21 +395,56 @@ def round_eps(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
     return eps, rule
 
 
-def _checked_fields(check: StepCheck) -> dict[tuple[str, str], object]:
-    """The round record's fields that the step check determines, keyed by
-    (section, field); a run writes them and certify compares them."""
+def _change_sets(action: GammaAction, agreement: AgreementCheck
+                 ) -> dict[tuple[str, ...], CylinderSet]:
+    """Each generator group's change set: where the increment of some
+    generator in the group changed, from the per-generator agreement sets."""
+    change_sets = {}
+    for labels in action.inverse_groups():
+        agree = CylinderSet.full()
+        for label in labels:
+            agree = agree.intersection(agreement.per_generator[label])
+        change_sets[labels] = agree.complement()
+    return change_sets
+
+
+def _checked_fields(inp: StepInput, rule: dict, check: StepCheck,
+                    f_tilde: StepFunction, closure: tuple,
+                    changes: Mapping[tuple[str, ...], CylinderSet]
+                    ) -> dict[tuple[Optional[str], str], object]:
+    """The round record's fields that the round's input, its tolerance
+    rule, the step check and the update determine, keyed by (section,
+    field), section None being the record itself and ``certificates``
+    its list keyed by clause; a run writes them and certify compares
+    them."""
     verdicts = check.verdicts()
-    return {
+    fields = {
+        (None, "level"): inp.n,
+        (None, "eps"): rule["chosen"],
+        (None, "eps_rule"): rule,
+        (None, "eps_prime"): _frac(image_safe_tolerance(inp.action, inp.mu,
+                                                        inp.eps)),
+        (None, "admission"): check.admission().to_mapping(),
+        (None, "validator"): [c.to_mapping()
+                              for c in check.validator_certificates()],
         ("conditions", "inner"): verdicts["inner"],
         ("conditions", "agreement"): _frac(check.agreement_mass),
         ("conditions", "agreement_ok"): verdicts["agreement"],
         ("conditions", "distance"): _frac(check.distance),
         ("conditions", "distance_ok"): verdicts["distance"],
         ("conditions", "evc_witness_ok"): check.witness_ok,
+        ("conditions", "incremental"):
+            increments_within(f_tilde, inp.action, closure).ok,
+        ("conditions", "finite_values"): len(f_tilde.value_set()),
         ("witness", "measure_slack"): _frac(check.witness_slack),
         ("witness", "reserve"): _frac(check.witness_reserve),
         ("artifacts", "core_mass"): _frac(check.core_mass),
+        ("artifacts", "change_mass"): {"+".join(k): _frac(v.measure(inp.mu))
+                                       for k, v in changes.items()},
     }
+    for c in check.step_certificates():
+        fields["certificates", c.clause] = c.to_mapping()
+    return fields
 
 
 def step_input(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
@@ -428,31 +478,25 @@ def _run_recursion(config: PipelineConfig,
                    resume: bool = False,
                    closing: Optional[Callable] = None
                    ) -> tuple[CocycleApproximant, RunReport]:
-    """Run the rounds and the terminal records; `closing`, if given, maps
-    the approximant and the records to one more record.  With `out_dir`
+    """Run the rounds and the terminal records; `closing`, if given, is
+    one of the CLOSING builders and adds one more record.  With `out_dir`
     each round is checkpointed and the finished report written there."""
     model = config.build_model()
     mu = config.build_measure()
     schedule = Schedule.from_config(config)
-    family = tuple(model.parse(h) for h in config.family)
-    closure = conjugate_closure(model, family)
+    closure = _closure(config, model)
 
-    records: list[dict] = [{
-        "record": "header",
-        "format": 1,
-        "config": config.to_mapping(),
-        "config_digest": config.digest(),
-        "schedule": [t.to_mapping() for t in schedule.triples],
-        "closure": sorted(model.format(h) for h in closure),
-    }]
-    # per round, each generator group's change set; the only round state
-    # that the records do not hold
-    change_history: list[dict[tuple[str, ...], CylinderSet]] = []
+    records = [_header(config, model, closure)]
     if resume and out_dir:
-        loaded = _load_checkpoint(config, out_dir)
-        if loaded is not None:
-            records, change_history = loaded
+        records = _load_checkpoint(config, out_dir) or records
     functions, eps_history, n = _replay_rounds(config, model, records)
+    # per round, each generator group's change set; a resumed run
+    # rebuilds those of its replayed rounds
+    change_history = []
+    for t in range(1, len(functions)):
+        action = config.build_action(t)
+        change_history.append(_change_sets(action, increment_agreement(
+            functions[t - 1], functions[t], action)))
 
     for t in range(len(eps_history), config.rounds):
         action = config.build_action(t + 1)
@@ -478,18 +522,8 @@ def _run_recursion(config: PipelineConfig,
         except SearchExhausted as exc:
             fresh_rec = {"ok": False, "failure": str(exc)}
 
-        # a group's change set: where the increment of some generator in
-        # the group changed (the step's per-generator agreement sets)
-        change_sets: dict[tuple[str, ...], CylinderSet] = {}
-        for labels in action.inverse_groups():
-            agree = CylinderSet.full()
-            for label in labels:
-                agree = agree.intersection(check.agreement.per_generator[label])
-            change_sets[labels] = agree.complement()
-
-        inc = increments_within(out.f_tilde, action, closure)
-
-        change_history.append(change_sets)
+        changes = _change_sets(action, check.agreement)
+        change_history.append(changes)
         eps_history.append(eps)
         functions.append(out.f_tilde)
 
@@ -497,82 +531,64 @@ def _run_recursion(config: PipelineConfig,
             "record": "round",
             "round": t + 1,
             "triple": triple.to_mapping(),
-            "level": n,
             "refined_level": out.m,
             "working_depth": out.working_depth,
-            "eps": _frac(eps),
-            "eps_rule": rule,
-            "eps_prime": _frac(out.eps_prime),
             "delta": _frac(out.delta),
             "conjugate": model.format(out.h),
-            "admission": out.admission.to_mapping(),
-            "certificates": [c.to_mapping() for c in out.certificates],
-            "validator": [c.to_mapping()
-                          for c in check.validator_certificates()],
-            "conditions": {
-                "finite_values": len(out.f_tilde.value_set()),
-                "incremental": inc.ok,
-                "evc_search": fresh_rec,
-            },
-            "witness": {
-                "core": _set_words(out.core),
-                "moves": sorted(out.theta.moves.items()),
-            },
+            "certificates": {c.clause: c.to_mapping() for c in out.certificates},
+            "conditions": {"evc_search": fresh_rec},
+            "witness": {"core": list(out.core.words),
+                        "moves": sorted(out.theta.moves.items())},
             "artifacts": {
                 "f": _function_table(out.f_tilde),
-                "z0": _set_words(out.z0),
-                "b_set": _set_words(out.b_set),
-                "change_mass": {
-                    "+".join(k): _frac(v.measure(mu))
-                    for k, v in change_sets.items()},
+                "z0": list(out.z0.words),
+                "b_set": list(out.b_set.words),
             },
         }
-        for (section, field), value in _checked_fields(check).items():
-            record[section][field] = value
+        for (section, field), value in _checked_fields(
+                inp, rule, check, out.f_tilde, closure, changes).items():
+            (record[section] if section else record)[field] = value
+        record["certificates"] = list(record["certificates"].values())
         records.append(record)
 
         n = out.m
         if out_dir:
-            _save_checkpoint(config, out_dir, records, change_history)
+            _save_checkpoint(config, out_dir, records)
 
-    terminal_action = config.build_action(config.rounds)
-    records.append({"record": "recurrence",
-                    **schedule.recurrence_record(config.rounds)})
-    records.extend(_terminal_records(config, model, mu, terminal_action,
-                                     closure, functions, change_history,
-                                     eps_history, n))
-    approx = CocycleApproximant(functions[-1], n, config.rounds,
-                                tuple(eps_history))
+    records.extend(_terminal_records(config, model, mu, closure, functions,
+                                     change_history, eps_history, n, {}))
     if closing is not None:
-        records.append(closing(approx, records))
+        records.append(closing(config, model, closure, functions[-1], records))
     report = RunReport(tuple(records))
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         report.write(os.path.join(out_dir, "report.jsonl"))
-    return approx, report
+    return CocycleApproximant(functions[-1], n, config.rounds,
+                              tuple(eps_history)), report
 
 
 def _terminal_records(config: PipelineConfig, model: GroupModel,
-                      mu: ProductMeasure, action: GammaAction,
-                      closure: tuple, functions: Sequence[StepFunction],
+                      mu: ProductMeasure, closure: tuple,
+                      functions: Sequence[StepFunction],
                       change_history: Sequence[dict],
                       eps_history: Sequence[Fraction],
-                      final_level: int) -> list[dict]:
+                      final_level: int,
+                      searched: Mapping[str, dict]) -> list[dict]:
+    """The records after the rounds; a record whose kind is in `searched`
+    is taken from there instead of computed (certify passes SEARCHED)."""
     f_final = functions[-1]
-    records: list[dict] = []
+    action = config.build_action(config.rounds)
+    records = [Schedule.from_config(config).recurrence_record(config.rounds)]
 
     # value boundedness: all increments inside {identity} u closure
-    bound_check = increments_within(f_final, action, closure)
-    per_gen = {}
-    for label, g in action.generators:
-        inc = coboundary_increment(f_final, g)
-        values = sorted(model.format(v) for v in inc.value_set())
-        per_gen[label] = values
     records.append({
         "record": "boundedness",
         "closure": sorted(model.format(h) for h in closure),
-        "ok": bound_check.ok,
-        "per_generator": per_gen,
+        "ok": increments_within(f_final, action, closure).ok,
+        "per_generator": {
+            label: sorted(model.format(v)
+                          for v in coboundary_increment(f_final, g).value_set())
+            for label, g in action.generators},
     })
 
     if config.enumerated:
@@ -580,35 +596,36 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
 
     # essential-value sweep over the scheduled triples, terminal kernel
     kernel = CocycleKernel.coboundary(f_final, class_depth=f_final.depth)
-    base_sets = [CylinderSet.of(words) for words in config.bases]
-    sweeps = []
-    for h_text in config.family:
-        report = essential_value_certificate(
-            kernel, model.parse(h_text), mu, base_sets,
-            list(config.u_indices), search_depth=config.depth_budget)
-        sweeps.append({
-            "candidate": h_text,
-            "verdict": report.verdict,
-            "entries": [{
-                "base": _set_words(e.base),
-                "u_index": e.u_index,
-                "delta": _frac(e.delta),
-                "ok": e.ok,
-                "mass": _frac(e.witness.part.measure(mu)) if e.witness else None,
-            } for e in report.entries],
-        })
-    records.append({"record": "essential_values", "sweeps": sweeps})
+    sweep = searched.get("essential_values")
+    if sweep is None:
+        base_sets = [CylinderSet.of(words) for words in config.bases]
+        sweeps = []
+        for h_text in config.family:
+            report = essential_value_certificate(
+                kernel, model.parse(h_text), mu, base_sets,
+                list(config.u_indices), search_depth=config.depth_budget)
+            sweeps.append({
+                "candidate": h_text,
+                "verdict": report.verdict,
+                "entries": [{
+                    "base": list(e.base.words),
+                    "u_index": e.u_index,
+                    "delta": _frac(e.delta),
+                    "ok": e.ok,
+                    "mass": (_frac(e.witness.part.measure(mu))
+                             if e.witness else None),
+                } for e in report.entries],
+            })
+        sweep = {"record": "essential_values", "sweeps": sweeps}
+    records.append(sweep)
 
     # connectivity ladder (finite groups only); the deepest rung stops
     # one short of the kernel depth, where fibers can still interact
     if model.elements() is not None:
         rung_depths = list(range(1, f_final.depth)) or [f_final.depth]
-        rungs = []
-        control = []
         trivial = CocycleKernel.trivial(model, f_final.depth, f_final.depth)
-        for depth in rung_depths:
-            rungs.append(skew_connectivity(kernel, depth=depth).components)
-            control.append(skew_connectivity(trivial, depth=depth).components)
+        rungs = [skew_connectivity(kernel, depth=d) for d in rung_depths]
+        control = [skew_connectivity(trivial, depth=d) for d in rung_depths]
         records.append({
             "record": "ladder",
             "kernel_depth": f_final.depth,
@@ -643,20 +660,23 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     records.append({"record": "stabilization", "ledger": ledger})
 
     # exact distances from each round's increments to the terminal ones
-    distances = []
-    for idx in range(len(functions) - 1):
-        act = config.build_action(max(idx, 1)) if config.enumerated else action
-        old = [coboundary_increment(functions[idx], g) for g in act.maps()]
-        new = [coboundary_increment(functions[-1], g) for g in act.maps()]
-        dist = cocycle_distance(old, new, mu).upper()
-        tail = sum(eps_history[idx:], ZERO)
-        distances.append({
-            "from_round": idx,
-            "distance": _frac(dist),
-            "eps_tail": _frac(tail),
-            "ok": dist <= tail or dist == 0,
-        })
-    records.append({"record": "distances", "rows": distances})
+    distances = searched.get("distances")
+    if distances is None:
+        rows = []
+        for idx in range(len(functions) - 1):
+            act = config.build_action(max(idx, 1)) if config.enumerated else action
+            old = [coboundary_increment(functions[idx], g) for g in act.maps()]
+            new = [coboundary_increment(f_final, g) for g in act.maps()]
+            dist = cocycle_distance(old, new, mu).upper()
+            tail = sum(eps_history[idx:], ZERO)
+            rows.append({
+                "from_round": idx,
+                "distance": _frac(dist),
+                "eps_tail": _frac(tail),
+                "ok": dist <= tail or dist == 0,
+            })
+        distances = {"record": "distances", "rows": rows}
+    records.append(distances)
 
     records.append({
         "record": "final",
@@ -720,49 +740,62 @@ def run_theorem_02ii(config: PipelineConfig, out_dir: Optional[str] = None,
     return _run_recursion(config, out_dir, resume)
 
 
+def _compact_range(config: PipelineConfig, model: GroupModel, closure: tuple,
+                   f_final: StepFunction, records: Sequence[dict]) -> dict:
+    """The compact-range certificate, read off the boundedness record:
+    every generator's increments stay in {identity} u closure."""
+    bound = next(r for r in records if r["record"] == "boundedness")
+    return {
+        "record": "compact_range",
+        "range_set": (["0" if not bound["closure"] else "identity"]
+                      + bound["closure"]),
+        "ok": bound["ok"],
+        "rounds": config.rounds,
+    }
+
+
+def _norm_bounds(config: PipelineConfig, model: GroupModel, closure: tuple,
+                 f_final: StepFunction, records: Sequence[dict]) -> dict:
+    """The per-generator norm bound c with norm(increment) <= c(generator)
+    everywhere defined, against the sup norm of the closure."""
+    sup = closure_norm_bound(model, closure)
+    if sup is None:
+        raise ConfigError("the group model carries no norm")
+    rows = {}
+    worst = ZERO
+    for label, g in config.build_action(config.rounds).generators:
+        inc = coboundary_increment(f_final, g)
+        c = max((model.norm(v) for v in inc.value_set()), default=ZERO)
+        worst = max(worst, c)
+        rows[label] = {"c": _frac(c), "ok": c <= sup}
+    return {
+        "record": "norm_bounds",
+        "sup_family_norm": _frac(sup),
+        "per_generator": rows,
+        "max_c": _frac(worst),
+        "ok": worst <= sup,
+    }
+
+
+# the closing record a pipeline adds, by kind; certify rebuilds the ones
+# a report holds
+CLOSING = {"compact_range": _compact_range, "norm_bounds": _norm_bounds}
+
+
 def bounded_cocycle_pipeline(config: PipelineConfig,
                              out_dir: Optional[str] = None) -> RunReport:
-    """Run the recursion and close with the compact-range certificate:
-    every generator's increments stay in {identity} u closure."""
-    def compact_range(approx: CocycleApproximant, records: list) -> dict:
-        bound = next(r for r in records if r["record"] == "boundedness")
-        return {
-            "record": "compact_range",
-            "range_set": (["0" if not bound["closure"] else "identity"]
-                          + bound["closure"]),
-            "ok": bound["ok"],
-            "rounds": approx.rounds,
-        }
-    return _run_recursion(config, out_dir, closing=compact_range)[1]
+    """Run the recursion and close with the compact-range certificate."""
+    return _run_recursion(config, out_dir, closing=_compact_range)[1]
 
 
 def norm_bounded_pipeline(config: PipelineConfig,
                           out_dir: Optional[str] = None) -> RunReport:
-    """Recursion over a normed model; emits the per-generator norm bound
-    c with norm(increment) <= c(generator) everywhere defined."""
+    """Recursion over a normed model, closed with the per-generator norm
+    bounds."""
     model = config.build_model()
-    family = tuple(model.parse(h) for h in config.family)
-    closure = conjugate_closure(model, family)
-    sup = closure_norm_bound(model, closure)
-    if sup is None:
+    if closure_norm_bound(model, _closure(config, model)) is None:
         raise ConfigError("the group model carries no norm")
-
-    def norm_bounds(approx: CocycleApproximant, records: list) -> dict:
-        rows = {}
-        worst = ZERO
-        for label, g in config.build_action(config.rounds).generators:
-            inc = coboundary_increment(approx.function, g)
-            c = max((model.norm(v) for v in inc.value_set()), default=ZERO)
-            worst = max(worst, c)
-            rows[label] = {"c": _frac(c), "ok": c <= sup}
-        return {
-            "record": "norm_bounds",
-            "sup_family_norm": _frac(sup),
-            "per_generator": rows,
-            "max_c": _frac(worst),
-            "ok": worst <= sup,
-        }
-    return _run_recursion(config, out_dir, closing=norm_bounds)[1]
+    return _run_recursion(config, out_dir, closing=_norm_bounds)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -770,18 +803,11 @@ def norm_bounded_pipeline(config: PipelineConfig,
 # ---------------------------------------------------------------------------
 
 def _save_checkpoint(config: PipelineConfig, out_dir: str,
-                     records: Sequence[dict],
-                     change_history: Sequence[dict]) -> None:
-    """Write the config digest, the records so far and each round's
-    change sets; everything else a resumed run needs is rebuilt from the
-    round records."""
+                     records: Sequence[dict]) -> None:
+    """Write the config digest and the records so far; everything else a
+    resumed run needs is rebuilt from the round records."""
     os.makedirs(out_dir, exist_ok=True)
-    payload = {
-        "digest": config.digest(),
-        "records": records,
-        "change_sets": [{"+".join(k): _set_words(v) for k, v in changes.items()}
-                        for changes in change_history],
-    }
+    payload = {"digest": config.digest(), "records": records}
     tmp = os.path.join(out_dir, "checkpoint.json.tmp")
     with open(tmp, "w") as fh:
         # json.dump would stream through the pure-Python encoder
@@ -789,37 +815,48 @@ def _save_checkpoint(config: PipelineConfig, out_dir: str,
     os.replace(tmp, os.path.join(out_dir, "checkpoint.json"))
 
 
-def _load_checkpoint(config: PipelineConfig, out_dir: str):
-    """The records and change sets of the checkpoint in `out_dir`, or
-    None when there is none, it belongs to another config, or it cannot
-    be read; in each of those cases the run starts afresh."""
+def _load_checkpoint(config: PipelineConfig,
+                     out_dir: str) -> Optional[list[dict]]:
+    """The records of the checkpoint in `out_dir`, or None when there is
+    none, it belongs to another config, or it cannot be read (another
+    layout included); in each of those cases the run starts afresh."""
     path = os.path.join(out_dir, "checkpoint.json")
     if not os.path.exists(path):
         return None
     try:
         with open(path) as fh:
             payload = json.load(fh)
-        if payload["digest"] != config.digest():
+        if (set(payload) != {"digest", "records"}
+                or payload["digest"] != config.digest()):
             return None
-        records = list(payload["records"])
-        change_history = [{tuple(k.split("+")): CylinderSet.of(v)
-                           for k, v in changes.items()}
-                          for changes in payload["change_sets"]]
-    except (ValueError, KeyError, TypeError, AttributeError):
+        return list(payload["records"])
+    except (ValueError, TypeError):
         return None
-    rounds = sum(1 for r in records if r.get("record") == "round")
-    if rounds != len(change_history):
-        return None
-    return records, change_history
 
 
 # ---------------------------------------------------------------------------
 # Report certification
 # ---------------------------------------------------------------------------
 
+# terminal records that certify takes from the report: rebuilding them
+# would rerun their witness searches and distance integrals
+SEARCHED = ("essential_values", "distances")
+
+
+def _first_difference(stored: Mapping, rebuilt: Mapping) -> Optional[str]:
+    """The first key, in sorted order, on which two records differ."""
+    return next((key for key in sorted(set(stored) | set(rebuilt))
+                 if key not in stored or key not in rebuilt
+                 or stored[key] != rebuilt[key]), None)
+
+
 def certify_report(records: Sequence[dict]) -> list[dict]:
     """Re-validate a stored report from its embedded artifacts; returns a
-    list of failure records (empty means the report is sound)."""
+    list of failure records (empty means the report is sound).
+
+    Each round is replayed through the step check; every other record
+    is rebuilt by the builder the run used and compared whole, except
+    the SEARCHED ones."""
     failures: list[dict] = []
 
     def fail(clause: str, where: str, detail: str = "") -> None:
@@ -830,14 +867,17 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         return [{"clause": "header", "where": "report",
                  "detail": "expected exactly one header record"}]
     config = PipelineConfig.from_mapping(headers[0]["config"])
-    if headers[0].get("config_digest") != config.digest():
-        fail("config_digest", "header", "config does not match its digest")
     model = config.build_model()
     mu = config.build_measure()
     schedule = Schedule.from_config(config)
+    closure = _closure(config, model)
+    header = _header(config, model, closure)
+    if headers[0].get("config_digest") != header["config_digest"]:
+        fail("config_digest", "header", "config does not match its digest")
 
     rounds = [r for r in records if r.get("record") == "round"]
     functions, eps_history, _ = _replay_rounds(config, model, rounds)
+    change_history = []
     n = config.start_level
     for i, rec in enumerate(rounds):
         t = rec["round"]
@@ -850,19 +890,14 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         if i and not eps < eps_history[i - 1] / 2:
             fail("eps_halving", where,
                  f"{eps} is not below half of {eps_history[i - 1]}")
-        chosen, rule = round_eps(config, model, mu, triple, rounds[:i])
-        if rec["eps"] != _frac(chosen):
-            fail("eps", where, f"stored {rec['eps']}, the rule gives {chosen}")
-        if rec.get("eps_rule") != rule:
-            fail("eps_rule", where, "stored rule differs from the recomputed one")
+        _, rule = round_eps(config, model, mu, triple, rounds[:i])
 
         f = functions[i + 1]
-        theta = FiniteDepthMap(f.depth,
-                               {w: img for w, img in rec["witness"]["moves"]})
+        theta = FiniteDepthMap(f.depth, dict(rec["witness"]["moves"]))
         core = CylinderSet.of(rec["witness"]["core"])
-        h = model.parse(rec["conjugate"])
         delta = Fraction(rec["delta"])
-        replay = StepArtifacts(f, theta, core, rec["refined_level"], h, delta,
+        replay = StepArtifacts(f, theta, core, rec["refined_level"],
+                               model.parse(rec["conjugate"]), delta,
                                rec["working_depth"])
         inp = step_input(config, model, mu, action, triple, functions[i], n,
                          eps)
@@ -870,15 +905,23 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
             check = validate_step_output(inp, replay)
         except CocycleLabError as exc:
             fail("validator", where, str(exc))
+            # the report fails already; its ledger is rebuilt without
+            # this round's changes
+            change_history.append({})
         else:
-            for c in check.validator_certificates():
-                if not c.ok:
-                    fail(c.clause, where, c.detail)
-            for (section, field), value in _checked_fields(check).items():
-                stored = rec.get(section, {}).get(field)
-                if stored != value:
-                    fail(f"{section}.{field}", where,
-                         f"stored {stored!r}, recomputed {value!r}")
+            changes = _change_sets(action, check.agreement)
+            change_history.append(changes)
+            fields = _checked_fields(inp, rule, check, f, closure, changes)
+            for c in fields[None, "validator"]:
+                if not c["ok"]:
+                    fail(c["clause"], where, c["detail"])
+            view = {**rec, "certificates": {
+                c.get("clause"): c for c in rec.get("certificates", ())}}
+            for (section, field), value in fields.items():
+                found = (view.get(section, {}) if section else view).get(field)
+                if found != value:
+                    fail(f"{section}.{field}" if section else field, where,
+                         f"stored {found!r}, recomputed {value!r}")
 
         kernel = CocycleKernel.coboundary(f, class_depth=f.depth)
         targets = target_set(model, inp.candidate, triple.u_index)
@@ -889,32 +932,24 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
 
         n = rec["refined_level"]
 
-    finals = [r for r in records if r.get("record") == "final"]
-    if finals:
-        if finals[0]["f"] != _function_table(functions[-1]):
-            fail("final_function", "final",
-                 "terminal table differs from the last round's function")
-
-    closure = conjugate_closure(model, tuple(model.parse(x)
-                                             for x in config.family))
-    for rec in (r for r in records if r.get("record") == "boundedness"):
-        action = config.build_action(config.rounds)
-        ok = increments_within(functions[-1], action, closure).ok
-        if rec["ok"] != ok or not ok:
-            fail("boundedness", "terminal",
-                 "recomputed compact-range certificate disagrees")
-
-    for rec in (r for r in records if r.get("record") == "ladder"):
-        kernel = CocycleKernel.coboundary(functions[-1],
-                                          class_depth=functions[-1].depth)
-        trivial = CocycleKernel.trivial(model, functions[-1].depth,
-                                        functions[-1].depth)
-        for depth, count, control in zip(rec["rung_depths"], rec["components"],
-                                         rec["control_components"]):
-            if skew_connectivity(kernel, depth=depth).components != count:
-                fail("ladder", f"depth {depth}", "component count mismatch")
-            if skew_connectivity(trivial, depth=depth).components != control:
-                fail("ladder_control", f"depth {depth}", "control mismatch")
+    # the first record of each kind
+    stored = {r.get("record"): r for r in reversed(records)}
+    rebuilt = _terminal_records(
+        config, model, mu, closure, functions, change_history, eps_history, n,
+        {kind: stored.get(kind, {"record": kind}) for kind in SEARCHED})
+    rebuilt += [build(config, model, closure, functions[-1], rebuilt)
+                for kind, build in CLOSING.items() if kind in stored]
+    if not next(r for r in rebuilt if r["record"] == "boundedness")["ok"]:
+        fail("boundedness", "report", "increments leave {identity} u closure")
+    kinds = ["header"] + ["round"] * len(rounds) + [r["record"] for r in rebuilt]
+    if [r.get("record") for r in records] != kinds:
+        fail("records", "report", "record kinds or their order differ from a run's")
+    for record in [header] + rebuilt:
+        kind = record["record"]
+        if kind not in stored:
+            fail(kind, "report", "record missing")
+        elif (key := _first_difference(stored[kind], record)) is not None:
+            fail(kind, "report", f"{key!r} differs from the rebuilt record")
     return failures
 
 

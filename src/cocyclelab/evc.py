@@ -370,18 +370,11 @@ class _UnionFind:
         self.count -= 1
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    depth: int
-    group_order: int
-    components: int
-
-
 def skew_connectivity(
     kernel: CocycleKernel,
     depth: Optional[int] = None,
     exhaustive: bool = False,
-) -> ConnectivityReport:
+) -> int:
     """Exact component count of the product graph on (depth words x group).
 
     An edge joins (w, g) to (w', v g) for every value v the kernel
@@ -457,4 +450,4 @@ def skew_connectivity(
                     moved = index[model.key(model.mul(value, g))]
                     uf.union(vertex(second, gi), vertex(first, moved))
 
-    return ConnectivityReport(level, len(elements), uf.count)
+    return uf.count

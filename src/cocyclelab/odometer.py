@@ -224,14 +224,13 @@ def flip_action(coords: Sequence[int]) -> GammaAction:
 
 @dataclass(frozen=True)
 class OverflowResult:
-    """Where some generator escapes the level-`level` relation.
+    """Where some generator escapes the relation at a level.
 
     ``known`` collects the pieces that provably escape; ``unknown`` is
     the undefined remainder of the truncated generators, where escape
     cannot be decided.  Sound checks use ``upper()``.
     """
 
-    level: int
     known: CylinderSet
     unknown: CylinderSet
 
@@ -251,7 +250,7 @@ def orbit_overflow(action: GammaAction, level: int) -> OverflowResult:
         if escaping:
             known = known.union(CylinderSet.of(escaping))
         unknown = unknown.union(g.remainder())
-    return OverflowResult(level, known, unknown)
+    return OverflowResult(known, unknown)
 
 
 # ---------------------------------------------------------------------------

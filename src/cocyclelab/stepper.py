@@ -106,11 +106,11 @@ class RefinementChoice:
 
 @dataclass(frozen=True)
 class StepArtifacts:
-    """The slice of a step's output that :func:`check_step` reads: the
-    update, the pairing, the core, the refinement level, the conjugate,
-    delta and the working depth.  The construction's intermediates (z0,
-    the partition, the refinement, the involution, the a/b/c sets) are
-    not part of it, so the check cannot depend on them."""
+    """The slice of a step's output that :func:`validate_step_output`
+    reads: the update, the pairing, the core, the refinement level, the
+    conjugate, delta and the working depth.  The construction's
+    intermediates (z0, the partition, the refinement, the involution, the
+    a/b/c sets) are not part of it, so the check cannot depend on them."""
 
     f_tilde: StepFunction
     theta: FiniteDepthMap
@@ -125,8 +125,8 @@ class StepArtifacts:
 class StepCheck:
     """The exact numbers behind the step's shared clauses (overflow_small
     through distance) and the validator's delta consistency, computed by
-    :func:`check_step`.  Both clause lists of a report, the step's
-    certificates and the validator's, are rendered from one instance."""
+    :func:`validate_step_output`; the report's two clause lists and its
+    admission clause are rendered from one instance."""
 
     eps: Fraction
     m: int
@@ -188,6 +188,14 @@ class StepCheck:
         still verifies: trimming the core by the bad set and its pairing
         image costs twice the mass, and half the slack is kept spare."""
         return self.witness_slack / 4
+
+    def admission(self) -> Certificate:
+        """The advisory admission clause: eps within the admission bound."""
+        bound = admission_bound(self.target_mass, self.cover_number)
+        return Certificate(
+            "admission", self.eps <= bound,
+            f"eps = {self.eps} vs target mass/({ADMISSION_FACTOR} covering) = "
+            f"{bound} (advisory)")
 
     def _render(self, details: dict[str, str]) -> tuple[Certificate, ...]:
         verdicts = self.verdicts()
@@ -275,7 +283,6 @@ class StepOutput:
     b_set: CylinderSet
     a_set: CylinderSet
     c_set: CylinderSet
-    admission: Certificate
     certificates: tuple[Certificate, ...]
     check: StepCheck
 
@@ -415,25 +422,16 @@ def construct_step(inp: StepInput) -> StepOutput:
     eps = Fraction(inp.eps)
     if eps <= 0:
         raise ConfigError("eps must be positive")
-    target_mass = inp.target.measure(mu)
-    if not target_mass > 0:
+    if not inp.target.measure(mu) > 0:
         raise ConfigError("the target set must have positive measure")
-    inner0 = trivial_on_overflow(f, action, inp.n)
-    if not inner0.ok:
+    if not trivial_on_overflow(f, orbit_overflow(action, inp.n), inp.n):
         raise ConfigError(f"input function is not inner at level {inp.n}")
-    closure0 = conjugate_closure(model, inp.family)
-    inc0 = increments_within(f, action, closure0)
-    if not inc0.ok:
+    if not increments_within(f, action, conjugate_closure(model, inp.family)).ok:
         raise ConfigError("input increments leave the declared value family")
 
     selection = select_core_and_conjugate(f, inp.target, inp.candidate,
                                           inp.u_index, mu)
     z0, h, delta = selection.z0, selection.h, selection.delta
-    bound = admission_bound(target_mass, selection.cover.number)
-    admission = Certificate(
-        "admission", eps <= bound,
-        f"eps = {eps} vs target mass/({ADMISSION_FACTOR} covering) = "
-        f"{bound} (advisory)")
 
     eps_prime = image_safe_tolerance(action, mu, eps)
     total_distortion = action.max_distortion_sum(mu)
@@ -455,8 +453,8 @@ def construct_step(inp: StepInput) -> StepOutput:
     f_tilde = assemble_update(f, h, involution, b_set, m, depth)
     theta, core = build_transfer(z0, b_set, a_set, involution, m, depth)
 
-    check = check_step(inp, StepArtifacts(f_tilde, theta, core, m, h, delta,
-                                          depth))
+    check = validate_step_output(
+        inp, StepArtifacts(f_tilde, theta, core, m, h, delta, depth))
     if not check.verdicts()["core_mass"]:
         raise EmptyCore(
             f"core mass {check.core_mass} does not exceed delta * target mass "
@@ -472,8 +470,7 @@ def construct_step(inp: StepInput) -> StepOutput:
         if not cert.ok:
             raise PostconditionFailure(cert.clause, cert.detail)
     return StepOutput(m, depth, h, delta, eps_prime, f_tilde, theta, core, z0,
-                      refinement, b_set, a_set, c_set, admission,
-                      certificates, check)
+                      refinement, b_set, a_set, c_set, certificates, check)
 
 
 def _certify(inp: StepInput, eps_prime: Fraction,
@@ -483,7 +480,7 @@ def _certify(inp: StepInput, eps_prime: Fraction,
              involution: InvolutionResult, theta: FiniteDepthMap,
              core_mass: Fraction, m: int) -> tuple[Certificate, ...]:
     """The construction clauses: those that read the construction's
-    intermediates, which :func:`check_step` never sees."""
+    intermediates, which :func:`validate_step_output` never sees."""
     f, mu, eps = inp.f, inp.mu, Fraction(inp.eps)
     cover = selection.cover
     certs: list[Certificate] = []
@@ -561,18 +558,19 @@ def _fingerprint_value(f: StepFunction, z0: CylinderSet, w: Word) -> str:
     return f.model.format(f.at(w))
 
 
-def check_step(inp: StepInput, art: StepArtifacts) -> StepCheck:
-    """Compute the step's shared clauses (and delta's covering number)
-    from the input and the artifact slice alone.  :func:`construct_step`
-    runs it once on its finished artifacts, and :func:`validate_step_output`
-    on whatever output it is given."""
+def validate_step_output(inp: StepInput, out) -> StepCheck:
+    """The step's shared clauses (and delta's covering number) from the
+    input and the artifact slice of `out`, a :class:`StepOutput` or
+    :class:`StepArtifacts`, alone.  :func:`construct_step` runs it once on
+    its finished artifacts, certification on artifacts rebuilt from a
+    report."""
     f, mu, action, eps = inp.f, inp.mu, inp.action, Fraction(inp.eps)
     model = f.model
-    f_tilde, theta, core, m, h = art.f_tilde, art.theta, art.core, art.m, art.h
+    f_tilde, theta, core, m, h = out.f_tilde, out.theta, out.core, out.m, out.h
 
+    over = orbit_overflow(action, m)
     try:
-        inner_ok = trivial_on_overflow(f_tilde, action, m).ok
-        inner_error = None
+        inner_ok, inner_error = trivial_on_overflow(f_tilde, over, m), None
     except DepthExhausted as exc:
         inner_ok, inner_error = False, str(exc)
 
@@ -584,7 +582,7 @@ def check_step(inp: StepInput, art: StepArtifacts) -> StepCheck:
                    for t in target_set(model, inp.candidate, inp.u_index)}
     misses = 0
     worst = ZERO
-    for w in core.words_at(art.working_depth):
+    for w in core.words_at(out.working_depth):
         moved = theta.apply(w)
         increment = model.mul(f_tilde.at(moved), model.inv(f_tilde.at(w)))
         if model.key(increment) not in target_keys:
@@ -595,9 +593,9 @@ def check_step(inp: StepInput, art: StepArtifacts) -> StepCheck:
     old_inc = [coboundary_increment(f, g) for g in action.maps()]
     new_inc = [coboundary_increment(f_tilde, g) for g in action.maps()]
     return StepCheck(
-        eps=eps, m=m, delta=art.delta, required_delta=required_delta,
+        eps=eps, m=m, delta=out.delta, required_delta=required_delta,
         cover_number=cover.number,
-        overflow_mass=orbit_overflow(action, m).upper().measure(mu),
+        overflow_mass=over.upper().measure(mu),
         inner_ok=inner_ok, inner_error=inner_error,
         enlarged_size=len(enlarged),
         confined=increments_within(f_tilde, action, enlarged).ok,
@@ -608,14 +606,3 @@ def check_step(inp: StepInput, art: StepArtifacts) -> StepCheck:
         membership_misses=misses, worst_core=worst,
         agreement=agreement, agreement_mass=agreement.measure(mu),
         distance=cocycle_distance(old_inc, new_inc, mu).upper())
-
-
-def validate_step_output(inp: StepInput, out) -> StepCheck:
-    """Recheck the step's claims from the input and the output's artifact
-    slice alone (`out` is a :class:`StepOutput` or :class:`StepArtifacts`);
-    nothing is trusted from the construction's intermediates.  The
-    validator's clause list is ``validator_certificates()`` of the
-    result."""
-    art = StepArtifacts(out.f_tilde, out.theta, out.core, out.m, out.h,
-                        out.delta, out.working_depth)
-    return check_step(inp, art)

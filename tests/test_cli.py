@@ -38,6 +38,13 @@ class TestStep:
         assert not target.exists()
         assert capsys.readouterr().out == ""
 
+    def test_step_takes_no_rounds(self, capsys):
+        # step runs one round; a round count is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["step", "--config", "z2-flips", "--rounds", "5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_step_depth_override_fails_cleanly(self, capsys):
         rc, out, err = run_cli(capsys, "step", "--config", "z2-adding",
                                "--depth", "3")

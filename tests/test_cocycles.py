@@ -21,7 +21,7 @@ from cocyclelab.groups import cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
 from cocyclelab.odometer import (PiecewiseCylinderMap, adding_machine,
                                  adding_machine_action, coordinate_flip,
-                                 flip_action)
+                                 flip_action, orbit_overflow)
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -136,18 +136,20 @@ class TestIncrements:
 class TestTrivialOnOverflow:
     def test_identity_passes(self):
         f = StepFunction(Z2, 1, {"0": 0, "1": 0})
-        assert trivial_on_overflow(f, adding_machine_action(6), 1).ok
+        assert trivial_on_overflow(
+            f, orbit_overflow(adding_machine_action(6), 1), 1) is True
 
     def test_nontrivial_on_overflow_fails(self):
         f = first_bit(1)
-        assert not trivial_on_overflow(f, adding_machine_action(6), 1).ok
+        assert trivial_on_overflow(
+            f, orbit_overflow(adding_machine_action(6), 1), 1) is False
 
     def test_undecidable_raises(self):
         # nontrivial exactly on the truncation remainder
         f = StepFunction(Z2, 4, {w: 1 if w == "1111" else 0
                                  for w in all_words(4)})
         with pytest.raises(DepthExhausted):
-            trivial_on_overflow(f, adding_machine_action(4), 3)
+            trivial_on_overflow(f, orbit_overflow(adding_machine_action(4), 3), 3)
 
 
 class TestRatioKernel:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import cocyclelab.cli as cli
 import cocyclelab.driver as driver
 import cocyclelab.evc as evc
 import cocyclelab.stepper as stepper
@@ -357,7 +358,7 @@ class TestWitnessOnce:
         oracle = evc.validate_witness(kernel, inp.target, targets, art.delta,
                                       inp.mu, art.core, art.theta)
         assert not oracle.ok
-        assert stepper.check_step(inp, art).witness_ok is False
+        assert stepper.validate_step_output(inp, art).witness_ok is False
 
     def test_run_validates_only_inside_the_search(self, monkeypatch):
         callers, from_driver = [], []
@@ -479,7 +480,7 @@ class TestCertifyTampering:
         failures = self.tampered(report, flip_value)
         assert failures
         assert self.clauses(failures) & {"inner", "agreement", "distance",
-                                         "final_function", "evc-membership"}
+                                         "final", "evc-membership"}
 
     def test_core_padding(self, flips_run):
         _, report = flips_run
@@ -501,7 +502,8 @@ class TestCertifyTampering:
         assert "schedule" in self.clauses(self.tampered(report, swap))
 
     # forged values of the second round's fields that the step check
-    # determines, or that the tolerance rule does; certify recomputes each
+    # determines, or that the round's input, its update or the tolerance
+    # rule does; certify recomputes each (a number in a path indexes a list)
     FORGED = {
         "conditions.agreement": "1/2",
         "conditions.agreement_ok": False,
@@ -509,11 +511,27 @@ class TestCertifyTampering:
         "conditions.distance_ok": False,
         "conditions.evc_witness_ok": False,
         "conditions.inner": False,
+        "conditions.incremental": False,
+        "conditions.finite_values": 99,
         "witness.measure_slack": "9",
         "witness.reserve": "7",
         "artifacts.core_mass": "3",
+        "artifacts.change_mass.s1": "1/2",
         "eps_rule.min_reserve": "5",
         "eps": "1/100000",
+        "eps_prime": "1/3",
+        "level": 9,
+        "admission.ok": False,
+        "validator.3.ok": False,
+        "certificates.7.ok": False,
+    }
+    # the clause a forgery fails under, where it is not the forged path
+    CLAUSE = {
+        "artifacts.change_mass.s1": "artifacts.change_mass",
+        "eps_rule.min_reserve": "eps_rule",
+        "admission.ok": "admission",
+        "validator.3.ok": "validator",
+        "certificates.7.ok": "certificates.overflow_small",
     }
 
     @pytest.mark.parametrize("path", sorted(FORGED))
@@ -524,17 +542,92 @@ class TestCertifyTampering:
         def forge(records):
             rec = [r for r in records if r["record"] == "round"][1]
             for section in sections:
-                rec = rec[section]
+                rec = rec[int(section)] if isinstance(rec, list) else rec[section]
             assert rec[field] != self.FORGED[path]
             rec[field] = self.FORGED[path]
-        clause = "eps_rule" if sections == ["eps_rule"] else path
+        clause = self.CLAUSE.get(path, path)
         assert clause in self.clauses(self.tampered(report, forge))
+
+    # one forgery per record kind that certify rebuilds, keyed by kind and
+    # forged field: (report, forgery of that record)
+    REBUILT = {
+        "header.closure": ("flips", lambda r: r["closure"].append("0")),
+        "header.schedule": ("flips", lambda r: r["schedule"].pop()),
+        "recurrence.executed": ("flips", lambda r: r.update(executed=99)),
+        "boundedness.per_generator": (
+            "flips", lambda r: r["per_generator"].update(s1=["0", "1"])),
+        "ladder.nonincreasing": (
+            "flips", lambda r: r.update(nonincreasing=False)),
+        "ladder.terminal_components": (
+            "flips", lambda r: r.update(terminal_components=7)),
+        "stabilization.ledger": (
+            "flips", lambda r: r["ledger"]["s1"][0].update(ok=False)),
+        "final.eps_history": ("flips", lambda r: r["eps_history"].reverse()),
+        "final.halving_ok": ("flips", lambda r: r.update(halving_ok=False)),
+        "final.level": ("flips", lambda r: r.update(level=99)),
+        "stream_bounds.ok": ("stream", lambda r: r.update(ok=False)),
+        "compact_range.rounds": ("bounded", lambda r: r.update(rounds=9)),
+        "norm_bounds.max_c": ("norm", lambda r: r.update(max_c="9")),
+    }
+
+    @pytest.fixture(scope="class")
+    def reports(self, flips_run, stream_run):
+        return {"flips": flips_run[1].records, "stream": stream_run[1].records,
+                "bounded": bounded_cocycle_pipeline(
+                    preset("z2-flips", rounds=2)).records,
+                "norm": norm_bounded_pipeline(preset("sum-z")).records}
+
+    @pytest.mark.parametrize("path", sorted(REBUILT))
+    def test_rebuilt_record(self, path, reports):
+        kind, field = path.split(".")
+        name, forge = self.REBUILT[path]
+        records = [copy.deepcopy(r) for r in reports[name]]
+        assert certify_report(records) == []
+        forge(next(r for r in records if r["record"] == kind))
+        failures = [f for f in certify_report(records) if f["clause"] == kind]
+        assert [f["detail"] for f in failures] == [
+            f"{field!r} differs from the rebuilt record"]
+
+    @pytest.mark.parametrize("kind", ["ladder", "final", "distances"])
+    def test_missing_record(self, kind, flips_run):
+        _, report = flips_run
+        records = [r for r in report.records if r["record"] != kind]
+        failures = certify_report(records)
+        assert {"clause": kind, "where": "report",
+                "detail": "record missing"} in failures
+        assert "records" in self.clauses(failures)
 
     def test_digest_mismatch(self, flips_run):
         _, report = flips_run
         def corrupt(records):
             records[0]["config_digest"] = "0" * 64
         assert "config_digest" in self.clauses(self.tampered(report, corrupt))
+
+
+class TestCertifyCoverage:
+    """Every record kind a pipeline writes is checked by certify: a round
+    field by field (TestCertifyTampering.FORGED), a SEARCHED record not
+    at all, and every other record by rebuilding it whole."""
+
+    @pytest.mark.parametrize("command,name", [
+        ("run", "z2-flips"), ("run-infinite", "z2-flip-stream"),
+        ("bounded", "z2-flips"), ("norm-bounded", "sum-z")])
+    def test_every_record_kind_is_rebuilt(self, command, name, tmp_path):
+        out = str(tmp_path)
+        assert cli.main([command, "--config", name, "--rounds", "2",
+                         "--out", out]) == 0
+        records = load_report(os.path.join(out, "report.jsonl"))
+        assert certify_report(records) == []
+        for i, rec in enumerate(records):
+            kind = rec["record"]
+            if kind == "round" or kind in driver.SEARCHED:
+                continue
+            forged = copy.deepcopy(records)
+            forged[i]["unchecked"] = True
+            failures = certify_report(forged)
+            assert {"clause": kind, "where": "report",
+                    "detail": "'unchecked' differs from the rebuilt record"
+                    } in failures, kind
 
 
 class TestCheckpoints:
@@ -616,23 +709,33 @@ class TestCheckpoints:
         with open(os.path.join(out, "report.jsonl")) as fh:
             assert fh.read() == full.text()
 
-    def test_checkpoint_holds_records_and_change_sets(self, tmp_path):
+    def test_checkpoint_holds_digest_and_records(self, tmp_path):
         out = str(tmp_path)
         config = preset("z2-flips", rounds=3)
         _, report = run_theorem_02i(config, out_dir=out)
         with open(os.path.join(out, "checkpoint.json")) as fh:
             payload = json.load(fh)
-        # no function table, tolerance or reserve beside the records
-        assert set(payload) == {"digest", "records", "change_sets"}
+        # no function table, tolerance, reserve or change set beside the
+        # records
+        assert set(payload) == {"digest", "records"}
         assert payload["digest"] == config.digest()
         # the records as the report stores them, up to JSON canonical form
         assert payload["records"] == [
             json.loads(line) for line in report.lines()[:1 + config.rounds]]
-        assert len(payload["change_sets"]) == config.rounds
-        for changes in payload["change_sets"]:
-            assert set(changes) == {"s1", "s2"}
-            assert all(set(w) <= {"0", "1"}
-                       for words in changes.values() for w in words)
+
+    @staticmethod
+    def change_sets(payload, config):
+        """Each round's change sets, as earlier layouts stored them."""
+        functions, _, _ = driver._replay_rounds(
+            config, config.build_model(), payload["records"])
+        stored = []
+        for t in range(1, len(functions)):
+            action = config.build_action(t)
+            changes = driver._change_sets(action, increment_agreement(
+                functions[t - 1], functions[t], action))
+            stored.append({"+".join(k): list(v.words)
+                           for k, v in changes.items()})
+        return stored
 
     @staticmethod
     def parent_layout(payload, config):
@@ -656,10 +759,12 @@ class TestCheckpoints:
                         "eps": r["eps"],
                         "witness_slack": r["witness"]["measure_slack"],
                         "change_sets": changes}
-                       for r, changes in zip(rounds, payload["change_sets"])],
+                       for r, changes in zip(
+                           rounds, TestCheckpoints.change_sets(payload, config))],
         }
 
-    @pytest.mark.parametrize("damage", ["parent_layout", "truncated"])
+    @pytest.mark.parametrize("damage", ["parent_layout", "change_sets_layout",
+                                        "truncated"])
     def test_unreadable_checkpoint_restarts(self, damage, tmp_path,
                                             monkeypatch):
         config = preset("z2-flips", rounds=4)
@@ -672,6 +777,11 @@ class TestCheckpoints:
         if damage == "parent_layout":
             text = json.dumps(self.parent_layout(json.loads(text), config),
                               sort_keys=True)
+        elif damage == "change_sets_layout":
+            # the layout that kept each round's change sets beside the records
+            payload = json.loads(text)
+            payload["change_sets"] = self.change_sets(payload, config)
+            text = json.dumps(payload, sort_keys=True)
         else:
             text = text[: len(text) // 2]
         with open(path, "w") as fh:

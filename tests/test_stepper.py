@@ -96,7 +96,7 @@ class TestReferenceCase:
         assert all(c.ok for c in out.certificates)
         # eps = 1/4 deliberately exceeds the mass/(40 covering) admission
         # bound; the certificate records this without failing the step
-        assert not out.admission.ok
+        assert not out.check.admission().ok
 
     def test_agreement_against_oracle(self):
         inp = reference_input()
