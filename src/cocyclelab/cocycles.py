@@ -1,8 +1,10 @@
 """Group-valued step functions on the sequence space and their cocycles.
 
-A step function assigns a group element to every word of a fixed depth;
-its coboundary increments f(sigma x) f(x)^-1 along the generators are
-partial step functions, undefined exactly on the generators' truncation
+A step function assigns a group element to every word of a fixed depth.
+Its values are one dense tuple indexed by `measure.word_index`, so every
+loop here runs over integer indices; words appear only where tables are
+read or written.  Its coboundary increments f(sigma x) f(x)^-1 along the
+generators are partial step functions, undefined exactly on the generators' truncation
 remainders.  Undefined mass is always carried along explicitly so that
 predicates can report it instead of silently passing.
 
@@ -17,12 +19,13 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from types import MappingProxyType
+from itertools import chain, compress, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DepthExhausted, DepthMismatch, PostconditionFailure, SizeGuard
 from .groups import GroupModel, Element, RationalRatioGroup
-from .measure import ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words
+from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
+                      word_index)
 from .odometer import GammaAction, OverflowResult, PiecewiseCylinderMap
 
 HALF = Fraction(1, 2)
@@ -32,22 +35,55 @@ KERNEL_TRIPLE_BUDGET = 1 << 21  # most triples `cocycle_check` may walk
 KERNEL_EXPORT_DEPTH = 12  # deepest kernel that is exported as CSV
 
 
+def _refined(values: tuple, depth: int, finer: int) -> tuple:
+    """A depth-`depth` value tuple restated at depth `finer`: each value
+    repeated over the extensions of its word."""
+    if finer < depth:
+        raise DepthMismatch(f"cannot restate depth {depth} at depth {finer}")
+    if finer == depth:
+        return values
+    return tuple(chain.from_iterable(repeat(v, 1 << (finer - depth))
+                                     for v in values))
+
+
+def _value_set(model: GroupModel, values: Iterable) -> tuple:
+    seen = {model.key(v): v for v in dict.fromkeys(values) if v is not None}
+    return tuple(seen[k] for k in sorted(seen))
+
+
 @dataclass(frozen=True)
 class StepFunction:
-    """A total map from depth-`depth` words to group elements."""
+    """A total map from depth-`depth` words to group elements: `values`
+    holds the value of each word at its `word_index`."""
 
     model: GroupModel
     depth: int
-    table: Mapping[Word, Element]
+    values: tuple
 
     def __post_init__(self):
         expected = 1 << self.depth
-        if len(self.table) != expected:
+        if len(self.values) != expected:
             raise DepthMismatch(
-                f"table has {len(self.table)} entries, needs {expected} at depth {self.depth}")
-        for w in self.table:
-            if len(w) != self.depth:
-                raise DepthMismatch(f"table key {w!r} does not have depth {self.depth}")
+                f"table has {len(self.values)} entries, needs {expected} at depth {self.depth}")
+
+    @staticmethod
+    def from_table(model: GroupModel,
+                   table: Mapping[Word, Element]) -> "StepFunction":
+        """The step function of a word-keyed table, whose keys must be
+        exactly the words of one depth."""
+        if not table:
+            raise DepthMismatch("table has no words")
+        depth = len(next(iter(table)))
+        values = [None] * (1 << depth)
+        for w, v in table.items():
+            if len(w) != depth or w.strip("01"):
+                raise DepthMismatch(
+                    f"table key {w!r} is not a 0/1 word of depth {depth}")
+            values[word_index(w)] = v
+        if len(table) != len(values):
+            missing = next(w for w in all_words(depth) if w not in table)
+            raise DepthMismatch(f"table lacks the word {missing!r}")
+        return StepFunction(model, depth, tuple(values))
 
     @cached_property
     def _increments(self) -> dict:
@@ -64,21 +100,26 @@ class StepFunction:
     def at(self, w: Word) -> Element:
         if len(w) < self.depth:
             raise DepthMismatch(f"word of depth {len(w)} too shallow for depth {self.depth}")
-        return self.table[w[: self.depth]]
+        return self.values[word_index(w[: self.depth])]
+
+    def values_at(self, depth: int) -> tuple:
+        """The values restated at `depth`, at least this function's own,
+        by word index."""
+        return _refined(self.values, self.depth, depth)
 
     def value_set(self) -> tuple:
-        seen = {self.model.key(v): v for v in self.table.values()}
-        return tuple(seen[k] for k in sorted(seen))
+        return _value_set(self.model, self.values)
 
     def level_set(self, value: Element) -> CylinderSet:
-        return CylinderSet.of(w for w, v in self.table.items() if v == value)
+        return CylinderSet.from_indices(
+            self.depth, [i for i, v in enumerate(self.values) if v == value])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["word", "value"])
-        for w in sorted(self.table):
-            writer.writerow([w, self.model.format(self.table[w])])
+        writer.writerows(zip(all_words(self.depth),
+                             map(self.model.format, self.values)))
         return buf.getvalue()
 
 
@@ -89,35 +130,34 @@ class PartialStepFunction:
     Serves two roles: truncation remainders of coboundary increments
     (the undefined part is genuinely unknown there), and step functions
     with an absorbing marker on an excluded set (the marker region is
-    known, just outside the group).  `at` returns None on the region
-    either way; predicates must consult `undefined` and report it.
+    known, just outside the group).  `values` holds None exactly on the
+    region, by word index; predicates must consult `undefined` and
+    report it.
     """
 
     model: GroupModel
     depth: int
-    table: Mapping[Word, Element]
+    values: tuple
     undefined: CylinderSet
 
     def __post_init__(self):
         if self.undefined.max_depth > self.depth:
             raise DepthMismatch("undefined region deeper than the table")
-        defined = CylinderSet.of(self.table)
-        if defined.union(self.undefined) != CylinderSet.full() or \
-                not defined.intersection(self.undefined).is_empty():
+        if len(self.values) != 1 << self.depth:
+            raise DepthMismatch(
+                f"table has {len(self.values)} entries, needs {1 << self.depth} "
+                f"at depth {self.depth}")
+        if bytes(v is None for v in self.values) != self.undefined.mask(self.depth):
             raise PostconditionFailure(
                 "partial-table", "table and undefined region must partition the space")
-        for w in self.table:
-            if len(w) != self.depth:
-                raise DepthMismatch(f"table key {w!r} does not have depth {self.depth}")
 
-    def at(self, w: Word) -> Optional[Element]:
-        if len(w) < self.depth:
-            raise DepthMismatch(f"word of depth {len(w)} too shallow for depth {self.depth}")
-        return self.table.get(w[: self.depth])
+    def values_at(self, depth: int) -> tuple:
+        """The values restated at `depth`, at least this function's own,
+        by word index."""
+        return _refined(self.values, self.depth, depth)
 
     def value_set(self) -> tuple:
-        seen = {self.model.key(v): v for v in self.table.values()}
-        return tuple(seen[k] for k in sorted(seen))
+        return _value_set(self.model, self.values)
 
 
 def coboundary_increment(f: StepFunction,
@@ -127,19 +167,17 @@ def coboundary_increment(f: StepFunction,
     truncated `sigma`.
 
     Computed once per generator and kept on `f`, so a repeated call
-    returns the same object, whose table is read-only.  The generator is
+    returns the same object, whose values are a tuple.  The generator is
     keyed by value: actions are rebuilt every round."""
     memo = f._increments
     part = memo.get(sigma)
     if part is None:
         e = max(f.depth, sigma.max_depth)
-        table = {}
-        for w in all_words(e):
-            img = sigma.apply(w)
-            if img is not None:
-                table[w] = f.model.mul(f.at(img), f.model.inv(f.at(w)))
-        part = memo[sigma] = PartialStepFunction(
-            f.model, e, MappingProxyType(table), sigma.remainder())
+        mul, inv = f.model.mul, f.model.inv
+        values = f.values_at(e)
+        part = memo[sigma] = PartialStepFunction(f.model, e, tuple(
+            None if j < 0 else mul(values[j], inv(v))
+            for j, v in zip(sigma.index_map(e), values)), sigma.remainder())
     return part
 
 
@@ -290,8 +328,10 @@ def trivial_on_overflow(f: StepFunction, over: OverflowResult,
 
     def dirty(region: CylinderSet) -> CylinderSet:
         depth = max(f.depth, region.max_depth)
-        return CylinderSet.of(
-            w for w in region.words_at(depth) if f.at(w) != one)
+        values = f.values_at(depth)
+        return CylinderSet.from_indices(depth, [
+            i for i in compress(range(1 << depth), region.mask(depth))
+            if values[i] != one])
 
     if not dirty(over.known).is_empty():
         return False
@@ -318,9 +358,11 @@ def increments_within(f: StepFunction, action: GammaAction,
     violations: dict[str, CylinderSet] = {}
     for label, g in action.generators:
         part = coboundary_increment(f, g)
-        bad = [w for w, v in part.table.items() if f.model.key(v) not in keys]
-        if bad:
-            violations[label] = CylinderSet.of(bad)
+        outside = {v for v in set(part.values)
+                   if v is not None and f.model.key(v) not in keys}
+        if outside:
+            violations[label] = CylinderSet.from_indices(part.depth, [
+                i for i, v in enumerate(part.values) if v in outside])
     return IncrementCheck(not violations, violations)
 
 
@@ -348,7 +390,9 @@ def cocycle_distance(
     infinite_tail: bool = False,
 ) -> DistResult:
     """Sum over generators j of 2^-j times the expected truncated metric
-    between the j-th increments, computed exactly on the cylinder algebra."""
+    between the j-th increments, computed exactly on the cylinder algebra:
+    each gap's cylinder masses are summed as integer numerators over the
+    level's common denominator."""
     if len(first) != len(second):
         raise DepthMismatch(
             f"families enumerate {len(first)} and {len(second)} generators")
@@ -360,16 +404,20 @@ def cocycle_distance(
         if u1.model.name != u2.model.name:
             raise ValueError("increment families live over different group models")
         depth = max(u1.depth, u2.depth)
-        integral = ZERO
         unknown = u1.undefined.union(u2.undefined)
-        for w in all_words(depth):
-            # `at` is None exactly on the undefined region (partition check)
-            a, b = u1.at(w), u2.at(w)
-            if a is None or b is None:
+        masses, denominator = mu.level_masses(depth)
+        metric = u1.model.metric
+        # mass numerator summed per gap; None marks the undefined region
+        # (partition check), and equal values are at distance 0
+        per_gap: dict[Fraction, int] = {}
+        for a, b, m in zip(u1.values_at(depth), u2.values_at(depth), masses):
+            if a is None or b is None or a == b:
                 continue
-            gap = min(ONE, u1.model.metric(a, b))
+            gap = min(ONE, metric(a, b))
             if gap:
-                integral += gap * mu.cylinder(w)
+                per_gap[gap] = per_gap.get(gap, 0) + m
+        integral = sum((gap * Fraction(m, denominator)
+                        for gap, m in per_gap.items()), ZERO)
         value += weight * integral
         undefined_bound += weight * unknown.measure(mu)
     truncation = weight if infinite_tail else ZERO
@@ -399,9 +447,10 @@ def increment_agreement(old: StepFunction, new: StepFunction,
         u_old = coboundary_increment(old, g)
         u_new = coboundary_increment(new, g)
         e = max(u_old.depth, u_new.depth)
-        same = CylinderSet.of(
-            w for w in all_words(e)
-            if u_old.at(w) is not None and u_old.at(w) == u_new.at(w))
+        same = CylinderSet.from_indices(e, [
+            i for i, (a, b) in enumerate(zip(u_old.values_at(e),
+                                             u_new.values_at(e)))
+            if a is not None and a == b])
         per_generator[label] = same
         agreement = agreement.intersection(same)
     return AgreementCheck(agreement, per_generator)

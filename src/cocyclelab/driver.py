@@ -38,7 +38,8 @@ from .measure import ZERO, CylinderSet, ProductMeasure, all_words
 from .odometer import (FiniteDepthMap, GammaAction, adding_machine_action,
                        coordinate_flip, flip_action)
 from .stepper import (StepArtifacts, StepCheck, StepInput, admission_bound,
-                      construct_step, image_safe_tolerance,
+                      construct_step, discard_set, image_safe_tolerance,
+                      overflow_hull, select_core_and_conjugate,
                       validate_step_output)
 
 SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
@@ -294,14 +295,14 @@ def _frac(x: Fraction) -> str:
 
 
 def _function_table(f: StepFunction) -> dict:
-    return {w: f.model.format(v) for w, v in sorted(f.table.items())}
+    return dict(zip(all_words(f.depth), map(f.model.format, f.values)))
 
 
 def _parse_table(model: GroupModel, table: Mapping[str, str]) -> StepFunction:
     """The step function a stored table renders (see `_function_table`);
     its depth is the length of its words."""
-    return StepFunction(model, len(next(iter(table))),
-                        {w: model.parse(v) for w, v in table.items()})
+    return StepFunction.from_table(
+        model, {w: model.parse(v) for w, v in table.items()})
 
 
 @dataclass(frozen=True)
@@ -364,8 +365,7 @@ def initial_function(config: PipelineConfig,
                      model: GroupModel) -> StepFunction:
     """The constant-identity step function a run starts from."""
     level = max(config.start_level, 1)
-    e = model.identity()
-    return StepFunction(model, level, {w: e for w in all_words(level)})
+    return StepFunction(model, level, (model.identity(),) * (1 << level))
 
 
 def round_eps(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
@@ -410,13 +410,14 @@ def _change_sets(action: GammaAction, agreement: AgreementCheck
 
 def _checked_fields(inp: StepInput, rule: dict, check: StepCheck,
                     f_tilde: StepFunction, closure: tuple,
-                    changes: Mapping[tuple[str, ...], CylinderSet]
+                    changes: Mapping[tuple[str, ...], CylinderSet],
+                    z0: CylinderSet, b_set: CylinderSet
                     ) -> dict[tuple[Optional[str], str], object]:
     """The round record's fields that the round's input, its tolerance
-    rule, the step check and the update determine, keyed by (section,
-    field), section None being the record itself and ``certificates``
-    its list keyed by clause; a run writes them and certify compares
-    them."""
+    rule, the step check, the update, the selected set z0 and the
+    discard set determine, keyed by (section, field), section None being
+    the record itself and ``certificates`` its list keyed by clause; a
+    run writes them and certify compares them."""
     verdicts = check.verdicts()
     fields = {
         (None, "level"): inp.n,
@@ -441,6 +442,8 @@ def _checked_fields(inp: StepInput, rule: dict, check: StepCheck,
         ("artifacts", "core_mass"): _frac(check.core_mass),
         ("artifacts", "change_mass"): {"+".join(k): _frac(v.measure(inp.mu))
                                        for k, v in changes.items()},
+        ("artifacts", "z0"): list(z0.words),
+        ("artifacts", "b_set"): list(b_set.words),
     }
     for c in check.step_certificates():
         fields["certificates", c.clause] = c.to_mapping()
@@ -539,14 +542,11 @@ def _run_recursion(config: PipelineConfig,
             "conditions": {"evc_search": fresh_rec},
             "witness": {"core": list(out.core.words),
                         "moves": sorted(out.theta.moves.items())},
-            "artifacts": {
-                "f": _function_table(out.f_tilde),
-                "z0": list(out.z0.words),
-                "b_set": list(out.b_set.words),
-            },
+            "artifacts": {"f": _function_table(out.f_tilde)},
         }
         for (section, field), value in _checked_fields(
-                inp, rule, check, out.f_tilde, closure, changes).items():
+                inp, rule, check, out.f_tilde, closure, changes, out.z0,
+                out.b_set).items():
             (record[section] if section else record)[field] = value
         record["certificates"] = list(record["certificates"].values())
         records.append(record)
@@ -903,6 +903,9 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
                          eps)
         try:
             check = validate_step_output(inp, replay)
+            z0 = select_core_and_conjugate(inp.f, inp.target, inp.candidate,
+                                           inp.u_index, mu).z0
+            _, b_set = discard_set(inp, overflow_hull(action, n, replay.m, mu))
         except CocycleLabError as exc:
             fail("validator", where, str(exc))
             # the report fails already; its ledger is rebuilt without
@@ -911,7 +914,8 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         else:
             changes = _change_sets(action, check.agreement)
             change_history.append(changes)
-            fields = _checked_fields(inp, rule, check, f, closure, changes)
+            fields = _checked_fields(inp, rule, check, f, closure, changes,
+                                     z0, b_set)
             for c in fields[None, "validator"]:
                 if not c["ok"]:
                     fail(c["clause"], where, c["detail"])

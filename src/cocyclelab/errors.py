@@ -69,3 +69,8 @@ class PostconditionFailure(CocycleLabError):
 
 class ConfigError(CocycleLabError):
     """A pipeline configuration was malformed or inconsistent."""
+
+
+class MalformedInput(CocycleLabError, ValueError):
+    """A word or an element label in a config or a stored report is not
+    one this package can name; it is a ValueError as well."""

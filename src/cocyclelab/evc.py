@@ -400,11 +400,11 @@ def skew_connectivity(
         raise SizeGuard(
             f"{n_words * len(elements)} skew vertices exceed budget {SKEW_BUDGET}")
     tails = list(all_words(kernel.depth - level))
-    word_index = {w: i for i, w in enumerate(all_words(level))}
+    word_at = {w: i for i, w in enumerate(all_words(level))}
     uf = _UnionFind(n_words * len(elements))
 
     def vertex(w: Word, gi: int) -> int:
-        return word_index[w] * len(elements) + gi
+        return word_at[w] * len(elements) + gi
 
     # trivial kernels take the identity between any same-class words, so
     # no extension enumeration is needed for them either
@@ -416,20 +416,25 @@ def skew_connectivity(
 
     if kernel.class_depth < level:
         groups: dict[Word, list[Word]] = {}
-        for w in word_index:
+        for w in word_at:
             groups.setdefault(w[kernel.class_depth:], []).append(w)
         classes = [sorted(g) for _, g in sorted(groups.items())]
     else:
-        classes = [sorted(word_index)]
+        classes = [sorted(word_at)]
+
+    if fast and kernel.kind == "coboundary":
+        # the potential's values on the extensions of the level word with
+        # index i fill the slice [i * span, (i + 1) * span)
+        potential = kernel.potential.values_at(kernel.depth)
+        span = len(tails)
 
     def values_between(first: Word, second: Word) -> set:
         if kernel.kind == "trivial":
             return {model.identity()}
         if fast:
-            firsts = {model.key(kernel.potential.at(first + t)): kernel.potential.at(first + t)
-                      for t in tails}
-            seconds = {model.key(kernel.potential.at(second + t)): kernel.potential.at(second + t)
-                       for t in tails}
+            i, j = word_at[first] * span, word_at[second] * span
+            firsts = {model.key(v): v for v in potential[i:i + span]}
+            seconds = {model.key(v): v for v in potential[j:j + span]}
             return {model.mul(a, model.inv(b))
                     for a in firsts.values() for b in seconds.values()}
         out = set()

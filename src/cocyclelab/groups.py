@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
-from .errors import ConfigError, SizeGuard, UnboundedClass
+from .errors import ConfigError, MalformedInput, SizeGuard, UnboundedClass
 
 Element = Any
 
@@ -134,10 +134,16 @@ class FiniteTableGroup(GroupModel):
         return self.labels[a]
 
     def parse(self, text):
-        try:
+        """An element by its label or its index 0..n-1."""
+        if text in self.labels:
             return self.labels.index(text)
-        except ValueError:
-            return int(text)
+        try:
+            a = int(text)
+        except (TypeError, ValueError):
+            a = -1
+        if not 0 <= a < len(self.table):
+            raise MalformedInput(f"{self.name} has no element {text!r}")
+        return a
 
     def elements(self):
         return list(range(len(self.table)))

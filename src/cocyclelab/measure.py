@@ -19,10 +19,11 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, cycle, product
+from itertools import chain, cycle, islice, product
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DepthMismatch
+from .errors import DepthMismatch, MalformedInput
 
 Word = str
 
@@ -40,8 +41,16 @@ def all_words(depth: int) -> Iterator[Word]:
 
 def check_word(w: Word) -> Word:
     if w.strip("01"):
-        raise ValueError(f"not a 0/1 word: {w!r}")
+        raise MalformedInput(f"not a 0/1 word: {w!r}")
     return w
+
+
+def word_index(w: Word) -> int:
+    """The word read as a binary number, coordinate 1 the top bit: its
+    position among the words of its depth in lexicographic order, which
+    is how dense tables of a depth are indexed.  `w` must be a 0/1 word
+    (``int`` would also take signs, spaces and underscores)."""
+    return int(w, 2) if w else 0
 
 
 def extensions(w: Word, depth: int) -> Iterator[Word]:
@@ -117,6 +126,30 @@ class ProductMeasure:
             num *= n
             den *= d
         return Fraction(num, den)
+
+    @cached_property
+    def _level_masses(self) -> dict:
+        return {}
+
+    def level_masses(self, depth: int) -> tuple[tuple[int, ...], int]:
+        """The masses of all depth-`depth` cylinders over one common
+        denominator: ``(numerators, denominator)`` with the numerators
+        by word index, so ``cylinder(w)`` equals
+        ``Fraction(numerators[word_index(w)], denominator)``.  Each
+        coordinate multiplies the denominator by the least common
+        multiple of its two weights' denominators.  Kept per depth on the
+        measure."""
+        cached = self._level_masses.get(depth)
+        if cached is None:
+            head, period = self._integer_weights
+            nums, den = [1], 1
+            for (n0, d0), (n1, d1) in islice(chain(head, cycle(period)), depth):
+                common = lcm(d0, d1)
+                a0, a1 = n0 * (common // d0), n1 * (common // d1)
+                nums = [y for x in nums for y in (x * a0, x * a1)]
+                den *= common
+            cached = self._level_masses[depth] = (tuple(nums), den)
+        return cached
 
     def _ratio_terms(self, x: Word, y: Word) -> tuple[int, int]:
         """Numerator and denominator of ``ratio(x, y)``, unreduced: the
@@ -200,6 +233,33 @@ def _normalize(words: Iterable[Word]) -> tuple[Word, ...]:
     return tuple(w for level in levels for w in sorted(level))
 
 
+def _merged_indices(depth: int, indices: Sequence[int]) -> tuple[Word, ...]:
+    """`_normalize` of the depth-`depth` words with the given indices,
+    ascending and distinct: sibling pairs (2k, 2k + 1) merge into their
+    parent k one level up, deepest level first."""
+    kept: list[tuple[int, list[int]]] = []
+    current = indices
+    for d in range(depth, 0, -1):
+        stay: list[int] = []
+        parents: list[int] = []
+        i, n = 0, len(current)
+        while i < n:
+            x = current[i]
+            if not x & 1 and i + 1 < n and current[i + 1] == x + 1:
+                parents.append(x >> 1)
+                i += 2
+            else:
+                stay.append(x)
+                i += 1
+        kept.append((d, stay))
+        current = parents
+    words = [""] if current else []
+    for d, stay in reversed(kept):
+        spec = f"0{d}b"
+        words.extend(format(x, spec) for x in stay)
+    return tuple(words)
+
+
 def _split(words: Sequence[Word]) -> tuple[list[Word], list[Word]]:
     """Split a prefix-free word list into the 0-branch and 1-branch,
     stripping the leading symbol.  The caller guarantees '' is absent."""
@@ -267,9 +327,20 @@ class CylinderSet:
     def _members(self) -> frozenset[Word]:
         return frozenset(self.words)
 
+    @cached_property
+    def _masks(self) -> dict:
+        return {}
+
     @staticmethod
     def of(words: Iterable[Word]) -> "CylinderSet":
         return CylinderSet(_normalize(words))
+
+    @staticmethod
+    def from_indices(depth: int, indices: Sequence[int]) -> "CylinderSet":
+        """The union of the depth-`depth` cylinders with the given word
+        indices (see `word_index`), ascending and distinct; the same
+        canonical form `of` gives for their words."""
+        return CylinderSet(_merged_indices(depth, indices))
 
     @staticmethod
     def empty() -> "CylinderSet":
@@ -309,6 +380,22 @@ class CylinderSet:
         check_word(w)
         members = self._members
         return any(w[:k] in members for k in range(len(w) + 1))
+
+    def mask(self, depth: int) -> bytes:
+        """Membership table at `depth`: byte i is 1 when the cylinder of
+        the depth-`depth` word with index i lies in the set, as `covers`
+        decides.  Filled one member cylinder at a time and kept per depth
+        on the set."""
+        table = self._masks.get(depth)
+        if table is None:
+            buf = bytearray(1 << depth)
+            for w in self.words:
+                if len(w) <= depth:
+                    size = 1 << (depth - len(w))
+                    start = word_index(w) * size
+                    buf[start:start + size] = b"\x01" * size
+            table = self._masks[depth] = bytes(buf)
+        return table
 
     def words_at(self, depth: int) -> list[Word]:
         """The set as a disjoint list of depth-`depth` words (all member

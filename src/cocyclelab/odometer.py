@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import BudgetExhausted, ConfigError, DepthMismatch
-from .measure import ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words, check_word
+from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
+                      check_word, word_index)
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,28 @@ class PiecewiseCylinderMap:
         if any(s.startswith(w) for s, _ in self.pieces):
             raise DepthMismatch(f"word {w!r} too shallow to decide a piece of {self.name}")
         return None
+
+    @cached_property
+    def _index_maps(self) -> dict:
+        return {}
+
+    def index_map(self, depth: int) -> tuple[int, ...]:
+        """`apply` on all depth-`depth` words at once, by word index (see
+        `word_index`): entry i is the index of the image of word i, or -1
+        on the remainder.  Each piece maps one contiguous index range
+        onto another.  Kept per depth on the map."""
+        table = self._index_maps.get(depth)
+        if table is None:
+            if depth < self.max_depth:
+                raise DepthMismatch(
+                    f"depth {depth} too shallow to decide the pieces of {self.name}")
+            out = [-1] * (1 << depth)
+            for s, t in self.pieces:
+                size = 1 << (depth - len(s))
+                start, image = word_index(s) * size, word_index(t) * size
+                out[start:start + size] = range(image, image + size)
+            table = self._index_maps[depth] = tuple(out)
+        return table
 
     def inverse(self) -> "PiecewiseCylinderMap":
         inv_name = self.name[:-1] if self.name.endswith("~") else self.name + "~"

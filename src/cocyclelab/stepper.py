@@ -347,31 +347,55 @@ def fingerprint_partition(f: StepFunction, z0: CylinderSet, n: int,
     return tuple(classes)
 
 
+def overflow_threshold(action: GammaAction, mu: ProductMeasure,
+                       eps: Fraction) -> Fraction:
+    """The mass that the overflow hull and the involution's unpaired
+    remainder share: below eps' and below eps / (1 + distortion sum)."""
+    return min(image_safe_tolerance(action, mu, eps),
+               Fraction(eps) / (1 + action.max_distortion_sum(mu)))
+
+
+def overflow_hull(action: GammaAction, n: int, m: int,
+                  mu: ProductMeasure) -> RefinementChoice:
+    """The level-m orbit-overflow hull, saturated over the first n
+    coordinates, with its mass."""
+    hull = orbit_overflow(action, m).upper().saturate(n)
+    return RefinementChoice(m, hull, hull.measure(mu))
+
+
 def choose_refinement_depth(action: GammaAction, n: int, threshold: Fraction,
                             mu: ProductMeasure, floor: int,
                             depth_budget: int) -> RefinementChoice:
     """Smallest refinement level at or above `floor` whose saturated
     orbit-overflow hull has mass below `threshold`."""
     for m in range(max(floor, n + 1), depth_budget + 1):
-        hull = orbit_overflow(action, m).upper().saturate(n)
-        mass = hull.measure(mu)
-        if mass < threshold:
-            return RefinementChoice(m, hull, mass)
+        choice = overflow_hull(action, n, m, mu)
+        if choice.hull_mass < threshold:
+            return choice
     raise DepthExhausted(
         f"no refinement level within depth {depth_budget} brings the "
         f"overflow hull below {threshold}")
 
 
-def build_suffix_involution(mu: ProductMeasure, m: int, eps: Fraction,
-                            leftover_budget: Fraction,
-                            depth_budget: int) -> InvolutionResult:
-    """Pair the coordinates beyond level m against themselves with
-    derivative within eps and unpaired mass below the leftover budget."""
-    if depth_budget <= m:
+def discard_set(inp: StepInput, refinement: RefinementChoice
+                ) -> tuple[InvolutionResult, CylinderSet]:
+    """The suffix involution and the discard set b.
+
+    The involution pairs the coordinates beyond the refinement level m
+    against themselves, with derivative within eps and unpaired mass
+    below what the overflow hull leaves of the threshold.  b is the
+    refinement's overflow hull united with the unpaired remainder, freed
+    over the first m coordinates.  The step builds b here, and
+    certification rebuilds it here from a stored refinement level."""
+    m = refinement.m
+    if inp.depth_budget <= m:
         raise DepthExhausted(
-            f"no coordinates left beyond level {m} within depth {depth_budget}")
-    return exchange_involution(CylinderSet.full(), mu.shift(m), eps,
-                               depth_budget - m, leftover=leftover_budget)
+            f"no coordinates left beyond level {m} within depth {inp.depth_budget}")
+    threshold = overflow_threshold(inp.action, inp.mu, inp.eps)
+    involution = exchange_involution(
+        CylinderSet.full(), inp.mu.shift(m), Fraction(inp.eps),
+        inp.depth_budget - m, leftover=threshold - refinement.hull_mass)
+    return involution, refinement.hull.union(involution.fixed.prepend_free(m))
 
 
 def assemble_update(f: StepFunction, h: Element, involution: InvolutionResult,
@@ -379,16 +403,12 @@ def assemble_update(f: StepFunction, h: Element, involution: InvolutionResult,
     """The three-case update: identity on the discard set, f times h
     where the deep block sits on the exchanged side, f elsewhere."""
     model = f.model
-    c_full = involution.second_sides().prepend_free(m)
-    table: dict[Word, Element] = {}
-    for w in all_words(depth):
-        if b_set.covers(w):
-            table[w] = model.identity()
-        elif c_full.covers(w):
-            table[w] = model.mul(f.at(w), h)
-        else:
-            table[w] = f.at(w)
-    return StepFunction(model, depth, table)
+    one = model.identity()
+    discard = b_set.mask(depth)
+    exchanged = involution.second_sides().prepend_free(m).mask(depth)
+    return StepFunction(model, depth, tuple(
+        one if discard[i] else model.mul(v, h) if exchanged[i] else v
+        for i, v in enumerate(f.values_at(depth))))
 
 
 def build_transfer(z0: CylinderSet, b_set: CylinderSet, a_set: CylinderSet,
@@ -398,18 +418,19 @@ def build_transfer(z0: CylinderSet, b_set: CylinderSet, a_set: CylinderSet,
     identity on it) and the core: the part of z0 on the first exchange
     side, clear of the discard set."""
     tau = involution.tau
+    discard, first, selected = (s.mask(depth) for s in (b_set, a_set, z0))
     moves: dict[Word, Word] = {}
-    core_words: list[Word] = []
-    for w in all_words(depth):
-        if b_set.covers(w):
+    core: list[int] = []
+    for i, w in enumerate(all_words(depth)):
+        if discard[i]:
             continue
         deep = w[m:]
         image = tau.apply(deep)
         if image != deep:
             moves[w] = w[:m] + image
-        if a_set.covers(w) and z0.covers(w):
-            core_words.append(w)
-    return FiniteDepthMap(depth, moves), CylinderSet.of(core_words)
+        if first[i] and selected[i]:
+            core.append(i)
+    return FiniteDepthMap(depth, moves), CylinderSet.from_indices(depth, core)
 
 
 def construct_step(inp: StepInput) -> StepOutput:
@@ -435,19 +456,16 @@ def construct_step(inp: StepInput) -> StepOutput:
 
     eps_prime = image_safe_tolerance(action, mu, eps)
     total_distortion = action.max_distortion_sum(mu)
-    threshold = min(eps_prime, eps / (1 + total_distortion))
 
     partition = fingerprint_partition(f, z0, inp.n, mu)
 
     floor = max(inp.n + 1, f.depth, inp.target.max_depth, z0.max_depth)
-    refinement = choose_refinement_depth(action, inp.n, threshold, mu, floor,
-                                         inp.depth_budget)
+    refinement = choose_refinement_depth(
+        action, inp.n, overflow_threshold(action, mu, eps), mu, floor,
+        inp.depth_budget)
     m = refinement.m
-    involution = build_suffix_involution(mu, m, eps,
-                                         threshold - refinement.hull_mass,
-                                         inp.depth_budget)
+    involution, b_set = discard_set(inp, refinement)
     depth = m + involution.tau.depth
-    b_set = refinement.hull.union(involution.fixed.prepend_free(m))
     a_set = involution.first_sides().prepend_free(m)
     c_set = involution.second_sides().prepend_free(m)
     f_tilde = assemble_update(f, h, involution, b_set, m, depth)

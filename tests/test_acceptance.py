@@ -60,64 +60,64 @@ def preset(name: str, **overrides) -> PipelineConfig:
 # reference single step: two-element group over the adding machine,
 # identity start, full-space target, identity neighborhood
 REFERENCE = ("reference", StepInput(
-    f=StepFunction(Z2, 1, {"0": 0, "1": 0}), n=1,
+    f=StepFunction.from_table(Z2, {"0": 0, "1": 0}), n=1,
     action=adding_machine_action(6), family=(1,), target=CylinderSet.full(),
     candidate=1, u_index=1, eps=Fraction(1, 4), mu=UNIFORM))
 
 VARIANTS = [
     ("s3-adding", StepInput(
-        f=StepFunction(S3, 2, {"00": S3.identity(), "01": S3.parse("t02"),
-                               "10": S3.parse("t02"), "11": S3.identity()}),
+        f=StepFunction.from_table(S3, {"00": S3.identity(), "01": S3.parse("t02"),
+                                       "10": S3.parse("t02"), "11": S3.identity()}),
         n=2, action=adding_machine_action(8), family=(S3.parse("t02"),),
         target=CylinderSet.full(), candidate=S3.parse("t01"), u_index=1,
         eps=Fraction(1, 4), mu=UNIFORM)),
     ("s3-flip-iid13", StepInput(
-        f=StepFunction(S3, 1, {"0": S3.identity(), "1": S3.parse("t01")}),
+        f=StepFunction.from_table(S3, {"0": S3.identity(), "1": S3.parse("t01")}),
         n=1, action=flip_action((1,)), family=(S3.parse("t01"),),
         target=CylinderSet.full(), candidate=S3.parse("r"), u_index=1,
         eps=Fraction(1, 8), mu=IID13)),
     ("z2-flip-iid13", StepInput(
-        f=StepFunction(Z2, 1, {"0": 0, "1": 0}), n=1,
+        f=StepFunction.from_table(Z2, {"0": 0, "1": 0}), n=1,
         action=flip_action((1,)), family=(1,), target=CylinderSet.full(),
         candidate=1, u_index=1, eps=Fraction(1, 4), mu=IID13)),
     ("z2-flip-iid25", StepInput(
-        f=StepFunction(Z2, 1, {"0": 0, "1": 0}), n=1,
+        f=StepFunction.from_table(Z2, {"0": 0, "1": 0}), n=1,
         action=flip_action((1,)), family=(1,), target=CylinderSet.full(),
         candidate=1, u_index=1, eps=Fraction(1, 4), mu=IID25)),
     ("z2-flip-period2", StepInput(
-        f=StepFunction(Z2, 1, {"0": 0, "1": 0}), n=1,
+        f=StepFunction.from_table(Z2, {"0": 0, "1": 0}), n=1,
         action=flip_action((1,)), family=(1,), target=CylinderSet.full(),
         candidate=1, u_index=1, eps=Fraction(1, 4), mu=PERIOD2)),
     ("z2-adding-subtarget", StepInput(
-        f=StepFunction(Z2, 1, {"0": 0, "1": 0}), n=1,
+        f=StepFunction.from_table(Z2, {"0": 0, "1": 0}), n=1,
         action=adding_machine_action(10), family=(1,),
         target=CylinderSet.of(["0", "10"]), candidate=1, u_index=1,
         eps=Fraction(1, 16), mu=UNIFORM)),
     ("z3-flip-iid13", StepInput(
-        f=StepFunction(Z3, 1, {"0": 0, "1": 1}), n=1,
+        f=StepFunction.from_table(Z3, {"0": 0, "1": 1}), n=1,
         action=flip_action((1,)), family=(1, 2), target=CylinderSet.full(),
         candidate=1, u_index=1, eps=Fraction(1, 4), mu=IID13)),
     ("z3-adding", StepInput(
-        f=StepFunction(Z3, 1, {"0": 0, "1": 0}), n=1,
+        f=StepFunction.from_table(Z3, {"0": 0, "1": 0}), n=1,
         action=adding_machine_action(6), family=(1, 2),
         target=CylinderSet.full(), candidate=2, u_index=1,
         eps=Fraction(1, 4), mu=UNIFORM)),
     ("z4-adding", StepInput(
-        f=StepFunction(Z4, 2, {"00": 0, "01": 2, "10": 2, "11": 0}),
+        f=StepFunction.from_table(Z4, {"00": 0, "01": 2, "10": 2, "11": 0}),
         n=2, action=adding_machine_action(8), family=(2,),
         target=CylinderSet.full(), candidate=1, u_index=1,
         eps=Fraction(1, 4), mu=UNIFORM)),
     ("z4-flip-iid25", StepInput(
-        f=StepFunction(Z4, 1, {"0": 0, "1": 2}), n=1,
+        f=StepFunction.from_table(Z4, {"0": 0, "1": 2}), n=1,
         action=flip_action((1,)), family=(2,), target=CylinderSet.full(),
         candidate=3, u_index=1, eps=Fraction(1, 4), mu=IID25)),
     ("sum-flip-uniform", StepInput(
-        f=StepFunction(ZZ, 1, {"0": (0, 0), "1": (1, 0)}), n=1,
+        f=StepFunction.from_table(ZZ, {"0": (0, 0), "1": (1, 0)}), n=1,
         action=flip_action((1,)), family=((1, 0), (-1, 0)),
         target=CylinderSet.full(), candidate=(1, 0), u_index=1,
         eps=Fraction(1, 4), mu=UNIFORM)),
     ("sum-flip-iid13", StepInput(
-        f=StepFunction(ZZ, 1, {"0": (0, 0), "1": (1, 0)}), n=1,
+        f=StepFunction.from_table(ZZ, {"0": (0, 0), "1": (1, 0)}), n=1,
         action=flip_action((1,)), family=((1, 0), (-1, 0)),
         target=CylinderSet.full(), candidate=(1, 0), u_index=1,
         eps=Fraction(1, 4), mu=IID13)),
@@ -205,8 +205,8 @@ def test_a3_witnesses_revalidate(step_outputs, flips_run, z3_run):
         mu = config.build_measure()
         for rec in report.by_kind("round"):
             table = rec["artifacts"]["f"]
-            f = StepFunction(model, len(next(iter(table))),
-                             {w: model.parse(v) for w, v in table.items()})
+            f = StepFunction.from_table(
+                model, {w: model.parse(v) for w, v in table.items()})
             theta = FiniteDepthMap(f.depth,
                                    {w: img for w, img in rec["witness"]["moves"]})
             core = CylinderSet.of(rec["witness"]["core"])
@@ -260,15 +260,15 @@ def test_a6_negative_controls(flips_run):
     # disconnected at the projected rung
     controls = [
         (CocycleKernel.coboundary(
-            StepFunction(Z4, 2, {w: 2 * (w.count("1") % 2)
-                                 for w in all_words(2)}), class_depth=2), 2),
+            StepFunction.from_table(Z4, {w: 2 * (w.count("1") % 2)
+                                         for w in all_words(2)}), class_depth=2), 2),
         (CocycleKernel.coboundary(
-            StepFunction(Z2, 2, {w: 0 for w in all_words(2)}),
+            StepFunction.from_table(Z2, {w: 0 for w in all_words(2)}),
             class_depth=2), 2),
         (CocycleKernel.coboundary(
-            StepFunction(S3, 2, {"00": S3.identity(), "01": S3.parse("r"),
-                                 "10": S3.parse("r2"),
-                                 "11": S3.identity()}), class_depth=2), 2),
+            StepFunction.from_table(S3, {"00": S3.identity(), "01": S3.parse("r"),
+                                         "10": S3.parse("r2"),
+                                         "11": S3.identity()}), class_depth=2), 2),
     ]
     for kernel, expected in controls:
         assert skew_connectivity(kernel, depth=1) == expected

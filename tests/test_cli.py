@@ -183,6 +183,50 @@ class TestRun:
         assert "stream_bounds" in kinds
 
 
+def _round_table(records):
+    return records[1]["artifacts"]["f"]
+
+
+def _rename_first_key(table, key):
+    table[key] = table.pop(sorted(table)[0])
+
+
+# malformed data in a stored z2-flips report, each once a traceback
+MALFORMED = {
+    "table-key": lambda rs: _rename_first_key(_round_table(rs), "0x1"),
+    "empty-table": lambda rs: _round_table(rs).clear(),
+    "core-word": lambda rs: rs[1]["witness"].update(core=["0x0"]),
+    "element-label": lambda rs: _round_table(rs).update(
+        {sorted(_round_table(rs))[0]: "7"}),
+    "negative-label": lambda rs: _round_table(rs).update(
+        {sorted(_round_table(rs))[0]: "-1"}),
+}
+
+
+class TestMalformedReport:
+    @pytest.fixture(scope="class")
+    def report_lines(self, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("malformed"))
+        assert main(["run", "--config", "z2-flips", "--rounds", "2",
+                     "--out", out]) == 0
+        with open(os.path.join(out, "report.jsonl")) as fh:
+            return fh.read().splitlines()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_certify_reports_an_error_record(self, case, report_lines,
+                                             tmp_path, capsys):
+        records = [json.loads(line) for line in report_lines]
+        assert records[1]["record"] == "round"
+        MALFORMED[case](records)
+        path = tmp_path / "report.jsonl"
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                                for r in records))
+        rc, out, err = run_cli(capsys, "certify", str(path))
+        assert rc == 1 and out == ""
+        record = json.loads(err.strip())
+        assert record["error"] and record["message"]
+
+
 class TestWrappedPipelines:
     def test_bounded(self, capsys):
         rc, out, _ = run_cli(capsys, "bounded", "--config", "z2-flips",

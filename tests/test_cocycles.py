@@ -18,7 +18,7 @@ from cocyclelab.cocycles import (CocycleKernel, PartialStepFunction,
                                  trivial_on_overflow)
 from cocyclelab.errors import DepthExhausted, DepthMismatch
 from cocyclelab.groups import cyclic_group, symmetric_group_3
-from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
+from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_index
 from cocyclelab.odometer import (PiecewiseCylinderMap, adding_machine,
                                  adding_machine_action, coordinate_flip,
                                  flip_action, orbit_overflow)
@@ -31,12 +31,17 @@ BIASED = ProductMeasure.iid(Fraction(1, 3))
 
 
 def parity_function(depth: int) -> StepFunction:
-    return StepFunction(Z2, depth,
-                        {w: w.count("1") % 2 for w in all_words(depth)})
+    return StepFunction.from_table(
+        Z2, {w: w.count("1") % 2 for w in all_words(depth)})
 
 
 def first_bit(depth: int) -> StepFunction:
-    return StepFunction(Z2, depth, {w: int(w[0]) for w in all_words(depth)})
+    return StepFunction.from_table(Z2, {w: int(w[0]) for w in all_words(depth)})
+
+
+def value_at(p: PartialStepFunction, w: str):
+    """The increment's value on the cylinder of a word of its depth."""
+    return p.values[word_index(w)]
 
 
 class TestStepFunction:
@@ -50,22 +55,40 @@ class TestStepFunction:
         assert f.level_set(1).words == CylinderSet.of(["01", "10"]).words
 
     def test_csv_round_trip(self):
-        f = StepFunction(S3, 2, {w: S3.parse("t01") if w[0] == "0" else S3.parse("e")
-                                 for w in all_words(2)})
+        table = {w: S3.parse("t01") if w[0] == "0" else S3.parse("e")
+                 for w in all_words(2)}
+        f = StepFunction.from_table(S3, table)
         header, *rows = csv.reader(io.StringIO(f.to_csv()))
         assert header == ["word", "value"]
-        assert {w: S3.parse(v) for w, v in rows} == f.table
+        assert {w: S3.parse(v) for w, v in rows} == table
+
+
+    @pytest.mark.parametrize("table,named", [
+        ({}, "no words"),
+        ({"0x1": 0, "000": 0}, "'0x1'"),
+        ({"00": 0, "01": 0, "1": 0, "11": 0}, "'1'"),
+        ({"0": 0, "1 ": 1}, "'1 '"),
+        ({"00": 0, "01": 0, "11": 0}, "'10'"),
+    ])
+    def test_from_table_needs_every_word_of_one_depth(self, table, named):
+        with pytest.raises(DepthMismatch, match=named):
+            StepFunction.from_table(Z2, table)
+
+    def test_from_table_orders_values_by_word_index(self):
+        f = StepFunction.from_table(Z4, {"11": 3, "00": 0, "10": 2, "01": 1})
+        assert f.values == (0, 1, 2, 3)
+        assert StepFunction.from_table(Z4, {"": 2}).values == (2,)
 
 
 class TestPartialStepFunction:
     def test_masked_region_is_undefined(self):
-        p = PartialStepFunction(Z2, 2, {"00": 0, "01": 1}, CylinderSet.of(["1"]))
-        assert p.at("01") == 1
-        assert p.at("11") is None
+        p = PartialStepFunction(Z2, 2, (0, 1, None, None), CylinderSet.of(["1"]))
+        assert value_at(p, "01") == 1
+        assert value_at(p, "11") is None
         assert p.undefined.words == ("1",)
 
     def test_value_set_excludes_masked(self):
-        p = PartialStepFunction(Z2, 1, {"0": 0}, CylinderSet.of(["1"]))
+        p = PartialStepFunction(Z2, 1, (0, None), CylinderSet.of(["1"]))
         assert set(p.value_set()) == {0}
 
 
@@ -75,17 +98,17 @@ class TestIncrements:
         inc = coboundary_increment(f, coordinate_flip(2))
         # flipping one coordinate always changes parity by one
         for w in all_words(3):
-            assert inc.at(w) == 1
+            assert value_at(inc, w) == 1
 
     def test_adding_machine_increment_undefined_on_remainder(self):
         from cocyclelab.odometer import adding_machine
         f = parity_function(2)
         inc = coboundary_increment(f, adding_machine(4))
-        assert inc.at("1111") is None
-        assert inc.at("0000") == 1  # 0000 -> 1000 flips one bit
+        assert value_at(inc, "1111") is None
+        assert value_at(inc, "0000") == 1  # 0000 -> 1000 flips one bit
 
     def test_increments_within(self):
-        doubled = StepFunction(Z4, 1, {"0": 0, "1": 2})
+        doubled = StepFunction.from_table(Z4, {"0": 0, "1": 2})
         check = increments_within(doubled, flip_action((1,)), [2])
         assert check.ok
         check2 = increments_within(doubled, flip_action((1,)), [1])
@@ -102,10 +125,9 @@ class TestIncrements:
         # a generator deeper than f refines the increment to its depth
         deeper = coboundary_increment(f, coordinate_flip(4))
         assert deeper.depth == 4 and first.depth == 2
-        assert all(deeper.at(w) == 0 for w in all_words(4))
+        assert deeper.values == (0,) * 16
         assert coboundary_increment(f, coordinate_flip(4)) is deeper
-        with pytest.raises(TypeError):
-            first.table["00"] = 0
+        assert isinstance(first.values, tuple)
 
     def test_memo_lives_on_the_instance(self):
         flip = coordinate_flip(1)
@@ -123,8 +145,8 @@ class TestIncrements:
         assert same.measure(UNIFORM) == 1
 
     def test_agreement_is_the_intersection_of_its_generators(self):
-        f = StepFunction(Z4, 2, {"00": 0, "01": 1, "10": 0, "11": 3})
-        g = StepFunction(Z4, 2, {"00": 0, "01": 1, "10": 2, "11": 3})
+        f = StepFunction.from_table(Z4, {"00": 0, "01": 1, "10": 0, "11": 3})
+        g = StepFunction.from_table(Z4, {"00": 0, "01": 1, "10": 2, "11": 3})
         agree = increment_agreement(f, g, flip_action((1, 2)))
         assert set(agree.per_generator) == {"s1", "s2"}
         both = agree.per_generator["s1"].intersection(agree.per_generator["s2"])
@@ -135,7 +157,7 @@ class TestIncrements:
 
 class TestTrivialOnOverflow:
     def test_identity_passes(self):
-        f = StepFunction(Z2, 1, {"0": 0, "1": 0})
+        f = StepFunction.from_table(Z2, {"0": 0, "1": 0})
         assert trivial_on_overflow(
             f, orbit_overflow(adding_machine_action(6), 1), 1) is True
 
@@ -146,8 +168,8 @@ class TestTrivialOnOverflow:
 
     def test_undecidable_raises(self):
         # nontrivial exactly on the truncation remainder
-        f = StepFunction(Z2, 4, {w: 1 if w == "1111" else 0
-                                 for w in all_words(4)})
+        f = StepFunction.from_table(Z2, {w: 1 if w == "1111" else 0
+                                         for w in all_words(4)})
         with pytest.raises(DepthExhausted):
             trivial_on_overflow(f, orbit_overflow(adding_machine_action(4), 3), 3)
 
@@ -172,7 +194,7 @@ class TestRatioKernel:
 
 class TestCoboundaryKernel:
     def test_values(self):
-        f = StepFunction(S3, 1, {"0": S3.parse("t01"), "1": S3.parse("e")})
+        f = StepFunction.from_table(S3, {"0": S3.parse("t01"), "1": S3.parse("e")})
         kernel = CocycleKernel.coboundary(f, class_depth=1)
         t01 = S3.parse("t01")
         assert kernel.value("0", "1") == t01
@@ -270,14 +292,16 @@ def corrupted(kernel: CocycleKernel, pair, value) -> CocycleKernel:
 
 
 def uncached_increment(f, sigma):
-    """`coboundary_increment` as it was before memoization (the oracle)."""
+    """`coboundary_increment` as a loop over words, before memoization
+    and dense tables (the oracle): its depth and its word-keyed table of
+    defined values."""
     e = max(f.depth, sigma.max_depth)
     table = {}
     for w in all_words(e):
         img = sigma.apply(w)
         if img is not None:
             table[w] = f.model.mul(f.at(img), f.model.inv(f.at(w)))
-    return PartialStepFunction(f.model, e, table, sigma.remainder())
+    return e, table
 
 
 @st.composite
@@ -286,7 +310,7 @@ def step_functions(draw):
     depth = draw(st.integers(0, 4))
     values = draw(st.lists(st.sampled_from(model.elements()),
                            min_size=1 << depth, max_size=1 << depth))
-    return StepFunction(model, depth, dict(zip(all_words(depth), values)))
+    return StepFunction.from_table(model, dict(zip(all_words(depth), values)))
 
 
 generators = st.one_of(
@@ -300,7 +324,9 @@ generators = st.one_of(
 def test_memoized_increment_matches_uncached_loop(f, calls):
     for sigma in calls:
         got = coboundary_increment(f, sigma)
-        expected = uncached_increment(f, sigma)
-        assert got == expected and dict(got.table) == expected.table
+        depth, table = uncached_increment(f, sigma)
+        assert got.depth == depth and got.undefined == sigma.remainder()
+        assert {w: v for w, v in zip(all_words(depth), got.values)
+                if v is not None} == table
         rebuilt = PiecewiseCylinderMap(sigma.name, sigma.pieces)
         assert coboundary_increment(f, rebuilt) is got

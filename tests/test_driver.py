@@ -7,6 +7,7 @@ level cascade are pinned against closed forms computed here.
 import copy
 import csv
 import dataclasses
+import hashlib
 import inspect
 import io
 import json
@@ -208,6 +209,25 @@ class TestAddingRoundProfile:
         assert certify_report(report.records) == []
 
 
+# sha256 of the one-round z2-adding report at action depth D with depth
+# budget D + 2, recorded before step functions became dense tables; the
+# tables here are four and sixteen times the size of the preset's
+DEEP_ADDING_SHA256 = {
+    14: "cefea28846e02dd76999229b49a715062a63f9e8c15e27ef302518c0bfee40b1",
+    16: "139fe3361929158151cc99038feab5af4abd70a60563640b59182dd248357e44",
+}
+
+
+@pytest.mark.parametrize("depth", sorted(DEEP_ADDING_SHA256))
+def test_deep_adding_report_bytes(depth):
+    config = preset("z2-adding", depth_budget=depth + 2,
+                    action={"kind": "adding-machine", "depth": depth})
+    _, report = run_theorem_02i(config)
+    assert hashlib.sha256(report.text().encode()).hexdigest() == \
+        DEEP_ADDING_SHA256[depth]
+    assert certify_report(report.records) == []
+
+
 class TestIncrementReuse:
     def test_each_increment_is_computed_once(self, monkeypatch):
         made = []
@@ -238,7 +258,7 @@ class TestIncrementReuse:
 
         def fresh(f):
             # a new instance carries no memoized increments
-            return StepFunction(f.model, f.depth, dict(f.table))
+            return StepFunction(f.model, f.depth, f.values)
 
         monkeypatch.setattr(driver, "construct_step", recording)
         _, report = run_theorem_02i(preset(name))
@@ -517,6 +537,8 @@ class TestCertifyTampering:
         "witness.reserve": "7",
         "artifacts.core_mass": "3",
         "artifacts.change_mass.s1": "1/2",
+        "artifacts.z0": ["0"],
+        "artifacts.b_set": ["1"],
         "eps_rule.min_reserve": "5",
         "eps": "1/100000",
         "eps_prime": "1/3",
@@ -547,6 +569,22 @@ class TestCertifyTampering:
             rec[field] = self.FORGED[path]
         clause = self.CLAUSE.get(path, path)
         assert clause in self.clauses(self.tampered(report, forge))
+
+    # on the adding machine the discard set is not empty; a forged z0 or
+    # b_set fails even when its words are malformed
+    @pytest.fixture(scope="class")
+    def adding_report(self):
+        return run_theorem_02i(preset("z2-adding"))[1]
+
+    @pytest.mark.parametrize("field,value", [
+        ("z0", ["0"]), ("z0", ["z"]), ("b_set", ["1"]), ("b_set", ["1a"])])
+    def test_adding_selection_and_discard(self, field, value, adding_report):
+        def forge(records):
+            rec = next(r for r in records if r["record"] == "round")
+            assert rec["artifacts"][field] != value
+            rec["artifacts"][field] = value
+        failures = self.tampered(adding_report, forge)
+        assert self.clauses(failures) == {f"artifacts.{field}"}
 
     # one forgery per record kind that certify rebuilds, keyed by kind and
     # forged field: (report, forgery of that record)
@@ -905,7 +943,7 @@ class TestEvcSearch:
         assert (str(again), again.best) == (str(first), first.best)
         assert "achieved_mass" in first.best
         # a copy of the function starts with an empty memo and searches
-        fresh = exhausted(StepFunction(f.model, f.depth, dict(f.table)))
+        fresh = exhausted(StepFunction(f.model, f.depth, f.values))
         assert len(searches) == 1
         assert (str(fresh), fresh.best) == (str(first), first.best)
         # another tolerance is another search

@@ -32,12 +32,11 @@ BIASED = ProductMeasure.iid(Fraction(1, 3))
 
 
 def first_bit(depth: int) -> StepFunction:
-    return StepFunction(Z2, depth, {w: int(w[0]) for w in all_words(depth)})
+    return StepFunction.from_table(Z2, {w: int(w[0]) for w in all_words(depth)})
 
 
 def parity(depth: int) -> StepFunction:
-    return StepFunction(Z2, depth,
-                        {w: w.count("1") % 2 for w in all_words(depth)})
+    return StepFunction.from_table(Z2, {w: w.count("1") % 2 for w in all_words(depth)})
 
 
 FIRST_BIT_KERNEL = CocycleKernel.coboundary(first_bit(2), class_depth=2)
@@ -129,7 +128,7 @@ class TestCheckEvc:
 
     def test_exhausted_when_value_absent(self):
         # a constant function has no nontrivial kernel values
-        const = StepFunction(Z2, 2, {w: 0 for w in all_words(2)})
+        const = StepFunction.from_table(Z2, {w: 0 for w in all_words(2)})
         kernel = CocycleKernel.coboundary(const, class_depth=2)
         delta, _ = delta_for(Z2, 1, 1)
         with pytest.raises(SearchExhausted) as exc:
@@ -254,8 +253,8 @@ def search_cases(draw):
         elements = model.elements()
         values = st.sampled_from(elements)
         if kind == "coboundary":
-            f = StepFunction(model, depth,
-                             {w: draw(values) for w in all_words(depth)})
+            f = StepFunction.from_table(
+                model, {w: draw(values) for w in all_words(depth)})
             kernel = CocycleKernel.coboundary(f, class_depth=class_depth)
         elif kind == "explicit":
             # c(a, b) = c(b, a)^-1 and c(a, a) = identity, as for a cocycle
@@ -336,7 +335,7 @@ class TestEssentialValueCertificate:
         assert all(e.ok for e in report.entries)
 
     def test_inconclusive_names_failure(self):
-        const = StepFunction(Z2, 2, {w: 0 for w in all_words(2)})
+        const = StepFunction.from_table(Z2, {w: 0 for w in all_words(2)})
         kernel = CocycleKernel.coboundary(const, class_depth=2)
         report = essential_value_certificate(
             kernel, 1, UNIFORM, [CylinderSet.full()], [1], search_depth=5)
@@ -361,8 +360,8 @@ class TestSkewConnectivity:
 
     def test_half_step_subgroup_z4(self):
         # increments confined to {0, 2} leave two cosets disconnected
-        doubled = StepFunction(Z4, 2,
-                               {w: 2 * (w.count("1") % 2) for w in all_words(2)})
+        doubled = StepFunction.from_table(
+            Z4, {w: 2 * (w.count("1") % 2) for w in all_words(2)})
         kernel = CocycleKernel.coboundary(doubled, class_depth=2)
         assert skew_connectivity(kernel, depth=1) == 2
 
@@ -381,7 +380,7 @@ class TestSkewConnectivity:
     def test_guards(self, monkeypatch):
         with pytest.raises(SizeGuard):
             skew_connectivity(CocycleKernel.coboundary(
-                StepFunction(FreeAbelianGroup(1), 1, {"0": (0,), "1": (1,)}),
+                StepFunction.from_table(FreeAbelianGroup(1), {"0": (0,), "1": (1,)}),
                 class_depth=1))
         kernel = CocycleKernel.trivial(Z2, 3, 3)
         with pytest.raises(SizeGuard):

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import groups
-from cocyclelab.errors import ConfigError, SizeGuard, UnboundedClass
+from cocyclelab.errors import (CocycleLabError, ConfigError, MalformedInput,
+                               SizeGuard, UnboundedClass)
 from cocyclelab.evc import delta_for
 from cocyclelab.groups import (DirectSumZGroup, FiniteTableGroup,
                                FreeAbelianGroup, RationalRatioGroup,
@@ -266,3 +267,13 @@ class TestModelFromConfig:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             model_from_config({"kind": "nope"})
+
+
+@pytest.mark.parametrize("model,text", [
+    (Z2, "7"), (Z2, "-1"), (Z2, "2"), (Z2, "z"), (S3, "6"), (S3, "t03")])
+def test_table_group_parse_rejects_unknown_labels(model, text):
+    with pytest.raises(MalformedInput) as exc:
+        model.parse(text)
+    assert isinstance(exc.value, CocycleLabError)
+    assert isinstance(exc.value, ValueError)
+    assert model.parse("1") == 1 and model.parse(model.format(0)) == 0

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cocyclelab.errors import DepthMismatch
 from cocyclelab.measure import (ONE, ZERO, CylinderSet, ProductMeasure,
-                                _normalize, all_words, check_word)
+                                _normalize, all_words, check_word, word_index)
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))
@@ -363,3 +363,58 @@ def test_covers_matches_scan(case):
     s, probes = case
     for w in probes:
         assert s.covers(w) == oracle_covers(s, w)
+
+
+# ---------------------------------------------------------------------------
+# Integer bridges: dense tables indexed by `word_index` against the word
+# forms they replace
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7).flatmap(lambda d: st.tuples(
+    st.just(d), st.sets(st.integers(0, (1 << d) - 1)))))
+def test_from_indices_matches_of(case):
+    depth, indices = case
+    words = [w for w in all_words(depth) if word_index(w) in indices]
+    assert (CylinderSet.from_indices(depth, sorted(indices)).words
+            == CylinderSet.of(words).words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cylinder_sets(), st.integers(0, 8))
+def test_mask_matches_covers(s, depth):
+    mask = s.mask(depth)
+    assert len(mask) == 1 << depth and set(mask) <= {0, 1}
+    assert [w for w in all_words(depth) if mask[word_index(w)]] == [
+        w for w in all_words(depth) if s.covers(w)]
+    assert s.mask(depth) is mask
+
+
+@st.composite
+def level_measures(draw):
+    kind = draw(st.sampled_from(["uniform", "iid", "head+cycle"]))
+    if kind == "uniform":
+        return ProductMeasure.uniform()
+    if kind == "iid":
+        return ProductMeasure.iid(draw(weight_pairs)[0])
+    return ProductMeasure.from_schedule(
+        draw(st.lists(weight_pairs, min_size=1, max_size=3)),
+        draw(st.lists(weight_pairs, min_size=1, max_size=3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_measures(), st.integers(0, 7))
+def test_level_masses_match_cylinder(mu, depth):
+    numerators, denominator = mu.level_masses(depth)
+    assert len(numerators) == 1 << depth
+    for w in all_words(depth):
+        assert Fraction(numerators[word_index(w)], denominator) == mu.cylinder(w)
+
+
+def test_depth_zero_bridges():
+    assert word_index("") == 0
+    assert CylinderSet.from_indices(0, []) == CylinderSet.empty()
+    assert CylinderSet.from_indices(0, [0]) == CylinderSet.full()
+    assert CylinderSet.empty().mask(0) == b"\x00"
+    assert CylinderSet.full().mask(0) == b"\x01"
+    assert BIASED.level_masses(0) == ((1,), 1)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocyclelab.errors import BudgetExhausted, ConfigError
-from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
+from cocyclelab.errors import BudgetExhausted, ConfigError, DepthMismatch
+from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_index
 from cocyclelab.odometer import (FiniteDepthMap, GammaAction,
                                  PiecewiseCylinderMap, adding_machine,
                                  adding_machine_action, coordinate_flip,
@@ -225,3 +225,27 @@ def test_flip_actions_commute(i, j):
     depth = max(i, j) + 1
     for w in all_words(depth):
         assert a.apply(b.apply(w)) == b.apply(a.apply(w))
+
+
+index_maps = st.one_of(
+    st.integers(1, 5).map(coordinate_flip),
+    st.integers(1, 5).map(adding_machine),
+    st.integers(1, 5).map(lambda d: adding_machine(d).inverse()),
+    st.integers(1, 4).map(lambda c: coordinate_flip(c).inverse()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(index_maps, st.integers(0, 3))
+def test_index_map_matches_apply(sigma, beyond):
+    depth = sigma.max_depth + beyond
+    table = sigma.index_map(depth)
+    assert len(table) == 1 << depth
+    for w in all_words(depth):
+        img = sigma.apply(w)
+        assert table[word_index(w)] == (-1 if img is None else word_index(img))
+    assert sigma.index_map(depth) is table
+
+
+def test_index_map_needs_the_piece_depth():
+    with pytest.raises(DepthMismatch):
+        adding_machine(4).index_map(3)

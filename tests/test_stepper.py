@@ -25,7 +25,7 @@ Z4 = cyclic_group(4)
 S3 = symmetric_group_3()
 UNIFORM = ProductMeasure.uniform()
 
-FLAT = StepFunction(Z2, 1, {"0": 0, "1": 0})
+FLAT = StepFunction.from_table(Z2, {"0": 0, "1": 0})
 
 
 def reference_input(**overrides) -> StepInput:
@@ -135,8 +135,8 @@ class TestReferenceCase:
 # (input, m, working depth, formatted h, delta, core mass)
 VARIANTS = [
     ("s3-adding", StepInput(
-        f=StepFunction(S3, 2, {"00": S3.identity(), "01": S3.parse("t02"),
-                               "10": S3.parse("t02"), "11": S3.identity()}),
+        f=StepFunction.from_table(S3, {"00": S3.identity(), "01": S3.parse("t02"),
+                                       "10": S3.parse("t02"), "11": S3.identity()}),
         n=2, action=adding_machine_action(8), family=(S3.parse("t02"),),
         target=CylinderSet.full(), candidate=S3.parse("t01"), u_index=1,
         eps=Fraction(1, 4), mu=UNIFORM),
@@ -147,7 +147,7 @@ VARIANTS = [
         eps=Fraction(1, 4), mu=ProductMeasure.iid(Fraction(1, 3))),
      2, 10, "1", Fraction(1, 3), Fraction(3152, 6561)),
     ("z4-adding", StepInput(
-        f=StepFunction(Z4, 2, {"00": 0, "01": 2, "10": 2, "11": 0}),
+        f=StepFunction.from_table(Z4, {"00": 0, "01": 2, "10": 2, "11": 0}),
         n=2, action=adding_machine_action(8), family=(2,),
         target=CylinderSet.full(), candidate=1, u_index=1,
         eps=Fraction(1, 4), mu=UNIFORM),
@@ -208,12 +208,12 @@ class TestErrorPaths:
             construct_step(reference_input(target=CylinderSet.empty()))
 
     def test_input_must_be_inner(self):
-        bad = StepFunction(Z2, 1, {"0": 0, "1": 1})
+        bad = StepFunction.from_table(Z2, {"0": 0, "1": 1})
         with pytest.raises(ConfigError):
             construct_step(reference_input(f=bad))
 
     def test_input_must_match_family(self):
-        bad = StepFunction(Z4, 1, {"0": 0, "1": 1})
+        bad = StepFunction.from_table(Z4, {"0": 0, "1": 1})
         with pytest.raises(ConfigError):
             construct_step(reference_input(
                 f=bad, action=flip_action((1,)), family=(2,), candidate=1))
@@ -245,15 +245,14 @@ def right_translate_on(f: StepFunction, s: CylinderSet, g) -> StepFunction:
     for w in all_words(depth):
         v = f.at(w)
         table[w] = f.model.mul(v, g) if s.covers(w) else v
-    return StepFunction(f.model, depth, table)
+    return StepFunction.from_table(f.model, table)
 
 
 def _lift_top_word(out):
     # a non-identity value on the adding machine's undecided remainder
-    table = dict(out.f_tilde.table)
-    table["1" * out.working_depth] = 1
+    values = out.f_tilde.values_at(out.working_depth)[:-1] + (1,)
     return dataclasses.replace(
-        out, f_tilde=StepFunction(Z2, out.working_depth, table))
+        out, f_tilde=StepFunction(Z2, out.working_depth, values))
 
 
 def _first_core_word(out):
@@ -305,11 +304,11 @@ class TestValidatorIndependence:
     def test_tampered_update(self):
         inp = reference_input()
         out = construct_step(inp)
-        table = dict(out.f_tilde.table)
-        word = sorted(table)[0]
-        table[word] = Z2.mul(table[word], 1)
+        values = out.f_tilde.values
+        # the lexicographically first word has index 0
+        values = (Z2.mul(values[0], 1),) + values[1:]
         out = dataclasses.replace(
-            out, f_tilde=StepFunction(Z2, out.f_tilde.depth, table))
+            out, f_tilde=StepFunction(Z2, out.f_tilde.depth, values))
         bad = failing_clauses(inp, out)
         assert bad
 
