@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DepthExhausted, DepthMismatch, PostconditionFailure, SizeGuard
@@ -96,11 +96,6 @@ class StepFunction:
         """`evc.check_evc`'s outcomes on coboundary kernels of this
         function, keyed by the search's inputs."""
         return {}
-
-    def at(self, w: Word) -> Element:
-        if len(w) < self.depth:
-            raise DepthMismatch(f"word of depth {len(w)} too shallow for depth {self.depth}")
-        return self.values[word_index(w[: self.depth])]
 
     def values_at(self, depth: int) -> tuple:
         """The values restated at `depth`, at least this function's own,
@@ -240,13 +235,29 @@ class CocycleKernel:
     def value(self, a: Word, b: Word) -> Element:
         if not self.admissible(a, b):
             raise DepthMismatch(f"({a!r}, {b!r}) is not an admissible kernel pair")
+        return self.value_at(word_index(a), word_index(b))
+
+    def value_at(self, a: int, b: int) -> Element:
+        """`value` of the admissible pair of depth-`depth` words with
+        indices a and b (see `word_index`), unchecked."""
         if self.kind == "coboundary":
-            return self.model.mul(self.potential.at(a), self.model.inv(self.potential.at(b)))
+            shift = self.depth - self.potential.depth
+            values = self.potential.values
+            return self.model.mul(values[a >> shift],
+                                  self.model.inv(values[b >> shift]))
         if self.kind == "trivial":
             return self.model.identity()
         if self.kind == "ratio":
-            return self.mu.ratio(b, a)
-        return self.table[(a, b)]
+            # mu.ratio(b, a): the mass of a over the mass of b
+            masses, _ = self.mu.level_masses(self.depth)
+            return Fraction(masses[a], masses[b])
+        return self._indexed_table[a, b]
+
+    @cached_property
+    def _indexed_table(self) -> dict:
+        """The explicit table keyed by word index pairs."""
+        return {(word_index(a), word_index(b)): v
+                for (a, b), v in self.table.items()}
 
     def classes(self) -> Iterable[list[Word]]:
         for suffix in all_words(self.depth - self.class_depth):
@@ -330,8 +341,7 @@ def trivial_on_overflow(f: StepFunction, over: OverflowResult,
         depth = max(f.depth, region.max_depth)
         values = f.values_at(depth)
         return CylinderSet.from_indices(depth, [
-            i for i in compress(range(1 << depth), region.mask(depth))
-            if values[i] != one])
+            i for i in region.indices(depth) if values[i] != one])
 
     if not dirty(over.known).is_empty():
         return False

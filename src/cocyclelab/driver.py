@@ -29,7 +29,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from .cocycles import (KERNEL_EXPORT_DEPTH, AgreementCheck, CocycleKernel,
                        StepFunction, coboundary_increment, cocycle_distance,
                        increment_agreement, increments_within)
-from .errors import CocycleLabError, ConfigError, SearchExhausted
+from .errors import (CocycleLabError, ConfigError, MalformedInput,
+                     SearchExhausted)
 from .evc import (check_evc, delta_for, essential_value_certificate,
                   skew_connectivity, target_set, validate_witness)
 from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
@@ -301,6 +302,9 @@ def _function_table(f: StepFunction) -> dict:
 def _parse_table(model: GroupModel, table: Mapping[str, str]) -> StepFunction:
     """The step function a stored table renders (see `_function_table`);
     its depth is the length of its words."""
+    if not isinstance(table, Mapping) or not all(
+            isinstance(v, str) for v in table.values()):
+        raise MalformedInput("a function table must map words to label text")
     return StepFunction.from_table(
         model, {w: model.parse(v) for w, v in table.items()})
 
@@ -541,7 +545,7 @@ def _run_recursion(config: PipelineConfig,
             "certificates": {c.clause: c.to_mapping() for c in out.certificates},
             "conditions": {"evc_search": fresh_rec},
             "witness": {"core": list(out.core.words),
-                        "moves": sorted(out.theta.moves.items())},
+                        "moves": out.theta.word_moves()},
             "artifacts": {"f": _function_table(out.f_tilde)},
         }
         for (section, field), value in _checked_fields(
@@ -893,7 +897,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         _, rule = round_eps(config, model, mu, triple, rounds[:i])
 
         f = functions[i + 1]
-        theta = FiniteDepthMap(f.depth, dict(rec["witness"]["moves"]))
+        theta = FiniteDepthMap.from_moves(f.depth, rec["witness"]["moves"])
         core = CylinderSet.of(rec["witness"]["core"])
         delta = Fraction(rec["delta"])
         replay = StepArtifacts(f, theta, core, rec["refined_level"],

@@ -15,7 +15,8 @@ from typing import Optional, Sequence
 from .cocycles import CocycleKernel
 from .errors import PostconditionFailure, SearchExhausted, SizeGuard
 from .groups import Cover, Element, GroupModel, covering_number
-from .measure import ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words
+from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, index_word,
+                      worst_deviation)
 from .odometer import FiniteDepthMap
 
 SKEW_BUDGET = 1 << 18  # most vertices, or extension pairs, a connectivity count walks
@@ -95,19 +96,26 @@ def validate_witness(
     if not mass > need:
         return failed("mass", f"mu(B) = {mass} is not above {need}")
     level = max(kernel.depth, part.max_depth, theta.depth)
-    worst_derivative = ZERO
+    table = theta.index_map(level)
+    words = part.indices(level)
+    # kernel words are the top kernel.depth bits of a level index; a class
+    # is fixed by the bits beyond class_depth
+    shift = level - kernel.depth
+    tail = (1 << (level - kernel.class_depth)) - 1
     target_keys = {model.key(t) for t in target}
-    for w in part.words_at(level):
-        img = theta.apply(w)
-        if img[kernel.class_depth:] != w[kernel.class_depth:]:
-            return failed("class", f"theta throws {w} out of its kernel class",
-                          mass - need)
-        value = kernel.value(img[: kernel.depth], w[: kernel.depth])
+    for w in words:
+        img = table[w]
+        if (img ^ w) & tail:
+            return failed("class", f"theta throws {index_word(w, level)} out "
+                          "of its kernel class", mass - need)
+        value = kernel.value_at(img >> shift, w >> shift)
         if model.key(value) not in target_keys:
             return failed("membership",
-                          f"kernel value {model.format(value)} at {w} "
-                          "is outside the target set", mass - need)
-        worst_derivative = max(worst_derivative, mu.deviation(w, img))
+                          f"kernel value {model.format(value)} at "
+                          f"{index_word(w, level)} is outside the target set",
+                          mass - need)
+    worst_derivative = worst_deviation(mu.level_masses(level)[0],
+                                       ((w, table[w]) for w in words))
     if not worst_derivative < delta:
         return failed("derivative",
                       f"derivative deviation {worst_derivative} is not below "
@@ -189,7 +197,7 @@ def _search_witness(kernel, base, target, delta, mu, search_depth) -> EvcWitness
             f"no witness with mass above {need} within depth {search_depth}",
             best={"required_mass": str(need), "achieved_mass": str(mass)})
     theta = FiniteDepthMap.from_pairs(level, pairs)
-    part = CylinderSet.of(b_words)
+    part = CylinderSet.from_indices(level, sorted(b_words))
     check = validate_witness(kernel, base, target, delta, mu, part, theta)
     if not check.ok:
         raise PostconditionFailure(
@@ -212,49 +220,61 @@ def _pair_search(
     """Greedy disjoint pairing at one word level.  A pair (x, y) admits x
     into B when the kernel value of (y, x) is a target and the x-side
     derivative is within delta; both sides may qualify.  Returns (pairs,
-    B-words, B-mass); stops early once the mass threshold is crossed.
-    A deeper level only appends bits to the words (see `check_evc`)."""
-    by_class: dict[Word, dict[Word, Fraction]] = {}
-    for w in base.words_at(level):
-        by_class.setdefault(w[kernel.class_depth:], {})[w] = mu.cylinder(w)
-    pairs: list[tuple[Word, Word]] = []
-    b_words: list[Word] = []
-    mass = ZERO
-    for _, mass_of in sorted(by_class.items()):
-        members = sorted(mass_of, key=lambda w: (-mass_of[w], w))
+    B-words, B-mass), words as level indices; stops early once the mass
+    threshold is crossed.  A deeper level only appends bits to the words
+    (see `check_evc`)."""
+    masses, denominator = mu.level_masses(level)
+    # a class is fixed by the bits beyond class_depth, the low ones
+    tail = (1 << (level - kernel.class_depth)) - 1
+    by_class: dict[int, list[int]] = {}
+    for w in base.indices(level):
+        by_class.setdefault(w & tail, []).append(w)
+    pairs: list[tuple[int, int]] = []
+    b_words: list[int] = []
+    mass = 0  # numerator over the level's denominator
+    for _, members in sorted(by_class.items()):
+        members.sort(key=lambda w: (-masses[w], w))
         if kernel.kind == "coboundary":
-            found = _match_by_value(kernel, members, target, target_keys, delta, mu)
+            found = _match_by_value(kernel, members, target, target_keys,
+                                    delta, masses, level)
         else:
-            found = _match_generic(kernel, members, target_keys, delta, mu)
+            found = _match_generic(kernel, members, target_keys, delta,
+                                   masses, level)
         for x, y, x_ok, y_ok in found:
             pairs.append((x, y))
             if x_ok:
                 b_words.append(x)
-                mass += mass_of[x]
+                mass += masses[x]
             if y_ok:
                 b_words.append(y)
-                mass += mass_of[y]
-        if mass > need:
+                mass += masses[y]
+        if mass * need.denominator > need.numerator * denominator:
             break
-    return pairs, b_words, mass
+    return pairs, b_words, Fraction(mass, denominator)
 
 
-def _match_generic(kernel, members, target_keys, delta, mu):
-    """Quadratic scan; fine for the small classes of non-coboundary kernels."""
+def _match_generic(kernel, members, target_keys, delta, masses, level):
+    """Quadratic scan; fine for the small classes of non-coboundary
+    kernels.  A derivative deviation |n_y - n_x| / n_x is below delta = p/q
+    when |n_y - n_x| * q < p * n_x."""
     model = kernel.model
-    used: set[Word] = set()
+    shift = level - kernel.depth
+    p, q = delta.numerator, delta.denominator
+    used: set[int] = set()
     out = []
     for i, x in enumerate(members):
         if x in used:
             continue
+        nx = masses[x]
         for y in members[i + 1:]:
             if y in used:
                 continue
-            forward = kernel.value(y[: kernel.depth], x[: kernel.depth])
-            x_ok = (model.key(forward) in target_keys
-                    and mu.deviation(x, y) < delta)
+            forward = kernel.value_at(y >> shift, x >> shift)
+            ny = masses[y]
+            gap = abs(ny - nx) * q
+            x_ok = model.key(forward) in target_keys and gap < p * nx
             y_ok = (model.key(model.inv(forward)) in target_keys
-                    and mu.deviation(y, x) < delta)
+                    and gap < p * ny)
             if x_ok or y_ok:
                 used.update((x, y))
                 out.append((x, y, x_ok, y_ok))
@@ -262,28 +282,52 @@ def _match_generic(kernel, members, target_keys, delta, mu):
     return out
 
 
-def _match_by_value(kernel, members, target, target_keys, delta, mu):
+def _match_by_value(kernel, members, target, target_keys, delta, masses,
+                    level):
     """Pairing for coboundary kernels via potential-value lookup: the
-    value of (y, x) lands in the target iff f(y) lies in target * f(x)."""
+    value of (y, x) lands in the target iff f(y) lies in target * f(x).
+    Derivatives are tested as in `_match_generic`."""
     model = kernel.model
-    pot = {w: kernel.potential.at(w[: kernel.depth]) for w in members}
+    shift = level - kernel.potential.depth
+    values = kernel.potential.values
+    p, q = delta.numerator, delta.denominator
+    pot = {w: values[w >> shift] for w in members}
     groups: dict = {}
     for w in members:
         groups.setdefault(model.key(pot[w]), []).append(w)
-    used: set[Word] = set()
+    # members get used roughly in group order, so each group keeps a
+    # cursor past its used front, where the next scan of it starts; a scan
+    # from the front would make the pass quadratic in the class size
+    start = dict.fromkeys(groups, 0)
+    wanted: dict = {}  # potential key -> group keys of target * potential
+    used: set[int] = set()
     out = []
     for x in members:
         if x in used:
             continue
-        for t in target:
-            for y in groups.get(model.key(model.mul(t, pot[x])), ()):
+        nx, px = masses[x], pot[x]
+        keys = wanted.get(model.key(px))
+        if keys is None:
+            keys = wanted[model.key(px)] = [model.key(model.mul(t, px))
+                                            for t in target]
+        for k in keys:
+            group = groups.get(k)
+            if group is None:
+                continue
+            i = start[k]
+            while i < len(group) and group[i] in used:
+                i += 1
+            start[k] = i
+            for j in range(i, len(group)):
+                y = group[j]
                 if y in used or y == x:
                     continue
-                if not mu.deviation(x, y) < delta:
+                ny = masses[y]
+                gap = abs(ny - nx) * q
+                if not gap < p * nx:
                     continue
-                back = model.mul(pot[x], model.inv(pot[y]))
-                y_ok = (model.key(back) in target_keys
-                        and mu.deviation(y, x) < delta)
+                back = model.mul(px, model.inv(pot[y]))
+                y_ok = model.key(back) in target_keys and gap < p * ny
                 used.update((x, y))
                 out.append((x, y, True, y_ok))
                 break
@@ -391,59 +435,52 @@ def skew_connectivity(
     if elements is None:
         raise SizeGuard("connectivity needs a finite group model")
     elements = sorted(elements, key=model.key)
+    n_elements = len(elements)
     index = {model.key(e): i for i, e in enumerate(elements)}
     level = kernel.depth if depth is None else depth
     if not 0 < level <= kernel.depth:
         raise SizeGuard(f"vertex depth must lie in 1..{kernel.depth}")
     n_words = 1 << level
-    if n_words * len(elements) > SKEW_BUDGET:
+    if n_words * n_elements > SKEW_BUDGET:
         raise SizeGuard(
-            f"{n_words * len(elements)} skew vertices exceed budget {SKEW_BUDGET}")
-    tails = list(all_words(kernel.depth - level))
-    word_at = {w: i for i, w in enumerate(all_words(level))}
-    uf = _UnionFind(n_words * len(elements))
-
-    def vertex(w: Word, gi: int) -> int:
-        return word_at[w] * len(elements) + gi
+            f"{n_words * n_elements} skew vertices exceed budget {SKEW_BUDGET}")
+    span = 1 << (kernel.depth - level)  # kernel words per vertex word
+    uf = _UnionFind(n_words * n_elements)
 
     # trivial kernels take the identity between any same-class words, so
     # no extension enumeration is needed for them either
     fast = (kernel.kind == "trivial"
             or (kernel.kind == "coboundary"
                 and kernel.class_depth == kernel.depth))
-    if not fast and len(tails) ** 2 * n_words > SKEW_BUDGET:
+    if not fast and span ** 2 * n_words > SKEW_BUDGET:
         raise SizeGuard("extension pairs exceed budget; deepen the vertices")
 
-    if kernel.class_depth < level:
-        groups: dict[Word, list[Word]] = {}
-        for w in word_at:
-            groups.setdefault(w[kernel.class_depth:], []).append(w)
-        classes = [sorted(g) for _, g in sorted(groups.items())]
-    else:
-        classes = [sorted(word_at)]
+    # a class is fixed by the vertex bits beyond class_depth, the low ones
+    stride = 1 << max(level - kernel.class_depth, 0)
+    classes = [range(c, n_words, stride) for c in range(stride)]
 
     if fast and kernel.kind == "coboundary":
-        # the potential's values on the extensions of the level word with
+        # the potential's values on the extensions of the vertex word with
         # index i fill the slice [i * span, (i + 1) * span)
         potential = kernel.potential.values_at(kernel.depth)
-        span = len(tails)
+    tail = (1 << (kernel.depth - kernel.class_depth)) - 1
 
-    def values_between(first: Word, second: Word) -> set:
+    def values_between(first: int, second: int) -> set:
         if kernel.kind == "trivial":
             return {model.identity()}
+        i, j = first * span, second * span
         if fast:
-            i, j = word_at[first] * span, word_at[second] * span
             firsts = {model.key(v): v for v in potential[i:i + span]}
             seconds = {model.key(v): v for v in potential[j:j + span]}
             return {model.mul(a, model.inv(b))
                     for a in firsts.values() for b in seconds.values()}
-        out = set()
-        for a in tails:
-            for b in tails:
-                if kernel.admissible(first + a, second + b):
-                    out.add(kernel.value(first + a, second + b))
-        return out
+        return {kernel.value_at(a, b)
+                for a in range(i, i + span) for b in range(j, j + span)
+                if not (a ^ b) & tail}
 
+    # vertex (w, g) is w * n_elements + index of g; left multiplication by
+    # a value permutes the element indices, one permutation per value
+    moved_by: dict = {}
     for cls in classes:
         if exhaustive:
             edges = [(a, b) for i, a in enumerate(cls) for b in cls[i + 1:]]
@@ -451,8 +488,12 @@ def skew_connectivity(
             edges = list(zip(cls, cls[1:]))
         for second, first in edges:
             for value in values_between(first, second):
-                for gi, g in enumerate(elements):
-                    moved = index[model.key(model.mul(value, g))]
-                    uf.union(vertex(second, gi), vertex(first, moved))
+                moved = moved_by.get(model.key(value))
+                if moved is None:
+                    moved = moved_by[model.key(value)] = [
+                        index[model.key(model.mul(value, g))] for g in elements]
+                here, there = second * n_elements, first * n_elements
+                for gi, gj in enumerate(moved):
+                    uf.union(here + gi, there + gj)
 
     return uf.count

@@ -206,6 +206,14 @@ def dihedral_group_4() -> FiniteTableGroup:
     return _perm_group("D4", perms, labels)
 
 
+def _integers(name: str, text: str) -> tuple:
+    """The integers of a "/"-separated element id."""
+    try:
+        return tuple(int(x) for x in text.split("/"))
+    except ValueError:
+        raise MalformedInput(f"{name} has no element {text!r}") from None
+
+
 class FreeAbelianGroup(GroupModel):
     """Z^d with componentwise addition; elements are int d-tuples."""
 
@@ -228,9 +236,9 @@ class FreeAbelianGroup(GroupModel):
         return tuple(a)
 
     def parse(self, text):
-        parts = tuple(int(x) for x in text.split("/"))
+        parts = _integers(self.name, text)
         if len(parts) != self.rank:
-            raise ValueError(f"expected {self.rank} components, got {text!r}")
+            raise MalformedInput(f"expected {self.rank} components, got {text!r}")
         return parts
 
     def neighborhood(self, k: int) -> frozenset:
@@ -283,7 +291,7 @@ class DirectSumZGroup(GroupModel):
     def parse(self, text):
         if text in ("", "0"):
             return ()
-        return self._trim(tuple(int(x) for x in text.split("/")))
+        return self._trim(_integers(self.name, text))
 
     def metric(self, a, b):
         return self.norm(self.mul(a, self.inv(b)))
@@ -322,7 +330,9 @@ class DirectProductGroup(GroupModel):
 
     def parse(self, text):
         # single-level products only: the split is on the first bar
-        l, _, r = text.partition("|")
+        l, bar, r = text.partition("|")
+        if not bar:
+            raise MalformedInput(f"{self.name} has no element {text!r}")
         return (self.left.parse(l), self.right.parse(r))
 
     def metric(self, a, b):
@@ -379,7 +389,13 @@ class RationalRatioGroup(GroupModel):
         return (a.numerator, a.denominator)
 
     def parse(self, text):
-        return Fraction(text)
+        try:
+            a = Fraction(text)
+        except (TypeError, ValueError, ZeroDivisionError):
+            a = ZERO
+        if not a > 0:
+            raise MalformedInput(f"{self.name} has no element {text!r}")
+        return a
 
     def neighborhood(self, k: int) -> frozenset:
         return frozenset({ONE})

@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, cycle, islice, product
+from itertools import chain, compress, cycle, islice, product
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -53,12 +53,26 @@ def word_index(w: Word) -> int:
     return int(w, 2) if w else 0
 
 
-def extensions(w: Word, depth: int) -> Iterator[Word]:
-    """All depth-`depth` words extending `w` (lexicographic)."""
-    if depth < len(w):
-        raise DepthMismatch(f"cannot refine word of depth {len(w)} to depth {depth}")
-    for tail in all_words(depth - len(w)):
-        yield w + tail
+def index_word(i: int, depth: int) -> Word:
+    """The depth-`depth` word with index `i`: `word_index` inverted."""
+    return format(i, f"0{depth}b") if depth else ""
+
+
+def worst_deviation(masses: Sequence[int],
+                    pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """The largest derivative deviation |mu(y) / mu(x) - 1| over index
+    pairs (x, y) of one depth, `masses` being that depth's
+    `ProductMeasure.level_masses` numerators: |n_y - n_x| / n_x, compared
+    by cross-multiplication and reduced once, at the end; zero for no
+    pairs.  The strict test ``deviation < p/q`` of one pair is
+    ``|n_y - n_x| * q < p * n_x``."""
+    num, den = 0, 1
+    for x, y in pairs:
+        nx = masses[x]
+        gap = abs(masses[y] - nx)
+        if gap * den > num * nx:
+            num, den = gap, nx
+    return Fraction(num, den)
 
 
 WeightPair = tuple[Fraction, Fraction]
@@ -151,10 +165,15 @@ class ProductMeasure:
             cached = self._level_masses[depth] = (tuple(nums), den)
         return cached
 
-    def _ratio_terms(self, x: Word, y: Word) -> tuple[int, int]:
-        """Numerator and denominator of ``ratio(x, y)``, unreduced: the
-        integer weights are multiplied over the coordinates where the
-        words differ."""
+    def ratio(self, x: Word, y: Word) -> Fraction:
+        """Radon-Nikodym ratio: the product over coordinates i of the
+        weight of y_i over the weight of x_i, the integer weights
+        multiplied where the words differ.
+
+        For a tail-preserving map sending the cylinder of ``x`` onto the
+        cylinder of ``y`` this is the derivative d(mu o map)/d(mu) on ``x``.
+        Both words must have the same depth.
+        """
         if len(x) != len(y):
             raise DepthMismatch(f"ratio needs equal depths, got {len(x)} and {len(y)}")
         head, period = self._integer_weights
@@ -166,22 +185,7 @@ class ProductMeasure:
                 nx, dx = pair[bx == "1"]
                 num *= ny * dx
                 den *= dy * nx
-        return num, den
-
-    def ratio(self, x: Word, y: Word) -> Fraction:
-        """Radon-Nikodym ratio: the product over coordinates i of the
-        weight of y_i over the weight of x_i.
-
-        For a tail-preserving map sending the cylinder of ``x`` onto the
-        cylinder of ``y`` this is the derivative d(mu o map)/d(mu) on ``x``.
-        Both words must have the same depth.
-        """
-        return Fraction(*self._ratio_terms(x, y))
-
-    def deviation(self, x: Word, y: Word) -> Fraction:
-        """``|ratio(x, y) - 1|``, the distance of the derivative from 1."""
-        num, den = self._ratio_terms(x, y)
-        return Fraction(abs(num - den), den)
+        return Fraction(num, den)
 
     def shift(self, n: int) -> "ProductMeasure":
         """The product measure seen by coordinates beyond the n-th."""
@@ -324,10 +328,6 @@ class CylinderSet:
     words: tuple[Word, ...]
 
     @cached_property
-    def _members(self) -> frozenset[Word]:
-        return frozenset(self.words)
-
-    @cached_property
     def _masks(self) -> dict:
         return {}
 
@@ -375,17 +375,12 @@ class CylinderSet:
     def complement(self) -> "CylinderSet":
         return CylinderSet.full().difference(self)
 
-    def covers(self, w: Word) -> bool:
-        """True when the cylinder of `w` is contained in this set."""
-        check_word(w)
-        members = self._members
-        return any(w[:k] in members for k in range(len(w) + 1))
-
     def mask(self, depth: int) -> bytes:
         """Membership table at `depth`: byte i is 1 when the cylinder of
-        the depth-`depth` word with index i lies in the set, as `covers`
-        decides.  Filled one member cylinder at a time and kept per depth
-        on the set."""
+        the depth-`depth` word with index i lies in the set, that is when
+        some member word is a prefix of that word (a member deeper than
+        `depth` contains no whole depth-`depth` cylinder).  Filled one
+        member cylinder at a time and kept per depth on the set."""
         table = self._masks.get(depth)
         if table is None:
             buf = bytearray(1 << depth)
@@ -397,16 +392,14 @@ class CylinderSet:
             table = self._masks[depth] = bytes(buf)
         return table
 
-    def words_at(self, depth: int) -> list[Word]:
-        """The set as a disjoint list of depth-`depth` words (all member
-        cylinders must fit, i.e. depth >= max_depth)."""
+    def indices(self, depth: int) -> list[int]:
+        """The set as the ascending indices of depth-`depth` words (all
+        member cylinders must fit, i.e. depth >= max_depth): what
+        `from_indices` takes."""
         if depth < self.max_depth:
             raise DepthMismatch(
                 f"set has cylinders of depth {self.max_depth}, cannot list at {depth}")
-        out: list[Word] = []
-        for w in self.words:
-            out.extend(extensions(w, depth))
-        return sorted(out)
+        return list(compress(range(1 << depth), self.mask(depth)))
 
     def saturate(self, n: int) -> "CylinderSet":
         """Hull under the level-`n` relation: free the first n coordinates.

@@ -19,65 +19,90 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import chain
+from typing import Iterable, Optional, Sequence
 
-from .errors import BudgetExhausted, ConfigError, DepthMismatch
+from .errors import BudgetExhausted, ConfigError, DepthMismatch, MalformedInput
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
-                      check_word, word_index)
+                      check_word, index_word, word_index)
 
 
 @dataclass(frozen=True)
 class FiniteDepthMap:
     """A permutation of the depth-`depth` words, identity beyond.
 
-    Only moved words are stored; ``apply`` treats missing entries as
-    fixed.  The stored entries must form a permutation of their own key
-    set, which makes the whole table a permutation of all depth words.
+    ``table`` holds the image of each depth word by word index (see
+    `measure.word_index`), so the map moves the top `depth` bits of a
+    deeper index and keeps the rest.  Words appear only in `from_moves`
+    and `word_moves`, the map's form in reports.
     """
 
     depth: int
-    moves: Mapping[Word, Word]
+    table: tuple[int, ...]
 
     def __post_init__(self):
-        for s, t in self.moves.items():
-            if len(s) != self.depth or len(t) != self.depth:
-                raise DepthMismatch("all moved words must have the map's depth")
-            check_word(s), check_word(t)
-        targets = set(self.moves.values())
-        if len(targets) != len(self.moves) or targets != set(self.moves.keys()):
-            raise ValueError("moves must permute their own key set")
+        if len(self.table) != 1 << self.depth:
+            raise DepthMismatch(
+                f"table has {len(self.table)} entries, needs {1 << self.depth} "
+                f"at depth {self.depth}")
+        if sorted(self.table) != list(range(1 << self.depth)):
+            raise MalformedInput("the moves must permute their own words")
+
+    @cached_property
+    def _index_maps(self) -> dict:
+        return {}
 
     @staticmethod
     def identity(depth: int) -> "FiniteDepthMap":
-        return FiniteDepthMap(depth, {})
+        return FiniteDepthMap(depth, tuple(range(1 << depth)))
 
     @staticmethod
-    def from_pairs(depth: int, pairs: Iterable[tuple[Word, Word]]) -> "FiniteDepthMap":
-        """Involution swapping each (a, b) pair; pairs of depth < `depth`
-        are expanded over all common tails."""
-        moves: dict[Word, Word] = {}
+    def from_pairs(depth: int, pairs: Iterable[tuple[int, int]]) -> "FiniteDepthMap":
+        """Involution swapping the words with indices a and b for each
+        disjoint pair (a, b) of depth-`depth` word indices."""
+        table = list(range(1 << depth))
         for a, b in pairs:
-            if len(a) != len(b):
-                raise DepthMismatch("pair members must have equal depth")
-            if len(a) > depth:
-                raise DepthMismatch("pair deeper than the map")
-            for tail in all_words(depth - len(a)):
-                moves[a + tail] = b + tail
-                moves[b + tail] = a + tail
-        return FiniteDepthMap(depth, moves)
+            table[a], table[b] = b, a
+        return FiniteDepthMap(depth, tuple(table))
 
-    def apply(self, w: Word) -> Word:
-        if len(w) < self.depth:
-            raise DepthMismatch(f"word of depth {len(w)} too shallow for depth-{self.depth} map")
-        head = self.moves.get(w[: self.depth], w[: self.depth])
-        return head + w[self.depth:]
+    @staticmethod
+    def from_moves(depth: int,
+                   moves: Iterable[tuple[Word, Word]]) -> "FiniteDepthMap":
+        """The map of (word, image) pairs as `word_moves` lists them;
+        unlisted words are fixed."""
+        table = list(range(1 << depth))
+        for s, t in moves:
+            if len(s) != depth or len(t) != depth:
+                raise DepthMismatch("all moved words must have the map's depth")
+            table[word_index(check_word(s))] = word_index(check_word(t))
+        return FiniteDepthMap(depth, tuple(table))
 
-    def inverse(self) -> "FiniteDepthMap":
-        return FiniteDepthMap(self.depth, {t: s for s, t in self.moves.items()})
+    def word_moves(self) -> list[tuple[Word, Word]]:
+        """(word, image) for each word the map moves, in word order."""
+        return [(index_word(i, self.depth), index_word(j, self.depth))
+                for i, j in enumerate(self.table) if i != j]
+
+    def index_map(self, depth: int) -> tuple[int, ...]:
+        """The table restated at `depth`, at least the map's own: entry i
+        is the index of the image of the depth-`depth` word with index i.
+        Kept per depth on the map."""
+        if depth == self.depth:
+            return self.table
+        table = self._index_maps.get(depth)
+        if table is None:
+            if depth < self.depth:
+                raise DepthMismatch(
+                    f"word of depth {depth} too shallow for depth-{self.depth} map")
+            span = 1 << (depth - self.depth)
+            table = self._index_maps[depth] = tuple(chain.from_iterable(
+                range(j * span, (j + 1) * span) for j in self.table))
+        return table
 
     def image_of(self, s: CylinderSet) -> CylinderSet:
-        words = s.words_at(max(self.depth, s.max_depth))
-        return CylinderSet.of(self.apply(w) for w in words)
+        depth = max(self.depth, s.max_depth)
+        table = self.index_map(depth)
+        return CylinderSet.from_indices(
+            depth, sorted(table[i] for i in s.indices(depth)))
 
 
 @dataclass(frozen=True)
@@ -118,22 +143,12 @@ class PiecewiseCylinderMap:
         """Cylinders where the truncated map is undefined."""
         return self.domain().complement()
 
-    def apply(self, w: Word) -> Optional[Word]:
-        """Image of a word deep enough to decide its piece, or None when
-        the word lies in the undefined remainder."""
-        for s, t in self.pieces:
-            if w.startswith(s):
-                return t + w[len(s):]
-        if any(s.startswith(w) for s, _ in self.pieces):
-            raise DepthMismatch(f"word {w!r} too shallow to decide a piece of {self.name}")
-        return None
-
     @cached_property
     def _index_maps(self) -> dict:
         return {}
 
     def index_map(self, depth: int) -> tuple[int, ...]:
-        """`apply` on all depth-`depth` words at once, by word index (see
+        """The map on all depth-`depth` words at once, by word index (see
         `word_index`): entry i is the index of the image of word i, or -1
         on the remainder.  Each piece maps one contiguous index range
         onto another.  Kept per depth on the map."""
@@ -285,20 +300,23 @@ def orbit_overflow(action: GammaAction, level: int) -> OverflowResult:
 class InvolutionResult:
     """A finite-depth involution pairing `inside` against itself.
 
-    ``pairs`` lists the matched cylinder pairs (lexicographically smaller
-    member first); ``fixed`` is the unpaired remainder inside the target
-    set, of measure below the requested tolerance.
+    ``pairs`` lists the matched pairs of word indices at the depth of
+    `tau` (smaller index first, in index order); ``fixed`` is the
+    unpaired remainder inside the target set, of measure below the
+    requested tolerance.
     """
 
     tau: FiniteDepthMap
-    pairs: tuple[tuple[Word, Word], ...]
+    pairs: tuple[tuple[int, int], ...]
     fixed: CylinderSet
 
     def first_sides(self) -> CylinderSet:
-        return CylinderSet.of(a for a, _ in self.pairs)
+        return CylinderSet.from_indices(self.tau.depth,
+                                        sorted(a for a, _ in self.pairs))
 
     def second_sides(self) -> CylinderSet:
-        return CylinderSet.of(b for _, b in self.pairs)
+        return CylinderSet.from_indices(self.tau.depth,
+                                        sorted(b for _, b in self.pairs))
 
 
 def exchange_involution(
@@ -319,7 +337,8 @@ def exchange_involution(
     mass is still >= `eps`, restart one level deeper (restarting, rather
     than refining only leftovers, lets new equal-measure partners appear
     across old pair boundaries).  Raises :class:`BudgetExhausted` when
-    `max_depth` is reached first.
+    `max_depth` is reached first.  Words are handled by index and
+    measures by the level's integer mass numerators.
     """
     eps = Fraction(eps)
     leftover = eps if leftover is None else Fraction(leftover)
@@ -327,41 +346,43 @@ def exchange_involution(
         raise ValueError("eps and leftover must be positive")
     if inside.is_empty():
         return InvolutionResult(FiniteDepthMap.identity(0), (), CylinderSet.empty())
+    p, q = eps.numerator, eps.denominator
 
-    def ratio_ok(a: Word, b: Word) -> bool:
-        return mu.deviation(a, b) < eps and mu.deviation(b, a) < eps
-
-    best: Optional[tuple[list[tuple[Word, Word]], list[Word], Fraction]] = None
+    best: Optional[tuple[list[tuple[int, int]], list[int], Fraction, int]] = None
     for depth in range(max(inside.max_depth, 1), max_depth + 1):
-        level_words = inside.words_at(depth)
-        pairs: list[tuple[Word, Word]] = []
-        unpaired: list[Word] = []
-        by_measure: dict[Fraction, list[Word]] = {}
-        for w in sorted(level_words):
-            by_measure.setdefault(mu.cylinder(w), []).append(w)
+        masses, denominator = mu.level_masses(depth)
+        pairs: list[tuple[int, int]] = []
+        unpaired: list[int] = []
+        by_measure: dict[int, list[int]] = {}
+        for i in inside.indices(depth):
+            by_measure.setdefault(masses[i], []).append(i)
         for m in sorted(by_measure):
             group = by_measure[m]
             for i in range(0, len(group) - 1, 2):
                 pairs.append((group[i], group[i + 1]))
             if len(group) % 2:
                 unpaired.append(group[-1])
-        # greedy ratio pass over the odd ones out, largest measure first
-        unpaired.sort(key=lambda w: (-mu.cylinder(w), w))
+        # greedy ratio pass over the odd ones out, largest measure first;
+        # both derivative deviations |n_b - n_a| / n_a and / n_b below eps,
+        # the one over the lighter word n_b being the larger
+        unpaired.sort(key=lambda i: (-masses[i], i))
         used = [False] * len(unpaired)
-        leftovers: list[Word] = []
+        leftovers: list[int] = []
         for i, a in enumerate(unpaired):
             if used[i]:
                 continue
+            na = masses[a]
             for j in range(i + 1, len(unpaired)):
-                if not used[j] and ratio_ok(a, unpaired[j]):
+                nb = masses[unpaired[j]]
+                if not used[j] and (na - nb) * q < p * nb:
                     pairs.append(tuple(sorted((a, unpaired[j]))))
                     used[i] = used[j] = True
                     break
             if not used[i]:
                 leftovers.append(a)
-        remaining = sum((mu.cylinder(w) for w in leftovers), ZERO)
+        remaining = Fraction(sum(masses[i] for i in leftovers), denominator)
         if best is None or remaining < best[2]:
-            best = (pairs, leftovers, remaining)
+            best = (pairs, leftovers, remaining, depth)
         if remaining < leftover:
             break
     else:
@@ -369,8 +390,7 @@ def exchange_involution(
             f"no involution within depth {max_depth}: "
             f"unpaired mass {best[2]} >= {leftover}")
 
-    pairs, leftovers, _ = best
-    fixed = CylinderSet.of(leftovers)
-    table_depth = max((len(a) for a, _ in pairs), default=max(inside.max_depth, 0))
-    tau = FiniteDepthMap.from_pairs(table_depth, pairs)
+    pairs, leftovers, _, depth = best
+    fixed = CylinderSet.from_indices(depth, sorted(leftovers))
+    tau = FiniteDepthMap.from_pairs(depth if pairs else inside.max_depth, pairs)
     return InvolutionResult(tau, tuple(sorted(pairs)), fixed)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
 
 from .cocycles import (AgreementCheck, StepFunction, coboundary_increment,
@@ -35,7 +36,7 @@ from .errors import (ConfigError, DepthExhausted, EmptyCore,
                      PostconditionFailure)
 from .evc import delta_for, target_set
 from .groups import Cover, Element, conjugate_closure
-from .measure import ZERO, CylinderSet, ProductMeasure, Word, all_words
+from .measure import CylinderSet, ProductMeasure, worst_deviation
 from .odometer import (FiniteDepthMap, GammaAction, InvolutionResult,
                        exchange_involution, orbit_overflow)
 
@@ -330,18 +331,22 @@ def fingerprint_partition(f: StepFunction, z0: CylinderSet, n: int,
                           mu: ProductMeasure) -> tuple[FingerprintClass, ...]:
     """Group suffix words by the multiset of (masked value, prefix
     weight) pairs their prefix column produces, the masked value being
-    f's off `z0` (see `_fingerprint_value`); classes are ordered by mass,
-    then by least member."""
-    suffix_depth = max(f.depth, z0.max_depth, n) - n
-    suffix_mu = mu.shift(n)
-    prefixes = list(all_words(n))
-    weights = {t: mu.cylinder(t) for t in prefixes}
-    groups: dict[tuple, list[Word]] = {}
-    for w in all_words(suffix_depth):
-        column = sorted((_fingerprint_value(f, z0, t + w), weights[t])
-                        for t in prefixes)
+    f's off `z0` (see `_masked_labels`) and the prefix weight its mass
+    numerator at level n; classes are ordered by mass, then by least
+    member."""
+    depth = max(f.depth, z0.max_depth, n)
+    suffix_depth = depth - n
+    labels = _masked_labels(f, z0, depth)
+    weights = mu.level_masses(n)[0]
+    # the column of suffix w holds the indices t * stride + w, t a prefix
+    stride = 1 << suffix_depth
+    groups: dict[tuple, list[int]] = {}
+    for w in range(stride):
+        column = sorted(zip(labels[w::stride], weights))
         groups.setdefault(tuple(column), []).append(w)
-    parts = [CylinderSet.of(words) for words in groups.values()]
+    suffix_mu = mu.shift(n)
+    parts = [CylinderSet.from_indices(suffix_depth, words)
+             for words in groups.values()]
     classes = [FingerprintClass(part, part.measure(suffix_mu)) for part in parts]
     classes.sort(key=lambda c: (-c.mass, c.part.words[0]))
     return tuple(classes)
@@ -416,21 +421,15 @@ def build_transfer(z0: CylinderSet, b_set: CylinderSet, a_set: CylinderSet,
                    depth: int) -> tuple[FiniteDepthMap, CylinderSet]:
     """The pairing transformation (deep exchange off the discard set,
     identity on it) and the core: the part of z0 on the first exchange
-    side, clear of the discard set."""
-    tau = involution.tau
+    side, clear of the discard set.  The deep exchange rewrites the low
+    depth - m bits of an index."""
+    deep = involution.tau.index_map(depth - m)
+    low = len(deep) - 1
     discard, first, selected = (s.mask(depth) for s in (b_set, a_set, z0))
-    moves: dict[Word, Word] = {}
-    core: list[int] = []
-    for i, w in enumerate(all_words(depth)):
-        if discard[i]:
-            continue
-        deep = w[m:]
-        image = tau.apply(deep)
-        if image != deep:
-            moves[w] = w[:m] + image
-        if first[i] and selected[i]:
-            core.append(i)
-    return FiniteDepthMap(depth, moves), CylinderSet.from_indices(depth, core)
+    table = tuple(i if discard[i] else i - (i & low) + deep[i & low]
+                  for i in range(1 << depth))
+    core = [i for i in z0.indices(depth) if first[i] and not discard[i]]
+    return FiniteDepthMap(depth, table), CylinderSet.from_indices(depth, core)
 
 
 def construct_step(inp: StepInput) -> StepOutput:
@@ -529,11 +528,10 @@ def _certify(inp: StepInput, eps_prime: Fraction,
         "product measure: the distribution beyond any level is the same "
         f"shifted weight schedule on every fiber (schedule {mu.schedule_key()})"))
 
-    deep_mu = mu.shift(m)
-    worst_pair = ZERO
-    for a, b in involution.pairs:
-        worst_pair = max(worst_pair, deep_mu.deviation(a, b),
-                         deep_mu.deviation(b, a))
+    pairs = involution.pairs
+    worst_pair = worst_deviation(
+        mu.shift(m).level_masses(involution.tau.depth)[0],
+        chain(pairs, ((b, a) for a, b in pairs)))
     certs.append(Certificate(
         "suffix_derivative", worst_pair < eps,
         f"exchange derivative deviation {worst_pair} < {eps} "
@@ -545,15 +543,10 @@ def _certify(inp: StepInput, eps_prime: Fraction,
         "each class is a middle-block set, hence exactly invariant under "
         f"the deep exchange (budget {[str(4 * eps * c.mass) for c in partition]})"))
 
-    worst_move = ZERO
-    worst_print = 0
-    for w in sorted(theta.moves):
-        image = theta.apply(w)
-        worst_move = max(worst_move, mu.deviation(w, image))
-        fw = _fingerprint_value(f, selection.z0, w)
-        fi = _fingerprint_value(f, selection.z0, image)
-        if fw != fi:
-            worst_print += 1
+    moves = [(w, image) for w, image in enumerate(theta.table) if w != image]
+    worst_move = worst_deviation(mu.level_masses(theta.depth)[0], moves)
+    labels = _masked_labels(f, selection.z0, theta.depth)
+    worst_print = sum(labels[w] != labels[image] for w, image in moves)
     certs.append(Certificate(
         "transfer_derivative", worst_move < 3 * eps,
         f"pairing derivative deviation {worst_move} < {3 * eps}"))
@@ -568,12 +561,13 @@ def _certify(inp: StepInput, eps_prime: Fraction,
     return tuple(certs)
 
 
-def _fingerprint_value(f: StepFunction, z0: CylinderSet, w: Word) -> str:
-    """The value of f at `w` masked off z0: its label on z0, the
-    undefined mark elsewhere."""
-    if not z0.covers(w):
-        return UNDEFINED_MARK
-    return f.model.format(f.at(w))
+def _masked_labels(f: StepFunction, z0: CylinderSet, depth: int) -> list[str]:
+    """f's masked value at each depth-`depth` word index: its label on z0,
+    the undefined mark elsewhere."""
+    values = f.values_at(depth)
+    label = {v: f.model.format(v) for v in set(values)}
+    return [label[v] if inside else UNDEFINED_MARK
+            for v, inside in zip(values, z0.mask(depth))]
 
 
 def validate_step_output(inp: StepInput, out) -> StepCheck:
@@ -598,14 +592,23 @@ def validate_step_output(inp: StepInput, out) -> StepCheck:
 
     target_keys = {model.key(t)
                    for t in target_set(model, inp.candidate, inp.u_index)}
+    depth = out.working_depth
+    table = theta.index_map(depth)
+    values = f_tilde.values_at(depth)
+    words = core.indices(depth)
+    # whether the increment of a (value at the image, value) pair lands in
+    # the target, decided once per distinct pair
+    lands: dict[tuple, bool] = {}
     misses = 0
-    worst = ZERO
-    for w in core.words_at(out.working_depth):
-        moved = theta.apply(w)
-        increment = model.mul(f_tilde.at(moved), model.inv(f_tilde.at(w)))
-        if model.key(increment) not in target_keys:
-            misses += 1
-        worst = max(worst, mu.deviation(w, moved))
+    for w in words:
+        pair = (values[table[w]], values[w])
+        ok = lands.get(pair)
+        if ok is None:
+            ok = lands[pair] = model.key(
+                model.mul(pair[0], model.inv(pair[1]))) in target_keys
+        misses += not ok
+    worst = worst_deviation(mu.level_masses(depth)[0],
+                            ((w, table[w]) for w in words))
 
     agreement = increment_agreement(f, f_tilde, action)
     old_inc = [coboundary_increment(f, g) for g in action.maps()]

@@ -207,8 +207,7 @@ def test_a3_witnesses_revalidate(step_outputs, flips_run, z3_run):
             table = rec["artifacts"]["f"]
             f = StepFunction.from_table(
                 model, {w: model.parse(v) for w, v in table.items()})
-            theta = FiniteDepthMap(f.depth,
-                                   {w: img for w, img in rec["witness"]["moves"]})
+            theta = FiniteDepthMap.from_moves(f.depth, rec["witness"]["moves"])
             core = CylinderSet.of(rec["witness"]["core"])
             kernel = CocycleKernel.coboundary(f, class_depth=f.depth)
             base = CylinderSet.of(rec["triple"]["base"])

@@ -203,21 +203,38 @@ MALFORMED = {
 }
 
 
+# malformed data in a stored one-round norm-bounded sum-z report
+MALFORMED_SUM_Z = {
+    "value-text": lambda rs: _round_table(rs).update(
+        {sorted(_round_table(rs))[0]: "x"}),
+    "table-list": lambda rs: rs[1]["artifacts"].update(
+        f=sorted(_round_table(rs).items())),
+}
+
+
+def _report_lines(out, argv):
+    assert main([*argv, "--out", out]) == 0
+    with open(os.path.join(out, "report.jsonl")) as fh:
+        return fh.read().splitlines()
+
+
 class TestMalformedReport:
     @pytest.fixture(scope="class")
     def report_lines(self, tmp_path_factory):
-        out = str(tmp_path_factory.mktemp("malformed"))
-        assert main(["run", "--config", "z2-flips", "--rounds", "2",
-                     "--out", out]) == 0
-        with open(os.path.join(out, "report.jsonl")) as fh:
-            return fh.read().splitlines()
+        return _report_lines(str(tmp_path_factory.mktemp("malformed")),
+                             ["run", "--config", "z2-flips", "--rounds", "2"])
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED))
-    def test_certify_reports_an_error_record(self, case, report_lines,
-                                             tmp_path, capsys):
-        records = [json.loads(line) for line in report_lines]
+    @pytest.fixture(scope="class")
+    def sum_z_lines(self, tmp_path_factory):
+        return _report_lines(str(tmp_path_factory.mktemp("malformed-sum-z")),
+                             ["norm-bounded", "--config", "sum-z",
+                              "--rounds", "1"])
+
+    @staticmethod
+    def certify_edited(lines, edit, tmp_path, capsys):
+        records = [json.loads(line) for line in lines]
         assert records[1]["record"] == "round"
-        MALFORMED[case](records)
+        edit(records)
         path = tmp_path / "report.jsonl"
         path.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
                                 for r in records))
@@ -225,6 +242,19 @@ class TestMalformedReport:
         assert rc == 1 and out == ""
         record = json.loads(err.strip())
         assert record["error"] and record["message"]
+        return record
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_certify_reports_an_error_record(self, case, report_lines,
+                                             tmp_path, capsys):
+        self.certify_edited(report_lines, MALFORMED[case], tmp_path, capsys)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SUM_Z))
+    def test_sum_z_certify_reports_an_error_record(self, case, sum_z_lines,
+                                                   tmp_path, capsys):
+        record = self.certify_edited(sum_z_lines, MALFORMED_SUM_Z[case],
+                                     tmp_path, capsys)
+        assert record["error"] == "MalformedInput"
 
 
 class TestWrappedPipelines:

@@ -22,6 +22,7 @@ from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_inde
 from cocyclelab.odometer import (PiecewiseCylinderMap, adding_machine,
                                  adding_machine_action, coordinate_flip,
                                  flip_action, orbit_overflow)
+from word_oracles import apply_piece, step_at
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -46,8 +47,10 @@ def value_at(p: PartialStepFunction, w: str):
 
 class TestStepFunction:
     def test_prefix_lookup(self):
+        # a deeper word reads the value of its prefix at the function's depth
         f = first_bit(1)
-        assert f.at("0110") == 0 and f.at("10") == 1
+        assert f.values_at(4)[word_index("0110")] == 0
+        assert f.values_at(2)[word_index("10")] == 1
 
     def test_value_and_level_sets(self):
         f = parity_function(2)
@@ -298,9 +301,9 @@ def uncached_increment(f, sigma):
     e = max(f.depth, sigma.max_depth)
     table = {}
     for w in all_words(e):
-        img = sigma.apply(w)
+        img = apply_piece(sigma, w)
         if img is not None:
-            table[w] = f.model.mul(f.at(img), f.model.inv(f.at(w)))
+            table[w] = f.model.mul(step_at(f, img), f.model.inv(step_at(f, w)))
     return e, table
 
 

@@ -887,7 +887,7 @@ class TestEvcSearch:
             try:
                 witness = real_check(*args, **kwargs)
                 # only the identity fast path returns a map that moves nothing
-                outcome = "pairs" if witness.theta.moves else "identity"
+                outcome = "pairs" if witness.theta.word_moves() else "identity"
                 return witness
             finally:
                 checks.append((key, outcome, len(searches) - before))

@@ -15,13 +15,16 @@ from cocyclelab import evc
 from cocyclelab.cocycles import CocycleKernel, StepFunction
 from cocyclelab.errors import (CocycleLabError, PostconditionFailure,
                                SearchExhausted, SizeGuard)
-from cocyclelab.evc import (EvcWitness, check_evc, delta_for,
-                            essential_value_certificate, skew_connectivity,
-                            target_set, validate_witness)
+from cocyclelab.evc import (EvcWitness, WitnessValidation, check_evc,
+                            delta_for, essential_value_certificate,
+                            skew_connectivity, target_set, validate_witness)
 from cocyclelab.groups import (FreeAbelianGroup, cyclic_group,
                                symmetric_group_3)
-from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
+from cocyclelab.measure import (CylinderSet, ProductMeasure, all_words,
+                                index_word, word_index)
 from cocyclelab.odometer import FiniteDepthMap
+from word_oracles import (WordMap, deviation, kernel_value, map_apply,
+                          word_pairs_map, words_at)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -44,7 +47,7 @@ FIRST_BIT_KERNEL = CocycleKernel.coboundary(first_bit(2), class_depth=2)
 
 def good_witness():
     part = CylinderSet.of(["00", "01"])
-    theta = FiniteDepthMap.from_pairs(2, [("00", "10"), ("01", "11")])
+    theta = word_pairs_map(2, [("00", "10"), ("01", "11")])
     return part, theta
 
 
@@ -70,20 +73,20 @@ class TestValidateWitness:
         check = validate_witness(
             FIRST_BIT_KERNEL, CylinderSet.of(["0"]), self.TARGET,
             self.DELTA, UNIFORM, CylinderSet.of(["00"]),
-            FiniteDepthMap.from_pairs(2, [("00", "10")]))
+            word_pairs_map(2, [("00", "10")]))
         assert not check.ok and check.clause == "image-inside"
 
     def test_mass(self):
         check = validate_witness(
             FIRST_BIT_KERNEL, CylinderSet.full(), self.TARGET, self.DELTA,
             UNIFORM, CylinderSet.of(["00"]),
-            FiniteDepthMap.from_pairs(2, [("00", "10")]))
+            word_pairs_map(2, [("00", "10")]))
         assert not check.ok and check.clause == "mass"
 
     def test_class(self):
         kernel = CocycleKernel.coboundary(first_bit(3), class_depth=1)
         part = CylinderSet.of(["000", "001", "010"])
-        theta = FiniteDepthMap.from_pairs(3, [("000", "011"), ("001", "010")])
+        theta = word_pairs_map(3, [("000", "011"), ("001", "010")])
         check = validate_witness(kernel, CylinderSet.full(), self.TARGET,
                                  self.DELTA, UNIFORM, part, theta)
         assert not check.ok and check.clause == "class"
@@ -92,7 +95,7 @@ class TestValidateWitness:
         # theta moving within the same first bit realizes the identity,
         # not the requested value
         part = CylinderSet.of(["00"])
-        theta = FiniteDepthMap.from_pairs(2, [("00", "01")])
+        theta = word_pairs_map(2, [("00", "01")])
         check = validate_witness(FIRST_BIT_KERNEL, CylinderSet.of(["0"]),
                                  self.TARGET, self.DELTA, UNIFORM, part, theta)
         assert not check.ok and check.clause == "membership"
@@ -122,8 +125,8 @@ class TestCheckEvc:
                             target_set(Z2, 1, 1), delta, UNIFORM)
         assert witness.part.measure(UNIFORM) > delta
         level = witness.theta.depth
-        for w in witness.part.words_at(level):
-            img = witness.theta.apply(w)
+        for w in words_at(witness.part, level):
+            img = map_apply(witness.theta, w)
             assert FIRST_BIT_KERNEL.value(img[:2], w[:2]) == 1
 
     def test_exhausted_when_value_absent(self):
@@ -148,10 +151,10 @@ class TestCheckEvc:
 
 
 def deepening_check_evc(kernel, base, target, delta, mu, search_depth=14):
-    """Oracle: the level-by-level witness search.  It tries every level
-    from the kernel's (or the base's) depth up to `search_depth`, stops
-    at the first whose pairing has enough mass, and computes each word's
-    mass where it uses it."""
+    """Oracle: the level-by-level witness search over words.  It tries
+    every level from the kernel's (or the base's) depth up to
+    `search_depth`, stops at the first whose pairing has enough mass, and
+    computes each word's mass where it uses it."""
     delta = Fraction(delta)
     model = kernel.model
     target = tuple(target)
@@ -160,10 +163,11 @@ def deepening_check_evc(kernel, base, target, delta, mu, search_depth=14):
         raise SearchExhausted("the base set is empty", best={})
 
     if model.key(model.identity()) in target_keys and delta < 1:
-        theta = FiniteDepthMap.identity(kernel.depth)
-        check = validate_witness(kernel, base, target, delta, mu, base, theta)
+        theta = WordMap(kernel.depth, {})
+        check = word_validate_witness(kernel, base, target, delta, mu, base,
+                                      theta)
         if check.ok:
-            return EvcWitness(base, base, theta, delta, target,
+            return EvcWitness(base, base, theta.indexed(), delta, target,
                               check.measure_slack, check.derivative_slack,
                               check.membership_margin)
 
@@ -179,14 +183,15 @@ def deepening_check_evc(kernel, base, target, delta, mu, search_depth=14):
                                              delta, mu, level, need)
         best_mass = max(best_mass, mass)
         if mass > need:
-            theta = FiniteDepthMap.from_pairs(level, pairs)
+            theta = WordMap.from_pairs(level, pairs)
             part = CylinderSet.of(b_words)
-            check = validate_witness(kernel, base, target, delta, mu, part, theta)
+            check = word_validate_witness(kernel, base, target, delta, mu,
+                                          part, theta)
             if not check.ok:
                 raise PostconditionFailure(
                     check.clause or "unknown",
                     f"search produced an invalid witness: {check.detail}")
-            return EvcWitness(base, part, theta, delta, target,
+            return EvcWitness(base, part, theta.indexed(), delta, target,
                               check.measure_slack, check.derivative_slack,
                               check.membership_margin)
     raise SearchExhausted(
@@ -195,18 +200,19 @@ def deepening_check_evc(kernel, base, target, delta, mu, search_depth=14):
 
 
 def level_pairing(kernel, base, target, target_keys, delta, mu, level, need):
-    """Oracle's greedy pairing at one level, masses taken per use."""
+    """Oracle's greedy pairing of words at one level, masses taken per
+    use."""
     by_class = {}
-    for w in base.words_at(level):
+    for w in words_at(base, level):
         by_class.setdefault(w[kernel.class_depth:], []).append(w)
     pairs, b_words, mass = [], [], Fraction(0)
     for cls_key in sorted(by_class):
         members = sorted(by_class[cls_key], key=lambda w: (-mu.cylinder(w), w))
         if kernel.kind == "coboundary":
-            found = evc._match_by_value(kernel, members, target, target_keys,
+            found = word_match_by_value(kernel, members, target, target_keys,
                                         delta, mu)
         else:
-            found = evc._match_generic(kernel, members, target_keys, delta, mu)
+            found = word_match_generic(kernel, members, target_keys, delta, mu)
         for x, y, x_ok, y_ok in found:
             pairs.append((x, y))
             if x_ok:
@@ -220,6 +226,101 @@ def level_pairing(kernel, base, target, target_keys, delta, mu, level, need):
     return pairs, b_words, mass
 
 
+def word_match_generic(kernel, members, target_keys, delta, mu):
+    """Quadratic scan over the words of one class."""
+    model = kernel.model
+    used = set()
+    out = []
+    for i, x in enumerate(members):
+        if x in used:
+            continue
+        for y in members[i + 1:]:
+            if y in used:
+                continue
+            forward = kernel_value(kernel, y[: kernel.depth], x[: kernel.depth])
+            x_ok = (model.key(forward) in target_keys
+                    and deviation(mu, x, y) < delta)
+            y_ok = (model.key(model.inv(forward)) in target_keys
+                    and deviation(mu, y, x) < delta)
+            if x_ok or y_ok:
+                used.update((x, y))
+                out.append((x, y, x_ok, y_ok))
+                break
+    return out
+
+
+def word_match_by_value(kernel, members, target, target_keys, delta, mu):
+    """Pairing of coboundary words via potential-value lookup: the value
+    of (y, x) lands in the target iff f(y) lies in target * f(x)."""
+    model = kernel.model
+    f = kernel.potential
+    pot = {w: f.values[word_index(w[: f.depth])] for w in members}
+    groups = {}
+    for w in members:
+        groups.setdefault(model.key(pot[w]), []).append(w)
+    used = set()
+    out = []
+    for x in members:
+        if x in used:
+            continue
+        for t in target:
+            for y in groups.get(model.key(model.mul(t, pot[x])), ()):
+                if y in used or y == x:
+                    continue
+                if not deviation(mu, x, y) < delta:
+                    continue
+                back = model.mul(pot[x], model.inv(pot[y]))
+                y_ok = (model.key(back) in target_keys
+                        and deviation(mu, y, x) < delta)
+                used.update((x, y))
+                out.append((x, y, True, y_ok))
+                break
+            if x in used:
+                break
+    return out
+
+
+def word_validate_witness(kernel, base, target, delta, mu, part, theta):
+    """Oracle: every clause of the condition checked word by word, with
+    `theta` a `WordMap`."""
+    model = kernel.model
+    delta = Fraction(delta)
+
+    def failed(clause, detail, measure_slack=Fraction(0),
+               derivative_slack=Fraction(0)):
+        return WitnessValidation(False, clause, detail, measure_slack,
+                                 derivative_slack, Fraction(0))
+
+    if not part.difference(base).is_empty():
+        return failed("part-inside", "B is not contained in A")
+    if not theta.image_of(part).difference(base).is_empty():
+        return failed("image-inside", "theta(B) is not contained in A")
+    mass = part.measure(mu)
+    need = delta * base.measure(mu)
+    if not mass > need:
+        return failed("mass", f"mu(B) = {mass} is not above {need}")
+    level = max(kernel.depth, part.max_depth, theta.depth)
+    worst = Fraction(0)
+    target_keys = {model.key(t) for t in target}
+    for w in words_at(part, level):
+        img = theta.apply(w)
+        if img[kernel.class_depth:] != w[kernel.class_depth:]:
+            return failed("class", f"theta throws {w} out of its kernel class",
+                          mass - need)
+        value = kernel_value(kernel, img[: kernel.depth], w[: kernel.depth])
+        if model.key(value) not in target_keys:
+            return failed("membership",
+                          f"kernel value {model.format(value)} at {w} "
+                          "is outside the target set", mass - need)
+        worst = max(worst, deviation(mu, w, img))
+    if not worst < delta:
+        return failed("derivative",
+                      f"derivative deviation {worst} is not below {delta}",
+                      mass - need, delta - worst)
+    return WitnessValidation(True, None, None, mass - need, delta - worst,
+                             Fraction(1))
+
+
 WEIGHTS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)]
 # derivatives of one-coordinate moves under WEIGHTS, and the identity
 RATIOS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2),
@@ -228,9 +329,13 @@ RATIOS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2),
 
 @st.composite
 def measures(draw):
-    """Uniform, or a head of weight pairs followed by a repeating cycle."""
-    if draw(st.booleans()):
+    """Uniform, iid, or a head of weight pairs followed by a repeating
+    cycle."""
+    kind = draw(st.sampled_from(["uniform", "iid", "head+cycle"]))
+    if kind == "uniform":
         return UNIFORM
+    if kind == "iid":
+        return ProductMeasure.iid(draw(st.sampled_from(WEIGHTS)))
     head = draw(st.lists(st.sampled_from(WEIGHTS), max_size=3))
     cycle = draw(st.lists(st.sampled_from(WEIGHTS), min_size=1, max_size=2))
     return ProductMeasure.from_schedule([(p, 1 - p) for p in head],
@@ -318,10 +423,101 @@ class TestSingleLevelSearch:
                                               delta, mu, level, unreachable)
         deeper = evc._pair_search(kernel, base, target, keys, delta, mu,
                                   level + 1, unreachable)
+        # word indices: appending bit b to a word maps index x to 2x + b
         assert sorted(deeper[0]) == sorted(
-            (x + b, y + b) for x, y in pairs for b in "01")
-        assert sorted(deeper[1]) == sorted(w + b for w in words for b in "01")
+            (2 * x + b, 2 * y + b) for x, y in pairs for b in (0, 1))
+        assert sorted(deeper[1]) == sorted(2 * w + b for w in words
+                                           for b in (0, 1))
         assert deeper[2] == mass
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_cases(), st.integers(0, 1),
+           st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2),
+                            Fraction(2)]))
+    def test_pairing_matches_word_pairing(self, case, extra, need):
+        kernel, base, target, delta, mu = case
+        keys = {kernel.model.key(t) for t in target}
+        level = max(kernel.depth, base.max_depth) + extra
+        pairs, words, mass = evc._pair_search(kernel, base, target, keys,
+                                              delta, mu, level, need)
+        oracle = level_pairing(kernel, base, target, keys, delta, mu, level,
+                               need)
+        assert [(index_word(x, level), index_word(y, level))
+                for x, y in pairs] == oracle[0]
+        assert [index_word(w, level) for w in words] == oracle[1]
+        assert mass == oracle[2]
+
+    def test_ratio_pairing_matches_word_pairing(self):
+        # the kernel value of (y, x) is mu(x) / mu(y): 2 from 01 to 11
+        kernel = CocycleKernel.ratio(BIASED, 2, 2)
+        target, delta = (Fraction(2),), Fraction(3, 2)
+        args = (kernel, CylinderSet.full(), target, {kernel.model.key(2)},
+                delta, BIASED, 2, Fraction(2))
+        pairs, words, mass = evc._pair_search(*args)
+        assert pairs == [(0b11, 0b01), (0b10, 0b00)]
+        assert words == [0b01, 0b00] and mass == Fraction(1, 3)
+        assert level_pairing(*args) == (
+            [("11", "01"), ("10", "00")], ["01", "00"], Fraction(1, 3))
+
+    @settings(max_examples=300, deadline=None)
+    @given(search_cases(), st.data())
+    def test_validation_matches_word_oracle(self, case, data):
+        kernel, base, target, delta, mu = case
+        depth = data.draw(st.integers(0, kernel.depth + 1))
+        image = data.draw(st.permutations(range(1 << depth)))
+        theta = FiniteDepthMap(depth, tuple(image))
+        oracle_theta = WordMap(depth, dict(theta.word_moves()))
+        # parts drawn inside the base most of the time, so that the later
+        # clauses are reached
+        words = data.draw(st.lists(st.text(alphabet="01", max_size=depth + 2),
+                                   min_size=1, max_size=4))
+        part = CylinderSet.of(words)
+        if data.draw(st.booleans()):
+            part = part.intersection(base)
+        assert (validate_witness(kernel, base, target, delta, mu, part, theta)
+                == word_validate_witness(kernel, base, target, delta, mu,
+                                         part, oracle_theta))
+
+
+class TestDerivativeBoundary:
+    """Under BIASED the first coordinate carries masses 1/3 and 2/3, so
+    moving 1 to 0 has derivative deviation exactly 1/2 and moving 0 to 1
+    exactly 1.  A deviation equal to delta must fail the strict test."""
+
+    KERNEL = CocycleKernel.coboundary(first_bit(1), class_depth=1)
+    # the same values as a table, searched by the generic pairing
+    TABLE = CocycleKernel.explicit(Z2, 1, 1, {
+        ("0", "0"): 0, ("0", "1"): 1, ("1", "0"): 1, ("1", "1"): 0})
+    SWAP = FiniteDepthMap.from_pairs(1, [(0, 1)])
+
+    @pytest.mark.parametrize("kernel", [KERNEL, TABLE],
+                             ids=["coboundary", "explicit"])
+    @pytest.mark.parametrize("delta,ok", [
+        (Fraction(1, 2), False), (Fraction(501, 1000), True)])
+    def test_search(self, kernel, delta, ok):
+        args = (kernel, CylinderSet.full(), (1,), delta, BIASED, 2)
+        if ok:
+            witness = check_evc(*args)
+            assert witness.part == CylinderSet.of(["1"])
+            assert witness.derivative_slack == delta - Fraction(1, 2)
+        else:
+            with pytest.raises(SearchExhausted) as exc:
+                check_evc(*args)
+            assert exc.value.best["achieved_mass"] == "0"
+        assert (search_outcome(check_evc, *args)
+                == search_outcome(deepening_check_evc, *args))
+
+    @pytest.mark.parametrize("delta,ok", [
+        (Fraction(1, 2), False), (Fraction(501, 1000), True)])
+    def test_validation(self, delta, ok):
+        check = validate_witness(self.KERNEL, CylinderSet.full(), (1,), delta,
+                                 BIASED, CylinderSet.of(["1"]), self.SWAP)
+        assert check.ok == ok
+        assert check.derivative_slack == delta - Fraction(1, 2)
+        if not ok:
+            assert check.clause == "derivative"
+            assert check.detail == ("derivative deviation 1/2 is not below "
+                                    "1/2")
 
 
 class TestEssentialValueCertificate:
@@ -388,6 +584,81 @@ class TestSkewConnectivity:
         monkeypatch.setattr(evc, "SKEW_BUDGET", 1)
         with pytest.raises(SizeGuard):
             skew_connectivity(kernel, depth=2)
+
+
+def word_components(kernel, level):
+    """Oracle: components of the skew graph on (level words x group),
+    joining (w, g) to (w', v g), for distinct words w and w', by every
+    kernel value v between admissible extensions of w' and w, over words
+    and element keys."""
+    model = kernel.model
+    parent = {}
+
+    def find(v):
+        while parent.setdefault(v, v) != v:
+            v = parent[v]
+        return v
+
+    words = list(all_words(level))
+    tails = list(all_words(kernel.depth - level))
+    for w in words:
+        for g in model.elements():
+            find((w, model.key(g)))
+    for second in words:
+        for first in words:
+            if first == second:
+                continue
+            for a in tails:
+                for b in tails:
+                    if not kernel.admissible(first + a, second + b):
+                        continue
+                    value = kernel_value(kernel, first + a, second + b)
+                    for g in model.elements():
+                        root = find((second, model.key(g)))
+                        other = find((first, model.key(model.mul(value, g))))
+                        parent[root] = other
+    return len({find(v) for v in list(parent)})
+
+
+@st.composite
+def connectivity_cases(draw):
+    model = draw(st.sampled_from([Z2, Z3, S3]))
+    depth = draw(st.integers(1, 3))
+    class_depth = draw(st.integers(0, depth))
+    kind = draw(st.sampled_from(["trivial", "coboundary", "explicit"]))
+    if kind == "trivial":
+        kernel = CocycleKernel.trivial(model, depth, class_depth)
+    elif kind == "coboundary":
+        f = StepFunction.from_table(model, {
+            w: draw(st.sampled_from(model.elements()))
+            for w in all_words(draw(st.integers(0, depth)))})
+        kernel = CocycleKernel.coboundary(f, class_depth=class_depth,
+                                          depth=depth)
+    else:
+        # reflexive and antisymmetric, but with any values otherwise, so
+        # the chain rule may fail
+        table = {}
+        for cls in CocycleKernel.trivial(model, depth, class_depth).classes():
+            for i, a in enumerate(cls):
+                table[(a, a)] = model.identity()
+                for b in cls[i + 1:]:
+                    table[(a, b)] = draw(st.sampled_from(model.elements()))
+                    table[(b, a)] = model.inv(table[(a, b)])
+        kernel = CocycleKernel.explicit(model, depth, class_depth, table)
+    return kernel, draw(st.integers(1, depth))
+
+
+class TestIndexedConnectivity:
+    @settings(max_examples=150, deadline=None)
+    @given(connectivity_cases())
+    def test_chain_matches_exhaustive_and_words(self, case):
+        kernel, level = case
+        full = skew_connectivity(kernel, depth=level, exhaustive=True)
+        assert full == word_components(kernel, level)
+        # the chain walk relies on the chain rule, which arbitrary
+        # explicit tables break
+        if kernel.kind != "explicit":
+            assert skew_connectivity(kernel, depth=level) == full
 
 
 class TestTargets:

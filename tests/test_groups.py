@@ -277,3 +277,25 @@ def test_table_group_parse_rejects_unknown_labels(model, text):
     assert isinstance(exc.value, CocycleLabError)
     assert isinstance(exc.value, ValueError)
     assert model.parse("1") == 1 and model.parse(model.format(0)) == 0
+
+
+@pytest.mark.parametrize("model,text", [
+    (FreeAbelianGroup(2), "x"), (FreeAbelianGroup(2), "1/y"),
+    (FreeAbelianGroup(2), "1"), (DirectSumZGroup(2), "x"),
+    (DirectSumZGroup(2), "1//2"), (groups.DirectProductGroup(Z2, Z2), "1"),
+    (groups.DirectProductGroup(Z2, Z2), "1|x"), (RationalRatioGroup(), "x"),
+    (RationalRatioGroup(), "1/0"), (RationalRatioGroup(), "-1/2"),
+    (RationalRatioGroup(), "0")])
+def test_parse_rejects_malformed_text(model, text):
+    with pytest.raises(MalformedInput):
+        model.parse(text)
+
+
+@pytest.mark.parametrize("model", [
+    FreeAbelianGroup(2), DirectSumZGroup(2), groups.DirectProductGroup(Z2, S3),
+    RationalRatioGroup()])
+def test_parse_inverts_format(model):
+    for element in (model.identity(), model.inv(model.identity())):
+        assert model.parse(model.format(element)) == element
+    if isinstance(model, RationalRatioGroup):
+        assert model.parse("3/2") == Fraction(3, 2)

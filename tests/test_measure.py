@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from cocyclelab.errors import DepthMismatch
 from cocyclelab.measure import (ONE, ZERO, CylinderSet, ProductMeasure,
-                                _normalize, all_words, check_word, word_index)
+                                _normalize, all_words, check_word, index_word,
+                                word_index, worst_deviation)
+from cocyclelab.odometer import FiniteDepthMap
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))
@@ -158,7 +160,7 @@ def test_saturate_contains_and_is_free(a, n):
         if len(w) <= n:
             continue
         for other in all_words(n):
-            assert sat.covers(other + w[n:])
+            assert oracle_covers(sat, other + w[n:])
 
 
 @settings(max_examples=100, deadline=None)
@@ -172,8 +174,11 @@ def test_prepend_free_measure(a, n):
 
 def test_words_at_partitions():
     s = CylinderSet.of(["0", "10"])
-    assert s.words_at(2) == ["00", "01", "10"]
-    assert s.words_at(3) == ["000", "001", "010", "011", "100", "101"]
+    assert [index_word(i, 2) for i in s.indices(2)] == ["00", "01", "10"]
+    assert [index_word(i, 3) for i in s.indices(3)] == [
+        "000", "001", "010", "011", "100", "101"]
+    with pytest.raises(DepthMismatch):
+        s.indices(1)
 
 
 def test_canonical_merge():
@@ -317,15 +322,24 @@ def test_ratio_and_deviation_match_weight_product(case):
     for x, y in pairs:
         expected = naive_ratio(mu, x, y)
         assert mu.ratio(x, y) == expected
-        assert mu.deviation(x, y) == abs(expected - 1)
+        # the integer derivative deviation, from the level's masses
+        masses, _ = mu.level_masses(len(x))
+        assert (worst_deviation(masses, [(word_index(x), word_index(y))])
+                == abs(expected - 1))
+    # the worst over all pairs of one depth, compared by cross-multiplying
+    for depth in {len(x) for x, _ in pairs}:
+        same = [(x, y) for x, y in pairs if len(x) == depth]
+        masses, _ = mu.level_masses(depth)
+        assert worst_deviation(
+            masses, [(word_index(x), word_index(y)) for x, y in same]) == max(
+                abs(naive_ratio(mu, x, y) - 1) for x, y in same)
 
 
 @pytest.mark.parametrize("mu", SCHEDULES, ids=["uniform", "iid13", "period2"])
 def test_ratio_needs_equal_depths(mu):
-    for derivative in (mu.ratio, mu.deviation):
-        for x, y in [("0", ""), ("01", "011"), ("110", "11")]:
-            with pytest.raises(DepthMismatch):
-                derivative(x, y)
+    for x, y in [("0", ""), ("01", "011"), ("110", "11")]:
+        with pytest.raises(DepthMismatch):
+            mu.ratio(x, y)
 
 
 @pytest.mark.parametrize("bad", ["20", "0a1", "01 "])
@@ -335,15 +349,15 @@ def test_bad_character_raises(bad):
     with pytest.raises(ValueError):
         UNIFORM.cylinder(bad)
     same_depth = "0" * len(bad)
-    for derivative in (PERIOD2.ratio, PERIOD2.deviation):
-        with pytest.raises(ValueError):
-            derivative(bad, same_depth)
-        with pytest.raises(ValueError):
-            derivative(same_depth, bad)
+    with pytest.raises(ValueError):
+        PERIOD2.ratio(bad, same_depth)
+    with pytest.raises(ValueError):
+        PERIOD2.ratio(same_depth, bad)
     with pytest.raises(ValueError):
         CylinderSet.of(["0", bad])
+    # a stored map's moves are read through the same word check
     with pytest.raises(ValueError):
-        CylinderSet.of(["0"]).covers(bad)
+        FiniteDepthMap.from_moves(len(bad), [(bad, same_depth)])
 
 
 @st.composite
@@ -361,8 +375,9 @@ def sets_and_probes(draw):
 @given(sets_and_probes())
 def test_covers_matches_scan(case):
     s, probes = case
+    # a set covers a word when the word's bit in the mask at its depth is set
     for w in probes:
-        assert s.covers(w) == oracle_covers(s, w)
+        assert s.mask(len(w))[word_index(w)] == oracle_covers(s, w)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +401,7 @@ def test_mask_matches_covers(s, depth):
     mask = s.mask(depth)
     assert len(mask) == 1 << depth and set(mask) <= {0, 1}
     assert [w for w in all_words(depth) if mask[word_index(w)]] == [
-        w for w in all_words(depth) if s.covers(w)]
+        w for w in all_words(depth) if oracle_covers(s, w)]
     assert s.mask(depth) is mask
 
 
@@ -418,3 +433,6 @@ def test_depth_zero_bridges():
     assert CylinderSet.empty().mask(0) == b"\x00"
     assert CylinderSet.full().mask(0) == b"\x01"
     assert BIASED.level_masses(0) == ((1,), 1)
+    assert index_word(0, 0) == "" and index_word(5, 4) == "0101"
+    assert CylinderSet.full().indices(0) == [0]
+    assert CylinderSet.empty().indices(0) == []

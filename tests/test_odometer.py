@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyclelab.errors import BudgetExhausted, ConfigError, DepthMismatch
-from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_index
+from cocyclelab.measure import (CylinderSet, ProductMeasure, all_words,
+                                index_word, word_index)
 from cocyclelab.odometer import (FiniteDepthMap, GammaAction,
                                  PiecewiseCylinderMap, adding_machine,
                                  adding_machine_action, coordinate_flip,
                                  exchange_involution, flip_action,
                                  orbit_overflow)
+from word_oracles import WordMap, apply_piece, covers, map_apply, words_at
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))
@@ -34,15 +36,15 @@ class TestAddingMachine:
     def test_matches_increment_oracle(self):
         t = adding_machine(8)
         for w in all_words(8):
-            assert t.apply(w) == increment_oracle(w)
+            assert apply_piece(t, w) == increment_oracle(w)
 
     def test_inverse_round_trip(self):
         t = adding_machine(6)
         back = t.inverse()
         for w in all_words(6):
-            img = t.apply(w)
+            img = apply_piece(t, w)
             if img is not None:
-                assert back.apply(img) == w
+                assert apply_piece(back, img) == w
 
     def test_orbit_visits_every_word(self):
         # the increment acts transitively on each finite level
@@ -50,12 +52,12 @@ class TestAddingMachine:
         w = "0" * 6
         seen = {w}
         for _ in range(2 ** 6 - 1):
-            nxt = t.apply(w)
+            nxt = apply_piece(t, w)
             assert nxt is not None
             w = nxt
             seen.add(w)
         assert len(seen) == 2 ** 6
-        assert t.apply(w) is None  # all-ones needs a deeper carry
+        assert apply_piece(t, w) is None  # all-ones needs a deeper carry
 
     def test_uniform_measure_preserved(self):
         action = adding_machine_action(6)
@@ -90,14 +92,14 @@ class TestOverflow:
             pre = increment_oracle_inverse(w)
             escapes_back = pre is not None and pre[level:] != w[level:]
             if escapes_fwd or escapes_back:
-                assert over.upper().covers(w)
+                assert covers(over.upper(), w)
         assert over.upper().measure(UNIFORM) == Fraction(2, 2 ** level)
 
     def test_truncation_remainder_is_unknown(self):
         # at the declared depth the carry cannot be decided
         over = orbit_overflow(adding_machine_action(4), 3)
-        assert over.unknown.covers("1111")
-        assert over.unknown.covers("0000")
+        assert covers(over.unknown, "1111")
+        assert covers(over.unknown, "0000")
 
     def test_flip_overflow_empty(self):
         action = flip_action((1, 2))
@@ -122,8 +124,8 @@ class TestFlips:
     def test_flip_is_involution(self):
         s = coordinate_flip(3)
         for w in all_words(4):
-            img = s.apply(w)
-            assert img is not None and s.apply(img) == w
+            img = apply_piece(s, w)
+            assert img is not None and apply_piece(s, img) == w
             assert img[:2] == w[:2] and img[3:] == w[3:]
             assert img[2] != w[2]
 
@@ -151,36 +153,42 @@ class TestGammaAction:
 
 class TestFiniteDepthMap:
     def test_from_pairs_expands_common_tails(self):
-        tau = FiniteDepthMap.from_pairs(3, [("00", "01")])
-        assert tau.apply("000") == "010"
-        assert tau.apply("001") == "011"
-        assert tau.apply("010") == "000"
-        assert tau.apply("111") == "111"
+        # the pair 00 <-> 01 at depth 2, read at depth 3
+        tau = FiniteDepthMap.from_pairs(2, [(0b00, 0b01)])
+        assert map_apply(tau, "000") == "010"
+        assert map_apply(tau, "001") == "011"
+        assert map_apply(tau, "010") == "000"
+        assert map_apply(tau, "111") == "111"
+        assert tau.word_moves() == [("00", "01"), ("01", "00")]
 
     def test_image_of(self):
-        tau = FiniteDepthMap.from_pairs(2, [("00", "11")])
+        tau = FiniteDepthMap.from_pairs(2, [(0b00, 0b11)])
         img = tau.image_of(CylinderSet.of(["00", "01"]))
         assert img.words == CylinderSet.of(["11", "01"]).words
 
     def test_identity(self):
         tau = FiniteDepthMap.identity(3)
-        assert all(tau.apply(w) == w for w in all_words(3))
+        assert all(map_apply(tau, w) == w for w in all_words(3))
+        assert tau.word_moves() == []
 
 
 class TestExchangeInvolution:
     def test_uniform_halves_pair_exactly(self):
         res = exchange_involution(CylinderSet.full(), UNIFORM,
                                   Fraction(1, 4), 4)
-        assert res.pairs == (("0", "1"),)
+        assert res.tau.depth == 1 and res.pairs == ((0, 1),)
         assert res.fixed.is_empty()
 
     def test_biased_equal_measure_pair(self):
         res = exchange_involution(CylinderSet.full(), BIASED,
                                   Fraction(1, 4), 6)
         # words 01 and 10 have equal mass 2/9 and must end up matched
-        paired = {frozenset(p) for p in res.pairs}
+        depth = res.tau.depth
+        pairs = [(index_word(a, depth), index_word(b, depth))
+                 for a, b in res.pairs]
+        paired = {frozenset(p) for p in pairs}
         assert any({a, b} <= {"01", "10"} or (a[:2], b[:2]) == ("01", "10")
-                   for a, b in res.pairs) or frozenset(("01", "10")) in paired
+                   for a, b in pairs) or frozenset(("01", "10")) in paired
 
     @pytest.mark.parametrize("mu,eps", [
         (UNIFORM, Fraction(1, 8)),
@@ -196,19 +204,31 @@ class TestExchangeInvolution:
         covered = first.union(second).union(res.fixed)
         assert covered == inside
         assert res.fixed.measure(mu) < eps
-        for a, b in res.pairs:
-            r = mu.cylinder(b) / mu.cylinder(a)
-            assert abs(r - 1) < eps and abs(1 / r - 1) < eps
         level = res.tau.depth
-        for w in first.union(second).words_at(level):
-            img = res.tau.apply(w)
-            assert img != w and res.tau.apply(img) == w
+        for a, b in res.pairs:
+            r = (mu.cylinder(index_word(b, level))
+                 / mu.cylinder(index_word(a, level)))
+            assert abs(r - 1) < eps and abs(1 / r - 1) < eps
+        for w in words_at(first.union(second), level):
+            img = map_apply(res.tau, w)
+            assert img != w and map_apply(res.tau, img) == w
 
     def test_leftover_budget_tightens_fixed_mass(self):
         res = exchange_involution(CylinderSet.full(), BIASED,
                                   Fraction(1, 4), 12,
                                   leftover=Fraction(1, 100))
         assert res.fixed.measure(BIASED) < Fraction(1, 100)
+
+    @pytest.mark.parametrize("eps,paired", [
+        (Fraction(1), False), (Fraction(1001, 1000), True)])
+    def test_ratio_pass_is_strict(self, eps, paired):
+        # under BIASED the words 0 and 1 weigh 1/3 and 2/3: moving 0 to 1
+        # has derivative deviation exactly 1, which eps = 1 must refuse
+        res = exchange_involution(CylinderSet.full(), BIASED, eps, 1,
+                                  leftover=Fraction(2))
+        assert res.pairs == (((0, 1),) if paired else ())
+        assert res.fixed == (CylinderSet.empty() if paired
+                             else CylinderSet.full())
 
     def test_budget_exhausted_when_too_shallow(self):
         with pytest.raises(BudgetExhausted):
@@ -224,7 +244,8 @@ def test_flip_actions_commute(i, j):
     a, b = coordinate_flip(i), coordinate_flip(j)
     depth = max(i, j) + 1
     for w in all_words(depth):
-        assert a.apply(b.apply(w)) == b.apply(a.apply(w))
+        assert (apply_piece(a, apply_piece(b, w))
+                == apply_piece(b, apply_piece(a, w)))
 
 
 index_maps = st.one_of(
@@ -241,7 +262,7 @@ def test_index_map_matches_apply(sigma, beyond):
     table = sigma.index_map(depth)
     assert len(table) == 1 << depth
     for w in all_words(depth):
-        img = sigma.apply(w)
+        img = apply_piece(sigma, w)
         assert table[word_index(w)] == (-1 if img is None else word_index(img))
     assert sigma.index_map(depth) is table
 
@@ -249,3 +270,66 @@ def test_index_map_matches_apply(sigma, beyond):
 def test_index_map_needs_the_piece_depth():
     with pytest.raises(DepthMismatch):
         adding_machine(4).index_map(3)
+
+
+@st.composite
+def shallow_pairs(draw):
+    """Disjoint word pairs of one depth d, and a map depth at least d."""
+    d = draw(st.integers(0, 4))
+    depth = d + draw(st.integers(0, 2))
+    order = draw(st.permutations(range(1 << d)))
+    count = draw(st.integers(0, len(order) // 2))
+    pairs = [(index_word(order[2 * i], d), index_word(order[2 * i + 1], d))
+             for i in range(count)]
+    return d, depth, pairs
+
+
+def probe_sets(depth):
+    return st.lists(st.text(alphabet="01", max_size=depth + 1),
+                    max_size=4).map(CylinderSet.of)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shallow_pairs(), st.data())
+def test_from_pairs_matches_word_map(case, data):
+    d, depth, pairs = case
+    oracle = WordMap.from_pairs(depth, pairs)
+    theta = FiniteDepthMap.from_pairs(
+        d, [(word_index(a), word_index(b)) for a, b in pairs])
+    # shallower pairs restated at the map depth: the word form's tails
+    assert FiniteDepthMap(depth, theta.index_map(depth)) == oracle.indexed()
+    for w in all_words(depth + 1):
+        assert map_apply(theta, w) == oracle.apply(w)
+    s = data.draw(probe_sets(depth))
+    assert theta.image_of(s) == oracle.image_of(s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda d: st.tuples(
+    st.just(d), st.permutations(range(1 << d)))), st.data())
+def test_index_table_matches_word_map(case, data):
+    depth, image = case
+    oracle = WordMap(depth, {index_word(i, depth): index_word(j, depth)
+                             for i, j in enumerate(image) if i != j})
+    theta = oracle.indexed()
+    assert theta.table == tuple(image)
+    assert theta.word_moves() == sorted(oracle.moves.items())
+    assert FiniteDepthMap.from_moves(depth, theta.word_moves()) == theta
+    for w in all_words(depth + 1):
+        assert map_apply(theta, w) == oracle.apply(w)
+    # the inverse read back from reversed moves is the inverse permutation
+    inverse = FiniteDepthMap.from_moves(
+        depth, [(t, s) for s, t in theta.word_moves()])
+    assert inverse == oracle.inverse().indexed()
+    assert all(inverse.table[j] == i for i, j in enumerate(theta.table))
+    s = data.draw(probe_sets(depth))
+    assert theta.image_of(s) == oracle.image_of(s)
+
+
+def test_from_moves_rejects_non_permutations():
+    with pytest.raises(ValueError):
+        FiniteDepthMap.from_moves(2, [("00", "01")])
+    with pytest.raises(DepthMismatch):
+        FiniteDepthMap.from_moves(2, [("0", "1"), ("1", "0")])
+    with pytest.raises(DepthMismatch):
+        FiniteDepthMap.identity(2).index_map(1)

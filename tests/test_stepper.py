@@ -9,16 +9,20 @@ from fractions import Fraction
 
 import pytest
 
+from cocyclelab import stepper
 from cocyclelab.cocycles import StepFunction
 from cocyclelab.errors import (ConfigError, DepthExhausted, EmptyCore,
                                PostconditionFailure)
 from cocyclelab.groups import cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
-from cocyclelab.odometer import (FiniteDepthMap, adding_machine_action,
-                                 flip_action)
+from cocyclelab.odometer import (FiniteDepthMap, InvolutionResult,
+                                 adding_machine_action, flip_action)
 from cocyclelab.stepper import (CERTIFICATE_ORDER, StepArtifacts, StepInput,
-                                construct_step, image_safe_tolerance,
+                                construct_step, fingerprint_partition,
+                                image_safe_tolerance,
+                                select_core_and_conjugate,
                                 validate_step_output)
+from word_oracles import apply_piece, covers, step_at, words_at
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -45,12 +49,12 @@ def brute_agreement_mass(inp: StepInput, f_tilde: StepFunction,
     for w in all_words(depth):
         ok = True
         for g in inp.action.maps():
-            img = g.apply(w)
+            img = apply_piece(g, w)
             if img is None:
                 ok = False
                 break
-            old = model.mul(inp.f.at(img), model.inv(inp.f.at(w)))
-            new = model.mul(f_tilde.at(img), model.inv(f_tilde.at(w)))
+            old = model.mul(step_at(inp.f, img), model.inv(step_at(inp.f, w)))
+            new = model.mul(step_at(f_tilde, img), model.inv(step_at(f_tilde, w)))
             if old != new:
                 ok = False
                 break
@@ -69,12 +73,12 @@ def brute_distance_upper(inp: StepInput, f_tilde: StepFunction,
     for g in inp.action.maps():
         bad = Fraction(0)
         for w in all_words(depth):
-            img = g.apply(w)
+            img = apply_piece(g, w)
             if img is None:
                 bad += inp.mu.cylinder(w)
                 continue
-            old = model.mul(inp.f.at(img), model.inv(inp.f.at(w)))
-            new = model.mul(f_tilde.at(img), model.inv(f_tilde.at(w)))
+            old = model.mul(step_at(inp.f, img), model.inv(step_at(inp.f, w)))
+            new = model.mul(step_at(f_tilde, img), model.inv(step_at(f_tilde, w)))
             if old != new:
                 bad += inp.mu.cylinder(w)
         total += weight * bad
@@ -116,7 +120,7 @@ class TestReferenceCase:
         inp = reference_input()
         out = construct_step(inp)
         on = CylinderSet.of([w for w in all_words(out.working_depth)
-                             if out.f_tilde.at(w) == 1])
+                             if step_at(out.f_tilde, w) == 1])
         expected = out.c_set.difference(out.b_set)
         assert on == expected
         assert out.core.difference(out.a_set).is_empty()
@@ -243,8 +247,8 @@ def right_translate_on(f: StepFunction, s: CylinderSet, g) -> StepFunction:
     depth = max(f.depth, s.max_depth)
     table = {}
     for w in all_words(depth):
-        v = f.at(w)
-        table[w] = f.model.mul(v, g) if s.covers(w) else v
+        v = step_at(f, w)
+        table[w] = f.model.mul(v, g) if covers(s, w) else v
     return StepFunction.from_table(f.model, table)
 
 
@@ -257,7 +261,7 @@ def _lift_top_word(out):
 
 def _first_core_word(out):
     return dataclasses.replace(out, core=CylinderSet.of(
-        out.core.words_at(out.working_depth)[:1]))
+        words_at(out.core, out.working_depth)[:1]))
 
 
 # (clause, input, tampering of the constructed output); each tampering
@@ -274,10 +278,10 @@ TAMPERED = [
     ("core_mass", reference_input(), _first_core_word),
     ("core_membership", reference_input(),
      lambda out: dataclasses.replace(
-         out, theta=FiniteDepthMap(out.working_depth, {}))),
+         out, theta=FiniteDepthMap.identity(out.working_depth))),
     ("core_derivative", VARIANTS[1][1],  # biased measure, first-coordinate flip
      lambda out: dataclasses.replace(out, theta=FiniteDepthMap.from_pairs(
-         out.working_depth, [("0", "1")]))),
+         1, [(0, 1)]))),
     ("agreement", reference_input(),
      lambda out: dataclasses.replace(out, f_tilde=right_translate_on(
          out.f_tilde, CylinderSet.of(["001"]), 1))),
@@ -363,3 +367,41 @@ class TestTolerances:
         with pytest.raises(ConfigError):
             image_safe_tolerance(adding_machine_action(4), UNIFORM,
                                  Fraction(-1, 2))
+
+
+class TestDerivativeBoundary:
+    """Under iid(1/3) flipping the first coordinate moves mass 1/3 to
+    2/3, a derivative deviation of exactly 1 (and 1/2 back).  The strict
+    construction clauses must fail when their bound equals it: eps for
+    the suffix exchange, 3 eps for the pairing transformation."""
+
+    @staticmethod
+    def construction_clauses(eps):
+        inp = VARIANTS[1][1]
+        out = construct_step(inp)
+        selection = select_core_and_conjugate(inp.f, inp.target, inp.candidate,
+                                              inp.u_index, inp.mu)
+        flip = FiniteDepthMap.from_pairs(1, [(0, 1)])
+        theta = FiniteDepthMap(out.working_depth,
+                               flip.index_map(out.working_depth))
+        certificates = stepper._certify(
+            dataclasses.replace(inp, eps=eps), out.eps_prime,
+            inp.action.max_distortion_sum(inp.mu), selection,
+            fingerprint_partition(inp.f, selection.z0, inp.n, inp.mu),
+            out.refinement, InvolutionResult(flip, ((0, 1),), CylinderSet.empty()),
+            theta, out.core.measure(inp.mu), out.m)
+        return {c.clause: c for c in certificates}
+
+    @pytest.mark.parametrize("eps,ok", [
+        (Fraction(1), False), (Fraction(1001, 1000), True)])
+    def test_suffix_derivative(self, eps, ok):
+        clause = self.construction_clauses(eps)["suffix_derivative"]
+        assert clause.ok == ok
+        assert clause.detail.startswith(f"exchange derivative deviation 1 < {eps}")
+
+    @pytest.mark.parametrize("eps,ok", [
+        (Fraction(1, 3), False), (Fraction(1001, 3000), True)])
+    def test_transfer_derivative(self, eps, ok):
+        clause = self.construction_clauses(eps)["transfer_derivative"]
+        assert clause.ok == ok
+        assert clause.detail == f"pairing derivative deviation 1 < {3 * eps}"

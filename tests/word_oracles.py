@@ -1,0 +1,117 @@
+"""Word-keyed forms of the library's index loops, kept as test oracles.
+
+The library reads words only at its edges (configs, reports, CSVs); its
+loops run over word indices.  These helpers restate the word-level
+definitions those loops replaced, each written directly on `str` words,
+so the index forms can be checked against them.
+"""
+from fractions import Fraction
+
+from cocyclelab.errors import DepthMismatch
+from cocyclelab.measure import (CylinderSet, all_words, check_word,
+                                index_word, word_index)
+from cocyclelab.odometer import FiniteDepthMap
+
+
+def apply_piece(sigma, w):
+    """The image of a word under a piecewise cylinder map, or None on its
+    undefined remainder; the word must decide its piece."""
+    for s, t in sigma.pieces:
+        if w.startswith(s):
+            return t + w[len(s):]
+    if any(s.startswith(w) for s, _ in sigma.pieces):
+        raise DepthMismatch(f"word {w!r} too shallow to decide a piece")
+    return None
+
+
+def step_at(f, w):
+    """The value of a step function on a word at least as deep as it."""
+    if len(w) < f.depth:
+        raise DepthMismatch(f"word of depth {len(w)} too shallow for depth {f.depth}")
+    return f.values[word_index(w[: f.depth])]
+
+
+def covers(s: CylinderSet, w: str) -> bool:
+    """Whether the cylinder of `w` lies in `s`: some member is a prefix."""
+    check_word(w)
+    members = set(s.words)
+    return any(w[:k] in members for k in range(len(w) + 1))
+
+
+def words_at(s: CylinderSet, depth: int) -> list:
+    """`s` as the sorted depth-`depth` words of its member cylinders."""
+    if depth < s.max_depth:
+        raise DepthMismatch(f"set has cylinders of depth {s.max_depth}")
+    return sorted(w + tail for w in s.words
+                  for tail in all_words(depth - len(w)))
+
+
+def kernel_value(kernel, a: str, b: str):
+    """The kernel's value on an admissible pair of words of its depth,
+    read from its definition by kind."""
+    assert kernel.admissible(a, b)
+    model = kernel.model
+    if kernel.kind == "coboundary":
+        f = kernel.potential
+        return model.mul(step_at(f, a), model.inv(step_at(f, b)))
+    if kernel.kind == "trivial":
+        return model.identity()
+    if kernel.kind == "ratio":
+        return kernel.mu.ratio(b, a)
+    return kernel.table[(a, b)]
+
+
+def deviation(mu, x: str, y: str) -> Fraction:
+    """|d(mu o map)/d(mu) - 1| for a map sending the cylinder of x onto
+    that of y: the weight ratio over the coordinates, minus one."""
+    return abs(mu.ratio(x, y) - 1)
+
+
+class WordMap:
+    """A permutation of the depth-`depth` words as a dict of moved words,
+    identity elsewhere and beyond the depth."""
+
+    def __init__(self, depth: int, moves: dict):
+        targets = set(moves.values())
+        assert len(targets) == len(moves) and targets == set(moves)
+        self.depth, self.moves = depth, moves
+
+    @staticmethod
+    def from_pairs(depth: int, pairs) -> "WordMap":
+        """Involution swapping each word pair (a, b); pairs shallower than
+        the map are expanded over all common tails."""
+        moves = {}
+        for a, b in pairs:
+            assert len(a) == len(b) <= depth
+            for tail in all_words(depth - len(a)):
+                moves[a + tail] = b + tail
+                moves[b + tail] = a + tail
+        return WordMap(depth, moves)
+
+    def apply(self, w: str) -> str:
+        if len(w) < self.depth:
+            raise DepthMismatch(f"word of depth {len(w)} too shallow")
+        head = w[: self.depth]
+        return self.moves.get(head, head) + w[self.depth:]
+
+    def inverse(self) -> "WordMap":
+        return WordMap(self.depth, {t: s for s, t in self.moves.items()})
+
+    def image_of(self, s: CylinderSet) -> CylinderSet:
+        depth = max(self.depth, s.max_depth)
+        return CylinderSet.of(self.apply(w) for w in words_at(s, depth))
+
+    def indexed(self) -> FiniteDepthMap:
+        return FiniteDepthMap.from_moves(self.depth, self.moves.items())
+
+
+def map_apply(theta: FiniteDepthMap, w: str) -> str:
+    """The image of a word at least as deep as the map, via its table."""
+    table = theta.index_map(len(w))
+    return index_word(table[word_index(w)], len(w))
+
+
+def word_pairs_map(depth: int, pairs) -> FiniteDepthMap:
+    """The involution of word pairs of the map's depth, as an index map."""
+    return FiniteDepthMap.from_pairs(
+        depth, [(word_index(a), word_index(b)) for a, b in pairs])
