@@ -30,11 +30,18 @@ from .errors import CocycleLabError, ConfigError
 from .stepper import construct_step
 
 
+# libyaml's parser when PyYAML was built with it; the same mappings
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_config(text: str, rounds: Optional[int],
                  depth: Optional[int]) -> PipelineConfig:
     if os.path.exists(text):
         with open(text) as fh:
-            raw = yaml.safe_load(fh)
+            try:
+                raw = yaml.load(fh, Loader=YAML_LOADER)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"{text} is not valid YAML: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{text} does not hold a mapping")
     elif text in PRESETS:

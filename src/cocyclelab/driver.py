@@ -32,7 +32,8 @@ from .cocycles import (KERNEL_EXPORT_DEPTH, AgreementCheck, CocycleKernel,
 from .errors import (CocycleLabError, ConfigError, MalformedInput,
                      SearchExhausted)
 from .evc import (check_evc, delta_for, essential_value_certificate,
-                  skew_connectivity, target_set, validate_witness)
+                  skew_connectivity, target_set, validate_witness,
+                  within_skew_budget)
 from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
                      model_from_config)
 from .measure import ZERO, CylinderSet, ProductMeasure, all_words
@@ -624,9 +625,12 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     records.append(sweep)
 
     # connectivity ladder (finite groups only); the deepest rung stops
-    # one short of the kernel depth, where fibers can still interact
+    # one short of the kernel depth, where fibers can still interact, or
+    # at the deepest depth whose skew graph fits the connectivity budget
     if model.elements() is not None:
-        rung_depths = list(range(1, f_final.depth)) or [f_final.depth]
+        order = len(model.elements())
+        rung_depths = [d for d in range(1, f_final.depth) or [f_final.depth]
+                       if within_skew_budget(order, d)]
         trivial = CocycleKernel.trivial(model, f_final.depth, f_final.depth)
         rungs = [skew_connectivity(kernel, depth=d) for d in rung_depths]
         control = [skew_connectivity(trivial, depth=d) for d in rung_depths]

@@ -86,18 +86,20 @@ def validate_witness(
         return WitnessValidation(False, clause, detail, measure_slack,
                                  derivative_slack, ZERO)
 
-    if not part.difference(base).is_empty():
+    level = max(kernel.depth, part.max_depth, theta.depth)
+    table = theta.index_map(level)
+    words = part.indices(level)
+    # B and theta(B) are unions of whole level cylinders, which A holds
+    # exactly when its membership table marks them
+    inside = base.mask(level)
+    if not all(inside[w] for w in words):
         return failed("part-inside", "B is not contained in A")
-    image = theta.image_of(part)
-    if not image.difference(base).is_empty():
+    if not all(inside[table[w]] for w in words):
         return failed("image-inside", "theta(B) is not contained in A")
     mass = part.measure(mu)
     need = delta * base.measure(mu)
     if not mass > need:
         return failed("mass", f"mu(B) = {mass} is not above {need}")
-    level = max(kernel.depth, part.max_depth, theta.depth)
-    table = theta.index_map(level)
-    words = part.indices(level)
     # kernel words are the top kernel.depth bits of a level index; a class
     # is fixed by the bits beyond class_depth
     shift = level - kernel.depth
@@ -389,29 +391,39 @@ def essential_value_certificate(
 # Skew-product connectivity
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
+def within_skew_budget(order: int, depth: int) -> bool:
+    """Whether the skew graph on depth-`depth` words and a group of
+    `order` elements has at most SKEW_BUDGET vertices."""
+    return (1 << depth) * order <= SKEW_BUDGET
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
 
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
+class _Subgroup:
+    """The subgroup of a finite model generated by the elements added so
+    far, listed by key: the closure of the identity under right
+    multiplication by the generators (in a finite group every inverse is
+    a positive power)."""
+
+    def __init__(self, model: GroupModel):
+        self.model = model
+        self.members = {model.key(model.identity()): model.identity()}
+        self.generators: list = []
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def add(self, g: Element) -> None:
+        model, members = self.model, self.members
+        if model.key(g) in members:
             return
-        if self.size[ri] < self.size[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        self.size[ri] += self.size[rj]
-        self.count -= 1
+        self.generators.append(g)
+        frontier = list(members.values())
+        while frontier:
+            x = frontier.pop()
+            for s in self.generators:
+                y = model.mul(x, s)
+                if model.key(y) not in members:
+                    members[model.key(y)] = y
+                    frontier.append(y)
 
 
 def skew_connectivity(
@@ -426,26 +438,36 @@ def skew_connectivity(
     the kernel depth the value is unique per pair, while a shallower
     vertex depth projects the deeper structure onto coarser words, which
     is where a run's increments can fuse the group fibers into one
-    component.  `exhaustive` walks every word pair instead of a spanning
-    chain; both give the same components (the relation is transitive)
-    and small instances use it as an oracle.
+    component.
+
+    No vertex is built.  Over a finite group G the components of a
+    cocycle's skew product are the cosets of the subgroup its values
+    generate (K. Schmidt, *Cocycles of ergodic transformation groups*,
+    1977).  Here: the words of a class are joined by a chain of edges; a
+    transport T per word, with (w, g) sent to T_w g, turns one value on
+    each chain edge into the identity, and every value v on an edge from
+    (w, g) to (w', v g) then becomes the generator T_w' v T_w^-1 of a
+    subgroup H.  The class's vertices fall into the right cosets H g, so
+    the class adds |G| / |H| components.  For a coboundary whose classes
+    are the whole space, T_w = a_w^-1 for a_w one potential value under
+    w, and H is generated by the a_w^-1 P_w, P_w the potential values
+    under w.  `exhaustive` adds the values of every word pair as
+    generators instead of the chain's; both give the same count (the
+    relation is transitive) and small instances use it as an oracle.
     """
     model = kernel.model
     elements = model.elements()
     if elements is None:
         raise SizeGuard("connectivity needs a finite group model")
-    elements = sorted(elements, key=model.key)
-    n_elements = len(elements)
-    index = {model.key(e): i for i, e in enumerate(elements)}
+    order = len(elements)
     level = kernel.depth if depth is None else depth
     if not 0 < level <= kernel.depth:
         raise SizeGuard(f"vertex depth must lie in 1..{kernel.depth}")
     n_words = 1 << level
-    if n_words * n_elements > SKEW_BUDGET:
+    if not within_skew_budget(order, level):
         raise SizeGuard(
-            f"{n_words * n_elements} skew vertices exceed budget {SKEW_BUDGET}")
+            f"{n_words * order} skew vertices exceed budget {SKEW_BUDGET}")
     span = 1 << (kernel.depth - level)  # kernel words per vertex word
-    uf = _UnionFind(n_words * n_elements)
 
     # trivial kernels take the identity between any same-class words, so
     # no extension enumeration is needed for them either
@@ -457,43 +479,68 @@ def skew_connectivity(
 
     # a class is fixed by the vertex bits beyond class_depth, the low ones
     stride = 1 << max(level - kernel.class_depth, 0)
-    classes = [range(c, n_words, stride) for c in range(stride)]
+    if kernel.kind == "trivial":
+        return order * stride  # every value is the identity: H = {1}
 
-    if fast and kernel.kind == "coboundary":
-        # the potential's values on the extensions of the vertex word with
-        # index i fill the slice [i * span, (i + 1) * span)
-        potential = kernel.potential.values_at(kernel.depth)
+    if fast:
+        # the only class holds every vertex word; the potential values
+        # under the vertex word w fill a slice of the potential's table
+        values = kernel.potential.values
+        shift = kernel.potential.depth - level
+
+        def under(w: int) -> list:
+            if shift <= 0:
+                return [values[w >> -shift]]
+            distinct = {model.key(v): v
+                        for v in values[w << shift:(w + 1) << shift]}
+            return list(distinct.values())
+
+        if not exhaustive:
+            subgroup = _Subgroup(model)
+            for w in range(n_words):
+                here = under(w)
+                back = model.inv(here[0])
+                for p in here[1:]:
+                    subgroup.add(model.mul(back, p))
+                if len(subgroup) == order:
+                    break
+            return order // len(subgroup)
     tail = (1 << (kernel.depth - kernel.class_depth)) - 1
 
-    def values_between(first: int, second: int) -> set:
-        if kernel.kind == "trivial":
-            return {model.identity()}
-        i, j = first * span, second * span
+    def values_between(first: int, second: int) -> list:
         if fast:
-            firsts = {model.key(v): v for v in potential[i:i + span]}
-            seconds = {model.key(v): v for v in potential[j:j + span]}
-            return {model.mul(a, model.inv(b))
-                    for a in firsts.values() for b in seconds.values()}
-        return {kernel.value_at(a, b)
-                for a in range(i, i + span) for b in range(j, j + span)
-                if not (a ^ b) & tail}
-
-    # vertex (w, g) is w * n_elements + index of g; left multiplication by
-    # a value permutes the element indices, one permutation per value
-    moved_by: dict = {}
-    for cls in classes:
-        if exhaustive:
-            edges = [(a, b) for i, a in enumerate(cls) for b in cls[i + 1:]]
+            pairs = ((a, b) for a in under(first) for b in under(second))
+            found = (model.mul(a, model.inv(b)) for a, b in pairs)
         else:
-            edges = list(zip(cls, cls[1:]))
-        for second, first in edges:
-            for value in values_between(first, second):
-                moved = moved_by.get(model.key(value))
-                if moved is None:
-                    moved = moved_by[model.key(value)] = [
-                        index[model.key(model.mul(value, g))] for g in elements]
-                here, there = second * n_elements, first * n_elements
-                for gi, gj in enumerate(moved):
-                    uf.union(here + gi, there + gj)
+            i, j = first * span, second * span
+            found = (kernel.value_at(a, b)
+                     for a in range(i, i + span) for b in range(j, j + span)
+                     if not (a ^ b) & tail)
+        return list({model.key(v): v for v in found}.values())
 
-    return uf.count
+    total = 0
+    for c in range(stride):
+        cls = range(c, n_words, stride)
+        subgroup = _Subgroup(model)
+        transport = {cls[0]: model.identity()}
+        for second, first in zip(cls, cls[1:]):
+            # (second, g) joins (first, v g): T_first = T_second a^-1 for
+            # the first value a makes that edge the identity
+            between = values_between(first, second)
+            transport[first] = model.mul(transport[second],
+                                         model.inv(between[0]))
+            if not exhaustive:
+                back = model.inv(transport[second])
+                for v in between:
+                    subgroup.add(model.mul(model.mul(transport[first], v), back))
+                if len(subgroup) == order:
+                    break
+        if exhaustive:
+            for i, second in enumerate(cls):
+                back = model.inv(transport[second])
+                for first in cls[i + 1:]:
+                    for v in values_between(first, second):
+                        subgroup.add(model.mul(model.mul(transport[first], v),
+                                               back))
+        total += order // len(subgroup)
+    return total

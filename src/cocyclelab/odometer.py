@@ -98,12 +98,6 @@ class FiniteDepthMap:
                 range(j * span, (j + 1) * span) for j in self.table))
         return table
 
-    def image_of(self, s: CylinderSet) -> CylinderSet:
-        depth = max(self.depth, s.max_depth)
-        table = self.index_map(depth)
-        return CylinderSet.from_indices(
-            depth, sorted(table[i] for i in s.indices(depth)))
-
 
 @dataclass(frozen=True)
 class PiecewiseCylinderMap:

@@ -587,7 +587,6 @@ def validate_step_output(inp: StepInput, out) -> StepCheck:
         inner_ok, inner_error = False, str(exc)
 
     enlarged = conjugate_closure(model, tuple(inp.family) + (h, model.inv(h)))
-    image = theta.image_of(core)
     required_delta, cover = delta_for(model, inp.candidate, inp.u_index)
 
     target_keys = {model.key(t)
@@ -609,6 +608,11 @@ def validate_step_output(inp: StepInput, out) -> StepCheck:
         misses += not ok
     worst = worst_deviation(mu.level_masses(depth)[0],
                             ((w, table[w]) for w in words))
+    # at the working depth the core and its image are unions of whole
+    # cylinders, and a canonical set holds a whole cylinder exactly when
+    # its membership table marks it, so containment and disjointness are
+    # table lookups
+    inside, in_core = inp.target.mask(depth), core.mask(depth)
 
     agreement = increment_agreement(f, f_tilde, action)
     old_inc = [coboundary_increment(f, g) for g in action.maps()]
@@ -620,9 +624,8 @@ def validate_step_output(inp: StepInput, out) -> StepCheck:
         inner_ok=inner_ok, inner_error=inner_error,
         enlarged_size=len(enlarged),
         confined=increments_within(f_tilde, action, enlarged).ok,
-        core_inside=core.difference(inp.target).is_empty()
-        and image.difference(inp.target).is_empty(),
-        core_disjoint=image.intersection(core).is_empty(),
+        core_inside=all(inside[w] and inside[table[w]] for w in words),
+        core_disjoint=not any(in_core[table[w]] for w in words),
         core_mass=core.measure(mu), target_mass=inp.target.measure(mu),
         membership_misses=misses, worst_core=worst,
         agreement=agreement, agreement_mass=agreement.measure(mu),

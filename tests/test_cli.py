@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from cocyclelab.cli import main
-from cocyclelab.driver import PRESETS, RunReport
+from cocyclelab.cli import YAML_LOADER, main
+from cocyclelab.driver import PRESETS, PipelineConfig, RunReport
 
 
 def run_cli(capsys, *argv):
@@ -325,6 +325,25 @@ class TestConfigHandling:
         rc, _, err = run_cli(capsys, "run", "--config", str(path))
         assert rc == 2
         assert json.loads(err.strip())["error"]
+
+    def test_malformed_yaml_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "unclosed.yaml"
+        path.write_text("group: {name: z2\nrounds: 1\n")
+        rc, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert rc == 2 and out == ""
+        record = json.loads(err.strip())
+        assert record["error"] == "ConfigError"
+        assert str(path) in record["message"]
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_yaml_loaders_agree_on_presets(self, name):
+        text = yaml.safe_dump(dict(PRESETS[name]))
+        if yaml.__with_libyaml__:
+            assert YAML_LOADER is yaml.CSafeLoader
+        fast = yaml.load(text, Loader=YAML_LOADER)
+        assert fast == yaml.load(text, Loader=yaml.SafeLoader)
+        assert PipelineConfig.from_mapping(fast) == PipelineConfig.from_mapping(
+            dict(PRESETS[name]))
 
     def test_installed_entry_point(self, tmp_path):
         """Checks the entry point the build backend emits from this repo's pyproject.toml."""

@@ -159,6 +159,19 @@ class TestFlipCascade:
         assert ladder["terminal_components"] == 1
         assert approx.function.depth == ladder["kernel_depth"] == 8
 
+    @pytest.mark.parametrize("budget,depths", [(32, [1, 2, 3, 4]), (3, [])])
+    def test_ladder_stops_within_budget(self, flips_run, monkeypatch, budget,
+                                        depths):
+        _, whole = flips_run
+        # Z2 gives 2^(d + 1) skew vertices at rung depth d
+        monkeypatch.setattr(evc, "SKEW_BUDGET", budget)
+        _, report = run_theorem_02i(preset("z2-flips"))
+        ladder = report.by_kind("ladder")[0]
+        assert ladder["rung_depths"] == depths
+        assert (ladder["components"]
+                == whole.by_kind("ladder")[0]["components"][:len(depths)])
+        assert certify_report(report.records) == []
+
     def test_boundedness(self, flips_run):
         _, report = flips_run
         bound = report.by_kind("boundedness")[0]

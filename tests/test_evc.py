@@ -23,8 +23,9 @@ from cocyclelab.groups import (FreeAbelianGroup, cyclic_group,
 from cocyclelab.measure import (CylinderSet, ProductMeasure, all_words,
                                 index_word, word_index)
 from cocyclelab.odometer import FiniteDepthMap
-from word_oracles import (WordMap, deviation, kernel_value, map_apply,
-                          word_pairs_map, words_at)
+from word_oracles import (WordMap, deviation, image_of, kernel_value,
+                          map_apply, union_find_components, word_pairs_map,
+                          words_at)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -147,7 +148,7 @@ class TestCheckEvc:
         witness = check_evc(CocycleKernel.coboundary(parity(3), class_depth=3),
                             base, target_set(Z2, 1, 1), delta, UNIFORM)
         assert witness.part.difference(base).is_empty()
-        assert witness.theta.image_of(witness.part).difference(base).is_empty()
+        assert image_of(witness.theta, witness.part).difference(base).is_empty()
 
 
 def deepening_check_evc(kernel, base, target, delta, mu, search_depth=14):
@@ -659,6 +660,77 @@ class TestIndexedConnectivity:
         # explicit tables break
         if kernel.kind != "explicit":
             assert skew_connectivity(kernel, depth=level) == full
+
+
+@st.composite
+def subgroup_cases(draw):
+    """(kernel, level) on Z2, Z4 and S3 up to depth 6, at every level and
+    class depth, with potentials of any depth and tables of any values."""
+    model = draw(st.sampled_from([Z2, Z4, S3]))
+    depth = draw(st.integers(1, 6))
+    # the kernel depth half of the time, so that classes are large
+    deep = st.one_of(st.just(depth), st.integers(0, depth))
+    class_depth = draw(deep)
+    kind = draw(st.sampled_from(["trivial", "coboundary", "explicit"]))
+    rng = draw(st.randoms(use_true_random=True))
+    # values from a few elements, so that proper subgroups occur
+    elements = model.elements()
+    palette = rng.sample(elements, rng.randint(1, min(3, len(elements))))
+    if kind == "trivial":
+        kernel = CocycleKernel.trivial(model, depth, class_depth)
+    elif kind == "coboundary":
+        f_depth = draw(deep)
+        values = tuple(rng.choice(palette) for _ in range(1 << f_depth))
+        kernel = CocycleKernel.coboundary(StepFunction(model, f_depth, values),
+                                          class_depth=class_depth, depth=depth)
+    else:
+        table = {(a, b): rng.choice(palette)
+                 for cls in CocycleKernel.trivial(model, depth,
+                                                  class_depth).classes()
+                 for a in cls for b in cls}
+        kernel = CocycleKernel.explicit(model, depth, class_depth, table)
+    return kernel, draw(st.integers(1, depth))
+
+
+class TestSubgroupIndexCount:
+    """The count by subgroup index against union-find over every vertex;
+    S3 is non-abelian, so left and right cosets differ there."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(subgroup_cases(), st.booleans())
+    def test_matches_union_find(self, case, exhaustive):
+        kernel, level = case
+        assert (skew_connectivity(kernel, depth=level, exhaustive=exhaustive)
+                == union_find_components(kernel, level, exhaustive))
+
+    def test_potential_generators_are_a_inverse_p(self):
+        # under 0 the potential takes e and t01, under 1 r and r t01: both
+        # give a^-1 p = t01, so H = {e, t01} leaves 3 components; p a^-1
+        # would add r t01 r^-1 = t12 and generate S3
+        e, r, t01 = (S3.parse(x) for x in ("e", "r", "t01"))
+        f = StepFunction(S3, 2, (e, t01, r, S3.mul(r, t01)))
+        kernel = CocycleKernel.coboundary(f, class_depth=2)
+        assert union_find_components(kernel, 1) == 3
+        assert skew_connectivity(kernel, depth=1) == 3
+
+    def test_transport_conjugates_later_edges(self):
+        # the chain 0 - 1 - 2 - 3 of depth-2 words: the first edge takes r
+        # and t01 r, the second e and t01.  With T_1 = T_2 = r^-1 both give
+        # r^-1 t01 r = t02, so H has order 2; leaving the second edge's
+        # t01 unconjugated would generate S3
+        e, r, t01 = (S3.parse(x) for x in ("e", "r", "t01"))
+        table = {(a, b): e for a in all_words(3) for b in all_words(3)}
+        for a in ("010", "011"):
+            for b in ("000", "001"):
+                table[a, b] = S3.mul(t01, r)
+        table["010", "000"] = r
+        for a in ("100", "101"):
+            for b in ("010", "011"):
+                table[a, b] = t01
+        table["100", "010"] = e
+        kernel = CocycleKernel.explicit(S3, 3, 3, table)
+        assert union_find_components(kernel, 2) == 3
+        assert skew_connectivity(kernel, depth=2) == 3
 
 
 class TestTargets:

@@ -18,7 +18,8 @@ from cocyclelab.odometer import (FiniteDepthMap, GammaAction,
                                  adding_machine_action, coordinate_flip,
                                  exchange_involution, flip_action,
                                  orbit_overflow)
-from word_oracles import WordMap, apply_piece, covers, map_apply, words_at
+from word_oracles import (WordMap, apply_piece, covers, image_of, map_apply,
+                          words_at)
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))
@@ -163,7 +164,7 @@ class TestFiniteDepthMap:
 
     def test_image_of(self):
         tau = FiniteDepthMap.from_pairs(2, [(0b00, 0b11)])
-        img = tau.image_of(CylinderSet.of(["00", "01"]))
+        img = image_of(tau, CylinderSet.of(["00", "01"]))
         assert img.words == CylinderSet.of(["11", "01"]).words
 
     def test_identity(self):
@@ -301,7 +302,7 @@ def test_from_pairs_matches_word_map(case, data):
     for w in all_words(depth + 1):
         assert map_apply(theta, w) == oracle.apply(w)
     s = data.draw(probe_sets(depth))
-    assert theta.image_of(s) == oracle.image_of(s)
+    assert image_of(theta, s) == oracle.image_of(s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -323,7 +324,7 @@ def test_index_table_matches_word_map(case, data):
     assert inverse == oracle.inverse().indexed()
     assert all(inverse.table[j] == i for i, j in enumerate(theta.table))
     s = data.draw(probe_sets(depth))
-    assert theta.image_of(s) == oracle.image_of(s)
+    assert image_of(theta, s) == oracle.image_of(s)
 
 
 def test_from_moves_rejects_non_permutations():

@@ -5,9 +5,12 @@ agreement and distance are recomputed here by direct loops over the
 function tables so the library helpers are never their own oracle.
 """
 import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocyclelab import stepper
 from cocyclelab.cocycles import StepFunction
@@ -22,7 +25,7 @@ from cocyclelab.stepper import (CERTIFICATE_ORDER, StepArtifacts, StepInput,
                                 image_safe_tolerance,
                                 select_core_and_conjugate,
                                 validate_step_output)
-from word_oracles import apply_piece, covers, step_at, words_at
+from word_oracles import apply_piece, covers, image_of, step_at, words_at
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -349,6 +352,47 @@ class TestSharedCheck:
         art = StepArtifacts(out.f_tilde, out.theta, out.core, out.m, out.h,
                             out.delta, out.working_depth)
         assert validate_step_output(inp, art) == validate_step_output(inp, out)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_step():
+    inp = reference_input()
+    return inp, construct_step(inp)
+
+
+@st.composite
+def cylinder_sets(draw, depth):
+    return CylinderSet.of(draw(st.lists(st.text(alphabet="01", max_size=depth),
+                                        min_size=1, max_size=4)))
+
+
+class TestCoreTables:
+    """The core tests read membership tables; the set operations are the
+    oracle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_match_set_operations(self, data):
+        inp, out = reference_step()
+        depth = out.working_depth
+        # targets may be deeper than the working depth, cores may not
+        target = data.draw(st.one_of(st.just(CylinderSet.full()),
+                                     cylinder_sets(depth + 2)))
+        core = data.draw(cylinder_sets(depth))
+        if data.draw(st.booleans()):
+            inside = core.intersection(target)
+            if inside.max_depth <= depth:
+                core = inside
+        theta_depth = data.draw(st.integers(0, min(depth, 4)))
+        theta = FiniteDepthMap(theta_depth, tuple(data.draw(
+            st.permutations(range(1 << theta_depth)))))
+        check = validate_step_output(dataclasses.replace(inp, target=target),
+                                     dataclasses.replace(out, core=core,
+                                                         theta=theta))
+        image = image_of(theta, core)
+        assert check.core_inside == (core.difference(target).is_empty()
+                                     and image.difference(target).is_empty())
+        assert check.core_disjoint == image.intersection(core).is_empty()
 
 
 class TestTolerances:

@@ -111,7 +111,62 @@ def map_apply(theta: FiniteDepthMap, w: str) -> str:
     return index_word(table[word_index(w)], len(w))
 
 
+def image_of(theta: FiniteDepthMap, s: CylinderSet) -> CylinderSet:
+    """The image of a set under an index map, read at the deeper of the
+    two depths: the set form of the membership-table containment tests
+    in `validate_witness` and `validate_step_output`."""
+    depth = max(theta.depth, s.max_depth)
+    table = theta.index_map(depth)
+    return CylinderSet.from_indices(
+        depth, sorted(table[i] for i in s.indices(depth)))
+
+
 def word_pairs_map(depth: int, pairs) -> FiniteDepthMap:
     """The involution of word pairs of the map's depth, as an index map."""
     return FiniteDepthMap.from_pairs(
         depth, [(word_index(a), word_index(b)) for a, b in pairs])
+
+
+def union_find_components(kernel, level: int, exhaustive: bool = False) -> int:
+    """`skew_connectivity` counted vertex by vertex: union-find over the
+    (level word, element) pairs, joining (w, g) to (w', v g) for each
+    value v between the extensions of w' and w, along the chain of each
+    class's words (or every word pair when `exhaustive`)."""
+    model = kernel.model
+    elements = sorted(model.elements(), key=model.key)
+    n_elements = len(elements)
+    index = {model.key(e): i for i, e in enumerate(elements)}
+    n_words = 1 << level
+    span = 1 << (kernel.depth - level)
+    parent = list(range(n_words * n_elements))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    tail = (1 << (kernel.depth - kernel.class_depth)) - 1
+
+    def values_between(first, second):
+        i, j = first * span, second * span
+        return {model.key(v): v
+                for v in (kernel.value_at(a, b)
+                          for a in range(i, i + span)
+                          for b in range(j, j + span)
+                          if not (a ^ b) & tail)}.values()
+
+    stride = 1 << max(level - kernel.class_depth, 0)
+    for c in range(stride):
+        cls = range(c, n_words, stride)
+        if exhaustive:
+            edges = [(a, b) for i, a in enumerate(cls) for b in cls[i + 1:]]
+        else:
+            edges = list(zip(cls, cls[1:]))
+        for second, first in edges:
+            for value in values_between(first, second):
+                for gi, g in enumerate(elements):
+                    gj = index[model.key(model.mul(value, g))]
+                    parent[find(second * n_elements + gi)] = find(
+                        first * n_elements + gj)
+    return len({find(i) for i in range(n_words * n_elements)})
