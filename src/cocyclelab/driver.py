@@ -46,6 +46,8 @@ from .stepper import (StepArtifacts, StepCheck, StepInput, admission_bound,
 
 SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
 
+_REQUIRED = object()  # `PipelineConfig.from_mapping`: a key with no default
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -69,28 +71,44 @@ class PipelineConfig:
 
     @staticmethod
     def from_mapping(raw: Mapping) -> "PipelineConfig":
-        try:
-            bases = []
-            for entry in raw.get("bases", [""]):
-                if isinstance(entry, str):
-                    bases.append((entry,))
-                else:
-                    bases.append(tuple(str(w) for w in entry))
-            return PipelineConfig(
-                group=dict(raw["group"]),
-                measure=dict(raw.get("measure", {"kind": "uniform"})),
-                action=dict(raw["action"]),
-                family=tuple(str(h) for h in raw["family"]),
-                bases=tuple(bases),
-                u_indices=tuple(int(k) for k in raw.get("u_indices", [1])),
-                rounds=int(raw.get("rounds", 1)),
-                depth_budget=int(raw.get("depth_budget", 14)),
-                start_level=int(raw.get("start_level", 1)),
-                eps_start=raw.get("eps_start"),
-                name=str(raw.get("name", "run")),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config key: {exc.args[0]}") from None
+        """The config a mapping describes.  Its model, measure and action
+        are built once here, so that a value of the wrong type or form
+        fails now as a :class:`ConfigError` naming it (a word or element
+        label that does not parse stays :class:`MalformedInput`)."""
+        def read(key: str, convert: Callable, default=_REQUIRED):
+            if default is _REQUIRED and key not in raw:
+                raise ConfigError(f"missing config key: {key}")
+            value = raw.get(key, default)
+            try:
+                return convert(value)
+            except MalformedInput:
+                raise
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"config key {key!r} cannot take {value!r} "
+                                  f"({type(exc).__name__}: {exc})") from None
+
+        def word_tuples(entries) -> tuple:
+            return tuple((e,) if isinstance(e, str) else tuple(str(w) for w in e)
+                         for e in entries)
+
+        config = PipelineConfig(
+            group=read("group", dict),
+            measure=read("measure", dict, {"kind": "uniform"}),
+            action=read("action", dict),
+            family=read("family", lambda v: tuple(str(h) for h in v)),
+            bases=read("bases", word_tuples, [""]),
+            u_indices=read("u_indices", lambda v: tuple(int(k) for k in v), [1]),
+            rounds=read("rounds", int, 1),
+            depth_budget=read("depth_budget", int, 14),
+            start_level=read("start_level", int, 1),
+            eps_start=raw.get("eps_start"),
+            name=read("name", str, "run"),
+        )
+        read("group", lambda _: config.build_model())
+        read("measure", lambda _: config.build_measure(), None)
+        read("action", lambda _: config.build_action())
+        read("eps_start", lambda v: v is None or Fraction(v), None)
+        return config
 
     def to_mapping(self) -> dict:
         return {

@@ -429,7 +429,6 @@ class _Subgroup:
 def skew_connectivity(
     kernel: CocycleKernel,
     depth: Optional[int] = None,
-    exhaustive: bool = False,
 ) -> int:
     """Exact component count of the product graph on (depth words x group).
 
@@ -451,9 +450,7 @@ def skew_connectivity(
     the class adds |G| / |H| components.  For a coboundary whose classes
     are the whole space, T_w = a_w^-1 for a_w one potential value under
     w, and H is generated by the a_w^-1 P_w, P_w the potential values
-    under w.  `exhaustive` adds the values of every word pair as
-    generators instead of the chain's; both give the same count (the
-    relation is transitive) and small instances use it as an oracle.
+    under w.
     """
     model = kernel.model
     elements = model.elements()
@@ -495,27 +492,22 @@ def skew_connectivity(
                         for v in values[w << shift:(w + 1) << shift]}
             return list(distinct.values())
 
-        if not exhaustive:
-            subgroup = _Subgroup(model)
-            for w in range(n_words):
-                here = under(w)
-                back = model.inv(here[0])
-                for p in here[1:]:
-                    subgroup.add(model.mul(back, p))
-                if len(subgroup) == order:
-                    break
-            return order // len(subgroup)
+        subgroup = _Subgroup(model)
+        for w in range(n_words):
+            here = under(w)
+            back = model.inv(here[0])
+            for p in here[1:]:
+                subgroup.add(model.mul(back, p))
+            if len(subgroup) == order:
+                break
+        return order // len(subgroup)
     tail = (1 << (kernel.depth - kernel.class_depth)) - 1
 
     def values_between(first: int, second: int) -> list:
-        if fast:
-            pairs = ((a, b) for a in under(first) for b in under(second))
-            found = (model.mul(a, model.inv(b)) for a, b in pairs)
-        else:
-            i, j = first * span, second * span
-            found = (kernel.value_at(a, b)
-                     for a in range(i, i + span) for b in range(j, j + span)
-                     if not (a ^ b) & tail)
+        i, j = first * span, second * span
+        found = (kernel.value_at(a, b)
+                 for a in range(i, i + span) for b in range(j, j + span)
+                 if not (a ^ b) & tail)
         return list({model.key(v): v for v in found}.values())
 
     total = 0
@@ -529,18 +521,10 @@ def skew_connectivity(
             between = values_between(first, second)
             transport[first] = model.mul(transport[second],
                                          model.inv(between[0]))
-            if not exhaustive:
-                back = model.inv(transport[second])
-                for v in between:
-                    subgroup.add(model.mul(model.mul(transport[first], v), back))
-                if len(subgroup) == order:
-                    break
-        if exhaustive:
-            for i, second in enumerate(cls):
-                back = model.inv(transport[second])
-                for first in cls[i + 1:]:
-                    for v in values_between(first, second):
-                        subgroup.add(model.mul(model.mul(transport[first], v),
-                                               back))
+            back = model.inv(transport[second])
+            for v in between:
+                subgroup.add(model.mul(model.mul(transport[first], v), back))
+            if len(subgroup) == order:
+                break
         total += order // len(subgroup)
     return total

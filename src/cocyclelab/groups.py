@@ -83,15 +83,11 @@ class GroupModel(ABC):
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A finite conjugacy class with an explicit conjugator per member.
-
-    ``witnesses[e]`` is an element x with x g x^-1 = e; the base element
-    g itself is witnessed by the identity.
-    """
+    """A finite conjugacy class: the base element g and the members
+    x g x^-1, sorted."""
 
     base: Element
     members: tuple
-    witnesses: dict
 
     def __len__(self) -> int:
         return len(self.members)
@@ -154,16 +150,13 @@ class FiniteTableGroup(GroupModel):
         return frozenset({0})
 
     def conjugacy_class(self, g) -> ConjugacyClass:
-        witnesses: dict = {g: 0}
+        members = {g}
         for x in range(len(self.table)):
-            e = self.conjugate(g, x)
-            if e not in witnesses:
-                witnesses[e] = x
-            if len(witnesses) > CLASS_BUDGET:
+            members.add(self.conjugate(g, x))
+            if len(members) > CLASS_BUDGET:
                 raise UnboundedClass(
                     f"class of {self.format(g)} exceeds budget {CLASS_BUDGET}")
-        members = tuple(sorted(witnesses))
-        return ConjugacyClass(g, members, {e: witnesses[e] for e in members})
+        return ConjugacyClass(g, tuple(sorted(members)))
 
     @staticmethod
     def from_csv(name: str, text: str, labels: Optional[Sequence[str]] = None) -> "FiniteTableGroup":
@@ -248,7 +241,7 @@ class FreeAbelianGroup(GroupModel):
         return Fraction(max(abs(x) for x in a))
 
     def conjugacy_class(self, g) -> ConjugacyClass:
-        return ConjugacyClass(g, (g,), {g: self.identity()})
+        return ConjugacyClass(g, (g,))
 
 class DirectSumZGroup(GroupModel):
     """The direct sum of countably many copies of Z with the sup norm.
@@ -303,7 +296,7 @@ class DirectSumZGroup(GroupModel):
         return frozenset({()})
 
     def conjugacy_class(self, g) -> ConjugacyClass:
-        return ConjugacyClass(g, (g,), {g: ()})
+        return ConjugacyClass(g, (g,))
 
 class DirectProductGroup(GroupModel):
     """Direct product of two models; elements are pairs."""
@@ -359,15 +352,8 @@ class DirectProductGroup(GroupModel):
         cr = self.right.conjugacy_class(g[1])
         if len(cl) * len(cr) > CLASS_BUDGET:
             raise UnboundedClass(f"product class exceeds budget {CLASS_BUDGET}")
-        members = []
-        witnesses = {}
-        for a in cl.members:
-            for b in cr.members:
-                e = (a, b)
-                members.append(e)
-                witnesses[e] = (cl.witnesses[a], cr.witnesses[b])
-        members = tuple(sorted(members, key=self.key))
-        return ConjugacyClass(g, members, witnesses)
+        members = [(a, b) for a in cl.members for b in cr.members]
+        return ConjugacyClass(g, tuple(sorted(members, key=self.key)))
 
 class RationalRatioGroup(GroupModel):
     """Positive rationals under multiplication; hosts Radon-Nikodym
@@ -401,7 +387,7 @@ class RationalRatioGroup(GroupModel):
         return frozenset({ONE})
 
     def conjugacy_class(self, g) -> ConjugacyClass:
-        return ConjugacyClass(g, (g,), {g: ONE})
+        return ConjugacyClass(g, (g,))
 
 
 # ---------------------------------------------------------------------------

@@ -111,7 +111,7 @@ class ProductMeasure:
     @staticmethod
     def iid(p0) -> "ProductMeasure":
         p0 = Fraction(p0)
-        return ProductMeasure(head=(), cycle=((p0, 1 - p0),))
+        return ProductMeasure(head=(), cycle=(_as_pair((p0, 1 - p0)),))
 
     @staticmethod
     def from_schedule(head: Sequence[Sequence], cycle: Sequence[Sequence]) -> "ProductMeasure":
@@ -208,112 +208,58 @@ class ProductMeasure:
 # Cylinder sets
 # ---------------------------------------------------------------------------
 
-def _normalize(words: Iterable[Word]) -> tuple[Word, ...]:
-    """Canonical form: drop words nested inside others, merge full sibling
-    pairs bottom-up, sort lexicographically with shorter words first."""
-    ws = sorted(set(words))
-    # one test for all words: strip stops at the first character not 0/1
-    if "".join(ws).strip("01"):
-        for w in ws:
-            check_word(w)
-    # levels[d] holds the kept words of length d
-    levels: list[set[Word]] = [
-        set() for _ in range(max(map(len, ws), default=-1) + 1)]
-    # in lexicographic order a word is nested exactly when it extends the
-    # last word kept: every word between a prefix p and w also starts with p
-    last = None
-    for w in ws:
-        if last is None or not w.startswith(last):
-            levels[len(w)].add(w)
-            last = w
-    # the kept words are prefix-free, so merging sibling pairs one level at
-    # a time, deepest first, reaches the unique fixed point
-    for depth in range(len(levels) - 1, 0, -1):
-        level = levels[depth]
-        for w in [w for w in level if w[-1] == "0" and w[:-1] + "1" in level]:
-            level.discard(w)
-            level.discard(w[:-1] + "1")
-            levels[depth - 1].add(w[:-1])
-    return tuple(w for level in levels for w in sorted(level))
+def _coalesce(ranges: Iterable[tuple[int, int]]) -> list[int]:
+    """The edges lo0, hi0, lo1, hi1, ... of the union of index ranges
+    [lo, hi) given ascending by lo: touching and overlapping ranges are
+    joined, so the result's ranges are disjoint and apart."""
+    edges: list[int] = []
+    for lo, hi in ranges:
+        if edges and lo <= edges[-1]:
+            if hi > edges[-1]:
+                edges[-1] = hi
+        else:
+            edges += (lo, hi)
+    return edges
 
 
-def _merged_indices(depth: int, indices: Sequence[int]) -> tuple[Word, ...]:
-    """`_normalize` of the depth-`depth` words with the given indices,
-    ascending and distinct: sibling pairs (2k, 2k + 1) merge into their
-    parent k one level up, deepest level first."""
-    kept: list[tuple[int, list[int]]] = []
-    current = indices
-    for d in range(depth, 0, -1):
-        stay: list[int] = []
-        parents: list[int] = []
-        i, n = 0, len(current)
-        while i < n:
-            x = current[i]
-            if not x & 1 and i + 1 < n and current[i + 1] == x + 1:
-                parents.append(x >> 1)
-                i += 2
-            else:
-                stay.append(x)
-                i += 1
-        kept.append((d, stay))
-        current = parents
-    words = [""] if current else []
-    for d, stay in reversed(kept):
-        spec = f"0{d}b"
-        words.extend(format(x, spec) for x in stay)
-    return tuple(words)
+def _word_edges(words: Sequence[Word]) -> tuple[int, list[int]]:
+    """``(depth, edges)`` of the union of the words' cylinders, `depth`
+    the deepest word's: the word of index i and length d holds the
+    indices [i 2^(depth-d), (i+1) 2^(depth-d))."""
+    depth = max(map(len, words), default=0)
+    ranges = []
+    for w in words:
+        shift, i = depth - len(w), word_index(w)
+        ranges.append((i << shift, (i + 1) << shift))
+    return depth, _coalesce(sorted(ranges))
 
 
-def _split(words: Sequence[Word]) -> tuple[list[Word], list[Word]]:
-    """Split a prefix-free word list into the 0-branch and 1-branch,
-    stripping the leading symbol.  The caller guarantees '' is absent."""
-    zero = [w[1:] for w in words if w[0] == "0"]
-    one = [w[1:] for w in words if w[0] == "1"]
-    return zero, one
-
-
-def _union(a: Sequence[Word], b: Sequence[Word]) -> list[Word]:
-    if not a:
-        return list(b)
-    if not b:
-        return list(a)
-    if "" in a or "" in b:
-        return [""]
-    a0, a1 = _split(a)
-    b0, b1 = _split(b)
-    r0 = _union(a0, b0)
-    r1 = _union(a1, b1)
-    if r0 == [""] and r1 == [""]:
-        return [""]
-    return ["0" + w for w in r0] + ["1" + w for w in r1]
-
-
-def _intersection(a: Sequence[Word], b: Sequence[Word]) -> list[Word]:
-    if not a or not b:
-        return []
-    if "" in a:
-        return list(b)
-    if "" in b:
-        return list(a)
-    a0, a1 = _split(a)
-    b0, b1 = _split(b)
-    return ["0" + w for w in _intersection(a0, b0)] + ["1" + w for w in _intersection(a1, b1)]
-
-
-def _difference(a: Sequence[Word], b: Sequence[Word]) -> list[Word]:
-    if not a or not b:
-        return list(a)
-    if "" in b:
-        return []
-    if "" in a:
-        a = ["0", "1"]
-    a0, a1 = _split(a)
-    b0, b1 = _split(b)
-    r0 = _difference(a0, b0)
-    r1 = _difference(a1, b1)
-    if r0 == [""] and r1 == [""]:
-        return [""]
-    return ["0" + w for w in r0] + ["1" + w for w in r1]
+def _canonical(depth: int, edges: list[int]) -> "CylinderSet":
+    """The one canonical form.  `edges` are those of disjoint ranges
+    [lo, hi) of depth-`depth` word indices, ascending and apart (as
+    `_coalesce` gives them).  Each range is cut, left to right, into the
+    largest aligned blocks that fit: 2^k indices from a multiple of 2^k
+    are the cylinder of one word of depth ``depth - k``, and these
+    blocks are exactly the maximal cylinders of the set.  The words come
+    out shorter first, each depth in index (lexicographic) order; the
+    edges are kept on the set for its next operation."""
+    levels: list[list[int]] = [[] for _ in range(depth + 1)]
+    whole = 1 << depth
+    for lo, hi in zip(edges[::2], edges[1::2]):
+        while lo < hi:
+            # the largest block aligned at lo, halved until it fits
+            size = lo & -lo or whole
+            while lo + size > hi:
+                size >>= 1
+            k = size.bit_length() - 1
+            levels[depth - k].append(lo >> k)
+            lo += size
+    # a depth-0 block is the whole space, and then the only one
+    out = CylinderSet(("",) if levels[0] else tuple(
+        format(i, "b").zfill(d) for d, level in enumerate(levels)
+        for i in level))
+    out.__dict__["_ranges"] = (depth, edges)
+    return out
 
 
 @dataclass(frozen=True)
@@ -321,8 +267,11 @@ class CylinderSet:
     """A finite union of cylinders in canonical prefix-free form.
 
     The empty tuple is the empty set; the tuple ``("",)`` is the whole
-    space.  All boolean operations are exact and return canonical forms,
-    so equality of sets is equality of the ``words`` tuples.
+    space.  The words are the set's maximal cylinders, shorter first and
+    lexicographic within a depth, so equality of sets is equality of the
+    ``words`` tuples.  The set operations work on the same set as sorted
+    index ranges of the words of one depth (`_ranges`), and every result
+    goes through `_canonical`.
     """
 
     words: tuple[Word, ...]
@@ -331,24 +280,41 @@ class CylinderSet:
     def _masks(self) -> dict:
         return {}
 
+    @cached_property
+    def _ranges(self) -> tuple[int, list[int]]:
+        """``(depth, edges)``: the set as the ascending edges lo0, hi0,
+        lo1, hi1, ... of its coalesced ranges of depth-`depth` word
+        indices, `depth` at least `max_depth`."""
+        return _word_edges(self.words)
+
     @staticmethod
     def of(words: Iterable[Word]) -> "CylinderSet":
-        return CylinderSet(_normalize(words))
+        ws = list(words)
+        # one test for all words: strip stops at the first character not 0/1
+        if "".join(ws).strip("01"):
+            for w in ws:
+                check_word(w)
+        return _canonical(*_word_edges(ws))
 
     @staticmethod
     def from_indices(depth: int, indices: Sequence[int]) -> "CylinderSet":
         """The union of the depth-`depth` cylinders with the given word
         indices (see `word_index`), ascending and distinct; the same
         canonical form `of` gives for their words."""
-        return CylinderSet(_merged_indices(depth, indices))
+        if not indices:
+            return _canonical(depth, [])
+        # a run of consecutive indices ends where the next one skips
+        breaks = [x for a, b in zip(indices, indices[1:]) if b != a + 1
+                  for x in (a + 1, b)]
+        return _canonical(depth, [indices[0], *breaks, indices[-1] + 1])
 
     @staticmethod
     def empty() -> "CylinderSet":
-        return CylinderSet(())
+        return _EMPTY
 
     @staticmethod
     def full() -> "CylinderSet":
-        return CylinderSet(("",))
+        return _FULL
 
     def is_empty(self) -> bool:
         return not self.words
@@ -363,14 +329,40 @@ class CylinderSet:
     def measure(self, mu: ProductMeasure) -> Fraction:
         return sum((mu.cylinder(w) for w in self.words), ZERO)
 
+    def _combine(self, other: "CylinderSet", keep) -> "CylinderSet":
+        """The points whose memberships in self and other `keep(in_self,
+        in_other)` accepts (`keep(0, 0)` false), in one left-to-right
+        pass over both sets' edges at the deeper of their depths: a point
+        lies in a set when an odd number of its edges are at or below
+        it."""
+        if not other.words:
+            return self if keep(1, 0) else _EMPTY
+        if not self.words:
+            return other if keep(0, 1) else _EMPTY
+        (da, a), (db, b) = self._ranges, other._ranges
+        depth = max(da, db)
+        a = [x << (depth - da) for x in a] if da < depth else a
+        b = [x << (depth - db) for x in b] if db < depth else b
+        edges: list[int] = []
+        i = j = 0
+        inside = False
+        while i < len(a) or j < len(b):
+            x = a[i] if j == len(b) or (i < len(a) and a[i] <= b[j]) else b[j]
+            i += i < len(a) and a[i] == x
+            j += j < len(b) and b[j] == x
+            if bool(keep(i & 1, j & 1)) != inside:
+                inside = not inside
+                edges.append(x)
+        return _canonical(depth, edges)
+
     def union(self, other: "CylinderSet") -> "CylinderSet":
-        return CylinderSet(tuple(sorted(_union(self.words, other.words), key=lambda w: (len(w), w))))
+        return self._combine(other, lambda x, y: x or y)
 
     def intersection(self, other: "CylinderSet") -> "CylinderSet":
-        return CylinderSet.of(_intersection(self.words, other.words))
+        return self._combine(other, lambda x, y: x and y)
 
     def difference(self, other: "CylinderSet") -> "CylinderSet":
-        return CylinderSet.of(_difference(self.words, other.words))
+        return self._combine(other, lambda x, y: x and not y)
 
     def complement(self) -> "CylinderSet":
         return CylinderSet.full().difference(self)
@@ -406,22 +398,20 @@ class CylinderSet:
 
         Any member cylinder of depth <= n saturates to the whole space.
         """
-        if self.is_empty():
-            return self
-        if any(len(w) <= n for w in self.words):
-            return CylinderSet.full()
-        suffixes = CylinderSet.of(w[n:] for w in self.words)
-        return CylinderSet.of(p + s for p in all_words(n) for s in suffixes.words)
+        return CylinderSet.of(w[n:] for w in self.words).prepend_free(n)
 
     def prepend_free(self, n: int) -> "CylinderSet":
         """Embed a suffix-space set (a set of words over the coordinates
         beyond the n-th) into the full space by freeing the first n
-        coordinates."""
-        if self.is_empty():
+        coordinates: its ranges repeated under each of the 2^n prefixes."""
+        if self.is_empty() or self.is_full():
             return self
-        if self.is_full():
-            return self
-        return CylinderSet.of(p + s for p in all_words(n) for s in self.words)
+        depth, edges = self._ranges
+        pairs = list(zip(edges[::2], edges[1::2]))
+        return _canonical(n + depth, _coalesce(
+            (base + lo, base + hi)
+            for base in range(0, 1 << (n + depth), 1 << depth)
+            for lo, hi in pairs))
 
     def to_csv(self, mu: ProductMeasure) -> str:
         """Rows word,depth,mass_numerator,mass_denominator of the member
@@ -433,3 +423,7 @@ class CylinderSet:
             m = mu.cylinder(w)
             writer.writerow([w, len(w), m.numerator, m.denominator])
         return buf.getvalue()
+
+
+_EMPTY = _canonical(0, [])
+_FULL = _canonical(0, [0, 1])

@@ -335,6 +335,34 @@ class TestConfigHandling:
         assert record["error"] == "ConfigError"
         assert str(path) in record["message"]
 
+    @pytest.mark.parametrize("override, value", [
+        ({"rounds": "abc"}, "'abc'"),
+        ({"group": 5}, "5"),
+        ({"action": {"kind": "flips", "coords": ["x"]}}, "'x'"),
+        ({"eps_start": "abc"}, "'abc'"),
+        ({"measure": {"kind": "iid", "p0": 2}}, "'p0': 2"),
+        ({"group": {"kind": "cyclic"}}, "'order'"),
+        ({"eps_start": "1/0"}, "'1/0'"),
+    ], ids=["rounds", "group", "flip-coords", "eps_start", "iid-p0",
+            "group-order", "eps_start-zero"])
+    def test_malformed_value_is_a_config_error(self, override, value,
+                                               tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({**PRESETS["z2-flips"], **override}))
+        rc, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert rc == 2 and out == ""
+        record = json.loads(err.strip())
+        assert record["error"] == "ConfigError"
+        assert value in record["message"]
+
+    def test_unknown_element_stays_malformed_input(self, tmp_path, capsys):
+        # MalformedInput is a ValueError too, but keeps its record and exit 1
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump({**PRESETS["z2-flips"], "family": ["7"]}))
+        rc, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert rc == 1 and out == ""
+        assert json.loads(err.strip())["error"] == "MalformedInput"
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_yaml_loaders_agree_on_presets(self, name):
         text = yaml.safe_dump(dict(PRESETS[name]))

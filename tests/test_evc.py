@@ -1,7 +1,8 @@
 """Essential-value witnesses and skew-product connectivity.
 
-Component counts are pinned against hand-computed small cases and the
-exhaustive edge walk is used as an oracle for the spanning-chain walk.
+Component counts are pinned against hand-computed small cases and
+against union-find over every vertex (`word_oracles`), which joins every
+word pair of a class where the count walks a spanning chain.
 The witness search, which tries a single word level, is checked against
 the search that deepened level by level up to the depth budget.
 """
@@ -570,9 +571,8 @@ class TestSkewConnectivity:
             (CocycleKernel.trivial(Z3, 3, 3), 2),
         ]
         for kernel, depth in cases:
-            chain = skew_connectivity(kernel, depth=depth)
-            full = skew_connectivity(kernel, depth=depth, exhaustive=True)
-            assert chain == full
+            assert skew_connectivity(kernel, depth=depth) == \
+                union_find_components(kernel, depth, exhaustive=True)
 
     def test_guards(self, monkeypatch):
         with pytest.raises(SizeGuard):
@@ -654,12 +654,13 @@ class TestIndexedConnectivity:
     @given(connectivity_cases())
     def test_chain_matches_exhaustive_and_words(self, case):
         kernel, level = case
-        full = skew_connectivity(kernel, depth=level, exhaustive=True)
+        full = union_find_components(kernel, level, exhaustive=True)
         assert full == word_components(kernel, level)
         # the chain walk relies on the chain rule, which arbitrary
-        # explicit tables break
-        if kernel.kind != "explicit":
-            assert skew_connectivity(kernel, depth=level) == full
+        # explicit tables break: those are held to the chain's oracle
+        assert skew_connectivity(kernel, depth=level) == (
+            union_find_components(kernel, level)
+            if kernel.kind == "explicit" else full)
 
 
 @st.composite
@@ -697,11 +698,13 @@ class TestSubgroupIndexCount:
     S3 is non-abelian, so left and right cosets differ there."""
 
     @settings(max_examples=300, deadline=None)
-    @given(subgroup_cases(), st.booleans())
-    def test_matches_union_find(self, case, exhaustive):
+    @given(subgroup_cases())
+    def test_matches_union_find(self, case):
+        # every word pair for kernels that keep the chain rule, the chain
+        # for explicit tables, which may break it
         kernel, level = case
-        assert (skew_connectivity(kernel, depth=level, exhaustive=exhaustive)
-                == union_find_components(kernel, level, exhaustive))
+        assert skew_connectivity(kernel, depth=level) == union_find_components(
+            kernel, level, exhaustive=kernel.kind != "explicit")
 
     def test_potential_generators_are_a_inverse_p(self):
         # under 0 the potential takes e and t01, under 1 r and r t01: both

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cocyclelab.errors import DepthMismatch
 from cocyclelab.measure import (ONE, ZERO, CylinderSet, ProductMeasure,
-                                _normalize, all_words, check_word, index_word,
+                                all_words, check_word, index_word,
                                 word_index, worst_deviation)
 from cocyclelab.odometer import FiniteDepthMap
 
@@ -255,7 +255,7 @@ def nested_word_lists(draw):
 @settings(max_examples=300, deadline=None)
 @given(nested_word_lists())
 def test_normalize_matches_oracle(words):
-    assert _normalize(words) == oracle_normalize(words)
+    assert CylinderSet.of(words).words == oracle_normalize(words)
 
 
 @settings(max_examples=15, deadline=None)
@@ -266,7 +266,62 @@ def test_normalize_matches_oracle_on_depth10_tables(seed, drop):
     words += ["".join(rng.choice("01") for _ in range(rng.randint(0, 9)))
               for _ in range(rng.randint(0, 3))]
     rng.shuffle(words)
-    assert _normalize(words) == oracle_normalize(words)
+    assert CylinderSet.of(words).words == oracle_normalize(words)
+
+
+def check_algebra(a, b, n, probes):
+    """Every set operation against brute-force membership: on each probe
+    word (of one depth, at least n beyond both sets' deepest word) the
+    result covers the word exactly when the Python set operation on the
+    inputs' memberships says so, and every result is canonical."""
+    def covered(s):
+        return {w for w in probes if oracle_covers(s, w)}
+
+    in_a, in_b, everything = covered(a), covered(b), set(probes)
+    # saturation frees the first n coordinates; prepend_free reads a as a
+    # set of words beyond the n-th
+    sat = {w for w in probes
+           if any(oracle_covers(a, p + w[n:]) for p in all_words(n))}
+    lifted = {w for w in probes if oracle_covers(a, w[n:])}
+    results = [
+        (a.union(b), in_a | in_b),
+        (a.intersection(b), in_a & in_b),
+        (a.difference(b), in_a - in_b),
+        (a.complement(), everything - in_a),
+        (a.saturate(n), sat),
+        (a.prepend_free(n), lifted),
+    ]
+    for result, expected in results:
+        assert covered(result) == expected
+        assert CylinderSet.of(result.words) == result
+
+
+@settings(max_examples=200, deadline=None)
+@given(cylinder_sets(), cylinder_sets(), st.integers(0, 3))
+def test_set_algebra_matches_membership(a, b, n):
+    depth = max(a.max_depth, b.max_depth) + n
+    check_algebra(a, b, n, list(all_words(depth)))
+
+
+def test_set_algebra_on_sparse_deep_words():
+    # cylinders of depth 46 to 60: nothing may enumerate the words of
+    # their depth
+    a = CylinderSet.of(["0" * 60, "1" * 45 + "0"])
+    b = CylinderSet.of(["0" * 59 + "1", "1" * 46, "0" * 60])
+    n = 2
+    depth = 60 + n
+    # the probes: along the path of each member word (and of a's words
+    # under the prefix 00, for the lifted sets), every prefix and its
+    # sibling, each padded with zeros and with ones to the probe depth
+    probes = set()
+    for w in (*a.words, *b.words, *("00" + w for w in a.words)):
+        for k in range(len(w) + 1):
+            for branch in (w[:k], w[:k - 1] + "01"[w[k - 1] == "0"] if k else ""):
+                probes.update(branch + fill * (depth - len(branch))
+                              for fill in "01")
+    check_algebra(a, b, n, sorted(probes))
+    assert a.union(b).words == ("1" * 45, "0" * 59)
+    assert a.complement().max_depth == 60
 
 
 weight_pairs = st.integers(2, 12).flatmap(
