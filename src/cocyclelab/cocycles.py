@@ -8,9 +8,10 @@ generators are partial step functions, undefined exactly on the generators' trun
 remainders.  Undefined mass is always carried along explicitly so that
 predicates can report it instead of silently passing.
 
-Kernels package the induced two-point cocycle c(a, b) on pairs of words
-in a common finite class; the three kernel laws (reflexivity, antisymmetry,
-the chain rule) are checked exhaustively on small instances.
+The two-point cocycle that witnesses and connectivity read is always
+the coboundary c(a, b) = f(a) f(b)^-1 of the current step function f,
+on pairs of words that agree beyond the depth of f; it is read off the
+potential's table directly, never stored.  `kernel_csv` writes it out.
 """
 from __future__ import annotations
 
@@ -20,19 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import DepthExhausted, DepthMismatch, PostconditionFailure, SizeGuard
-from .groups import GroupModel, Element, RationalRatioGroup
+from .errors import DepthExhausted, DepthMismatch, PostconditionFailure
+from .groups import GroupModel, Element
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
                       word_index)
 from .odometer import GammaAction, OverflowResult, PiecewiseCylinderMap
 
 HALF = Fraction(1, 2)
 
-KERNEL_PAIR_GUARD = 1 << 16  # most pairs a kernel table may materialize
-KERNEL_TRIPLE_BUDGET = 1 << 21  # most triples `cocycle_check` may walk
-KERNEL_EXPORT_DEPTH = 12  # deepest kernel that is exported as CSV
+KERNEL_EXPORT_DEPTH = 8  # deepest potential whose kernel is exported as CSV
 
 
 def _refined(values: tuple, depth: int, finer: int) -> tuple:
@@ -93,8 +92,8 @@ class StepFunction:
 
     @cached_property
     def _witnesses(self) -> dict:
-        """`evc.check_evc`'s outcomes on coboundary kernels of this
-        function, keyed by the search's inputs."""
+        """`evc.check_evc`'s outcomes on this function's kernel, keyed by
+        the search's inputs."""
         return {}
 
     def values_at(self, depth: int) -> tuple:
@@ -116,6 +115,22 @@ class StepFunction:
         writer.writerows(zip(all_words(self.depth),
                              map(self.model.format, self.values)))
         return buf.getvalue()
+
+
+def kernel_csv(f: StepFunction) -> str:
+    """The kernel c(a, b) = f(a) f(b)^-1 of `f` as CSV: one row per pair
+    of words of its depth, in word order."""
+    model = f.model
+    words = tuple(all_words(f.depth))
+    inverses = [model.inv(v) for v in f.values]
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["source", "target", "value"])
+    for a, fa in zip(words, f.values):
+        writer.writerows(
+            (a, b, model.format(model.mul(fa, fb_inv)))
+            for b, fb_inv in zip(words, inverses))
+    return buf.getvalue()
 
 
 @dataclass(frozen=True)
@@ -174,149 +189,6 @@ def coboundary_increment(f: StepFunction,
             None if j < 0 else mul(values[j], inv(v))
             for j, v in zip(sigma.index_map(e), values)), sigma.remainder())
     return part
-
-
-# ---------------------------------------------------------------------------
-# Kernels
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CocycleKernel:
-    """The two-point cocycle c(a, b) on depth-`depth` words that agree
-    beyond coordinate `class_depth`.
-
-    Kinds: "coboundary" (c = f(a) f(b)^-1 for the stored potential),
-    "trivial", "ratio" (measure ratios valued in the positive rationals),
-    and "explicit" (a literal table, used for negative controls).
-    """
-
-    model: GroupModel
-    depth: int
-    class_depth: int
-    kind: str
-    potential: Optional[StepFunction] = None
-    mu: Optional[ProductMeasure] = None
-    table: Optional[Mapping[tuple[Word, Word], Element]] = None
-
-    def __post_init__(self):
-        if not 0 <= self.class_depth <= self.depth:
-            raise DepthMismatch("need 0 <= class_depth <= depth")
-        if self.kind == "coboundary" and (self.potential is None
-                                          or self.potential.depth > self.depth):
-            raise ValueError("coboundary kernel needs a potential within its depth")
-        if self.kind == "ratio" and self.mu is None:
-            raise ValueError("ratio kernel needs a measure")
-        if self.kind == "explicit" and self.table is None:
-            raise ValueError("explicit kernel needs a table")
-
-    @staticmethod
-    def coboundary(f: StepFunction, class_depth: int,
-                   depth: Optional[int] = None) -> "CocycleKernel":
-        d = max(f.depth, depth or 0, class_depth)
-        return CocycleKernel(f.model, d, class_depth, "coboundary", potential=f)
-
-    @staticmethod
-    def trivial(model: GroupModel, depth: int, class_depth: int) -> "CocycleKernel":
-        return CocycleKernel(model, depth, class_depth, "trivial")
-
-    @staticmethod
-    def ratio(mu: ProductMeasure, depth: int, class_depth: int) -> "CocycleKernel":
-        return CocycleKernel(RationalRatioGroup(), depth, class_depth, "ratio", mu=mu)
-
-    @staticmethod
-    def explicit(model: GroupModel, depth: int, class_depth: int,
-                 table: Mapping[tuple[Word, Word], Element]) -> "CocycleKernel":
-        return CocycleKernel(model, depth, class_depth, "explicit", table=dict(table))
-
-    def admissible(self, a: Word, b: Word) -> bool:
-        return (len(a) == len(b) == self.depth
-                and a[self.class_depth:] == b[self.class_depth:])
-
-    def value(self, a: Word, b: Word) -> Element:
-        if not self.admissible(a, b):
-            raise DepthMismatch(f"({a!r}, {b!r}) is not an admissible kernel pair")
-        return self.value_at(word_index(a), word_index(b))
-
-    def value_at(self, a: int, b: int) -> Element:
-        """`value` of the admissible pair of depth-`depth` words with
-        indices a and b (see `word_index`), unchecked."""
-        if self.kind == "coboundary":
-            shift = self.depth - self.potential.depth
-            values = self.potential.values
-            return self.model.mul(values[a >> shift],
-                                  self.model.inv(values[b >> shift]))
-        if self.kind == "trivial":
-            return self.model.identity()
-        if self.kind == "ratio":
-            # mu.ratio(b, a): the mass of a over the mass of b
-            masses, _ = self.mu.level_masses(self.depth)
-            return Fraction(masses[a], masses[b])
-        return self._indexed_table[a, b]
-
-    @cached_property
-    def _indexed_table(self) -> dict:
-        """The explicit table keyed by word index pairs."""
-        return {(word_index(a), word_index(b)): v
-                for (a, b), v in self.table.items()}
-
-    def classes(self) -> Iterable[list[Word]]:
-        for suffix in all_words(self.depth - self.class_depth):
-            yield [p + suffix for p in all_words(self.class_depth)]
-
-    def pair_count(self) -> int:
-        return (1 << (self.depth - self.class_depth)) * (1 << self.class_depth) ** 2
-
-    def materialize(self) -> dict:
-        if self.pair_count() > KERNEL_PAIR_GUARD:
-            raise SizeGuard(f"kernel with {self.pair_count()} pairs exceeds "
-                            f"guard {KERNEL_PAIR_GUARD}")
-        return {(a, b): self.value(a, b)
-                for cls in self.classes() for a in cls for b in cls}
-
-    def to_csv(self) -> str:
-        if self.depth > KERNEL_EXPORT_DEPTH:
-            raise SizeGuard(f"kernel export limited to depth "
-                            f"{KERNEL_EXPORT_DEPTH}, have {self.depth}")
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["source", "target", "value"])
-        for (a, b), v in sorted(self.materialize().items()):
-            writer.writerow([a, b, self.model.format(v)])
-        return buf.getvalue()
-
-
-@dataclass(frozen=True)
-class KernelCheck:
-    ok: bool
-    failure: Optional[dict] = None
-
-
-def cocycle_check(kernel: CocycleKernel) -> KernelCheck:
-    """Exhaustively verify the three kernel laws; a violation is returned
-    as a value, never raised."""
-    class_size = 1 << kernel.class_depth
-    triples = (1 << (kernel.depth - kernel.class_depth)) * class_size ** 3
-    if triples > KERNEL_TRIPLE_BUDGET:
-        raise SizeGuard(
-            f"{triples} kernel triples exceed budget {KERNEL_TRIPLE_BUDGET}")
-    one = kernel.model.identity()
-    for cls in kernel.classes():
-        values = {(a, b): kernel.value(a, b) for a in cls for b in cls}
-        for a in cls:
-            if values[(a, a)] != one:
-                return KernelCheck(False, {"law": "reflexive", "at": (a,),
-                                           "value": kernel.model.format(values[(a, a)])})
-        for a in cls:
-            for b in cls:
-                if kernel.model.mul(values[(a, b)], values[(b, a)]) != one:
-                    return KernelCheck(False, {"law": "antisymmetric", "at": (a, b)})
-        for a in cls:
-            for b in cls:
-                ab = values[(a, b)]
-                for c in cls:
-                    if kernel.model.mul(ab, values[(b, c)]) != values[(a, c)]:
-                        return KernelCheck(False, {"law": "chain", "at": (a, b, c)})
-    return KernelCheck(True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ keys sorted, so identical configurations produce byte-identical output.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -26,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cocycles import (KERNEL_EXPORT_DEPTH, AgreementCheck, CocycleKernel,
-                       StepFunction, coboundary_increment, cocycle_distance,
-                       increment_agreement, increments_within)
+from .cocycles import (KERNEL_EXPORT_DEPTH, AgreementCheck, StepFunction,
+                       coboundary_increment, cocycle_distance,
+                       increment_agreement, increments_within, kernel_csv)
 from .errors import (CocycleLabError, ConfigError, MalformedInput,
                      SearchExhausted)
 from .evc import (check_evc, delta_for, essential_value_certificate,
@@ -347,6 +348,25 @@ class RunReport:
         return [r for r in self.records if r.get("record") == kind]
 
 
+def _reads_report(read: Callable) -> Callable:
+    """`read`, failing with :class:`MalformedInput` where a report lacks
+    a field or holds one of the wrong form or type, as
+    `PipelineConfig.from_mapping` does for configs; the report boundary
+    is the loader and the two readers of loaded records."""
+    @functools.wraps(read)
+    def reading(*args, **kwargs):
+        try:
+            return read(*args, **kwargs)
+        except MalformedInput:
+            raise
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+                ZeroDivisionError) as exc:
+            raise MalformedInput(f"the report is malformed "
+                                 f"({type(exc).__name__}: {exc})") from None
+    return reading
+
+
+@_reads_report
 def load_report(path: str) -> list[dict]:
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
@@ -444,6 +464,7 @@ def _checked_fields(inp: StepInput, rule: dict, check: StepCheck,
     verdicts = check.verdicts()
     fields = {
         (None, "level"): inp.n,
+        (None, "working_depth"): f_tilde.depth,
         (None, "eps"): rule["chosen"],
         (None, "eps_rule"): rule,
         (None, "eps_prime"): _frac(image_safe_tolerance(inp.action, inp.mu,
@@ -537,12 +558,10 @@ def _run_recursion(config: PipelineConfig,
         out = construct_step(inp)
         check = out.check
 
-        kernel = CocycleKernel.coboundary(out.f_tilde,
-                                          class_depth=out.f_tilde.depth)
         targets = target_set(model, inp.candidate, triple.u_index)
         try:
-            fresh = check_evc(kernel, triple.base(), targets, out.delta, mu,
-                              search_depth=config.depth_budget)
+            fresh = check_evc(out.f_tilde, triple.base(), targets,
+                              out.delta, mu, search_depth=config.depth_budget)
             fresh_rec = {"ok": True, "mass": _frac(fresh.part.measure(mu)),
                          "measure_slack": _frac(fresh.measure_slack)}
         except SearchExhausted as exc:
@@ -558,7 +577,6 @@ def _run_recursion(config: PipelineConfig,
             "round": t + 1,
             "triple": triple.to_mapping(),
             "refined_level": out.m,
-            "working_depth": out.working_depth,
             "delta": _frac(out.delta),
             "conjugate": model.format(out.h),
             "certificates": {c.clause: c.to_mapping() for c in out.certificates},
@@ -618,14 +636,13 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
         records.append(_stream_record(config, model, functions, closure))
 
     # essential-value sweep over the scheduled triples, terminal kernel
-    kernel = CocycleKernel.coboundary(f_final, class_depth=f_final.depth)
     sweep = searched.get("essential_values")
     if sweep is None:
         base_sets = [CylinderSet.of(words) for words in config.bases]
         sweeps = []
         for h_text in config.family:
             report = essential_value_certificate(
-                kernel, model.parse(h_text), mu, base_sets,
+                f_final, model.parse(h_text), mu, base_sets,
                 list(config.u_indices), search_depth=config.depth_budget)
             sweeps.append({
                 "candidate": h_text,
@@ -649,9 +666,10 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
         order = len(model.elements())
         rung_depths = [d for d in range(1, f_final.depth) or [f_final.depth]
                        if within_skew_budget(order, d)]
-        trivial = CocycleKernel.trivial(model, f_final.depth, f_final.depth)
-        rungs = [skew_connectivity(kernel, depth=d) for d in rung_depths]
-        control = [skew_connectivity(trivial, depth=d) for d in rung_depths]
+        # the control is the coboundary of the constant identity
+        trivial = StepFunction(model, 0, (model.identity(),))
+        rungs = [skew_connectivity(f_final, d) for d in rung_depths]
+        control = [skew_connectivity(trivial, d) for d in rung_depths]
         records.append({
             "record": "ladder",
             "kernel_depth": f_final.depth,
@@ -876,6 +894,7 @@ def _first_difference(stored: Mapping, rebuilt: Mapping) -> Optional[str]:
                  or stored[key] != rebuilt[key]), None)
 
 
+@_reads_report
 def certify_report(records: Sequence[dict]) -> list[dict]:
     """Re-validate a stored report from its embedded artifacts; returns a
     list of failure records (empty means the report is sound).
@@ -923,8 +942,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         core = CylinderSet.of(rec["witness"]["core"])
         delta = Fraction(rec["delta"])
         replay = StepArtifacts(f, theta, core, rec["refined_level"],
-                               model.parse(rec["conjugate"]), delta,
-                               rec["working_depth"])
+                               model.parse(rec["conjugate"]), delta)
         inp = step_input(config, model, mu, action, triple, functions[i], n,
                          eps)
         try:
@@ -953,9 +971,8 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
                     fail(f"{section}.{field}" if section else field, where,
                          f"stored {found!r}, recomputed {value!r}")
 
-        kernel = CocycleKernel.coboundary(f, class_depth=f.depth)
         targets = target_set(model, inp.candidate, triple.u_index)
-        witness = validate_witness(kernel, triple.base(), targets, delta, mu,
+        witness = validate_witness(f, triple.base(), targets, delta, mu,
                                    core, theta)
         if not witness.ok:
             fail(f"evc-{witness.clause}", where, witness.detail or "")
@@ -987,6 +1004,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
 # CSV exports
 # ---------------------------------------------------------------------------
 
+@_reads_report
 def export_report(records: Sequence[dict], out_dir: str) -> list[str]:
     """Write CSV artifacts for a stored report; returns the paths."""
     os.makedirs(out_dir, exist_ok=True)
@@ -1009,8 +1027,7 @@ def export_report(records: Sequence[dict], out_dir: str) -> list[str]:
         f = _parse_table(model, finals[0]["f"])
         emit("final_function.csv", f.to_csv())
         if f.depth <= KERNEL_EXPORT_DEPTH:
-            kernel = CocycleKernel.coboundary(f, class_depth=f.depth)
-            emit("terminal_kernel.csv", kernel.to_csv())
+            emit("terminal_kernel.csv", kernel_csv(f))
     for rec in (r for r in records if r.get("record") == "round"):
         core = CylinderSet.of(rec["witness"]["core"])
         emit(f"round_{rec['round']:02d}_core.csv", core.to_csv(mu))

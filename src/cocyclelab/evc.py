@@ -3,8 +3,11 @@
 A witness for the quantitative essential-value condition consists of a
 part B of the base set and a finite-depth transformation moving B inside
 the base with kernel values in the target set and derivative close to 1.
-Witnesses are always re-validated from scratch before being returned, and
-carry the exact slacks by which each inequality holds.
+The kernel is the coboundary c(a, b) = f(a) f(b)^-1 of a step function
+f, the potential, on words that agree beyond the depth of f; every
+function here takes f and reads c off its table.  Witnesses are always
+re-validated from scratch before being returned, and carry the exact
+slacks by which each inequality holds.
 """
 from __future__ import annotations
 
@@ -12,14 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cocycles import CocycleKernel
+from .cocycles import StepFunction
 from .errors import PostconditionFailure, SearchExhausted, SizeGuard
 from .groups import Cover, Element, GroupModel, covering_number
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, index_word,
                       worst_deviation)
 from .odometer import FiniteDepthMap
 
-SKEW_BUDGET = 1 << 18  # most vertices, or extension pairs, a connectivity count walks
+SKEW_BUDGET = 1 << 18  # most vertices a connectivity count may stand for
 
 
 def target_set(model: GroupModel, g: Element, u_index: int) -> tuple:
@@ -67,7 +70,7 @@ class EvcWitness:
 
 
 def validate_witness(
-    kernel: CocycleKernel,
+    f: StepFunction,
     base: CylinderSet,
     target: Sequence[Element],
     delta: Fraction,
@@ -76,8 +79,8 @@ def validate_witness(
     theta: FiniteDepthMap,
 ) -> WitnessValidation:
     """Re-check every clause of the condition from scratch, trusting only
-    (part, theta) and the kernel itself."""
-    model = kernel.model
+    (part, theta) and the potential `f` itself."""
+    model = f.model
     delta = Fraction(delta)
 
     def failed(clause: str, detail: str,
@@ -86,7 +89,7 @@ def validate_witness(
         return WitnessValidation(False, clause, detail, measure_slack,
                                  derivative_slack, ZERO)
 
-    level = max(kernel.depth, part.max_depth, theta.depth)
+    level = max(f.depth, part.max_depth, theta.depth)
     table = theta.index_map(level)
     words = part.indices(level)
     # B and theta(B) are unions of whole level cylinders, which A holds
@@ -100,17 +103,18 @@ def validate_witness(
     need = delta * base.measure(mu)
     if not mass > need:
         return failed("mass", f"mu(B) = {mass} is not above {need}")
-    # kernel words are the top kernel.depth bits of a level index; a class
-    # is fixed by the bits beyond class_depth
-    shift = level - kernel.depth
-    tail = (1 << (level - kernel.class_depth)) - 1
+    # the potential's words are the top f.depth bits of a level index; a
+    # class is fixed by the bits beyond them
+    shift = level - f.depth
+    tail = (1 << shift) - 1
+    values = f.values
     target_keys = {model.key(t) for t in target}
     for w in words:
         img = table[w]
         if (img ^ w) & tail:
             return failed("class", f"theta throws {index_word(w, level)} out "
                           "of its kernel class", mass - need)
-        value = kernel.value_at(img >> shift, w >> shift)
+        value = model.mul(values[img >> shift], model.inv(values[w >> shift]))
         if model.key(value) not in target_keys:
             return failed("membership",
                           f"kernel value {model.format(value)} at "
@@ -127,7 +131,7 @@ def validate_witness(
 
 
 def check_evc(
-    kernel: CocycleKernel,
+    f: StepFunction,
     base: CylinderSet,
     target: Sequence[Element],
     delta: Fraction,
@@ -139,25 +143,23 @@ def check_evc(
 
     The search assembles involutions from pairings within kernel classes
     of the base set, matching words whose kernel value lands in the
-    target (grouped by potential value for coboundary kernels), largest
-    measure first, at the first level that resolves the kernel and the
-    base.  No deeper level reaches more mass, so none is tried.
+    target (grouped by potential value), largest measure first, at the
+    first level that resolves the potential and the base.  No deeper
+    level reaches more mass, so none is tried.
 
-    On a coboundary kernel the outcome is kept on the potential, keyed by
-    the search's inputs, so a repeated search returns the same witness or
-    raises the same exhaustion without searching again.
+    The outcome is kept on the potential, keyed by the search's inputs,
+    so a repeated search returns the same witness or raises the same
+    exhaustion without searching again.
     """
     delta = Fraction(delta)
     target = tuple(target)
-    if kernel.kind != "coboundary":
-        return _search_witness(kernel, base, target, delta, mu, search_depth)
-    key = (kernel.model, kernel.depth, kernel.class_depth, base,
-           tuple(kernel.model.key(t) for t in target), delta, mu, search_depth)
-    memo = kernel.potential._witnesses
+    key = (base, tuple(f.model.key(t) for t in target), delta, mu,
+           search_depth)
+    memo = f._witnesses
     outcome = memo.get(key)
     if outcome is None:
         try:
-            outcome = _search_witness(kernel, base, target, delta, mu,
+            outcome = _search_witness(f, base, target, delta, mu,
                                       search_depth)
         except SearchExhausted as exc:
             outcome = (str(exc), exc.best)
@@ -168,16 +170,16 @@ def check_evc(
     raise SearchExhausted(message, best)
 
 
-def _search_witness(kernel, base, target, delta, mu, search_depth) -> EvcWitness:
+def _search_witness(f, base, target, delta, mu, search_depth) -> EvcWitness:
     """The search behind :func:`check_evc`, run once per distinct input."""
-    model = kernel.model
+    model = f.model
     target_keys = {model.key(t) for t in target}
     if base.is_empty():
         raise SearchExhausted("the base set is empty", best={})
 
     if model.key(model.identity()) in target_keys and delta < 1:
-        theta = FiniteDepthMap.identity(kernel.depth)
-        check = validate_witness(kernel, base, target, delta, mu, base, theta)
+        theta = FiniteDepthMap.identity(f.depth)
+        check = validate_witness(f, base, target, delta, mu, base, theta)
         if check.ok:
             return EvcWitness(base, base, theta, delta, target,
                               check.measure_slack, check.derivative_slack,
@@ -185,14 +187,14 @@ def _search_witness(kernel, base, target, delta, mu, search_depth) -> EvcWitness
 
     need = delta * base.measure(mu)
     # Past this level each base word and kernel class splits by bits beyond
-    # the kernel depth, which keep kernel values, derivatives and the
+    # the potential's depth, which keep kernel values, derivatives and the
     # (-mass, word) order: the pairing only gains those bits, at equal mass.
-    level = max(kernel.depth, base.max_depth)
+    level = max(f.depth, base.max_depth)
     if level > search_depth:
         raise SearchExhausted(
             f"kernel depth {level} already exceeds search depth {search_depth}",
             best={"required_mass": str(need)})
-    pairs, b_words, mass = _pair_search(kernel, base, target, target_keys,
+    pairs, b_words, mass = _pair_search(f, base, target, target_keys,
                                         delta, mu, level, need)
     if not mass > need:
         raise SearchExhausted(
@@ -200,7 +202,7 @@ def _search_witness(kernel, base, target, delta, mu, search_depth) -> EvcWitness
             best={"required_mass": str(need), "achieved_mass": str(mass)})
     theta = FiniteDepthMap.from_pairs(level, pairs)
     part = CylinderSet.from_indices(level, sorted(b_words))
-    check = validate_witness(kernel, base, target, delta, mu, part, theta)
+    check = validate_witness(f, base, target, delta, mu, part, theta)
     if not check.ok:
         raise PostconditionFailure(
             check.clause or "unknown",
@@ -210,7 +212,7 @@ def _search_witness(kernel, base, target, delta, mu, search_depth) -> EvcWitness
 
 
 def _pair_search(
-    kernel: CocycleKernel,
+    f: StepFunction,
     base: CylinderSet,
     target: tuple,
     target_keys: set,
@@ -226,8 +228,8 @@ def _pair_search(
     threshold is crossed.  A deeper level only appends bits to the words
     (see `check_evc`)."""
     masses, denominator = mu.level_masses(level)
-    # a class is fixed by the bits beyond class_depth, the low ones
-    tail = (1 << (level - kernel.class_depth)) - 1
+    # a class is fixed by the bits beyond the potential's depth, the low ones
+    tail = (1 << (level - f.depth)) - 1
     by_class: dict[int, list[int]] = {}
     for w in base.indices(level):
         by_class.setdefault(w & tail, []).append(w)
@@ -236,12 +238,8 @@ def _pair_search(
     mass = 0  # numerator over the level's denominator
     for _, members in sorted(by_class.items()):
         members.sort(key=lambda w: (-masses[w], w))
-        if kernel.kind == "coboundary":
-            found = _match_by_value(kernel, members, target, target_keys,
-                                    delta, masses, level)
-        else:
-            found = _match_generic(kernel, members, target_keys, delta,
-                                   masses, level)
+        found = _match_by_value(f, members, target, target_keys, delta,
+                                masses, level)
         for x, y, x_ok, y_ok in found:
             pairs.append((x, y))
             if x_ok:
@@ -255,43 +253,14 @@ def _pair_search(
     return pairs, b_words, Fraction(mass, denominator)
 
 
-def _match_generic(kernel, members, target_keys, delta, masses, level):
-    """Quadratic scan; fine for the small classes of non-coboundary
-    kernels.  A derivative deviation |n_y - n_x| / n_x is below delta = p/q
-    when |n_y - n_x| * q < p * n_x."""
-    model = kernel.model
-    shift = level - kernel.depth
-    p, q = delta.numerator, delta.denominator
-    used: set[int] = set()
-    out = []
-    for i, x in enumerate(members):
-        if x in used:
-            continue
-        nx = masses[x]
-        for y in members[i + 1:]:
-            if y in used:
-                continue
-            forward = kernel.value_at(y >> shift, x >> shift)
-            ny = masses[y]
-            gap = abs(ny - nx) * q
-            x_ok = model.key(forward) in target_keys and gap < p * nx
-            y_ok = (model.key(model.inv(forward)) in target_keys
-                    and gap < p * ny)
-            if x_ok or y_ok:
-                used.update((x, y))
-                out.append((x, y, x_ok, y_ok))
-                break
-    return out
-
-
-def _match_by_value(kernel, members, target, target_keys, delta, masses,
-                    level):
-    """Pairing for coboundary kernels via potential-value lookup: the
-    value of (y, x) lands in the target iff f(y) lies in target * f(x).
-    Derivatives are tested as in `_match_generic`."""
-    model = kernel.model
-    shift = level - kernel.potential.depth
-    values = kernel.potential.values
+def _match_by_value(f, members, target, target_keys, delta, masses, level):
+    """Pairing within one class via potential-value lookup: the value of
+    (y, x) lands in the target iff f(y) lies in target * f(x).  A
+    derivative deviation |n_y - n_x| / n_x is below delta = p/q when
+    |n_y - n_x| * q < p * n_x."""
+    model = f.model
+    shift = level - f.depth
+    values = f.values
     p, q = delta.numerator, delta.denominator
     pot = {w: values[w >> shift] for w in members}
     groups: dict = {}
@@ -360,7 +329,7 @@ class EssentialValueReport:
 
 
 def essential_value_certificate(
-    kernel: CocycleKernel,
+    f: StepFunction,
     g: Element,
     mu: ProductMeasure,
     base_sets: Sequence[CylinderSet],
@@ -370,7 +339,7 @@ def essential_value_certificate(
     """Check the quantitative condition for every scheduled (base, U)
     pair with the tolerance 1/(3 * covering number); the verdict is
     certified only if all pairs verify."""
-    model = kernel.model
+    model = f.model
     entries: list[EvcEntry] = []
     for k in u_indices:
         delta, _ = delta_for(model, g, k)
@@ -379,7 +348,7 @@ def essential_value_certificate(
             if base.is_empty():
                 continue
             try:
-                witness = check_evc(kernel, base, target, delta, mu, search_depth)
+                witness = check_evc(f, base, target, delta, mu, search_depth)
                 entries.append(EvcEntry(base, k, delta, True, witness, None))
             except SearchExhausted as exc:
                 entries.append(EvcEntry(base, k, delta, False, None, str(exc)))
@@ -426,105 +395,47 @@ class _Subgroup:
                     frontier.append(y)
 
 
-def skew_connectivity(
-    kernel: CocycleKernel,
-    depth: Optional[int] = None,
-) -> int:
+def skew_connectivity(f: StepFunction, depth: int) -> int:
     """Exact component count of the product graph on (depth words x group).
 
-    An edge joins (w, g) to (w', v g) for every value v the kernel
-    attains between extensions of w' and w; when the vertex depth equals
-    the kernel depth the value is unique per pair, while a shallower
-    vertex depth projects the deeper structure onto coarser words, which
-    is where a run's increments can fuse the group fibers into one
-    component.
+    An edge joins (w, g) to (w', v g) for every kernel value v between
+    extensions of w' and w.  All vertex words lie in one class, and a
+    vertex word as deep as the potential sees one value of it, so the
+    count is then the group order; a shallower vertex depth projects the
+    potential onto coarser words, which is where a run's increments can
+    fuse the group fibers into one component.
 
     No vertex is built.  Over a finite group G the components of a
     cocycle's skew product are the cosets of the subgroup its values
     generate (K. Schmidt, *Cocycles of ergodic transformation groups*,
-    1977).  Here: the words of a class are joined by a chain of edges; a
-    transport T per word, with (w, g) sent to T_w g, turns one value on
-    each chain edge into the identity, and every value v on an edge from
-    (w, g) to (w', v g) then becomes the generator T_w' v T_w^-1 of a
-    subgroup H.  The class's vertices fall into the right cosets H g, so
-    the class adds |G| / |H| components.  For a coboundary whose classes
-    are the whole space, T_w = a_w^-1 for a_w one potential value under
-    w, and H is generated by the a_w^-1 P_w, P_w the potential values
-    under w.
+    1977).  Here a transport T_w = a_w^-1 per word, a_w one potential
+    value under w, makes one value on each edge the identity, so the
+    vertices fall into the right cosets H g of the subgroup H generated
+    by the a_w^-1 P_w, P_w the potential values under w, and the count
+    is |G| / |H|.
     """
-    model = kernel.model
+    model = f.model
     elements = model.elements()
     if elements is None:
         raise SizeGuard("connectivity needs a finite group model")
     order = len(elements)
-    level = kernel.depth if depth is None else depth
-    if not 0 < level <= kernel.depth:
-        raise SizeGuard(f"vertex depth must lie in 1..{kernel.depth}")
-    n_words = 1 << level
-    if not within_skew_budget(order, level):
+    if depth <= 0:
+        raise SizeGuard("vertex depth must be positive")
+    if not within_skew_budget(order, depth):
         raise SizeGuard(
-            f"{n_words * order} skew vertices exceed budget {SKEW_BUDGET}")
-    span = 1 << (kernel.depth - level)  # kernel words per vertex word
-
-    # trivial kernels take the identity between any same-class words, so
-    # no extension enumeration is needed for them either
-    fast = (kernel.kind == "trivial"
-            or (kernel.kind == "coboundary"
-                and kernel.class_depth == kernel.depth))
-    if not fast and span ** 2 * n_words > SKEW_BUDGET:
-        raise SizeGuard("extension pairs exceed budget; deepen the vertices")
-
-    # a class is fixed by the vertex bits beyond class_depth, the low ones
-    stride = 1 << max(level - kernel.class_depth, 0)
-    if kernel.kind == "trivial":
-        return order * stride  # every value is the identity: H = {1}
-
-    if fast:
-        # the only class holds every vertex word; the potential values
-        # under the vertex word w fill a slice of the potential's table
-        values = kernel.potential.values
-        shift = kernel.potential.depth - level
-
-        def under(w: int) -> list:
-            if shift <= 0:
-                return [values[w >> -shift]]
-            distinct = {model.key(v): v
-                        for v in values[w << shift:(w + 1) << shift]}
-            return list(distinct.values())
-
-        subgroup = _Subgroup(model)
-        for w in range(n_words):
-            here = under(w)
-            back = model.inv(here[0])
-            for p in here[1:]:
-                subgroup.add(model.mul(back, p))
-            if len(subgroup) == order:
-                break
-        return order // len(subgroup)
-    tail = (1 << (kernel.depth - kernel.class_depth)) - 1
-
-    def values_between(first: int, second: int) -> list:
-        i, j = first * span, second * span
-        found = (kernel.value_at(a, b)
-                 for a in range(i, i + span) for b in range(j, j + span)
-                 if not (a ^ b) & tail)
-        return list({model.key(v): v for v in found}.values())
-
-    total = 0
-    for c in range(stride):
-        cls = range(c, n_words, stride)
-        subgroup = _Subgroup(model)
-        transport = {cls[0]: model.identity()}
-        for second, first in zip(cls, cls[1:]):
-            # (second, g) joins (first, v g): T_first = T_second a^-1 for
-            # the first value a makes that edge the identity
-            between = values_between(first, second)
-            transport[first] = model.mul(transport[second],
-                                         model.inv(between[0]))
-            back = model.inv(transport[second])
-            for v in between:
-                subgroup.add(model.mul(model.mul(transport[first], v), back))
-            if len(subgroup) == order:
-                break
-        total += order // len(subgroup)
-    return total
+            f"{(1 << depth) * order} skew vertices exceed budget {SKEW_BUDGET}")
+    shift = f.depth - depth
+    if shift <= 0:
+        return order  # one potential value per vertex word: H = {1}
+    subgroup = _Subgroup(model)
+    values = f.values
+    for w in range(1 << depth):
+        # the potential values under w fill a slice of its table
+        under = list({model.key(v): v
+                      for v in values[w << shift:(w + 1) << shift]}.values())
+        back = model.inv(under[0])
+        for p in under[1:]:
+            subgroup.add(model.mul(back, p))
+        if len(subgroup) == order:
+            break
+    return order // len(subgroup)

@@ -355,40 +355,6 @@ class DirectProductGroup(GroupModel):
         members = [(a, b) for a in cl.members for b in cr.members]
         return ConjugacyClass(g, tuple(sorted(members, key=self.key)))
 
-class RationalRatioGroup(GroupModel):
-    """Positive rationals under multiplication; hosts Radon-Nikodym
-    cocycle values so they can share the kernel checking machinery."""
-
-    name = "Q+"
-
-    def mul(self, a, b):
-        return Fraction(a) * Fraction(b)
-
-    def inv(self, a):
-        return 1 / Fraction(a)
-
-    def identity(self):
-        return ONE
-
-    def key(self, a):
-        a = Fraction(a)
-        return (a.numerator, a.denominator)
-
-    def parse(self, text):
-        try:
-            a = Fraction(text)
-        except (TypeError, ValueError, ZeroDivisionError):
-            a = ZERO
-        if not a > 0:
-            raise MalformedInput(f"{self.name} has no element {text!r}")
-        return a
-
-    def neighborhood(self, k: int) -> frozenset:
-        return frozenset({ONE})
-
-    def conjugacy_class(self, g) -> ConjugacyClass:
-        return ConjugacyClass(g, (g,))
-
 
 # ---------------------------------------------------------------------------
 # Covering numbers and conjugate closures

@@ -109,9 +109,10 @@ class RefinementChoice:
 class StepArtifacts:
     """The slice of a step's output that :func:`validate_step_output`
     reads: the update, the pairing, the core, the refinement level, the
-    conjugate, delta and the working depth.  The construction's
-    intermediates (z0, the partition, the refinement, the involution, the
-    a/b/c sets) are not part of it, so the check cannot depend on them."""
+    conjugate and delta.  The working depth is the update's depth.  The
+    construction's intermediates (z0, the partition, the refinement, the
+    involution, the a/b/c sets) are not part of it, so the check cannot
+    depend on them."""
 
     f_tilde: StepFunction
     theta: FiniteDepthMap
@@ -119,7 +120,6 @@ class StepArtifacts:
     m: int
     h: Element
     delta: Fraction
-    working_depth: int
 
 
 @dataclass(frozen=True)
@@ -471,7 +471,7 @@ def construct_step(inp: StepInput) -> StepOutput:
     theta, core = build_transfer(z0, b_set, a_set, involution, m, depth)
 
     check = validate_step_output(
-        inp, StepArtifacts(f_tilde, theta, core, m, h, delta, depth))
+        inp, StepArtifacts(f_tilde, theta, core, m, h, delta))
     if not check.verdicts()["core_mass"]:
         raise EmptyCore(
             f"core mass {check.core_mass} does not exceed delta * target mass "
@@ -591,7 +591,7 @@ def validate_step_output(inp: StepInput, out) -> StepCheck:
 
     target_keys = {model.key(t)
                    for t in target_set(model, inp.candidate, inp.u_index)}
-    depth = out.working_depth
+    depth = f_tilde.depth
     table = theta.index_map(depth)
     values = f_tilde.values_at(depth)
     words = core.indices(depth)

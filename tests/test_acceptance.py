@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from cocyclelab.cocycles import CocycleKernel, StepFunction
+from cocyclelab.cocycles import StepFunction
 from cocyclelab.driver import (PRESETS, PipelineConfig, certify_report,
                                norm_bounded_pipeline, run_theorem_02i)
 from cocyclelab.evc import (skew_connectivity, target_set, validate_witness)
@@ -190,10 +190,8 @@ def test_a3_witnesses_revalidate(step_outputs, flips_run, z3_run):
     # fresh single-step outputs
     for tag, inp, out, _ in step_outputs:
         model = inp.f.model
-        kernel = CocycleKernel.coboundary(out.f_tilde,
-                                          class_depth=out.f_tilde.depth)
         targets = target_set(model, inp.candidate, inp.u_index)
-        check = validate_witness(kernel, inp.target, targets, out.delta,
+        check = validate_witness(out.f_tilde, inp.target, targets, out.delta,
                                  inp.mu, out.core, out.theta)
         assert check.ok, (tag, check.clause, check.detail)
         checked += 1
@@ -209,11 +207,10 @@ def test_a3_witnesses_revalidate(step_outputs, flips_run, z3_run):
                 model, {w: model.parse(v) for w, v in table.items()})
             theta = FiniteDepthMap.from_moves(f.depth, rec["witness"]["moves"])
             core = CylinderSet.of(rec["witness"]["core"])
-            kernel = CocycleKernel.coboundary(f, class_depth=f.depth)
             base = CylinderSet.of(rec["triple"]["base"])
             targets = target_set(model, model.parse(rec["triple"]["candidate"]),
                                  rec["triple"]["u_index"])
-            check = validate_witness(kernel, base, targets,
+            check = validate_witness(f, base, targets,
                                      Fraction(rec["delta"]), mu, core, theta)
             assert check.ok, (rec["round"], check.clause, check.detail)
             checked += 1
@@ -258,19 +255,15 @@ def test_a6_negative_controls(flips_run):
     # non-surjective increment subgroups leave the skew product
     # disconnected at the projected rung
     controls = [
-        (CocycleKernel.coboundary(
-            StepFunction.from_table(Z4, {w: 2 * (w.count("1") % 2)
-                                         for w in all_words(2)}), class_depth=2), 2),
-        (CocycleKernel.coboundary(
-            StepFunction.from_table(Z2, {w: 0 for w in all_words(2)}),
-            class_depth=2), 2),
-        (CocycleKernel.coboundary(
-            StepFunction.from_table(S3, {"00": S3.identity(), "01": S3.parse("r"),
-                                         "10": S3.parse("r2"),
-                                         "11": S3.identity()}), class_depth=2), 2),
+        (StepFunction.from_table(Z4, {w: 2 * (w.count("1") % 2)
+                                      for w in all_words(2)}), 2),
+        (StepFunction.from_table(Z2, {w: 0 for w in all_words(2)}), 2),
+        (StepFunction.from_table(S3, {"00": S3.identity(), "01": S3.parse("r"),
+                                      "10": S3.parse("r2"),
+                                      "11": S3.identity()}), 2),
     ]
-    for kernel, expected in controls:
-        assert skew_connectivity(kernel, depth=1) == expected
+    for potential, expected in controls:
+        assert skew_connectivity(potential, 1) == expected
         assert expected > 1
 
     # tampered reports are rejected with the violated clause named

@@ -5,8 +5,8 @@ somewhere in `src` outside its own definition, so an API that only
 tests call, or that nothing calls, shows up here.  References are
 matched by name (a bare name or an attribute), so a method is reached
 when any attribute of that name is read; an allowlisted name may also be
-reached that way (`main` by the module's `__main__` guard, `ratio` by
-`ProductMeasure.ratio`), and is listed for its reason all the same.
+reached that way (`main` by the module's `__main__` guard), and is
+listed for its reason all the same.
 """
 import ast
 from pathlib import Path
@@ -16,9 +16,6 @@ SRC = Path(__file__).parents[1] / "src" / "cocyclelab"
 # public names that nothing in src calls, each kept for a stated reason
 ALLOWED = {
     "cli.main": "the console-script entry point, called by the installer's wrapper",
-    "cocycles.cocycle_check": "the exhaustive kernel-law check, a documented oracle",
-    "cocycles.CocycleKernel.ratio": "documented kernel kind (measure ratios)",
-    "cocycles.CocycleKernel.explicit": "documented kernel kind (negative controls)",
     "driver.RunReport.by_kind": "documented accessor of a report's records",
 }
 

@@ -147,6 +147,19 @@ class TestRun:
         assert any(p.endswith("final_function.csv") for p in paths)
         assert all(os.path.exists(p) for p in paths)
 
+    def test_export_skips_the_kernel_beyond_its_depth(self, tmp_path, capsys):
+        # one z2-adding round ends at depth 10, past KERNEL_EXPORT_DEPTH
+        out = str(tmp_path)
+        rc, _, _ = run_cli(capsys, "run", "--config", "z2-adding",
+                           "--out", out)
+        assert rc == 0
+        rc, stdout, err = run_cli(capsys, "export",
+                                  os.path.join(out, "report.jsonl"),
+                                  "--out", str(tmp_path / "csv"))
+        assert rc == 0 and err == ""
+        assert sorted(os.path.basename(p) for p in stdout.splitlines()) == [
+            "final_function.csv", "ladder.csv", "round_01_core.csv"]
+
     def test_certify_tampered_report(self, tmp_path, capsys):
         out = str(tmp_path)
         run_cli(capsys, "run", "--config", "z2-flips", "--rounds", "2",
@@ -191,8 +204,19 @@ def _rename_first_key(table, key):
     table[key] = table.pop(sorted(table)[0])
 
 
+def _drop(record, key):
+    del record[key]
+
+
 # malformed data in a stored z2-flips report, each once a traceback
 MALFORMED = {
+    "header-config": lambda rs: _drop(rs[0], "config"),
+    "round-witness": lambda rs: _drop(rs[1], "witness"),
+    "round-artifacts": lambda rs: _drop(rs[1], "artifacts"),
+    "eps-text": lambda rs: rs[1].update(eps="abc"),
+    "delta-text": lambda rs: rs[1].update(delta="x"),
+    "round-number": lambda rs: rs[1].update(round="x"),
+    "record-list": lambda rs: rs.__setitem__(2, list(rs[2].items())),
     "table-key": lambda rs: _rename_first_key(_round_table(rs), "0x1"),
     "empty-table": lambda rs: _round_table(rs).clear(),
     "core-word": lambda rs: rs[1]["witness"].update(core=["0x0"]),
@@ -247,7 +271,24 @@ class TestMalformedReport:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_certify_reports_an_error_record(self, case, report_lines,
                                              tmp_path, capsys):
-        self.certify_edited(report_lines, MALFORMED[case], tmp_path, capsys)
+        record = self.certify_edited(report_lines, MALFORMED[case], tmp_path,
+                                     capsys)
+        # a table whose keys are not the words of one depth fails as such
+        assert record["error"] == {"empty-table": "DepthMismatch",
+                                   "table-key": "DepthMismatch"}.get(
+                                       case, "MalformedInput")
+
+    @pytest.mark.parametrize("command", ["certify", "export"])
+    def test_line_that_is_not_json(self, command, report_lines, tmp_path,
+                                   capsys):
+        path = tmp_path / "report.jsonl"
+        path.write_text("\n".join(report_lines[:2] + ["{not json"]
+                                  + report_lines[2:]) + "\n")
+        rc, out, err = run_cli(capsys, command, str(path),
+                               *(["--out", str(tmp_path)]
+                                 if command == "export" else []))
+        assert rc == 1 and out == ""
+        assert json.loads(err.strip())["error"] == "MalformedInput"
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SUM_Z))
     def test_sum_z_certify_reports_an_error_record(self, case, sum_z_lines,

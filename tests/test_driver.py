@@ -21,9 +21,9 @@ import cocyclelab.cli as cli
 import cocyclelab.driver as driver
 import cocyclelab.evc as evc
 import cocyclelab.stepper as stepper
-from cocyclelab.cocycles import (CocycleKernel, PartialStepFunction,
-                                 StepFunction, coboundary_increment,
-                                 cocycle_distance, increment_agreement)
+from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
+                                 coboundary_increment, cocycle_distance,
+                                 increment_agreement)
 from cocyclelab.driver import (PRESETS, PipelineConfig, RunReport, Schedule,
                                bounded_cocycle_pipeline, certify_report,
                                export_report, load_report,
@@ -349,11 +349,9 @@ class TestWitnessOnce:
         rounds = report.by_kind("round")
         assert len(rounds) == len(steps) == PRESETS[name]["rounds"]
         for rec, (inp, out) in zip(rounds, steps):
-            kernel = CocycleKernel.coboundary(out.f_tilde,
-                                              class_depth=out.f_tilde.depth)
             targets = evc.target_set(out.f_tilde.model, inp.candidate,
                                      inp.u_index)
-            oracle = evc.validate_witness(kernel, inp.target, targets,
+            oracle = evc.validate_witness(out.f_tilde, inp.target, targets,
                                           out.delta, inp.mu, out.core,
                                           out.theta)
             assert out.check.witness_ok == oracle.ok
@@ -377,7 +375,7 @@ class TestWitnessOnce:
         inp, out = steps[-1]
         assert not inp.target.is_full()
         art = stepper.StepArtifacts(out.f_tilde, out.theta, out.core, out.m,
-                                    out.h, out.delta, out.working_depth)
+                                    out.h, out.delta)
         art = dataclasses.replace(art, **{
             "delta_zero": {"delta": Fraction(0)},
             "delta_one": {"delta": Fraction(1)},
@@ -385,11 +383,9 @@ class TestWitnessOnce:
                 "theta": FiniteDepthMap.identity(out.working_depth)},
             "core_outside": {"core": inp.target.complement()},
         }[tamper])
-        kernel = CocycleKernel.coboundary(art.f_tilde,
-                                          class_depth=art.f_tilde.depth)
         targets = evc.target_set(art.f_tilde.model, inp.candidate, inp.u_index)
-        oracle = evc.validate_witness(kernel, inp.target, targets, art.delta,
-                                      inp.mu, art.core, art.theta)
+        oracle = evc.validate_witness(art.f_tilde, inp.target, targets,
+                                      art.delta, inp.mu, art.core, art.theta)
         assert not oracle.ok
         assert stepper.validate_step_output(inp, art).witness_ok is False
 
@@ -556,6 +552,7 @@ class TestCertifyTampering:
         "eps": "1/100000",
         "eps_prime": "1/3",
         "level": 9,
+        "working_depth": 5,
         "admission.ok": False,
         "validator.3.ok": False,
         "certificates.7.ok": False,
@@ -582,6 +579,15 @@ class TestCertifyTampering:
             rec[field] = self.FORGED[path]
         clause = self.CLAUSE.get(path, path)
         assert clause in self.clauses(self.tampered(report, forge))
+
+    def test_working_depth_beyond_the_budget(self, flips_run):
+        # the check reads the update's own depth, so a forged depth far
+        # beyond the budget fails at once instead of building its tables
+        _, report = flips_run
+        def forge(records):
+            next(r for r in records if r["record"] == "round")[
+                "working_depth"] = 40
+        assert self.clauses(self.tampered(report, forge)) == {"working_depth"}
 
     # on the adding machine the discard set is not empty; a forged z0 or
     # b_set fails even when its words are malformed
@@ -877,7 +883,7 @@ class TestEvcSearch:
     def counting(monkeypatch):
         """Count `_pair_search` calls per `check_evc`; each check is logged
         as (search key, outcome, searches made)."""
-        searches, checks, kernels = [], [], []
+        searches, checks, potentials = [], [], []
         real_search, real_check = evc._pair_search, evc.check_evc
         signature = inspect.signature(real_check)
 
@@ -889,13 +895,12 @@ class TestEvcSearch:
             call = signature.bind(*args, **kwargs)
             call.apply_defaults()
             a = call.arguments
-            kernel = a["kernel"]
-            # the potential itself is kept alive by `kernels`, so its id
+            f = a["f"]
+            # the potential itself is kept alive by `potentials`, so its id
             # names it for the whole run
-            key = (id(kernel.potential), kernel.depth, kernel.class_depth,
-                   a["base"], tuple(kernel.model.key(t) for t in a["target"]),
+            key = (id(f), a["base"], tuple(f.model.key(t) for t in a["target"]),
                    Fraction(a["delta"]), a["mu"], a["search_depth"])
-            kernels.append(kernel)
+            potentials.append(f)
             before, outcome = len(searches), "exhausted"
             try:
                 witness = real_check(*args, **kwargs)
@@ -928,7 +933,7 @@ class TestEvcSearch:
     def test_adding_run_searches_once(self, monkeypatch):
         searches, checks = self.counting(monkeypatch)
         run_theorem_02i(preset("z2-adding"))
-        # the round's search, and the terminal sweep's on the same kernel
+        # the round's search, and the terminal sweep's on the same potential
         assert [made for _, _, made in checks] == [1, 0]
         assert checks[0][0] == checks[1][0]
         assert len(searches) == 1
@@ -943,9 +948,8 @@ class TestEvcSearch:
         base = CylinderSet.full()
 
         def exhausted(potential, tolerance=delta):
-            kernel = CocycleKernel.coboundary(potential, class_depth=potential.depth)
             with pytest.raises(SearchExhausted) as caught:
-                evc.check_evc(kernel, base, target, tolerance, mu)
+                evc.check_evc(potential, base, target, tolerance, mu)
             return caught.value
 
         first = exhausted(f)

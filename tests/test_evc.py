@@ -1,10 +1,11 @@
 """Essential-value witnesses and skew-product connectivity.
 
+Every kernel here is the coboundary f(a) f(b)^-1 of a potential f.
 Component counts are pinned against hand-computed small cases and
-against union-find over every vertex (`word_oracles`), which joins every
-word pair of a class where the count walks a spanning chain.
-The witness search, which tries a single word level, is checked against
-the search that deepened level by level up to the depth budget.
+against union-find over every vertex (`word_oracles`), which joins
+every pair of vertex words.  The witness search, which tries a single
+word level, is checked against the search that deepened level by level
+up to the depth budget.
 """
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocyclelab import evc
-from cocyclelab.cocycles import CocycleKernel, StepFunction
+from cocyclelab.cocycles import StepFunction
 from cocyclelab.errors import (CocycleLabError, PostconditionFailure,
                                SearchExhausted, SizeGuard)
 from cocyclelab.evc import (EvcWitness, WitnessValidation, check_evc,
@@ -25,8 +26,8 @@ from cocyclelab.measure import (CylinderSet, ProductMeasure, all_words,
                                 index_word, word_index)
 from cocyclelab.odometer import FiniteDepthMap
 from word_oracles import (WordMap, deviation, image_of, kernel_value,
-                          map_apply, union_find_components, word_pairs_map,
-                          words_at)
+                          map_apply, step_at, union_find_components,
+                          word_pairs_map, words_at)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
@@ -44,7 +45,7 @@ def parity(depth: int) -> StepFunction:
     return StepFunction.from_table(Z2, {w: w.count("1") % 2 for w in all_words(depth)})
 
 
-FIRST_BIT_KERNEL = CocycleKernel.coboundary(first_bit(2), class_depth=2)
+FIRST_BIT = first_bit(2)
 
 
 def good_witness():
@@ -59,7 +60,7 @@ class TestValidateWitness:
 
     def test_valid(self):
         part, theta = good_witness()
-        check = validate_witness(FIRST_BIT_KERNEL, CylinderSet.full(),
+        check = validate_witness(FIRST_BIT, CylinderSet.full(),
                                  self.TARGET, self.DELTA, UNIFORM, part, theta)
         assert check.ok
         assert check.measure_slack == Fraction(1, 2) - Fraction(1, 3)
@@ -67,46 +68,49 @@ class TestValidateWitness:
 
     def test_part_inside(self):
         part, theta = good_witness()
-        check = validate_witness(FIRST_BIT_KERNEL, CylinderSet.of(["1"]),
+        check = validate_witness(FIRST_BIT, CylinderSet.of(["1"]),
                                  self.TARGET, self.DELTA, UNIFORM, part, theta)
         assert not check.ok and check.clause == "part-inside"
 
     def test_image_inside(self):
         check = validate_witness(
-            FIRST_BIT_KERNEL, CylinderSet.of(["0"]), self.TARGET,
+            FIRST_BIT, CylinderSet.of(["0"]), self.TARGET,
             self.DELTA, UNIFORM, CylinderSet.of(["00"]),
             word_pairs_map(2, [("00", "10")]))
         assert not check.ok and check.clause == "image-inside"
 
     def test_mass(self):
         check = validate_witness(
-            FIRST_BIT_KERNEL, CylinderSet.full(), self.TARGET, self.DELTA,
+            FIRST_BIT, CylinderSet.full(), self.TARGET, self.DELTA,
             UNIFORM, CylinderSet.of(["00"]),
             word_pairs_map(2, [("00", "10")]))
         assert not check.ok and check.clause == "mass"
 
     def test_class(self):
-        kernel = CocycleKernel.coboundary(first_bit(3), class_depth=1)
+        # a depth-1 potential: words of depth 3 share a class when they
+        # agree beyond coordinate 1, and 000 -> 011 changes coordinate 2
         part = CylinderSet.of(["000", "001", "010"])
         theta = word_pairs_map(3, [("000", "011"), ("001", "010")])
-        check = validate_witness(kernel, CylinderSet.full(), self.TARGET,
+        check = validate_witness(first_bit(1), CylinderSet.full(), self.TARGET,
                                  self.DELTA, UNIFORM, part, theta)
         assert not check.ok and check.clause == "class"
+        assert check.detail == "theta throws 000 out of its kernel class"
 
     def test_membership(self):
         # theta moving within the same first bit realizes the identity,
         # not the requested value
         part = CylinderSet.of(["00"])
         theta = word_pairs_map(2, [("00", "01")])
-        check = validate_witness(FIRST_BIT_KERNEL, CylinderSet.of(["0"]),
+        check = validate_witness(FIRST_BIT, CylinderSet.of(["0"]),
                                  self.TARGET, self.DELTA, UNIFORM, part, theta)
         assert not check.ok and check.clause == "membership"
+        assert check.detail == "kernel value 0 at 00 is outside the target set"
 
     def test_derivative(self):
         part, theta = good_witness()
         # flipping the first bit under the biased measure moves mass by a
         # factor of 2, far outside a 1/4 deviation allowance
-        check = validate_witness(FIRST_BIT_KERNEL, CylinderSet.full(),
+        check = validate_witness(FIRST_BIT, CylinderSet.full(),
                                  self.TARGET, Fraction(1, 4), BIASED, part,
                                  theta)
         assert not check.ok and check.clause == "derivative"
@@ -114,30 +118,29 @@ class TestValidateWitness:
 
 class TestCheckEvc:
     def test_identity_fast_path(self):
-        kernel = CocycleKernel.trivial(Z2, 2, 2)
+        constant = StepFunction(Z2, 2, (0,) * 4)
         delta, _ = delta_for(Z2, 0, 1)
-        witness = check_evc(kernel, CylinderSet.full(), target_set(Z2, 0, 1),
+        witness = check_evc(constant, CylinderSet.full(), target_set(Z2, 0, 1),
                             delta, UNIFORM)
         assert witness.part.is_full()
         assert witness.measure_slack == 1 - delta
 
     def test_pair_search_finds_half(self):
         delta, _ = delta_for(Z2, 1, 1)
-        witness = check_evc(FIRST_BIT_KERNEL, CylinderSet.full(),
+        witness = check_evc(FIRST_BIT, CylinderSet.full(),
                             target_set(Z2, 1, 1), delta, UNIFORM)
         assert witness.part.measure(UNIFORM) > delta
         level = witness.theta.depth
         for w in words_at(witness.part, level):
             img = map_apply(witness.theta, w)
-            assert FIRST_BIT_KERNEL.value(img[:2], w[:2]) == 1
+            assert kernel_value(FIRST_BIT, img[:2], w[:2]) == 1
 
     def test_exhausted_when_value_absent(self):
         # a constant function has no nontrivial kernel values
         const = StepFunction.from_table(Z2, {w: 0 for w in all_words(2)})
-        kernel = CocycleKernel.coboundary(const, class_depth=2)
         delta, _ = delta_for(Z2, 1, 1)
         with pytest.raises(SearchExhausted) as exc:
-            check_evc(kernel, CylinderSet.full(), target_set(Z2, 1, 1),
+            check_evc(const, CylinderSet.full(), target_set(Z2, 1, 1),
                       delta, UNIFORM, search_depth=20)
         # the report embeds this text, so it is pinned byte for byte
         assert str(exc.value) == "no witness with mass above 1/3 within depth 20"
@@ -146,28 +149,27 @@ class TestCheckEvc:
     def test_search_respects_base(self):
         delta, _ = delta_for(Z2, 1, 1)
         base = CylinderSet.of(["0"])
-        witness = check_evc(CocycleKernel.coboundary(parity(3), class_depth=3),
-                            base, target_set(Z2, 1, 1), delta, UNIFORM)
+        witness = check_evc(parity(3), base, target_set(Z2, 1, 1), delta,
+                            UNIFORM)
         assert witness.part.difference(base).is_empty()
         assert image_of(witness.theta, witness.part).difference(base).is_empty()
 
 
-def deepening_check_evc(kernel, base, target, delta, mu, search_depth=14):
+def deepening_check_evc(f, base, target, delta, mu, search_depth=14):
     """Oracle: the level-by-level witness search over words.  It tries
-    every level from the kernel's (or the base's) depth up to
+    every level from the potential's (or the base's) depth up to
     `search_depth`, stops at the first whose pairing has enough mass, and
     computes each word's mass where it uses it."""
     delta = Fraction(delta)
-    model = kernel.model
+    model = f.model
     target = tuple(target)
     target_keys = {model.key(t) for t in target}
     if base.is_empty():
         raise SearchExhausted("the base set is empty", best={})
 
     if model.key(model.identity()) in target_keys and delta < 1:
-        theta = WordMap(kernel.depth, {})
-        check = word_validate_witness(kernel, base, target, delta, mu, base,
-                                      theta)
+        theta = WordMap(f.depth, {})
+        check = word_validate_witness(f, base, target, delta, mu, base, theta)
         if check.ok:
             return EvcWitness(base, base, theta.indexed(), delta, target,
                               check.measure_slack, check.derivative_slack,
@@ -175,20 +177,20 @@ def deepening_check_evc(kernel, base, target, delta, mu, search_depth=14):
 
     need = delta * base.measure(mu)
     best_mass = Fraction(0)
-    start = max(kernel.depth, base.max_depth)
+    start = max(f.depth, base.max_depth)
     if start > search_depth:
         raise SearchExhausted(
             f"kernel depth {start} already exceeds search depth {search_depth}",
             best={"required_mass": str(need)})
     for level in range(start, search_depth + 1):
-        pairs, b_words, mass = level_pairing(kernel, base, target, target_keys,
+        pairs, b_words, mass = level_pairing(f, base, target, target_keys,
                                              delta, mu, level, need)
         best_mass = max(best_mass, mass)
         if mass > need:
             theta = WordMap.from_pairs(level, pairs)
             part = CylinderSet.of(b_words)
-            check = word_validate_witness(kernel, base, target, delta, mu,
-                                          part, theta)
+            check = word_validate_witness(f, base, target, delta, mu, part,
+                                          theta)
             if not check.ok:
                 raise PostconditionFailure(
                     check.clause or "unknown",
@@ -201,20 +203,17 @@ def deepening_check_evc(kernel, base, target, delta, mu, search_depth=14):
         best={"required_mass": str(need), "achieved_mass": str(best_mass)})
 
 
-def level_pairing(kernel, base, target, target_keys, delta, mu, level, need):
+def level_pairing(f, base, target, target_keys, delta, mu, level, need):
     """Oracle's greedy pairing of words at one level, masses taken per
     use."""
     by_class = {}
     for w in words_at(base, level):
-        by_class.setdefault(w[kernel.class_depth:], []).append(w)
+        by_class.setdefault(w[f.depth:], []).append(w)
     pairs, b_words, mass = [], [], Fraction(0)
     for cls_key in sorted(by_class):
         members = sorted(by_class[cls_key], key=lambda w: (-mu.cylinder(w), w))
-        if kernel.kind == "coboundary":
-            found = word_match_by_value(kernel, members, target, target_keys,
-                                        delta, mu)
-        else:
-            found = word_match_generic(kernel, members, target_keys, delta, mu)
+        found = word_match_by_value(f, members, target, target_keys, delta,
+                                    mu)
         for x, y, x_ok, y_ok in found:
             pairs.append((x, y))
             if x_ok:
@@ -228,34 +227,10 @@ def level_pairing(kernel, base, target, target_keys, delta, mu, level, need):
     return pairs, b_words, mass
 
 
-def word_match_generic(kernel, members, target_keys, delta, mu):
-    """Quadratic scan over the words of one class."""
-    model = kernel.model
-    used = set()
-    out = []
-    for i, x in enumerate(members):
-        if x in used:
-            continue
-        for y in members[i + 1:]:
-            if y in used:
-                continue
-            forward = kernel_value(kernel, y[: kernel.depth], x[: kernel.depth])
-            x_ok = (model.key(forward) in target_keys
-                    and deviation(mu, x, y) < delta)
-            y_ok = (model.key(model.inv(forward)) in target_keys
-                    and deviation(mu, y, x) < delta)
-            if x_ok or y_ok:
-                used.update((x, y))
-                out.append((x, y, x_ok, y_ok))
-                break
-    return out
-
-
-def word_match_by_value(kernel, members, target, target_keys, delta, mu):
-    """Pairing of coboundary words via potential-value lookup: the value
-    of (y, x) lands in the target iff f(y) lies in target * f(x)."""
-    model = kernel.model
-    f = kernel.potential
+def word_match_by_value(f, members, target, target_keys, delta, mu):
+    """Pairing of the words of one class via potential-value lookup: the
+    value of (y, x) lands in the target iff f(y) lies in target * f(x)."""
+    model = f.model
     pot = {w: f.values[word_index(w[: f.depth])] for w in members}
     groups = {}
     for w in members:
@@ -282,10 +257,10 @@ def word_match_by_value(kernel, members, target, target_keys, delta, mu):
     return out
 
 
-def word_validate_witness(kernel, base, target, delta, mu, part, theta):
+def word_validate_witness(f, base, target, delta, mu, part, theta):
     """Oracle: every clause of the condition checked word by word, with
     `theta` a `WordMap`."""
-    model = kernel.model
+    model = f.model
     delta = Fraction(delta)
 
     def failed(clause, detail, measure_slack=Fraction(0),
@@ -301,15 +276,15 @@ def word_validate_witness(kernel, base, target, delta, mu, part, theta):
     need = delta * base.measure(mu)
     if not mass > need:
         return failed("mass", f"mu(B) = {mass} is not above {need}")
-    level = max(kernel.depth, part.max_depth, theta.depth)
+    level = max(f.depth, part.max_depth, theta.depth)
     worst = Fraction(0)
     target_keys = {model.key(t) for t in target}
     for w in words_at(part, level):
         img = theta.apply(w)
-        if img[kernel.class_depth:] != w[kernel.class_depth:]:
+        if img[f.depth:] != w[f.depth:]:
             return failed("class", f"theta throws {w} out of its kernel class",
                           mass - need)
-        value = kernel_value(kernel, img[: kernel.depth], w[: kernel.depth])
+        value = kernel_value(f, img, w)
         if model.key(value) not in target_keys:
             return failed("membership",
                           f"kernel value {model.format(value)} at {w} "
@@ -324,9 +299,6 @@ def word_validate_witness(kernel, base, target, delta, mu, part, theta):
 
 
 WEIGHTS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)]
-# derivatives of one-coordinate moves under WEIGHTS, and the identity
-RATIOS = [Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2),
-          Fraction(2, 3), Fraction(3), Fraction(1, 3)]
 
 
 @st.composite
@@ -346,35 +318,16 @@ def measures(draw):
 
 @st.composite
 def search_cases(draw):
-    """(kernel, base, target, delta, mu) over every kernel kind, with class
-    depths up to the kernel depth and bases up to two levels deeper."""
+    """(potential, base, target, delta, mu) with potentials of depth up
+    to 3, a constant one among them, and bases up to two levels deeper."""
     mu = draw(measures())
-    kind = draw(st.sampled_from(["coboundary", "ratio", "explicit", "trivial"]))
-    depth = draw(st.integers(1, 3))
-    class_depth = draw(st.integers(0, depth))
-    if kind == "ratio":
-        kernel = CocycleKernel.ratio(mu, depth, class_depth)
-        elements = RATIOS
-    else:
-        model = draw(st.sampled_from([Z2, Z3, Z4]))
-        elements = model.elements()
-        values = st.sampled_from(elements)
-        if kind == "coboundary":
-            f = StepFunction.from_table(
-                model, {w: draw(values) for w in all_words(depth)})
-            kernel = CocycleKernel.coboundary(f, class_depth=class_depth)
-        elif kind == "explicit":
-            # c(a, b) = c(b, a)^-1 and c(a, a) = identity, as for a cocycle
-            table = {}
-            for cls in CocycleKernel.trivial(model, depth, class_depth).classes():
-                for i, a in enumerate(cls):
-                    table[(a, a)] = model.identity()
-                    for b in cls[i + 1:]:
-                        table[(a, b)] = draw(values)
-                        table[(b, a)] = model.inv(table[(a, b)])
-            kernel = CocycleKernel.explicit(model, depth, class_depth, table)
-        else:
-            kernel = CocycleKernel.trivial(model, depth, class_depth)
+    depth = draw(st.integers(0, 3))
+    model = draw(st.sampled_from([Z2, Z3, Z4]))
+    elements = model.elements()
+    values = (st.just(elements[0]) if draw(st.integers(0, 3)) == 0
+              else st.sampled_from(elements))
+    f = StepFunction(model, depth,
+                     tuple(draw(values) for _ in range(1 << depth)))
     # the identity (listed first) is a target in half the cases, so that
     # the identity fast path does not settle most of them
     target = draw(st.lists(st.sampled_from(elements[1:]), min_size=1, max_size=2))
@@ -383,14 +336,14 @@ def search_cases(draw):
     words = draw(st.lists(st.text(alphabet="01", max_size=depth + 2),
                           min_size=1, max_size=4))
     if draw(st.booleans()):
-        # free the kernel's head coordinates, so that classes keep
-        # several members within the base
-        words = [h + w[class_depth:] for w in words if len(w) >= class_depth
-                 for h in all_words(class_depth)] or words
+        # free the potential's coordinates, so that classes keep several
+        # members within the base
+        words = [h + w[depth:] for w in words if len(w) >= depth
+                 for h in all_words(depth)] or words
     base = CylinderSet.of(words)
     delta = draw(st.sampled_from([Fraction(1, 9), Fraction(1, 3),
                                   Fraction(1, 2), Fraction(1), Fraction(3, 2)]))
-    return kernel, base, tuple(target), delta, mu
+    return f, base, tuple(target), delta, mu
 
 
 def search_outcome(search, *args):
@@ -407,23 +360,23 @@ class TestSingleLevelSearch:
     @settings(max_examples=300, deadline=None)
     @given(search_cases(), st.integers(-1, 3))
     def test_matches_deepening_search(self, case, extra):
-        kernel, base, target, delta, mu = case
-        search_depth = max(kernel.depth, base.max_depth) + extra
-        args = (kernel, base, target, delta, mu, search_depth)
+        f, base, target, delta, mu = case
+        search_depth = max(f.depth, base.max_depth) + extra
+        args = (f, base, target, delta, mu, search_depth)
         assert (search_outcome(check_evc, *args)
                 == search_outcome(deepening_check_evc, *args))
 
     @settings(max_examples=200, deadline=None)
     @given(search_cases())
     def test_next_level_appends_a_bit(self, case):
-        kernel, base, target, delta, mu = case
-        keys = {kernel.model.key(t) for t in target}
-        level = max(kernel.depth, base.max_depth)
+        f, base, target, delta, mu = case
+        keys = {f.model.key(t) for t in target}
+        level = max(f.depth, base.max_depth)
         # no mass exceeds 1, so neither level stops early
         unreachable = Fraction(2)
-        pairs, words, mass = evc._pair_search(kernel, base, target, keys,
-                                              delta, mu, level, unreachable)
-        deeper = evc._pair_search(kernel, base, target, keys, delta, mu,
+        pairs, words, mass = evc._pair_search(f, base, target, keys, delta,
+                                              mu, level, unreachable)
+        deeper = evc._pair_search(f, base, target, keys, delta, mu,
                                   level + 1, unreachable)
         # word indices: appending bit b to a word maps index x to 2x + b
         assert sorted(deeper[0]) == sorted(
@@ -437,35 +390,22 @@ class TestSingleLevelSearch:
            st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 2),
                             Fraction(2)]))
     def test_pairing_matches_word_pairing(self, case, extra, need):
-        kernel, base, target, delta, mu = case
-        keys = {kernel.model.key(t) for t in target}
-        level = max(kernel.depth, base.max_depth) + extra
-        pairs, words, mass = evc._pair_search(kernel, base, target, keys,
-                                              delta, mu, level, need)
-        oracle = level_pairing(kernel, base, target, keys, delta, mu, level,
-                               need)
+        f, base, target, delta, mu = case
+        keys = {f.model.key(t) for t in target}
+        level = max(f.depth, base.max_depth) + extra
+        pairs, words, mass = evc._pair_search(f, base, target, keys, delta,
+                                              mu, level, need)
+        oracle = level_pairing(f, base, target, keys, delta, mu, level, need)
         assert [(index_word(x, level), index_word(y, level))
                 for x, y in pairs] == oracle[0]
         assert [index_word(w, level) for w in words] == oracle[1]
         assert mass == oracle[2]
 
-    def test_ratio_pairing_matches_word_pairing(self):
-        # the kernel value of (y, x) is mu(x) / mu(y): 2 from 01 to 11
-        kernel = CocycleKernel.ratio(BIASED, 2, 2)
-        target, delta = (Fraction(2),), Fraction(3, 2)
-        args = (kernel, CylinderSet.full(), target, {kernel.model.key(2)},
-                delta, BIASED, 2, Fraction(2))
-        pairs, words, mass = evc._pair_search(*args)
-        assert pairs == [(0b11, 0b01), (0b10, 0b00)]
-        assert words == [0b01, 0b00] and mass == Fraction(1, 3)
-        assert level_pairing(*args) == (
-            [("11", "01"), ("10", "00")], ["01", "00"], Fraction(1, 3))
-
     @settings(max_examples=300, deadline=None)
     @given(search_cases(), st.data())
     def test_validation_matches_word_oracle(self, case, data):
-        kernel, base, target, delta, mu = case
-        depth = data.draw(st.integers(0, kernel.depth + 1))
+        f, base, target, delta, mu = case
+        depth = data.draw(st.integers(0, f.depth + 1))
         image = data.draw(st.permutations(range(1 << depth)))
         theta = FiniteDepthMap(depth, tuple(image))
         oracle_theta = WordMap(depth, dict(theta.word_moves()))
@@ -476,9 +416,9 @@ class TestSingleLevelSearch:
         part = CylinderSet.of(words)
         if data.draw(st.booleans()):
             part = part.intersection(base)
-        assert (validate_witness(kernel, base, target, delta, mu, part, theta)
-                == word_validate_witness(kernel, base, target, delta, mu,
-                                         part, oracle_theta))
+        assert (validate_witness(f, base, target, delta, mu, part, theta)
+                == word_validate_witness(f, base, target, delta, mu, part,
+                                         oracle_theta))
 
 
 class TestDerivativeBoundary:
@@ -486,18 +426,13 @@ class TestDerivativeBoundary:
     moving 1 to 0 has derivative deviation exactly 1/2 and moving 0 to 1
     exactly 1.  A deviation equal to delta must fail the strict test."""
 
-    KERNEL = CocycleKernel.coboundary(first_bit(1), class_depth=1)
-    # the same values as a table, searched by the generic pairing
-    TABLE = CocycleKernel.explicit(Z2, 1, 1, {
-        ("0", "0"): 0, ("0", "1"): 1, ("1", "0"): 1, ("1", "1"): 0})
+    POTENTIAL = first_bit(1)
     SWAP = FiniteDepthMap.from_pairs(1, [(0, 1)])
 
-    @pytest.mark.parametrize("kernel", [KERNEL, TABLE],
-                             ids=["coboundary", "explicit"])
     @pytest.mark.parametrize("delta,ok", [
         (Fraction(1, 2), False), (Fraction(501, 1000), True)])
-    def test_search(self, kernel, delta, ok):
-        args = (kernel, CylinderSet.full(), (1,), delta, BIASED, 2)
+    def test_search(self, delta, ok):
+        args = (self.POTENTIAL, CylinderSet.full(), (1,), delta, BIASED, 2)
         if ok:
             witness = check_evc(*args)
             assert witness.part == CylinderSet.of(["1"])
@@ -512,8 +447,9 @@ class TestDerivativeBoundary:
     @pytest.mark.parametrize("delta,ok", [
         (Fraction(1, 2), False), (Fraction(501, 1000), True)])
     def test_validation(self, delta, ok):
-        check = validate_witness(self.KERNEL, CylinderSet.full(), (1,), delta,
-                                 BIASED, CylinderSet.of(["1"]), self.SWAP)
+        check = validate_witness(self.POTENTIAL, CylinderSet.full(), (1,),
+                                 delta, BIASED, CylinderSet.of(["1"]),
+                                 self.SWAP)
         assert check.ok == ok
         assert check.derivative_slack == delta - Fraction(1, 2)
         if not ok:
@@ -524,9 +460,8 @@ class TestDerivativeBoundary:
 
 class TestEssentialValueCertificate:
     def test_certified_sweep(self):
-        kernel = CocycleKernel.coboundary(parity(3), class_depth=3)
         report = essential_value_certificate(
-            kernel, 1, UNIFORM,
+            parity(3), 1, UNIFORM,
             [CylinderSet.full(), CylinderSet.of(["0"])], [0, 1])
         assert report.verdict == "certified"
         assert len(report.entries) == 4
@@ -534,65 +469,58 @@ class TestEssentialValueCertificate:
 
     def test_inconclusive_names_failure(self):
         const = StepFunction.from_table(Z2, {w: 0 for w in all_words(2)})
-        kernel = CocycleKernel.coboundary(const, class_depth=2)
         report = essential_value_certificate(
-            kernel, 1, UNIFORM, [CylinderSet.full()], [1], search_depth=5)
+            const, 1, UNIFORM, [CylinderSet.full()], [1], search_depth=5)
         assert report.verdict == "inconclusive"
         assert next(e for e in report.entries if not e.ok).failure
 
 
 class TestSkewConnectivity:
     def test_trivial_kernel_gives_group_order(self):
+        # the ladder's control, the coboundary of the constant identity
         for model, order in ((Z2, 2), (Z3, 3), (Z4, 4), (S3, 6)):
-            kernel = CocycleKernel.trivial(model, 4, 4)
+            control = StepFunction(model, 0, (model.identity(),))
             for depth in (1, 2, 3, 4):
-                assert skew_connectivity(kernel, depth=depth) == order
+                assert skew_connectivity(control, depth) == order
 
     def test_coboundary_at_full_depth_gives_group_order(self):
-        assert skew_connectivity(FIRST_BIT_KERNEL, depth=2) == 2
+        assert skew_connectivity(FIRST_BIT, 2) == 2
 
     def test_deep_parity_projects_to_one(self):
-        kernel = CocycleKernel.coboundary(parity(3), class_depth=3)
-        assert skew_connectivity(kernel, depth=1) == 1
-        assert skew_connectivity(kernel, depth=2) == 1
+        assert skew_connectivity(parity(3), 1) == 1
+        assert skew_connectivity(parity(3), 2) == 1
 
     def test_half_step_subgroup_z4(self):
         # increments confined to {0, 2} leave two cosets disconnected
         doubled = StepFunction.from_table(
             Z4, {w: 2 * (w.count("1") % 2) for w in all_words(2)})
-        kernel = CocycleKernel.coboundary(doubled, class_depth=2)
-        assert skew_connectivity(kernel, depth=1) == 2
+        assert skew_connectivity(doubled, 1) == 2
 
     def test_chain_matches_exhaustive(self):
-        cases = [
-            (CocycleKernel.coboundary(parity(3), class_depth=3), 1),
-            (CocycleKernel.coboundary(parity(3), class_depth=3), 2),
-            (CocycleKernel.coboundary(first_bit(2), class_depth=2), 1),
-            (CocycleKernel.trivial(Z3, 3, 3), 2),
-        ]
-        for kernel, depth in cases:
-            assert skew_connectivity(kernel, depth=depth) == \
-                union_find_components(kernel, depth, exhaustive=True)
+        cases = [(parity(3), 1), (parity(3), 2), (first_bit(2), 1),
+                 (StepFunction(Z3, 0, (0,)), 2)]
+        for f, depth in cases:
+            assert skew_connectivity(f, depth) == \
+                union_find_components(f, depth, exhaustive=True)
 
     def test_guards(self, monkeypatch):
         with pytest.raises(SizeGuard):
-            skew_connectivity(CocycleKernel.coboundary(
-                StepFunction.from_table(FreeAbelianGroup(1), {"0": (0,), "1": (1,)}),
-                class_depth=1))
-        kernel = CocycleKernel.trivial(Z2, 3, 3)
+            skew_connectivity(StepFunction.from_table(
+                FreeAbelianGroup(1), {"0": (0,), "1": (1,)}), 1)
+        f = parity(3)
         with pytest.raises(SizeGuard):
-            skew_connectivity(kernel, depth=9)
+            skew_connectivity(f, 0)
         monkeypatch.setattr(evc, "SKEW_BUDGET", 1)
         with pytest.raises(SizeGuard):
-            skew_connectivity(kernel, depth=2)
+            skew_connectivity(f, 2)
 
 
-def word_components(kernel, level):
+def word_components(f, level):
     """Oracle: components of the skew graph on (level words x group),
     joining (w, g) to (w', v g), for distinct words w and w', by every
-    kernel value v between admissible extensions of w' and w, over words
-    and element keys."""
-    model = kernel.model
+    value v = f(a) f(b)^-1 with a extending w' and b extending w to the
+    potential's depth, over words and element keys."""
+    model = f.model
     parent = {}
 
     def find(v):
@@ -601,7 +529,7 @@ def word_components(kernel, level):
         return v
 
     words = list(all_words(level))
-    tails = list(all_words(kernel.depth - level))
+    tails = list(all_words(max(f.depth - level, 0)))
     for w in words:
         for g in model.elements():
             find((w, model.key(g)))
@@ -611,9 +539,8 @@ def word_components(kernel, level):
                 continue
             for a in tails:
                 for b in tails:
-                    if not kernel.admissible(first + a, second + b):
-                        continue
-                    value = kernel_value(kernel, first + a, second + b)
+                    value = model.mul(step_at(f, first + a),
+                                      model.inv(step_at(f, second + b)))
                     for g in model.elements():
                         root = find((second, model.key(g)))
                         other = find((first, model.key(model.mul(value, g))))
@@ -621,76 +548,34 @@ def word_components(kernel, level):
     return len({find(v) for v in list(parent)})
 
 
-@st.composite
-def connectivity_cases(draw):
-    model = draw(st.sampled_from([Z2, Z3, S3]))
-    depth = draw(st.integers(1, 3))
-    class_depth = draw(st.integers(0, depth))
-    kind = draw(st.sampled_from(["trivial", "coboundary", "explicit"]))
-    if kind == "trivial":
-        kernel = CocycleKernel.trivial(model, depth, class_depth)
-    elif kind == "coboundary":
-        f = StepFunction.from_table(model, {
-            w: draw(st.sampled_from(model.elements()))
-            for w in all_words(draw(st.integers(0, depth)))})
-        kernel = CocycleKernel.coboundary(f, class_depth=class_depth,
-                                          depth=depth)
-    else:
-        # reflexive and antisymmetric, but with any values otherwise, so
-        # the chain rule may fail
-        table = {}
-        for cls in CocycleKernel.trivial(model, depth, class_depth).classes():
-            for i, a in enumerate(cls):
-                table[(a, a)] = model.identity()
-                for b in cls[i + 1:]:
-                    table[(a, b)] = draw(st.sampled_from(model.elements()))
-                    table[(b, a)] = model.inv(table[(a, b)])
-        kernel = CocycleKernel.explicit(model, depth, class_depth, table)
-    return kernel, draw(st.integers(1, depth))
-
-
 class TestIndexedConnectivity:
     @settings(max_examples=150, deadline=None)
-    @given(connectivity_cases())
-    def test_chain_matches_exhaustive_and_words(self, case):
-        kernel, level = case
-        full = union_find_components(kernel, level, exhaustive=True)
-        assert full == word_components(kernel, level)
-        # the chain walk relies on the chain rule, which arbitrary
-        # explicit tables break: those are held to the chain's oracle
-        assert skew_connectivity(kernel, depth=level) == (
-            union_find_components(kernel, level)
-            if kernel.kind == "explicit" else full)
+    @given(st.sampled_from([Z2, Z3, S3]), st.integers(0, 3), st.integers(1, 4),
+           st.data())
+    def test_chain_matches_exhaustive_and_words(self, model, depth, level,
+                                                data):
+        f = StepFunction(model, depth, tuple(
+            data.draw(st.sampled_from(model.elements()))
+            for _ in range(1 << depth)))
+        full = union_find_components(f, level, exhaustive=True)
+        assert full == word_components(f, level)
+        # a coboundary keeps the chain rule, so the chain of the level's
+        # words joins what every pair does
+        assert union_find_components(f, level) == full
+        assert skew_connectivity(f, level) == full
 
 
 @st.composite
-def subgroup_cases(draw):
-    """(kernel, level) on Z2, Z4 and S3 up to depth 6, at every level and
-    class depth, with potentials of any depth and tables of any values."""
+def potentials(draw):
+    """Potentials on Z2, Z4 and S3 up to depth 6, valued in a few
+    elements so that proper subgroups occur."""
     model = draw(st.sampled_from([Z2, Z4, S3]))
-    depth = draw(st.integers(1, 6))
-    # the kernel depth half of the time, so that classes are large
-    deep = st.one_of(st.just(depth), st.integers(0, depth))
-    class_depth = draw(deep)
-    kind = draw(st.sampled_from(["trivial", "coboundary", "explicit"]))
+    depth = draw(st.integers(0, 6))
     rng = draw(st.randoms(use_true_random=True))
-    # values from a few elements, so that proper subgroups occur
     elements = model.elements()
     palette = rng.sample(elements, rng.randint(1, min(3, len(elements))))
-    if kind == "trivial":
-        kernel = CocycleKernel.trivial(model, depth, class_depth)
-    elif kind == "coboundary":
-        f_depth = draw(deep)
-        values = tuple(rng.choice(palette) for _ in range(1 << f_depth))
-        kernel = CocycleKernel.coboundary(StepFunction(model, f_depth, values),
-                                          class_depth=class_depth, depth=depth)
-    else:
-        table = {(a, b): rng.choice(palette)
-                 for cls in CocycleKernel.trivial(model, depth,
-                                                  class_depth).classes()
-                 for a in cls for b in cls}
-        kernel = CocycleKernel.explicit(model, depth, class_depth, table)
-    return kernel, draw(st.integers(1, depth))
+    return StepFunction(model, depth,
+                        tuple(rng.choice(palette) for _ in range(1 << depth)))
 
 
 class TestSubgroupIndexCount:
@@ -698,13 +583,12 @@ class TestSubgroupIndexCount:
     S3 is non-abelian, so left and right cosets differ there."""
 
     @settings(max_examples=300, deadline=None)
-    @given(subgroup_cases())
-    def test_matches_union_find(self, case):
-        # every word pair for kernels that keep the chain rule, the chain
-        # for explicit tables, which may break it
-        kernel, level = case
-        assert skew_connectivity(kernel, depth=level) == union_find_components(
-            kernel, level, exhaustive=kernel.kind != "explicit")
+    @given(potentials())
+    def test_matches_union_find(self, f):
+        # every rung depth, and one beyond the potential's depth
+        for level in range(1, f.depth + 2):
+            assert skew_connectivity(f, level) == union_find_components(
+                f, level, exhaustive=True)
 
     def test_potential_generators_are_a_inverse_p(self):
         # under 0 the potential takes e and t01, under 1 r and r t01: both
@@ -712,28 +596,8 @@ class TestSubgroupIndexCount:
         # would add r t01 r^-1 = t12 and generate S3
         e, r, t01 = (S3.parse(x) for x in ("e", "r", "t01"))
         f = StepFunction(S3, 2, (e, t01, r, S3.mul(r, t01)))
-        kernel = CocycleKernel.coboundary(f, class_depth=2)
-        assert union_find_components(kernel, 1) == 3
-        assert skew_connectivity(kernel, depth=1) == 3
-
-    def test_transport_conjugates_later_edges(self):
-        # the chain 0 - 1 - 2 - 3 of depth-2 words: the first edge takes r
-        # and t01 r, the second e and t01.  With T_1 = T_2 = r^-1 both give
-        # r^-1 t01 r = t02, so H has order 2; leaving the second edge's
-        # t01 unconjugated would generate S3
-        e, r, t01 = (S3.parse(x) for x in ("e", "r", "t01"))
-        table = {(a, b): e for a in all_words(3) for b in all_words(3)}
-        for a in ("010", "011"):
-            for b in ("000", "001"):
-                table[a, b] = S3.mul(t01, r)
-        table["010", "000"] = r
-        for a in ("100", "101"):
-            for b in ("010", "011"):
-                table[a, b] = t01
-        table["100", "010"] = e
-        kernel = CocycleKernel.explicit(S3, 3, 3, table)
-        assert union_find_components(kernel, 2) == 3
-        assert skew_connectivity(kernel, depth=2) == 3
+        assert union_find_components(f, 1) == 3
+        assert skew_connectivity(f, 1) == 3
 
 
 class TestTargets:

@@ -18,8 +18,7 @@ from cocyclelab.errors import (CocycleLabError, ConfigError, MalformedInput,
                                SizeGuard, UnboundedClass)
 from cocyclelab.evc import delta_for
 from cocyclelab.groups import (DirectSumZGroup, FiniteTableGroup,
-                               FreeAbelianGroup, RationalRatioGroup,
-                               closure_norm_bound, conjugate_closure,
+                               FreeAbelianGroup, closure_norm_bound, conjugate_closure,
                                covering_number, cyclic_group,
                                dihedral_group_4, model_from_config,
                                symmetric_group_3)
@@ -219,13 +218,6 @@ class TestLatticeModels:
         assert ds.format(ds.parse("0/1")) == "0/1"
         assert ds.norm(ds.parse("2/-3")) == 3
 
-    def test_rational_ratio_group(self):
-        rr = RationalRatioGroup()
-        assert rr.mul(Fraction(2, 3), Fraction(3, 4)) == Fraction(1, 2)
-        assert rr.inv(Fraction(2, 3)) == Fraction(3, 2)
-        assert rr.identity() == 1
-        assert rr.elements() is None
-
 
 class TestTableGroups:
     def test_identity_is_element_zero(self):
@@ -284,19 +276,14 @@ def test_table_group_parse_rejects_unknown_labels(model, text):
     (FreeAbelianGroup(2), "x"), (FreeAbelianGroup(2), "1/y"),
     (FreeAbelianGroup(2), "1"), (DirectSumZGroup(2), "x"),
     (DirectSumZGroup(2), "1//2"), (groups.DirectProductGroup(Z2, Z2), "1"),
-    (groups.DirectProductGroup(Z2, Z2), "1|x"), (RationalRatioGroup(), "x"),
-    (RationalRatioGroup(), "1/0"), (RationalRatioGroup(), "-1/2"),
-    (RationalRatioGroup(), "0")])
+    (groups.DirectProductGroup(Z2, Z2), "1|x")])
 def test_parse_rejects_malformed_text(model, text):
     with pytest.raises(MalformedInput):
         model.parse(text)
 
 
 @pytest.mark.parametrize("model", [
-    FreeAbelianGroup(2), DirectSumZGroup(2), groups.DirectProductGroup(Z2, S3),
-    RationalRatioGroup()])
+    FreeAbelianGroup(2), DirectSumZGroup(2), groups.DirectProductGroup(Z2, S3)])
 def test_parse_inverts_format(model):
     for element in (model.identity(), model.inv(model.identity())):
         assert model.parse(model.format(element)) == element
-    if isinstance(model, RationalRatioGroup):
-        assert model.parse("3/2") == Fraction(3, 2)

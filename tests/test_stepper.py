@@ -350,7 +350,8 @@ class TestSharedCheck:
         inp = reference_input()
         out = construct_step(inp)
         art = StepArtifacts(out.f_tilde, out.theta, out.core, out.m, out.h,
-                            out.delta, out.working_depth)
+                            out.delta)
+        assert out.working_depth == out.f_tilde.depth
         assert validate_step_output(inp, art) == validate_step_output(inp, out)
 
 

@@ -46,19 +46,29 @@ def words_at(s: CylinderSet, depth: int) -> list:
                   for tail in all_words(depth - len(w)))
 
 
-def kernel_value(kernel, a: str, b: str):
-    """The kernel's value on an admissible pair of words of its depth,
-    read from its definition by kind."""
-    assert kernel.admissible(a, b)
-    model = kernel.model
-    if kernel.kind == "coboundary":
-        f = kernel.potential
-        return model.mul(step_at(f, a), model.inv(step_at(f, b)))
-    if kernel.kind == "trivial":
-        return model.identity()
-    if kernel.kind == "ratio":
-        return kernel.mu.ratio(b, a)
-    return kernel.table[(a, b)]
+def kernel_value(f, a: str, b: str):
+    """The kernel f(a) f(b)^-1 of the potential `f` on a pair of words
+    at least as deep as it that agree beyond its depth."""
+    assert len(a) == len(b) and a[f.depth:] == b[f.depth:]
+    model = f.model
+    return model.mul(step_at(f, a), model.inv(step_at(f, b)))
+
+
+def cocycle_check(model, table: dict):
+    """The first of the three kernel laws (reflexivity, antisymmetry,
+    the chain rule) that a table of values on every pair of a set of
+    words breaks, or None when it keeps all three."""
+    words = sorted({a for a, _ in table})
+    one = model.identity()
+    if any(table[a, a] != one for a in words):
+        return "reflexive"
+    if any(model.mul(table[a, b], table[b, a]) != one
+           for a in words for b in words):
+        return "antisymmetric"
+    if any(model.mul(table[a, b], table[b, c]) != table[a, c]
+           for a in words for b in words for c in words):
+        return "chain"
+    return None
 
 
 def deviation(mu, x: str, y: str) -> Fraction:
@@ -127,17 +137,16 @@ def word_pairs_map(depth: int, pairs) -> FiniteDepthMap:
         depth, [(word_index(a), word_index(b)) for a, b in pairs])
 
 
-def union_find_components(kernel, level: int, exhaustive: bool = False) -> int:
+def union_find_components(f, level: int, exhaustive: bool = False) -> int:
     """`skew_connectivity` counted vertex by vertex: union-find over the
     (level word, element) pairs, joining (w, g) to (w', v g) for each
-    value v between the extensions of w' and w, along the chain of each
-    class's words (or every word pair when `exhaustive`)."""
-    model = kernel.model
+    value v = f(a) f(b)^-1 with a under w' and b under w, along the
+    chain of the level's words (or every word pair when `exhaustive`)."""
+    model = f.model
     elements = sorted(model.elements(), key=model.key)
     n_elements = len(elements)
     index = {model.key(e): i for i, e in enumerate(elements)}
     n_words = 1 << level
-    span = 1 << (kernel.depth - level)
     parent = list(range(n_words * n_elements))
 
     def find(i):
@@ -146,27 +155,22 @@ def union_find_components(kernel, level: int, exhaustive: bool = False) -> int:
             i = parent[i]
         return i
 
-    tail = (1 << (kernel.depth - kernel.class_depth)) - 1
-
-    def values_between(first, second):
-        i, j = first * span, second * span
-        return {model.key(v): v
-                for v in (kernel.value_at(a, b)
-                          for a in range(i, i + span)
-                          for b in range(j, j + span)
-                          if not (a ^ b) & tail)}.values()
-
-    stride = 1 << max(level - kernel.class_depth, 0)
-    for c in range(stride):
-        cls = range(c, n_words, stride)
-        if exhaustive:
-            edges = [(a, b) for i, a in enumerate(cls) for b in cls[i + 1:]]
-        else:
-            edges = list(zip(cls, cls[1:]))
-        for second, first in edges:
-            for value in values_between(first, second):
-                for gi, g in enumerate(elements):
-                    gj = index[model.key(model.mul(value, g))]
-                    parent[find(second * n_elements + gi)] = find(
-                        first * n_elements + gj)
+    # the potential values under each vertex word
+    values = f.values_at(max(f.depth, level))
+    span = len(values) // n_words
+    under = [values[w * span:(w + 1) * span] for w in range(n_words)]
+    words = range(n_words)
+    if exhaustive:
+        edges = [(a, b) for i, a in enumerate(words) for b in words[i + 1:]]
+    else:
+        edges = list(zip(words, words[1:]))
+    for second, first in edges:
+        between = {model.key(v): v for v in (
+            model.mul(x, model.inv(y))
+            for x in under[first] for y in under[second])}
+        for value in between.values():
+            for gi, g in enumerate(elements):
+                gj = index[model.key(model.mul(value, g))]
+                parent[find(second * n_elements + gi)] = find(
+                    first * n_elements + gj)
     return len({find(i) for i in range(n_words * n_elements)})
