@@ -96,10 +96,20 @@ class StepFunction:
         the search's inputs."""
         return {}
 
+    @cached_property
+    def _refinements(self) -> dict:
+        return {}
+
     def values_at(self, depth: int) -> tuple:
         """The values restated at `depth`, at least this function's own,
-        by word index."""
-        return _refined(self.values, self.depth, depth)
+        by word index.  Kept per depth on the function."""
+        if depth == self.depth:
+            return self.values
+        values = self._refinements.get(depth)
+        if values is None:
+            values = self._refinements[depth] = _refined(
+                self.values, self.depth, depth)
+        return values
 
     def value_set(self) -> tuple:
         return _value_set(self.model, self.values)
@@ -157,7 +167,11 @@ class PartialStepFunction:
             raise DepthMismatch(
                 f"table has {len(self.values)} entries, needs {1 << self.depth} "
                 f"at depth {self.depth}")
-        if bytes(v is None for v in self.values) != self.undefined.mask(self.depth):
+        # None on every index of the region, and nowhere else
+        region = self.undefined.ranges(self.depth)
+        if (self.values.count(None) != sum(hi - lo for lo, hi in region)
+                or any(self.values[i] is not None
+                       for lo, hi in region for i in range(lo, hi))):
             raise PostconditionFailure(
                 "partial-table", "table and undefined region must partition the space")
 

@@ -30,8 +30,8 @@ from typing import Callable, Mapping, Optional, Sequence
 from .cocycles import (KERNEL_EXPORT_DEPTH, AgreementCheck, StepFunction,
                        coboundary_increment, cocycle_distance,
                        increment_agreement, increments_within, kernel_csv)
-from .errors import (CocycleLabError, ConfigError, MalformedInput,
-                     SearchExhausted)
+from .errors import (CocycleLabError, ConfigError, DepthMismatch,
+                     MalformedInput, SearchExhausted)
 from .evc import (check_evc, delta_for, essential_value_certificate,
                   skew_connectivity, target_set, validate_witness,
                   within_skew_budget)
@@ -325,8 +325,12 @@ def _parse_table(model: GroupModel, table: Mapping[str, str]) -> StepFunction:
     if not isinstance(table, Mapping) or not all(
             isinstance(v, str) for v in table.values()):
         raise MalformedInput("a function table must map words to label text")
-    return StepFunction.from_table(
-        model, {w: model.parse(v) for w, v in table.items()})
+    parsed = {w: model.parse(v) for w, v in table.items()}
+    try:
+        return StepFunction.from_table(model, parsed)
+    except DepthMismatch as exc:
+        raise MalformedInput(f"a function table must hold the words of one "
+                             f"depth ({exc})") from None
 
 
 @dataclass(frozen=True)
@@ -682,25 +686,26 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
         })
 
     # stabilization ledger: changes after round n stay under the eps tail
+    # (the suffix unions are built once, from the last round back)
     ledger = {}
     for labels in action.inverse_groups():
         rows = []
-        for n_idx in range(len(change_history)):
-            union = CylinderSet.empty()
-            bound = ZERO
-            for changes, eps in zip(change_history[n_idx:],
-                                    eps_history[n_idx:]):
-                # rounds before a generator joins contribute no changes
-                if labels in changes:
-                    union = union.union(changes[labels])
-                bound += eps
+        union = CylinderSet.empty()
+        bound = ZERO
+        for n_idx in reversed(range(len(change_history))):
+            changes = change_history[n_idx]
+            # rounds before a generator joins contribute no changes
+            if labels in changes:
+                union = union.union(changes[labels])
+            bound += eps_history[n_idx]
+            mass = union.measure(mu)
             rows.append({
                 "after_round": n_idx,
-                "change_mass": _frac(union.measure(mu)),
+                "change_mass": _frac(mass),
                 "eps_tail": _frac(bound),
-                "ok": union.measure(mu) <= bound,
+                "ok": mass <= bound,
             })
-        ledger["+".join(labels)] = rows
+        ledger["+".join(labels)] = rows[::-1]
     records.append({"record": "stabilization", "ledger": ledger})
 
     # exact distances from each round's increments to the terminal ones

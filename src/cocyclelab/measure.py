@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, cycle, islice, product
+from itertools import chain, cycle, islice, product
 from math import lcm
 from typing import Iterable, Iterator, Sequence
 
@@ -76,6 +76,8 @@ def worst_deviation(masses: Sequence[int],
 
 
 WeightPair = tuple[Fraction, Fraction]
+# a coordinate's weights over their common denominator c: (a0, a1, c)
+WeightStep = tuple[int, int, int]
 
 
 def _as_pair(p: Sequence) -> WeightPair:
@@ -120,6 +122,14 @@ class ProductMeasure:
             cycle=tuple(_as_pair(p) for p in cycle),
         )
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashing the weights' Fractions is slow, and memos key on measures
+        return hash((self.head, self.cycle))
+
     @cached_property
     def _integer_weights(self) -> tuple[tuple, tuple]:
         """``head`` and ``cycle`` with each weight as (numerator, denominator)."""
@@ -145,30 +155,47 @@ class ProductMeasure:
     def _level_masses(self) -> dict:
         return {}
 
-    def level_masses(self, depth: int) -> tuple[tuple[int, ...], int]:
-        """The masses of all depth-`depth` cylinders over one common
-        denominator: ``(numerators, denominator)`` with the numerators
-        by word index, so ``cylinder(w)`` equals
-        ``Fraction(numerators[word_index(w)], denominator)``.  Each
-        coordinate multiplies the denominator by the least common
-        multiple of its two weights' denominators.  Kept per depth on the
+    @cached_property
+    def _level_weights(self) -> dict:
+        return {}
+
+    def level_weights(self, depth: int) -> tuple[tuple[WeightStep, ...], int]:
+        """The first `depth` coordinates' weights as integers: ``(steps,
+        denominator)`` with one ``(a0, a1, c)`` per coordinate, where
+        a0 / c and a1 / c are the masses of symbols 0 and 1 and c is the
+        least common multiple of the two weights' denominators, and the
+        denominator the product of the c.  Kept per depth on the
         measure."""
-        cached = self._level_masses.get(depth)
+        cached = self._level_weights.get(depth)
         if cached is None:
             head, period = self._integer_weights
-            nums, den = [1], 1
+            steps, den = [], 1
             for (n0, d0), (n1, d1) in islice(chain(head, cycle(period)), depth):
                 common = lcm(d0, d1)
-                a0, a1 = n0 * (common // d0), n1 * (common // d1)
-                nums = [y for x in nums for y in (x * a0, x * a1)]
+                steps.append((n0 * (common // d0), n1 * (common // d1), common))
                 den *= common
+            cached = self._level_weights[depth] = (tuple(steps), den)
+        return cached
+
+    def level_masses(self, depth: int) -> tuple[tuple[int, ...], int]:
+        """The masses of all depth-`depth` cylinders over one common
+        denominator, `level_weights`' denominator: ``(numerators,
+        denominator)`` with the numerators by word index, so
+        ``cylinder(w)`` equals ``Fraction(numerators[word_index(w)],
+        denominator)``.  Kept per depth on the measure."""
+        cached = self._level_masses.get(depth)
+        if cached is None:
+            steps, den = self.level_weights(depth)
+            nums = [1]
+            for a0, a1, _ in steps:
+                nums = [y for x in nums for y in (x * a0, x * a1)]
             cached = self._level_masses[depth] = (tuple(nums), den)
         return cached
 
     def ratio(self, x: Word, y: Word) -> Fraction:
         """Radon-Nikodym ratio: the product over coordinates i of the
-        weight of y_i over the weight of x_i, the integer weights
-        multiplied where the words differ.
+        weight of y_i over the weight of x_i, i.e. the mass of the
+        cylinder of y over that of x.
 
         For a tail-preserving map sending the cylinder of ``x`` onto the
         cylinder of ``y`` this is the derivative d(mu o map)/d(mu) on ``x``.
@@ -176,16 +203,7 @@ class ProductMeasure:
         """
         if len(x) != len(y):
             raise DepthMismatch(f"ratio needs equal depths, got {len(x)} and {len(y)}")
-        head, period = self._integer_weights
-        num = den = 1
-        for pair, bx, by in zip(chain(head, cycle(period)),
-                                check_word(x), check_word(y)):
-            if bx != by:
-                ny, dy = pair[by == "1"]
-                nx, dx = pair[bx == "1"]
-                num *= ny * dx
-                den *= dy * nx
-        return Fraction(num, den)
+        return self.cylinder(y) / self.cylinder(x)
 
     def shift(self, n: int) -> "ProductMeasure":
         """The product measure seen by coordinates beyond the n-th."""
@@ -232,6 +250,45 @@ def _word_edges(words: Sequence[Word]) -> tuple[int, list[int]]:
         shift, i = depth - len(w), word_index(w)
         ranges.append((i << shift, (i + 1) << shift))
     return depth, _coalesce(sorted(ranges))
+
+
+def _edge_mass_sum(steps: Sequence[WeightStep], den: int,
+                   edges: Sequence[int]) -> int:
+    """The mass numerator, over `den`, of the ranges [lo, hi) of word
+    indices at depth ``len(steps)`` whose edges lo0, hi0, lo1, ... are
+    given ascending: the alternating sum of the masses of the prefixes
+    [0, x) at the edges x.  A prefix's mass comes from one walk down its
+    index's bits (`ProductMeasure.level_weights` gives each coordinate's
+    integer weights): at each coordinate the mass so far is rescaled to
+    the next denominator, and a 1 bit adds the cylinder of the current
+    prefix followed by 0.  The walk restarts below the bits an edge
+    shares with the previous one, whose states are kept per level."""
+    depth = len(steps)
+    whole = 1 << depth
+    # the mass before and the cylinder mass of the previous edge's first
+    # i bits, at i; the walk of index 0 to begin with
+    befores = [0] * (depth + 1)
+    masses = [1]
+    for a0, _, _ in steps:
+        masses.append(masses[-1] * a0)
+    rows = [(1 << (depth - 1 - i), i + 1, *step)
+            for i, step in enumerate(steps)]
+    total, prev, sign = 0, 0, -1
+    for x in edges:
+        if x == whole:
+            total += sign * den
+            break
+        level = depth - (x ^ prev).bit_length()
+        before, mass = befores[level], masses[level]
+        for bit, i, a0, a1, c in rows[level:]:
+            if x & bit:
+                before, mass = before * c + mass * a0, mass * a1
+            else:
+                before, mass = before * c, mass * a0
+            befores[i], masses[i] = before, mass
+        total += sign * before
+        prev, sign = x, -sign
+    return total
 
 
 def _canonical(depth: int, edges: list[int]) -> "CylinderSet":
@@ -326,8 +383,21 @@ class CylinderSet:
     def max_depth(self) -> int:
         return max((len(w) for w in self.words), default=0)
 
+    @cached_property
+    def _measures(self) -> dict:
+        return {}
+
     def measure(self, mu: ProductMeasure) -> Fraction:
-        return sum((mu.cylinder(w) for w in self.words), ZERO)
+        """The set's mass under `mu`: one integer pass over the edges of
+        its index ranges (`_edge_mass_sum`) and one `Fraction`.  Kept per
+        measure on the set."""
+        mass = self._measures.get(mu)
+        if mass is None:
+            depth, edges = self._ranges
+            steps, den = mu.level_weights(depth)
+            mass = self._measures[mu] = Fraction(
+                _edge_mass_sum(steps, den, edges), den)
+        return mass
 
     def _combine(self, other: "CylinderSet", keep) -> "CylinderSet":
         """The points whose memberships in self and other `keep(in_self,
@@ -384,14 +454,27 @@ class CylinderSet:
             table = self._masks[depth] = bytes(buf)
         return table
 
+    def ranges(self, depth: int) -> list[tuple[int, int]]:
+        """The set as ascending, disjoint index ranges [lo, hi) of
+        depth-`depth` words (all member cylinders must fit, i.e. depth
+        >= max_depth), read off the edges without listing an index."""
+        if depth < self.max_depth:
+            raise DepthMismatch(
+                f"set has cylinders of depth {self.max_depth}, cannot list at {depth}")
+        own, edges = self._ranges
+        if own <= depth:
+            edges = [x << (depth - own) for x in edges]
+        else:
+            # every edge bounds a member cylinder, so the shift is exact
+            edges = [x >> (own - depth) for x in edges]
+        return list(zip(edges[::2], edges[1::2]))
+
     def indices(self, depth: int) -> list[int]:
         """The set as the ascending indices of depth-`depth` words (all
         member cylinders must fit, i.e. depth >= max_depth): what
         `from_indices` takes."""
-        if depth < self.max_depth:
-            raise DepthMismatch(
-                f"set has cylinders of depth {self.max_depth}, cannot list at {depth}")
-        return list(compress(range(1 << depth), self.mask(depth)))
+        return list(chain.from_iterable(
+            range(lo, hi) for lo, hi in self.ranges(depth)))
 
     def saturate(self, n: int) -> "CylinderSet":
         """Hull under the level-`n` relation: free the first n coordinates.

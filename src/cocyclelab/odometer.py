@@ -163,11 +163,17 @@ class PiecewiseCylinderMap:
         inv_name = self.name[:-1] if self.name.endswith("~") else self.name + "~"
         return PiecewiseCylinderMap(inv_name, tuple((t, s) for s, t in self.pieces))
 
+    @cached_property
+    def _distortions(self) -> dict:
+        return {}
+
     def distortion(self, mu: ProductMeasure) -> Fraction:
-        """max over pieces of measure(target)/measure(source)."""
-        worst = ONE
-        for s, t in self.pieces:
-            worst = max(worst, mu.ratio(s, t))
+        """max over pieces of measure(target)/measure(source).  Kept per
+        measure on the map."""
+        worst = self._distortions.get(mu)
+        if worst is None:
+            worst = self._distortions[mu] = max(
+                [ONE] + [mu.ratio(s, t) for s, t in self.pieces])
         return worst
 
 

@@ -15,7 +15,8 @@ from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
                                  coboundary_increment, cocycle_distance,
                                  increment_agreement, increments_within,
                                  kernel_csv, trivial_on_overflow)
-from cocyclelab.errors import DepthExhausted, DepthMismatch
+from cocyclelab.errors import (DepthExhausted, DepthMismatch,
+                               PostconditionFailure)
 from cocyclelab.groups import cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_index
 from cocyclelab.odometer import (PiecewiseCylinderMap, adding_machine,
@@ -82,6 +83,16 @@ class TestStepFunction:
         with pytest.raises(DepthMismatch, match=named):
             StepFunction.from_table(Z2, table)
 
+    def test_values_at_is_kept_per_depth(self):
+        f = first_bit(2)
+        assert f.values_at(2) is f.values
+        assert f.values_at(5) is f.values_at(5)
+        assert f.values_at(5) == tuple(int(w[0]) for w in all_words(5))
+        # a refused depth leaves nothing in the memo, so it is refused again
+        for _ in range(2):
+            with pytest.raises(DepthMismatch):
+                f.values_at(1)
+
     def test_from_table_orders_values_by_word_index(self):
         f = StepFunction.from_table(Z4, {"11": 3, "00": 0, "10": 2, "01": 1})
         assert f.values == (0, 1, 2, 3)
@@ -94,6 +105,23 @@ class TestPartialStepFunction:
         assert value_at(p, "01") == 1
         assert value_at(p, "11") is None
         assert p.undefined.words == ("1",)
+
+    @pytest.mark.parametrize("change", ["extra", "missing", "moved"])
+    @pytest.mark.parametrize("region", [["1"], ["01", "111"], ["0", "10"]])
+    def test_none_entries_must_be_the_region(self, region, change):
+        undefined = CylinderSet.of(region)
+        inside = set(undefined.indices(3))
+        values = [None if i in inside else 0 for i in range(8)]
+        PartialStepFunction(Z2, 3, tuple(values), undefined)
+        # one index off, either way, or one None moved out of the region
+        first_in = min(inside)
+        first_out = min(set(range(8)) - inside)
+        if change in ("extra", "moved"):
+            values[first_out] = None
+        if change in ("missing", "moved"):
+            values[first_in] = 1
+        with pytest.raises(PostconditionFailure, match="partition"):
+            PartialStepFunction(Z2, 3, tuple(values), undefined)
 
     def test_value_set_excludes_masked(self):
         p = PartialStepFunction(Z2, 1, (0, None), CylinderSet.of(["1"]))

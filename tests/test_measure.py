@@ -17,6 +17,7 @@ from cocyclelab.measure import (ONE, ZERO, CylinderSet, ProductMeasure,
                                 all_words, check_word, index_word,
                                 word_index, worst_deviation)
 from cocyclelab.odometer import FiniteDepthMap
+from word_oracles import cylinder_sum
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))
@@ -491,3 +492,82 @@ def test_depth_zero_bridges():
     assert index_word(0, 0) == "" and index_word(5, 4) == "0101"
     assert CylinderSet.full().indices(0) == [0]
     assert CylinderSet.empty().indices(0) == []
+
+
+# ---------------------------------------------------------------------------
+# Set masses from index ranges against the word-by-word sum
+# ---------------------------------------------------------------------------
+
+@st.composite
+def measured_sets(draw):
+    """A set from the algebra's constructors: empty, full, drawn words,
+    or a drawn set lifted by `prepend_free` or `saturate`."""
+    kind = draw(st.sampled_from(["empty", "full", "words", "prepend_free",
+                                 "saturate"]))
+    if kind == "empty":
+        return CylinderSet.empty()
+    if kind == "full":
+        return CylinderSet.full()
+    s = draw(cylinder_sets())
+    if kind == "words":
+        return s
+    return getattr(s, kind)(draw(st.integers(0, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_measures(), measured_sets())
+def test_measure_matches_cylinder_sum(mu, s):
+    assert s.measure(mu) == cylinder_sum(s, mu)
+
+
+deep_words = st.lists(st.text(alphabet="01", min_size=60, max_size=70),
+                      min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_measures(), deep_words, deep_words)
+def test_measure_of_deep_sparse_sets(mu, a, b):
+    # depth 60 and beyond: a 2^depth table would not fit in memory
+    first, second = CylinderSet.of(a), CylinderSet.of(b)
+    for s in (first, first.union(second), first.complement(),
+              first.difference(second), first.prepend_free(3)):
+        assert s.max_depth >= 60 or s.is_empty()
+        assert s.measure(mu) == cylinder_sum(s, mu)
+
+
+def test_measure_reads_no_cylinder(monkeypatch):
+    s = CylinderSet.of(["0" * 60, "1" * 45 + "0", "01"])
+    expected = cylinder_sum(s, PERIOD2)
+
+    def refuse(self, w):
+        raise AssertionError("measure summed a cylinder")
+
+    monkeypatch.setattr(ProductMeasure, "cylinder", refuse)
+    assert s.measure(PERIOD2) == expected
+
+
+def test_measure_is_kept_per_measure():
+    s = CylinderSet.of(["0", "110", "1011"])
+    first = ProductMeasure.iid(Fraction(1, 3))
+    twin = ProductMeasure.iid(Fraction(1, 3))
+    assert twin is not first and twin == first
+    mass = s.measure(first)
+    # an equal measure object reads the same memo entry
+    assert s.measure(twin) is mass
+    assert mass == cylinder_sum(s, BIASED)
+    # other measures keep their own entries
+    assert s.measure(UNIFORM) == cylinder_sum(s, UNIFORM) != mass
+    assert s.measure(PERIOD2) == cylinder_sum(s, PERIOD2)
+    assert s.measure(first) is mass
+
+
+@settings(max_examples=100, deadline=None)
+@given(cylinder_sets(), st.integers(0, 3))
+def test_ranges_list_the_indices(s, extra):
+    depth = s.max_depth + extra
+    assert [i for lo, hi in s.ranges(depth) for i in range(lo, hi)] == [
+        word_index(w) for w in all_words(depth) if oracle_covers(s, w)]
+    if s.max_depth:
+        with pytest.raises(DepthMismatch):
+            s.ranges(s.max_depth - 1)
+

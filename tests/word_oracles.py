@@ -38,6 +38,12 @@ def covers(s: CylinderSet, w: str) -> bool:
     return any(w[:k] in members for k in range(len(w) + 1))
 
 
+def cylinder_sum(s: CylinderSet, mu) -> Fraction:
+    """The mass of `s` summed word by word, one `ProductMeasure.cylinder`
+    per maximal cylinder: the form `CylinderSet.measure` replaced."""
+    return sum((mu.cylinder(w) for w in s.words), Fraction(0))
+
+
 def words_at(s: CylinderSet, depth: int) -> list:
     """`s` as the sorted depth-`depth` words of its member cylinders."""
     if depth < s.max_depth:
