@@ -80,7 +80,7 @@ def _cmd_step(args) -> int:
         "triple": triple.to_mapping(),
         "level": config.start_level,
         "refined_level": out.m,
-        "working_depth": out.working_depth,
+        "working_depth": out.f_tilde.depth,
         "eps": str(eps),
         "delta": str(out.delta),
         "conjugate": model.format(out.h),

@@ -239,61 +239,31 @@ def trivial_on_overflow(f: StepFunction, over: OverflowResult,
     return True
 
 
-@dataclass(frozen=True)
-class IncrementCheck:
-    ok: bool
-    violations: Mapping[str, CylinderSet]
-
-
 def increments_within(f: StepFunction, action: GammaAction,
-                      allowed: Iterable[Element]) -> IncrementCheck:
-    """Check that every defined increment value lies in {identity} + allowed;
+                      allowed: Iterable[Element]) -> bool:
+    """Whether every defined increment value lies in {identity} + allowed;
     truncation remainders are not judged."""
     keys = {f.model.key(f.model.identity())}
     keys.update(f.model.key(h) for h in allowed)
-    violations: dict[str, CylinderSet] = {}
-    for label, g in action.generators:
-        part = coboundary_increment(f, g)
-        outside = {v for v in set(part.values)
-                   if v is not None and f.model.key(v) not in keys}
-        if outside:
-            violations[label] = CylinderSet.from_indices(part.depth, [
-                i for i, v in enumerate(part.values) if v in outside])
-    return IncrementCheck(not violations, violations)
+    return all(v is None or f.model.key(v) in keys
+               for _, g in action.generators
+               for v in set(coboundary_increment(f, g).values))
 
 
-@dataclass(frozen=True)
-class DistResult:
-    """Exact distance between two per-generator increment families.
-
-    ``value`` integrates the truncated metric where both sides are
-    defined; ``undefined_bound`` is the worst case of the undefined
-    mass; ``truncation`` bounds the generators beyond the compared
-    prefix (zero for fully enumerated finite families)."""
-
-    value: Fraction
-    undefined_bound: Fraction
-    truncation: Fraction
-
-    def upper(self) -> Fraction:
-        return self.value + self.undefined_bound + self.truncation
-
-
-def cocycle_distance(
-    first: Sequence[PartialStepFunction],
-    second: Sequence[PartialStepFunction],
-    mu: ProductMeasure,
-    infinite_tail: bool = False,
-) -> DistResult:
-    """Sum over generators j of 2^-j times the expected truncated metric
-    between the j-th increments, computed exactly on the cylinder algebra:
-    each gap's cylinder masses are summed as integer numerators over the
-    level's common denominator."""
+def cocycle_distance(first: Sequence[PartialStepFunction],
+                     second: Sequence[PartialStepFunction],
+                     mu: ProductMeasure) -> Fraction:
+    """An upper bound on the distance between two per-generator increment
+    families: the sum over generators j of 2^-j times the expected
+    truncated metric between the j-th increments where both are defined,
+    plus the mass where either is undefined, at the worst metric 1.
+    Computed exactly on the cylinder algebra: each gap's cylinder masses
+    are summed as integer numerators over the level's common
+    denominator."""
     if len(first) != len(second):
         raise DepthMismatch(
             f"families enumerate {len(first)} and {len(second)} generators")
-    value = ZERO
-    undefined_bound = ZERO
+    total = ZERO
     weight = ONE
     for u1, u2 in zip(first, second):
         weight *= HALF
@@ -314,10 +284,8 @@ def cocycle_distance(
                 per_gap[gap] = per_gap.get(gap, 0) + m
         integral = sum((gap * Fraction(m, denominator)
                         for gap, m in per_gap.items()), ZERO)
-        value += weight * integral
-        undefined_bound += weight * unknown.measure(mu)
-    truncation = weight if infinite_tail else ZERO
-    return DistResult(value, undefined_bound, truncation)
+        total += weight * (integral + unknown.measure(mu))
+    return total
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ class PipelineConfig:
         read("group", lambda _: config.build_model())
         read("measure", lambda _: config.build_measure(), None)
         read("action", lambda _: config.build_action())
-        read("eps_start", lambda v: v is None or Fraction(v), None)
+        read("eps_start", lambda v: v is None or Fraction(str(v)), None)
         return config
 
     def to_mapping(self) -> dict:
@@ -428,7 +428,7 @@ def round_eps(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
     if not rounds:
         eps = admission
         if config.eps_start is not None:
-            eps = min(Fraction(config.eps_start), admission)
+            eps = min(Fraction(str(config.eps_start)), admission)
         return eps, {"admission": _frac(admission), "chosen": _frac(eps)}
     candidates = {
         "previous_half": Fraction(rounds[-1]["eps"]) / 2,
@@ -483,7 +483,7 @@ def _checked_fields(inp: StepInput, rule: dict, check: StepCheck,
         ("conditions", "distance_ok"): verdicts["distance"],
         ("conditions", "evc_witness_ok"): check.witness_ok,
         ("conditions", "incremental"):
-            increments_within(f_tilde, inp.action, closure).ok,
+            increments_within(f_tilde, inp.action, closure),
         ("conditions", "finite_values"): len(f_tilde.value_set()),
         ("witness", "measure_slack"): _frac(check.witness_slack),
         ("witness", "reserve"): _frac(check.witness_reserve),
@@ -629,7 +629,7 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     records.append({
         "record": "boundedness",
         "closure": sorted(model.format(h) for h in closure),
-        "ok": increments_within(f_final, action, closure).ok,
+        "ok": increments_within(f_final, action, closure),
         "per_generator": {
             label: sorted(model.format(v)
                           for v in coboundary_increment(f_final, g).value_set())
@@ -716,7 +716,7 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
             act = config.build_action(max(idx, 1)) if config.enumerated else action
             old = [coboundary_increment(functions[idx], g) for g in act.maps()]
             new = [coboundary_increment(f_final, g) for g in act.maps()]
-            dist = cocycle_distance(old, new, mu).upper()
+            dist = cocycle_distance(old, new, mu)
             tail = sum(eps_history[idx:], ZERO)
             rows.append({
                 "from_round": idx,

@@ -294,55 +294,59 @@ def _edge_mass_sum(steps: Sequence[WeightStep], den: int,
 def _canonical(depth: int, edges: list[int]) -> "CylinderSet":
     """The one canonical form.  `edges` are those of disjoint ranges
     [lo, hi) of depth-`depth` word indices, ascending and apart (as
-    `_coalesce` gives them).  Each range is cut, left to right, into the
-    largest aligned blocks that fit: 2^k indices from a multiple of 2^k
-    are the cylinder of one word of depth ``depth - k``, and these
-    blocks are exactly the maximal cylinders of the set.  The words come
-    out shorter first, each depth in index (lexicographic) order; the
-    edges are kept on the set for its next operation."""
-    levels: list[list[int]] = [[] for _ in range(depth + 1)]
-    whole = 1 << depth
-    for lo, hi in zip(edges[::2], edges[1::2]):
-        while lo < hi:
-            # the largest block aligned at lo, halved until it fits
-            size = lo & -lo or whole
-            while lo + size > hi:
-                size >>= 1
-            k = size.bit_length() - 1
-            levels[depth - k].append(lo >> k)
-            lo += size
-    # a depth-0 block is the whole space, and then the only one
-    out = CylinderSet(("",) if levels[0] else tuple(
-        format(i, "b").zfill(d) for d, level in enumerate(levels)
-        for i in level))
-    out.__dict__["_ranges"] = (depth, edges)
-    return out
+    `_coalesce` gives them).  They are restated at the least depth they
+    allow: every edge is a multiple of the lowest set bit 2^k of their
+    OR, so the ranges are unions of depth-(depth - k) cylinders, and no
+    shallower depth holds them."""
+    low = 0
+    for x in edges:
+        low |= x
+    k = (low & -low).bit_length() - 1 if low else depth
+    if k:
+        edges = [x >> k for x in edges]
+    return CylinderSet(depth - k, tuple(edges))
 
 
 @dataclass(frozen=True)
 class CylinderSet:
-    """A finite union of cylinders in canonical prefix-free form.
+    """A finite union of cylinders, as index ranges of one depth.
 
-    The empty tuple is the empty set; the tuple ``("",)`` is the whole
-    space.  The words are the set's maximal cylinders, shorter first and
-    lexicographic within a depth, so equality of sets is equality of the
-    ``words`` tuples.  The set operations work on the same set as sorted
-    index ranges of the words of one depth (`_ranges`), and every result
-    goes through `_canonical`.
+    ``edges`` are the ascending edges lo0, hi0, lo1, hi1, ... of the
+    set's coalesced ranges [lo, hi) of depth-``max_depth`` word indices,
+    restated at the least depth that holds them (see `_canonical`), so
+    equal sets have equal fields.  The empty set has no edges; the whole
+    space is ``(0, (0, 1))``.  `words` lists the maximal cylinders for
+    reports and exports.
     """
 
-    words: tuple[Word, ...]
+    max_depth: int
+    edges: tuple[int, ...]
 
     @cached_property
     def _masks(self) -> dict:
         return {}
 
     @cached_property
-    def _ranges(self) -> tuple[int, list[int]]:
-        """``(depth, edges)``: the set as the ascending edges lo0, hi0,
-        lo1, hi1, ... of its coalesced ranges of depth-`depth` word
-        indices, `depth` at least `max_depth`."""
-        return _word_edges(self.words)
+    def words(self) -> tuple[Word, ...]:
+        """The set's maximal cylinders, shorter first and lexicographic
+        within a depth.  Each range is cut, left to right, into the
+        largest aligned blocks that fit: 2^k indices from a multiple of
+        2^k are the cylinder of one word k shorter than ``max_depth``,
+        and these blocks are exactly the maximal cylinders of the set."""
+        depth = self.max_depth
+        levels: list[list[int]] = [[] for _ in range(depth + 1)]
+        whole = 1 << depth
+        for lo, hi in zip(self.edges[::2], self.edges[1::2]):
+            while lo < hi:
+                # the largest block aligned at lo, halved until it fits
+                size = lo & -lo or whole
+                while lo + size > hi:
+                    size >>= 1
+                k = size.bit_length() - 1
+                levels[depth - k].append(lo >> k)
+                lo += size
+        return tuple(index_word(i, d) for d, level in enumerate(levels)
+                     for i in level)
 
     @staticmethod
     def of(words: Iterable[Word]) -> "CylinderSet":
@@ -359,7 +363,7 @@ class CylinderSet:
         indices (see `word_index`), ascending and distinct; the same
         canonical form `of` gives for their words."""
         if not indices:
-            return _canonical(depth, [])
+            return _EMPTY
         # a run of consecutive indices ends where the next one skips
         breaks = [x for a, b in zip(indices, indices[1:]) if b != a + 1
                   for x in (a + 1, b)]
@@ -374,14 +378,10 @@ class CylinderSet:
         return _FULL
 
     def is_empty(self) -> bool:
-        return not self.words
+        return not self.edges
 
     def is_full(self) -> bool:
-        return self.words == ("",)
-
-    @property
-    def max_depth(self) -> int:
-        return max((len(w) for w in self.words), default=0)
+        return self.max_depth == 0 and self.edges == (0, 1)
 
     @cached_property
     def _measures(self) -> dict:
@@ -393,10 +393,9 @@ class CylinderSet:
         measure on the set."""
         mass = self._measures.get(mu)
         if mass is None:
-            depth, edges = self._ranges
-            steps, den = mu.level_weights(depth)
+            steps, den = mu.level_weights(self.max_depth)
             mass = self._measures[mu] = Fraction(
-                _edge_mass_sum(steps, den, edges), den)
+                _edge_mass_sum(steps, den, self.edges), den)
         return mass
 
     def _combine(self, other: "CylinderSet", keep) -> "CylinderSet":
@@ -405,11 +404,11 @@ class CylinderSet:
         pass over both sets' edges at the deeper of their depths: a point
         lies in a set when an odd number of its edges are at or below
         it."""
-        if not other.words:
+        if not other.edges:
             return self if keep(1, 0) else _EMPTY
-        if not self.words:
+        if not self.edges:
             return other if keep(0, 1) else _EMPTY
-        (da, a), (db, b) = self._ranges, other._ranges
+        da, a, db, b = self.max_depth, self.edges, other.max_depth, other.edges
         depth = max(da, db)
         a = [x << (depth - da) for x in a] if da < depth else a
         b = [x << (depth - db) for x in b] if db < depth else b
@@ -442,15 +441,19 @@ class CylinderSet:
         the depth-`depth` word with index i lies in the set, that is when
         some member word is a prefix of that word (a member deeper than
         `depth` contains no whole depth-`depth` cylinder).  Filled one
-        member cylinder at a time and kept per depth on the set."""
+        range at a time, each range restated at `depth` by keeping the
+        whole cylinders it holds, and kept per depth on the set."""
         table = self._masks.get(depth)
         if table is None:
             buf = bytearray(1 << depth)
-            for w in self.words:
-                if len(w) <= depth:
-                    size = 1 << (depth - len(w))
-                    start = word_index(w) * size
-                    buf[start:start + size] = b"\x01" * size
+            shift = self.max_depth - depth
+            for lo, hi in zip(self.edges[::2], self.edges[1::2]):
+                if shift > 0:
+                    lo, hi = -(-lo >> shift), hi >> shift
+                else:
+                    lo, hi = lo << -shift, hi << -shift
+                if lo < hi:
+                    buf[lo:hi] = b"\x01" * (hi - lo)
             table = self._masks[depth] = bytes(buf)
         return table
 
@@ -461,12 +464,8 @@ class CylinderSet:
         if depth < self.max_depth:
             raise DepthMismatch(
                 f"set has cylinders of depth {self.max_depth}, cannot list at {depth}")
-        own, edges = self._ranges
-        if own <= depth:
-            edges = [x << (depth - own) for x in edges]
-        else:
-            # every edge bounds a member cylinder, so the shift is exact
-            edges = [x >> (own - depth) for x in edges]
+        shift = depth - self.max_depth
+        edges = [x << shift for x in self.edges]
         return list(zip(edges[::2], edges[1::2]))
 
     def indices(self, depth: int) -> list[int]:
@@ -489,7 +488,7 @@ class CylinderSet:
         coordinates: its ranges repeated under each of the 2^n prefixes."""
         if self.is_empty() or self.is_full():
             return self
-        depth, edges = self._ranges
+        depth, edges = self.max_depth, self.edges
         pairs = list(zip(edges[::2], edges[1::2]))
         return _canonical(n + depth, _coalesce(
             (base + lo, base + hi)
@@ -508,5 +507,5 @@ class CylinderSet:
         return buf.getvalue()
 
 
-_EMPTY = _canonical(0, [])
-_FULL = _canonical(0, [0, 1])
+_EMPTY = CylinderSet(0, ())
+_FULL = CylinderSet(0, (0, 1))

@@ -300,23 +300,26 @@ def orbit_overflow(action: GammaAction, level: int) -> OverflowResult:
 class InvolutionResult:
     """A finite-depth involution pairing `inside` against itself.
 
-    ``pairs`` lists the matched pairs of word indices at the depth of
-    `tau` (smaller index first, in index order); ``fixed`` is the
-    unpaired remainder inside the target set, of measure below the
-    requested tolerance.
+    ``fixed`` is the unpaired remainder inside the target set, of
+    measure below the requested tolerance.
     """
 
     tau: FiniteDepthMap
-    pairs: tuple[tuple[int, int], ...]
     fixed: CylinderSet
 
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The 2-cycles of `tau` as pairs of word indices at its depth,
+        smaller index first, in index order."""
+        return tuple((a, b) for a, b in enumerate(self.tau.table) if a < b)
+
     def first_sides(self) -> CylinderSet:
-        return CylinderSet.from_indices(self.tau.depth,
-                                        sorted(a for a, _ in self.pairs))
+        return CylinderSet.from_indices(self.tau.depth, [
+            a for a, b in enumerate(self.tau.table) if a < b])
 
     def second_sides(self) -> CylinderSet:
-        return CylinderSet.from_indices(self.tau.depth,
-                                        sorted(b for _, b in self.pairs))
+        return CylinderSet.from_indices(self.tau.depth, [
+            b for b, a in enumerate(self.tau.table) if a < b])
 
 
 def exchange_involution(
@@ -345,7 +348,7 @@ def exchange_involution(
     if eps <= 0 or leftover <= 0:
         raise ValueError("eps and leftover must be positive")
     if inside.is_empty():
-        return InvolutionResult(FiniteDepthMap.identity(0), (), CylinderSet.empty())
+        return InvolutionResult(FiniteDepthMap.identity(0), CylinderSet.empty())
     p, q = eps.numerator, eps.denominator
 
     best: Optional[tuple[list[tuple[int, int]], list[int], Fraction, int]] = None
@@ -375,7 +378,7 @@ def exchange_involution(
             for j in range(i + 1, len(unpaired)):
                 nb = masses[unpaired[j]]
                 if not used[j] and (na - nb) * q < p * nb:
-                    pairs.append(tuple(sorted((a, unpaired[j]))))
+                    pairs.append((a, unpaired[j]))
                     used[i] = used[j] = True
                     break
             if not used[i]:
@@ -393,4 +396,4 @@ def exchange_involution(
     pairs, leftovers, _, depth = best
     fixed = CylinderSet.from_indices(depth, sorted(leftovers))
     tau = FiniteDepthMap.from_pairs(depth if pairs else inside.max_depth, pairs)
-    return InvolutionResult(tau, tuple(sorted(pairs)), fixed)
+    return InvolutionResult(tau, fixed)

@@ -111,8 +111,8 @@ class StepArtifacts:
     reads: the update, the pairing, the core, the refinement level, the
     conjugate and delta.  The working depth is the update's depth.  The
     construction's intermediates (z0, the partition, the refinement, the
-    involution, the a/b/c sets) are not part of it, so the check cannot
-    depend on them."""
+    involution, the discard set) are not part of it, so the check cannot
+    depend on them; :class:`StepOutput` adds the ones a report records."""
 
     f_tilde: StepFunction
     theta: FiniteDepthMap
@@ -266,24 +266,15 @@ CERTIFICATE_ORDER = (
 
 
 @dataclass(frozen=True)
-class StepOutput:
-    """The step's artifacts and certificates.  ``check`` holds the exact
-    numbers behind the shared clauses, among them the per-generator
-    agreement sets, the agreement measure and the distance bound."""
+class StepOutput(StepArtifacts):
+    """The step's artifacts, the selected set z0 and the discard set b
+    that its report records, and its certificates.  ``check`` holds the
+    exact numbers behind the shared clauses, among them the
+    per-generator agreement sets, the agreement measure and the
+    distance bound."""
 
-    m: int
-    working_depth: int
-    h: Element
-    delta: Fraction
-    eps_prime: Fraction
-    f_tilde: StepFunction
-    theta: FiniteDepthMap
-    core: CylinderSet
     z0: CylinderSet
-    refinement: RefinementChoice
     b_set: CylinderSet
-    a_set: CylinderSet
-    c_set: CylinderSet
     certificates: tuple[Certificate, ...]
     check: StepCheck
 
@@ -416,7 +407,7 @@ def assemble_update(f: StepFunction, h: Element, involution: InvolutionResult,
         for i, v in enumerate(f.values_at(depth))))
 
 
-def build_transfer(z0: CylinderSet, b_set: CylinderSet, a_set: CylinderSet,
+def build_transfer(z0: CylinderSet, b_set: CylinderSet,
                    involution: InvolutionResult, m: int,
                    depth: int) -> tuple[FiniteDepthMap, CylinderSet]:
     """The pairing transformation (deep exchange off the discard set,
@@ -425,7 +416,8 @@ def build_transfer(z0: CylinderSet, b_set: CylinderSet, a_set: CylinderSet,
     depth - m bits of an index."""
     deep = involution.tau.index_map(depth - m)
     low = len(deep) - 1
-    discard, first, selected = (s.mask(depth) for s in (b_set, a_set, z0))
+    discard = b_set.mask(depth)
+    first = involution.first_sides().prepend_free(m).mask(depth)
     table = tuple(i if discard[i] else i - (i & low) + deep[i & low]
                   for i in range(1 << depth))
     core = [i for i in z0.indices(depth) if first[i] and not discard[i]]
@@ -446,7 +438,7 @@ def construct_step(inp: StepInput) -> StepOutput:
         raise ConfigError("the target set must have positive measure")
     if not trivial_on_overflow(f, orbit_overflow(action, inp.n), inp.n):
         raise ConfigError(f"input function is not inner at level {inp.n}")
-    if not increments_within(f, action, conjugate_closure(model, inp.family)).ok:
+    if not increments_within(f, action, conjugate_closure(model, inp.family)):
         raise ConfigError("input increments leave the declared value family")
 
     selection = select_core_and_conjugate(f, inp.target, inp.candidate,
@@ -465,10 +457,8 @@ def construct_step(inp: StepInput) -> StepOutput:
     m = refinement.m
     involution, b_set = discard_set(inp, refinement)
     depth = m + involution.tau.depth
-    a_set = involution.first_sides().prepend_free(m)
-    c_set = involution.second_sides().prepend_free(m)
     f_tilde = assemble_update(f, h, involution, b_set, m, depth)
-    theta, core = build_transfer(z0, b_set, a_set, involution, m, depth)
+    theta, core = build_transfer(z0, b_set, involution, m, depth)
 
     check = validate_step_output(
         inp, StepArtifacts(f_tilde, theta, core, m, h, delta))
@@ -486,8 +476,8 @@ def construct_step(inp: StepInput) -> StepOutput:
     for cert in certificates:
         if not cert.ok:
             raise PostconditionFailure(cert.clause, cert.detail)
-    return StepOutput(m, depth, h, delta, eps_prime, f_tilde, theta, core, z0,
-                      refinement, b_set, a_set, c_set, certificates, check)
+    return StepOutput(f_tilde, theta, core, m, h, delta, z0, b_set,
+                      certificates, check)
 
 
 def _certify(inp: StepInput, eps_prime: Fraction,
@@ -570,10 +560,10 @@ def _masked_labels(f: StepFunction, z0: CylinderSet, depth: int) -> list[str]:
             for v, inside in zip(values, z0.mask(depth))]
 
 
-def validate_step_output(inp: StepInput, out) -> StepCheck:
+def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     """The step's shared clauses (and delta's covering number) from the
-    input and the artifact slice of `out`, a :class:`StepOutput` or
-    :class:`StepArtifacts`, alone.  :func:`construct_step` runs it once on
+    input and the artifact slice `out` alone (a :class:`StepOutput` is
+    one).  :func:`construct_step` runs it once on
     its finished artifacts, certification on artifacts rebuilt from a
     report."""
     f, mu, action, eps = inp.f, inp.mu, inp.action, Fraction(inp.eps)
@@ -623,10 +613,10 @@ def validate_step_output(inp: StepInput, out) -> StepCheck:
         overflow_mass=over.upper().measure(mu),
         inner_ok=inner_ok, inner_error=inner_error,
         enlarged_size=len(enlarged),
-        confined=increments_within(f_tilde, action, enlarged).ok,
+        confined=increments_within(f_tilde, action, enlarged),
         core_inside=all(inside[w] and inside[table[w]] for w in words),
         core_disjoint=not any(in_core[table[w]] for w in words),
         core_mass=core.measure(mu), target_mass=inp.target.measure(mu),
         membership_misses=misses, worst_core=worst,
         agreement=agreement, agreement_mass=agreement.measure(mu),
-        distance=cocycle_distance(old_inc, new_inc, mu).upper())
+        distance=cocycle_distance(old_inc, new_inc, mu))

@@ -181,7 +181,7 @@ def test_a2_single_step_postconditions(step_outputs):
         assert all(c.ok for c in out.certificates), tag
         assert all(c.ok for c in validate_step_output(
             inp, out).validator_certificates()), tag
-        assert out.working_depth <= DEPTH_CAP, tag
+        assert out.f_tilde.depth <= DEPTH_CAP, tag
         assert seconds < STEP_BUDGET_S, tag
 
 

@@ -96,6 +96,23 @@ class TestFirstRoundEps:
         assert step["refined_level"] == first["refined_level"]
         assert step["conjugate"] == first["conjugate"]
 
+    @pytest.mark.parametrize("eps_start", [0.01, "0.01", "1/100"],
+                             ids=["yaml-float", "decimal-text", "fraction"])
+    def test_eps_start_reads_as_written(self, eps_start, tmp_path, capsys):
+        # a YAML float is read by its decimal text, as measure weights
+        # are, not by its binary value
+        raw = {**PRESETS["z2-flips"], "eps_start": eps_start}
+        path = tmp_path / "eps.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert isinstance(yaml.load(path.read_text(), Loader=YAML_LOADER)[
+            "eps_start"], type(eps_start))
+        rc, out, _ = run_cli(capsys, "run", "--config", str(path),
+                             "--rounds", "1")
+        assert rc == 0
+        first = next(r for r in map(json.loads, out.splitlines())
+                     if r["record"] == "round")
+        assert first["eps"] == "1/100"
+
 
 class TestPinnedBytes:
     @pytest.mark.parametrize("preset", sorted(STEP_STDOUT_SHA256))

@@ -284,7 +284,7 @@ class TestIncrementReuse:
                 [coboundary_increment(old, g) for g in action.maps()],
                 [coboundary_increment(new, g) for g in action.maps()], mu)
             assert rec["conditions"]["agreement"] == str(agreement)
-            assert rec["conditions"]["distance"] == str(dist.upper())
+            assert rec["conditions"]["distance"] == str(dist)
             change = {}
             for group in action.inverse_groups():
                 sub = GammaAction("+".join(group), tuple(
@@ -380,7 +380,7 @@ class TestWitnessOnce:
             "delta_zero": {"delta": Fraction(0)},
             "delta_one": {"delta": Fraction(1)},
             "identity_theta": {
-                "theta": FiniteDepthMap.identity(out.working_depth)},
+                "theta": FiniteDepthMap.identity(out.f_tilde.depth)},
             "core_outside": {"core": inp.target.complement()},
         }[tamper])
         targets = evc.target_set(art.f_tilde.model, inp.candidate, inp.u_index)

@@ -452,6 +452,19 @@ def test_from_indices_matches_of(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(cylinder_sets(), st.integers(0, 3))
+def test_restated_deeper_is_the_same_set(s, k):
+    # the set listed at depth d + k and rebuilt is the set built at d:
+    # one form, equal fields and equal hashes
+    deeper = s.max_depth + k
+    again = CylinderSet.from_indices(deeper, s.indices(deeper))
+    assert again == s and hash(again) == hash(s)
+    assert again.max_depth == s.max_depth == max(map(len, s.words), default=0)
+    # so are the member words, each split into its extensions by k bits
+    assert CylinderSet.of(w + t for w in s.words for t in all_words(k)) == s
+
+
+@settings(max_examples=200, deadline=None)
 @given(cylinder_sets(), st.integers(0, 8))
 def test_mask_matches_covers(s, depth):
     mask = s.mask(depth)

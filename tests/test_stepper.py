@@ -21,9 +21,9 @@ from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
 from cocyclelab.odometer import (FiniteDepthMap, InvolutionResult,
                                  adding_machine_action, flip_action)
 from cocyclelab.stepper import (CERTIFICATE_ORDER, StepArtifacts, StepInput,
-                                construct_step, fingerprint_partition,
-                                image_safe_tolerance,
-                                select_core_and_conjugate,
+                                construct_step, discard_set,
+                                fingerprint_partition, image_safe_tolerance,
+                                overflow_hull, select_core_and_conjugate,
                                 validate_step_output)
 from word_oracles import apply_piece, covers, image_of, step_at, words_at
 
@@ -94,11 +94,12 @@ class TestReferenceCase:
         inp = reference_input()
         out = construct_step(inp)
         assert out.m == 6
-        assert out.working_depth == 7
+        assert out.f_tilde.depth == 7
         assert out.h == 1
         assert out.delta == Fraction(1, 3)
-        assert out.eps_prime == Fraction(1, 8)
-        assert out.refinement.hull_mass == Fraction(1, 16)
+        assert image_safe_tolerance(inp.action, inp.mu, inp.eps) == Fraction(1, 8)
+        assert overflow_hull(inp.action, inp.n, out.m,
+                             inp.mu).hull_mass == Fraction(1, 16)
         assert out.core.measure(inp.mu) == Fraction(15, 32)
         assert all(c.ok for c in out.certificates)
         # eps = 1/4 deliberately exceeds the mass/(40 covering) admission
@@ -108,13 +109,13 @@ class TestReferenceCase:
     def test_agreement_against_oracle(self):
         inp = reference_input()
         out = construct_step(inp)
-        oracle = brute_agreement_mass(inp, out.f_tilde, out.working_depth)
+        oracle = brute_agreement_mass(inp, out.f_tilde, out.f_tilde.depth)
         assert oracle == Fraction(15, 16)
 
     def test_distance_against_oracle(self):
         inp = reference_input()
         out = construct_step(inp)
-        oracle = brute_distance_upper(inp, out.f_tilde, out.working_depth)
+        oracle = brute_distance_upper(inp, out.f_tilde, out.f_tilde.depth)
         assert oracle == Fraction(3, 128)
 
     def test_update_piecewise_shape(self):
@@ -122,11 +123,15 @@ class TestReferenceCase:
         # second exchange side minus the hull
         inp = reference_input()
         out = construct_step(inp)
-        on = CylinderSet.of([w for w in all_words(out.working_depth)
+        on = CylinderSet.of([w for w in all_words(out.f_tilde.depth)
                              if step_at(out.f_tilde, w) == 1])
-        expected = out.c_set.difference(out.b_set)
-        assert on == expected
-        assert out.core.difference(out.a_set).is_empty()
+        involution, b_set = discard_set(
+            inp, overflow_hull(inp.action, inp.n, out.m, inp.mu))
+        assert b_set == out.b_set
+        a_set = involution.first_sides().prepend_free(out.m)
+        c_set = involution.second_sides().prepend_free(out.m)
+        assert on == c_set.difference(b_set)
+        assert out.core.difference(a_set).is_empty()
 
     def test_idempotent(self):
         inp = reference_input()
@@ -187,7 +192,7 @@ class TestVariants:
     def test_profile(self, tag, inp, m, depth, h, delta, core):
         out = construct_step(inp)
         assert out.m == m
-        assert out.working_depth == depth
+        assert out.f_tilde.depth == depth
         assert inp.f.model.format(out.h) == h
         assert out.delta == delta
         assert out.core.measure(inp.mu) == core
@@ -257,14 +262,14 @@ def right_translate_on(f: StepFunction, s: CylinderSet, g) -> StepFunction:
 
 def _lift_top_word(out):
     # a non-identity value on the adding machine's undecided remainder
-    values = out.f_tilde.values_at(out.working_depth)[:-1] + (1,)
+    values = out.f_tilde.values[:-1] + (1,)
     return dataclasses.replace(
-        out, f_tilde=StepFunction(Z2, out.working_depth, values))
+        out, f_tilde=StepFunction(Z2, out.f_tilde.depth, values))
 
 
 def _first_core_word(out):
     return dataclasses.replace(out, core=CylinderSet.of(
-        words_at(out.core, out.working_depth)[:1]))
+        words_at(out.core, out.f_tilde.depth)[:1]))
 
 
 # (clause, input, tampering of the constructed output); each tampering
@@ -281,7 +286,7 @@ TAMPERED = [
     ("core_mass", reference_input(), _first_core_word),
     ("core_membership", reference_input(),
      lambda out: dataclasses.replace(
-         out, theta=FiniteDepthMap.identity(out.working_depth))),
+         out, theta=FiniteDepthMap.identity(out.f_tilde.depth))),
     ("core_derivative", VARIANTS[1][1],  # biased measure, first-coordinate flip
      lambda out: dataclasses.replace(out, theta=FiniteDepthMap.from_pairs(
          1, [(0, 1)]))),
@@ -351,7 +356,7 @@ class TestSharedCheck:
         out = construct_step(inp)
         art = StepArtifacts(out.f_tilde, out.theta, out.core, out.m, out.h,
                             out.delta)
-        assert out.working_depth == out.f_tilde.depth
+        assert isinstance(out, StepArtifacts)
         assert validate_step_output(inp, art) == validate_step_output(inp, out)
 
 
@@ -375,7 +380,7 @@ class TestCoreTables:
     @given(st.data())
     def test_match_set_operations(self, data):
         inp, out = reference_step()
-        depth = out.working_depth
+        depth = out.f_tilde.depth
         # targets may be deeper than the working depth, cores may not
         target = data.draw(st.one_of(st.just(CylinderSet.full()),
                                      cylinder_sets(depth + 2)))
@@ -427,13 +432,15 @@ class TestDerivativeBoundary:
         selection = select_core_and_conjugate(inp.f, inp.target, inp.candidate,
                                               inp.u_index, inp.mu)
         flip = FiniteDepthMap.from_pairs(1, [(0, 1)])
-        theta = FiniteDepthMap(out.working_depth,
-                               flip.index_map(out.working_depth))
+        theta = FiniteDepthMap(out.f_tilde.depth,
+                               flip.index_map(out.f_tilde.depth))
         certificates = stepper._certify(
-            dataclasses.replace(inp, eps=eps), out.eps_prime,
+            dataclasses.replace(inp, eps=eps),
+            image_safe_tolerance(inp.action, inp.mu, inp.eps),
             inp.action.max_distortion_sum(inp.mu), selection,
             fingerprint_partition(inp.f, selection.z0, inp.n, inp.mu),
-            out.refinement, InvolutionResult(flip, ((0, 1),), CylinderSet.empty()),
+            overflow_hull(inp.action, inp.n, out.m, inp.mu),
+            InvolutionResult(flip, CylinderSet.empty()),
             theta, out.core.measure(inp.mu), out.m)
         return {c.clause: c for c in certificates}
 
