@@ -57,14 +57,6 @@ def _load_config(text: str, rounds: Optional[int],
     return PipelineConfig.from_mapping(raw)
 
 
-def _emit_report(report, out: Optional[str]) -> None:
-    """Name the report the pipeline wrote to `out`, or print it."""
-    if out:
-        print(f"report written to {os.path.join(out, 'report.jsonl')}")
-    else:
-        sys.stdout.write(report.text())
-
-
 def _cmd_step(args) -> int:
     config = _load_config(args.config, None, args.depth)
     model = config.build_model()
@@ -92,17 +84,16 @@ def _cmd_step(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_run(args, runner) -> int:
+def _cmd_run(args, pipeline) -> int:
+    """Run a pipeline; name the report it wrote to --out, or print it."""
     config = _load_config(args.config, args.rounds, args.depth)
-    _, report = runner(config, out_dir=args.out, resume=args.resume)
-    _emit_report(report, args.out)
-    return 0
-
-
-def _cmd_wrapped(args, pipeline) -> int:
-    config = _load_config(args.config, args.rounds, args.depth)
-    report = pipeline(config, out_dir=args.out)
-    _emit_report(report, args.out)
+    # only `run` and `run-infinite` take --resume
+    options = {"resume": args.resume} if "resume" in args else {}
+    report = pipeline(config, out_dir=args.out, **options)
+    if args.out:
+        print(f"report written to {os.path.join(args.out, 'report.jsonl')}")
+    else:
+        sys.stdout.write(report.text())
     return 0
 
 
@@ -180,9 +171,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "run-infinite":
             return _cmd_run(args, run_theorem_02ii)
         if args.command == "bounded":
-            return _cmd_wrapped(args, bounded_cocycle_pipeline)
+            return _cmd_run(args, bounded_cocycle_pipeline)
         if args.command == "norm-bounded":
-            return _cmd_wrapped(args, norm_bounded_pipeline)
+            return _cmd_run(args, norm_bounded_pipeline)
         if args.command == "certify":
             return _cmd_certify(args)
         if args.command == "export":

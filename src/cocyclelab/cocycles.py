@@ -4,9 +4,9 @@ A step function assigns a group element to every word of a fixed depth.
 Its values are one dense tuple indexed by `measure.word_index`, so every
 loop here runs over integer indices; words appear only where tables are
 read or written.  Its coboundary increments f(sigma x) f(x)^-1 along the
-generators are partial step functions, undefined exactly on the generators' truncation
-remainders.  Undefined mass is always carried along explicitly so that
-predicates can report it instead of silently passing.
+generators are step functions too, whose values are None exactly on the
+generators' truncation remainders.  Predicates count that undefined mass
+explicitly instead of silently passing it.
 
 The two-point cocycle that witnesses and connectivity read is always
 the coboundary c(a, b) = f(a) f(b)^-1 of the current step function f,
@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DepthExhausted, DepthMismatch, PostconditionFailure
+from .errors import DepthExhausted, DepthMismatch
 from .groups import GroupModel, Element
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
                       word_index)
@@ -43,11 +43,6 @@ def _refined(values: tuple, depth: int, finer: int) -> tuple:
         return values
     return tuple(chain.from_iterable(repeat(v, 1 << (finer - depth))
                                      for v in values))
-
-
-def _value_set(model: GroupModel, values: Iterable) -> tuple:
-    seen = {model.key(v): v for v in dict.fromkeys(values) if v is not None}
-    return tuple(seen[k] for k in sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,11 @@ class StepFunction:
         return values
 
     def value_set(self) -> tuple:
-        return _value_set(self.model, self.values)
+        """The distinct values, by canonical key; None is no value."""
+        model = self.model
+        seen = {model.key(v): v for v in dict.fromkeys(self.values)
+                if v is not None}
+        return tuple(seen[k] for k in sorted(seen))
 
     def level_set(self, value: Element) -> CylinderSet:
         return CylinderSet.from_indices(
@@ -144,50 +143,21 @@ def kernel_csv(f: StepFunction) -> str:
 
 
 @dataclass(frozen=True)
-class PartialStepFunction:
-    """A step function defined off an explicit cylinder region.
-
-    Serves two roles: truncation remainders of coboundary increments
-    (the undefined part is genuinely unknown there), and step functions
-    with an absorbing marker on an excluded set (the marker region is
-    known, just outside the group).  `values` holds None exactly on the
-    region, by word index; predicates must consult `undefined` and
-    report it.
-    """
-
-    model: GroupModel
-    depth: int
-    values: tuple
-    undefined: CylinderSet
+class PartialStepFunction(StepFunction):
+    """A coboundary increment: a step function whose `values` hold None
+    exactly on its generator's truncation remainder, where the increment
+    is unknown.  Predicates must count those entries and report them."""
 
     def __post_init__(self):
-        if self.undefined.max_depth > self.depth:
-            raise DepthMismatch("undefined region deeper than the table")
-        if len(self.values) != 1 << self.depth:
-            raise DepthMismatch(
-                f"table has {len(self.values)} entries, needs {1 << self.depth} "
-                f"at depth {self.depth}")
-        # None on every index of the region, and nowhere else
-        region = self.undefined.ranges(self.depth)
-        if (self.values.count(None) != sum(hi - lo for lo, hi in region)
-                or any(self.values[i] is not None
-                       for lo, hi in region for i in range(lo, hi))):
-            raise PostconditionFailure(
-                "partial-table", "table and undefined region must partition the space")
-
-    def values_at(self, depth: int) -> tuple:
-        """The values restated at `depth`, at least this function's own,
-        by word index."""
-        return _refined(self.values, self.depth, depth)
-
-    def value_set(self) -> tuple:
-        return _value_set(self.model, self.values)
+        # the table-length check, defined on this class so that
+        # perfbench/tracer.py can time increment construction through it
+        super().__post_init__()
 
 
 def coboundary_increment(f: StepFunction,
                          sigma: PiecewiseCylinderMap) -> PartialStepFunction:
     """The increment x -> f(sigma x) f(x)^-1 at the depth of `f` or of
-    `sigma`, whichever is deeper, undefined on the remainder of the
+    `sigma`, whichever is deeper, None on the remainder of the
     truncated `sigma`.
 
     Computed once per generator and kept on `f`, so a repeated call
@@ -201,7 +171,7 @@ def coboundary_increment(f: StepFunction,
         values = f.values_at(e)
         part = memo[sigma] = PartialStepFunction(f.model, e, tuple(
             None if j < 0 else mul(values[j], inv(v))
-            for j, v in zip(sigma.index_map(e), values)), sigma.remainder())
+            for j, v in zip(sigma.index_map(e), values)))
     return part
 
 
@@ -255,11 +225,10 @@ def cocycle_distance(first: Sequence[PartialStepFunction],
                      mu: ProductMeasure) -> Fraction:
     """An upper bound on the distance between two per-generator increment
     families: the sum over generators j of 2^-j times the expected
-    truncated metric between the j-th increments where both are defined,
-    plus the mass where either is undefined, at the worst metric 1.
-    Computed exactly on the cylinder algebra: each gap's cylinder masses
-    are summed as integer numerators over the level's common
-    denominator."""
+    truncated metric between the j-th increments, a word where either is
+    undefined (None) counting at the worst metric 1.  Computed exactly on
+    the cylinder algebra: each gap's cylinder masses are summed as
+    integer numerators over the level's common denominator."""
     if len(first) != len(second):
         raise DepthMismatch(
             f"families enumerate {len(first)} and {len(second)} generators")
@@ -270,51 +239,36 @@ def cocycle_distance(first: Sequence[PartialStepFunction],
         if u1.model.name != u2.model.name:
             raise ValueError("increment families live over different group models")
         depth = max(u1.depth, u2.depth)
-        unknown = u1.undefined.union(u2.undefined)
         masses, denominator = mu.level_masses(depth)
         metric = u1.model.metric
-        # mass numerator summed per gap; None marks the undefined region
-        # (partition check), and equal values are at distance 0
+        # mass numerator summed per gap; equal values are at distance 0
         per_gap: dict[Fraction, int] = {}
         for a, b, m in zip(u1.values_at(depth), u2.values_at(depth), masses):
-            if a is None or b is None or a == b:
+            if a is None or b is None:
+                gap = ONE
+            elif a == b:
                 continue
-            gap = min(ONE, metric(a, b))
+            else:
+                gap = min(ONE, metric(a, b))
             if gap:
                 per_gap[gap] = per_gap.get(gap, 0) + m
-        integral = sum((gap * Fraction(m, denominator)
-                        for gap, m in per_gap.items()), ZERO)
-        total += weight * (integral + unknown.measure(mu))
+        total += weight * sum((gap * Fraction(m, denominator)
+                               for gap, m in per_gap.items()), ZERO)
     return total
 
 
-@dataclass(frozen=True)
-class AgreementCheck:
-    """``agreement`` is the intersection of the per-generator sets."""
-
-    agreement: CylinderSet
-    per_generator: Mapping[str, CylinderSet]
-
-    def measure(self, mu: ProductMeasure) -> Fraction:
-        return self.agreement.measure(mu)
-
-
 def increment_agreement(old: StepFunction, new: StepFunction,
-                        action: GammaAction) -> AgreementCheck:
-    """The set where every generator's increment of `new` is defined and
-    equals that of `old`; undecided truncation mass is excluded from the
-    agreement set (conservative).  Each generator's own
-    agreement set is kept too, keyed by its label."""
-    agreement = CylinderSet.full()
-    per_generator: dict[str, CylinderSet] = {}
+                        action: GammaAction) -> dict[str, CylinderSet]:
+    """Per generator label, the set where its increment of `new` is
+    defined and equals that of `old`; undecided truncation mass is
+    excluded (conservative)."""
+    agreement: dict[str, CylinderSet] = {}
     for label, g in action.generators:
         u_old = coboundary_increment(old, g)
         u_new = coboundary_increment(new, g)
         e = max(u_old.depth, u_new.depth)
-        same = CylinderSet.from_indices(e, [
+        agreement[label] = CylinderSet.from_indices(e, [
             i for i, (a, b) in enumerate(zip(u_old.values_at(e),
                                              u_new.values_at(e)))
             if a is not None and a == b])
-        per_generator[label] = same
-        agreement = agreement.intersection(same)
-    return AgreementCheck(agreement, per_generator)
+    return agreement

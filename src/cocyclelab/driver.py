@@ -27,14 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .cocycles import (KERNEL_EXPORT_DEPTH, AgreementCheck, StepFunction,
-                       coboundary_increment, cocycle_distance,
-                       increment_agreement, increments_within, kernel_csv)
+from .cocycles import (KERNEL_EXPORT_DEPTH, StepFunction, coboundary_increment,
+                       cocycle_distance, increment_agreement,
+                       increments_within, kernel_csv)
 from .errors import (CocycleLabError, ConfigError, DepthMismatch,
                      MalformedInput, SearchExhausted)
 from .evc import (check_evc, delta_for, essential_value_certificate,
-                  skew_connectivity, target_set, validate_witness,
-                  within_skew_budget)
+                  skew_connectivity, target_set, within_skew_budget)
 from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
                      model_from_config)
 from .measure import ZERO, CylinderSet, ProductMeasure, all_words
@@ -67,7 +66,7 @@ class PipelineConfig:
     rounds: int
     depth_budget: int = 14
     start_level: int = 1
-    eps_start: Optional[str] = None
+    eps_start: Optional[str] = None  # reduced fraction text: 0.01 is "1/100"
     name: str = "run"
 
     @staticmethod
@@ -102,13 +101,13 @@ class PipelineConfig:
             rounds=read("rounds", int, 1),
             depth_budget=read("depth_budget", int, 14),
             start_level=read("start_level", int, 1),
-            eps_start=raw.get("eps_start"),
+            eps_start=read("eps_start", lambda v: v if v is None
+                           else str(Fraction(str(v))), None),
             name=read("name", str, "run"),
         )
         read("group", lambda _: config.build_model())
         read("measure", lambda _: config.build_measure(), None)
         read("action", lambda _: config.build_action())
-        read("eps_start", lambda v: v is None or Fraction(str(v)), None)
         return config
 
     def to_mapping(self) -> dict:
@@ -376,17 +375,6 @@ def load_report(path: str) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
-@dataclass(frozen=True)
-class CocycleApproximant:
-    """Terminal step function of a finite run plus the exact tail bound
-    covering all never-executed rounds."""
-
-    function: StepFunction
-    level: int
-    rounds: int
-    eps_history: tuple[Fraction, ...]
-
-
 # ---------------------------------------------------------------------------
 # The recursion
 # ---------------------------------------------------------------------------
@@ -428,7 +416,7 @@ def round_eps(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
     if not rounds:
         eps = admission
         if config.eps_start is not None:
-            eps = min(Fraction(str(config.eps_start)), admission)
+            eps = min(Fraction(config.eps_start), admission)
         return eps, {"admission": _frac(admission), "chosen": _frac(eps)}
     candidates = {
         "previous_half": Fraction(rounds[-1]["eps"]) / 2,
@@ -442,7 +430,7 @@ def round_eps(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
     return eps, rule
 
 
-def _change_sets(action: GammaAction, agreement: AgreementCheck
+def _change_sets(action: GammaAction, agreement: Mapping[str, CylinderSet]
                  ) -> dict[tuple[str, ...], CylinderSet]:
     """Each generator group's change set: where the increment of some
     generator in the group changed, from the per-generator agreement sets."""
@@ -450,7 +438,7 @@ def _change_sets(action: GammaAction, agreement: AgreementCheck
     for labels in action.inverse_groups():
         agree = CylinderSet.full()
         for label in labels:
-            agree = agree.intersection(agreement.per_generator[label])
+            agree = agree.intersection(agreement[label])
         change_sets[labels] = agree.complement()
     return change_sets
 
@@ -481,11 +469,11 @@ def _checked_fields(inp: StepInput, rule: dict, check: StepCheck,
         ("conditions", "agreement_ok"): verdicts["agreement"],
         ("conditions", "distance"): _frac(check.distance),
         ("conditions", "distance_ok"): verdicts["distance"],
-        ("conditions", "evc_witness_ok"): check.witness_ok,
+        ("conditions", "evc_witness_ok"): check.witness.ok,
         ("conditions", "incremental"):
             increments_within(f_tilde, inp.action, closure),
         ("conditions", "finite_values"): len(f_tilde.value_set()),
-        ("witness", "measure_slack"): _frac(check.witness_slack),
+        ("witness", "measure_slack"): _frac(check.witness.measure_slack),
         ("witness", "reserve"): _frac(check.witness_reserve),
         ("artifacts", "core_mass"): _frac(check.core_mass),
         ("artifacts", "change_mass"): {"+".join(k): _frac(v.measure(inp.mu))
@@ -527,8 +515,7 @@ def _replay_rounds(config: PipelineConfig, model: GroupModel,
 def _run_recursion(config: PipelineConfig,
                    out_dir: Optional[str] = None,
                    resume: bool = False,
-                   closing: Optional[Callable] = None
-                   ) -> tuple[CocycleApproximant, RunReport]:
+                   closing: Optional[Callable] = None) -> RunReport:
     """Run the rounds and the terminal records; `closing`, if given, is
     one of the CLOSING builders and adds one more record.  With `out_dir`
     each round is checkpointed and the finished report written there."""
@@ -608,8 +595,7 @@ def _run_recursion(config: PipelineConfig,
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         report.write(os.path.join(out_dir, "report.jsonl"))
-    return CocycleApproximant(functions[-1], n, config.rounds,
-                              tuple(eps_history)), report
+    return report
 
 
 def _terminal_records(config: PipelineConfig, model: GroupModel,
@@ -709,23 +695,20 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     records.append({"record": "stabilization", "ledger": ledger})
 
     # exact distances from each round's increments to the terminal ones
-    distances = searched.get("distances")
-    if distances is None:
-        rows = []
-        for idx in range(len(functions) - 1):
-            act = config.build_action(max(idx, 1)) if config.enumerated else action
-            old = [coboundary_increment(functions[idx], g) for g in act.maps()]
-            new = [coboundary_increment(f_final, g) for g in act.maps()]
-            dist = cocycle_distance(old, new, mu)
-            tail = sum(eps_history[idx:], ZERO)
-            rows.append({
-                "from_round": idx,
-                "distance": _frac(dist),
-                "eps_tail": _frac(tail),
-                "ok": dist <= tail or dist == 0,
-            })
-        distances = {"record": "distances", "rows": rows}
-    records.append(distances)
+    rows = []
+    for idx in range(len(functions) - 1):
+        act = config.build_action(max(idx, 1)) if config.enumerated else action
+        old = [coboundary_increment(functions[idx], g) for g in act.maps()]
+        new = [coboundary_increment(f_final, g) for g in act.maps()]
+        dist = cocycle_distance(old, new, mu)
+        tail = sum(eps_history[idx:], ZERO)
+        rows.append({
+            "from_round": idx,
+            "distance": _frac(dist),
+            "eps_tail": _frac(tail),
+            "ok": dist <= tail or dist == 0,
+        })
+    records.append({"record": "distances", "rows": rows})
 
     records.append({
         "record": "final",
@@ -773,7 +756,7 @@ def _stream_record(config: PipelineConfig, model: GroupModel,
 # ---------------------------------------------------------------------------
 
 def run_theorem_02i(config: PipelineConfig, out_dir: Optional[str] = None,
-                    resume: bool = False) -> tuple[CocycleApproximant, RunReport]:
+                    resume: bool = False) -> RunReport:
     """Finitely many generators, fixed for the whole run."""
     if config.enumerated:
         raise ConfigError("use run_theorem_02ii for enumerated generator streams")
@@ -781,7 +764,7 @@ def run_theorem_02i(config: PipelineConfig, out_dir: Optional[str] = None,
 
 
 def run_theorem_02ii(config: PipelineConfig, out_dir: Optional[str] = None,
-                     resume: bool = False) -> tuple[CocycleApproximant, RunReport]:
+                     resume: bool = False) -> RunReport:
     """Enumerated generator stream; round n works with the first n
     generators and their inverses."""
     if not config.enumerated:
@@ -834,7 +817,7 @@ CLOSING = {"compact_range": _compact_range, "norm_bounds": _norm_bounds}
 def bounded_cocycle_pipeline(config: PipelineConfig,
                              out_dir: Optional[str] = None) -> RunReport:
     """Run the recursion and close with the compact-range certificate."""
-    return _run_recursion(config, out_dir, closing=_compact_range)[1]
+    return _run_recursion(config, out_dir, closing=_compact_range)
 
 
 def norm_bounded_pipeline(config: PipelineConfig,
@@ -844,7 +827,7 @@ def norm_bounded_pipeline(config: PipelineConfig,
     model = config.build_model()
     if closure_norm_bound(model, _closure(config, model)) is None:
         raise ConfigError("the group model carries no norm")
-    return _run_recursion(config, out_dir, closing=_norm_bounds)[1]
+    return _run_recursion(config, out_dir, closing=_norm_bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -888,8 +871,8 @@ def _load_checkpoint(config: PipelineConfig,
 # ---------------------------------------------------------------------------
 
 # terminal records that certify takes from the report: rebuilding them
-# would rerun their witness searches and distance integrals
-SEARCHED = ("essential_values", "distances")
+# would rerun their witness searches
+SEARCHED = ("essential_values",)
 
 
 def _first_difference(stored: Mapping, rebuilt: Mapping) -> Optional[str]:
@@ -975,12 +958,9 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
                 if found != value:
                     fail(f"{section}.{field}" if section else field, where,
                          f"stored {found!r}, recomputed {value!r}")
-
-        targets = target_set(model, inp.candidate, triple.u_index)
-        witness = validate_witness(f, triple.base(), targets, delta, mu,
-                                   core, theta)
-        if not witness.ok:
-            fail(f"evc-{witness.clause}", where, witness.detail or "")
+            if not check.witness.ok:
+                fail(f"evc-{check.witness.clause}", where,
+                     check.witness.detail or "")
 
         n = rec["refined_level"]
 

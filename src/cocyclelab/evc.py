@@ -7,7 +7,9 @@ The kernel is the coboundary c(a, b) = f(a) f(b)^-1 of a step function
 f, the potential, on words that agree beyond the depth of f; every
 function here takes f and reads c off its table.  Witnesses are always
 re-validated from scratch before being returned, and carry the exact
-slacks by which each inequality holds.
+slack by which their mass beats the threshold.  `validate_witness` is the
+one check of the condition's clauses: the search calls it, and so does
+the step check, which certification replays.
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ from typing import Optional, Sequence
 from .cocycles import StepFunction
 from .errors import PostconditionFailure, SearchExhausted, SizeGuard
 from .groups import Cover, Element, GroupModel, covering_number
-from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, index_word,
-                      worst_deviation)
+from .measure import CylinderSet, ProductMeasure, index_word, worst_deviation
 from .odometer import FiniteDepthMap
 
 SKEW_BUDGET = 1 << 18  # most vertices a connectivity count may stand for
@@ -41,32 +42,30 @@ def delta_for(model: GroupModel, g: Element, u_index: int) -> tuple[Fraction, Co
 
 @dataclass(frozen=True)
 class WitnessValidation:
+    """The verdict on a candidate witness, the first clause it fails, and
+    the numbers behind every clause, computed whatever the verdict:
+    whether the part and its image lie in the base, the measure slack
+    mu(B) - delta mu(A), the number of part words whose kernel value
+    misses the target set, and the worst derivative deviation."""
+
     ok: bool
     clause: Optional[str]
     detail: Optional[str]
+    part_inside: bool
+    image_inside: bool
     measure_slack: Fraction
-    derivative_slack: Fraction
-    membership_margin: Fraction
+    misses: int
+    worst: Fraction
 
 
 @dataclass(frozen=True)
 class EvcWitness:
-    """A validated witness: the part, the transformation, and the slacks
-    by which each inequality holds.
+    """A validated witness: the part, the transformation, and the slack
+    by which its mass beats delta times the base mass."""
 
-    membership_margin is the separation of the witnessed kernel values
-    from the complement of the target set; all shipped group models are
-    uniformly discrete with gap 1, so it is 1 on success.
-    """
-
-    base: CylinderSet
     part: CylinderSet
     theta: FiniteDepthMap
-    delta: Fraction
-    target: tuple
     measure_slack: Fraction
-    derivative_slack: Fraction
-    membership_margin: Fraction
 
 
 def validate_witness(
@@ -79,55 +78,72 @@ def validate_witness(
     theta: FiniteDepthMap,
 ) -> WitnessValidation:
     """Re-check every clause of the condition from scratch, trusting only
-    (part, theta) and the potential `f` itself."""
+    (part, theta) and the potential `f` itself.  The clauses, in the
+    order the first failing one is named: part-inside, image-inside,
+    mass, class, membership, derivative."""
     model = f.model
     delta = Fraction(delta)
-
-    def failed(clause: str, detail: str,
-               measure_slack: Fraction = ZERO,
-               derivative_slack: Fraction = ZERO) -> WitnessValidation:
-        return WitnessValidation(False, clause, detail, measure_slack,
-                                 derivative_slack, ZERO)
-
     level = max(f.depth, part.max_depth, theta.depth)
     table = theta.index_map(level)
     words = part.indices(level)
     # B and theta(B) are unions of whole level cylinders, which A holds
     # exactly when its membership table marks them
     inside = base.mask(level)
-    if not all(inside[w] for w in words):
-        return failed("part-inside", "B is not contained in A")
-    if not all(inside[table[w]] for w in words):
-        return failed("image-inside", "theta(B) is not contained in A")
+    part_inside = all(inside[w] for w in words)
+    image_inside = all(inside[table[w]] for w in words)
     mass = part.measure(mu)
     need = delta * base.measure(mu)
-    if not mass > need:
-        return failed("mass", f"mu(B) = {mass} is not above {need}")
     # the potential's words are the top f.depth bits of a level index; a
     # class is fixed by the bits beyond them
     shift = level - f.depth
     tail = (1 << shift) - 1
     values = f.values
     target_keys = {model.key(t) for t in target}
+    # whether the kernel value of a (value at the image, value) pair lands
+    # in the target, decided once per distinct pair
+    lands: dict[tuple, bool] = {}
+    thrown = missed = None  # the first word failing the class, membership
+    misses = 0
     for w in words:
         img = table[w]
-        if (img ^ w) & tail:
-            return failed("class", f"theta throws {index_word(w, level)} out "
-                          "of its kernel class", mass - need)
-        value = model.mul(values[img >> shift], model.inv(values[w >> shift]))
-        if model.key(value) not in target_keys:
-            return failed("membership",
-                          f"kernel value {model.format(value)} at "
-                          f"{index_word(w, level)} is outside the target set",
-                          mass - need)
-    worst_derivative = worst_deviation(mu.level_masses(level)[0],
-                                       ((w, table[w]) for w in words))
-    if not worst_derivative < delta:
-        return failed("derivative",
-                      f"derivative deviation {worst_derivative} is not below "
-                      f"{delta}", mass - need, delta - worst_derivative)
-    return WitnessValidation(True, None, None, mass - need,
-                             delta - worst_derivative, ONE)
+        if thrown is None and (img ^ w) & tail:
+            thrown = w
+        pair = (values[img >> shift], values[w >> shift])
+        ok = lands.get(pair)
+        if ok is None:
+            ok = lands[pair] = model.key(
+                model.mul(pair[0], model.inv(pair[1]))) in target_keys
+        if not ok:
+            misses += 1
+            if missed is None:
+                missed = w
+    worst = worst_deviation(mu.level_masses(level)[0],
+                            ((w, table[w]) for w in words))
+
+    def verdict(clause: Optional[str] = None,
+                detail: Optional[str] = None) -> WitnessValidation:
+        return WitnessValidation(clause is None, clause, detail, part_inside,
+                                 image_inside, mass - need, misses, worst)
+
+    if not part_inside:
+        return verdict("part-inside", "B is not contained in A")
+    if not image_inside:
+        return verdict("image-inside", "theta(B) is not contained in A")
+    if not mass > need:
+        return verdict("mass", f"mu(B) = {mass} is not above {need}")
+    if thrown is not None:
+        return verdict("class", f"theta throws {index_word(thrown, level)} "
+                       "out of its kernel class")
+    if missed is not None:
+        value = model.mul(values[table[missed] >> shift],
+                          model.inv(values[missed >> shift]))
+        return verdict("membership",
+                       f"kernel value {model.format(value)} at "
+                       f"{index_word(missed, level)} is outside the target set")
+    if not worst < delta:
+        return verdict("derivative", f"derivative deviation {worst} is not "
+                       f"below {delta}")
+    return verdict()
 
 
 def check_evc(
@@ -181,9 +197,7 @@ def _search_witness(f, base, target, delta, mu, search_depth) -> EvcWitness:
         theta = FiniteDepthMap.identity(f.depth)
         check = validate_witness(f, base, target, delta, mu, base, theta)
         if check.ok:
-            return EvcWitness(base, base, theta, delta, target,
-                              check.measure_slack, check.derivative_slack,
-                              check.membership_margin)
+            return EvcWitness(base, theta, check.measure_slack)
 
     need = delta * base.measure(mu)
     # Past this level each base word and kernel class splits by bits beyond
@@ -207,8 +221,7 @@ def _search_witness(f, base, target, delta, mu, search_depth) -> EvcWitness:
         raise PostconditionFailure(
             check.clause or "unknown",
             f"search produced an invalid witness: {check.detail}")
-    return EvcWitness(base, part, theta, delta, target, check.measure_slack,
-                      check.derivative_slack, check.membership_margin)
+    return EvcWitness(part, theta, check.measure_slack)
 
 
 def _pair_search(

@@ -27,14 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Optional
+from typing import Mapping, Optional
 
-from .cocycles import (AgreementCheck, StepFunction, coboundary_increment,
-                       cocycle_distance, increment_agreement,
-                       increments_within, trivial_on_overflow)
+from .cocycles import (StepFunction, coboundary_increment, cocycle_distance,
+                       increment_agreement, increments_within,
+                       trivial_on_overflow)
 from .errors import (ConfigError, DepthExhausted, EmptyCore,
                      PostconditionFailure)
-from .evc import delta_for, target_set
+from .evc import WitnessValidation, delta_for, target_set, validate_witness
 from .groups import Cover, Element, conjugate_closure
 from .measure import CylinderSet, ProductMeasure, worst_deviation
 from .odometer import (FiniteDepthMap, GammaAction, InvolutionResult,
@@ -127,7 +127,10 @@ class StepCheck:
     """The exact numbers behind the step's shared clauses (overflow_small
     through distance) and the validator's delta consistency, computed by
     :func:`validate_step_output`; the report's two clause lists and its
-    admission clause are rendered from one instance."""
+    admission clause are rendered from one instance.  ``witness`` is
+    :func:`evc.validate_witness` on the core and the pairing at delta,
+    whose numbers the core clauses read; ``agreement`` holds each
+    generator's agreement set, by label."""
 
     eps: Fraction
     m: int
@@ -139,56 +142,36 @@ class StepCheck:
     inner_error: Optional[str]  # why innerness was undecidable, if it was
     enlarged_size: int
     confined: bool
-    core_inside: bool
+    witness: WitnessValidation
     core_disjoint: bool
     core_mass: Fraction
     target_mass: Fraction
-    membership_misses: int
-    worst_core: Fraction
-    agreement: AgreementCheck
+    agreement: Mapping[str, CylinderSet]
     agreement_mass: Fraction
     distance: Fraction
 
     def verdicts(self) -> dict[str, bool]:
         """Clause name -> verdict for the ten shared clauses."""
-        eps = self.eps
+        eps, witness = self.eps, self.witness
         return {
             "overflow_small": self.overflow_mass < eps,
             "inner": self.inner_ok,
             "incremental": self.confined,
-            "core_inside": self.core_inside,
+            "core_inside": witness.part_inside and witness.image_inside,
             "core_disjoint": self.core_disjoint,
             "core_mass": self.core_mass > self.delta * self.target_mass,
-            "core_membership": self.membership_misses == 0,
-            "core_derivative": self.worst_core < eps,
+            "core_membership": witness.misses == 0,
+            "core_derivative": witness.worst < eps,
             "agreement": self.agreement_mass > 1 - eps,
             "distance": self.distance < eps,
         }
-
-    @property
-    def witness_ok(self) -> bool:
-        """Whether (core, theta) is an essential-value witness for the
-        target at tolerance delta, by the same clauses as
-        :func:`evc.validate_witness`: both inside, mass, membership in the
-        target set and a derivative below delta.  Its class clause holds
-        trivially here, because the update's depth is the working depth."""
-        return (self.core_inside
-                and self.core_mass > self.delta * self.target_mass
-                and self.membership_misses == 0
-                and self.worst_core < self.delta)
-
-    @property
-    def witness_slack(self) -> Fraction:
-        """The witness's measure slack: core mass above delta times the
-        target mass."""
-        return self.core_mass - self.delta * self.target_mass
 
     @property
     def witness_reserve(self) -> Fraction:
         """Disagreement mass a later round may introduce while the witness
         still verifies: trimming the core by the bad set and its pairing
         image costs twice the mass, and half the slack is kept spare."""
-        return self.witness_slack / 4
+        return self.witness.measure_slack / 4
 
     def admission(self) -> Certificate:
         """The advisory admission clause: eps within the admission bound."""
@@ -220,10 +203,10 @@ class StepCheck:
                 f"core mass {self.core_mass} > delta * target mass "
                 f"{self.delta * self.target_mass}",
             "core_membership":
-                f"{self.membership_misses} core words leave the "
+                f"{self.witness.misses} core words leave the "
                 f"neighborhood translate",
             "core_derivative":
-                f"core derivative deviation {self.worst_core} < {eps}",
+                f"core derivative deviation {self.witness.worst} < {eps}",
             "agreement":
                 f"increment agreement measure {self.agreement_mass} > {1 - eps}",
             "distance":
@@ -248,8 +231,8 @@ class StepCheck:
             "core_disjoint": "pairing image disjoint from the core",
             "core_mass":
                 f"core mass {self.core_mass} > {self.delta * self.target_mass}",
-            "core_membership": f"{self.membership_misses} core words fall outside",
-            "core_derivative": f"deviation {self.worst_core} < {eps}",
+            "core_membership": f"{self.witness.misses} core words fall outside",
+            "core_derivative": f"deviation {self.witness.worst} < {eps}",
             "agreement": f"agreement measure {self.agreement_mass} > {1 - eps}",
             "distance": f"distance at most {self.distance} < {eps}",
         })
@@ -578,33 +561,19 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
 
     enlarged = conjugate_closure(model, tuple(inp.family) + (h, model.inv(h)))
     required_delta, cover = delta_for(model, inp.candidate, inp.u_index)
-
-    target_keys = {model.key(t)
-                   for t in target_set(model, inp.candidate, inp.u_index)}
-    depth = f_tilde.depth
-    table = theta.index_map(depth)
-    values = f_tilde.values_at(depth)
-    words = core.indices(depth)
-    # whether the increment of a (value at the image, value) pair lands in
-    # the target, decided once per distinct pair
-    lands: dict[tuple, bool] = {}
-    misses = 0
-    for w in words:
-        pair = (values[table[w]], values[w])
-        ok = lands.get(pair)
-        if ok is None:
-            ok = lands[pair] = model.key(
-                model.mul(pair[0], model.inv(pair[1]))) in target_keys
-        misses += not ok
-    worst = worst_deviation(mu.level_masses(depth)[0],
-                            ((w, table[w]) for w in words))
+    witness = validate_witness(
+        f_tilde, inp.target, target_set(model, inp.candidate, inp.u_index),
+        out.delta, mu, core, theta)
     # at the working depth the core and its image are unions of whole
     # cylinders, and a canonical set holds a whole cylinder exactly when
-    # its membership table marks it, so containment and disjointness are
-    # table lookups
-    inside, in_core = inp.target.mask(depth), core.mask(depth)
+    # its membership table marks it, so disjointness is a table lookup
+    depth = f_tilde.depth
+    table, in_core = theta.index_map(depth), core.mask(depth)
 
     agreement = increment_agreement(f, f_tilde, action)
+    agree = CylinderSet.full()
+    for same in agreement.values():
+        agree = agree.intersection(same)
     old_inc = [coboundary_increment(f, g) for g in action.maps()]
     new_inc = [coboundary_increment(f_tilde, g) for g in action.maps()]
     return StepCheck(
@@ -614,9 +583,9 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
         inner_ok=inner_ok, inner_error=inner_error,
         enlarged_size=len(enlarged),
         confined=increments_within(f_tilde, action, enlarged),
-        core_inside=all(inside[w] and inside[table[w]] for w in words),
-        core_disjoint=not any(in_core[table[w]] for w in words),
+        witness=witness,
+        core_disjoint=not any(in_core[table[w]] for lo, hi in core.ranges(depth)
+                              for w in range(lo, hi)),
         core_mass=core.measure(mu), target_mass=inp.target.measure(mu),
-        membership_misses=misses, worst_core=worst,
-        agreement=agreement, agreement_mass=agreement.measure(mu),
+        agreement=agreement, agreement_mass=agree.measure(mu),
         distance=cocycle_distance(old_inc, new_inc, mu))

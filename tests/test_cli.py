@@ -109,9 +109,14 @@ class TestFirstRoundEps:
         rc, out, _ = run_cli(capsys, "run", "--config", str(path),
                              "--rounds", "1")
         assert rc == 0
-        first = next(r for r in map(json.loads, out.splitlines())
-                     if r["record"] == "round")
+        records = [json.loads(line) for line in out.splitlines()]
+        first = next(r for r in records if r["record"] == "round")
         assert first["eps"] == "1/100"
+        # the config is stored as read, so all three are one config
+        fraction = {**raw, "eps_start": "1/100", "rounds": 1}
+        assert (records[0]["config_digest"]
+                == PipelineConfig.from_mapping(fraction).digest())
+        assert records[0]["config"]["eps_start"] == "1/100"
 
 
 class TestPinnedBytes:

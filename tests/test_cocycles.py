@@ -15,8 +15,7 @@ from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
                                  coboundary_increment, cocycle_distance,
                                  increment_agreement, increments_within,
                                  kernel_csv, trivial_on_overflow)
-from cocyclelab.errors import (DepthExhausted, DepthMismatch,
-                               PostconditionFailure)
+from cocyclelab.errors import DepthExhausted, DepthMismatch
 from cocyclelab.groups import cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_index
 from cocyclelab.odometer import (PiecewiseCylinderMap, adding_machine,
@@ -99,33 +98,26 @@ class TestStepFunction:
         assert StepFunction.from_table(Z4, {"": 2}).values == (2,)
 
 
+def undefined_indices(p: PartialStepFunction) -> list[int]:
+    """The word indices where the increment's table holds None."""
+    return [i for i, v in enumerate(p.values) if v is None]
+
+
 class TestPartialStepFunction:
     def test_masked_region_is_undefined(self):
-        p = PartialStepFunction(Z2, 2, (0, 1, None, None), CylinderSet.of(["1"]))
+        # the depth-2 odometer maps 0x to 1x and 10 to 01; 11 carries out
+        sigma = adding_machine(2)
+        p = coboundary_increment(first_bit(2), sigma)
+        assert isinstance(p, StepFunction)
+        assert undefined_indices(p) == sigma.remainder().indices(2) == [3]
         assert value_at(p, "01") == 1
         assert value_at(p, "11") is None
-        assert p.undefined.words == ("1",)
-
-    @pytest.mark.parametrize("change", ["extra", "missing", "moved"])
-    @pytest.mark.parametrize("region", [["1"], ["01", "111"], ["0", "10"]])
-    def test_none_entries_must_be_the_region(self, region, change):
-        undefined = CylinderSet.of(region)
-        inside = set(undefined.indices(3))
-        values = [None if i in inside else 0 for i in range(8)]
-        PartialStepFunction(Z2, 3, tuple(values), undefined)
-        # one index off, either way, or one None moved out of the region
-        first_in = min(inside)
-        first_out = min(set(range(8)) - inside)
-        if change in ("extra", "moved"):
-            values[first_out] = None
-        if change in ("missing", "moved"):
-            values[first_in] = 1
-        with pytest.raises(PostconditionFailure, match="partition"):
-            PartialStepFunction(Z2, 3, tuple(values), undefined)
 
     def test_value_set_excludes_masked(self):
-        p = PartialStepFunction(Z2, 1, (0, None), CylinderSet.of(["1"]))
-        assert set(p.value_set()) == {0}
+        sigma = adding_machine(2)
+        p = coboundary_increment(first_bit(2), sigma)
+        assert undefined_indices(p) == sigma.remainder().indices(2)
+        assert p.value_set() == (1,)
 
 
 class TestIncrements:
@@ -175,19 +167,22 @@ class TestIncrements:
         agree = increment_agreement(f, g, flip_action((2,)))
         # parity increment is 1 everywhere; first-bit increment under a
         # second-coordinate flip is 0 everywhere: they never agree
-        assert agree.measure(UNIFORM) == 0
+        assert list(agree) == ["s2"] and agree["s2"].is_empty()
         same = increment_agreement(f, f, flip_action((1, 2)))
-        assert same.measure(UNIFORM) == 1
+        assert list(same) == ["s1", "s2"]
+        assert all(s.is_full() for s in same.values())
 
     def test_agreement_is_the_intersection_of_its_generators(self):
         f = StepFunction.from_table(Z4, {"00": 0, "01": 1, "10": 0, "11": 3})
         g = StepFunction.from_table(Z4, {"00": 0, "01": 1, "10": 2, "11": 3})
         agree = increment_agreement(f, g, flip_action((1, 2)))
-        assert set(agree.per_generator) == {"s1", "s2"}
-        both = agree.per_generator["s1"].intersection(agree.per_generator["s2"])
-        assert agree.agreement == both
+        # s1 pairs 00 with 10 and 01 with 11: the increments of f there
+        # are 0 and 2, those of g 2 everywhere
+        assert agree["s1"] == CylinderSet.of(["01", "11"])
         # s2 pairs 10 with 11, so only the 0-half keeps its s2 increment
-        assert agree.per_generator["s2"] == CylinderSet.of(["0"])
+        assert agree["s2"] == CylinderSet.of(["0"])
+        # every increment agrees on their intersection, the step's agreement
+        assert agree["s1"].intersection(agree["s2"]) == CylinderSet.of(["01"])
 
 
 class TestTrivialOnOverflow:
@@ -306,7 +301,8 @@ def test_memoized_increment_matches_uncached_loop(f, calls):
     for sigma in calls:
         got = coboundary_increment(f, sigma)
         depth, table = uncached_increment(f, sigma)
-        assert got.depth == depth and got.undefined == sigma.remainder()
+        assert got.depth == depth
+        assert undefined_indices(got) == sigma.remainder().indices(depth)
         assert {w: v for w, v in zip(all_words(depth), got.values)
                 if v is not None} == table
         rebuilt = PiecewiseCylinderMap(sigma.name, sigma.pieces)

@@ -46,6 +46,15 @@ def labels(action: GammaAction) -> list[str]:
     return [label for label, _ in action.generators]
 
 
+def agreement_set(old, new, action: GammaAction) -> CylinderSet:
+    """Where every generator's increment of `new` equals that of `old`:
+    the intersection of the per-generator agreement sets."""
+    agree = CylinderSet.full()
+    for same in increment_agreement(old, new, action).values():
+        agree = agree.intersection(same)
+    return agree
+
+
 @pytest.fixture(scope="module")
 def flips_run():
     return run_theorem_02i(preset("z2-flips"))
@@ -110,7 +119,7 @@ class TestSchedule:
                         == walk.index(triple, after + 1))
 
     def test_recurrence_record(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         record = report.by_kind("recurrence")[0]
         assert record["executed"] == 6
         assert record["next_occurrence"] == {
@@ -124,7 +133,7 @@ class TestSchedule:
 
 class TestFlipCascade:
     def test_level_cascade(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         rounds = report.by_kind("round")
         assert [r["refined_level"] for r in rounds] == [2, 3, 4, 5, 6, 7]
         assert [r["working_depth"] for r in rounds] == [3, 4, 5, 6, 7, 8]
@@ -133,7 +142,7 @@ class TestFlipCascade:
     def test_eps_chain_closed_form(self, flips_run):
         # nothing binds except the previous tolerance, so each round
         # shrinks by exactly 7/16
-        _, report = flips_run
+        report = flips_run
         got = [Fraction(r["eps"]) for r in report.by_kind("round")]
         expected = [Fraction(1, 40) * Fraction(7, 16) ** k for k in range(6)]
         assert got == expected
@@ -141,7 +150,7 @@ class TestFlipCascade:
         assert sum(got) < 2 * got[0]
 
     def test_round_conditions(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         for r in report.by_kind("round"):
             cond = r["conditions"]
             assert cond["inner"] and cond["incremental"]
@@ -150,22 +159,22 @@ class TestFlipCascade:
             assert all(c["ok"] for c in r["validator"])
 
     def test_ladder_reaches_one(self, flips_run):
-        approx, report = flips_run
+        report = flips_run
         ladder = report.by_kind("ladder")[0]
         assert ladder["rung_depths"] == list(range(1, 8))
         assert ladder["components"] == [1] * 7
         assert ladder["control_components"] == [2] * 7
         assert ladder["nonincreasing"] and ladder["control_constant"]
         assert ladder["terminal_components"] == 1
-        assert approx.function.depth == ladder["kernel_depth"] == 8
+        assert report.by_kind("final")[0]["depth"] == ladder["kernel_depth"] == 8
 
     @pytest.mark.parametrize("budget,depths", [(32, [1, 2, 3, 4]), (3, [])])
     def test_ladder_stops_within_budget(self, flips_run, monkeypatch, budget,
                                         depths):
-        _, whole = flips_run
+        whole = flips_run
         # Z2 gives 2^(d + 1) skew vertices at rung depth d
         monkeypatch.setattr(evc, "SKEW_BUDGET", budget)
-        _, report = run_theorem_02i(preset("z2-flips"))
+        report = run_theorem_02i(preset("z2-flips"))
         ladder = report.by_kind("ladder")[0]
         assert ladder["rung_depths"] == depths
         assert (ladder["components"]
@@ -173,13 +182,13 @@ class TestFlipCascade:
         assert certify_report(report.records) == []
 
     def test_boundedness(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         bound = report.by_kind("boundedness")[0]
         assert bound["ok"] and bound["closure"] == ["1"]
         assert set(bound["per_generator"]) == {"s1", "s2"}
 
     def test_stabilization_ledger(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         ledger = report.by_kind("stabilization")[0]["ledger"]
         assert set(ledger) == {"s1", "s2"}
         for rows in ledger.values():
@@ -187,21 +196,21 @@ class TestFlipCascade:
             assert all(r["ok"] for r in rows)
 
     def test_distances(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         rows = report.by_kind("distances")[0]["rows"]
         assert len(rows) == 6
         assert all(r["ok"] for r in rows)
 
     def test_final_record(self, flips_run):
-        approx, report = flips_run
+        report = flips_run
         final = report.by_kind("final")[0]
         assert final["depth"] == 8
         assert final["halving_ok"]
-        assert Fraction(final["tail_bound"]) == approx.eps_history[-1]
-        assert approx.rounds == 6
+        assert final["tail_bound"] == final["eps_history"][-1]
+        assert len(final["eps_history"]) == 6
 
     def test_certify_clean(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         assert certify_report(report.records) == []
 
 
@@ -209,7 +218,7 @@ class TestAddingRoundProfile:
     def test_frozen_numbers(self):
         # one full adding-machine round; the update genuinely moves the
         # increments, unlike the shallow-flip cascade
-        _, report = run_theorem_02i(preset("z2-adding"))
+        report = run_theorem_02i(preset("z2-adding"))
         r = report.by_kind("round")[0]
         assert r["refined_level"] == 9
         assert r["working_depth"] == 10
@@ -235,7 +244,7 @@ DEEP_ADDING_SHA256 = {
 def test_deep_adding_report_bytes(depth):
     config = preset("z2-adding", depth_budget=depth + 2,
                     action={"kind": "adding-machine", "depth": depth})
-    _, report = run_theorem_02i(config)
+    report = run_theorem_02i(config)
     assert hashlib.sha256(report.text().encode()).hexdigest() == \
         DEEP_ADDING_SHA256[depth]
     assert certify_report(report.records) == []
@@ -253,7 +262,7 @@ class TestIncrementReuse:
             check(self)
 
         monkeypatch.setattr(PartialStepFunction, "__post_init__", counting)
-        _, report = run_theorem_02i(preset("z2-adding"))
+        report = run_theorem_02i(preset("z2-adding"))
         # (old, new) function x (T, T~)
         assert len(made) == 4
         made.clear()
@@ -274,12 +283,12 @@ class TestIncrementReuse:
             return StepFunction(f.model, f.depth, f.values)
 
         monkeypatch.setattr(driver, "construct_step", recording)
-        _, report = run_theorem_02i(preset(name))
+        report = run_theorem_02i(preset(name))
         rounds = report.by_kind("round")
         assert len(rounds) == len(steps) == PRESETS[name]["rounds"]
         for rec, (inp, out) in zip(rounds, steps):
             old, new, action, mu = fresh(inp.f), fresh(out.f_tilde), inp.action, inp.mu
-            agreement = increment_agreement(old, new, action).measure(mu)
+            agreement = agreement_set(old, new, action).measure(mu)
             dist = cocycle_distance(
                 [coboundary_increment(old, g) for g in action.maps()],
                 [coboundary_increment(new, g) for g in action.maps()], mu)
@@ -289,7 +298,7 @@ class TestIncrementReuse:
             for group in action.inverse_groups():
                 sub = GammaAction("+".join(group), tuple(
                     (label, g) for label, g in action.generators if label in group))
-                moved = increment_agreement(old, new, sub).agreement.complement()
+                moved = agreement_set(old, new, sub).complement()
                 change["+".join(group)] = str(moved.measure(mu))
             assert rec["artifacts"]["change_mass"] == change
 
@@ -305,7 +314,7 @@ class TestSingleCheck:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(stepper, "increment_agreement", counting)
-        _, report = run_theorem_02i(preset(name))
+        report = run_theorem_02i(preset(name))
         assert len(calls) == rounds
         calls.clear()
         assert certify_report(report.records) == []
@@ -322,7 +331,7 @@ class TestSingleCheck:
                              for c in check.validator_certificates()])
             return check
 
-        _, report = run_theorem_02i(preset(name))
+        report = run_theorem_02i(preset(name))
         monkeypatch.setattr(driver, "validate_step_output", recording)
         assert certify_report(report.records) == []
         stored = [r["validator"] for r in report.by_kind("round")]
@@ -345,7 +354,7 @@ class TestWitnessOnce:
             return out
 
         monkeypatch.setattr(driver, "construct_step", recording)
-        _, report = self.RUNNERS[name](preset(name))
+        report = self.RUNNERS[name](preset(name))
         rounds = report.by_kind("round")
         assert len(rounds) == len(steps) == PRESETS[name]["rounds"]
         for rec, (inp, out) in zip(rounds, steps):
@@ -354,8 +363,7 @@ class TestWitnessOnce:
             oracle = evc.validate_witness(out.f_tilde, inp.target, targets,
                                           out.delta, inp.mu, out.core,
                                           out.theta)
-            assert out.check.witness_ok == oracle.ok
-            assert out.check.witness_slack == oracle.measure_slack
+            assert out.check.witness == oracle
             assert rec["conditions"]["evc_witness_ok"] == oracle.ok
             assert rec["witness"]["measure_slack"] == str(oracle.measure_slack)
             assert rec["witness"]["reserve"] == str(oracle.measure_slack / 4)
@@ -387,27 +395,27 @@ class TestWitnessOnce:
         oracle = evc.validate_witness(art.f_tilde, inp.target, targets,
                                       art.delta, inp.mu, art.core, art.theta)
         assert not oracle.ok
-        assert stepper.validate_step_output(inp, art).witness_ok is False
+        check = stepper.validate_step_output(inp, art)
+        assert check.witness == oracle and check.witness.ok is False
 
-    def test_run_validates_only_inside_the_search(self, monkeypatch):
-        callers, from_driver = [], []
+    def test_run_validates_in_the_step_check_and_the_search(self, monkeypatch):
+        callers = []
         real = evc.validate_witness
 
         def counting(*args):
             callers.append(sys._getframe(1).f_code.co_name)
             return real(*args)
 
-        def counting_driver(*args):
-            from_driver.append(args)
-            return counting(*args)
-
         monkeypatch.setattr(evc, "validate_witness", counting)
-        monkeypatch.setattr(driver, "validate_witness", counting_driver)
-        _, report = run_theorem_02i(preset("z2-flips"))
-        assert from_driver == []
-        assert callers and set(callers) == {"_search_witness"}
+        monkeypatch.setattr(stepper, "validate_witness", counting)
+        report = run_theorem_02i(preset("z2-flips"))
+        rounds = PRESETS["z2-flips"]["rounds"]
+        assert callers.count("validate_step_output") == rounds
+        assert set(callers) == {"validate_step_output", "_search_witness"}
+        callers.clear()
+        # certify replays each round's step check, and searches nothing
         assert certify_report(report.records) == []
-        assert len(from_driver) == PRESETS["z2-flips"]["rounds"]
+        assert callers == ["validate_step_output"] * rounds
 
 
 @pytest.fixture(scope="module")
@@ -423,7 +431,7 @@ class TestStreamRun:
             run_theorem_02i(preset("z2-flip-stream"))
 
     def test_value_bounds_per_generator(self, stream_run):
-        _, report = stream_run
+        report = stream_run
         record = report.by_kind("stream_bounds")[0]
         assert record["ok"]
         rows = record["rows"]
@@ -435,14 +443,14 @@ class TestStreamRun:
         # s3 and s4 reach coordinates modified in earlier rounds, so
         # their increments are nontrivial; realized values are listed as
         # group keys
-        _, report = stream_run
+        report = stream_run
         rows = report.by_kind("stream_bounds")[0]["rows"]
         by_gen = {r["generator"]: r["realized"] for r in rows}
         assert by_gen["s1"] == ["(0,)"] and by_gen["s2"] == ["(0,)"]
         assert by_gen["s3"] == ["(1,)"] and by_gen["s4"] == ["(1,)"]
 
     def test_certify_clean(self, stream_run):
-        _, report = stream_run
+        report = stream_run
         assert certify_report(report.records) == []
 
 
@@ -458,25 +466,27 @@ class TestGeneratorGroups:
 
 class TestZeroRounds:
     def test_trivial_terminal(self):
-        approx, report = run_theorem_02i(preset("z2-flips", rounds=0))
-        assert approx.rounds == 0
-        assert set(approx.function.value_set()) == {0}
+        config = preset("z2-flips", rounds=0)
+        report = run_theorem_02i(config)
+        final = report.by_kind("final")[0]
+        assert final["eps_history"] == [] and final["level"] == 1
+        f = driver._parse_table(config.build_model(), final["f"])
+        assert set(f.value_set()) == {0}
         ladder = report.by_kind("ladder")[0]
         assert ladder["rung_depths"] == [1]
         assert ladder["components"] == [2]
         assert ladder["terminal_components"] == 2
-        assert report.by_kind("final")[0]["eps_history"] == []
         assert certify_report(report.records) == []
 
 
 class TestDeterminism:
     def test_reports_byte_identical(self, flips_run):
-        _, first = flips_run
-        _, second = run_theorem_02i(preset("z2-flips"))
+        first = flips_run
+        second = run_theorem_02i(preset("z2-flips"))
         assert first.text() == second.text()
 
     def test_header_digest_matches_config(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         header = report.by_kind("header")[0]
         assert header["config_digest"] == preset("z2-flips").digest()
 
@@ -493,14 +503,14 @@ class TestCertifyTampering:
         return {f["clause"] for f in failures}
 
     def test_eps_inflation(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         def bump(records):
             rounds = [r for r in records if r["record"] == "round"]
             rounds[2]["eps"] = rounds[1]["eps"]
         assert "eps_halving" in self.clauses(self.tampered(report, bump))
 
     def test_function_table_forgery(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         def flip_value(records):
             rounds = [r for r in records if r["record"] == "round"]
             table = rounds[-1]["artifacts"]["f"]
@@ -512,7 +522,7 @@ class TestCertifyTampering:
                                          "final", "evc-membership"}
 
     def test_core_padding(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         def pad(records):
             rounds = [r for r in records if r["record"] == "round"]
             witness = rounds[0]["witness"]
@@ -524,7 +534,7 @@ class TestCertifyTampering:
                                          "validator"}
 
     def test_schedule_swap(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         def swap(records):
             rounds = [r for r in records if r["record"] == "round"]
             rounds[0]["triple"]["u_index"] = 0
@@ -568,7 +578,7 @@ class TestCertifyTampering:
 
     @pytest.mark.parametrize("path", sorted(FORGED))
     def test_checked_round_field(self, path, flips_run):
-        _, report = flips_run
+        report = flips_run
         *sections, field = path.split(".")
 
         def forge(records):
@@ -583,7 +593,7 @@ class TestCertifyTampering:
     def test_working_depth_beyond_the_budget(self, flips_run):
         # the check reads the update's own depth, so a forged depth far
         # beyond the budget fails at once instead of building its tables
-        _, report = flips_run
+        report = flips_run
         def forge(records):
             next(r for r in records if r["record"] == "round")[
                 "working_depth"] = 40
@@ -593,7 +603,7 @@ class TestCertifyTampering:
     # b_set fails even when its words are malformed
     @pytest.fixture(scope="class")
     def adding_report(self):
-        return run_theorem_02i(preset("z2-adding"))[1]
+        return run_theorem_02i(preset("z2-adding"))
 
     @pytest.mark.parametrize("field,value", [
         ("z0", ["0"]), ("z0", ["z"]), ("b_set", ["1"]), ("b_set", ["1a"])])
@@ -623,13 +633,15 @@ class TestCertifyTampering:
         "final.halving_ok": ("flips", lambda r: r.update(halving_ok=False)),
         "final.level": ("flips", lambda r: r.update(level=99)),
         "stream_bounds.ok": ("stream", lambda r: r.update(ok=False)),
+        "distances.rows": (
+            "flips", lambda r: r["rows"][0].update(distance="1/2")),
         "compact_range.rounds": ("bounded", lambda r: r.update(rounds=9)),
         "norm_bounds.max_c": ("norm", lambda r: r.update(max_c="9")),
     }
 
     @pytest.fixture(scope="class")
     def reports(self, flips_run, stream_run):
-        return {"flips": flips_run[1].records, "stream": stream_run[1].records,
+        return {"flips": flips_run.records, "stream": stream_run.records,
                 "bounded": bounded_cocycle_pipeline(
                     preset("z2-flips", rounds=2)).records,
                 "norm": norm_bounded_pipeline(preset("sum-z")).records}
@@ -647,7 +659,7 @@ class TestCertifyTampering:
 
     @pytest.mark.parametrize("kind", ["ladder", "final", "distances"])
     def test_missing_record(self, kind, flips_run):
-        _, report = flips_run
+        report = flips_run
         records = [r for r in report.records if r["record"] != kind]
         failures = certify_report(records)
         assert {"clause": kind, "where": "report",
@@ -655,7 +667,7 @@ class TestCertifyTampering:
         assert "records" in self.clauses(failures)
 
     def test_digest_mismatch(self, flips_run):
-        _, report = flips_run
+        report = flips_run
         def corrupt(records):
             records[0]["config_digest"] = "0" * 64
         assert "config_digest" in self.clauses(self.tampered(report, corrupt))
@@ -690,7 +702,7 @@ class TestCertifyCoverage:
 class TestCheckpoints:
     def test_fresh_run_writes_checkpoint(self, tmp_path):
         out = str(tmp_path)
-        _, report = run_theorem_02i(preset("z2-flips", rounds=2), out_dir=out)
+        report = run_theorem_02i(preset("z2-flips", rounds=2), out_dir=out)
         assert os.path.exists(os.path.join(out, "checkpoint.json"))
         # on-disk records equal the in-memory ones up to JSON canonical form
         assert (load_report(os.path.join(out, "report.jsonl"))
@@ -699,15 +711,15 @@ class TestCheckpoints:
     def test_resume_from_complete_checkpoint(self, tmp_path):
         out = str(tmp_path)
         config = preset("z2-flips", rounds=3)
-        _, first = run_theorem_02i(config, out_dir=out)
-        _, second = run_theorem_02i(config, out_dir=out, resume=True)
+        first = run_theorem_02i(config, out_dir=out)
+        second = run_theorem_02i(config, out_dir=out, resume=True)
         assert first.text() == second.text()
 
     def test_resume_after_crash(self, tmp_path, monkeypatch):
         out_crash = str(tmp_path / "crash")
         out_full = str(tmp_path / "full")
         config = preset("z2-flips")
-        _, full = run_theorem_02i(config, out_dir=out_full)
+        full = run_theorem_02i(config, out_dir=out_full)
 
         calls = {"n": 0}
         real = driver.construct_step
@@ -725,7 +737,7 @@ class TestCheckpoints:
 
         # the checkpoint's functions come back with empty increment and
         # witness memos, which must not change a report byte
-        _, resumed = run_theorem_02i(config, out_dir=out_crash, resume=True)
+        resumed = run_theorem_02i(config, out_dir=out_crash, resume=True)
         assert resumed.text() == full.text()
 
     @staticmethod
@@ -747,7 +759,7 @@ class TestCheckpoints:
 
     def test_stream_resume_after_crash(self, tmp_path, monkeypatch):
         config = preset("z2-flip-stream")
-        _, full = run_theorem_02ii(config, out_dir=str(tmp_path / "full"))
+        full = run_theorem_02ii(config, out_dir=str(tmp_path / "full"))
         out = str(tmp_path / "crash")
         self.crash_after(monkeypatch, 2, run_theorem_02ii, config, out)
 
@@ -759,7 +771,7 @@ class TestCheckpoints:
             return real(inp)
 
         monkeypatch.setattr(driver, "construct_step", counting)
-        _, resumed = run_theorem_02ii(config, out_dir=out, resume=True)
+        resumed = run_theorem_02ii(config, out_dir=out, resume=True)
         # only the rounds after the checkpoint run again
         assert len(steps) == config.rounds - 2
         assert resumed.text() == full.text()
@@ -769,7 +781,7 @@ class TestCheckpoints:
     def test_checkpoint_holds_digest_and_records(self, tmp_path):
         out = str(tmp_path)
         config = preset("z2-flips", rounds=3)
-        _, report = run_theorem_02i(config, out_dir=out)
+        report = run_theorem_02i(config, out_dir=out)
         with open(os.path.join(out, "checkpoint.json")) as fh:
             payload = json.load(fh)
         # no function table, tolerance, reserve or change set beside the
@@ -825,7 +837,7 @@ class TestCheckpoints:
     def test_unreadable_checkpoint_restarts(self, damage, tmp_path,
                                             monkeypatch):
         config = preset("z2-flips", rounds=4)
-        _, full = run_theorem_02i(config, out_dir=str(tmp_path / "full"))
+        full = run_theorem_02i(config, out_dir=str(tmp_path / "full"))
         out = str(tmp_path / "crash")
         self.crash_after(monkeypatch, 2, run_theorem_02i, config, out)
         path = os.path.join(out, "checkpoint.json")
@@ -844,13 +856,13 @@ class TestCheckpoints:
         with open(path, "w") as fh:
             fh.write(text)
         assert driver._load_checkpoint(config, out) is None
-        _, resumed = run_theorem_02i(config, out_dir=out, resume=True)
+        resumed = run_theorem_02i(config, out_dir=out, resume=True)
         assert resumed.text() == full.text()
 
     def test_digest_mismatch_restarts(self, tmp_path):
         out = str(tmp_path)
         run_theorem_02i(preset("z2-flips", rounds=2), out_dir=out)
-        _, report = run_theorem_02i(preset("z2-flips", rounds=3),
+        report = run_theorem_02i(preset("z2-flips", rounds=3),
                                     out_dir=out, resume=True)
         assert len(report.by_kind("round")) == 3
         assert certify_report(report.records) == []
@@ -940,8 +952,9 @@ class TestEvcSearch:
 
     def test_repeated_exhaustion_is_replayed(self, monkeypatch):
         config = preset("sum-z")
-        approx, _ = run_theorem_02i(config)
-        model, mu, f = config.build_model(), config.build_measure(), approx.function
+        final = run_theorem_02i(config).by_kind("final")[0]
+        model, mu = config.build_model(), config.build_measure()
+        f = driver._parse_table(model, final["f"])
         candidate = model.parse("0/1")
         delta, _ = evc.delta_for(model, candidate, 1)
         target = evc.target_set(model, candidate, 1)
@@ -976,7 +989,7 @@ class TestEvcSearch:
 
 class TestExports:
     def test_export_files(self, tmp_path, flips_run):
-        _, report = flips_run
+        report = flips_run
         out = str(tmp_path)
         written = export_report(report.records, out)
         names = {os.path.basename(p) for p in written}
@@ -988,7 +1001,7 @@ class TestExports:
             assert os.path.exists(path)
 
     def test_final_function_csv_parses(self, tmp_path, flips_run):
-        _, report = flips_run
+        report = flips_run
         written = export_report(report.records, str(tmp_path))
         path = next(p for p in written
                     if p.endswith("final_function.csv"))

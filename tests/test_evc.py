@@ -62,15 +62,21 @@ class TestValidateWitness:
         part, theta = good_witness()
         check = validate_witness(FIRST_BIT, CylinderSet.full(),
                                  self.TARGET, self.DELTA, UNIFORM, part, theta)
-        assert check.ok
+        assert check.ok and check.clause is None
+        assert check.part_inside and check.image_inside
         assert check.measure_slack == Fraction(1, 2) - Fraction(1, 3)
-        assert check.derivative_slack == self.DELTA
+        # flipping the first bit keeps uniform mass: deviation 0
+        assert check.misses == 0 and check.worst == 0
 
     def test_part_inside(self):
         part, theta = good_witness()
         check = validate_witness(FIRST_BIT, CylinderSet.of(["1"]),
                                  self.TARGET, self.DELTA, UNIFORM, part, theta)
         assert not check.ok and check.clause == "part-inside"
+        assert not check.part_inside and check.image_inside
+        # the later clauses' numbers are computed all the same
+        assert check.measure_slack == Fraction(1, 2) - Fraction(1, 6)
+        assert check.misses == 0 and check.worst == 0
 
     def test_image_inside(self):
         check = validate_witness(
@@ -105,6 +111,7 @@ class TestValidateWitness:
                                  self.TARGET, self.DELTA, UNIFORM, part, theta)
         assert not check.ok and check.clause == "membership"
         assert check.detail == "kernel value 0 at 00 is outside the target set"
+        assert check.misses == 1
 
     def test_derivative(self):
         part, theta = good_witness()
@@ -171,9 +178,7 @@ def deepening_check_evc(f, base, target, delta, mu, search_depth=14):
         theta = WordMap(f.depth, {})
         check = word_validate_witness(f, base, target, delta, mu, base, theta)
         if check.ok:
-            return EvcWitness(base, base, theta.indexed(), delta, target,
-                              check.measure_slack, check.derivative_slack,
-                              check.membership_margin)
+            return EvcWitness(base, theta.indexed(), check.measure_slack)
 
     need = delta * base.measure(mu)
     best_mass = Fraction(0)
@@ -195,9 +200,7 @@ def deepening_check_evc(f, base, target, delta, mu, search_depth=14):
                 raise PostconditionFailure(
                     check.clause or "unknown",
                     f"search produced an invalid witness: {check.detail}")
-            return EvcWitness(base, part, theta.indexed(), delta, target,
-                              check.measure_slack, check.derivative_slack,
-                              check.membership_margin)
+            return EvcWitness(part, theta.indexed(), check.measure_slack)
     raise SearchExhausted(
         f"no witness with mass above {need} within depth {search_depth}",
         best={"required_mass": str(need), "achieved_mass": str(best_mass)})
@@ -259,43 +262,48 @@ def word_match_by_value(f, members, target, target_keys, delta, mu):
 
 def word_validate_witness(f, base, target, delta, mu, part, theta):
     """Oracle: every clause of the condition checked word by word, with
-    `theta` a `WordMap`."""
+    `theta` a `WordMap`; the numbers behind all clauses are computed, and
+    the first failing clause is named."""
     model = f.model
     delta = Fraction(delta)
-
-    def failed(clause, detail, measure_slack=Fraction(0),
-               derivative_slack=Fraction(0)):
-        return WitnessValidation(False, clause, detail, measure_slack,
-                                 derivative_slack, Fraction(0))
-
-    if not part.difference(base).is_empty():
-        return failed("part-inside", "B is not contained in A")
-    if not theta.image_of(part).difference(base).is_empty():
-        return failed("image-inside", "theta(B) is not contained in A")
-    mass = part.measure(mu)
-    need = delta * base.measure(mu)
-    if not mass > need:
-        return failed("mass", f"mu(B) = {mass} is not above {need}")
+    part_inside = part.difference(base).is_empty()
+    image_inside = theta.image_of(part).difference(base).is_empty()
+    slack = part.measure(mu) - delta * base.measure(mu)
     level = max(f.depth, part.max_depth, theta.depth)
-    worst = Fraction(0)
     target_keys = {model.key(t) for t in target}
+    thrown, missed, misses, worst = None, None, 0, Fraction(0)
     for w in words_at(part, level):
         img = theta.apply(w)
-        if img[f.depth:] != w[f.depth:]:
-            return failed("class", f"theta throws {w} out of its kernel class",
-                          mass - need)
-        value = kernel_value(f, img, w)
+        if img[f.depth:] != w[f.depth:] and thrown is None:
+            thrown = w
+        # f(img) f(w)^-1: the kernel value where img stays in the class
+        value = model.mul(step_at(f, img), model.inv(step_at(f, w)))
         if model.key(value) not in target_keys:
-            return failed("membership",
-                          f"kernel value {model.format(value)} at {w} "
-                          "is outside the target set", mass - need)
+            misses += 1
+            missed = missed or (w, value)
         worst = max(worst, deviation(mu, w, img))
+
+    def verdict(clause=None, detail=None):
+        return WitnessValidation(clause is None, clause, detail, part_inside,
+                                 image_inside, slack, misses, worst)
+
+    if not part_inside:
+        return verdict("part-inside", "B is not contained in A")
+    if not image_inside:
+        return verdict("image-inside", "theta(B) is not contained in A")
+    if not slack > 0:
+        return verdict("mass", f"mu(B) = {part.measure(mu)} is not above "
+                       f"{delta * base.measure(mu)}")
+    if thrown is not None:
+        return verdict("class", f"theta throws {thrown} out of its kernel class")
+    if missed is not None:
+        w, value = missed
+        return verdict("membership", f"kernel value {model.format(value)} at "
+                       f"{w} is outside the target set")
     if not worst < delta:
-        return failed("derivative",
-                      f"derivative deviation {worst} is not below {delta}",
-                      mass - need, delta - worst)
-    return WitnessValidation(True, None, None, mass - need, delta - worst,
-                             Fraction(1))
+        return verdict("derivative",
+                       f"derivative deviation {worst} is not below {delta}")
+    return verdict()
 
 
 WEIGHTS = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)]
@@ -352,8 +360,7 @@ def search_outcome(search, *args):
         w = search(*args)
     except CocycleLabError as exc:
         return type(exc).__name__, str(exc), getattr(exc, "best", None)
-    return (w.part, w.theta, w.measure_slack, w.derivative_slack,
-            w.membership_margin)
+    return w.part, w.theta, w.measure_slack
 
 
 class TestSingleLevelSearch:
@@ -436,7 +443,8 @@ class TestDerivativeBoundary:
         if ok:
             witness = check_evc(*args)
             assert witness.part == CylinderSet.of(["1"])
-            assert witness.derivative_slack == delta - Fraction(1, 2)
+            check = validate_witness(*args[:5], witness.part, witness.theta)
+            assert check.ok and check.worst == Fraction(1, 2)
         else:
             with pytest.raises(SearchExhausted) as exc:
                 check_evc(*args)
@@ -451,7 +459,7 @@ class TestDerivativeBoundary:
                                  delta, BIASED, CylinderSet.of(["1"]),
                                  self.SWAP)
         assert check.ok == ok
-        assert check.derivative_slack == delta - Fraction(1, 2)
+        assert check.worst == Fraction(1, 2)
         if not ok:
             assert check.clause == "derivative"
             assert check.detail == ("derivative deviation 1/2 is not below "

@@ -396,8 +396,9 @@ class TestCoreTables:
                                      dataclasses.replace(out, core=core,
                                                          theta=theta))
         image = image_of(theta, core)
-        assert check.core_inside == (core.difference(target).is_empty()
-                                     and image.difference(target).is_empty())
+        assert check.witness.part_inside == core.difference(target).is_empty()
+        assert (check.witness.image_inside
+                == image.difference(target).is_empty())
         assert check.core_disjoint == image.intersection(core).is_empty()
 
 
