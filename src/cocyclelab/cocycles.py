@@ -23,11 +23,11 @@ from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
-from .errors import DepthExhausted, DepthMismatch
+from .errors import DepthMismatch
 from .groups import GroupModel, Element
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
                       word_index)
-from .odometer import GammaAction, OverflowResult, PiecewiseCylinderMap
+from .odometer import GammaAction, PiecewiseCylinderMap
 
 HALF = Fraction(1, 2)
 
@@ -179,34 +179,15 @@ def coboundary_increment(f: StepFunction,
 # Predicates
 # ---------------------------------------------------------------------------
 
-def trivial_on_overflow(f: StepFunction, over: OverflowResult,
-                        level: int) -> bool:
-    """Whether `f` is the identity wherever some generator moves a point
-    out of its level-`level` class, `over` being the action's
-    `orbit_overflow` at that level.
-
-    Decides from the truncated overflow: identity on both the provable
-    overflow and the undecided remainder passes; a non-identity value on
-    the provable part fails; a non-identity value only on the undecided
-    remainder raises :class:`DepthExhausted` (the truncation cannot
-    certify either way).
-    """
+def trivial_on_overflow(f: StepFunction, over: CylinderSet) -> bool:
+    """Whether `f` is the identity on `over`, the action's
+    `orbit_overflow` at some level: that is what makes `f` inner at that
+    level.  The overflow includes the generators' undefined remainders,
+    so a non-identity value there fails too."""
     one = f.model.identity()
-
-    def dirty(region: CylinderSet) -> CylinderSet:
-        depth = max(f.depth, region.max_depth)
-        values = f.values_at(depth)
-        return CylinderSet.from_indices(depth, [
-            i for i in region.indices(depth) if values[i] != one])
-
-    if not dirty(over.known).is_empty():
-        return False
-    bad_unknown = dirty(over.unknown.difference(over.known))
-    if not bad_unknown.is_empty():
-        raise DepthExhausted(
-            f"cannot certify level-{level} innerness: non-identity values on the "
-            f"undecided remainder {bad_unknown.words}")
-    return True
+    depth = max(f.depth, over.max_depth)
+    values = f.values_at(depth)
+    return all(values[i] == one for i in over.indices(depth))
 
 
 def increments_within(f: StepFunction, action: GammaAction,

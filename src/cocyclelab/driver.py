@@ -39,10 +39,10 @@ from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
 from .measure import ZERO, CylinderSet, ProductMeasure, all_words
 from .odometer import (FiniteDepthMap, GammaAction, adding_machine_action,
                        coordinate_flip, flip_action)
-from .stepper import (StepArtifacts, StepCheck, StepInput, admission_bound,
-                      construct_step, discard_set, image_safe_tolerance,
-                      overflow_hull, select_core_and_conjugate,
-                      validate_step_output)
+from .stepper import (CERTIFICATE_ORDER, StepArtifacts, StepCheck, StepInput,
+                      admission_bound, construct_step, discard_set,
+                      image_safe_tolerance, overflow_hull,
+                      select_core_and_conjugate, validate_step_output)
 
 SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
 
@@ -924,6 +924,15 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
             fail("eps_halving", where,
                  f"{eps} is not below half of {eps_history[i - 1]}")
         _, rule = round_eps(config, model, mu, triple, rounds[:i])
+        # the stored certificate list: the step's clauses in its order,
+        # each held (the shared ones are also recomputed below)
+        certificates = rec.get("certificates", ())
+        if [c.get("clause") for c in certificates] != list(CERTIFICATE_ORDER):
+            fail("certificates", where, "clauses differ from the step's list")
+        for c in certificates:
+            if c.get("ok") is not True:
+                fail(f"certificates.{c.get('clause')}", where,
+                     "stored as not held")
 
         f = functions[i + 1]
         theta = FiniteDepthMap.from_moves(f.depth, rec["witness"]["moves"])
@@ -952,7 +961,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
                 if not c["ok"]:
                     fail(c["clause"], where, c["detail"])
             view = {**rec, "certificates": {
-                c.get("clause"): c for c in rec.get("certificates", ())}}
+                c.get("clause"): c for c in certificates}}
             for (section, field), value in fields.items():
                 found = (view.get(section, {}) if section else view).get(field)
                 if found != value:

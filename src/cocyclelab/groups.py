@@ -1,10 +1,12 @@
 """Discrete group models with exact conjugacy and covering machinery.
 
 Every model exposes multiplication, inversion, a bi-invariant rational
-metric, and a shrinking symmetric neighborhood base of the identity.
-The shipped models are all discrete: the base stabilizes at the identity
-singleton, which makes covering numbers of conjugacy classes exact set
-cover problems over finite universes.
+metric, and a shrinking base of identity neighborhoods, each a normal
+subgroup.  The shipped models are all discrete: each neighborhood is the
+whole group, the identity, or a product of those, and the base
+stabilizes at the identity singleton.  So the covering number of a
+conjugacy class by neighborhood translates is the number of cosets of
+the neighborhood that the class meets.
 
 Elements are plain hashable Python values (ints for table groups, int
 tuples for lattice groups); models never wrap them, so step-function
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
-from .errors import ConfigError, MalformedInput, SizeGuard, UnboundedClass
+from .errors import ConfigError, MalformedInput, UnboundedClass
 
 Element = Any
 
@@ -27,7 +29,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 CLASS_BUDGET = 4096  # most elements a conjugacy class or closure may list
-COVERING_GUARD = 64  # largest class whose covering number is searched exactly
 
 
 class GroupModel(ABC):
@@ -50,8 +51,9 @@ class GroupModel(ABC):
 
     @abstractmethod
     def neighborhood(self, k: int) -> frozenset:
-        """Symmetric, conjugation-invariant identity neighborhood U_k,
-        nonincreasing in k with intersection the identity singleton."""
+        """The identity neighborhood U_k: a normal subgroup (closed under
+        multiplication, inversion and conjugation), nonincreasing in k
+        with intersection the identity singleton."""
 
     def metric(self, a: Element, b: Element) -> Fraction:
         """Bi-invariant metric; discrete models use the 0/1 metric."""
@@ -369,67 +371,24 @@ class Cover:
     number: int
     centers: tuple
 
-    def __len__(self) -> int:
-        return self.number
-
 
 def covering_number(model: GroupModel, g: Element, u_index: int) -> Cover:
-    """Exact minimum number of U-translates (U the u_index-th identity
-    neighborhood) by elements of the class of g needed to cover that
-    class, found by branch-and-bound set cover.
+    """Minimum number of U-translates U d (U the u_index-th identity
+    neighborhood, d in the class of g) needed to cover the class of g.
 
-    Guarded exhaustively for classes up to ``COVERING_GUARD`` elements;
-    translate centers range over the class itself, which always suffices
-    since U contains the identity.
+    U is a normal subgroup, so its translates are cosets: the class
+    needs one translate per coset it meets, and no translate covers two.
+    Each coset's center is its least class member by key, and the
+    centers come in key order.
     """
-    cls = model.conjugacy_class(g)
-    if len(cls) > COVERING_GUARD:
-        raise SizeGuard(
-            f"class of size {len(cls)} exceeds covering guard {COVERING_GUARD}")
-    universe = list(cls.members)
     u = model.neighborhood(u_index)
-    # membership e in U d means e d^-1 in U
-    covers = {d: frozenset(e for e in universe if model.mul(e, model.inv(d)) in u)
-              for d in universe}
-
-    order = sorted(universe, key=model.key)
-
-    def greedy() -> list:
-        uncovered = set(universe)
-        chosen = []
-        while uncovered:
-            d = max(order, key=lambda c: len(covers[c] & uncovered))
-            chosen.append(d)
-            uncovered -= covers[d]
-        return chosen
-
-    best = greedy()
-
-    def search(uncovered: frozenset, chosen: list):
-        nonlocal best
-        if not uncovered:
-            cand = sorted(chosen, key=model.key)
-            if len(cand) < len(best) or (len(cand) == len(best)
-                                         and [model.key(x) for x in cand] <
-                                         [model.key(x) for x in sorted(best, key=model.key)]):
-                best = cand
-            return
-        if len(chosen) + 1 > len(best):
-            return
-        # bound: each translate covers at most max_cover new elements
-        max_cover = max(len(covers[d] & uncovered) for d in order)
-        need = -(-len(uncovered) // max_cover)
-        if len(chosen) + need > len(best):
-            return
-        # branch on a hardest uncovered element
-        target = min(sorted(uncovered, key=model.key),
-                     key=lambda e: sum(1 for d in order if e in covers[d]))
-        for d in order:
-            if target in covers[d]:
-                search(uncovered - covers[d], chosen + [d])
-
-    search(frozenset(universe), [])
-    return Cover(len(best), tuple(sorted(best, key=model.key)))
+    centers: list = []
+    covered: set = set()
+    for d in sorted(model.conjugacy_class(g).members, key=model.key):
+        if model.key(d) not in covered:
+            centers.append(d)
+            covered.update(model.key(model.mul(x, d)) for x in u)
+    return Cover(len(centers), tuple(centers))
 
 
 def conjugate_closure(model: GroupModel, generators: Iterable[Element]) -> tuple:

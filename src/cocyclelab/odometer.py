@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import BudgetExhausted, ConfigError, DepthMismatch, MalformedInput
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
@@ -130,12 +130,9 @@ class PiecewiseCylinderMap:
     def max_depth(self) -> int:
         return max((len(s) for s, _ in self.pieces), default=0)
 
-    def domain(self) -> CylinderSet:
-        return CylinderSet.of(s for s, _ in self.pieces)
-
     def remainder(self) -> CylinderSet:
         """Cylinders where the truncated map is undefined."""
-        return self.domain().complement()
+        return CylinderSet.of(s for s, _ in self.pieces).complement()
 
     @cached_property
     def _index_maps(self) -> dict:
@@ -239,10 +236,6 @@ class GammaAction:
     def maps(self) -> list[PiecewiseCylinderMap]:
         return [g for _, g in self.generators]
 
-    @property
-    def max_depth(self) -> int:
-        return max((g.max_depth for _, g in self.generators), default=0)
-
     def max_distortion_sum(self, mu: ProductMeasure) -> Fraction:
         return sum((g.distortion(mu) for _, g in self.generators), ZERO)
 
@@ -261,35 +254,19 @@ def flip_action(coords: Sequence[int]) -> GammaAction:
 # Orbit overflow and hulls
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OverflowResult:
-    """Where some generator escapes the relation at a level.
-
-    ``known`` collects the pieces that provably escape; ``unknown`` is
-    the undefined remainder of the truncated generators, where escape
-    cannot be decided.  Sound checks use ``upper()``.
-    """
-
-    known: CylinderSet
-    unknown: CylinderSet
-
-    def upper(self) -> CylinderSet:
-        return self.known.union(self.unknown)
-
-
-def orbit_overflow(action: GammaAction, level: int) -> OverflowResult:
-    """The set of points thrown out of their level-`level` class by some
-    generator, as an exact cylinder set plus undecided remainder."""
+def orbit_overflow(action: GammaAction, level: int) -> CylinderSet:
+    """The set of points that some generator throws out of their
+    level-`level` class, together with the generators' undefined
+    remainders, where escape cannot be decided: a sound upper bound."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    known = CylinderSet.empty()
-    unknown = CylinderSet.empty()
+    over = CylinderSet.empty()
     for _, g in action.generators:
         escaping = [s for s, t in g.pieces if len(s) > level and s[level:] != t[level:]]
         if escaping:
-            known = known.union(CylinderSet.of(escaping))
-        unknown = unknown.union(g.remainder())
-    return OverflowResult(known, unknown)
+            over = over.union(CylinderSet.of(escaping))
+        over = over.union(g.remainder())
+    return over
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +275,10 @@ def orbit_overflow(action: GammaAction, level: int) -> OverflowResult:
 
 @dataclass(frozen=True)
 class InvolutionResult:
-    """A finite-depth involution pairing `inside` against itself.
+    """A finite-depth involution of the whole space.
 
-    ``fixed`` is the unpaired remainder inside the target set, of
-    measure below the requested tolerance.
+    ``fixed`` is the unpaired remainder, of measure below the requested
+    leftover; every other word is moved.
     """
 
     tau: FiniteDepthMap
@@ -323,42 +300,37 @@ class InvolutionResult:
 
 
 def exchange_involution(
-    inside: CylinderSet,
     mu: ProductMeasure,
     eps: Fraction,
     max_depth: int,
-    leftover: Optional[Fraction] = None,
+    leftover: Fraction,
 ) -> InvolutionResult:
-    """Build tau with tau^2 = id, tau = id off `inside`, tau(x) != x on
-    `inside` except on a fixed remainder of measure < `leftover`
-    (defaulting to `eps`), and with |d(mu o tau)/d(mu) - 1| < `eps`
+    """Build tau with tau^2 = id, tau(x) != x except on a fixed remainder
+    of measure < `leftover`, and with |d(mu o tau)/d(mu) - 1| < `eps`
     everywhere.
 
-    Strategy: list `inside` at a uniform depth; pair equal-measure words
-    in lexicographic order; pair the odd ones out greedily under the
+    Strategy: list the words of one depth; pair equal-measure words in
+    lexicographic order; pair the odd ones out greedily under the
     two-sided ratio constraint, largest measure first.  If the unpaired
-    mass is still >= `eps`, restart one level deeper (restarting, rather
-    than refining only leftovers, lets new equal-measure partners appear
-    across old pair boundaries).  Raises :class:`BudgetExhausted` when
-    `max_depth` is reached first.  Words are handled by index and
+    mass is still >= `leftover`, restart one level deeper (restarting,
+    rather than refining only leftovers, lets new equal-measure partners
+    appear across old pair boundaries).  Raises :class:`BudgetExhausted`
+    when `max_depth` is reached first.  Words are handled by index and
     measures by the level's integer mass numerators.
     """
-    eps = Fraction(eps)
-    leftover = eps if leftover is None else Fraction(leftover)
+    eps, leftover = Fraction(eps), Fraction(leftover)
     if eps <= 0 or leftover <= 0:
         raise ValueError("eps and leftover must be positive")
-    if inside.is_empty():
-        return InvolutionResult(FiniteDepthMap.identity(0), CylinderSet.empty())
     p, q = eps.numerator, eps.denominator
 
-    best: Optional[tuple[list[tuple[int, int]], list[int], Fraction, int]] = None
-    for depth in range(max(inside.max_depth, 1), max_depth + 1):
+    least = ONE  # least unpaired mass over the depths tried
+    for depth in range(1, max_depth + 1):
         masses, denominator = mu.level_masses(depth)
         pairs: list[tuple[int, int]] = []
         unpaired: list[int] = []
         by_measure: dict[int, list[int]] = {}
-        for i in inside.indices(depth):
-            by_measure.setdefault(masses[i], []).append(i)
+        for i, m in enumerate(masses):
+            by_measure.setdefault(m, []).append(i)
         for m in sorted(by_measure):
             group = by_measure[m]
             for i in range(0, len(group) - 1, 2):
@@ -384,16 +356,11 @@ def exchange_involution(
             if not used[i]:
                 leftovers.append(a)
         remaining = Fraction(sum(masses[i] for i in leftovers), denominator)
-        if best is None or remaining < best[2]:
-            best = (pairs, leftovers, remaining, depth)
         if remaining < leftover:
-            break
-    else:
-        raise BudgetExhausted(
-            f"no involution within depth {max_depth}: "
-            f"unpaired mass {best[2]} >= {leftover}")
-
-    pairs, leftovers, _, depth = best
-    fixed = CylinderSet.from_indices(depth, sorted(leftovers))
-    tau = FiniteDepthMap.from_pairs(depth if pairs else inside.max_depth, pairs)
-    return InvolutionResult(tau, fixed)
+            return InvolutionResult(
+                FiniteDepthMap.from_pairs(depth, pairs),
+                CylinderSet.from_indices(depth, sorted(leftovers)))
+        least = min(least, remaining)
+    raise BudgetExhausted(
+        f"no involution within depth {max_depth}: "
+        f"unpaired mass {least} >= {leftover}")

@@ -139,7 +139,6 @@ class StepCheck:
     cover_number: int
     overflow_mass: Fraction
     inner_ok: bool
-    inner_error: Optional[str]  # why innerness was undecidable, if it was
     enlarged_size: int
     confined: bool
     witness: WitnessValidation
@@ -223,8 +222,7 @@ class StepCheck:
         return (delta,) + self._render({
             "overflow_small":
                 f"overflow measure at level {m}: {self.overflow_mass} < {eps}",
-            "inner": (f"identity on level-{m} overflow"
-                      if self.inner_error is None else self.inner_error),
+            "inner": f"identity on level-{m} overflow",
             "incremental":
                 f"update increments confined to {self.enlarged_size} values",
             "core_inside": "core and pairing image inside the target",
@@ -338,7 +336,7 @@ def overflow_hull(action: GammaAction, n: int, m: int,
                   mu: ProductMeasure) -> RefinementChoice:
     """The level-m orbit-overflow hull, saturated over the first n
     coordinates, with its mass."""
-    hull = orbit_overflow(action, m).upper().saturate(n)
+    hull = orbit_overflow(action, m).saturate(n)
     return RefinementChoice(m, hull, hull.measure(mu))
 
 
@@ -372,8 +370,8 @@ def discard_set(inp: StepInput, refinement: RefinementChoice
             f"no coordinates left beyond level {m} within depth {inp.depth_budget}")
     threshold = overflow_threshold(inp.action, inp.mu, inp.eps)
     involution = exchange_involution(
-        CylinderSet.full(), inp.mu.shift(m), Fraction(inp.eps),
-        inp.depth_budget - m, leftover=threshold - refinement.hull_mass)
+        inp.mu.shift(m), Fraction(inp.eps), inp.depth_budget - m,
+        threshold - refinement.hull_mass)
     return involution, refinement.hull.union(involution.fixed.prepend_free(m))
 
 
@@ -419,7 +417,7 @@ def construct_step(inp: StepInput) -> StepOutput:
         raise ConfigError("eps must be positive")
     if not inp.target.measure(mu) > 0:
         raise ConfigError("the target set must have positive measure")
-    if not trivial_on_overflow(f, orbit_overflow(action, inp.n), inp.n):
+    if not trivial_on_overflow(f, orbit_overflow(action, inp.n)):
         raise ConfigError(f"input function is not inner at level {inp.n}")
     if not increments_within(f, action, conjugate_closure(model, inp.family)):
         raise ConfigError("input increments leave the declared value family")
@@ -554,11 +552,6 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     f_tilde, theta, core, m, h = out.f_tilde, out.theta, out.core, out.m, out.h
 
     over = orbit_overflow(action, m)
-    try:
-        inner_ok, inner_error = trivial_on_overflow(f_tilde, over, m), None
-    except DepthExhausted as exc:
-        inner_ok, inner_error = False, str(exc)
-
     enlarged = conjugate_closure(model, tuple(inp.family) + (h, model.inv(h)))
     required_delta, cover = delta_for(model, inp.candidate, inp.u_index)
     witness = validate_witness(
@@ -579,8 +572,8 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     return StepCheck(
         eps=eps, m=m, delta=out.delta, required_delta=required_delta,
         cover_number=cover.number,
-        overflow_mass=over.upper().measure(mu),
-        inner_ok=inner_ok, inner_error=inner_error,
+        overflow_mass=over.measure(mu),
+        inner_ok=trivial_on_overflow(f_tilde, over),
         enlarged_size=len(enlarged),
         confined=increments_within(f_tilde, action, enlarged),
         witness=witness,

@@ -15,7 +15,7 @@ from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
                                  coboundary_increment, cocycle_distance,
                                  increment_agreement, increments_within,
                                  kernel_csv, trivial_on_overflow)
-from cocyclelab.errors import DepthExhausted, DepthMismatch
+from cocyclelab.errors import DepthMismatch
 from cocyclelab.groups import cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_index
 from cocyclelab.odometer import (PiecewiseCylinderMap, adding_machine,
@@ -189,19 +189,20 @@ class TestTrivialOnOverflow:
     def test_identity_passes(self):
         f = StepFunction.from_table(Z2, {"0": 0, "1": 0})
         assert trivial_on_overflow(
-            f, orbit_overflow(adding_machine_action(6), 1), 1) is True
+            f, orbit_overflow(adding_machine_action(6), 1)) is True
 
     def test_nontrivial_on_overflow_fails(self):
         f = first_bit(1)
         assert trivial_on_overflow(
-            f, orbit_overflow(adding_machine_action(6), 1), 1) is False
+            f, orbit_overflow(adding_machine_action(6), 1)) is False
 
-    def test_undecidable_raises(self):
-        # nontrivial exactly on the truncation remainder
+    def test_nontrivial_on_the_remainder_fails(self):
+        # nontrivial exactly on the truncation remainder, which the
+        # overflow includes
         f = StepFunction.from_table(Z2, {w: 1 if w == "1111" else 0
                                          for w in all_words(4)})
-        with pytest.raises(DepthExhausted):
-            trivial_on_overflow(f, orbit_overflow(adding_machine_action(4), 3), 3)
+        assert trivial_on_overflow(
+            f, orbit_overflow(adding_machine_action(4), 3)) is False
 
 
 class TestCoboundaryKernel:

@@ -590,6 +590,26 @@ class TestCertifyTampering:
         clause = self.CLAUSE.get(path, path)
         assert clause in self.clauses(self.tampered(report, forge))
 
+    # forgeries of the second round's certificate list, which certify
+    # checks for the step's clause order and for every verdict held:
+    # (forgery of the list, the clause it fails under)
+    CERTIFICATES = {
+        "eps_prime-not-held": (lambda certs: certs[0].update(ok=False),
+                               "certificates.eps_prime"),
+        "construction-clauses-dropped": (lambda certs: certs.__delitem__(
+            slice(0, 7)), "certificates"),
+        "two-clauses-swapped": (lambda certs: certs.insert(1, certs.pop(0)),
+                                "certificates"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CERTIFICATES))
+    def test_construction_certificates(self, name, flips_run):
+        forge, clause = self.CERTIFICATES[name]
+        def mutate(records):
+            forge([r for r in records if r["record"] == "round"][1][
+                "certificates"])
+        assert clause in self.clauses(self.tampered(flips_run, mutate))
+
     def test_working_depth_beyond_the_budget(self, flips_run):
         # the check reads the update's own depth, so a forged depth far
         # beyond the budget fails at once instead of building its tables

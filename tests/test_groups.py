@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from cocyclelab import groups
 from cocyclelab.errors import (CocycleLabError, ConfigError, MalformedInput,
-                               SizeGuard, UnboundedClass)
+                               UnboundedClass)
 from cocyclelab.evc import delta_for
-from cocyclelab.groups import (DirectSumZGroup, FiniteTableGroup,
+from cocyclelab.groups import (Cover, DirectProductGroup, DirectSumZGroup,
+                               FiniteTableGroup,
                                FreeAbelianGroup, closure_norm_bound, conjugate_closure,
                                covering_number, cyclic_group,
                                dihedral_group_4, model_from_config,
@@ -27,6 +28,8 @@ S3 = symmetric_group_3()
 D4 = dihedral_group_4()
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
+Z5 = cyclic_group(5)
+FINITE = [Z2, Z5, S3, D4, DirectProductGroup(S3, Z2), DirectProductGroup(D4, S3)]
 
 
 def compose(a: tuple, b: tuple) -> tuple:
@@ -96,18 +99,19 @@ class TestSymmetricGroupOracle:
         assert S3.mul(r, S3.inv(r)) == S3.identity()
 
 
-def brute_min_cover(model, g, u_index) -> int:
-    cls = model.conjugacy_class(g).members
+def brute_min_cover(model, g, u_index) -> tuple[int, tuple]:
+    """The lexicographically least minimum cover of the class of g by
+    translates U c, c in the class: every subset of the class is tried,
+    by size, then in key order."""
+    cls = sorted(model.conjugacy_class(g).members, key=model.key)
     u = model.neighborhood(u_index)
-    translates = []
-    for c in cls:
-        covered = frozenset(model.key(model.mul(x, c)) for x in u)
-        translates.append(covered)
+    translates = [(c, frozenset(model.key(model.mul(x, c)) for x in u))
+                  for c in cls]
     need = frozenset(model.key(c) for c in cls)
     for k in range(1, len(cls) + 1):
         for pick in itertools.combinations(translates, k):
-            if need <= frozenset().union(*pick):
-                return k
+            if need <= frozenset().union(*(covered for _, covered in pick)):
+                return k, tuple(c for c, _ in pick)
     raise AssertionError("class not coverable by its own translates")
 
 
@@ -127,13 +131,33 @@ class TestCoveringNumbers:
     def test_against_brute_force(self, model, label, u, expected):
         g = model.parse(label)
         cover = covering_number(model, g, u)
-        assert cover.number == brute_min_cover(model, g, u) == expected
+        assert cover.number == brute_min_cover(model, g, u)[0] == expected
         # returned centers actually cover the class
         cls = model.conjugacy_class(g).members
         uset = model.neighborhood(u)
         hit = {model.key(model.mul(x, c))
                for c in cover.centers for x in uset}
         assert {model.key(c) for c in cls} <= hit
+
+    @pytest.mark.parametrize("u", [0, 1])
+    @pytest.mark.parametrize("model", FINITE, ids=lambda m: m.name)
+    def test_every_element_against_brute_force(self, model, u):
+        for g in model.elements():
+            assert covering_number(model, g, u) == Cover(
+                *brute_min_cover(model, g, u)), model.format(g)
+
+    def test_class_beyond_brute_force(self):
+        # the 81 elements of (S3 x S3) x (S3 x S3) that are transpositions
+        # in every factor: one identity coset each, one coset of the whole
+        # group together
+        t = S3.parse("t01")
+        model = DirectProductGroup(DirectProductGroup(S3, S3),
+                                   DirectProductGroup(S3, S3))
+        g = ((t, t), (t, t))
+        members = model.conjugacy_class(g).members
+        assert len(members) == 81
+        assert covering_number(model, g, 1) == Cover(81, members)
+        assert covering_number(model, g, 0) == Cover(1, members[:1])
 
     @pytest.mark.parametrize("model,label,u,expected", CASES)
     def test_delta_formula(self, model, label, u, expected):
@@ -180,12 +204,6 @@ class TestGuards:
             groups.DirectProductGroup(S3, S3).conjugacy_class(
                 (S3.parse("r"), S3.parse("r")))
 
-    def test_covering_guard(self, monkeypatch):
-        monkeypatch.setattr(groups, "COVERING_GUARD", 2)
-        assert covering_number(S3, S3.parse("r"), 1).number == 2
-        with pytest.raises(SizeGuard):
-            covering_number(S3, S3.parse("t01"), 1)
-
 
 class TestNeighborhoods:
     @pytest.mark.parametrize("model", [S3, D4, Z2, Z4])
@@ -199,6 +217,31 @@ class TestNeighborhoods:
     def test_infinite_models_identity_only(self):
         for model in (FreeAbelianGroup(2), DirectSumZGroup(3)):
             assert set(model.neighborhood(1)) == {model.identity()}
+
+    @pytest.mark.parametrize("cfg", [
+        {"kind": "cyclic", "order": 4},
+        {"kind": "symmetric"},
+        {"kind": "dihedral"},
+        {"kind": "finite", "table": "0,1\n1,0\n"},
+        {"kind": "free-abelian", "rank": 2},
+        {"kind": "direct-sum-z"},
+        {"kind": "product", "left": {"kind": "symmetric"},
+         "right": {"kind": "free-abelian", "rank": 1}},
+        {"kind": "product", "left": {"kind": "dihedral"},
+         "right": {"kind": "symmetric"}},
+    ], ids=lambda cfg: cfg["kind"] + ("-" + cfg["left"]["kind"]
+                                      if "left" in cfg else ""))
+    def test_every_neighborhood_is_a_normal_subgroup(self, cfg):
+        # covering numbers count cosets, which needs U_k to be a subgroup;
+        # conjugation invariance is checked where the elements are listed
+        model = model_from_config(cfg)
+        for k in (-1, 0, 1, 2):
+            u = model.neighborhood(k)
+            assert model.identity() in u
+            assert all(model.inv(a) in u for a in u)
+            assert all(model.mul(a, b) in u for a in u for b in u)
+            for x in model.elements() or ():
+                assert all(model.conjugate(a, x) in u for a in u)
 
 
 class TestLatticeModels:

@@ -93,25 +93,26 @@ class TestOverflow:
             pre = increment_oracle_inverse(w)
             escapes_back = pre is not None and pre[level:] != w[level:]
             if escapes_fwd or escapes_back:
-                assert covers(over.upper(), w)
-        assert over.upper().measure(UNIFORM) == Fraction(2, 2 ** level)
+                assert covers(over, w)
+        assert over.measure(UNIFORM) == Fraction(2, 2 ** level)
 
     def test_truncation_remainder_is_unknown(self):
-        # at the declared depth the carry cannot be decided
+        # at the declared depth the carry cannot be decided, so the
+        # remainder counts as overflow
         over = orbit_overflow(adding_machine_action(4), 3)
-        assert covers(over.unknown, "1111")
-        assert covers(over.unknown, "0000")
+        assert covers(over, "1111")
+        assert covers(over, "0000")
 
     def test_flip_overflow_empty(self):
         action = flip_action((1, 2))
         for level in (2, 3, 5):
-            assert orbit_overflow(action, level).upper().is_empty()
+            assert orbit_overflow(action, level).is_empty()
 
     def test_flip_overflow_below_its_coordinate(self):
         # a flip of coordinate 3 escapes every shallower relation
         action = flip_action((3,))
-        assert orbit_overflow(action, 2).upper().is_full()
-        assert orbit_overflow(action, 3).upper().is_empty()
+        assert orbit_overflow(action, 2).is_full()
+        assert orbit_overflow(action, 3).is_empty()
 
 
 def increment_oracle_inverse(w: str) -> str | None:
@@ -149,7 +150,6 @@ class TestGammaAction:
     def test_labels_and_depth(self):
         action = adding_machine_action(7)
         assert [label for label, _ in action.generators] == ["T", "T~"]
-        assert action.max_depth == 7
 
 
 class TestFiniteDepthMap:
@@ -175,14 +175,12 @@ class TestFiniteDepthMap:
 
 class TestExchangeInvolution:
     def test_uniform_halves_pair_exactly(self):
-        res = exchange_involution(CylinderSet.full(), UNIFORM,
-                                  Fraction(1, 4), 4)
+        res = exchange_involution(UNIFORM, Fraction(1, 4), 4, Fraction(1, 4))
         assert res.tau.depth == 1 and res.pairs == ((0, 1),)
         assert res.fixed.is_empty()
 
     def test_biased_equal_measure_pair(self):
-        res = exchange_involution(CylinderSet.full(), BIASED,
-                                  Fraction(1, 4), 6)
+        res = exchange_involution(BIASED, Fraction(1, 4), 6, Fraction(1, 4))
         # words 01 and 10 have equal mass 2/9 and must end up matched
         depth = res.tau.depth
         pairs = [(index_word(a, depth), index_word(b, depth))
@@ -197,13 +195,14 @@ class TestExchangeInvolution:
         (BIASED, Fraction(1, 40)),
     ])
     def test_involution_contract(self, mu, eps):
-        inside = CylinderSet.of(["0", "10"])
-        res = exchange_involution(inside, mu, eps, 10)
-        # involution: tau o tau = id, pairs disjoint from fixed
+        res = exchange_involution(mu, eps, 10, eps)
+        # involution: tau o tau = id, pairs disjoint from fixed, and
+        # together they cover the whole space
         first, second = res.first_sides(), res.second_sides()
         assert first.intersection(second).is_empty()
         covered = first.union(second).union(res.fixed)
-        assert covered == inside
+        assert covered == CylinderSet.full()
+        assert res.fixed.intersection(first.union(second)).is_empty()
         assert res.fixed.measure(mu) < eps
         level = res.tau.depth
         for a, b in res.pairs:
@@ -215,9 +214,7 @@ class TestExchangeInvolution:
             assert img != w and map_apply(res.tau, img) == w
 
     def test_leftover_budget_tightens_fixed_mass(self):
-        res = exchange_involution(CylinderSet.full(), BIASED,
-                                  Fraction(1, 4), 12,
-                                  leftover=Fraction(1, 100))
+        res = exchange_involution(BIASED, Fraction(1, 4), 12, Fraction(1, 100))
         assert res.fixed.measure(BIASED) < Fraction(1, 100)
 
     @pytest.mark.parametrize("eps,paired", [
@@ -225,17 +222,14 @@ class TestExchangeInvolution:
     def test_ratio_pass_is_strict(self, eps, paired):
         # under BIASED the words 0 and 1 weigh 1/3 and 2/3: moving 0 to 1
         # has derivative deviation exactly 1, which eps = 1 must refuse
-        res = exchange_involution(CylinderSet.full(), BIASED, eps, 1,
-                                  leftover=Fraction(2))
+        res = exchange_involution(BIASED, eps, 1, Fraction(2))
         assert res.pairs == (((0, 1),) if paired else ())
         assert res.fixed == (CylinderSet.empty() if paired
                              else CylinderSet.full())
 
     def test_budget_exhausted_when_too_shallow(self):
         with pytest.raises(BudgetExhausted):
-            exchange_involution(CylinderSet.full(), BIASED,
-                                Fraction(1, 1000), 2,
-                                leftover=Fraction(1, 10 ** 6))
+            exchange_involution(BIASED, Fraction(1, 1000), 2, Fraction(1, 10 ** 6))
 
 
 @settings(max_examples=60, deadline=None)

@@ -331,13 +331,15 @@ class TestValidatorIndependence:
         bad = failing_clauses(inp, out)
         assert clause in bad
 
-    def test_undecidable_inner_names_the_remainder(self):
+    def test_value_on_the_remainder_fails_inner(self):
+        # the overflow includes the truncation remainder, so a
+        # non-identity value there fails innerness
         inp = reference_input()
-        checks = validate_step_output(
-            inp, _lift_top_word(construct_step(inp))).validator_certificates()
+        out = _lift_top_word(construct_step(inp))
+        checks = validate_step_output(inp, out).validator_certificates()
         inner = next(c for c in checks if c.clause == "inner")
         assert not inner.ok
-        assert "undecided remainder" in inner.detail
+        assert inner.detail == f"identity on level-{out.m} overflow"
 
 
 class TestSharedCheck:
