@@ -32,8 +32,8 @@ from .cocycles import (KERNEL_EXPORT_DEPTH, StepFunction, coboundary_increment,
                        increments_within, kernel_csv)
 from .errors import (CocycleLabError, ConfigError, DepthMismatch,
                      MalformedInput, SearchExhausted)
-from .evc import (check_evc, delta_for, essential_value_certificate,
-                  skew_connectivity, target_set, within_skew_budget)
+from .evc import (check_evc, delta_for, skew_connectivity, target_set,
+                  within_skew_budget)
 from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
                      model_from_config)
 from .measure import ZERO, CylinderSet, ProductMeasure, all_words
@@ -87,6 +87,12 @@ class PipelineConfig:
                 raise ConfigError(f"config key {key!r} cannot take {value!r} "
                                   f"({type(exc).__name__}: {exc})") from None
 
+        def count(value) -> int:
+            n = int(value)
+            if n < 0:
+                raise ValueError("must be >= 0")
+            return n
+
         def word_tuples(entries) -> tuple:
             return tuple((e,) if isinstance(e, str) else tuple(str(w) for w in e)
                          for e in entries)
@@ -98,9 +104,9 @@ class PipelineConfig:
             family=read("family", lambda v: tuple(str(h) for h in v)),
             bases=read("bases", word_tuples, [""]),
             u_indices=read("u_indices", lambda v: tuple(int(k) for k in v), [1]),
-            rounds=read("rounds", int, 1),
+            rounds=read("rounds", count, 1),
             depth_budget=read("depth_budget", int, 14),
-            start_level=read("start_level", int, 1),
+            start_level=read("start_level", count, 1),
             eps_start=read("eps_start", lambda v: v if v is None
                            else str(Fraction(str(v))), None),
             name=read("name", str, "run"),
@@ -625,26 +631,36 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     if config.enumerated:
         records.append(_stream_record(config, model, functions, closure))
 
-    # essential-value sweep over the scheduled triples, terminal kernel
+    # essential-value sweep over the scheduled triples, terminal kernel:
+    # per candidate, a witness search for each neighborhood and nonempty
+    # base with the tolerance 1/(3 * covering number); the verdict is
+    # certified only if every search finds a witness
     sweep = searched.get("essential_values")
     if sweep is None:
-        base_sets = [CylinderSet.of(words) for words in config.bases]
+        base_sets = [b for b in map(CylinderSet.of, config.bases)
+                     if not b.is_empty()]
         sweeps = []
         for h_text in config.family:
-            report = essential_value_certificate(
-                f_final, model.parse(h_text), mu, base_sets,
-                list(config.u_indices), search_depth=config.depth_budget)
+            g = model.parse(h_text)
+            entries = []
+            for k in config.u_indices:
+                delta, _ = delta_for(model, g, k)
+                target = target_set(model, g, k)
+                for base in base_sets:
+                    try:
+                        witness = check_evc(f_final, base, target, delta, mu,
+                                            config.depth_budget)
+                        mass = _frac(witness.part.measure(mu))
+                    except SearchExhausted:
+                        mass = None
+                    entries.append({"base": list(base.words), "u_index": k,
+                                    "delta": _frac(delta),
+                                    "ok": mass is not None, "mass": mass})
             sweeps.append({
                 "candidate": h_text,
-                "verdict": report.verdict,
-                "entries": [{
-                    "base": list(e.base.words),
-                    "u_index": e.u_index,
-                    "delta": _frac(e.delta),
-                    "ok": e.ok,
-                    "mass": (_frac(e.witness.part.measure(mu))
-                             if e.witness else None),
-                } for e in report.entries],
+                "verdict": ("certified" if all(e["ok"] for e in entries)
+                            else "inconclusive"),
+                "entries": entries,
             })
         sweep = {"record": "essential_values", "sweeps": sweeps}
     records.append(sweep)
@@ -946,7 +962,8 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
             check = validate_step_output(inp, replay)
             z0 = select_core_and_conjugate(inp.f, inp.target, inp.candidate,
                                            inp.u_index, mu).z0
-            _, b_set = discard_set(inp, overflow_hull(action, n, replay.m, mu))
+            _, b_set = discard_set(inp, replay.m,
+                                   overflow_hull(action, n, replay.m))
         except CocycleLabError as exc:
             fail("validator", where, str(exc))
             # the report fails already; its ledger is rebuilt without

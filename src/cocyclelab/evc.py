@@ -42,13 +42,12 @@ def delta_for(model: GroupModel, g: Element, u_index: int) -> tuple[Fraction, Co
 
 @dataclass(frozen=True)
 class WitnessValidation:
-    """The verdict on a candidate witness, the first clause it fails, and
-    the numbers behind every clause, computed whatever the verdict:
+    """The first clause a candidate witness fails (None when it holds),
+    and the numbers behind every clause, computed whatever the verdict:
     whether the part and its image lie in the base, the measure slack
     mu(B) - delta mu(A), the number of part words whose kernel value
     misses the target set, and the worst derivative deviation."""
 
-    ok: bool
     clause: Optional[str]
     detail: Optional[str]
     part_inside: bool
@@ -56,6 +55,10 @@ class WitnessValidation:
     measure_slack: Fraction
     misses: int
     worst: Fraction
+
+    @property
+    def ok(self) -> bool:
+        return self.clause is None
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,8 @@ def validate_witness(
 
     def verdict(clause: Optional[str] = None,
                 detail: Optional[str] = None) -> WitnessValidation:
-        return WitnessValidation(clause is None, clause, detail, part_inside,
-                                 image_inside, mass - need, misses, worst)
+        return WitnessValidation(clause, detail, part_inside, image_inside,
+                                 mass - need, misses, worst)
 
     if not part_inside:
         return verdict("part-inside", "B is not contained in A")
@@ -318,55 +321,6 @@ def _match_by_value(f, members, target, target_keys, delta, masses, level):
             if x in used:
                 break
     return out
-
-
-# ---------------------------------------------------------------------------
-# Essential-value reports
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EvcEntry:
-    base: CylinderSet
-    u_index: int
-    delta: Fraction
-    ok: bool
-    witness: Optional[EvcWitness]
-    failure: Optional[str]
-
-
-@dataclass(frozen=True)
-class EssentialValueReport:
-    candidate: Element
-    entries: tuple[EvcEntry, ...]
-    verdict: str  # "certified" | "inconclusive"
-
-
-def essential_value_certificate(
-    f: StepFunction,
-    g: Element,
-    mu: ProductMeasure,
-    base_sets: Sequence[CylinderSet],
-    u_indices: Sequence[int],
-    search_depth: int = 14,
-) -> EssentialValueReport:
-    """Check the quantitative condition for every scheduled (base, U)
-    pair with the tolerance 1/(3 * covering number); the verdict is
-    certified only if all pairs verify."""
-    model = f.model
-    entries: list[EvcEntry] = []
-    for k in u_indices:
-        delta, _ = delta_for(model, g, k)
-        target = target_set(model, g, k)
-        for base in base_sets:
-            if base.is_empty():
-                continue
-            try:
-                witness = check_evc(f, base, target, delta, mu, search_depth)
-                entries.append(EvcEntry(base, k, delta, True, witness, None))
-            except SearchExhausted as exc:
-                entries.append(EvcEntry(base, k, delta, False, None, str(exc)))
-    verdict = "certified" if all(e.ok for e in entries) else "inconclusive"
-    return EssentialValueReport(g, tuple(entries), verdict)
 
 
 # ---------------------------------------------------------------------------

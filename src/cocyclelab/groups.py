@@ -79,20 +79,9 @@ class GroupModel(ABC):
         return self.mul(self.mul(x, g), self.inv(x))
 
     @abstractmethod
-    def conjugacy_class(self, g: Element) -> "ConjugacyClass":
-        """The class of g; raises :class:`UnboundedClass` beyond
-        ``CLASS_BUDGET`` members."""
-
-@dataclass(frozen=True)
-class ConjugacyClass:
-    """A finite conjugacy class: the base element g and the members
-    x g x^-1, sorted."""
-
-    base: Element
-    members: tuple
-
-    def __len__(self) -> int:
-        return len(self.members)
+    def conjugacy_class(self, g: Element) -> tuple:
+        """The class of g, the members x g x^-1, sorted by key; raises
+        :class:`UnboundedClass` beyond ``CLASS_BUDGET`` members."""
 
 
 class FiniteTableGroup(GroupModel):
@@ -151,14 +140,14 @@ class FiniteTableGroup(GroupModel):
             return frozenset(range(len(self.table)))
         return frozenset({0})
 
-    def conjugacy_class(self, g) -> ConjugacyClass:
+    def conjugacy_class(self, g) -> tuple:
         members = {g}
         for x in range(len(self.table)):
             members.add(self.conjugate(g, x))
             if len(members) > CLASS_BUDGET:
                 raise UnboundedClass(
                     f"class of {self.format(g)} exceeds budget {CLASS_BUDGET}")
-        return ConjugacyClass(g, tuple(sorted(members)))
+        return tuple(sorted(members))
 
     @staticmethod
     def from_csv(name: str, text: str, labels: Optional[Sequence[str]] = None) -> "FiniteTableGroup":
@@ -242,8 +231,8 @@ class FreeAbelianGroup(GroupModel):
     def norm(self, a):
         return Fraction(max(abs(x) for x in a))
 
-    def conjugacy_class(self, g) -> ConjugacyClass:
-        return ConjugacyClass(g, (g,))
+    def conjugacy_class(self, g) -> tuple:
+        return (g,)
 
 class DirectSumZGroup(GroupModel):
     """The direct sum of countably many copies of Z with the sup norm.
@@ -297,8 +286,8 @@ class DirectSumZGroup(GroupModel):
     def neighborhood(self, k: int) -> frozenset:
         return frozenset({()})
 
-    def conjugacy_class(self, g) -> ConjugacyClass:
-        return ConjugacyClass(g, (g,))
+    def conjugacy_class(self, g) -> tuple:
+        return (g,)
 
 class DirectProductGroup(GroupModel):
     """Direct product of two models; elements are pairs."""
@@ -349,13 +338,13 @@ class DirectProductGroup(GroupModel):
         return frozenset(
             (a, b) for a in self.left.neighborhood(k) for b in self.right.neighborhood(k))
 
-    def conjugacy_class(self, g) -> ConjugacyClass:
+    def conjugacy_class(self, g) -> tuple:
         cl = self.left.conjugacy_class(g[0])
         cr = self.right.conjugacy_class(g[1])
         if len(cl) * len(cr) > CLASS_BUDGET:
             raise UnboundedClass(f"product class exceeds budget {CLASS_BUDGET}")
-        members = [(a, b) for a in cl.members for b in cr.members]
-        return ConjugacyClass(g, tuple(sorted(members, key=self.key)))
+        members = [(a, b) for a in cl for b in cr]
+        return tuple(sorted(members, key=self.key))
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +354,14 @@ class DirectProductGroup(GroupModel):
 @dataclass(frozen=True)
 class Cover:
     """An optimal translate cover of a conjugacy class: the class can be
-    covered by `number` sets U d with d drawn from `centers`, and by no
-    fewer."""
+    covered by the sets U d with d drawn from `centers`, and by no
+    fewer; their count is the covering number."""
 
-    number: int
     centers: tuple
+
+    @property
+    def number(self) -> int:
+        return len(self.centers)
 
 
 def covering_number(model: GroupModel, g: Element, u_index: int) -> Cover:
@@ -384,18 +376,18 @@ def covering_number(model: GroupModel, g: Element, u_index: int) -> Cover:
     u = model.neighborhood(u_index)
     centers: list = []
     covered: set = set()
-    for d in sorted(model.conjugacy_class(g).members, key=model.key):
+    for d in model.conjugacy_class(g):
         if model.key(d) not in covered:
             centers.append(d)
             covered.update(model.key(model.mul(x, d)) for x in u)
-    return Cover(len(centers), tuple(centers))
+    return Cover(tuple(centers))
 
 
 def conjugate_closure(model: GroupModel, generators: Iterable[Element]) -> tuple:
     """Union of the conjugacy classes of the given elements, sorted."""
     out = set()
     for h in generators:
-        out.update(model.conjugacy_class(h).members)
+        out.update(model.conjugacy_class(h))
         if len(out) > CLASS_BUDGET:
             raise UnboundedClass(f"conjugate closure exceeds budget {CLASS_BUDGET}")
     return tuple(sorted(out, key=model.key))

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, cycle, islice, product
 from math import lcm
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DepthMismatch, MalformedInput
@@ -291,36 +292,44 @@ def _edge_mass_sum(steps: Sequence[WeightStep], den: int,
     return total
 
 
-def _canonical(depth: int, edges: list[int]) -> "CylinderSet":
-    """The one canonical form.  `edges` are those of disjoint ranges
-    [lo, hi) of depth-`depth` word indices, ascending and apart (as
-    `_coalesce` gives them).  They are restated at the least depth they
-    allow: every edge is a multiple of the lowest set bit 2^k of their
-    OR, so the ranges are unions of depth-(depth - k) cylinders, and no
-    shallower depth holds them."""
-    low = 0
-    for x in edges:
-        low |= x
-    k = (low & -low).bit_length() - 1 if low else depth
-    if k:
-        edges = [x >> k for x in edges]
-    return CylinderSet(depth - k, tuple(edges))
-
-
 @dataclass(frozen=True)
 class CylinderSet:
     """A finite union of cylinders, as index ranges of one depth.
 
     ``edges`` are the ascending edges lo0, hi0, lo1, hi1, ... of the
-    set's coalesced ranges [lo, hi) of depth-``max_depth`` word indices,
-    restated at the least depth that holds them (see `_canonical`), so
-    equal sets have equal fields.  The empty set has no edges; the whole
-    space is ``(0, (0, 1))``.  `words` lists the maximal cylinders for
-    reports and exports.
+    set's coalesced ranges [lo, hi) of depth-``max_depth`` word indices.
+    The constructor is the one canonicalizer: it restates the ranges at
+    the least depth that holds them, so equal sets have equal fields.
+    The empty set has no edges; the whole space is ``(0, (0, 1))``.
+    `words` lists the maximal cylinders for reports and exports.
     """
 
     max_depth: int
     edges: tuple[int, ...]
+
+    def __post_init__(self):
+        """Check that the edges are those of disjoint ranges apart, each
+        nonempty and within the depth (strictly ascending, nonnegative,
+        even in count, at most 2^max_depth), and restate them at the
+        least depth they allow: every edge is a multiple of the lowest
+        set bit 2^k of their OR, so the ranges are unions of
+        depth-(max_depth - k) cylinders, and no shallower depth holds
+        them."""
+        depth, edges = self.max_depth, tuple(self.edges)
+        if (depth < 0 or len(edges) % 2 or edges and (
+                edges[0] < 0 or edges[-1] > 1 << depth
+                or not all(map(lt, edges, edges[1:])))):
+            raise MalformedInput(
+                f"edges {edges} do not bound disjoint ranges of "
+                f"depth-{depth} word indices")
+        low = 0
+        for x in edges:
+            low |= x
+        k = (low & -low).bit_length() - 1 if low else depth
+        if k:
+            edges = tuple(x >> k for x in edges)
+        object.__setattr__(self, "max_depth", depth - k)
+        object.__setattr__(self, "edges", edges)
 
     @cached_property
     def _masks(self) -> dict:
@@ -355,7 +364,7 @@ class CylinderSet:
         if "".join(ws).strip("01"):
             for w in ws:
                 check_word(w)
-        return _canonical(*_word_edges(ws))
+        return CylinderSet(*_word_edges(ws))
 
     @staticmethod
     def from_indices(depth: int, indices: Sequence[int]) -> "CylinderSet":
@@ -367,7 +376,7 @@ class CylinderSet:
         # a run of consecutive indices ends where the next one skips
         breaks = [x for a, b in zip(indices, indices[1:]) if b != a + 1
                   for x in (a + 1, b)]
-        return _canonical(depth, [indices[0], *breaks, indices[-1] + 1])
+        return CylinderSet(depth, (indices[0], *breaks, indices[-1] + 1))
 
     @staticmethod
     def empty() -> "CylinderSet":
@@ -422,7 +431,7 @@ class CylinderSet:
             if bool(keep(i & 1, j & 1)) != inside:
                 inside = not inside
                 edges.append(x)
-        return _canonical(depth, edges)
+        return CylinderSet(depth, edges)
 
     def union(self, other: "CylinderSet") -> "CylinderSet":
         return self._combine(other, lambda x, y: x or y)
@@ -490,7 +499,7 @@ class CylinderSet:
             return self
         depth, edges = self.max_depth, self.edges
         pairs = list(zip(edges[::2], edges[1::2]))
-        return _canonical(n + depth, _coalesce(
+        return CylinderSet(n + depth, _coalesce(
             (base + lo, base + hi)
             for base in range(0, 1 << (n + depth), 1 << depth)
             for lo, hi in pairs))

@@ -273,41 +273,15 @@ def orbit_overflow(action: GammaAction, level: int) -> CylinderSet:
 # Exchange involution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InvolutionResult:
-    """A finite-depth involution of the whole space.
-
-    ``fixed`` is the unpaired remainder, of measure below the requested
-    leftover; every other word is moved.
-    """
-
-    tau: FiniteDepthMap
-    fixed: CylinderSet
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """The 2-cycles of `tau` as pairs of word indices at its depth,
-        smaller index first, in index order."""
-        return tuple((a, b) for a, b in enumerate(self.tau.table) if a < b)
-
-    def first_sides(self) -> CylinderSet:
-        return CylinderSet.from_indices(self.tau.depth, [
-            a for a, b in enumerate(self.tau.table) if a < b])
-
-    def second_sides(self) -> CylinderSet:
-        return CylinderSet.from_indices(self.tau.depth, [
-            b for b, a in enumerate(self.tau.table) if a < b])
-
-
 def exchange_involution(
     mu: ProductMeasure,
     eps: Fraction,
     max_depth: int,
     leftover: Fraction,
-) -> InvolutionResult:
+) -> FiniteDepthMap:
     """Build tau with tau^2 = id, tau(x) != x except on a fixed remainder
     of measure < `leftover`, and with |d(mu o tau)/d(mu) - 1| < `eps`
-    everywhere.
+    everywhere.  The fixed points of tau are the unpaired remainder.
 
     Strategy: list the words of one depth; pair equal-measure words in
     lexicographic order; pair the odd ones out greedily under the
@@ -357,9 +331,7 @@ def exchange_involution(
                 leftovers.append(a)
         remaining = Fraction(sum(masses[i] for i in leftovers), denominator)
         if remaining < leftover:
-            return InvolutionResult(
-                FiniteDepthMap.from_pairs(depth, pairs),
-                CylinderSet.from_indices(depth, sorted(leftovers)))
+            return FiniteDepthMap.from_pairs(depth, pairs)
         least = min(least, remaining)
     raise BudgetExhausted(
         f"no involution within depth {max_depth}: "

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Mapping, Optional
 
 from .cocycles import (StepFunction, coboundary_increment, cocycle_distance,
@@ -37,8 +36,8 @@ from .errors import (ConfigError, DepthExhausted, EmptyCore,
 from .evc import WitnessValidation, delta_for, target_set, validate_witness
 from .groups import Cover, Element, conjugate_closure
 from .measure import CylinderSet, ProductMeasure, worst_deviation
-from .odometer import (FiniteDepthMap, GammaAction, InvolutionResult,
-                       exchange_involution, orbit_overflow)
+from .odometer import (FiniteDepthMap, GammaAction, exchange_involution,
+                       orbit_overflow)
 
 UNDEFINED_MARK = "!"
 ADMISSION_FACTOR = 40  # eps <= target mass / (ADMISSION_FACTOR * covering number)
@@ -90,19 +89,6 @@ class CoreSelection:
     cover: Cover
     delta: Fraction
     mass: Fraction
-
-
-@dataclass(frozen=True)
-class FingerprintClass:
-    part: CylinderSet  # suffix-space cylinders (coordinates beyond n)
-    mass: Fraction
-
-
-@dataclass(frozen=True)
-class RefinementChoice:
-    m: int
-    hull: CylinderSet  # full-space overflow hull, saturated over the first n
-    hull_mass: Fraction
 
 
 @dataclass(frozen=True)
@@ -300,12 +286,13 @@ def select_core_and_conjugate(f: StepFunction, target: CylinderSet,
 
 
 def fingerprint_partition(f: StepFunction, z0: CylinderSet, n: int,
-                          mu: ProductMeasure) -> tuple[FingerprintClass, ...]:
+                          mu: ProductMeasure) -> tuple[CylinderSet, ...]:
     """Group suffix words by the multiset of (masked value, prefix
     weight) pairs their prefix column produces, the masked value being
     f's off `z0` (see `_masked_labels`) and the prefix weight its mass
-    numerator at level n; classes are ordered by mass, then by least
-    member."""
+    numerator at level n.  The classes are sets of suffix words (the
+    coordinates beyond n), ordered by their mass under the shifted
+    measure, then by least member."""
     depth = max(f.depth, z0.max_depth, n)
     suffix_depth = depth - n
     labels = _masked_labels(f, z0, depth)
@@ -319,9 +306,8 @@ def fingerprint_partition(f: StepFunction, z0: CylinderSet, n: int,
     suffix_mu = mu.shift(n)
     parts = [CylinderSet.from_indices(suffix_depth, words)
              for words in groups.values()]
-    classes = [FingerprintClass(part, part.measure(suffix_mu)) for part in parts]
-    classes.sort(key=lambda c: (-c.mass, c.part.words[0]))
-    return tuple(classes)
+    parts.sort(key=lambda part: (-part.measure(suffix_mu), part.words[0]))
+    return tuple(parts)
 
 
 def overflow_threshold(action: GammaAction, mu: ProductMeasure,
@@ -332,77 +318,80 @@ def overflow_threshold(action: GammaAction, mu: ProductMeasure,
                Fraction(eps) / (1 + action.max_distortion_sum(mu)))
 
 
-def overflow_hull(action: GammaAction, n: int, m: int,
-                  mu: ProductMeasure) -> RefinementChoice:
+def overflow_hull(action: GammaAction, n: int, m: int) -> CylinderSet:
     """The level-m orbit-overflow hull, saturated over the first n
-    coordinates, with its mass."""
-    hull = orbit_overflow(action, m).saturate(n)
-    return RefinementChoice(m, hull, hull.measure(mu))
+    coordinates."""
+    return orbit_overflow(action, m).saturate(n)
 
 
 def choose_refinement_depth(action: GammaAction, n: int, threshold: Fraction,
                             mu: ProductMeasure, floor: int,
-                            depth_budget: int) -> RefinementChoice:
-    """Smallest refinement level at or above `floor` whose saturated
-    orbit-overflow hull has mass below `threshold`."""
+                            depth_budget: int) -> tuple[int, CylinderSet]:
+    """The smallest refinement level m at or above `floor` whose
+    saturated orbit-overflow hull has mass below `threshold`, and that
+    hull."""
     for m in range(max(floor, n + 1), depth_budget + 1):
-        choice = overflow_hull(action, n, m, mu)
-        if choice.hull_mass < threshold:
-            return choice
+        hull = overflow_hull(action, n, m)
+        if hull.measure(mu) < threshold:
+            return m, hull
     raise DepthExhausted(
         f"no refinement level within depth {depth_budget} brings the "
         f"overflow hull below {threshold}")
 
 
-def discard_set(inp: StepInput, refinement: RefinementChoice
-                ) -> tuple[InvolutionResult, CylinderSet]:
-    """The suffix involution and the discard set b.
+def discard_set(inp: StepInput, m: int, hull: CylinderSet
+                ) -> tuple[FiniteDepthMap, CylinderSet]:
+    """The suffix involution tau and the discard set b.
 
-    The involution pairs the coordinates beyond the refinement level m
-    against themselves, with derivative within eps and unpaired mass
-    below what the overflow hull leaves of the threshold.  b is the
-    refinement's overflow hull united with the unpaired remainder, freed
-    over the first m coordinates.  The step builds b here, and
-    certification rebuilds it here from a stored refinement level."""
-    m = refinement.m
+    tau pairs the coordinates beyond the refinement level m against
+    themselves, with derivative within eps and unpaired mass below what
+    the level-m overflow `hull` leaves of the threshold.  b is the hull
+    united with tau's fixed points, the unpaired remainder, freed over
+    the first m coordinates.  The step builds b here, and certification
+    rebuilds it here from a stored refinement level."""
     if inp.depth_budget <= m:
         raise DepthExhausted(
             f"no coordinates left beyond level {m} within depth {inp.depth_budget}")
     threshold = overflow_threshold(inp.action, inp.mu, inp.eps)
-    involution = exchange_involution(
+    tau = exchange_involution(
         inp.mu.shift(m), Fraction(inp.eps), inp.depth_budget - m,
-        threshold - refinement.hull_mass)
-    return involution, refinement.hull.union(involution.fixed.prepend_free(m))
+        threshold - hull.measure(inp.mu))
+    fixed = CylinderSet.from_indices(
+        tau.depth, [s for s, t in enumerate(tau.table) if s == t])
+    return tau, hull.union(fixed.prepend_free(m))
 
 
-def assemble_update(f: StepFunction, h: Element, involution: InvolutionResult,
-                    b_set: CylinderSet, m: int, depth: int) -> StepFunction:
+# In the two functions below the suffix involution tau acts on the low
+# tau.depth bits s = i & low of a working-depth index i: s lies on the
+# first exchange side when tau moves it up, on the second when down.
+
+def assemble_update(f: StepFunction, h: Element, tau: FiniteDepthMap,
+                    b_set: CylinderSet, depth: int) -> StepFunction:
     """The three-case update: identity on the discard set, f times h
-    where the deep block sits on the exchanged side, f elsewhere."""
+    where the deep block sits on the second exchange side, f
+    elsewhere."""
     model = f.model
     one = model.identity()
     discard = b_set.mask(depth)
-    exchanged = involution.second_sides().prepend_free(m).mask(depth)
+    table, low = tau.table, (1 << tau.depth) - 1
     return StepFunction(model, depth, tuple(
-        one if discard[i] else model.mul(v, h) if exchanged[i] else v
-        for i, v in enumerate(f.values_at(depth))))
+        one if discard[i] else model.mul(v, h) if table[i & low] < i & low
+        else v for i, v in enumerate(f.values_at(depth))))
 
 
-def build_transfer(z0: CylinderSet, b_set: CylinderSet,
-                   involution: InvolutionResult, m: int,
+def build_transfer(z0: CylinderSet, b_set: CylinderSet, tau: FiniteDepthMap,
                    depth: int) -> tuple[FiniteDepthMap, CylinderSet]:
     """The pairing transformation (deep exchange off the discard set,
     identity on it) and the core: the part of z0 on the first exchange
-    side, clear of the discard set.  The deep exchange rewrites the low
-    depth - m bits of an index."""
-    deep = involution.tau.index_map(depth - m)
-    low = len(deep) - 1
+    side, clear of the discard set."""
+    table, low = tau.table, (1 << tau.depth) - 1
     discard = b_set.mask(depth)
-    first = involution.first_sides().prepend_free(m).mask(depth)
-    table = tuple(i if discard[i] else i - (i & low) + deep[i & low]
-                  for i in range(1 << depth))
-    core = [i for i in z0.indices(depth) if first[i] and not discard[i]]
-    return FiniteDepthMap(depth, table), CylinderSet.from_indices(depth, core)
+    pairing = tuple(i if discard[i] else i - (i & low) + table[i & low]
+                    for i in range(1 << depth))
+    core = [i for i in z0.indices(depth)
+            if table[i & low] > i & low and not discard[i]]
+    return (FiniteDepthMap(depth, pairing),
+            CylinderSet.from_indices(depth, core))
 
 
 def construct_step(inp: StepInput) -> StepOutput:
@@ -432,14 +421,13 @@ def construct_step(inp: StepInput) -> StepOutput:
     partition = fingerprint_partition(f, z0, inp.n, mu)
 
     floor = max(inp.n + 1, f.depth, inp.target.max_depth, z0.max_depth)
-    refinement = choose_refinement_depth(
+    m, hull = choose_refinement_depth(
         action, inp.n, overflow_threshold(action, mu, eps), mu, floor,
         inp.depth_budget)
-    m = refinement.m
-    involution, b_set = discard_set(inp, refinement)
-    depth = m + involution.tau.depth
-    f_tilde = assemble_update(f, h, involution, b_set, m, depth)
-    theta, core = build_transfer(z0, b_set, involution, m, depth)
+    tau, b_set = discard_set(inp, m, hull)
+    depth = m + tau.depth
+    f_tilde = assemble_update(f, h, tau, b_set, depth)
+    theta, core = build_transfer(z0, b_set, tau, depth)
 
     check = validate_step_output(
         inp, StepArtifacts(f_tilde, theta, core, m, h, delta))
@@ -450,8 +438,8 @@ def construct_step(inp: StepInput) -> StepOutput:
             f"target")
 
     by_clause = {c.clause: c for c in _certify(
-        inp, eps_prime, total_distortion, selection, partition, refinement,
-        involution, theta, check.core_mass, m)
+        inp, eps_prime, total_distortion, selection, partition, hull, tau,
+        theta, check.core_mass, m)
         + check.step_certificates()}
     certificates = tuple(by_clause[clause] for clause in CERTIFICATE_ORDER)
     for cert in certificates:
@@ -463,9 +451,8 @@ def construct_step(inp: StepInput) -> StepOutput:
 
 def _certify(inp: StepInput, eps_prime: Fraction,
              total_distortion: Fraction, selection: CoreSelection,
-             partition: tuple[FingerprintClass, ...],
-             refinement: RefinementChoice,
-             involution: InvolutionResult, theta: FiniteDepthMap,
+             partition: tuple[CylinderSet, ...], hull: CylinderSet,
+             tau: FiniteDepthMap, theta: FiniteDepthMap,
              core_mass: Fraction, m: int) -> tuple[Certificate, ...]:
     """The construction clauses: those that read the construction's
     intermediates, which :func:`validate_step_output` never sees."""
@@ -484,35 +471,35 @@ def _certify(inp: StepInput, eps_prime: Fraction,
         f"selected share {selection.mass} of {inp.target.measure(mu)} "
         f"with covering number {cover.number}"))
 
+    hull_mass = hull.measure(mu)
     certs.append(Certificate(
-        "saturation_mass", refinement.hull_mass < eps_prime,
-        f"overflow hull mass {refinement.hull_mass} < {eps_prime} at level {m}"))
+        "saturation_mass", hull_mass < eps_prime,
+        f"overflow hull mass {hull_mass} < {eps_prime} at level {m}"))
 
-    defect_ok = all(c.mass > 0 for c in partition)
+    masses = [part.measure(mu.shift(inp.n)) for part in partition]
     certs.append(Certificate(
-        "partition_defect", defect_ok,
+        "partition_defect", all(mass > 0 for mass in masses),
         "middle-block alignment is exact per class "
-        f"(defect 0 against budgets {[str(eps * c.mass) for c in partition]})"))
+        f"(defect 0 against budgets {[str(eps * mass) for mass in masses]})"))
 
     certs.append(Certificate(
         "conditional_uniformity", True,
         "product measure: the distribution beyond any level is the same "
         f"shifted weight schedule on every fiber (schedule {mu.schedule_key()})"))
 
-    pairs = involution.pairs
     worst_pair = worst_deviation(
-        mu.shift(m).level_masses(involution.tau.depth)[0],
-        chain(pairs, ((b, a) for a, b in pairs)))
+        mu.shift(m).level_masses(tau.depth)[0],
+        ((s, t) for s, t in enumerate(tau.table) if s != t))
     certs.append(Certificate(
         "suffix_derivative", worst_pair < eps,
         f"exchange derivative deviation {worst_pair} < {eps} "
         f"(and below the 3 eps ledger {3 * eps})"))
 
-    stable = all(c.part.max_depth <= m - inp.n for c in partition)
+    stable = all(part.max_depth <= m - inp.n for part in partition)
     certs.append(Certificate(
         "class_stability", stable,
         "each class is a middle-block set, hence exactly invariant under "
-        f"the deep exchange (budget {[str(4 * eps * c.mass) for c in partition]})"))
+        f"the deep exchange (budget {[str(4 * eps * x) for x in masses]})"))
 
     moves = [(w, image) for w, image in enumerate(theta.table) if w != image]
     worst_move = worst_deviation(mu.level_masses(theta.depth)[0], moves)

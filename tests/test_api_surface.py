@@ -2,11 +2,14 @@
 
 Every public function and method in `src/cocyclelab` must be referenced
 somewhere in `src` outside its own definition, so an API that only
-tests call, or that nothing calls, shows up here.  References are
-matched by name (a bare name or an attribute), so a method is reached
-when any attribute of that name is read; an allowlisted name may also be
-reached that way (`main` by the module's `__main__` guard), and is
-listed for its reason all the same.
+tests call, or that nothing calls, shows up here.  So must every public
+field: an annotated attribute of a class body (a dataclass field) or an
+attribute a method sets on ``self``, so a stored value that nothing
+reads shows up too.  References are matched by name (a bare name or an
+attribute, and for a field an attribute read only), so a method or
+field is reached when any attribute of that name is read; an
+allowlisted name may also be reached that way (`main` by the module's
+`__main__` guard), and is listed for its reason all the same.
 """
 import ast
 from pathlib import Path
@@ -17,45 +20,87 @@ SRC = Path(__file__).parents[1] / "src" / "cocyclelab"
 ALLOWED = {
     "cli.main": "the console-script entry point, called by the installer's wrapper",
     "driver.RunReport.by_kind": "documented accessor of a report's records",
+    "groups.DirectSumZGroup.generator_span":
+        "the `generator_span` key of the sum-z presets and of the "
+        "benchmark's copies of them; stored, and has no effect",
 }
 
 
 def public_definitions(tree: ast.Module, module: str):
-    """(qualified name, definition node) of each public module-level
-    function and each public method of a module-level class."""
+    """(qualified name, name, definition node) of each public
+    module-level function and each public method of a module-level
+    class."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            yield f"{module}.{node.name}", node
+            yield f"{module}.{node.name}", node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef)
                         and not item.name.startswith("_")):
-                    yield f"{module}.{node.name}.{item.name}", item
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
 
 
-def references(tree: ast.Module):
-    """(name, line) of every bare name and attribute read in a module."""
+def public_fields(tree: ast.Module, module: str):
+    """(qualified name, name, defining node) of each public field of a
+    module-level class: an annotated name in the class body, or an
+    attribute one of its methods sets on ``self``."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        fields = {}
+        for item in node.body:
+            if (isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)):
+                fields.setdefault(item.target.id, item)
+            elif isinstance(item, ast.FunctionDef):
+                for sub in ast.walk(item):
+                    if (isinstance(sub, ast.Attribute)
+                            and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name)
+                            and sub.value.id == "self"):
+                        fields.setdefault(sub.attr, sub)
+        for name, where in fields.items():
+            if not name.startswith("_"):
+                yield f"{module}.{node.name}.{name}", name, where
+
+
+def references(tree: ast.Module, fields: bool = False):
+    """(name, line) of every bare name and attribute in a module; with
+    `fields`, of every attribute read only: a field is read as
+    ``x.field``, and a bare name of its spelling is a local or a
+    parameter (`generator_span`)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not fields:
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and not (
+                fields and isinstance(node.ctx, ast.Store)):
             yield node.attr, node.lineno
 
 
-def unreferenced() -> list[str]:
+def unreferenced(definitions, fields: bool = False) -> list[str]:
+    """The qualified names among those `definitions(tree, module)`
+    yields whose name nothing in src references outside the defining
+    node."""
     trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(SRC.glob("*.py"))}
-    refs = {module: list(references(tree)) for module, tree in trees.items()}
+    refs = {module: list(references(tree, fields))
+            for module, tree in trees.items()}
     missing = []
     for module, tree in trees.items():
-        for qualified, node in public_definitions(tree, module):
+        for qualified, name, node in definitions(tree, module):
             inside = range(node.lineno, node.end_lineno + 1)
-            used = any(name == node.name and not (where == module and line in inside)
-                       for where, found in refs.items() for name, line in found)
+            used = any(found == name and not (where == module and line in inside)
+                       for where, names in refs.items() for found, line in names)
             if not used:
                 missing.append(qualified)
     return missing
 
 
 def test_every_public_function_is_used_in_src():
-    assert sorted(set(unreferenced()) - set(ALLOWED)) == []
+    missing = unreferenced(public_definitions)
+    assert sorted(set(missing) - set(ALLOWED)) == []
+
+
+def test_every_public_field_is_read_in_src():
+    missing = unreferenced(public_fields, fields=True)
+    assert sorted(set(missing) - set(ALLOWED)) == []

@@ -403,8 +403,11 @@ class TestConfigHandling:
         ({"measure": {"kind": "iid", "p0": 2}}, "'p0': 2"),
         ({"group": {"kind": "cyclic"}}, "'order'"),
         ({"eps_start": "1/0"}, "'1/0'"),
+        ({"start_level": -1}, "'start_level' cannot take -1"),
+        ({"rounds": -2}, "'rounds' cannot take -2"),
     ], ids=["rounds", "group", "flip-coords", "eps_start", "iid-p0",
-            "group-order", "eps_start-zero"])
+            "group-order", "eps_start-zero", "start_level-negative",
+            "rounds-negative"])
     def test_malformed_value_is_a_config_error(self, override, value,
                                                tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -250,6 +250,41 @@ def test_deep_adding_report_bytes(depth):
     assert certify_report(report.records) == []
 
 
+def test_deep_adding_second_refinement():
+    # round 1 of the two-round adding run (action depth 19, budget 20),
+    # and the refinement level its round 2 chooses from that record
+    config = preset("z2-adding", depth_budget=20,
+                    action={"kind": "adding-machine", "depth": 19})
+    [r] = run_theorem_02i(config).by_kind("round")
+    assert (r["refined_level"], r["working_depth"], r["eps"]) == (9, 10, "1/40")
+    assert r["witness"]["reserve"] == "125/3072"
+    # the change set includes the truncated odometer's undefined
+    # remainder, the words 1^19 and 0^19
+    assert Fraction(r["artifacts"]["change_mass"]["T+T~"]) == \
+        Fraction(1, 256) + 2 * Fraction(1, 2 ** 19)
+
+    model, mu = config.build_model(), config.build_measure()
+    action = config.build_action(2)
+    triple = Schedule.from_config(config).round_triple(1)
+    eps, _ = driver.round_eps(config, model, mu, triple, [r])
+    assert eps == Fraction(7, 640)
+    threshold = stepper.overflow_threshold(action, mu, eps)
+    assert threshold == Fraction(7, 1920)
+    m, hull = stepper.choose_refinement_depth(
+        action, 9, threshold, mu, r["working_depth"], config.depth_budget)
+    assert m == 19
+
+    # the level-m overflow of T and its inverse is the points whose first
+    # m coordinates are all 1 or all 0; freeing the first 9 leaves
+    # coordinates 10..m all 1 or all 0, of mass 2 * 2^(9 - m)
+    def hull_mass(level: int) -> Fraction:
+        return Fraction(2, 2 ** (level - 9))
+
+    assert stepper.overflow_hull(action, 9, 18).measure(mu) == hull_mass(18) \
+        == Fraction(1, 256)
+    assert hull.measure(mu) == hull_mass(19) == Fraction(1, 512)
+
+
 class TestIncrementReuse:
     def test_each_increment_is_computed_once(self, monkeypatch):
         made = []
@@ -1005,6 +1040,41 @@ class TestEvcSearch:
         records = [norm_bounded_pipeline(preset("sum-z", depth_budget=budget))
                    .by_kind("essential_values") for budget in (14, 18)]
         assert records[0] == records[1]
+
+
+class TestEssentialValueSweep:
+    """The terminal sweep: per candidate, one witness search on the final
+    potential for each neighborhood and nonempty base, at 1/(3 covering
+    number); the verdict is certified only if every search succeeds."""
+
+    def test_certified_sweep(self):
+        config = preset("z2-flips", u_indices=[0, 1])
+        report = run_theorem_02i(config)
+        model, mu = config.build_model(), config.build_measure()
+        f = driver._parse_table(model, report.by_kind("final")[0]["f"])
+        [sweep] = report.by_kind("essential_values")[0]["sweeps"]
+        assert sweep["candidate"] == "1" and sweep["verdict"] == "certified"
+        # neighborhoods outside, bases inside; U0 is the whole group
+        assert [(e["u_index"], e["base"], e["delta"]) for e in sweep["entries"]] \
+            == [(k, base, "1/3") for k in (0, 1) for base in ([""], ["0"], ["1"])]
+        for entry in sweep["entries"]:
+            k, base = entry["u_index"], CylinderSet.of(entry["base"])
+            witness = evc.check_evc(f, base, evc.target_set(model, 1, k),
+                                    Fraction(1, 3), mu, config.depth_budget)
+            assert entry["ok"] is True
+            assert entry["mass"] == str(witness.part.measure(mu))
+
+    def test_inconclusive_sweep(self):
+        # the constant identity has no kernel value 1, and the empty base
+        # gets no entry
+        report = run_theorem_02i(preset("z2-flips", rounds=0,
+                                        bases=["", []]))
+        [sweep] = report.by_kind("essential_values")[0]["sweeps"]
+        assert sweep == {"candidate": "1", "verdict": "inconclusive",
+                         "entries": [{"base": [""], "u_index": 1,
+                                      "delta": "1/3", "ok": False,
+                                      "mass": None}]}
+        assert certify_report(report.records) == []
 
 
 class TestExports:

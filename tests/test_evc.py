@@ -18,8 +18,8 @@ from cocyclelab.cocycles import StepFunction
 from cocyclelab.errors import (CocycleLabError, PostconditionFailure,
                                SearchExhausted, SizeGuard)
 from cocyclelab.evc import (EvcWitness, WitnessValidation, check_evc,
-                            delta_for, essential_value_certificate,
-                            skew_connectivity, target_set, validate_witness)
+                            delta_for, skew_connectivity, target_set,
+                            validate_witness)
 from cocyclelab.groups import (FreeAbelianGroup, cyclic_group,
                                symmetric_group_3)
 from cocyclelab.measure import (CylinderSet, ProductMeasure, all_words,
@@ -284,8 +284,8 @@ def word_validate_witness(f, base, target, delta, mu, part, theta):
         worst = max(worst, deviation(mu, w, img))
 
     def verdict(clause=None, detail=None):
-        return WitnessValidation(clause is None, clause, detail, part_inside,
-                                 image_inside, slack, misses, worst)
+        return WitnessValidation(clause, detail, part_inside, image_inside,
+                                 slack, misses, worst)
 
     if not part_inside:
         return verdict("part-inside", "B is not contained in A")
@@ -464,23 +464,6 @@ class TestDerivativeBoundary:
             assert check.clause == "derivative"
             assert check.detail == ("derivative deviation 1/2 is not below "
                                     "1/2")
-
-
-class TestEssentialValueCertificate:
-    def test_certified_sweep(self):
-        report = essential_value_certificate(
-            parity(3), 1, UNIFORM,
-            [CylinderSet.full(), CylinderSet.of(["0"])], [0, 1])
-        assert report.verdict == "certified"
-        assert len(report.entries) == 4
-        assert all(e.ok for e in report.entries)
-
-    def test_inconclusive_names_failure(self):
-        const = StepFunction.from_table(Z2, {w: 0 for w in all_words(2)})
-        report = essential_value_certificate(
-            const, 1, UNIFORM, [CylinderSet.full()], [1], search_depth=5)
-        assert report.verdict == "inconclusive"
-        assert next(e for e in report.entries if not e.ok).failure
 
 
 class TestSkewConnectivity:

@@ -85,11 +85,12 @@ class TestSymmetricGroupOracle:
             "e": 1, "r": 3, "r2": 3, "t01": 2, "t12": 2, "t02": 2}
 
     def test_transposition_class_is_all_transpositions(self):
-        cls = S3.conjugacy_class(S3.parse("t01"))
-        assert sorted(S3.format(m) for m in cls.members) == ["t01", "t02", "t12"]
-        # the members are exactly the conjugates of the base
-        assert set(cls.members) == {S3.conjugate(cls.base, x)
-                                    for x in S3.elements()}
+        g = S3.parse("t01")
+        cls = S3.conjugacy_class(g)
+        assert sorted(S3.format(m) for m in cls) == ["t01", "t02", "t12"]
+        # the members are exactly the conjugates of g, sorted by key
+        assert set(cls) == {S3.conjugate(g, x) for x in S3.elements()}
+        assert list(cls) == sorted(cls, key=S3.key)
 
     def test_inverses(self):
         for label in ("t01", "t12", "t02"):
@@ -103,7 +104,7 @@ def brute_min_cover(model, g, u_index) -> tuple[int, tuple]:
     """The lexicographically least minimum cover of the class of g by
     translates U c, c in the class: every subset of the class is tried,
     by size, then in key order."""
-    cls = sorted(model.conjugacy_class(g).members, key=model.key)
+    cls = sorted(model.conjugacy_class(g), key=model.key)
     u = model.neighborhood(u_index)
     translates = [(c, frozenset(model.key(model.mul(x, c)) for x in u))
                   for c in cls]
@@ -133,7 +134,7 @@ class TestCoveringNumbers:
         cover = covering_number(model, g, u)
         assert cover.number == brute_min_cover(model, g, u)[0] == expected
         # returned centers actually cover the class
-        cls = model.conjugacy_class(g).members
+        cls = model.conjugacy_class(g)
         uset = model.neighborhood(u)
         hit = {model.key(model.mul(x, c))
                for c in cover.centers for x in uset}
@@ -143,8 +144,10 @@ class TestCoveringNumbers:
     @pytest.mark.parametrize("model", FINITE, ids=lambda m: m.name)
     def test_every_element_against_brute_force(self, model, u):
         for g in model.elements():
-            assert covering_number(model, g, u) == Cover(
-                *brute_min_cover(model, g, u)), model.format(g)
+            number, centers = brute_min_cover(model, g, u)
+            cover = covering_number(model, g, u)
+            assert cover == Cover(centers), model.format(g)
+            assert cover.number == number
 
     def test_class_beyond_brute_force(self):
         # the 81 elements of (S3 x S3) x (S3 x S3) that are transpositions
@@ -154,10 +157,10 @@ class TestCoveringNumbers:
         model = DirectProductGroup(DirectProductGroup(S3, S3),
                                    DirectProductGroup(S3, S3))
         g = ((t, t), (t, t))
-        members = model.conjugacy_class(g).members
+        members = model.conjugacy_class(g)
         assert len(members) == 81
-        assert covering_number(model, g, 1) == Cover(81, members)
-        assert covering_number(model, g, 0) == Cover(1, members[:1])
+        assert covering_number(model, g, 1) == Cover(members)
+        assert covering_number(model, g, 0) == Cover(members[:1])
 
     @pytest.mark.parametrize("model,label,u,expected", CASES)
     def test_delta_formula(self, model, label, u, expected):
@@ -171,7 +174,7 @@ class TestConjugacyAndClosure:
         for model in (S3, D4):
             for g in model.elements():
                 cls = {model.key(c)
-                       for c in model.conjugacy_class(g).members}
+                       for c in model.conjugacy_class(g)}
                 naive = {model.key(model.mul(model.mul(x, g), model.inv(x)))
                          for x in model.elements()}
                 assert cls == naive

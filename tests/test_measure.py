@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cocyclelab.errors import DepthMismatch
+from cocyclelab.errors import DepthMismatch, MalformedInput
 from cocyclelab.measure import (ONE, ZERO, CylinderSet, ProductMeasure,
                                 all_words, check_word, index_word,
                                 word_index, worst_deviation)
@@ -188,6 +188,34 @@ def test_canonical_merge():
     assert CylinderSet.of(["0", "1"]).words == ("",)
     assert CylinderSet.full().is_full()
     assert CylinderSet.empty().is_empty()
+
+
+@pytest.mark.parametrize("depth,edges,same", [
+    (3, (0, 8), CylinderSet.full()),
+    (2, (), CylinderSet.empty()),
+    (4, (4, 8, 12, 16), CylinderSet.of(["01", "11"])),
+])
+def test_constructor_canonicalizes(depth, edges, same):
+    # the constructor is the one canonical form: the whole space at depth
+    # 3 is the whole space, with its fields and its hash
+    s = CylinderSet(depth, edges)
+    assert s == same and hash(s) == hash(same)
+    assert (s.max_depth, s.edges) == (same.max_depth, same.edges)
+    assert s.is_full() == same.is_full() and s.is_empty() == same.is_empty()
+
+
+@pytest.mark.parametrize("depth,edges", [
+    (2, (3, 1)),         # descending: no words, yet not the empty set
+    (2, (1, 1)),         # an empty range
+    (2, (0, 1, 1, 2)),   # touching ranges, not coalesced
+    (2, (0, 1, 2)),      # odd in count
+    (2, (-1, 1)),        # negative
+    (2, (0, 5)),         # beyond the 4 words of depth 2
+    (-1, ()),
+])
+def test_constructor_rejects_malformed_edges(depth, edges):
+    with pytest.raises(MalformedInput):
+        CylinderSet(depth, edges)
 
 
 def test_csv_round_trip():

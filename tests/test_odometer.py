@@ -173,18 +173,29 @@ class TestFiniteDepthMap:
         assert tau.word_moves() == []
 
 
+def pairs_of(tau: FiniteDepthMap) -> tuple[tuple[str, str], ...]:
+    """The 2-cycles of an involution as word pairs, smaller word first,
+    read off its words one by one."""
+    return tuple((w, map_apply(tau, w)) for w in all_words(tau.depth)
+                 if w < map_apply(tau, w))
+
+
+def fixed_of(tau: FiniteDepthMap) -> CylinderSet:
+    """The words an involution keeps: the unpaired remainder."""
+    return CylinderSet.of(w for w in all_words(tau.depth)
+                          if map_apply(tau, w) == w)
+
+
 class TestExchangeInvolution:
     def test_uniform_halves_pair_exactly(self):
-        res = exchange_involution(UNIFORM, Fraction(1, 4), 4, Fraction(1, 4))
-        assert res.tau.depth == 1 and res.pairs == ((0, 1),)
-        assert res.fixed.is_empty()
+        tau = exchange_involution(UNIFORM, Fraction(1, 4), 4, Fraction(1, 4))
+        assert tau.depth == 1 and pairs_of(tau) == (("0", "1"),)
+        assert fixed_of(tau).is_empty()
 
     def test_biased_equal_measure_pair(self):
-        res = exchange_involution(BIASED, Fraction(1, 4), 6, Fraction(1, 4))
+        tau = exchange_involution(BIASED, Fraction(1, 4), 6, Fraction(1, 4))
         # words 01 and 10 have equal mass 2/9 and must end up matched
-        depth = res.tau.depth
-        pairs = [(index_word(a, depth), index_word(b, depth))
-                 for a, b in res.pairs]
+        pairs = pairs_of(tau)
         paired = {frozenset(p) for p in pairs}
         assert any({a, b} <= {"01", "10"} or (a[:2], b[:2]) == ("01", "10")
                    for a, b in pairs) or frozenset(("01", "10")) in paired
@@ -195,37 +206,37 @@ class TestExchangeInvolution:
         (BIASED, Fraction(1, 40)),
     ])
     def test_involution_contract(self, mu, eps):
-        res = exchange_involution(mu, eps, 10, eps)
+        tau = exchange_involution(mu, eps, 10, eps)
         # involution: tau o tau = id, pairs disjoint from fixed, and
         # together they cover the whole space
-        first, second = res.first_sides(), res.second_sides()
+        pairs, fixed = pairs_of(tau), fixed_of(tau)
+        first = CylinderSet.of(a for a, _ in pairs)
+        second = CylinderSet.of(b for _, b in pairs)
         assert first.intersection(second).is_empty()
-        covered = first.union(second).union(res.fixed)
+        covered = first.union(second).union(fixed)
         assert covered == CylinderSet.full()
-        assert res.fixed.intersection(first.union(second)).is_empty()
-        assert res.fixed.measure(mu) < eps
-        level = res.tau.depth
-        for a, b in res.pairs:
-            r = (mu.cylinder(index_word(b, level))
-                 / mu.cylinder(index_word(a, level)))
+        assert fixed.intersection(first.union(second)).is_empty()
+        assert fixed.measure(mu) < eps
+        for a, b in pairs:
+            r = mu.cylinder(b) / mu.cylinder(a)
             assert abs(r - 1) < eps and abs(1 / r - 1) < eps
-        for w in words_at(first.union(second), level):
-            img = map_apply(res.tau, w)
-            assert img != w and map_apply(res.tau, img) == w
+        for w in words_at(first.union(second), tau.depth):
+            img = map_apply(tau, w)
+            assert img != w and map_apply(tau, img) == w
 
     def test_leftover_budget_tightens_fixed_mass(self):
-        res = exchange_involution(BIASED, Fraction(1, 4), 12, Fraction(1, 100))
-        assert res.fixed.measure(BIASED) < Fraction(1, 100)
+        tau = exchange_involution(BIASED, Fraction(1, 4), 12, Fraction(1, 100))
+        assert fixed_of(tau).measure(BIASED) < Fraction(1, 100)
 
     @pytest.mark.parametrize("eps,paired", [
         (Fraction(1), False), (Fraction(1001, 1000), True)])
     def test_ratio_pass_is_strict(self, eps, paired):
         # under BIASED the words 0 and 1 weigh 1/3 and 2/3: moving 0 to 1
         # has derivative deviation exactly 1, which eps = 1 must refuse
-        res = exchange_involution(BIASED, eps, 1, Fraction(2))
-        assert res.pairs == (((0, 1),) if paired else ())
-        assert res.fixed == (CylinderSet.empty() if paired
-                             else CylinderSet.full())
+        tau = exchange_involution(BIASED, eps, 1, Fraction(2))
+        assert pairs_of(tau) == ((("0", "1"),) if paired else ())
+        assert fixed_of(tau) == (CylinderSet.empty() if paired
+                                 else CylinderSet.full())
 
     def test_budget_exhausted_when_too_shallow(self):
         with pytest.raises(BudgetExhausted):

@@ -18,8 +18,8 @@ from cocyclelab.errors import (ConfigError, DepthExhausted, EmptyCore,
                                PostconditionFailure)
 from cocyclelab.groups import cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
-from cocyclelab.odometer import (FiniteDepthMap, InvolutionResult,
-                                 adding_machine_action, flip_action)
+from cocyclelab.odometer import (FiniteDepthMap, adding_machine_action,
+                                 flip_action)
 from cocyclelab.stepper import (CERTIFICATE_ORDER, StepArtifacts, StepInput,
                                 construct_step, discard_set,
                                 fingerprint_partition, image_safe_tolerance,
@@ -98,8 +98,8 @@ class TestReferenceCase:
         assert out.h == 1
         assert out.delta == Fraction(1, 3)
         assert image_safe_tolerance(inp.action, inp.mu, inp.eps) == Fraction(1, 8)
-        assert overflow_hull(inp.action, inp.n, out.m,
-                             inp.mu).hull_mass == Fraction(1, 16)
+        assert overflow_hull(inp.action, inp.n,
+                             out.m).measure(inp.mu) == Fraction(1, 16)
         assert out.core.measure(inp.mu) == Fraction(15, 32)
         assert all(c.ok for c in out.certificates)
         # eps = 1/4 deliberately exceeds the mass/(40 covering) admission
@@ -125,11 +125,14 @@ class TestReferenceCase:
         out = construct_step(inp)
         on = CylinderSet.of([w for w in all_words(out.f_tilde.depth)
                              if step_at(out.f_tilde, w) == 1])
-        involution, b_set = discard_set(
-            inp, overflow_hull(inp.action, inp.n, out.m, inp.mu))
+        tau, b_set = discard_set(
+            inp, out.m, overflow_hull(inp.action, inp.n, out.m))
         assert b_set == out.b_set
-        a_set = involution.first_sides().prepend_free(out.m)
-        c_set = involution.second_sides().prepend_free(out.m)
+        # the exchange sides: the suffix words tau moves up, and down
+        up = [s for s, t in enumerate(tau.table) if s < t]
+        down = [s for s, t in enumerate(tau.table) if s > t]
+        a_set = CylinderSet.from_indices(tau.depth, up).prepend_free(out.m)
+        c_set = CylinderSet.from_indices(tau.depth, down).prepend_free(out.m)
         assert on == c_set.difference(b_set)
         assert out.core.difference(a_set).is_empty()
 
@@ -442,8 +445,7 @@ class TestDerivativeBoundary:
             image_safe_tolerance(inp.action, inp.mu, inp.eps),
             inp.action.max_distortion_sum(inp.mu), selection,
             fingerprint_partition(inp.f, selection.z0, inp.n, inp.mu),
-            overflow_hull(inp.action, inp.n, out.m, inp.mu),
-            InvolutionResult(flip, CylinderSet.empty()),
+            overflow_hull(inp.action, inp.n, out.m), flip,
             theta, out.core.measure(inp.mu), out.m)
         return {c.clause: c for c in certificates}
 
