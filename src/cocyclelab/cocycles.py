@@ -27,22 +27,11 @@ from .errors import DepthMismatch
 from .groups import GroupModel, Element
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
                       word_index)
-from .odometer import GammaAction, PiecewiseCylinderMap
+from .odometer import Flip, GammaAction, Odometer
 
 HALF = Fraction(1, 2)
 
 KERNEL_EXPORT_DEPTH = 8  # deepest potential whose kernel is exported as CSV
-
-
-def _refined(values: tuple, depth: int, finer: int) -> tuple:
-    """A depth-`depth` value tuple restated at depth `finer`: each value
-    repeated over the extensions of its word."""
-    if finer < depth:
-        raise DepthMismatch(f"cannot restate depth {depth} at depth {finer}")
-    if finer == depth:
-        return values
-    return tuple(chain.from_iterable(repeat(v, 1 << (finer - depth))
-                                     for v in values))
 
 
 @dataclass(frozen=True)
@@ -97,13 +86,17 @@ class StepFunction:
 
     def values_at(self, depth: int) -> tuple:
         """The values restated at `depth`, at least this function's own,
-        by word index.  Kept per depth on the function."""
+        by word index: each value repeated over the extensions of its
+        word.  Kept per depth on the function."""
         if depth == self.depth:
             return self.values
         values = self._refinements.get(depth)
         if values is None:
-            values = self._refinements[depth] = _refined(
-                self.values, self.depth, depth)
+            if depth < self.depth:
+                raise DepthMismatch(
+                    f"cannot restate depth {self.depth} at depth {depth}")
+            values = self._refinements[depth] = tuple(chain.from_iterable(
+                repeat(v, 1 << (depth - self.depth)) for v in self.values))
         return values
 
     def value_set(self) -> tuple:
@@ -155,7 +148,7 @@ class PartialStepFunction(StepFunction):
 
 
 def coboundary_increment(f: StepFunction,
-                         sigma: PiecewiseCylinderMap) -> PartialStepFunction:
+                         sigma: Odometer | Flip) -> PartialStepFunction:
     """The increment x -> f(sigma x) f(x)^-1 at the depth of `f` or of
     `sigma`, whichever is deeper, None on the remainder of the
     truncated `sigma`.
@@ -197,7 +190,7 @@ def increments_within(f: StepFunction, action: GammaAction,
     keys = {f.model.key(f.model.identity())}
     keys.update(f.model.key(h) for h in allowed)
     return all(v is None or f.model.key(v) in keys
-               for _, g in action.generators
+               for g in action.generators
                for v in set(coboundary_increment(f, g).values))
 
 
@@ -244,11 +237,11 @@ def increment_agreement(old: StepFunction, new: StepFunction,
     defined and equals that of `old`; undecided truncation mass is
     excluded (conservative)."""
     agreement: dict[str, CylinderSet] = {}
-    for label, g in action.generators:
+    for g in action.generators:
         u_old = coboundary_increment(old, g)
         u_new = coboundary_increment(new, g)
         e = max(u_old.depth, u_new.depth)
-        agreement[label] = CylinderSet.from_indices(e, [
+        agreement[g.label] = CylinderSet.from_indices(e, [
             i for i, (a, b) in enumerate(zip(u_old.values_at(e),
                                              u_new.values_at(e)))
             if a is not None and a == b])

@@ -37,8 +37,8 @@ from .evc import (check_evc, delta_for, skew_connectivity, target_set,
 from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
                      model_from_config)
 from .measure import ZERO, CylinderSet, ProductMeasure, all_words
-from .odometer import (FiniteDepthMap, GammaAction, adding_machine_action,
-                       coordinate_flip, flip_action)
+from .odometer import (FiniteDepthMap, Flip, GammaAction,
+                       adding_machine_action, flip_action)
 from .stepper import (CERTIFICATE_ORDER, StepArtifacts, StepCheck, StepInput,
                       admission_bound, construct_step, discard_set,
                       image_safe_tolerance, overflow_hull,
@@ -105,7 +105,7 @@ class PipelineConfig:
             bases=read("bases", word_tuples, [""]),
             u_indices=read("u_indices", lambda v: tuple(int(k) for k in v), [1]),
             rounds=read("rounds", count, 1),
-            depth_budget=read("depth_budget", int, 14),
+            depth_budget=read("depth_budget", count, 14),
             start_level=read("start_level", count, 1),
             eps_start=read("eps_start", lambda v: v if v is None
                            else str(Fraction(str(v))), None),
@@ -377,8 +377,12 @@ def _reads_report(read: Callable) -> Callable:
 
 @_reads_report
 def load_report(path: str) -> list[dict]:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            return [json.loads(line) for line in fh if line.strip()]
+    except OSError as exc:
+        raise MalformedInput(f"cannot read the report {path!r} "
+                             f"({type(exc).__name__}: {exc.strerror})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +627,9 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
         "closure": sorted(model.format(h) for h in closure),
         "ok": increments_within(f_final, action, closure),
         "per_generator": {
-            label: sorted(model.format(v)
-                          for v in coboundary_increment(f_final, g).value_set())
-            for label, g in action.generators},
+            g.label: sorted(model.format(v)
+                            for v in coboundary_increment(f_final, g).value_set())
+            for g in action.generators},
     })
 
     if config.enumerated:
@@ -714,8 +718,8 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     rows = []
     for idx in range(len(functions) - 1):
         act = config.build_action(max(idx, 1)) if config.enumerated else action
-        old = [coboundary_increment(functions[idx], g) for g in act.maps()]
-        new = [coboundary_increment(f_final, g) for g in act.maps()]
+        old = [coboundary_increment(functions[idx], g) for g in act.generators]
+        new = [coboundary_increment(f_final, g) for g in act.generators]
         dist = cocycle_distance(old, new, mu)
         tail = sum(eps_history[idx:], ZERO)
         rows.append({
@@ -753,7 +757,7 @@ def _stream_record(config: PipelineConfig, model: GroupModel,
                       for a in values for b in values})
         allowed = set(k_j) | {model.key(h) for h in closure}
         allowed.add(model.key(model.identity()))
-        inc = coboundary_increment(f_final, coordinate_flip(j))
+        inc = coboundary_increment(f_final, Flip(j))
         realized = sorted(model.key(v) for v in inc.value_set())
         rows.append({
             "generator": f"s{j}",
@@ -811,11 +815,11 @@ def _norm_bounds(config: PipelineConfig, model: GroupModel, closure: tuple,
         raise ConfigError("the group model carries no norm")
     rows = {}
     worst = ZERO
-    for label, g in config.build_action(config.rounds).generators:
+    for g in config.build_action(config.rounds).generators:
         inc = coboundary_increment(f_final, g)
         c = max((model.norm(v) for v in inc.value_set()), default=ZERO)
         worst = max(worst, c)
-        rows[label] = {"c": _frac(c), "ok": c <= sup}
+        rows[g.label] = {"c": _frac(c), "ok": c <= sup}
     return {
         "record": "norm_bounds",
         "sup_family_norm": _frac(sup),
@@ -891,6 +895,24 @@ def _load_checkpoint(config: PipelineConfig,
 SEARCHED = ("essential_values",)
 
 
+def _search_problem(stored, delta: Fraction,
+                    base_mass: Fraction) -> Optional[str]:
+    """What a round's stored witness-search outcome gets wrong, or None.
+    The record keeps no witness, so the search is not rerun: a found
+    witness must hold its slack mass - delta * mu(base) and a mass in
+    (0, mu(base)], an exhausted search only its keys."""
+    keys = sorted(stored) if isinstance(stored, Mapping) else None
+    if (keys not in (["failure", "ok"], ["mass", "measure_slack", "ok"])
+            or stored["ok"] is not ("mass" in stored)):
+        return "neither a found witness's nor an exhausted search's keys and ok"
+    if stored["ok"]:
+        mass, slack = Fraction(stored["mass"]), Fraction(stored["measure_slack"])
+        if slack != mass - delta * base_mass or not 0 < mass <= base_mass:
+            return (f"mass {mass} and slack {slack}, against mu(base) "
+                    f"{base_mass} and delta {delta}")
+    return None
+
+
 def _first_difference(stored: Mapping, rebuilt: Mapping) -> Optional[str]:
     """The first key, in sorted order, on which two records differ."""
     return next((key for key in sorted(set(stored) | set(rebuilt))
@@ -954,6 +976,10 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         theta = FiniteDepthMap.from_moves(f.depth, rec["witness"]["moves"])
         core = CylinderSet.of(rec["witness"]["core"])
         delta = Fraction(rec["delta"])
+        problem = _search_problem(rec.get("conditions", {}).get("evc_search"),
+                                  delta, triple.base().measure(mu))
+        if problem is not None:
+            fail("conditions.evc_search", where, problem)
         replay = StepArtifacts(f, theta, core, rec["refined_level"],
                                model.parse(rec["conjugate"]), delta)
         inp = step_input(config, model, mu, action, triple, functions[i], n,

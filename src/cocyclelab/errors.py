@@ -73,4 +73,5 @@ class ConfigError(CocycleLabError):
 
 class MalformedInput(CocycleLabError, ValueError):
     """A word or an element label in a config or a stored report is not
-    one this package can name; it is a ValueError as well."""
+    one this package can name, or a report cannot be read; it is a
+    ValueError as well."""

@@ -5,11 +5,11 @@ Two kinds of maps are used throughout:
 * :class:`FiniteDepthMap` -- a permutation of the depth-M words, extended
   to sequences by keeping every coordinate beyond M.  These are exactly
   the full-group elements of the level-M finite relation.
-* :class:`PiecewiseCylinderMap` -- a countable cylinder-exchange map
-  truncated at a working depth: finitely many pieces, each rewriting one
-  source prefix to an equal-length target prefix, plus an explicit
-  undefined remainder.  The dyadic adding machine and coordinate flips
-  are built this way.
+* the action's generators, each a rule: :class:`Odometer`, the dyadic
+  adding machine truncated at a declared depth, whose carry past that
+  depth is an explicit undefined remainder, and :class:`Flip`, which
+  flips one coordinate.  Each reads off its own index table, overflow
+  set and distortion in closed form, without listing words.
 
 Both kinds preserve the tail relation by construction: a point and its
 image agree beyond the rewritten prefix.
@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import BudgetExhausted, ConfigError, DepthMismatch, MalformedInput
-from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
+from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word,
                       check_word, index_word, word_index)
 
 
@@ -47,10 +46,6 @@ class FiniteDepthMap:
                 f"at depth {self.depth}")
         if sorted(self.table) != list(range(1 << self.depth)):
             raise MalformedInput("the moves must permute their own words")
-
-    @cached_property
-    def _index_maps(self) -> dict:
-        return {}
 
     @staticmethod
     def identity(depth: int) -> "FiniteDepthMap":
@@ -84,114 +79,114 @@ class FiniteDepthMap:
 
     def index_map(self, depth: int) -> tuple[int, ...]:
         """The table restated at `depth`, at least the map's own: entry i
-        is the index of the image of the depth-`depth` word with index i.
-        Kept per depth on the map."""
+        is the index of the image of the depth-`depth` word with index i."""
+        if depth < self.depth:
+            raise DepthMismatch(
+                f"word of depth {depth} too shallow for depth-{self.depth} map")
         if depth == self.depth:
             return self.table
-        table = self._index_maps.get(depth)
-        if table is None:
-            if depth < self.depth:
-                raise DepthMismatch(
-                    f"word of depth {depth} too shallow for depth-{self.depth} map")
-            span = 1 << (depth - self.depth)
-            table = self._index_maps[depth] = tuple(chain.from_iterable(
-                range(j * span, (j + 1) * span) for j in self.table))
-        return table
+        span = 1 << (depth - self.depth)
+        return tuple(chain.from_iterable(
+            range(j * span, (j + 1) * span) for j in self.table))
 
 
 @dataclass(frozen=True)
-class PiecewiseCylinderMap:
-    """Prefix-rewriting map with an explicit undefined remainder.
+class Odometer:
+    """The dyadic adding machine truncated at `depth`: it adds `step` (1
+    for T, -1 for T~) to the sequence read least significant coordinate
+    first.  T turns 1^k 0 into 0^k 1 for each k < depth; the carry past
+    coordinate `depth`, on 1^depth (0^depth for T~), is undecided, and
+    those points are the map's undefined remainder."""
 
-    ``pieces`` is a tuple of (source, target) words of equal length per
-    piece; sources are pairwise disjoint cylinders and so are targets.
-    The map sends ``source + tail`` to ``target + tail``.  Points in no
-    source cylinder are outside the truncated domain; that remainder is
-    reported, never silently mapped.
-    """
-
-    name: str
-    pieces: tuple[tuple[Word, Word], ...]
+    depth: int
+    step: int
 
     def __post_init__(self):
-        srcs = [s for s, _ in self.pieces]
-        tgts = [t for _, t in self.pieces]
-        for s, t in self.pieces:
-            if len(s) != len(t):
-                raise DepthMismatch(f"piece {s}->{t} has unequal depths")
-            check_word(s), check_word(t)
-        for col in (srcs, tgts):
-            seen = sorted(col)
-            for i in range(len(seen) - 1):
-                if seen[i + 1].startswith(seen[i]):
-                    raise ValueError(f"{self.name}: overlapping piece cylinders {seen[i]}, {seen[i+1]}")
+        if self.depth < 1 or self.step not in (1, -1):
+            raise ValueError("depth must be >= 1 and step 1 or -1")
+
+    @property
+    def label(self) -> str:
+        return "T" if self.step == 1 else "T~"
 
     @property
     def max_depth(self) -> int:
-        return max((len(s) for s, _ in self.pieces), default=0)
+        return self.depth
 
-    def remainder(self) -> CylinderSet:
-        """Cylinders where the truncated map is undefined."""
-        return CylinderSet.of(s for s, _ in self.pieces).complement()
+    def inverse(self) -> "Odometer":
+        return Odometer(self.depth, -self.step)
 
-    @cached_property
-    def _index_maps(self) -> dict:
-        return {}
+    def overflow(self, level: int) -> CylinderSet:
+        """The points whose carry reaches past `level`, the remainder
+        among them: the cylinder 1^k (0^k for T~), k = min(level, depth)."""
+        k = min(level, self.depth)
+        i = (1 << k) - 1 if self.step == 1 else 0
+        return CylinderSet(k, (i, i + 1))
 
     def index_map(self, depth: int) -> tuple[int, ...]:
         """The map on all depth-`depth` words at once, by word index (see
         `word_index`): entry i is the index of the image of word i, or -1
-        on the remainder.  Each piece maps one contiguous index range
-        onto another.  Kept per depth on the map."""
-        table = self._index_maps.get(depth)
-        if table is None:
-            if depth < self.max_depth:
-                raise DepthMismatch(
-                    f"depth {depth} too shallow to decide the pieces of {self.name}")
-            out = [-1] * (1 << depth)
-            for s, t in self.pieces:
-                size = 1 << (depth - len(s))
-                start, image = word_index(s) * size, word_index(t) * size
-                out[start:start + size] = range(image, image + size)
-            table = self._index_maps[depth] = tuple(out)
-        return table
-
-    def inverse(self) -> "PiecewiseCylinderMap":
-        inv_name = self.name[:-1] if self.name.endswith("~") else self.name + "~"
-        return PiecewiseCylinderMap(inv_name, tuple((t, s) for s, t in self.pieces))
-
-    @cached_property
-    def _distortions(self) -> dict:
-        return {}
+        on the remainder.  The carry of length k maps one block of
+        2^(depth - k - 1) indices onto another."""
+        if depth < self.depth:
+            raise DepthMismatch(f"depth {depth} too shallow to decide the "
+                                f"carries of {self.label}")
+        out = [-1] * (1 << depth)
+        for k in range(self.depth):
+            # 1^k 0 and 0^k 1 have the indices 2^(k+1) - 2 and 1 at depth
+            # k + 1; T maps the first onto the second, T~ the reverse
+            s, t = ((2 << k) - 2, 1)[::self.step]
+            size = 1 << (depth - k - 1)
+            out[s * size:(s + 1) * size] = range(t * size, (t + 1) * size)
+        return tuple(out)
 
     def distortion(self, mu: ProductMeasure) -> Fraction:
-        """max over pieces of measure(target)/measure(source).  Kept per
-        measure on the map."""
-        worst = self._distortions.get(mu)
-        if worst is None:
-            worst = self._distortions[mu] = max(
-                [ONE] + [mu.ratio(s, t) for s, t in self.pieces])
-        return worst
+        """The largest derivative d(mu o map)/d(mu) over the carries, and
+        1: mu(0^k 1) / mu(1^k 0) for T, the inverse ratio for T~."""
+        return max([ONE] + [mu.ratio(*("1" * k + "0", "0" * k + "1")[::self.step])
+                            for k in range(self.depth)])
 
 
-def adding_machine(depth: int) -> PiecewiseCylinderMap:
-    """Binary odometer (least significant coordinate first), truncated so
-    that carries of length `depth` land in the undefined remainder."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    pieces = tuple(("1" * k + "0", "0" * k + "1") for k in range(depth))
-    return PiecewiseCylinderMap("T", pieces)
+@dataclass(frozen=True)
+class Flip:
+    """The involution flipping coordinate `coord` (1-based)."""
 
+    coord: int
 
-def coordinate_flip(coord: int) -> PiecewiseCylinderMap:
-    """The involution flipping coordinate `coord` (1-based); depth `coord`."""
-    if coord < 1:
-        raise ValueError("coordinate must be >= 1")
-    pieces = []
-    for w in all_words(coord):
-        flipped = w[:-1] + ("1" if w[-1] == "0" else "0")
-        pieces.append((w, flipped))
-    return PiecewiseCylinderMap(f"s{coord}", tuple(pieces))
+    def __post_init__(self):
+        if self.coord < 1:
+            raise ValueError("coordinate must be >= 1")
+
+    @property
+    def label(self) -> str:
+        return f"s{self.coord}"
+
+    @property
+    def max_depth(self) -> int:
+        return self.coord
+
+    def inverse(self) -> "Flip":
+        return self
+
+    def overflow(self, level: int) -> CylinderSet:
+        """The points the flip throws out of their level-`level` class:
+        all of them when `coord` is beyond `level`, else none."""
+        return CylinderSet.full() if self.coord > level else CylinderSet.empty()
+
+    def index_map(self, depth: int) -> tuple[int, ...]:
+        """The map on all depth-`depth` words at once, by word index:
+        block b of 2^(depth - coord) indices maps onto block b ^ 1."""
+        if depth < self.coord:
+            raise DepthMismatch(f"depth {depth} too shallow to decide {self.label}")
+        size = 1 << (depth - self.coord)
+        return tuple(chain.from_iterable(
+            range((b ^ 1) * size, ((b ^ 1) + 1) * size)
+            for b in range(1 << self.coord)))
+
+    def distortion(self, mu: ProductMeasure) -> Fraction:
+        """The larger derivative of the flip at coordinate `coord`, and 1."""
+        zero, one = "0" * self.coord, "0" * (self.coord - 1) + "1"
+        return max(ONE, mu.ratio(zero, one), mu.ratio(one, zero))
 
 
 @dataclass(frozen=True)
@@ -200,54 +195,40 @@ class GammaAction:
 
     ``generators`` fixes the enumeration order used for distances and
     reports.  Symmetry is structural: for every generator its inverse
-    map (pieces reversed) must also appear in the list.
+    must also appear in the list.
     """
 
-    name: str
-    generators: tuple[tuple[str, PiecewiseCylinderMap], ...]
+    generators: tuple[Odometer | Flip, ...]
 
     def __post_init__(self):
         self.inverse_groups()
 
     def inverse_groups(self) -> list[tuple[str, ...]]:
         """The generator labels in inverse-closed groups, in list order: a
-        self-inverse generator alone, otherwise the generator with the
-        first listed generator inverse to it.  Per-generator ledgers are
-        kept per group, so they stay well-defined.  Raises
-        :class:`ConfigError` when some generator's inverse is missing."""
-        first_label: dict[frozenset, str] = {}
-        for label, g in self.generators:
-            first_label.setdefault(frozenset(g.pieces), label)
+        self-inverse generator alone, otherwise the generator with its
+        inverse.  Per-generator ledgers are kept per group, so they stay
+        well-defined.  Raises :class:`ConfigError` when some generator's
+        inverse is missing."""
         out: list[tuple[str, ...]] = []
-        seen: set[str] = set()
-        for label, g in self.generators:
-            inverse = frozenset((t, s) for s, t in g.pieces)
-            if inverse not in first_label:
-                raise ConfigError(f"action {self.name} is not symmetric: "
-                                  "missing inverse of a generator")
-            if label in seen:
-                continue
-            pieces = frozenset(g.pieces)
-            group = (label,) if inverse == pieces else (label, first_label[inverse])
-            out.append(group)
-            seen.update(group)
+        for g in self.generators:
+            inverse = g.inverse()
+            if inverse not in self.generators:
+                raise ConfigError(f"the action is not symmetric: the inverse "
+                                  f"of {g.label} is missing")
+            if all(g.label not in group for group in out):
+                out.append((g.label,) if inverse == g else (g.label, inverse.label))
         return out
 
-    def maps(self) -> list[PiecewiseCylinderMap]:
-        return [g for _, g in self.generators]
-
     def max_distortion_sum(self, mu: ProductMeasure) -> Fraction:
-        return sum((g.distortion(mu) for _, g in self.generators), ZERO)
+        return sum((g.distortion(mu) for g in self.generators), ZERO)
 
 
 def adding_machine_action(depth: int) -> GammaAction:
-    t = adding_machine(depth)
-    return GammaAction("adding-machine", (("T", t), ("T~", t.inverse())))
+    return GammaAction((Odometer(depth, 1), Odometer(depth, -1)))
 
 
 def flip_action(coords: Sequence[int]) -> GammaAction:
-    gens = tuple((f"s{c}", coordinate_flip(c)) for c in sorted(coords))
-    return GammaAction("coordinate-flips", gens)
+    return GammaAction(tuple(Flip(c) for c in sorted(coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +242,8 @@ def orbit_overflow(action: GammaAction, level: int) -> CylinderSet:
     if level < 0:
         raise ValueError("level must be >= 0")
     over = CylinderSet.empty()
-    for _, g in action.generators:
-        escaping = [s for s, t in g.pieces if len(s) > level and s[level:] != t[level:]]
-        if escaping:
-            over = over.union(CylinderSet.of(escaping))
-        over = over.union(g.remainder())
+    for g in action.generators:
+        over = over.union(g.overflow(level))
     return over
 
 

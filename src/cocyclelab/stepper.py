@@ -554,8 +554,8 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     agree = CylinderSet.full()
     for same in agreement.values():
         agree = agree.intersection(same)
-    old_inc = [coboundary_increment(f, g) for g in action.maps()]
-    new_inc = [coboundary_increment(f_tilde, g) for g in action.maps()]
+    old_inc = [coboundary_increment(f, g) for g in action.generators]
+    new_inc = [coboundary_increment(f_tilde, g) for g in action.generators]
     return StepCheck(
         eps=eps, m=m, delta=out.delta, required_delta=required_delta,
         cover_number=cover.number,

@@ -309,6 +309,19 @@ class TestMalformedReport:
         assert rc == 1 and out == ""
         assert json.loads(err.strip())["error"] == "MalformedInput"
 
+    @pytest.mark.parametrize("command", ["certify", "export"])
+    @pytest.mark.parametrize("where", ["missing", "directory"])
+    def test_unreadable_path(self, command, where, tmp_path, capsys):
+        path = tmp_path / "absent.jsonl" if where == "missing" else tmp_path
+        rc, out, err = run_cli(capsys, command, str(path),
+                               *(["--out", str(tmp_path / "csv")]
+                                 if command == "export" else []))
+        assert rc == 1 and out == ""
+        [line] = err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "MalformedInput"
+        assert str(path) in record["message"]
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_SUM_Z))
     def test_sum_z_certify_reports_an_error_record(self, case, sum_z_lines,
                                                    tmp_path, capsys):
@@ -405,9 +418,10 @@ class TestConfigHandling:
         ({"eps_start": "1/0"}, "'1/0'"),
         ({"start_level": -1}, "'start_level' cannot take -1"),
         ({"rounds": -2}, "'rounds' cannot take -2"),
+        ({"depth_budget": -1}, "'depth_budget' cannot take -1"),
     ], ids=["rounds", "group", "flip-coords", "eps_start", "iid-p0",
             "group-order", "eps_start-zero", "start_level-negative",
-            "rounds-negative"])
+            "rounds-negative", "depth_budget-negative"])
     def test_malformed_value_is_a_config_error(self, override, value,
                                                tmp_path, capsys):
         path = tmp_path / "bad.yaml"

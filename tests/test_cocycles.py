@@ -4,6 +4,7 @@ The kernel f(a) f(b)^-1 of a potential f is read back from its CSV
 export and held to the three kernel laws by `word_oracles.cocycle_check`.
 """
 import csv
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -18,10 +19,10 @@ from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
 from cocyclelab.errors import DepthMismatch
 from cocyclelab.groups import cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_index
-from cocyclelab.odometer import (PiecewiseCylinderMap, adding_machine,
-                                 adding_machine_action, coordinate_flip,
+from cocyclelab.odometer import (Flip, Odometer, adding_machine_action,
                                  flip_action, orbit_overflow)
-from word_oracles import apply_piece, cocycle_check, step_at
+from word_oracles import (apply_piece, cocycle_check, piece_remainder, pieces,
+                          step_at)
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -103,35 +104,39 @@ def undefined_indices(p: PartialStepFunction) -> list[int]:
     return [i for i, v in enumerate(p.values) if v is None]
 
 
+def unmapped_indices(sigma, depth: int) -> list[int]:
+    """The word indices the generator's index table marks -1."""
+    return [i for i, j in enumerate(sigma.index_map(depth)) if j < 0]
+
+
 class TestPartialStepFunction:
     def test_masked_region_is_undefined(self):
         # the depth-2 odometer maps 0x to 1x and 10 to 01; 11 carries out
-        sigma = adding_machine(2)
+        sigma = Odometer(2, 1)
         p = coboundary_increment(first_bit(2), sigma)
         assert isinstance(p, StepFunction)
-        assert undefined_indices(p) == sigma.remainder().indices(2) == [3]
+        assert undefined_indices(p) == unmapped_indices(sigma, 2) == [3]
         assert value_at(p, "01") == 1
         assert value_at(p, "11") is None
 
     def test_value_set_excludes_masked(self):
-        sigma = adding_machine(2)
+        sigma = Odometer(2, 1)
         p = coboundary_increment(first_bit(2), sigma)
-        assert undefined_indices(p) == sigma.remainder().indices(2)
+        assert undefined_indices(p) == unmapped_indices(sigma, 2)
         assert p.value_set() == (1,)
 
 
 class TestIncrements:
     def test_flip_increment_oracle(self):
         f = parity_function(3)
-        inc = coboundary_increment(f, coordinate_flip(2))
+        inc = coboundary_increment(f, Flip(2))
         # flipping one coordinate always changes parity by one
         for w in all_words(3):
             assert value_at(inc, w) == 1
 
     def test_adding_machine_increment_undefined_on_remainder(self):
-        from cocyclelab.odometer import adding_machine
         f = parity_function(2)
-        inc = coboundary_increment(f, adding_machine(4))
+        inc = coboundary_increment(f, Odometer(4, 1))
         assert value_at(inc, "1111") is None
         assert value_at(inc, "0000") == 1  # 0000 -> 1000 flips one bit
 
@@ -140,24 +145,24 @@ class TestIncrements:
         assert increments_within(doubled, flip_action((1,)), [2])
         assert not increments_within(doubled, flip_action((1,)), [1])
         # the increment is 2 on the whole space, outside {0, 1}
-        assert coboundary_increment(doubled, coordinate_flip(1)).values == (2, 2)
+        assert coboundary_increment(doubled, Flip(1)).values == (2, 2)
 
     def test_repeat_is_the_same_object_and_depth_refines(self):
         f = parity_function(2)
-        flip = coordinate_flip(1)
+        flip = Flip(1)
         first = coboundary_increment(f, flip)
         assert coboundary_increment(f, flip) is first
         # keyed by value: a rebuilt, equal generator hits the same entry
-        assert coboundary_increment(f, coordinate_flip(1)) is first
+        assert coboundary_increment(f, Flip(1)) is first
         # a generator deeper than f refines the increment to its depth
-        deeper = coboundary_increment(f, coordinate_flip(4))
+        deeper = coboundary_increment(f, Flip(4))
         assert deeper.depth == 4 and first.depth == 2
         assert deeper.values == (0,) * 16
-        assert coboundary_increment(f, coordinate_flip(4)) is deeper
+        assert coboundary_increment(f, Flip(4)) is deeper
         assert isinstance(first.values, tuple)
 
     def test_memo_lives_on_the_instance(self):
-        flip = coordinate_flip(1)
+        flip = Flip(1)
         first = coboundary_increment(parity_function(2), flip)
         again = coboundary_increment(parity_function(2), flip)
         assert again == first and again is not first
@@ -240,8 +245,8 @@ class TestDistance:
     def test_exact_weighted_integral(self):
         f, g = parity_function(2), first_bit(2)
         action = flip_action((1, 2))
-        old = [coboundary_increment(f, s) for s in action.maps()]
-        new = [coboundary_increment(g, s) for s in action.maps()]
+        old = [coboundary_increment(f, s) for s in action.generators]
+        new = [coboundary_increment(g, s) for s in action.generators]
         # generator 1: parity increment 1 vs first-bit increment 1 -> agree;
         # generator 2: 1 vs 0 everywhere -> disagree on full mass
         assert cocycle_distance(old, new, UNIFORM) == Fraction(1, 4)
@@ -249,7 +254,7 @@ class TestDistance:
     def test_undefined_bound_counts_remainder(self):
         f = parity_function(1)
         action = adding_machine_action(3)
-        inc = [coboundary_increment(f, s) for s in action.maps()]
+        inc = [coboundary_increment(f, s) for s in action.generators]
         # the families agree where defined, and each truncated generator
         # has an undefined remainder cylinder of mass 1/8
         assert cocycle_distance(inc, inc, UNIFORM) == (
@@ -258,7 +263,7 @@ class TestDistance:
     def test_identical_families_at_zero(self):
         f = parity_function(3)
         action = flip_action((1, 2, 3))
-        inc = [coboundary_increment(f, s) for s in action.maps()]
+        inc = [coboundary_increment(f, s) for s in action.generators]
         assert cocycle_distance(inc, inc, UNIFORM) == 0
 
 
@@ -267,9 +272,10 @@ def uncached_increment(f, sigma):
     and dense tables (the oracle): its depth and its word-keyed table of
     defined values."""
     e = max(f.depth, sigma.max_depth)
+    word_pieces = pieces(sigma)
     table = {}
     for w in all_words(e):
-        img = apply_piece(sigma, w)
+        img = apply_piece(word_pieces, w)
         if img is not None:
             table[w] = f.model.mul(step_at(f, img), f.model.inv(step_at(f, w)))
     return e, table
@@ -291,9 +297,9 @@ def test_coboundary_kernel_is_always_a_cocycle(f):
 
 
 generators = st.one_of(
-    st.integers(1, 4).map(coordinate_flip),
-    st.integers(1, 5).map(adding_machine),
-    st.integers(1, 5).map(lambda d: adding_machine(d).inverse()))
+    st.integers(1, 4).map(Flip),
+    st.integers(1, 5).map(lambda d: Odometer(d, 1)),
+    st.integers(1, 5).map(lambda d: Odometer(d, -1)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -303,8 +309,10 @@ def test_memoized_increment_matches_uncached_loop(f, calls):
         got = coboundary_increment(f, sigma)
         depth, table = uncached_increment(f, sigma)
         assert got.depth == depth
-        assert undefined_indices(got) == sigma.remainder().indices(depth)
+        assert undefined_indices(got) == piece_remainder(
+            pieces(sigma)).indices(depth)
         assert {w: v for w, v in zip(all_words(depth), got.values)
                 if v is not None} == table
-        rebuilt = PiecewiseCylinderMap(sigma.name, sigma.pieces)
+        rebuilt = dataclasses.replace(sigma)
+        assert rebuilt is not sigma
         assert coboundary_increment(f, rebuilt) is got

@@ -43,7 +43,7 @@ def preset(name: str, **overrides) -> PipelineConfig:
 
 
 def labels(action: GammaAction) -> list[str]:
-    return [label for label, _ in action.generators]
+    return [g.label for g in action.generators]
 
 
 def agreement_set(old, new, action: GammaAction) -> CylinderSet:
@@ -285,6 +285,35 @@ def test_deep_adding_second_refinement():
     assert hull.measure(mu) == hull_mass(19) == Fraction(1, 512)
 
 
+# the paper's headline case: G = Z, acting values 1 and -1, over the
+# truncated adding machine; no preset, so a config of its own
+Z_ADDING = {
+    "name": "z-adding",
+    "group": {"kind": "free-abelian", "rank": 1},
+    "measure": {"kind": "uniform"},
+    "action": {"kind": "adding-machine", "depth": 12},
+    "family": ["1", "-1"],
+    "bases": [""],
+    "u_indices": [0],
+    "rounds": 1,
+}
+
+
+def test_integers_over_the_adding_machine():
+    report = norm_bounded_pipeline(PipelineConfig.from_mapping(Z_ADDING))
+    [r] = report.by_kind("round")
+    assert (r["refined_level"], r["working_depth"], r["eps"]) == (9, 10, "1/40")
+    assert r["artifacts"]["change_mass"] == {"T+T~": "9/2048"}
+    per_generator = report.by_kind("boundedness")[0]["per_generator"]
+    assert per_generator == {"T": ["-1", "0", "1"], "T~": ["-1", "0", "1"]}
+    sweeps = report.by_kind("essential_values")[0]["sweeps"]
+    assert [s["verdict"] for s in sweeps] == ["certified", "certified"]
+    assert [e["mass"] for s in sweeps for e in s["entries"]] == \
+        ["127/256", "127/256"]
+    assert report.by_kind("norm_bounds")[0]["max_c"] == "1"
+    assert certify_report(report.records) == []
+
+
 class TestIncrementReuse:
     def test_each_increment_is_computed_once(self, monkeypatch):
         made = []
@@ -325,14 +354,14 @@ class TestIncrementReuse:
             old, new, action, mu = fresh(inp.f), fresh(out.f_tilde), inp.action, inp.mu
             agreement = agreement_set(old, new, action).measure(mu)
             dist = cocycle_distance(
-                [coboundary_increment(old, g) for g in action.maps()],
-                [coboundary_increment(new, g) for g in action.maps()], mu)
+                [coboundary_increment(old, g) for g in action.generators],
+                [coboundary_increment(new, g) for g in action.generators], mu)
             assert rec["conditions"]["agreement"] == str(agreement)
             assert rec["conditions"]["distance"] == str(dist)
             change = {}
             for group in action.inverse_groups():
-                sub = GammaAction("+".join(group), tuple(
-                    (label, g) for label, g in action.generators if label in group))
+                sub = GammaAction(tuple(
+                    g for g in action.generators if g.label in group))
                 moved = agreement_set(old, new, sub).complement()
                 change["+".join(group)] = str(moved.measure(mu))
             assert rec["artifacts"]["change_mass"] == change
@@ -636,6 +665,27 @@ class TestCertifyTampering:
         "two-clauses-swapped": (lambda certs: certs.insert(1, certs.pop(0)),
                                 "certificates"),
     }
+
+    # forgeries of the second round's witness-search outcome, which
+    # certify checks for its keys and for what its fields determine
+    EVC_SEARCH = {
+        "slack": lambda rec: rec.update(measure_slack="9"),
+        "mass-beyond-the-base": lambda rec: rec.update(
+            mass="2", measure_slack=str(Fraction(2) - Fraction(rec["mass"])
+                                        + Fraction(rec["measure_slack"]))),
+        "found-with-a-failure": lambda rec: rec.update(failure="forged"),
+        "failed-without-a-failure": lambda rec: rec.update(ok=False),
+        "missing": lambda rec: rec.clear(),
+    }
+
+    @pytest.mark.parametrize("name", sorted(EVC_SEARCH))
+    def test_evc_search_outcome(self, name, flips_run):
+        def forge(records):
+            rec = [r for r in records if r["record"] == "round"][1]
+            assert rec["conditions"]["evc_search"]["ok"] is True
+            self.EVC_SEARCH[name](rec["conditions"]["evc_search"])
+        failures = self.tampered(flips_run, forge)
+        assert self.clauses(failures) == {"conditions.evc_search"}
 
     @pytest.mark.parametrize("name", sorted(CERTIFICATES))
     def test_construction_certificates(self, name, flips_run):

@@ -1,7 +1,10 @@
-"""Truncated odometer maps, overflow accounting, and exchange involutions.
+"""Truncated odometer and flip rules, overflow accounting, and exchange
+involutions.
 
 The binary increment oracle here is written from scratch: least
-significant coordinate first, carry across the leading ones.
+significant coordinate first, carry across the leading ones.  The word
+pieces in `word_oracles` are the reference each rule's index table,
+overflow set and distortion are compared with.
 """
 import random
 from fractions import Fraction
@@ -13,16 +16,19 @@ from hypothesis import strategies as st
 from cocyclelab.errors import BudgetExhausted, ConfigError, DepthMismatch
 from cocyclelab.measure import (CylinderSet, ProductMeasure, all_words,
                                 index_word, word_index)
-from cocyclelab.odometer import (FiniteDepthMap, GammaAction,
-                                 PiecewiseCylinderMap, adding_machine,
-                                 adding_machine_action, coordinate_flip,
-                                 exchange_involution, flip_action,
-                                 orbit_overflow)
-from word_oracles import (WordMap, apply_piece, covers, image_of, map_apply,
-                          words_at)
+from cocyclelab.odometer import (FiniteDepthMap, Flip, GammaAction, Odometer,
+                                 adding_machine_action, exchange_involution,
+                                 flip_action, orbit_overflow)
+from word_oracles import (WordMap, apply_piece, apply_rule, covers, image_of,
+                          map_apply, piece_distortion, piece_index_map,
+                          piece_overflow, pieces, words_at)
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))
+# a head of two coordinates, then a period of two
+SCHEDULE = ProductMeasure.from_schedule(
+    [(Fraction(1, 5), Fraction(4, 5)), (Fraction(1, 2), Fraction(1, 2))],
+    [(Fraction(2, 3), Fraction(1, 3)), (Fraction(3, 7), Fraction(4, 7))])
 
 
 def increment_oracle(w: str) -> str | None:
@@ -35,34 +41,36 @@ def increment_oracle(w: str) -> str | None:
 
 class TestAddingMachine:
     def test_matches_increment_oracle(self):
-        t = adding_machine(8)
+        t = Odometer(8, 1)
         for w in all_words(8):
-            assert apply_piece(t, w) == increment_oracle(w)
+            assert apply_rule(t, w) == increment_oracle(w)
+            assert apply_piece(pieces(t), w) == increment_oracle(w)
 
     def test_inverse_round_trip(self):
-        t = adding_machine(6)
+        t = Odometer(6, 1)
         back = t.inverse()
+        assert back == Odometer(6, -1) and back.inverse() == t
         for w in all_words(6):
-            img = apply_piece(t, w)
+            img = apply_rule(t, w)
             if img is not None:
-                assert apply_piece(back, img) == w
+                assert apply_rule(back, img) == w
 
     def test_orbit_visits_every_word(self):
         # the increment acts transitively on each finite level
-        t = adding_machine(6)
+        t = Odometer(6, 1)
         w = "0" * 6
         seen = {w}
         for _ in range(2 ** 6 - 1):
-            nxt = apply_piece(t, w)
+            nxt = apply_rule(t, w)
             assert nxt is not None
             w = nxt
             seen.add(w)
         assert len(seen) == 2 ** 6
-        assert apply_piece(t, w) is None  # all-ones needs a deeper carry
+        assert apply_rule(t, w) is None  # all-ones needs a deeper carry
 
     def test_uniform_measure_preserved(self):
         action = adding_machine_action(6)
-        for g in action.maps():
+        for g in action.generators:
             assert g.distortion(UNIFORM) == 1
 
     def test_biased_distortion(self):
@@ -74,7 +82,7 @@ class TestAddingMachine:
                        for k in range(6))
         assert forward == 2 and backward == 16
         action = adding_machine_action(6)
-        assert [g.distortion(BIASED) for g in action.maps()] == [forward, backward]
+        assert [g.distortion(BIASED) for g in action.generators] == [forward, backward]
         assert action.max_distortion_sum(BIASED) == forward + backward
 
 
@@ -98,10 +106,14 @@ class TestOverflow:
 
     def test_truncation_remainder_is_unknown(self):
         # at the declared depth the carry cannot be decided, so the
-        # remainder counts as overflow
+        # remainder counts as overflow, and the index table marks it -1
         over = orbit_overflow(adding_machine_action(4), 3)
         assert covers(over, "1111")
         assert covers(over, "0000")
+        assert Odometer(4, 1).index_map(4)[word_index("1111")] == -1
+        assert Odometer(4, -1).index_map(4)[word_index("0000")] == -1
+        # beyond the declared depth the overflow keeps the remainder
+        assert Odometer(4, 1).overflow(9) == CylinderSet.of(["1111"])
 
     def test_flip_overflow_empty(self):
         action = flip_action((1, 2))
@@ -124,24 +136,35 @@ def increment_oracle_inverse(w: str) -> str | None:
 
 class TestFlips:
     def test_flip_is_involution(self):
-        s = coordinate_flip(3)
+        s = Flip(3)
+        assert s.inverse() is s
         for w in all_words(4):
-            img = apply_piece(s, w)
-            assert img is not None and apply_piece(s, img) == w
+            img = apply_rule(s, w)
+            assert img is not None and apply_rule(s, img) == w
             assert img[:2] == w[:2] and img[3:] == w[3:]
             assert img[2] != w[2]
 
     def test_flip_preserves_product_measure_iff_fair(self):
-        s = coordinate_flip(1)
+        s = Flip(1)
         assert s.distortion(UNIFORM) == 1
         assert s.distortion(BIASED) == 2
+
+    def test_deep_flip_lists_no_words(self):
+        # 2^30 pieces as words would not fit; the rule answers in closed form
+        s = Flip(30)
+        assert s.overflow(29).is_full() and s.overflow(30).is_empty()
+        assert orbit_overflow(flip_action((30,)), 29).is_full()
+        assert s.distortion(BIASED) == 2
+        assert flip_action((30,)).inverse_groups() == [("s30",)]
 
 
 class TestGammaAction:
     def test_rejects_non_symmetric_family(self):
-        t = adding_machine(5)
         with pytest.raises(ConfigError):
-            GammaAction("broken", (("T", t),))
+            GammaAction((Odometer(5, 1),))
+        # an inverse of another depth is another map
+        with pytest.raises(ConfigError):
+            GammaAction((Odometer(5, 1), Odometer(4, -1)))
 
     def test_symmetric_families_accepted(self):
         adding_machine_action(5)
@@ -149,7 +172,9 @@ class TestGammaAction:
 
     def test_labels_and_depth(self):
         action = adding_machine_action(7)
-        assert [label for label, _ in action.generators] == ["T", "T~"]
+        assert [g.label for g in action.generators] == ["T", "T~"]
+        assert [g.max_depth for g in action.generators] == [7, 7]
+        assert [g.label for g in flip_action((4, 1)).generators] == ["s1", "s4"]
 
 
 class TestFiniteDepthMap:
@@ -247,18 +272,18 @@ class TestExchangeInvolution:
 @given(st.integers(min_value=1, max_value=5),
        st.integers(min_value=1, max_value=5))
 def test_flip_actions_commute(i, j):
-    a, b = coordinate_flip(i), coordinate_flip(j)
+    a, b = Flip(i), Flip(j)
     depth = max(i, j) + 1
     for w in all_words(depth):
-        assert (apply_piece(a, apply_piece(b, w))
-                == apply_piece(b, apply_piece(a, w)))
+        assert (apply_rule(a, apply_rule(b, w))
+                == apply_rule(b, apply_rule(a, w)))
 
 
 index_maps = st.one_of(
-    st.integers(1, 5).map(coordinate_flip),
-    st.integers(1, 5).map(adding_machine),
-    st.integers(1, 5).map(lambda d: adding_machine(d).inverse()),
-    st.integers(1, 4).map(lambda c: coordinate_flip(c).inverse()))
+    st.integers(1, 5).map(Flip),
+    st.integers(1, 5).map(lambda d: Odometer(d, 1)),
+    st.integers(1, 5).map(lambda d: Odometer(d, -1)),
+    st.integers(1, 4).map(lambda c: Flip(c).inverse()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -267,15 +292,41 @@ def test_index_map_matches_apply(sigma, beyond):
     depth = sigma.max_depth + beyond
     table = sigma.index_map(depth)
     assert len(table) == 1 << depth
+    word_pieces = pieces(sigma)
     for w in all_words(depth):
-        img = apply_piece(sigma, w)
+        img = apply_piece(word_pieces, w)
         assert table[word_index(w)] == (-1 if img is None else word_index(img))
-    assert sigma.index_map(depth) is table
 
 
 def test_index_map_needs_the_piece_depth():
     with pytest.raises(DepthMismatch):
-        adding_machine(4).index_map(3)
+        Odometer(4, 1).index_map(3)
+    with pytest.raises(DepthMismatch):
+        Flip(4).index_map(3)
+
+
+def test_rules_reject_bad_parameters():
+    for bad in (lambda: Odometer(0, 1), lambda: Odometer(3, 2), lambda: Flip(0)):
+        with pytest.raises(ValueError):
+            bad()
+
+
+RULES = ([Odometer(d, step) for d in range(1, 11) for step in (1, -1)]
+         + [Flip(c) for c in range(1, 8)])
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda g: f"{g.label}-{g.max_depth}")
+def test_rule_matches_its_word_pieces(rule):
+    """Each rule's closed forms equal the word-piece reference: its index
+    table at and one beyond its depth, its overflow at levels 0..13 and
+    its distortion under three measures."""
+    word_pieces = pieces(rule)
+    for depth in (rule.max_depth, rule.max_depth + 1):
+        assert rule.index_map(depth) == piece_index_map(word_pieces, depth)
+    for level in range(14):
+        assert rule.overflow(level) == piece_overflow(word_pieces, level)
+    for mu in (UNIFORM, BIASED, SCHEDULE):
+        assert rule.distortion(mu) == piece_distortion(word_pieces, mu)
 
 
 @st.composite

@@ -25,7 +25,8 @@ from cocyclelab.stepper import (CERTIFICATE_ORDER, StepArtifacts, StepInput,
                                 fingerprint_partition, image_safe_tolerance,
                                 overflow_hull, select_core_and_conjugate,
                                 validate_step_output)
-from word_oracles import apply_piece, covers, image_of, step_at, words_at
+from word_oracles import (apply_piece, covers, image_of, pieces, step_at,
+                          words_at)
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -49,10 +50,11 @@ def brute_agreement_mass(inp: StepInput, f_tilde: StepFunction,
     functions and matches; remainder words count against agreement."""
     model = inp.f.model
     mass = Fraction(0)
+    maps = [pieces(g) for g in inp.action.generators]
     for w in all_words(depth):
         ok = True
-        for g in inp.action.maps():
-            img = apply_piece(g, w)
+        for word_pieces in maps:
+            img = apply_piece(word_pieces, w)
             if img is None:
                 ok = False
                 break
@@ -73,10 +75,11 @@ def brute_distance_upper(inp: StepInput, f_tilde: StepFunction,
     model = inp.f.model
     total = Fraction(0)
     weight = Fraction(1, 2)
-    for g in inp.action.maps():
+    for g in inp.action.generators:
+        word_pieces = pieces(g)
         bad = Fraction(0)
         for w in all_words(depth):
-            img = apply_piece(g, w)
+            img = apply_piece(word_pieces, w)
             if img is None:
                 bad += inp.mu.cylinder(w)
                 continue

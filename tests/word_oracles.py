@@ -10,18 +10,65 @@ from fractions import Fraction
 from cocyclelab.errors import DepthMismatch
 from cocyclelab.measure import (CylinderSet, all_words, check_word,
                                 index_word, word_index)
-from cocyclelab.odometer import FiniteDepthMap
+from cocyclelab.odometer import FiniteDepthMap, Flip, Odometer
 
 
-def apply_piece(sigma, w):
-    """The image of a word under a piecewise cylinder map, or None on its
-    undefined remainder; the word must decide its piece."""
-    for s, t in sigma.pieces:
+def pieces(g) -> list:
+    """A generator rule as its (source, target) word pieces, each piece
+    rewriting the prefix `source` to `target`: 1^k 0 -> 0^k 1 for each
+    carry k below the odometer's depth (reversed for T~), and every
+    word of a flip's depth to its flip.  The rules replaced these lists;
+    the points under no source are the undefined remainder."""
+    if isinstance(g, Odometer):
+        carries = [("1" * k + "0", "0" * k + "1") for k in range(g.depth)]
+        return carries if g.step == 1 else [(t, s) for s, t in carries]
+    assert isinstance(g, Flip)
+    return [(w, w[:-1] + "10"[int(w[-1])]) for w in all_words(g.coord)]
+
+
+def apply_piece(word_pieces, w):
+    """The image of a word under a piece list, or None on its undefined
+    remainder; the word must decide its piece."""
+    for s, t in word_pieces:
         if w.startswith(s):
             return t + w[len(s):]
-    if any(s.startswith(w) for s, _ in sigma.pieces):
+    if any(s.startswith(w) for s, _ in word_pieces):
         raise DepthMismatch(f"word {w!r} too shallow to decide a piece")
     return None
+
+
+def piece_remainder(word_pieces) -> CylinderSet:
+    """The points under no source: where the piece map is undefined."""
+    return CylinderSet.of(s for s, _ in word_pieces).complement()
+
+
+def piece_overflow(word_pieces, level: int) -> CylinderSet:
+    """The sources of the pieces that rewrite a coordinate beyond
+    `level`, with the undefined remainder: the set a generator's
+    `overflow(level)` must equal."""
+    escaping = [s for s, t in word_pieces
+                if len(s) > level and s[level:] != t[level:]]
+    return CylinderSet.of(escaping).union(piece_remainder(word_pieces))
+
+
+def piece_index_map(word_pieces, depth: int) -> tuple:
+    """The piece map on the depth-`depth` words, by word index, -1 on
+    the remainder: the table a generator's `index_map(depth)` must be."""
+    images = (apply_piece(word_pieces, w) for w in all_words(depth))
+    return tuple(-1 if img is None else word_index(img) for img in images)
+
+
+def piece_distortion(word_pieces, mu) -> Fraction:
+    """The largest derivative mu(target) / mu(source) over the pieces,
+    and 1."""
+    return max([Fraction(1)] + [mu.ratio(s, t) for s, t in word_pieces])
+
+
+def apply_rule(g, w):
+    """The image of a word at least as deep as the generator, read off
+    its index table, or None on its undefined remainder."""
+    j = g.index_map(len(w))[word_index(w)]
+    return None if j < 0 else index_word(j, len(w))
 
 
 def step_at(f, w):
