@@ -17,6 +17,7 @@ keys sorted, so identical configurations produce byte-identical output.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import hashlib
@@ -103,7 +104,7 @@ class PipelineConfig:
             action=read("action", dict),
             family=read("family", lambda v: tuple(str(h) for h in v)),
             bases=read("bases", word_tuples, [""]),
-            u_indices=read("u_indices", lambda v: tuple(int(k) for k in v), [1]),
+            u_indices=read("u_indices", lambda v: tuple(map(count, v)), [1]),
             rounds=read("rounds", count, 1),
             depth_budget=read("depth_budget", count, 14),
             start_level=read("start_level", count, 1),
@@ -113,7 +114,13 @@ class PipelineConfig:
         )
         read("group", lambda _: config.build_model())
         read("measure", lambda _: config.build_measure(), None)
-        read("action", lambda _: config.build_action())
+        action = read("action", lambda _: config.build_action())
+        # an increment is built at its generator's depth at least
+        deepest = max(action.generators, key=lambda g: g.max_depth)
+        if deepest.max_depth > config.depth_budget:
+            raise ConfigError(f"config key 'action' cannot take generator "
+                              f"{deepest.label} of depth {deepest.max_depth} "
+                              f"within depth_budget {config.depth_budget}")
         return config
 
     def to_mapping(self) -> dict:
@@ -338,20 +345,16 @@ def _parse_table(model: GroupModel, table: Mapping[str, str]) -> StepFunction:
                              f"depth ({exc})") from None
 
 
+def _report_line(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 @dataclass(frozen=True)
 class RunReport:
     records: tuple[dict, ...]
 
-    def lines(self) -> list[str]:
-        return [json.dumps(r, sort_keys=True, separators=(",", ":"))
-                for r in self.records]
-
     def text(self) -> str:
-        return "\n".join(self.lines()) + "\n"
-
-    def write(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.text())
+        return "".join(map(_report_line, self.records))
 
     def by_kind(self, kind: str) -> list[dict]:
         return [r for r in self.records if r.get("record") == kind]
@@ -509,12 +512,11 @@ def step_input(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
 
 
 def _replay_rounds(config: PipelineConfig, model: GroupModel,
-                   records: Sequence[dict]
+                   rounds: Sequence[dict]
                    ) -> tuple[list[StepFunction], list[Fraction], int]:
     """Rebuild the round loop's state from its round records: the step
     functions (the initial one first), the tolerances and the current
     level."""
-    rounds = [r for r in records if r.get("record") == "round"]
     functions = [initial_function(config, model)]
     functions += [_parse_table(model, r["artifacts"]["f"]) for r in rounds]
     eps_history = [Fraction(r["eps"]) for r in rounds]
@@ -528,16 +530,22 @@ def _run_recursion(config: PipelineConfig,
                    closing: Optional[Callable] = None) -> RunReport:
     """Run the rounds and the terminal records; `closing`, if given, is
     one of the CLOSING builders and adds one more record.  With `out_dir`
-    each round is checkpointed and the finished report written there."""
+    each record is appended to the checkpoint there, which becomes the report."""
     model = config.build_model()
     mu = config.build_measure()
     schedule = Schedule.from_config(config)
     closure = _closure(config, model)
 
-    records = [_header(config, model, closure)]
-    if resume and out_dir:
-        records = _load_checkpoint(config, out_dir) or records
-    functions, eps_history, n = _replay_rounds(config, model, records)
+    records = _restart_checkpoint(config, out_dir, resume) if out_dir else []
+
+    def emit(record: dict) -> None:
+        records.append(record)
+        if out_dir:
+            _save_checkpoint(record, out_dir)
+
+    if not records:
+        emit(_header(config, model, closure))
+    functions, eps_history, n = _replay_rounds(config, model, records[1:])
     # per round, each generator group's change set; a resumed run
     # rebuilds those of its replayed rounds
     change_history = []
@@ -549,8 +557,7 @@ def _run_recursion(config: PipelineConfig,
     for t in range(len(eps_history), config.rounds):
         action = config.build_action(t + 1)
         triple = schedule.round_triple(t)
-        eps, rule = round_eps(config, model, mu, triple,
-                              [r for r in records if r["record"] == "round"])
+        eps, rule = round_eps(config, model, mu, triple, records[1:])
         if eps <= 0:
             raise ConfigError(f"round {t + 1}: tolerance collapsed to {eps}")
 
@@ -591,21 +598,18 @@ def _run_recursion(config: PipelineConfig,
                 out.b_set).items():
             (record[section] if section else record)[field] = value
         record["certificates"] = list(record["certificates"].values())
-        records.append(record)
-
+        emit(record)
         n = out.m
-        if out_dir:
-            _save_checkpoint(config, out_dir, records)
 
-    records.extend(_terminal_records(config, model, mu, closure, functions,
-                                     change_history, eps_history, n, {}))
+    for record in _terminal_records(config, model, mu, closure, functions,
+                                    change_history, eps_history, n, {}):
+        emit(record)
     if closing is not None:
-        records.append(closing(config, model, closure, functions[-1], records))
-    report = RunReport(tuple(records))
+        emit(closing(config, model, closure, functions[-1], records))
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        report.write(os.path.join(out_dir, "report.jsonl"))
-    return report
+        os.replace(os.path.join(out_dir, "checkpoint.json"),
+                   os.path.join(out_dir, "report.jsonl"))
+    return RunReport(tuple(records))
 
 
 def _terminal_records(config: PipelineConfig, model: GroupModel,
@@ -717,7 +721,7 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     # exact distances from each round's increments to the terminal ones
     rows = []
     for idx in range(len(functions) - 1):
-        act = config.build_action(max(idx, 1)) if config.enumerated else action
+        act = config.build_action(max(idx, 1))
         old = [coboundary_increment(functions[idx], g) for g in act.generators]
         new = [coboundary_increment(f_final, g) for g in act.generators]
         dist = cocycle_distance(old, new, mu)
@@ -854,36 +858,36 @@ def norm_bounded_pipeline(config: PipelineConfig,
 # Checkpoints
 # ---------------------------------------------------------------------------
 
-def _save_checkpoint(config: PipelineConfig, out_dir: str,
-                     records: Sequence[dict]) -> None:
-    """Write the config digest and the records so far; everything else a
-    resumed run needs is rebuilt from the round records."""
+def _save_checkpoint(record: dict, out_dir: str) -> None:
+    """Append `record` to the checkpoint in `out_dir` as its report line."""
+    with open(os.path.join(out_dir, "checkpoint.json"), "a") as fh:
+        fh.write(_report_line(record))
+
+
+def _restart_checkpoint(config: PipelineConfig, out_dir: str,
+                        resume: bool) -> list[dict]:
+    """The records a run in `out_dir` starts from, which replace its
+    checkpoint atomically: none when fresh; when resumed, the complete
+    lines (ending in a newline) of the checkpoint, or else of the report,
+    while they read as the config's header and then round records."""
     os.makedirs(out_dir, exist_ok=True)
-    payload = {"digest": config.digest(), "records": records}
-    tmp = os.path.join(out_dir, "checkpoint.json.tmp")
-    with open(tmp, "w") as fh:
-        # json.dump would stream through the pure-Python encoder
-        fh.write(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, os.path.join(out_dir, "checkpoint.json"))
-
-
-def _load_checkpoint(config: PipelineConfig,
-                     out_dir: str) -> Optional[list[dict]]:
-    """The records of the checkpoint in `out_dir`, or None when there is
-    none, it belongs to another config, or it cannot be read (another
-    layout included); in each of those cases the run starts afresh."""
     path = os.path.join(out_dir, "checkpoint.json")
-    if not os.path.exists(path):
-        return None
-    try:
-        with open(path) as fh:
-            payload = json.load(fh)
-        if (set(payload) != {"digest", "records"}
-                or payload["digest"] != config.digest()):
-            return None
-        return list(payload["records"])
-    except (ValueError, TypeError):
-        return None
+    source = path if os.path.exists(path) else os.path.join(out_dir, "report.jsonl")
+    kept: list[dict] = []
+    # AttributeError: a line that holds JSON but not a record
+    with contextlib.suppress(OSError, ValueError, AttributeError), \
+            open(source) as fh:
+        for line in fh if resume else ():
+            record = json.loads(line)
+            if (not line.endswith("\n")
+                    or record.get("record") != ("round" if kept else "header")
+                    or not kept and record.get("config_digest") != config.digest()):
+                break
+            kept.append(record)
+    with open(path + ".tmp", "w") as fh:
+        fh.writelines(map(_report_line, kept))
+    os.replace(path + ".tmp", path)
+    return kept
 
 
 # ---------------------------------------------------------------------------

@@ -201,6 +201,11 @@ class GammaAction:
     generators: tuple[Odometer | Flip, ...]
 
     def __post_init__(self):
+        if not self.generators:
+            raise ConfigError("an action needs at least one generator")
+        if len(set(self.generators)) < len(self.generators):
+            raise ConfigError(f"the action lists a generator twice: "
+                              f"{[g.label for g in self.generators]}")
         self.inverse_groups()
 
     def inverse_groups(self) -> list[tuple[str, ...]]:

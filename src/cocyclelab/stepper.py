@@ -313,9 +313,14 @@ def fingerprint_partition(f: StepFunction, z0: CylinderSet, n: int,
 def overflow_threshold(action: GammaAction, mu: ProductMeasure,
                        eps: Fraction) -> Fraction:
     """The mass that the overflow hull and the involution's unpaired
-    remainder share: below eps' and below eps / (1 + distortion sum)."""
-    return min(image_safe_tolerance(action, mu, eps),
-               Fraction(eps) / (1 + action.max_distortion_sum(mu)))
+    remainder share: eps / (1 + distortion sum).  Every distortion is at
+    least 1, so the sum D is too, and 1 + D >= max(D, 2): the threshold
+    is at most eps'.  A nonpositive eps, as a forged report may store, is
+    a :class:`ConfigError`."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ConfigError("eps must be positive")
+    return eps / (1 + action.max_distortion_sum(mu))
 
 
 def overflow_hull(action: GammaAction, n: int, m: int) -> CylinderSet:

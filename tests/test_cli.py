@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 import yaml
 
+import cocyclelab.driver as driver
 from cocyclelab.cli import YAML_LOADER, main
-from cocyclelab.driver import PRESETS, PipelineConfig, RunReport
+from cocyclelab.driver import PRESETS, PipelineConfig
+from cocyclelab.errors import ConfigError
 
 
 def run_cli(capsys, *argv):
@@ -46,10 +48,13 @@ class TestStep:
         assert capsys.readouterr().out == ""
 
     def test_step_depth_override_fails_cleanly(self, capsys):
+        # the preset's odometer has depth 12: a configuration problem
         rc, out, err = run_cli(capsys, "step", "--config", "z2-adding",
                                "--depth", "3")
-        assert rc == 1
-        assert json.loads(err.strip())["error"]
+        assert rc == 2 and out == ""
+        record = json.loads(err.strip())
+        assert record["error"] == "ConfigError"
+        assert "generator T of depth 12 within depth_budget 3" in record["message"]
 
 
 # sha256 of `cocyclelab step --config <preset>` stdout, recorded before the
@@ -355,23 +360,26 @@ class TestReportWrites:
         ("norm-bounded", "--config", "sum-z"),
     ])
     def test_report_written_once(self, argv, tmp_path, capsys, monkeypatch):
+        # each record is appended once, as the report's next line, and the
+        # finished checkpoint is renamed to the report
         writes = []
-        real = RunReport.write
+        real = driver._save_checkpoint
 
-        def counting(self, path):
-            writes.append(path)
-            real(self, path)
+        def counting(record, out_dir):
+            writes.append((record["record"], out_dir))
+            real(record, out_dir)
 
-        monkeypatch.setattr(RunReport, "write", counting)
+        monkeypatch.setattr(driver, "_save_checkpoint", counting)
         out = str(tmp_path / "out")
         rc, stdout, _ = run_cli(capsys, *argv, "--rounds", "2", "--out", out)
         path = os.path.join(out, "report.jsonl")
         assert rc == 0
-        assert writes == [path]
         assert stdout == f"report written to {path}\n"
+        assert os.listdir(out) == ["report.jsonl"]
         with open(path) as fh:
-            assert json.loads(fh.readlines()[-1])["record"] in (
-                "final", "compact_range", "norm_bounds")
+            kinds = [json.loads(line)["record"] for line in fh]
+        assert writes == [(kind, out) for kind in kinds]
+        assert kinds[-1] in ("final", "compact_range", "norm_bounds")
 
 
 class TestConfigHandling:
@@ -419,13 +427,31 @@ class TestConfigHandling:
         ({"start_level": -1}, "'start_level' cannot take -1"),
         ({"rounds": -2}, "'rounds' cannot take -2"),
         ({"depth_budget": -1}, "'depth_budget' cannot take -1"),
+        ({"action": {"kind": "flips", "coords": [1, 30]}},
+         "generator s30 of depth 30 within depth_budget 14"),
+        ({"action": {"kind": "adding-machine", "depth": 30}},
+         "generator T of depth 30 within depth_budget 14"),
+        ({"action": {"kind": "flip-stream"}, "rounds": 30},
+         "generator s30 of depth 30 within depth_budget 14"),
+        ({"action": {"kind": "flips", "coords": []}},
+         "at least one generator"),
+        ({"action": {"kind": "flips", "coords": [1, 1]}},
+         "a generator twice: ['s1', 's1']"),
+        ({"u_indices": [-3]}, "'u_indices' cannot take [-3]"),
     ], ids=["rounds", "group", "flip-coords", "eps_start", "iid-p0",
             "group-order", "eps_start-zero", "start_level-negative",
-            "rounds-negative", "depth_budget-negative"])
+            "rounds-negative", "depth_budget-negative", "flips-too-deep",
+            "adding-too-deep", "stream-too-deep", "no-generator",
+            "repeated-generator", "u_index-negative"])
     def test_malformed_value_is_a_config_error(self, override, value,
                                                tmp_path, capsys):
+        raw = {**PRESETS["z2-flips"], **override}
+        # the config load rejects it, so the run below never starts
+        with pytest.raises(ConfigError) as exc:
+            PipelineConfig.from_mapping(raw)
+        assert value in str(exc.value)
         path = tmp_path / "bad.yaml"
-        path.write_text(yaml.safe_dump({**PRESETS["z2-flips"], **override}))
+        path.write_text(yaml.safe_dump(raw))
         rc, out, err = run_cli(capsys, "run", "--config", str(path))
         assert rc == 2 and out == ""
         record = json.loads(err.strip())

@@ -573,6 +573,16 @@ class TestCertifyTampering:
             rounds[2]["eps"] = rounds[1]["eps"]
         assert "eps_halving" in self.clauses(self.tampered(report, bump))
 
+    @pytest.mark.parametrize("eps", ["0", "-1/2"])
+    def test_nonpositive_eps(self, eps, flips_run):
+        # the round's discard set cannot be rebuilt: certify names the
+        # round under "validator" and does not raise
+        def zero(records):
+            records[2]["eps"] = eps
+        failures = self.tampered(flips_run, zero)
+        assert {"clause": "validator", "where": "round 2",
+                "detail": "eps must be positive"} in failures
+
     def test_function_table_forgery(self, flips_run):
         report = flips_run
         def flip_value(records):
@@ -805,13 +815,34 @@ class TestCertifyCoverage:
 
 
 class TestCheckpoints:
-    def test_fresh_run_writes_checkpoint(self, tmp_path):
+    """With --out, a run appends each record to `checkpoint.json` as it
+    is built, so the checkpoint is always the report's first lines, and
+    the finished checkpoint is renamed `report.jsonl`."""
+
+    def test_fresh_run_writes_checkpoint(self, tmp_path, monkeypatch):
         out = str(tmp_path)
-        report = run_theorem_02i(preset("z2-flips", rounds=2), out_dir=out)
-        assert os.path.exists(os.path.join(out, "checkpoint.json"))
-        # on-disk records equal the in-memory ones up to JSON canonical form
-        assert (load_report(os.path.join(out, "report.jsonl"))
-                == [json.loads(line) for line in report.lines()])
+        path = os.path.join(out, "checkpoint.json")
+        real = driver._save_checkpoint
+        sizes, snapshots = [], []
+
+        def saving(record, out_dir):
+            sizes.append(os.path.getsize(path))
+            real(record, out_dir)
+            with open(path) as fh:
+                snapshots.append(fh.read())
+
+        monkeypatch.setattr(driver, "_save_checkpoint", saving)
+        report = run_theorem_02i(preset("z2-flips"), out_dir=out)
+        lines = report.text().splitlines(keepends=True)
+        # after k calls the checkpoint is the report's first k lines
+        assert snapshots == ["".join(lines[:k])
+                             for k in range(1, len(lines) + 1)]
+        # each record is written once: the run starts from an empty file,
+        # and the bytes appended add up to the report (49,416 B), not to
+        # a rewrite of every record after every round
+        assert sizes[0] == 0
+        with open(os.path.join(out, "report.jsonl"), "rb") as fh:
+            assert fh.read() == report.text().encode()
 
     def test_resume_from_complete_checkpoint(self, tmp_path):
         out = str(tmp_path)
@@ -862,12 +893,10 @@ class TestCheckpoints:
             runner(config, out_dir=out)
         monkeypatch.setattr(driver, "construct_step", real)
 
-    def test_stream_resume_after_crash(self, tmp_path, monkeypatch):
-        config = preset("z2-flip-stream")
-        full = run_theorem_02ii(config, out_dir=str(tmp_path / "full"))
-        out = str(tmp_path / "crash")
-        self.crash_after(monkeypatch, 2, run_theorem_02ii, config, out)
-
+    @staticmethod
+    def resume_counting(monkeypatch, runner, config, out):
+        """Resume the run in `out`; returns its report and the number of
+        construction steps it ran."""
         steps = []
         real = driver.construct_step
 
@@ -876,32 +905,115 @@ class TestCheckpoints:
             return real(inp)
 
         monkeypatch.setattr(driver, "construct_step", counting)
-        resumed = run_theorem_02ii(config, out_dir=out, resume=True)
+        report = runner(config, out_dir=out, resume=True)
+        monkeypatch.setattr(driver, "construct_step", real)
+        return report, len(steps)
+
+    def test_stream_resume_after_crash(self, tmp_path, monkeypatch):
+        config = preset("z2-flip-stream")
+        full = run_theorem_02ii(config, out_dir=str(tmp_path / "full"))
+        out = str(tmp_path / "crash")
+        self.crash_after(monkeypatch, 2, run_theorem_02ii, config, out)
+
+        resumed, steps = self.resume_counting(monkeypatch, run_theorem_02ii,
+                                              config, out)
         # only the rounds after the checkpoint run again
-        assert len(steps) == config.rounds - 2
+        assert steps == config.rounds - 2
         assert resumed.text() == full.text()
         with open(os.path.join(out, "report.jsonl")) as fh:
             assert fh.read() == full.text()
 
-    def test_checkpoint_holds_digest_and_records(self, tmp_path):
-        out = str(tmp_path)
-        config = preset("z2-flips", rounds=3)
-        report = run_theorem_02i(config, out_dir=out)
+    def test_checkpoint_holds_digest_and_records(self, tmp_path,
+                                                 monkeypatch):
+        config = preset("z2-flips", rounds=4)
+        full = run_theorem_02i(config, out_dir=str(tmp_path / "full"))
+        out = str(tmp_path / "crash")
+        self.crash_after(monkeypatch, 3, run_theorem_02i, config, out)
         with open(os.path.join(out, "checkpoint.json")) as fh:
-            payload = json.load(fh)
-        # no function table, tolerance, reserve or change set beside the
-        # records
-        assert set(payload) == {"digest", "records"}
-        assert payload["digest"] == config.digest()
-        # the records as the report stores them, up to JSON canonical form
-        assert payload["records"] == [
-            json.loads(line) for line in report.lines()[:1 + config.rounds]]
+            text = fh.read()
+        # byte for byte the finished report's header and first three
+        # rounds, the header carrying the config digest
+        assert text == "".join(full.text().splitlines(keepends=True)[:4])
+        assert json.loads(text.splitlines()[0])["config_digest"] \
+            == config.digest()
+        assert sorted(os.listdir(out)) == ["checkpoint.json"]
+
+    def test_torn_line_resumes_missing_rounds(self, tmp_path, monkeypatch):
+        config = preset("z2-flips", rounds=4)
+        full = run_theorem_02i(config, out_dir=str(tmp_path / "full"))
+        out = str(tmp_path / "crash")
+        self.crash_after(monkeypatch, 3, run_theorem_02i, config, out)
+        path = os.path.join(out, "checkpoint.json")
+        with open(path) as fh:
+            lines = fh.readlines()
+        # round 3's line cut short, as by a crash inside its write
+        with open(path, "w") as fh:
+            fh.writelines(lines[:3] + [lines[3][:len(lines[3]) // 2]])
+
+        saved = []
+        real = driver._save_checkpoint
+
+        def saving(record, out_dir):
+            if not saved:
+                # the kept prefix was rewritten without the torn line
+                with open(path) as fh:
+                    saved.append(fh.read() == "".join(lines[:3]))
+            real(record, out_dir)
+
+        monkeypatch.setattr(driver, "_save_checkpoint", saving)
+        resumed, steps = self.resume_counting(monkeypatch, run_theorem_02i,
+                                              config, out)
+        assert saved == [True]
+        assert steps == 2
+        assert resumed.text() == full.text()
+        with open(os.path.join(out, "report.jsonl")) as fh:
+            assert fh.read() == full.text()
+
+    def test_crash_in_terminal_records_resumes_without_rounds(
+            self, tmp_path, monkeypatch):
+        config = preset("z2-flips", rounds=3)
+        full = run_theorem_02i(config, out_dir=str(tmp_path / "full"))
+        out = str(tmp_path / "crash")
+        real = driver._terminal_records
+
+        def bomb(*args):
+            raise RuntimeError("simulated crash")
+
+        monkeypatch.setattr(driver, "_terminal_records", bomb)
+        with pytest.raises(RuntimeError):
+            run_theorem_02i(config, out_dir=out)
+        monkeypatch.setattr(driver, "_terminal_records", real)
+        resumed, steps = self.resume_counting(monkeypatch, run_theorem_02i,
+                                              config, out)
+        assert steps == 0
+        assert resumed.text() == full.text()
+
+    def test_resume_of_finished_run_runs_no_step(self, tmp_path,
+                                                 monkeypatch):
+        out = str(tmp_path)
+        config = preset("z2-flip-stream", rounds=3)
+        first = run_theorem_02ii(config, out_dir=out)
+        resumed, steps = self.resume_counting(monkeypatch, run_theorem_02ii,
+                                              config, out)
+        assert steps == 0
+        assert resumed.text() == first.text()
+        assert os.listdir(out) == ["report.jsonl"]
+
+    @pytest.mark.parametrize("pipeline", [
+        run_theorem_02i, bounded_cocycle_pipeline, norm_bounded_pipeline])
+    def test_finished_directory_holds_only_report(self, pipeline, tmp_path):
+        out = str(tmp_path / "out")
+        report = pipeline(preset("sum-z", rounds=2), out_dir=out)
+        assert os.listdir(out) == ["report.jsonl"]
+        with open(os.path.join(out, "report.jsonl")) as fh:
+            assert fh.read() == report.text()
 
     @staticmethod
     def change_sets(payload, config):
         """Each round's change sets, as earlier layouts stored them."""
+        rounds = [r for r in payload["records"] if r["record"] == "round"]
         functions, _, _ = driver._replay_rounds(
-            config, config.build_model(), payload["records"])
+            config, config.build_model(), rounds)
         stored = []
         for t in range(1, len(functions)):
             action = config.build_action(t)
@@ -938,9 +1050,12 @@ class TestCheckpoints:
         }
 
     @pytest.mark.parametrize("damage", ["parent_layout", "change_sets_layout",
-                                        "truncated"])
+                                        "truncated", "records_layout",
+                                        "binary"])
     def test_unreadable_checkpoint_restarts(self, damage, tmp_path,
                                             monkeypatch):
+        """Earlier layouts and bytes that do not parse restart the run; a
+        cut checkpoint resumes from its complete lines."""
         config = preset("z2-flips", rounds=4)
         full = run_theorem_02i(config, out_dir=str(tmp_path / "full"))
         out = str(tmp_path / "crash")
@@ -948,20 +1063,30 @@ class TestCheckpoints:
         path = os.path.join(out, "checkpoint.json")
         with open(path) as fh:
             text = fh.read()
+        # the layout that stored the config digest and the records
+        payload = {"digest": config.digest(),
+                   "records": [json.loads(line) for line in text.splitlines()]}
+        rounds_kept = 0
         if damage == "parent_layout":
-            text = json.dumps(self.parent_layout(json.loads(text), config),
+            text = json.dumps(self.parent_layout(payload, config),
                               sort_keys=True)
         elif damage == "change_sets_layout":
             # the layout that kept each round's change sets beside the records
-            payload = json.loads(text)
             payload["change_sets"] = self.change_sets(payload, config)
             text = json.dumps(payload, sort_keys=True)
+        elif damage == "records_layout":
+            text = json.dumps(payload, sort_keys=True) + "\n"
+        elif damage == "binary":
+            text = "\udcff\udcfe" + text
         else:
-            text = text[: len(text) // 2]
-        with open(path, "w") as fh:
+            # inside round 2's line: the header and round 1 are kept
+            text = text[: 3 * len(text) // 4]
+            rounds_kept = 1
+        with open(path, "w", errors="surrogateescape") as fh:
             fh.write(text)
-        assert driver._load_checkpoint(config, out) is None
-        resumed = run_theorem_02i(config, out_dir=out, resume=True)
+        resumed, steps = self.resume_counting(monkeypatch, run_theorem_02i,
+                                              config, out)
+        assert steps == config.rounds - rounds_kept
         assert resumed.text() == full.text()
 
     def test_digest_mismatch_restarts(self, tmp_path):
