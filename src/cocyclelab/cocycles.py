@@ -4,9 +4,13 @@ A step function assigns a group element to every word of a fixed depth.
 Its values are one dense tuple indexed by `measure.word_index`, so every
 loop here runs over integer indices; words appear only where tables are
 read or written.  Its coboundary increments f(sigma x) f(x)^-1 along the
-generators are step functions too, whose values are None exactly on the
-generators' truncation remainders.  Predicates count that undefined mass
-explicitly instead of silently passing it.
+generators are step functions at the potential's own depth: a generator
+maps the prefixes of that depth among themselves, so the increment is
+read off one index table, and a truncated generator's undefined
+remainder is kept beside the table as a set.  Predicates read the
+increments at the depth of the potentials, never at the generators',
+and count the remainder's mass explicitly instead of silently passing
+it.
 
 The two-point cocycle that witnesses and connectivity read is always
 the coboundary c(a, b) = f(a) f(b)^-1 of the current step function f,
@@ -20,7 +24,8 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
+from operator import eq, ne
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DepthMismatch
@@ -90,20 +95,23 @@ class StepFunction:
         word.  Kept per depth on the function."""
         if depth == self.depth:
             return self.values
-        values = self._refinements.get(depth)
-        if values is None:
+        refinements = self._refinements
+        if depth not in refinements:
             if depth < self.depth:
                 raise DepthMismatch(
                     f"cannot restate depth {self.depth} at depth {depth}")
-            values = self._refinements[depth] = tuple(chain.from_iterable(
+            refinements[depth] = tuple(chain.from_iterable(
                 repeat(v, 1 << (depth - self.depth)) for v in self.values))
-        return values
+        return refinements[depth]
+
+    def _judged_values(self) -> Iterable:
+        """The values a predicate reads: all of them."""
+        return self.values
 
     def value_set(self) -> tuple:
-        """The distinct values, by canonical key; None is no value."""
+        """The distinct values, by canonical key."""
         model = self.model
-        seen = {model.key(v): v for v in dict.fromkeys(self.values)
-                if v is not None}
+        seen = {model.key(v): v for v in dict.fromkeys(self._judged_values())}
         return tuple(seen[k] for k in sorted(seen))
 
     def level_set(self, value: Element) -> CylinderSet:
@@ -137,34 +145,49 @@ def kernel_csv(f: StepFunction) -> str:
 
 @dataclass(frozen=True)
 class PartialStepFunction(StepFunction):
-    """A coboundary increment: a step function whose `values` hold None
-    exactly on its generator's truncation remainder, where the increment
-    is unknown.  Predicates must count those entries and report them."""
+    """A coboundary increment: a step function at its potential's depth
+    and its generator's undefined `remainder`, where the increment is
+    unknown.  A cell's value holds on the cell outside the remainder;
+    predicates skip the cells wholly inside it and count its mass."""
+
+    remainder: CylinderSet
 
     def __post_init__(self):
         # the table-length check, defined on this class so that
         # perfbench/tracer.py can time increment construction through it
         super().__post_init__()
 
+    def _judged_values(self) -> Iterable:
+        """The values of the cells not wholly inside the remainder."""
+        if not self.remainder.edges:
+            return self.values
+        edges = [0, *chain.from_iterable(self.remainder.cells(self.depth)),
+                 len(self.values)]
+        return chain.from_iterable(self.values[lo:hi]
+                                   for lo, hi in zip(edges[::2], edges[1::2]))
+
 
 def coboundary_increment(f: StepFunction,
                          sigma: Odometer | Flip) -> PartialStepFunction:
-    """The increment x -> f(sigma x) f(x)^-1 at the depth of `f` or of
-    `sigma`, whichever is deeper, None on the remainder of the
-    truncated `sigma`.
+    """The increment x -> f(sigma x) f(x)^-1 at the depth of `f`, with
+    the remainder of the truncated `sigma`: `sigma` maps the prefixes of
+    that depth among themselves (`index_map`), so the increment depends
+    on them alone.
 
     Computed once per generator and kept on `f`, so a repeated call
     returns the same object, whose values are a tuple.  The generator is
     keyed by value: actions are rebuilt every round."""
     memo = f._increments
-    part = memo.get(sigma)
-    if part is None:
-        e = max(f.depth, sigma.max_depth)
-        mul, inv = f.model.mul, f.model.inv
-        values = f.values_at(e)
-        part = memo[sigma] = PartialStepFunction(f.model, e, tuple(
-            None if j < 0 else mul(values[j], inv(v))
-            for j, v in zip(sigma.index_map(e), values)))
+    try:
+        return memo[sigma]
+    except KeyError:
+        pass
+    # a generator expression: on Python 3.11 it calls the model's
+    # Python-level mul and inv faster than map does
+    mul, inv, values = f.model.mul, f.model.inv, f.values
+    part = memo[sigma] = PartialStepFunction(f.model, f.depth, tuple(
+        mul(values[j], inv(v))
+        for j, v in zip(sigma.index_map(f.depth), values)), sigma.remainder)
     return part
 
 
@@ -176,11 +199,11 @@ def trivial_on_overflow(f: StepFunction, over: CylinderSet) -> bool:
     """Whether `f` is the identity on `over`, the action's
     `orbit_overflow` at some level: that is what makes `f` inner at that
     level.  The overflow includes the generators' undefined remainders,
-    so a non-identity value there fails too."""
-    one = f.model.identity()
-    depth = max(f.depth, over.max_depth)
-    values = f.values_at(depth)
-    return all(values[i] == one for i in over.indices(depth))
+    so a non-identity value there fails too.  Read on the cells of `f`
+    that meet `over`."""
+    one, values = f.model.identity(), f.values
+    return all(values[i] == one for lo, hi in over.cells(f.depth, meeting=True)
+               for i in range(lo, hi))
 
 
 def increments_within(f: StepFunction, action: GammaAction,
@@ -189,9 +212,34 @@ def increments_within(f: StepFunction, action: GammaAction,
     truncation remainders are not judged."""
     keys = {f.model.key(f.model.identity())}
     keys.update(f.model.key(h) for h in allowed)
-    return all(v is None or f.model.key(v) in keys
-               for g in action.generators
-               for v in set(coboundary_increment(f, g).values))
+    return all(f.model.key(v) in keys for g in action.generators
+               for v in set(coboundary_increment(f, g)._judged_values()))
+
+
+def _paired_depth(u1: PartialStepFunction, u2: PartialStepFunction) -> int:
+    """The depth two increments of one generator are compared at, the
+    deeper of theirs; raises `DepthMismatch` when their remainders
+    differ, which only increments of different generators do."""
+    r1, r2 = u1.remainder, u2.remainder
+    if r1 is not r2 and r1 != r2:
+        raise DepthMismatch(
+            f"paired increments have the remainders {r1.words} and "
+            f"{r2.words}: they come from different generators")
+    return max(u1.depth, u2.depth)
+
+
+def _remainder_parts(r: CylinderSet, depth: int, mu: ProductMeasure
+                     ) -> list[tuple[int, Fraction]]:
+    """The depth-`depth` cells that `r` meets, by index, each with the
+    mass of its part in `r`: the whole cell when `r` is a union of such
+    cells, else measured on the cylinder algebra."""
+    if not r.edges:
+        return []
+    if depth >= r.max_depth:
+        masses, denominator = mu.level_masses(depth)
+        return [(i, Fraction(masses[i], denominator)) for i in r.indices(depth)]
+    return [(i, CylinderSet(depth, (i, i + 1)).intersection(r).measure(mu))
+            for lo, hi in r.cells(depth, meeting=True) for i in range(lo, hi)]
 
 
 def cocycle_distance(first: Sequence[PartialStepFunction],
@@ -199,10 +247,13 @@ def cocycle_distance(first: Sequence[PartialStepFunction],
                      mu: ProductMeasure) -> Fraction:
     """An upper bound on the distance between two per-generator increment
     families: the sum over generators j of 2^-j times the expected
-    truncated metric between the j-th increments, a word where either is
-    undefined (None) counting at the worst metric 1.  Computed exactly on
-    the cylinder algebra: each gap's cylinder masses are summed as
-    integer numerators over the level's common denominator."""
+    truncated metric between the j-th increments, the generator's
+    undefined remainder R counting at the worst metric 1.  Computed
+    exactly on the cylinder algebra at the increments' depth: each gap's
+    cell masses are summed as integer numerators over the level's common
+    denominator, and each cell c that R meets adds (1 - gap(c)) mu(c & R).
+    Raises `DepthMismatch` when paired increments come from different
+    generators."""
     if len(first) != len(second):
         raise DepthMismatch(
             f"families enumerate {len(first)} and {len(second)} generators")
@@ -212,37 +263,37 @@ def cocycle_distance(first: Sequence[PartialStepFunction],
         weight *= HALF
         if u1.model.name != u2.model.name:
             raise ValueError("increment families live over different group models")
-        depth = max(u1.depth, u2.depth)
+        depth = _paired_depth(u1, u2)
         masses, denominator = mu.level_masses(depth)
         metric = u1.model.metric
+        a, b = u1.values_at(depth), u2.values_at(depth)
         # mass numerator summed per gap; equal values are at distance 0
         per_gap: dict[Fraction, int] = {}
-        for a, b, m in zip(u1.values_at(depth), u2.values_at(depth), masses):
-            if a is None or b is None:
-                gap = ONE
-            elif a == b:
-                continue
-            else:
-                gap = min(ONE, metric(a, b))
+        for x, y, m in compress(zip(a, b, masses), map(ne, a, b)):
+            gap = min(ONE, metric(x, y))
             if gap:
                 per_gap[gap] = per_gap.get(gap, 0) + m
-        total += weight * sum((gap * Fraction(m, denominator)
-                               for gap, m in per_gap.items()), ZERO)
+        mass = sum((gap * Fraction(m, denominator)
+                    for gap, m in per_gap.items()), ZERO)
+        for i, part in _remainder_parts(u1.remainder, depth, mu):
+            gap = ZERO if a[i] == b[i] else min(ONE, metric(a[i], b[i]))
+            mass += (ONE - gap) * part
+        total += weight * mass
     return total
 
 
 def increment_agreement(old: StepFunction, new: StepFunction,
                         action: GammaAction) -> dict[str, CylinderSet]:
     """Per generator label, the set where its increment of `new` is
-    defined and equals that of `old`; undecided truncation mass is
-    excluded (conservative)."""
+    defined and equals that of `old`: the cells of equal value at the
+    increments' depth, less the generator's remainder, whose undecided
+    mass is excluded (conservative)."""
     agreement: dict[str, CylinderSet] = {}
     for g in action.generators:
         u_old = coboundary_increment(old, g)
         u_new = coboundary_increment(new, g)
-        e = max(u_old.depth, u_new.depth)
-        agreement[g.label] = CylinderSet.from_indices(e, [
-            i for i, (a, b) in enumerate(zip(u_old.values_at(e),
-                                             u_new.values_at(e)))
-            if a is not None and a == b])
+        e = _paired_depth(u_old, u_new)
+        same = CylinderSet.from_indices(e, list(compress(
+            count(), map(eq, u_old.values_at(e), u_new.values_at(e)))))
+        agreement[g.label] = same.difference(u_old.remainder)
     return agreement

@@ -115,7 +115,8 @@ class PipelineConfig:
         read("group", lambda _: config.build_model())
         read("measure", lambda _: config.build_measure(), None)
         action = read("action", lambda _: config.build_action())
-        # an increment is built at its generator's depth at least
+        # a generator's remainder, a cylinder of its depth, enters the
+        # agreement and change sets, which so stay within the budget
         deepest = max(action.generators, key=lambda g: g.max_depth)
         if deepest.max_depth > config.depth_budget:
             raise ConfigError(f"config key 'action' cannot take generator "

@@ -449,22 +449,32 @@ class CylinderSet:
         """Membership table at `depth`: byte i is 1 when the cylinder of
         the depth-`depth` word with index i lies in the set, that is when
         some member word is a prefix of that word (a member deeper than
-        `depth` contains no whole depth-`depth` cylinder).  Filled one
-        range at a time, each range restated at `depth` by keeping the
-        whole cylinders it holds, and kept per depth on the set."""
+        `depth` contains no whole depth-`depth` cylinder).  Filled from
+        the ranges of `cells(depth)`, and kept per depth on the set."""
         table = self._masks.get(depth)
         if table is None:
             buf = bytearray(1 << depth)
-            shift = self.max_depth - depth
-            for lo, hi in zip(self.edges[::2], self.edges[1::2]):
-                if shift > 0:
-                    lo, hi = -(-lo >> shift), hi >> shift
-                else:
-                    lo, hi = lo << -shift, hi << -shift
-                if lo < hi:
-                    buf[lo:hi] = b"\x01" * (hi - lo)
+            for lo, hi in self.cells(depth):
+                buf[lo:hi] = b"\x01" * (hi - lo)
             table = self._masks[depth] = bytes(buf)
         return table
+
+    def cells(self, depth: int, meeting: bool = False) -> list[tuple[int, int]]:
+        """The depth-`depth` cylinders that lie wholly in the set, or with
+        `meeting` those that meet it, as ascending, disjoint index ranges
+        [lo, hi): the set's inner or outer approximation at `depth`, read
+        off the edges by rounding each range inwards or outwards.  At a
+        depth of at least `max_depth` both are `ranges(depth)`."""
+        shift = self.max_depth - depth
+        if shift <= 0:
+            return self.ranges(depth)
+        pairs = zip(self.edges[::2], self.edges[1::2])
+        if meeting:
+            # ranges apart at max_depth may meet one cell at `depth`
+            edges = _coalesce((lo >> shift, -(-hi >> shift)) for lo, hi in pairs)
+            return list(zip(edges[::2], edges[1::2]))
+        return [(lo, hi) for lo, hi in ((-(-lo >> shift), hi >> shift)
+                                        for lo, hi in pairs) if lo < hi]
 
     def ranges(self, depth: int) -> list[tuple[int, int]]:
         """The set as ascending, disjoint index ranges [lo, hi) of

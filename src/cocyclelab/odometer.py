@@ -8,8 +8,9 @@ Two kinds of maps are used throughout:
 * the action's generators, each a rule: :class:`Odometer`, the dyadic
   adding machine truncated at a declared depth, whose carry past that
   depth is an explicit undefined remainder, and :class:`Flip`, which
-  flips one coordinate.  Each reads off its own index table, overflow
-  set and distortion in closed form, without listing words.
+  flips one coordinate.  Each reads off its own index table at any
+  depth, remainder, overflow set and distortion in closed form, without
+  listing words.
 
 Both kinds preserve the tail relation by construction: a point and its
 image agree beyond the rewritten prefix.
@@ -123,21 +124,30 @@ class Odometer:
         i = (1 << k) - 1 if self.step == 1 else 0
         return CylinderSet(k, (i, i + 1))
 
+    @property
+    def remainder(self) -> CylinderSet:
+        """Where the map is undefined: the carry past `depth`."""
+        return self.overflow(self.depth)
+
     def index_map(self, depth: int) -> tuple[int, ...]:
-        """The map on all depth-`depth` words at once, by word index (see
-        `word_index`): entry i is the index of the image of word i, or -1
-        on the remainder.  The carry of length k maps one block of
-        2^(depth - k - 1) indices onto another."""
-        if depth < self.depth:
-            raise DepthMismatch(f"depth {depth} too shallow to decide the "
-                                f"carries of {self.label}")
-        out = [-1] * (1 << depth)
-        for k in range(self.depth):
+        """The exact carry on the depth-`depth` prefixes, by word index
+        (see `word_index`): entry i is the index of the image of word i
+        under adding `step` modulo 2^depth, so T maps 1^depth to 0^depth.
+        A prefix's image does not depend on the coordinates beyond it;
+        the truncation is `remainder`, kept beside the table.  The carry
+        of length k maps one block of 2^(depth - k - 1) indices onto
+        another."""
+        out = [0] * (1 << depth)
+        for k in range(depth):
             # 1^k 0 and 0^k 1 have the indices 2^(k+1) - 2 and 1 at depth
             # k + 1; T maps the first onto the second, T~ the reverse
             s, t = ((2 << k) - 2, 1)[::self.step]
             size = 1 << (depth - k - 1)
             out[s * size:(s + 1) * size] = range(t * size, (t + 1) * size)
+        # the carry across all of 1^depth wraps to 0^depth, for T~ the
+        # reverse
+        s, t = ((1 << depth) - 1, 0)[::self.step]
+        out[s] = t
         return tuple(out)
 
     def distortion(self, mu: ProductMeasure) -> Fraction:
@@ -173,11 +183,17 @@ class Flip:
         all of them when `coord` is beyond `level`, else none."""
         return CylinderSet.full() if self.coord > level else CylinderSet.empty()
 
+    @property
+    def remainder(self) -> CylinderSet:
+        """Empty: a flip is defined everywhere."""
+        return CylinderSet.empty()
+
     def index_map(self, depth: int) -> tuple[int, ...]:
         """The map on all depth-`depth` words at once, by word index:
-        block b of 2^(depth - coord) indices maps onto block b ^ 1."""
+        block b of 2^(depth - coord) indices maps onto block b ^ 1; the
+        identity when `coord` lies beyond `depth`."""
         if depth < self.coord:
-            raise DepthMismatch(f"depth {depth} too shallow to decide {self.label}")
+            return tuple(range(1 << depth))
         size = 1 << (depth - self.coord)
         return tuple(chain.from_iterable(
             range((b ^ 1) * size, ((b ^ 1) + 1) * size)

@@ -17,12 +17,13 @@ from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
                                  increment_agreement, increments_within,
                                  kernel_csv, trivial_on_overflow)
 from cocyclelab.errors import DepthMismatch
-from cocyclelab.groups import cyclic_group, symmetric_group_3
+from cocyclelab.groups import FreeAbelianGroup, cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_index
-from cocyclelab.odometer import (Flip, Odometer, adding_machine_action,
+from cocyclelab.odometer import (Flip, GammaAction, Odometer,
+                                 adding_machine_action,
                                  flip_action, orbit_overflow)
-from word_oracles import (apply_piece, cocycle_check, piece_remainder, pieces,
-                          step_at)
+from word_oracles import (cocycle_check, covers, distance_words,
+                          increment_words, piece_remainder, pieces)
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -100,24 +101,31 @@ class TestStepFunction:
 
 
 def undefined_indices(p: PartialStepFunction) -> list[int]:
-    """The word indices where the increment's table holds None."""
-    return [i for i, v in enumerate(p.values) if v is None]
+    """The word indices of the increment's cells that lie wholly inside
+    its remainder."""
+    return [i for lo, hi in p.remainder.cells(p.depth) for i in range(lo, hi)]
 
 
 def unmapped_indices(sigma, depth: int) -> list[int]:
-    """The word indices the generator's index table marks -1."""
-    return [i for i, j in enumerate(sigma.index_map(depth)) if j < 0]
+    """The depth-`depth` word indices the generator's word pieces leave
+    unmapped."""
+    return piece_remainder(pieces(sigma)).indices(depth)
 
 
 class TestPartialStepFunction:
     def test_masked_region_is_undefined(self):
         # the depth-2 odometer maps 0x to 1x and 10 to 01; 11 carries out
         sigma = Odometer(2, 1)
-        p = coboundary_increment(first_bit(2), sigma)
+        f = StepFunction.from_table(Z4, {"00": 0, "10": 1, "01": 2, "11": 0})
+        p = coboundary_increment(f, sigma)
         assert isinstance(p, StepFunction)
+        assert p.remainder == sigma.remainder == CylinderSet.of(["11"])
         assert undefined_indices(p) == unmapped_indices(sigma, 2) == [3]
-        assert value_at(p, "01") == 1
-        assert value_at(p, "11") is None
+        assert value_at(p, "01") == 2
+        # the table holds the exact carry 11 -> 00 there, which no
+        # predicate reads: the value set skips it
+        assert value_at(p, "11") == 0
+        assert p.value_set() == (1, 2)
 
     def test_value_set_excludes_masked(self):
         sigma = Odometer(2, 1)
@@ -135,10 +143,15 @@ class TestIncrements:
             assert value_at(inc, w) == 1
 
     def test_adding_machine_increment_undefined_on_remainder(self):
+        # kept at the potential's depth 2; the remainder 1111 lies
+        # strictly inside the cell 11, whose value holds on the rest
         f = parity_function(2)
         inc = coboundary_increment(f, Odometer(4, 1))
-        assert value_at(inc, "1111") is None
-        assert value_at(inc, "0000") == 1  # 0000 -> 1000 flips one bit
+        assert inc.depth == 2 and inc.remainder == CylinderSet.of(["1111"])
+        assert undefined_indices(inc) == []
+        assert value_at(inc, "00") == 1  # 0000 -> 1000 flips one bit
+        assert value_at(inc, "11") == 0  # 11ab -> 00cd outside 1111
+        assert inc.value_set() == (0, 1)
 
     def test_increments_within(self):
         doubled = StepFunction.from_table(Z4, {"0": 0, "1": 2})
@@ -147,17 +160,18 @@ class TestIncrements:
         # the increment is 2 on the whole space, outside {0, 1}
         assert coboundary_increment(doubled, Flip(1)).values == (2, 2)
 
-    def test_repeat_is_the_same_object_and_depth_refines(self):
+    def test_repeat_is_the_same_object_at_the_potentials_depth(self):
         f = parity_function(2)
         flip = Flip(1)
         first = coboundary_increment(f, flip)
         assert coboundary_increment(f, flip) is first
         # keyed by value: a rebuilt, equal generator hits the same entry
         assert coboundary_increment(f, Flip(1)) is first
-        # a generator deeper than f refines the increment to its depth
+        # a generator deeper than f keeps the increment at the depth of
+        # f: it fixes every prefix of that depth
         deeper = coboundary_increment(f, Flip(4))
-        assert deeper.depth == 4 and first.depth == 2
-        assert deeper.values == (0,) * 16
+        assert deeper.depth == first.depth == 2
+        assert deeper.values == (0,) * 4 and deeper.remainder.is_empty()
         assert coboundary_increment(f, Flip(4)) is deeper
         assert isinstance(first.values, tuple)
 
@@ -176,6 +190,15 @@ class TestIncrements:
         same = increment_agreement(f, f, flip_action((1, 2)))
         assert list(same) == ["s1", "s2"]
         assert all(s.is_full() for s in same.values())
+
+    def test_agreement_refuses_increments_of_different_generators(self):
+        f, g = parity_function(2), first_bit(2)
+        action = adding_machine_action(3)
+        t, t_inv = action.generators
+        # a memo entry filed under T holds the increment along T~
+        g._increments[t] = coboundary_increment(g, t_inv)
+        with pytest.raises(DepthMismatch, match="different generators"):
+            increment_agreement(f, g, action)
 
     def test_agreement_is_the_intersection_of_its_generators(self):
         f = StepFunction.from_table(Z4, {"00": 0, "01": 1, "10": 0, "11": 3})
@@ -260,6 +283,15 @@ class TestDistance:
         assert cocycle_distance(inc, inc, UNIFORM) == (
             Fraction(1, 2) + Fraction(1, 4)) * Fraction(1, 8)
 
+    def test_refuses_increments_of_different_generators(self):
+        # a family listed in another order pairs T with T~, whose
+        # remainders 111 and 000 differ
+        f = parity_function(2)
+        inc = [coboundary_increment(f, s)
+               for s in adding_machine_action(3).generators]
+        with pytest.raises(DepthMismatch, match="different generators"):
+            cocycle_distance(inc, inc[::-1], UNIFORM)
+
     def test_identical_families_at_zero(self):
         f = parity_function(3)
         action = flip_action((1, 2, 3))
@@ -269,16 +301,11 @@ class TestDistance:
 
 def uncached_increment(f, sigma):
     """`coboundary_increment` as a loop over words, before memoization
-    and dense tables (the oracle): its depth and its word-keyed table of
-    defined values."""
+    and dense tables (the oracle): the depth it was read at and its
+    word-keyed table of defined values."""
     e = max(f.depth, sigma.max_depth)
-    word_pieces = pieces(sigma)
-    table = {}
-    for w in all_words(e):
-        img = apply_piece(word_pieces, w)
-        if img is not None:
-            table[w] = f.model.mul(step_at(f, img), f.model.inv(step_at(f, w)))
-    return e, table
+    table = increment_words(f, sigma, e)
+    return e, {w: v for w, v in table.items() if v is not None}
 
 
 @st.composite
@@ -308,11 +335,88 @@ def test_memoized_increment_matches_uncached_loop(f, calls):
     for sigma in calls:
         got = coboundary_increment(f, sigma)
         depth, table = uncached_increment(f, sigma)
-        assert got.depth == depth
-        assert undefined_indices(got) == piece_remainder(
-            pieces(sigma)).indices(depth)
-        assert {w: v for w, v in zip(all_words(depth), got.values)
-                if v is not None} == table
+        assert got.depth == f.depth
+        assert got.remainder == piece_remainder(pieces(sigma))
+        # restated at the oracle's depth, every word outside the
+        # remainder reads the oracle's value
+        assert {w: v for w, v in zip(all_words(depth), got.values_at(depth))
+                if not covers(got.remainder, w)} == table
         rebuilt = dataclasses.replace(sigma)
         assert rebuilt is not sigma
         assert coboundary_increment(f, rebuilt) is got
+
+
+class ScaledZ(FreeAbelianGroup):
+    """Z with the metric |a - b| / 3, so that the truncated metric also
+    takes the values 1/3 and 2/3: the free-abelian model's own metric,
+    like that of every model of the package, is 0/1 once truncated."""
+
+    def metric(self, a, b):
+        return Fraction(abs(a[0] - b[0]), 3)
+
+
+MODELS = [
+    (Z2, Z2.elements()), (Z4, Z4.elements()), (S3, S3.elements()),
+    (FreeAbelianGroup(2), [(x, y) for x in (-1, 0, 1) for y in (0, 2)]),
+    (ScaledZ(1), [(k,) for k in range(-2, 3)]),
+]
+MEASURES = [UNIFORM, ProductMeasure.iid(Fraction(1, 3)),
+            ProductMeasure.from_schedule([(Fraction(1, 5), Fraction(4, 5))],
+                                         [(Fraction(3, 7), Fraction(4, 7))])]
+
+
+@st.composite
+def remainder_cases(draw, shallow: bool):
+    """Two potentials over one model, the symmetric action of a depth-D
+    odometer and a flip, and a measure.  With `shallow` the potentials
+    are shallower than D, so the odometer's remainder lies strictly
+    inside a cell; else they are at least as deep, and the remainder is
+    a union of cells."""
+    model, elements = draw(st.sampled_from(MODELS))
+    top = draw(st.integers(1, 5))
+    depths = st.integers(0, top - 1) if shallow else st.integers(top, top + 1)
+
+    def potential():
+        depth = draw(depths)
+        values = draw(st.lists(st.sampled_from(elements),
+                               min_size=1 << depth, max_size=1 << depth))
+        return StepFunction(model, depth, tuple(values))
+
+    action = GammaAction((Odometer(top, 1), Odometer(top, -1),
+                          Flip(draw(st.integers(1, 6)))))
+    allowed = draw(st.lists(st.sampled_from(elements), max_size=3))
+    return potential(), potential(), action, draw(st.sampled_from(MEASURES)), allowed
+
+
+@pytest.mark.parametrize("shallow", [True, False], ids=["d<D", "d>=D"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_remainder_arithmetic_matches_word_loop(shallow, data):
+    """The distance, the agreement sets, the value sets and the
+    confinement test, read at the potentials' depth with the remainder
+    beside the tables, equal a loop over every word at the deepest
+    depth with None on the remainder."""
+    f, g, action, mu, allowed = data.draw(remainder_cases(shallow))
+    model = f.model
+    gens = action.generators
+    depth = max(f.depth, g.depth, *(s.max_depth for s in gens))
+    old_words = [increment_words(f, s, depth) for s in gens]
+    new_words = [increment_words(g, s, depth) for s in gens]
+
+    old = [coboundary_increment(f, s) for s in gens]
+    new = [coboundary_increment(g, s) for s in gens]
+    assert cocycle_distance(old, new, mu) == distance_words(
+        old_words, new_words, mu, model.metric)
+
+    agreement = increment_agreement(f, g, action)
+    for s, t1, t2 in zip(gens, old_words, new_words):
+        assert agreement[s.label] == CylinderSet.of(
+            w for w, a in t1.items() if a is not None and a == t2[w])
+
+    keys = {model.key(model.identity())} | {model.key(h) for h in allowed}
+    for inc, table in zip(new, new_words):
+        defined = {model.key(v): v for v in table.values() if v is not None}
+        assert inc.value_set() == tuple(defined[k] for k in sorted(defined))
+    assert increments_within(g, action, allowed) == all(
+        model.key(v) in keys for t in new_words for v in t.values()
+        if v is not None)

@@ -612,3 +612,20 @@ def test_ranges_list_the_indices(s, extra):
         with pytest.raises(DepthMismatch):
             s.ranges(s.max_depth - 1)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(cylinder_sets(), st.integers(0, 8))
+def test_cells_are_the_inner_and_outer_approximations(s, depth):
+    # a depth-d cell lies wholly in the set when its word is covered,
+    # and meets the set when, besides, some member extends its word
+    inner = [i for lo, hi in s.cells(depth) for i in range(lo, hi)]
+    outer = [i for lo, hi in s.cells(depth, meeting=True) for i in range(lo, hi)]
+    assert inner == [word_index(w) for w in all_words(depth)
+                     if oracle_covers(s, w)]
+    assert outer == [word_index(w) for w in all_words(depth)
+                     if oracle_covers(s, w) or any(m.startswith(w) for m in s.words)]
+    # ascending, disjoint ranges apart
+    for ranges in (s.cells(depth), s.cells(depth, meeting=True)):
+        edges = [x for r in ranges for x in r]
+        assert edges == sorted(set(edges)) and all(lo < hi for lo, hi in ranges)

@@ -21,7 +21,7 @@ from cocyclelab.odometer import (FiniteDepthMap, Flip, GammaAction, Odometer,
                                  flip_action, orbit_overflow)
 from word_oracles import (WordMap, apply_piece, apply_rule, covers, image_of,
                           map_apply, piece_distortion, piece_index_map,
-                          piece_overflow, pieces, words_at)
+                          piece_overflow, piece_remainder, pieces, words_at)
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))
@@ -106,12 +106,15 @@ class TestOverflow:
 
     def test_truncation_remainder_is_unknown(self):
         # at the declared depth the carry cannot be decided, so the
-        # remainder counts as overflow, and the index table marks it -1
+        # remainder counts as overflow; the index table holds the exact
+        # carry, and the remainder beside it marks where it is unknown
         over = orbit_overflow(adding_machine_action(4), 3)
         assert covers(over, "1111")
         assert covers(over, "0000")
-        assert Odometer(4, 1).index_map(4)[word_index("1111")] == -1
-        assert Odometer(4, -1).index_map(4)[word_index("0000")] == -1
+        assert Odometer(4, 1).remainder == CylinderSet.of(["1111"])
+        assert Odometer(4, -1).remainder == CylinderSet.of(["0000"])
+        assert apply_rule(Odometer(4, 1), "11110") is None
+        assert Odometer(4, 1).index_map(4)[word_index("1111")] == 0
         # beyond the declared depth the overflow keeps the remainder
         assert Odometer(4, 1).overflow(9) == CylinderSet.of(["1111"])
 
@@ -287,22 +290,41 @@ index_maps = st.one_of(
 
 
 @settings(max_examples=100, deadline=None)
-@given(index_maps, st.integers(0, 3))
-def test_index_map_matches_apply(sigma, beyond):
-    depth = sigma.max_depth + beyond
+@given(index_maps, st.integers(0, 8))
+def test_index_map_matches_apply(sigma, depth):
+    """At any depth, shallower than the rule or not, the table maps each
+    prefix to the prefix of the piece image of every word outside the
+    remainder that extends it; the pieces leave exactly the remainder
+    unmapped."""
     table = sigma.index_map(depth)
     assert len(table) == 1 << depth
     word_pieces = pieces(sigma)
-    for w in all_words(depth):
+    for w in all_words(max(depth, sigma.max_depth)):
         img = apply_piece(word_pieces, w)
-        assert table[word_index(w)] == (-1 if img is None else word_index(img))
+        assert (img is None) == covers(sigma.remainder, w)
+        if img is not None:
+            assert table[word_index(w[:depth])] == word_index(img[:depth])
 
 
-def test_index_map_needs_the_piece_depth():
-    with pytest.raises(DepthMismatch):
-        Odometer(4, 1).index_map(3)
-    with pytest.raises(DepthMismatch):
-        Flip(4).index_map(3)
+def add_with_wrap(w: str, step: int) -> str:
+    """Add `step` to a word read least significant coordinate first,
+    modulo 2^len(w): the untruncated carry on a prefix."""
+    if step == 1:
+        img = increment_oracle(w)
+        return "0" * len(w) if img is None else img
+    img = increment_oracle_inverse(w)
+    return "1" * len(w) if img is None else img
+
+
+@pytest.mark.parametrize("depth", range(0, 7))
+def test_index_map_is_the_carry_at_every_depth(depth):
+    # below, at and beyond the odometer's depth its table is the carry
+    # modulo 2^depth; a flip beyond the prefix leaves it fixed
+    for step in (1, -1):
+        table = Odometer(4, step).index_map(depth)
+        assert [index_word(j, depth) for j in table] == [
+            add_with_wrap(w, step) for w in all_words(depth)]
+    assert Flip(depth + 1).index_map(depth) == tuple(range(1 << depth))
 
 
 def test_rules_reject_bad_parameters():
@@ -318,11 +340,14 @@ RULES = ([Odometer(d, step) for d in range(1, 11) for step in (1, -1)]
 @pytest.mark.parametrize("rule", RULES, ids=lambda g: f"{g.label}-{g.max_depth}")
 def test_rule_matches_its_word_pieces(rule):
     """Each rule's closed forms equal the word-piece reference: its index
-    table at and one beyond its depth, its overflow at levels 0..13 and
-    its distortion under three measures."""
+    table at and one beyond its depth on every word outside the
+    remainder, its remainder, its overflow at levels 0..13 and its
+    distortion under three measures."""
     word_pieces = pieces(rule)
+    assert rule.remainder == piece_remainder(word_pieces)
     for depth in (rule.max_depth, rule.max_depth + 1):
-        assert rule.index_map(depth) == piece_index_map(word_pieces, depth)
+        table, expected = rule.index_map(depth), piece_index_map(word_pieces, depth)
+        assert {i: table[i] for i in expected} == expected
     for level in range(14):
         assert rule.overflow(level) == piece_overflow(word_pieces, level)
     for mu in (UNIFORM, BIASED, SCHEDULE):

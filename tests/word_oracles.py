@@ -51,11 +51,13 @@ def piece_overflow(word_pieces, level: int) -> CylinderSet:
     return CylinderSet.of(escaping).union(piece_remainder(word_pieces))
 
 
-def piece_index_map(word_pieces, depth: int) -> tuple:
-    """The piece map on the depth-`depth` words, by word index, -1 on
-    the remainder: the table a generator's `index_map(depth)` must be."""
-    images = (apply_piece(word_pieces, w) for w in all_words(depth))
-    return tuple(-1 if img is None else word_index(img) for img in images)
+def piece_index_map(word_pieces, depth: int) -> dict:
+    """The piece map on the depth-`depth` words outside the remainder,
+    image index by word index: the entries a generator's
+    `index_map(depth)` must hold there."""
+    images = ((w, apply_piece(word_pieces, w)) for w in all_words(depth))
+    return {word_index(w): word_index(img) for w, img in images
+            if img is not None}
 
 
 def piece_distortion(word_pieces, mu) -> Fraction:
@@ -67,8 +69,9 @@ def piece_distortion(word_pieces, mu) -> Fraction:
 def apply_rule(g, w):
     """The image of a word at least as deep as the generator, read off
     its index table, or None on its undefined remainder."""
-    j = g.index_map(len(w))[word_index(w)]
-    return None if j < 0 else index_word(j, len(w))
+    if covers(g.remainder, w):
+        return None
+    return index_word(g.index_map(len(w))[word_index(w)], len(w))
 
 
 def step_at(f, w):
@@ -76,6 +79,34 @@ def step_at(f, w):
     if len(w) < f.depth:
         raise DepthMismatch(f"word of depth {len(w)} too shallow for depth {f.depth}")
     return f.values[word_index(w[: f.depth])]
+
+
+def increment_words(f, sigma, depth: int) -> dict:
+    """The increment f(sigma x) f(x)^-1 on every word of `depth`, at
+    least the depth of `f` and of `sigma`, applied word by word through
+    the word pieces, None on the remainder: the form increments had
+    before they were kept at the potential's depth."""
+    word_pieces, model = pieces(sigma), f.model
+    table = {}
+    for w in all_words(depth):
+        img = apply_piece(word_pieces, w)
+        table[w] = None if img is None else model.mul(
+            step_at(f, img), model.inv(step_at(f, w)))
+    return table
+
+
+def distance_words(first, second, mu, metric) -> Fraction:
+    """`cocycle_distance` summed word by word over per-generator tables
+    of `increment_words` of one depth: the sum over generators j of 2^-j
+    times the cylinder masses weighted by the truncated metric, a word
+    where either table holds None counting at metric 1."""
+    total = Fraction(0)
+    for j, (t1, t2) in enumerate(zip(first, second), 1):
+        for w, a in t1.items():
+            b = t2[w]
+            gap = 1 if a is None or b is None else min(1, metric(a, b))
+            total += Fraction(gap) * mu.cylinder(w) / 2 ** j
+    return total
 
 
 def covers(s: CylinderSet, w: str) -> bool:
