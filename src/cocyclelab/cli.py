@@ -37,11 +37,14 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def _load_config(text: str, rounds: Optional[int],
                  depth: Optional[int]) -> PipelineConfig:
     if os.path.exists(text):
-        with open(text) as fh:
-            try:
+        try:
+            with open(text) as fh:
                 raw = yaml.load(fh, Loader=YAML_LOADER)
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"{text} is not valid YAML: {exc}") from exc
+        except (yaml.YAMLError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{text} is not valid YAML: {exc}") from exc
+        except OSError as exc:
+            raise ConfigError(f"cannot read the config {text!r} "
+                              f"({type(exc).__name__}: {exc.strerror})") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"{text} does not hold a mapping")
     elif text in PRESETS:

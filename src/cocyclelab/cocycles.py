@@ -10,7 +10,8 @@ read off one index table, and a truncated generator's undefined
 remainder is kept beside the table as a set.  Predicates read the
 increments at the depth of the potentials, never at the generators',
 and count the remainder's mass explicitly instead of silently passing
-it.
+it.  Two potentials' increments are paired once, into the agreement
+sets, and the distance between them is those sets' disagreement mass.
 
 The two-point cocycle that witnesses and connectivity read is always
 the coboundary c(a, b) = f(a) f(b)^-1 of the current step function f,
@@ -25,16 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import eq, ne
-from typing import Iterable, Mapping, Sequence
+from operator import ne
+from typing import Iterable, Mapping
 
 from .errors import DepthMismatch
 from .groups import GroupModel, Element
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
                       word_index)
 from .odometer import Flip, GammaAction, Odometer
-
-HALF = Fraction(1, 2)
 
 KERNEL_EXPORT_DEPTH = 8  # deepest potential whose kernel is exported as CSV
 
@@ -228,72 +227,34 @@ def _paired_depth(u1: PartialStepFunction, u2: PartialStepFunction) -> int:
     return max(u1.depth, u2.depth)
 
 
-def _remainder_parts(r: CylinderSet, depth: int, mu: ProductMeasure
-                     ) -> list[tuple[int, Fraction]]:
-    """The depth-`depth` cells that `r` meets, by index, each with the
-    mass of its part in `r`: the whole cell when `r` is a union of such
-    cells, else measured on the cylinder algebra."""
-    if not r.edges:
-        return []
-    if depth >= r.max_depth:
-        masses, denominator = mu.level_masses(depth)
-        return [(i, Fraction(masses[i], denominator)) for i in r.indices(depth)]
-    return [(i, CylinderSet(depth, (i, i + 1)).intersection(r).measure(mu))
-            for lo, hi in r.cells(depth, meeting=True) for i in range(lo, hi)]
-
-
-def cocycle_distance(first: Sequence[PartialStepFunction],
-                     second: Sequence[PartialStepFunction],
-                     mu: ProductMeasure) -> Fraction:
-    """An upper bound on the distance between two per-generator increment
-    families: the sum over generators j of 2^-j times the expected
-    truncated metric between the j-th increments, the generator's
-    undefined remainder R counting at the worst metric 1.  Computed
-    exactly on the cylinder algebra at the increments' depth: each gap's
-    cell masses are summed as integer numerators over the level's common
-    denominator, and each cell c that R meets adds (1 - gap(c)) mu(c & R).
-    Raises `DepthMismatch` when paired increments come from different
-    generators."""
-    if len(first) != len(second):
-        raise DepthMismatch(
-            f"families enumerate {len(first)} and {len(second)} generators")
-    total = ZERO
-    weight = ONE
-    for u1, u2 in zip(first, second):
-        weight *= HALF
-        if u1.model.name != u2.model.name:
-            raise ValueError("increment families live over different group models")
-        depth = _paired_depth(u1, u2)
-        masses, denominator = mu.level_masses(depth)
-        metric = u1.model.metric
-        a, b = u1.values_at(depth), u2.values_at(depth)
-        # mass numerator summed per gap; equal values are at distance 0
-        per_gap: dict[Fraction, int] = {}
-        for x, y, m in compress(zip(a, b, masses), map(ne, a, b)):
-            gap = min(ONE, metric(x, y))
-            if gap:
-                per_gap[gap] = per_gap.get(gap, 0) + m
-        mass = sum((gap * Fraction(m, denominator)
-                    for gap, m in per_gap.items()), ZERO)
-        for i, part in _remainder_parts(u1.remainder, depth, mu):
-            gap = ZERO if a[i] == b[i] else min(ONE, metric(a[i], b[i]))
-            mass += (ONE - gap) * part
-        total += weight * mass
-    return total
-
-
 def increment_agreement(old: StepFunction, new: StepFunction,
                         action: GammaAction) -> dict[str, CylinderSet]:
-    """Per generator label, the set where its increment of `new` is
-    defined and equals that of `old`: the cells of equal value at the
-    increments' depth, less the generator's remainder, whose undecided
-    mass is excluded (conservative)."""
+    """Per generator label, in the action's generator order, the set
+    where its increment of `new` is defined and equals that of `old`:
+    the complement of the cells whose values differ at the increments'
+    depth, less the generator's remainder, whose undecided mass is
+    excluded (conservative).  Only the differing cells are listed, so a
+    nearly full set costs little."""
     agreement: dict[str, CylinderSet] = {}
     for g in action.generators:
         u_old = coboundary_increment(old, g)
         u_new = coboundary_increment(new, g)
         e = _paired_depth(u_old, u_new)
-        same = CylinderSet.from_indices(e, list(compress(
-            count(), map(eq, u_old.values_at(e), u_new.values_at(e)))))
-        agreement[g.label] = same.difference(u_old.remainder)
+        moved = CylinderSet.from_indices(e, list(compress(
+            count(), map(ne, u_old.values_at(e), u_new.values_at(e)))))
+        agreement[g.label] = moved.complement().difference(u_old.remainder)
     return agreement
+
+
+def cocycle_distance(agreement: Mapping[str, CylinderSet],
+                     mu: ProductMeasure) -> Fraction:
+    """An upper bound on the distance between the increment families of
+    two potentials under one action, read off their `increment_agreement`
+    sets: the sum over generators j, in the action's order, of 2^-j times
+    the mass where the j-th increments differ or are undefined.  That is
+    the expected truncated metric min(1, d), the remainder counting at
+    the worst value 1: the models are discrete with integer-valued
+    metrics, so the truncation is 0 on equal elements and 1 on distinct
+    ones."""
+    return sum(((ONE - same.measure(mu)) / (1 << j)
+                for j, same in enumerate(agreement.values(), 1)), ZERO)

@@ -94,17 +94,23 @@ class PipelineConfig:
                 raise ValueError("must be >= 0")
             return n
 
+        def listed(value):
+            # a string is iterable too, but would read as its characters
+            if isinstance(value, str):
+                raise TypeError("a list is required, not a string")
+            return value
+
         def word_tuples(entries) -> tuple:
             return tuple((e,) if isinstance(e, str) else tuple(str(w) for w in e)
-                         for e in entries)
+                         for e in listed(entries))
 
         config = PipelineConfig(
             group=read("group", dict),
             measure=read("measure", dict, {"kind": "uniform"}),
             action=read("action", dict),
-            family=read("family", lambda v: tuple(str(h) for h in v)),
+            family=read("family", lambda v: tuple(map(str, listed(v)))),
             bases=read("bases", word_tuples, [""]),
-            u_indices=read("u_indices", lambda v: tuple(map(count, v)), [1]),
+            u_indices=read("u_indices", lambda v: tuple(map(count, listed(v))), [1]),
             rounds=read("rounds", count, 1),
             depth_budget=read("depth_budget", count, 14),
             start_level=read("start_level", count, 1),
@@ -723,9 +729,8 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     rows = []
     for idx in range(len(functions) - 1):
         act = config.build_action(max(idx, 1))
-        old = [coboundary_increment(functions[idx], g) for g in act.generators]
-        new = [coboundary_increment(f_final, g) for g in act.generators]
-        dist = cocycle_distance(old, new, mu)
+        dist = cocycle_distance(
+            increment_agreement(functions[idx], f_final, act), mu)
         tail = sum(eps_history[idx:], ZERO)
         rows.append({
             "from_round": idx,

@@ -1,8 +1,8 @@
 """Discrete group models with exact conjugacy and covering machinery.
 
-Every model exposes multiplication, inversion, a bi-invariant rational
-metric, and a shrinking base of identity neighborhoods, each a normal
-subgroup.  The shipped models are all discrete: each neighborhood is the
+Every model exposes multiplication, inversion, and a shrinking base of
+identity neighborhoods, each a normal subgroup; lattice models also
+carry a norm.  The shipped models are all discrete: each neighborhood is the
 whole group, the identity, or a product of those, and the base
 stabilizes at the identity singleton.  So the covering number of a
 conjugacy class by neighborhood translates is the number of cosets of
@@ -26,7 +26,6 @@ from .errors import ConfigError, MalformedInput, UnboundedClass
 Element = Any
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 CLASS_BUDGET = 4096  # most elements a conjugacy class or closure may list
 
@@ -54,10 +53,6 @@ class GroupModel(ABC):
         """The identity neighborhood U_k: a normal subgroup (closed under
         multiplication, inversion and conjugation), nonincreasing in k
         with intersection the identity singleton."""
-
-    def metric(self, a: Element, b: Element) -> Fraction:
-        """Bi-invariant metric; discrete models use the 0/1 metric."""
-        return ZERO if a == b else ONE
 
     def norm(self, a: Element) -> Optional[Fraction]:
         """Group norm when the model carries one, else None."""
@@ -277,9 +272,6 @@ class DirectSumZGroup(GroupModel):
             return ()
         return self._trim(_integers(self.name, text))
 
-    def metric(self, a, b):
-        return self.norm(self.mul(a, self.inv(b)))
-
     def norm(self, a):
         return Fraction(max((abs(x) for x in a), default=0))
 
@@ -318,9 +310,6 @@ class DirectProductGroup(GroupModel):
         if not bar:
             raise MalformedInput(f"{self.name} has no element {text!r}")
         return (self.left.parse(l), self.right.parse(r))
-
-    def metric(self, a, b):
-        return max(self.left.metric(a[0], b[0]), self.right.metric(a[1], b[1]))
 
     def norm(self, a):
         nl, nr = self.left.norm(a[0]), self.right.norm(a[1])

@@ -443,7 +443,12 @@ class CylinderSet:
         return self._combine(other, lambda x, y: x and not y)
 
     def complement(self) -> "CylinderSet":
-        return CylinderSet.full().difference(self)
+        """The points outside the set: its edges with the two ends of the
+        index range, 0 and 2^max_depth, toggled."""
+        edges, whole = self.edges, 1 << self.max_depth
+        edges = edges[1:] if edges[:1] == (0,) else (0, *edges)
+        edges = edges[:-1] if edges[-1:] == (whole,) else (*edges, whole)
+        return CylinderSet(self.max_depth, edges)
 
     def mask(self, depth: int) -> bytes:
         """Membership table at `depth`: byte i is 1 when the cylinder of

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .cocycles import (StepFunction, coboundary_increment, cocycle_distance,
-                       increment_agreement, increments_within,
-                       trivial_on_overflow)
+from .cocycles import (StepFunction, cocycle_distance, increment_agreement,
+                       increments_within, trivial_on_overflow)
 from .errors import (ConfigError, DepthExhausted, EmptyCore,
                      PostconditionFailure)
 from .evc import WitnessValidation, delta_for, target_set, validate_witness
@@ -559,8 +558,6 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     agree = CylinderSet.full()
     for same in agreement.values():
         agree = agree.intersection(same)
-    old_inc = [coboundary_increment(f, g) for g in action.generators]
-    new_inc = [coboundary_increment(f_tilde, g) for g in action.generators]
     return StepCheck(
         eps=eps, m=m, delta=out.delta, required_delta=required_delta,
         cover_number=cover.number,
@@ -573,4 +570,4 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
                               for w in range(lo, hi)),
         core_mass=core.measure(mu), target_mass=inp.target.measure(mu),
         agreement=agreement, agreement_mass=agree.measure(mu),
-        distance=cocycle_distance(old_inc, new_inc, mu))
+        distance=cocycle_distance(agreement, mu))

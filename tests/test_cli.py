@@ -458,6 +458,26 @@ class TestConfigHandling:
         assert record["error"] == "ConfigError"
         assert value in record["message"]
 
+    @pytest.mark.parametrize("key, value", [
+        ("family", "12"), ("bases", "01"), ("u_indices", "1")])
+    def test_list_key_rejects_a_string(self, key, value):
+        # a string is iterable: "12" would load as the family ["1", "2"]
+        with pytest.raises(ConfigError, match=f"'{key}' cannot take '{value}'"):
+            PipelineConfig.from_mapping({**PRESETS["z2-flips"], key: value})
+
+    @pytest.mark.parametrize("where", ["directory", "undecodable"])
+    def test_unreadable_config_path(self, where, tmp_path, capsys):
+        path = tmp_path
+        if where == "undecodable":
+            path = tmp_path / "binary.yaml"
+            path.write_bytes(b"rounds: \xff\n")
+        rc, out, err = run_cli(capsys, "run", "--config", str(path))
+        assert rc == 2 and out == ""
+        [line] = err.splitlines()
+        record = json.loads(line)
+        assert record["error"] == "ConfigError"
+        assert str(path) in record["message"]
+
     def test_unknown_element_stays_malformed_input(self, tmp_path, capsys):
         # MalformedInput is a ValueError too, but keeps its record and exit 1
         path = tmp_path / "bad.yaml"

@@ -17,7 +17,9 @@ from cocyclelab.cocycles import (PartialStepFunction, StepFunction,
                                  increment_agreement, increments_within,
                                  kernel_csv, trivial_on_overflow)
 from cocyclelab.errors import DepthMismatch
-from cocyclelab.groups import FreeAbelianGroup, cyclic_group, symmetric_group_3
+from cocyclelab.groups import (DirectProductGroup, DirectSumZGroup,
+                               FreeAbelianGroup, cyclic_group,
+                               symmetric_group_3)
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_index
 from cocyclelab.odometer import (Flip, GammaAction, Odometer,
                                  adding_machine_action,
@@ -267,36 +269,23 @@ class TestTrivialKernel:
 class TestDistance:
     def test_exact_weighted_integral(self):
         f, g = parity_function(2), first_bit(2)
-        action = flip_action((1, 2))
-        old = [coboundary_increment(f, s) for s in action.generators]
-        new = [coboundary_increment(g, s) for s in action.generators]
         # generator 1: parity increment 1 vs first-bit increment 1 -> agree;
         # generator 2: 1 vs 0 everywhere -> disagree on full mass
-        assert cocycle_distance(old, new, UNIFORM) == Fraction(1, 4)
+        agreement = increment_agreement(f, g, flip_action((1, 2)))
+        assert cocycle_distance(agreement, UNIFORM) == Fraction(1, 4)
 
     def test_undefined_bound_counts_remainder(self):
         f = parity_function(1)
-        action = adding_machine_action(3)
-        inc = [coboundary_increment(f, s) for s in action.generators]
         # the families agree where defined, and each truncated generator
         # has an undefined remainder cylinder of mass 1/8
-        assert cocycle_distance(inc, inc, UNIFORM) == (
+        agreement = increment_agreement(f, f, adding_machine_action(3))
+        assert cocycle_distance(agreement, UNIFORM) == (
             Fraction(1, 2) + Fraction(1, 4)) * Fraction(1, 8)
-
-    def test_refuses_increments_of_different_generators(self):
-        # a family listed in another order pairs T with T~, whose
-        # remainders 111 and 000 differ
-        f = parity_function(2)
-        inc = [coboundary_increment(f, s)
-               for s in adding_machine_action(3).generators]
-        with pytest.raises(DepthMismatch, match="different generators"):
-            cocycle_distance(inc, inc[::-1], UNIFORM)
 
     def test_identical_families_at_zero(self):
         f = parity_function(3)
-        action = flip_action((1, 2, 3))
-        inc = [coboundary_increment(f, s) for s in action.generators]
-        assert cocycle_distance(inc, inc, UNIFORM) == 0
+        agreement = increment_agreement(f, f, flip_action((1, 2, 3)))
+        assert cocycle_distance(agreement, UNIFORM) == 0
 
 
 def uncached_increment(f, sigma):
@@ -346,19 +335,12 @@ def test_memoized_increment_matches_uncached_loop(f, calls):
         assert coboundary_increment(f, rebuilt) is got
 
 
-class ScaledZ(FreeAbelianGroup):
-    """Z with the metric |a - b| / 3, so that the truncated metric also
-    takes the values 1/3 and 2/3: the free-abelian model's own metric,
-    like that of every model of the package, is 0/1 once truncated."""
-
-    def metric(self, a, b):
-        return Fraction(abs(a[0] - b[0]), 3)
-
-
 MODELS = [
     (Z2, Z2.elements()), (Z4, Z4.elements()), (S3, S3.elements()),
     (FreeAbelianGroup(2), [(x, y) for x in (-1, 0, 1) for y in (0, 2)]),
-    (ScaledZ(1), [(k,) for k in range(-2, 3)]),
+    (DirectSumZGroup(), [(), (1,), (-2,), (0, 1), (3, 0, -1)]),
+    (DirectProductGroup(Z2, FreeAbelianGroup(1)),
+     [(a, (k,)) for a in (0, 1) for k in (-1, 0, 2)]),
 ]
 MEASURES = [UNIFORM, ProductMeasure.iid(Fraction(1, 3)),
             ProductMeasure.from_schedule([(Fraction(1, 5), Fraction(4, 5))],
@@ -403,12 +385,11 @@ def test_remainder_arithmetic_matches_word_loop(shallow, data):
     old_words = [increment_words(f, s, depth) for s in gens]
     new_words = [increment_words(g, s, depth) for s in gens]
 
-    old = [coboundary_increment(f, s) for s in gens]
     new = [coboundary_increment(g, s) for s in gens]
-    assert cocycle_distance(old, new, mu) == distance_words(
-        old_words, new_words, mu, model.metric)
-
     agreement = increment_agreement(f, g, action)
+    assert cocycle_distance(agreement, mu) == distance_words(
+        old_words, new_words, mu)
+
     for s, t1, t2 in zip(gens, old_words, new_words):
         assert agreement[s.label] == CylinderSet.of(
             w for w, a in t1.items() if a is not None and a == t2[w])

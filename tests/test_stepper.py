@@ -70,8 +70,10 @@ def brute_agreement_mass(inp: StepInput, f_tilde: StepFunction,
 
 def brute_distance_upper(inp: StepInput, f_tilde: StepFunction,
                          depth: int) -> Fraction:
-    """Generator-weighted disagreement mass, counting remainder words at
-    full metric weight, matching the distance upper bound."""
+    """Generator-weighted disagreement mass, word by word: the mass where
+    a generator's old and new increments differ or its rule is
+    undefined, weighted 2^-j for the j-th generator, as
+    `cocycle_distance` reads it off the agreement sets."""
     model = inp.f.model
     total = Fraction(0)
     weight = Fraction(1, 2)

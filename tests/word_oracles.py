@@ -95,17 +95,17 @@ def increment_words(f, sigma, depth: int) -> dict:
     return table
 
 
-def distance_words(first, second, mu, metric) -> Fraction:
+def distance_words(first, second, mu) -> Fraction:
     """`cocycle_distance` summed word by word over per-generator tables
     of `increment_words` of one depth: the sum over generators j of 2^-j
-    times the cylinder masses weighted by the truncated metric, a word
-    where either table holds None counting at metric 1."""
+    times the mass of the words where the tables differ or either holds
+    None."""
     total = Fraction(0)
     for j, (t1, t2) in enumerate(zip(first, second), 1):
         for w, a in t1.items():
             b = t2[w]
-            gap = 1 if a is None or b is None else min(1, metric(a, b))
-            total += Fraction(gap) * mu.cylinder(w) / 2 ** j
+            if a is None or b is None or a != b:
+                total += mu.cylinder(w) / 2 ** j
     return total
 
 
