@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import yaml
 
-from .driver import (PRESETS, PipelineConfig, Schedule, bounded_cocycle_pipeline,
+from .driver import (PRESETS, PipelineConfig, bounded_cocycle_pipeline,
                      certify_report, export_report, initial_function,
                      load_report, norm_bounded_pipeline, round_eps,
                      run_theorem_02i, run_theorem_02ii, step_input)
@@ -62,13 +62,10 @@ def _load_config(text: str, rounds: Optional[int],
 
 def _cmd_step(args) -> int:
     config = _load_config(args.config, None, args.depth)
-    model = config.build_model()
-    mu = config.build_measure()
-    action = config.build_action(1)
-    triple = Schedule.from_config(config).round_triple(0)
-    eps, _ = round_eps(config, model, mu, triple, ())
-    inp = step_input(config, model, mu, action, triple,
-                     initial_function(config, model), config.start_level, eps)
+    triple = config.schedule.round_triple(0)
+    eps, _ = round_eps(config, triple, ())
+    inp = step_input(config, config.build_action(1), triple,
+                     initial_function(config), config.start_level, eps)
     out = construct_step(inp)
     checks = out.check.validator_certificates()
     record = {
@@ -78,7 +75,7 @@ def _cmd_step(args) -> int:
         "working_depth": out.f_tilde.depth,
         "eps": str(eps),
         "delta": str(out.delta),
-        "conjugate": model.format(out.h),
+        "conjugate": config.model.format(out.h),
         "certificates": [c.to_mapping() for c in out.certificates],
         "validator": [c.to_mapping() for c in checks],
     }

@@ -42,8 +42,8 @@ from .odometer import (FiniteDepthMap, Flip, GammaAction,
                        adding_machine_action, flip_action)
 from .stepper import (CERTIFICATE_ORDER, StepArtifacts, StepCheck, StepInput,
                       admission_bound, construct_step, discard_set,
-                      image_safe_tolerance, overflow_hull,
-                      select_core_and_conjugate, validate_step_output)
+                      overflow_hull, select_core_and_conjugate,
+                      validate_step_output)
 
 SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
 
@@ -118,16 +118,21 @@ class PipelineConfig:
                            else str(Fraction(str(v))), None),
             name=read("name", str, "run"),
         )
-        read("group", lambda _: config.build_model())
-        read("measure", lambda _: config.build_measure(), None)
+        read("group", lambda _: config.model)
+        read("measure", lambda _: config.mu, None)
         action = read("action", lambda _: config.build_action())
         # a generator's remainder, a cylinder of its depth, enters the
-        # agreement and change sets, which so stay within the budget
+        # agreement and change sets, which so stay within the budget; so
+        # does the initial function, of depth max(start_level, 1)
         deepest = max(action.generators, key=lambda g: g.max_depth)
         if deepest.max_depth > config.depth_budget:
             raise ConfigError(f"config key 'action' cannot take generator "
                               f"{deepest.label} of depth {deepest.max_depth} "
                               f"within depth_budget {config.depth_budget}")
+        if max(config.start_level, 1) > config.depth_budget:
+            raise ConfigError(f"config key 'start_level' cannot take "
+                              f"{config.start_level} within depth_budget "
+                              f"{config.depth_budget}")
         return config
 
     def to_mapping(self) -> dict:
@@ -149,10 +154,12 @@ class PipelineConfig:
         return hashlib.sha256(
             json.dumps(self.to_mapping(), sort_keys=True).encode()).hexdigest()
 
-    def build_model(self) -> GroupModel:
+    @functools.cached_property
+    def model(self) -> GroupModel:
         return model_from_config(self.group)
 
-    def build_measure(self) -> ProductMeasure:
+    @functools.cached_property
+    def mu(self) -> ProductMeasure:
         kind = self.measure.get("kind", "uniform")
         if kind == "uniform":
             return ProductMeasure.uniform()
@@ -178,6 +185,16 @@ class PipelineConfig:
                 round_index = self.rounds
             return flip_action(tuple(range(1, max(round_index, 1) + 1)))
         raise ConfigError(f"unknown action kind {kind!r}")
+
+    @functools.cached_property
+    def closure(self) -> tuple:
+        """The conjugate closure of the value family."""
+        return conjugate_closure(
+            self.model, tuple(self.model.parse(h) for h in self.family))
+
+    @functools.cached_property
+    def schedule(self) -> "Schedule":
+        return Schedule.from_config(self)
 
     @property
     def enumerated(self) -> bool:
@@ -262,6 +279,7 @@ class Triple:
     candidate: str
     u_index: int
 
+    @functools.cached_property
     def base(self) -> CylinderSet:
         return CylinderSet.of(self.base_words)
 
@@ -399,40 +417,35 @@ def load_report(path: str) -> list[dict]:
 # The recursion
 # ---------------------------------------------------------------------------
 
-def _closure(config: PipelineConfig, model: GroupModel) -> tuple:
-    """The conjugate closure of the config's value family."""
-    return conjugate_closure(model, tuple(model.parse(h) for h in config.family))
-
-
-def _header(config: PipelineConfig, model: GroupModel, closure: tuple) -> dict:
+def _header(config: PipelineConfig) -> dict:
     """The report's first record."""
     return {
         "record": "header",
         "format": 1,
         "config": config.to_mapping(),
         "config_digest": config.digest(),
-        "schedule": [t.to_mapping() for t in Schedule.from_config(config).triples],
-        "closure": sorted(model.format(h) for h in closure),
+        "schedule": [t.to_mapping() for t in config.schedule.triples],
+        "closure": sorted(map(config.model.format, config.closure)),
     }
 
 
-def initial_function(config: PipelineConfig,
-                     model: GroupModel) -> StepFunction:
+def initial_function(config: PipelineConfig) -> StepFunction:
     """The constant-identity step function a run starts from."""
-    level = max(config.start_level, 1)
+    model, level = config.model, max(config.start_level, 1)
     return StepFunction(model, level, (model.identity(),) * (1 << level))
 
 
-def round_eps(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
-              triple: Triple, rounds: Sequence[dict]) -> tuple[Fraction, dict]:
+def round_eps(config: PipelineConfig, triple: Triple,
+              rounds: Sequence[dict]) -> tuple[Fraction, dict]:
     """A round's tolerance and its rule, from the round records before it.
 
     The first round takes the admission bound, or the configured
     ``eps_start`` when that is smaller.  A later round takes
     SCHEDULE_SHRINK times the least of half the previous tolerance, the
     admission bound and the least witness reserve stored so far."""
+    model = config.model
     _, cover = delta_for(model, model.parse(triple.candidate), triple.u_index)
-    admission = admission_bound(triple.base().measure(mu), cover.number)
+    admission = admission_bound(triple.base.measure(config.mu), cover.number)
     if not rounds:
         eps = admission
         if config.eps_start is not None:
@@ -463,24 +476,22 @@ def _change_sets(action: GammaAction, agreement: Mapping[str, CylinderSet]
     return change_sets
 
 
-def _checked_fields(inp: StepInput, rule: dict, check: StepCheck,
-                    f_tilde: StepFunction, closure: tuple,
-                    changes: Mapping[tuple[str, ...], CylinderSet],
+def _checked_fields(rule: dict, check: StepCheck, f_tilde: StepFunction,
+                    closure: tuple, changes: Mapping[tuple[str, ...], CylinderSet],
                     z0: CylinderSet, b_set: CylinderSet
                     ) -> dict[tuple[Optional[str], str], object]:
-    """The round record's fields that the round's input, its tolerance
-    rule, the step check, the update, the selected set z0 and the
-    discard set determine, keyed by (section, field), section None being
-    the record itself and ``certificates`` its list keyed by clause; a
-    run writes them and certify compares them."""
-    verdicts = check.verdicts()
+    """The round record's fields that the round's tolerance rule, the
+    step check (which holds the round's input), the update, the selected
+    set z0 and the discard set determine, keyed by (section, field),
+    section None being the record itself and ``certificates`` its list
+    keyed by clause; a run writes them and certify compares them."""
+    inp, verdicts = check.inp, check.verdicts()
     fields = {
         (None, "level"): inp.n,
         (None, "working_depth"): f_tilde.depth,
         (None, "eps"): rule["chosen"],
         (None, "eps_rule"): rule,
-        (None, "eps_prime"): _frac(image_safe_tolerance(inp.action, inp.mu,
-                                                        inp.eps)),
+        (None, "eps_prime"): _frac(inp.eps_prime),
         (None, "admission"): check.admission().to_mapping(),
         (None, "validator"): [c.to_mapping()
                               for c in check.validator_certificates()],
@@ -506,26 +517,24 @@ def _checked_fields(inp: StepInput, rule: dict, check: StepCheck,
     return fields
 
 
-def step_input(config: PipelineConfig, model: GroupModel, mu: ProductMeasure,
-               action: GammaAction, triple: Triple, f: StepFunction, n: int,
-               eps: Fraction) -> StepInput:
+def step_input(config: PipelineConfig, action: GammaAction, triple: Triple,
+               f: StepFunction, n: int, eps: Fraction) -> StepInput:
     """The construction step's input for a scheduled round."""
     return StepInput(f=f, n=n, action=action,
-                     family=tuple(model.parse(h) for h in config.family),
-                     target=triple.base(),
-                     candidate=model.parse(triple.candidate),
-                     u_index=triple.u_index, eps=eps, mu=mu,
+                     family=tuple(map(config.model.parse, config.family)),
+                     target=triple.base,
+                     candidate=config.model.parse(triple.candidate),
+                     u_index=triple.u_index, eps=eps, mu=config.mu,
                      depth_budget=config.depth_budget)
 
 
-def _replay_rounds(config: PipelineConfig, model: GroupModel,
-                   rounds: Sequence[dict]
+def _replay_rounds(config: PipelineConfig, rounds: Sequence[dict]
                    ) -> tuple[list[StepFunction], list[Fraction], int]:
     """Rebuild the round loop's state from its round records: the step
     functions (the initial one first), the tolerances and the current
     level."""
-    functions = [initial_function(config, model)]
-    functions += [_parse_table(model, r["artifacts"]["f"]) for r in rounds]
+    functions = [initial_function(config)] + [
+        _parse_table(config.model, r["artifacts"]["f"]) for r in rounds]
     eps_history = [Fraction(r["eps"]) for r in rounds]
     level = rounds[-1]["refined_level"] if rounds else config.start_level
     return functions, eps_history, level
@@ -538,11 +547,6 @@ def _run_recursion(config: PipelineConfig,
     """Run the rounds and the terminal records; `closing`, if given, is
     one of the CLOSING builders and adds one more record.  With `out_dir`
     each record is appended to the checkpoint there, which becomes the report."""
-    model = config.build_model()
-    mu = config.build_measure()
-    schedule = Schedule.from_config(config)
-    closure = _closure(config, model)
-
     records = _restart_checkpoint(config, out_dir, resume) if out_dir else []
 
     def emit(record: dict) -> None:
@@ -551,8 +555,8 @@ def _run_recursion(config: PipelineConfig,
             _save_checkpoint(record, out_dir)
 
     if not records:
-        emit(_header(config, model, closure))
-    functions, eps_history, n = _replay_rounds(config, model, records[1:])
+        emit(_header(config))
+    functions, eps_history, n = _replay_rounds(config, records[1:])
     # per round, each generator group's change set; a resumed run
     # rebuilds those of its replayed rounds
     change_history = []
@@ -563,21 +567,19 @@ def _run_recursion(config: PipelineConfig,
 
     for t in range(len(eps_history), config.rounds):
         action = config.build_action(t + 1)
-        triple = schedule.round_triple(t)
-        eps, rule = round_eps(config, model, mu, triple, records[1:])
+        triple = config.schedule.round_triple(t)
+        eps, rule = round_eps(config, triple, records[1:])
         if eps <= 0:
             raise ConfigError(f"round {t + 1}: tolerance collapsed to {eps}")
 
-        inp = step_input(config, model, mu, action, triple, functions[-1], n,
-                         eps)
+        inp = step_input(config, action, triple, functions[-1], n, eps)
         out = construct_step(inp)
         check = out.check
 
-        targets = target_set(model, inp.candidate, triple.u_index)
         try:
-            fresh = check_evc(out.f_tilde, triple.base(), targets,
-                              out.delta, mu, search_depth=config.depth_budget)
-            fresh_rec = {"ok": True, "mass": _frac(fresh.part.measure(mu)),
+            fresh = check_evc(out.f_tilde, inp.target, inp.targets, inp.delta,
+                              inp.mu, search_depth=config.depth_budget)
+            fresh_rec = {"ok": True, "mass": _frac(fresh.part.measure(inp.mu)),
                          "measure_slack": _frac(fresh.measure_slack)}
         except SearchExhausted as exc:
             fresh_rec = {"ok": False, "failure": str(exc)}
@@ -593,7 +595,7 @@ def _run_recursion(config: PipelineConfig,
             "triple": triple.to_mapping(),
             "refined_level": out.m,
             "delta": _frac(out.delta),
-            "conjugate": model.format(out.h),
+            "conjugate": config.model.format(out.h),
             "certificates": {c.clause: c.to_mapping() for c in out.certificates},
             "conditions": {"evc_search": fresh_rec},
             "witness": {"core": list(out.core.words),
@@ -601,36 +603,35 @@ def _run_recursion(config: PipelineConfig,
             "artifacts": {"f": _function_table(out.f_tilde)},
         }
         for (section, field), value in _checked_fields(
-                inp, rule, check, out.f_tilde, closure, changes, out.z0,
+                rule, check, out.f_tilde, config.closure, changes, out.z0,
                 out.b_set).items():
             (record[section] if section else record)[field] = value
         record["certificates"] = list(record["certificates"].values())
         emit(record)
         n = out.m
 
-    for record in _terminal_records(config, model, mu, closure, functions,
-                                    change_history, eps_history, n, {}):
+    for record in _terminal_records(config, functions, change_history,
+                                    eps_history, n, {}):
         emit(record)
     if closing is not None:
-        emit(closing(config, model, closure, functions[-1], records))
+        emit(closing(config, functions[-1], records))
     if out_dir:
         os.replace(os.path.join(out_dir, "checkpoint.json"),
                    os.path.join(out_dir, "report.jsonl"))
     return RunReport(tuple(records))
 
 
-def _terminal_records(config: PipelineConfig, model: GroupModel,
-                      mu: ProductMeasure, closure: tuple,
+def _terminal_records(config: PipelineConfig,
                       functions: Sequence[StepFunction],
                       change_history: Sequence[dict],
-                      eps_history: Sequence[Fraction],
-                      final_level: int,
+                      eps_history: Sequence[Fraction], final_level: int,
                       searched: Mapping[str, dict]) -> list[dict]:
     """The records after the rounds; a record whose kind is in `searched`
     is taken from there instead of computed (certify passes SEARCHED)."""
+    model, mu, closure = config.model, config.mu, config.closure
     f_final = functions[-1]
     action = config.build_action(config.rounds)
-    records = [Schedule.from_config(config).recurrence_record(config.rounds)]
+    records = [config.schedule.recurrence_record(config.rounds)]
 
     # value boundedness: all increments inside {identity} u closure
     records.append({
@@ -644,7 +645,7 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     })
 
     if config.enumerated:
-        records.append(_stream_record(config, model, functions, closure))
+        records.append(_stream_record(config, functions))
 
     # essential-value sweep over the scheduled triples, terminal kernel:
     # per candidate, a witness search for each neighborhood and nonempty
@@ -753,19 +754,19 @@ def _terminal_records(config: PipelineConfig, model: GroupModel,
     return records
 
 
-def _stream_record(config: PipelineConfig, model: GroupModel,
-                   functions: Sequence[StepFunction], closure: tuple) -> dict:
+def _stream_record(config: PipelineConfig,
+                   functions: Sequence[StepFunction]) -> dict:
     """For the enumerated-generator branch: the per-generator value
     certificate with K_j built from the value set F_j of the function
     present when generator j joined."""
-    f_final = functions[-1]
+    model, f_final = config.model, functions[-1]
     rows = []
     for j in range(1, config.rounds + 1):
         f_j = functions[min(j, len(functions) - 1)]
         values = f_j.value_set()
         k_j = sorted({model.key(model.mul(a, model.inv(b)))
                       for a in values for b in values})
-        allowed = set(k_j) | {model.key(h) for h in closure}
+        allowed = set(k_j) | {model.key(h) for h in config.closure}
         allowed.add(model.key(model.identity()))
         inc = coboundary_increment(f_final, Flip(j))
         realized = sorted(model.key(v) for v in inc.value_set())
@@ -802,8 +803,8 @@ def run_theorem_02ii(config: PipelineConfig, out_dir: Optional[str] = None,
     return _run_recursion(config, out_dir, resume)
 
 
-def _compact_range(config: PipelineConfig, model: GroupModel, closure: tuple,
-                   f_final: StepFunction, records: Sequence[dict]) -> dict:
+def _compact_range(config: PipelineConfig, f_final: StepFunction,
+                   records: Sequence[dict]) -> dict:
     """The compact-range certificate, read off the boundedness record:
     every generator's increments stay in {identity} u closure."""
     bound = next(r for r in records if r["record"] == "boundedness")
@@ -816,18 +817,18 @@ def _compact_range(config: PipelineConfig, model: GroupModel, closure: tuple,
     }
 
 
-def _norm_bounds(config: PipelineConfig, model: GroupModel, closure: tuple,
-                 f_final: StepFunction, records: Sequence[dict]) -> dict:
+def _norm_bounds(config: PipelineConfig, f_final: StepFunction,
+                 records: Sequence[dict]) -> dict:
     """The per-generator norm bound c with norm(increment) <= c(generator)
     everywhere defined, against the sup norm of the closure."""
-    sup = closure_norm_bound(model, closure)
+    sup = closure_norm_bound(config.model, config.closure)
     if sup is None:
         raise ConfigError("the group model carries no norm")
     rows = {}
     worst = ZERO
     for g in config.build_action(config.rounds).generators:
         inc = coboundary_increment(f_final, g)
-        c = max((model.norm(v) for v in inc.value_set()), default=ZERO)
+        c = max((config.model.norm(v) for v in inc.value_set()), default=ZERO)
         worst = max(worst, c)
         rows[g.label] = {"c": _frac(c), "ok": c <= sup}
     return {
@@ -854,8 +855,7 @@ def norm_bounded_pipeline(config: PipelineConfig,
                           out_dir: Optional[str] = None) -> RunReport:
     """Recursion over a normed model, closed with the per-generator norm
     bounds."""
-    model = config.build_model()
-    if closure_norm_bound(model, _closure(config, model)) is None:
+    if closure_norm_bound(config.model, config.closure) is None:
         raise ConfigError("the group model carries no norm")
     return _run_recursion(config, out_dir, closing=_norm_bounds)
 
@@ -948,30 +948,26 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         return [{"clause": "header", "where": "report",
                  "detail": "expected exactly one header record"}]
     config = PipelineConfig.from_mapping(headers[0]["config"])
-    model = config.build_model()
-    mu = config.build_measure()
-    schedule = Schedule.from_config(config)
-    closure = _closure(config, model)
-    header = _header(config, model, closure)
+    header = _header(config)
     if headers[0].get("config_digest") != header["config_digest"]:
         fail("config_digest", "header", "config does not match its digest")
 
     rounds = [r for r in records if r.get("record") == "round"]
-    functions, eps_history, _ = _replay_rounds(config, model, rounds)
+    functions, eps_history, _ = _replay_rounds(config, rounds)
     change_history = []
     n = config.start_level
     for i, rec in enumerate(rounds):
         t = rec["round"]
         where = f"round {t}"
         action = config.build_action(t)
-        triple = schedule.round_triple(t - 1)
+        triple = config.schedule.round_triple(t - 1)
         if triple.to_mapping() != rec["triple"]:
             fail("schedule", where, "triple differs from the configured schedule")
         eps = eps_history[i]
         if i and not eps < eps_history[i - 1] / 2:
             fail("eps_halving", where,
                  f"{eps} is not below half of {eps_history[i - 1]}")
-        _, rule = round_eps(config, model, mu, triple, rounds[:i])
+        _, rule = round_eps(config, triple, rounds[:i])
         # the stored certificate list: the step's clauses in its order,
         # each held (the shared ones are also recomputed below)
         certificates = rec.get("certificates", ())
@@ -987,17 +983,16 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         core = CylinderSet.of(rec["witness"]["core"])
         delta = Fraction(rec["delta"])
         problem = _search_problem(rec.get("conditions", {}).get("evc_search"),
-                                  delta, triple.base().measure(mu))
+                                  delta, triple.base.measure(config.mu))
         if problem is not None:
             fail("conditions.evc_search", where, problem)
         replay = StepArtifacts(f, theta, core, rec["refined_level"],
-                               model.parse(rec["conjugate"]), delta)
-        inp = step_input(config, model, mu, action, triple, functions[i], n,
-                         eps)
+                               config.model.parse(rec["conjugate"]), delta)
         try:
+            # a forged nonpositive eps fails when the input is built
+            inp = step_input(config, action, triple, functions[i], n, eps)
             check = validate_step_output(inp, replay)
-            z0 = select_core_and_conjugate(inp.f, inp.target, inp.candidate,
-                                           inp.u_index, mu).z0
+            z0 = select_core_and_conjugate(inp).z0
             _, b_set = discard_set(inp, replay.m,
                                    overflow_hull(action, n, replay.m))
         except CocycleLabError as exc:
@@ -1008,7 +1003,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         else:
             changes = _change_sets(action, check.agreement)
             change_history.append(changes)
-            fields = _checked_fields(inp, rule, check, f, closure, changes,
+            fields = _checked_fields(rule, check, f, config.closure, changes,
                                      z0, b_set)
             for c in fields[None, "validator"]:
                 if not c["ok"]:
@@ -1029,10 +1024,14 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
     # the first record of each kind
     stored = {r.get("record"): r for r in reversed(records)}
     rebuilt = _terminal_records(
-        config, model, mu, closure, functions, change_history, eps_history, n,
+        config, functions, change_history, eps_history, n,
         {kind: stored.get(kind, {"record": kind}) for kind in SEARCHED})
-    rebuilt += [build(config, model, closure, functions[-1], rebuilt)
-                for kind, build in CLOSING.items() if kind in stored]
+    # norm bounds over a model without a norm fail under their kind
+    for kind in (kind for kind in CLOSING if kind in stored):
+        try:
+            rebuilt.append(CLOSING[kind](config, functions[-1], rebuilt))
+        except ConfigError as exc:
+            fail(kind, "report", str(exc))
     if not next(r for r in rebuilt if r["record"] == "boundedness")["ok"]:
         fail("boundedness", "report", "increments leave {identity} u closure")
     kinds = ["header"] + ["round"] * len(rounds) + [r["record"] for r in rebuilt]
@@ -1059,8 +1058,6 @@ def export_report(records: Sequence[dict], out_dir: str) -> list[str]:
     if not headers:
         raise ConfigError("report has no header record")
     config = PipelineConfig.from_mapping(headers[0]["config"])
-    model = config.build_model()
-    mu = config.build_measure()
     written: list[str] = []
 
     def emit(name: str, text: str) -> None:
@@ -1071,13 +1068,13 @@ def export_report(records: Sequence[dict], out_dir: str) -> list[str]:
 
     finals = [r for r in records if r.get("record") == "final"]
     if finals:
-        f = _parse_table(model, finals[0]["f"])
+        f = _parse_table(config.model, finals[0]["f"])
         emit("final_function.csv", f.to_csv())
         if f.depth <= KERNEL_EXPORT_DEPTH:
             emit("terminal_kernel.csv", kernel_csv(f))
     for rec in (r for r in records if r.get("record") == "round"):
         core = CylinderSet.of(rec["witness"]["core"])
-        emit(f"round_{rec['round']:02d}_core.csv", core.to_csv(mu))
+        emit(f"round_{rec['round']:02d}_core.csv", core.to_csv(config.mu))
     ladders = [r for r in records if r.get("record") == "ladder"]
     if ladders:
         buf = io.StringIO()

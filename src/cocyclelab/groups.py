@@ -399,10 +399,13 @@ def model_from_config(cfg: dict) -> GroupModel:
     kind = cfg.get("kind")
     if kind == "cyclic":
         return cyclic_group(int(cfg["order"]))
-    if kind == "symmetric" and int(cfg.get("n", 3)) == 3:
-        return symmetric_group_3()
-    if kind == "dihedral" and int(cfg.get("n", 4)) == 4:
-        return dihedral_group_4()
+    if kind in ("symmetric", "dihedral"):
+        n, build = {"symmetric": (3, symmetric_group_3),
+                    "dihedral": (4, dihedral_group_4)}[kind]
+        if int(cfg.get("n", n)) != n:
+            raise ConfigError(f"group kind {kind!r} supports n = {n} only, "
+                              f"not {cfg['n']!r}")
+        return build()
     if kind == "finite":
         return FiniteTableGroup.from_csv(cfg.get("name", "table"), cfg["table"],
                                          cfg.get("labels"))

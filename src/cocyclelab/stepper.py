@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .cocycles import (StepFunction, cocycle_distance, increment_agreement,
@@ -80,13 +81,50 @@ class StepInput:
     mu: ProductMeasure
     depth_budget: int = 14
 
+    def __post_init__(self) -> None:
+        # a nonpositive eps, as a forged report may store, fails here
+        object.__setattr__(self, "eps", Fraction(self.eps))
+        if self.eps <= 0:
+            raise ConfigError("eps must be positive")
+
+    @cached_property
+    def _delta_for(self) -> tuple[Fraction, Cover]:
+        return delta_for(self.f.model, self.candidate, self.u_index)
+
+    # delta = 1/(3 * covering number), and the candidate's covering
+    delta = property(lambda self: self._delta_for[0])
+    cover = property(lambda self: self._delta_for[1])
+
+    @cached_property
+    def targets(self) -> tuple:
+        """The translate U g of the neighborhood by the candidate g."""
+        return target_set(self.f.model, self.candidate, self.u_index)
+
+    @cached_property
+    def target_mass(self) -> Fraction:
+        return self.target.measure(self.mu)
+
+    @cached_property
+    def distortion(self) -> Fraction:
+        """The action's exact per-generator distortion sum D."""
+        return self.action.max_distortion_sum(self.mu)
+
+    @cached_property
+    def eps_prime(self) -> Fraction:
+        """eps / max(D, 2): a set below it has images of total mass below eps."""
+        return self.eps / max(self.distortion, 2)
+
+    @cached_property
+    def threshold(self) -> Fraction:
+        """eps / (1 + D), which the overflow hull and the involution's
+        unpaired remainder share; D >= 1, so it is at most eps'."""
+        return self.eps / (1 + self.distortion)
+
 
 @dataclass(frozen=True)
 class CoreSelection:
     z0: CylinderSet
     h: Element
-    cover: Cover
-    delta: Fraction
     mass: Fraction
 
 
@@ -112,16 +150,15 @@ class StepCheck:
     """The exact numbers behind the step's shared clauses (overflow_small
     through distance) and the validator's delta consistency, computed by
     :func:`validate_step_output`; the report's two clause lists and its
-    admission clause are rendered from one instance.  ``witness`` is
+    admission clause are rendered from one instance.  ``inp`` fixes eps,
+    the required delta and the target mass; ``witness`` is
     :func:`evc.validate_witness` on the core and the pairing at delta,
     whose numbers the core clauses read; ``agreement`` holds each
     generator's agreement set, by label."""
 
-    eps: Fraction
+    inp: StepInput
     m: int
     delta: Fraction
-    required_delta: Fraction  # evc.delta_for's 1/(3 * covering number)
-    cover_number: int
     overflow_mass: Fraction
     inner_ok: bool
     enlarged_size: int
@@ -129,21 +166,20 @@ class StepCheck:
     witness: WitnessValidation
     core_disjoint: bool
     core_mass: Fraction
-    target_mass: Fraction
     agreement: Mapping[str, CylinderSet]
     agreement_mass: Fraction
     distance: Fraction
 
     def verdicts(self) -> dict[str, bool]:
         """Clause name -> verdict for the ten shared clauses."""
-        eps, witness = self.eps, self.witness
+        eps, witness = self.inp.eps, self.witness
         return {
             "overflow_small": self.overflow_mass < eps,
             "inner": self.inner_ok,
             "incremental": self.confined,
             "core_inside": witness.part_inside and witness.image_inside,
             "core_disjoint": self.core_disjoint,
-            "core_mass": self.core_mass > self.delta * self.target_mass,
+            "core_mass": self.core_mass > self.delta * self.inp.target_mass,
             "core_membership": witness.misses == 0,
             "core_derivative": witness.worst < eps,
             "agreement": self.agreement_mass > 1 - eps,
@@ -159,10 +195,10 @@ class StepCheck:
 
     def admission(self) -> Certificate:
         """The advisory admission clause: eps within the admission bound."""
-        bound = admission_bound(self.target_mass, self.cover_number)
+        bound = admission_bound(self.inp.target_mass, self.inp.cover.number)
         return Certificate(
-            "admission", self.eps <= bound,
-            f"eps = {self.eps} vs target mass/({ADMISSION_FACTOR} covering) = "
+            "admission", self.inp.eps <= bound,
+            f"eps = {self.inp.eps} vs target mass/({ADMISSION_FACTOR} covering) = "
             f"{bound} (advisory)")
 
     def _render(self, details: dict[str, str]) -> tuple[Certificate, ...]:
@@ -172,7 +208,7 @@ class StepCheck:
 
     def step_certificates(self) -> tuple[Certificate, ...]:
         """The shared clauses as worded in the step's certificate list."""
-        m, eps = self.m, self.eps
+        m, eps = self.m, self.inp.eps
         return self._render({
             "overflow_small":
                 f"overflow measure at level {m}: {self.overflow_mass} < {eps}",
@@ -185,7 +221,7 @@ class StepCheck:
                 "pairing image of the core is disjoint from the core",
             "core_mass":
                 f"core mass {self.core_mass} > delta * target mass "
-                f"{self.delta * self.target_mass}",
+                f"{self.delta * self.inp.target_mass}",
             "core_membership":
                 f"{self.witness.misses} core words leave the "
                 f"neighborhood translate",
@@ -200,10 +236,10 @@ class StepCheck:
     def validator_certificates(self) -> tuple[Certificate, ...]:
         """Delta consistency, then the shared clauses as worded in the
         validator's list."""
-        m, eps = self.m, self.eps
+        m, eps = self.m, self.inp.eps
         delta = Certificate(
-            "delta_consistency", self.delta == self.required_delta,
-            f"delta {self.delta} vs 1/(3 * {self.cover_number})")
+            "delta_consistency", self.delta == self.inp.delta,
+            f"delta {self.delta} vs 1/(3 * {self.inp.cover.number})")
         return (delta,) + self._render({
             "overflow_small":
                 f"overflow measure at level {m}: {self.overflow_mass} < {eps}",
@@ -213,7 +249,8 @@ class StepCheck:
             "core_inside": "core and pairing image inside the target",
             "core_disjoint": "pairing image disjoint from the core",
             "core_mass":
-                f"core mass {self.core_mass} > {self.delta * self.target_mass}",
+                f"core mass {self.core_mass} > "
+                f"{self.delta * self.inp.target_mass}",
             "core_membership": f"{self.witness.misses} core words fall outside",
             "core_derivative": f"deviation {self.witness.worst} < {eps}",
             "agreement": f"agreement measure {self.agreement_mass} > {1 - eps}",
@@ -245,41 +282,28 @@ class StepOutput(StepArtifacts):
     check: StepCheck
 
 
-def image_safe_tolerance(action: GammaAction, mu: ProductMeasure,
-                         eps: Fraction) -> Fraction:
-    """A threshold below which a set's summed generator-image mass stays
-    under eps, via the exact per-generator distortion bound."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    return eps / max(action.max_distortion_sum(mu), Fraction(2))
-
-
-def select_core_and_conjugate(f: StepFunction, target: CylinderSet,
-                              candidate: Element, u_index: int,
-                              mu: ProductMeasure) -> CoreSelection:
+def select_core_and_conjugate(inp: StepInput) -> CoreSelection:
     """Pick the conjugate h and the part of the target where the twisted
     candidate lands in U h, maximizing that part's mass (pigeonhole over
     the covering gives at least a 1/covering-number share); ties break
     by element key."""
-    model = f.model
-    delta, cover = delta_for(model, candidate, u_index)
+    f, model = inp.f, inp.f.model
     pieces: list[tuple[Element, CylinderSet]] = []
     for v in f.value_set():
-        piece = target.intersection(f.level_set(v))
+        piece = inp.target.intersection(f.level_set(v))
         if not piece.is_empty():
-            twisted = model.mul(model.mul(model.inv(v), candidate), v)
+            twisted = model.mul(model.mul(model.inv(v), inp.candidate), v)
             pieces.append((twisted, piece))
     best: Optional[CoreSelection] = None
-    for h in sorted(cover.centers, key=model.key):
-        keys = {model.key(t) for t in target_set(model, h, u_index)}
+    for h in sorted(inp.cover.centers, key=model.key):
+        keys = {model.key(t) for t in target_set(model, h, inp.u_index)}
         z0 = CylinderSet.empty()
         for twisted, piece in pieces:
             if model.key(twisted) in keys:
                 z0 = z0.union(piece)
-        mass = z0.measure(mu)
+        mass = z0.measure(inp.mu)
         if best is None or mass > best.mass:
-            best = CoreSelection(z0, h, cover, delta, mass)
+            best = CoreSelection(z0, h, mass)
     assert best is not None  # cover.centers is never empty
     return best
 
@@ -309,38 +333,24 @@ def fingerprint_partition(f: StepFunction, z0: CylinderSet, n: int,
     return tuple(parts)
 
 
-def overflow_threshold(action: GammaAction, mu: ProductMeasure,
-                       eps: Fraction) -> Fraction:
-    """The mass that the overflow hull and the involution's unpaired
-    remainder share: eps / (1 + distortion sum).  Every distortion is at
-    least 1, so the sum D is too, and 1 + D >= max(D, 2): the threshold
-    is at most eps'.  A nonpositive eps, as a forged report may store, is
-    a :class:`ConfigError`."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    return eps / (1 + action.max_distortion_sum(mu))
-
-
 def overflow_hull(action: GammaAction, n: int, m: int) -> CylinderSet:
     """The level-m orbit-overflow hull, saturated over the first n
     coordinates."""
     return orbit_overflow(action, m).saturate(n)
 
 
-def choose_refinement_depth(action: GammaAction, n: int, threshold: Fraction,
-                            mu: ProductMeasure, floor: int,
-                            depth_budget: int) -> tuple[int, CylinderSet]:
+def choose_refinement_depth(inp: StepInput,
+                            floor: int) -> tuple[int, CylinderSet]:
     """The smallest refinement level m at or above `floor` whose
-    saturated orbit-overflow hull has mass below `threshold`, and that
-    hull."""
-    for m in range(max(floor, n + 1), depth_budget + 1):
-        hull = overflow_hull(action, n, m)
-        if hull.measure(mu) < threshold:
+    saturated orbit-overflow hull has mass below the input's threshold,
+    and that hull."""
+    for m in range(max(floor, inp.n + 1), inp.depth_budget + 1):
+        hull = overflow_hull(inp.action, inp.n, m)
+        if hull.measure(inp.mu) < inp.threshold:
             return m, hull
     raise DepthExhausted(
-        f"no refinement level within depth {depth_budget} brings the "
-        f"overflow hull below {threshold}")
+        f"no refinement level within depth {inp.depth_budget} brings the "
+        f"overflow hull below {inp.threshold}")
 
 
 def discard_set(inp: StepInput, m: int, hull: CylinderSet
@@ -356,10 +366,9 @@ def discard_set(inp: StepInput, m: int, hull: CylinderSet
     if inp.depth_budget <= m:
         raise DepthExhausted(
             f"no coordinates left beyond level {m} within depth {inp.depth_budget}")
-    threshold = overflow_threshold(inp.action, inp.mu, inp.eps)
     tau = exchange_involution(
-        inp.mu.shift(m), Fraction(inp.eps), inp.depth_budget - m,
-        threshold - hull.measure(inp.mu))
+        inp.mu.shift(m), inp.eps, inp.depth_budget - m,
+        inp.threshold - hull.measure(inp.mu))
     fixed = CylinderSet.from_indices(
         tau.depth, [s for s, t in enumerate(tau.table) if s == t])
     return tau, hull.union(fixed.prepend_free(m))
@@ -405,29 +414,20 @@ def construct_step(inp: StepInput) -> StepOutput:
     delta times the target mass under the given eps."""
     f, mu, action = inp.f, inp.mu, inp.action
     model = f.model
-    eps = Fraction(inp.eps)
-    if eps <= 0:
-        raise ConfigError("eps must be positive")
-    if not inp.target.measure(mu) > 0:
+    if not inp.target_mass > 0:
         raise ConfigError("the target set must have positive measure")
     if not trivial_on_overflow(f, orbit_overflow(action, inp.n)):
         raise ConfigError(f"input function is not inner at level {inp.n}")
     if not increments_within(f, action, conjugate_closure(model, inp.family)):
         raise ConfigError("input increments leave the declared value family")
 
-    selection = select_core_and_conjugate(f, inp.target, inp.candidate,
-                                          inp.u_index, mu)
-    z0, h, delta = selection.z0, selection.h, selection.delta
-
-    eps_prime = image_safe_tolerance(action, mu, eps)
-    total_distortion = action.max_distortion_sum(mu)
+    selection = select_core_and_conjugate(inp)
+    z0, h, delta = selection.z0, selection.h, inp.delta
 
     partition = fingerprint_partition(f, z0, inp.n, mu)
 
     floor = max(inp.n + 1, f.depth, inp.target.max_depth, z0.max_depth)
-    m, hull = choose_refinement_depth(
-        action, inp.n, overflow_threshold(action, mu, eps), mu, floor,
-        inp.depth_budget)
+    m, hull = choose_refinement_depth(inp, floor)
     tau, b_set = discard_set(inp, m, hull)
     depth = m + tau.depth
     f_tilde = assemble_update(f, h, tau, b_set, depth)
@@ -438,12 +438,11 @@ def construct_step(inp: StepInput) -> StepOutput:
     if not check.verdicts()["core_mass"]:
         raise EmptyCore(
             f"core mass {check.core_mass} does not exceed delta * target mass "
-            f"{delta * check.target_mass}; eps = {eps} is too large for this "
-            f"target")
+            f"{delta * inp.target_mass}; eps = {inp.eps} is too large for "
+            f"this target")
 
     by_clause = {c.clause: c for c in _certify(
-        inp, eps_prime, total_distortion, selection, partition, hull, tau,
-        theta, check.core_mass, m)
+        inp, selection, partition, hull, tau, theta, check.core_mass, m)
         + check.step_certificates()}
     certificates = tuple(by_clause[clause] for clause in CERTIFICATE_ORDER)
     for cert in certificates:
@@ -453,27 +452,25 @@ def construct_step(inp: StepInput) -> StepOutput:
                       certificates, check)
 
 
-def _certify(inp: StepInput, eps_prime: Fraction,
-             total_distortion: Fraction, selection: CoreSelection,
+def _certify(inp: StepInput, selection: CoreSelection,
              partition: tuple[CylinderSet, ...], hull: CylinderSet,
              tau: FiniteDepthMap, theta: FiniteDepthMap,
              core_mass: Fraction, m: int) -> tuple[Certificate, ...]:
     """The construction clauses: those that read the construction's
     intermediates, which :func:`validate_step_output` never sees."""
-    f, mu, eps = inp.f, inp.mu, Fraction(inp.eps)
-    cover = selection.cover
+    f, mu, eps, number = inp.f, inp.mu, inp.eps, inp.cover.number
+    eps_prime, distortion = inp.eps_prime, inp.distortion
     certs: list[Certificate] = []
 
     certs.append(Certificate(
-        "eps_prime", eps_prime < eps and total_distortion * eps_prime <= eps,
-        f"eps' = {eps_prime}; distortion sum {total_distortion}; "
-        f"product {total_distortion * eps_prime} <= {eps}"))
+        "eps_prime", eps_prime < eps and distortion * eps_prime <= eps,
+        f"eps' = {eps_prime}; distortion sum {distortion}; "
+        f"product {distortion * eps_prime} <= {eps}"))
 
     certs.append(Certificate(
-        "core_selection",
-        selection.mass * cover.number >= inp.target.measure(mu),
-        f"selected share {selection.mass} of {inp.target.measure(mu)} "
-        f"with covering number {cover.number}"))
+        "core_selection", selection.mass * number >= inp.target_mass,
+        f"selected share {selection.mass} of {inp.target_mass} "
+        f"with covering number {number}"))
 
     hull_mass = hull.measure(mu)
     certs.append(Certificate(
@@ -538,16 +535,14 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     one).  :func:`construct_step` runs it once on
     its finished artifacts, certification on artifacts rebuilt from a
     report."""
-    f, mu, action, eps = inp.f, inp.mu, inp.action, Fraction(inp.eps)
+    f, mu, action = inp.f, inp.mu, inp.action
     model = f.model
     f_tilde, theta, core, m, h = out.f_tilde, out.theta, out.core, out.m, out.h
 
     over = orbit_overflow(action, m)
     enlarged = conjugate_closure(model, tuple(inp.family) + (h, model.inv(h)))
-    required_delta, cover = delta_for(model, inp.candidate, inp.u_index)
-    witness = validate_witness(
-        f_tilde, inp.target, target_set(model, inp.candidate, inp.u_index),
-        out.delta, mu, core, theta)
+    witness = validate_witness(f_tilde, inp.target, inp.targets, out.delta, mu,
+                               core, theta)
     # at the working depth the core and its image are unions of whole
     # cylinders, and a canonical set holds a whole cylinder exactly when
     # its membership table marks it, so disjointness is a table lookup
@@ -559,15 +554,12 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     for same in agreement.values():
         agree = agree.intersection(same)
     return StepCheck(
-        eps=eps, m=m, delta=out.delta, required_delta=required_delta,
-        cover_number=cover.number,
-        overflow_mass=over.measure(mu),
+        inp=inp, m=m, delta=out.delta, overflow_mass=over.measure(mu),
         inner_ok=trivial_on_overflow(f_tilde, over),
         enlarged_size=len(enlarged),
         confined=increments_within(f_tilde, action, enlarged),
         witness=witness,
         core_disjoint=not any(in_core[table[w]] for lo, hi in core.ranges(depth)
                               for w in range(lo, hi)),
-        core_mass=core.measure(mu), target_mass=inp.target.measure(mu),
-        agreement=agreement, agreement_mass=agree.measure(mu),
+        core_mass=core.measure(mu), agreement=agreement, agreement_mass=agree.measure(mu),
         distance=cocycle_distance(agreement, mu))

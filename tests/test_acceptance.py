@@ -198,8 +198,7 @@ def test_a3_witnesses_revalidate(step_outputs, flips_run, z3_run):
     for report in (flips_run[0], z3_run):
         config = PipelineConfig.from_mapping(
             report.by_kind("header")[0]["config"])
-        model = config.build_model()
-        mu = config.build_measure()
+        model, mu = config.model, config.mu
         for rec in report.by_kind("round"):
             table = rec["artifacts"]["f"]
             f = StepFunction.from_table(

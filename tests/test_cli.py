@@ -438,11 +438,19 @@ class TestConfigHandling:
         ({"action": {"kind": "flips", "coords": [1, 1]}},
          "a generator twice: ['s1', 's1']"),
         ({"u_indices": [-3]}, "'u_indices' cannot take [-3]"),
+        # the initial function's depth, built before any round
+        ({"start_level": 15, "depth_budget": 14},
+         "'start_level' cannot take 15 within depth_budget 14"),
+        ({"group": {"kind": "symmetric", "n": 4}},
+         "group kind 'symmetric' supports n = 3 only, not 4"),
+        ({"group": {"kind": "dihedral", "n": 6}},
+         "group kind 'dihedral' supports n = 4 only, not 6"),
     ], ids=["rounds", "group", "flip-coords", "eps_start", "iid-p0",
             "group-order", "eps_start-zero", "start_level-negative",
             "rounds-negative", "depth_budget-negative", "flips-too-deep",
             "adding-too-deep", "stream-too-deep", "no-generator",
-            "repeated-generator", "u_index-negative"])
+            "repeated-generator", "u_index-negative", "start_level-too-deep",
+            "symmetric-order", "dihedral-order"])
     def test_malformed_value_is_a_config_error(self, override, value,
                                                tmp_path, capsys):
         raw = {**PRESETS["z2-flips"], **override}

@@ -262,15 +262,15 @@ def test_deep_adding_second_refinement():
     assert Fraction(r["artifacts"]["change_mass"]["T+T~"]) == \
         Fraction(1, 256) + 2 * Fraction(1, 2 ** 19)
 
-    model, mu = config.build_model(), config.build_measure()
+    mu = config.mu
     action = config.build_action(2)
-    triple = Schedule.from_config(config).round_triple(1)
-    eps, _ = driver.round_eps(config, model, mu, triple, [r])
+    triple = config.schedule.round_triple(1)
+    eps, _ = driver.round_eps(config, triple, [r])
     assert eps == Fraction(7, 640)
-    threshold = stepper.overflow_threshold(action, mu, eps)
-    assert threshold == Fraction(7, 1920)
-    m, hull = stepper.choose_refinement_depth(
-        action, 9, threshold, mu, r["working_depth"], config.depth_budget)
+    f = driver._parse_table(config.model, r["artifacts"]["f"])
+    inp = driver.step_input(config, action, triple, f, 9, eps)
+    assert inp.threshold == Fraction(7, 1920)
+    m, hull = stepper.choose_refinement_depth(inp, r["working_depth"])
     assert m == 19
 
     # the level-m overflow of T and its inverse is the points whose first
@@ -531,7 +531,7 @@ class TestZeroRounds:
         report = run_theorem_02i(config)
         final = report.by_kind("final")[0]
         assert final["eps_history"] == [] and final["level"] == 1
-        f = driver._parse_table(config.build_model(), final["f"])
+        f = driver._parse_table(config.model, final["f"])
         assert set(f.value_set()) == {0}
         ladder = report.by_kind("ladder")[0]
         assert ladder["rung_depths"] == [1]
@@ -579,6 +579,18 @@ class TestCertifyTampering:
         failures = self.tampered(flips_run, zero)
         assert {"clause": "validator", "where": "round 2",
                 "detail": "eps must be positive"} in failures
+
+    def test_norm_bounds_without_a_norm(self, flips_run, tmp_path, capsys):
+        # no run over Z/2, which carries no norm, writes this record:
+        # certify fails the report under the record's kind (exit 1), not
+        # as a configuration problem (exit 2)
+        path = tmp_path / "report.jsonl"
+        path.write_text(flips_run.text() + '{"record":"norm_bounds","ok":true}\n')
+        assert cli.main(["certify", str(path)]) == 1
+        failures = [json.loads(line)
+                    for line in capsys.readouterr().err.splitlines()]
+        assert {"clause": "norm_bounds", "where": "report",
+                "detail": "the group model carries no norm"} in failures
 
     def test_function_table_forgery(self, flips_run):
         report = flips_run
@@ -1009,8 +1021,7 @@ class TestCheckpoints:
     def change_sets(payload, config):
         """Each round's change sets, as earlier layouts stored them."""
         rounds = [r for r in payload["records"] if r["record"] == "round"]
-        functions, _, _ = driver._replay_rounds(
-            config, config.build_model(), rounds)
+        functions, _, _ = driver._replay_rounds(config, rounds)
         stored = []
         for t in range(1, len(functions)):
             action = config.build_action(t)
@@ -1025,8 +1036,7 @@ class TestCheckpoints:
         """The same checkpoint in the layout that stored every round's
         function, tolerance, reserve and state beside the records."""
         rounds = [r for r in payload["records"] if r["record"] == "round"]
-        model = config.build_model()
-        first = driver.initial_function(config, model)
+        first = driver.initial_function(config)
         tables = [driver._function_table(first)]
         tables += [r["artifacts"]["f"] for r in rounds]
         return {
@@ -1180,7 +1190,7 @@ class TestEvcSearch:
     def test_repeated_exhaustion_is_replayed(self, monkeypatch):
         config = preset("sum-z")
         final = run_theorem_02i(config).by_kind("final")[0]
-        model, mu = config.build_model(), config.build_measure()
+        model, mu = config.model, config.mu
         f = driver._parse_table(model, final["f"])
         candidate = model.parse("0/1")
         delta, _ = evc.delta_for(model, candidate, 1)
@@ -1214,6 +1224,33 @@ class TestEvcSearch:
         assert records[0] == records[1]
 
 
+class TestComputedOnce:
+    """What the config builds (its group model and schedule) and what a
+    step's data fixes (the action's distortion sum) is computed once: per
+    command, one model, one schedule and one distortion sum per round."""
+
+    def test_counts_per_command(self, tmp_path, monkeypatch):
+        counts = {"distortion": 0, "model": 0, "schedule": 0}
+
+        def count(owner, name, key, wrap=lambda fn: fn):
+            real = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrap(counting))
+
+        count(GammaAction, "max_distortion_sum", "distortion")
+        count(driver, "model_from_config", "model")
+        count(Schedule, "from_config", "schedule", staticmethod)
+        out = str(tmp_path)
+        for argv in (["run", "--config", "z2-flips", "--out", out],
+                     ["certify", os.path.join(out, "report.jsonl")]):
+            counts.update(dict.fromkeys(counts, 0))
+            assert cli.main(argv) == 0
+            assert counts == {"distortion": 6, "model": 1, "schedule": 1}, argv
+
+
 class TestEssentialValueSweep:
     """The terminal sweep: per candidate, one witness search on the final
     potential for each neighborhood and nonempty base, at 1/(3 covering
@@ -1222,7 +1259,7 @@ class TestEssentialValueSweep:
     def test_certified_sweep(self):
         config = preset("z2-flips", u_indices=[0, 1])
         report = run_theorem_02i(config)
-        model, mu = config.build_model(), config.build_measure()
+        model, mu = config.model, config.mu
         f = driver._parse_table(model, report.by_kind("final")[0]["f"])
         [sweep] = report.by_kind("essential_values")[0]["sweeps"]
         assert sweep["candidate"] == "1" and sweep["verdict"] == "certified"

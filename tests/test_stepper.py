@@ -22,8 +22,8 @@ from cocyclelab.odometer import (FiniteDepthMap, adding_machine_action,
                                  flip_action)
 from cocyclelab.stepper import (CERTIFICATE_ORDER, StepArtifacts, StepInput,
                                 construct_step, discard_set,
-                                fingerprint_partition, image_safe_tolerance,
-                                overflow_hull, select_core_and_conjugate,
+                                fingerprint_partition, overflow_hull,
+                                select_core_and_conjugate,
                                 validate_step_output)
 from word_oracles import (apply_piece, covers, image_of, pieces, step_at,
                           words_at)
@@ -102,7 +102,7 @@ class TestReferenceCase:
         assert out.f_tilde.depth == 7
         assert out.h == 1
         assert out.delta == Fraction(1, 3)
-        assert image_safe_tolerance(inp.action, inp.mu, inp.eps) == Fraction(1, 8)
+        assert inp.eps_prime == Fraction(1, 8)
         assert overflow_hull(inp.action, inp.n,
                              out.m).measure(inp.mu) == Fraction(1, 16)
         assert out.core.measure(inp.mu) == Fraction(15, 32)
@@ -414,20 +414,20 @@ class TestCoreTables:
 
 class TestTolerances:
     def test_image_safe_tolerance_uniform(self):
-        action = adding_machine_action(6)
-        assert image_safe_tolerance(action, UNIFORM,
-                                    Fraction(1, 4)) == Fraction(1, 8)
+        inp = reference_input(action=adding_machine_action(6),
+                              eps=Fraction(1, 4))
+        assert inp.eps_prime == Fraction(1, 8)
 
     def test_image_safe_tolerance_biased(self):
-        action = adding_machine_action(6)
         biased = ProductMeasure.iid(Fraction(1, 3))
-        assert image_safe_tolerance(action, biased,
-                                    Fraction(1, 4)) == Fraction(1, 72)
+        inp = reference_input(action=adding_machine_action(6), mu=biased,
+                              eps=Fraction(1, 4))
+        assert inp.eps_prime == Fraction(1, 72)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            image_safe_tolerance(adding_machine_action(4), UNIFORM,
-                                 Fraction(-1, 2))
+        with pytest.raises(ConfigError, match="eps must be positive"):
+            reference_input(action=adding_machine_action(4),
+                            eps=Fraction(-1, 2))
 
 
 class TestDerivativeBoundary:
@@ -440,15 +440,12 @@ class TestDerivativeBoundary:
     def construction_clauses(eps):
         inp = VARIANTS[1][1]
         out = construct_step(inp)
-        selection = select_core_and_conjugate(inp.f, inp.target, inp.candidate,
-                                              inp.u_index, inp.mu)
+        selection = select_core_and_conjugate(inp)
         flip = FiniteDepthMap.from_pairs(1, [(0, 1)])
         theta = FiniteDepthMap(out.f_tilde.depth,
                                flip.index_map(out.f_tilde.depth))
         certificates = stepper._certify(
-            dataclasses.replace(inp, eps=eps),
-            image_safe_tolerance(inp.action, inp.mu, inp.eps),
-            inp.action.max_distortion_sum(inp.mu), selection,
+            dataclasses.replace(inp, eps=eps), selection,
             fingerprint_partition(inp.f, selection.z0, inp.n, inp.mu),
             overflow_hull(inp.action, inp.n, out.m), flip,
             theta, out.core.measure(inp.mu), out.m)
