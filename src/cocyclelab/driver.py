@@ -136,19 +136,9 @@ class PipelineConfig:
         return config
 
     def to_mapping(self) -> dict:
-        return {
-            "group": dict(self.group),
-            "measure": dict(self.measure),
-            "action": dict(self.action),
-            "family": list(self.family),
-            "bases": [list(b) for b in self.bases],
-            "u_indices": list(self.u_indices),
-            "rounds": self.rounds,
-            "depth_budget": self.depth_budget,
-            "start_level": self.start_level,
-            "eps_start": self.eps_start,
-            "name": self.name,
-        }
+        """The config's fields as JSON data, as its header stores them."""
+        return json.loads(json.dumps(
+            {name: getattr(self, name) for name in self.__dataclass_fields__}))
 
     def digest(self) -> str:
         return hashlib.sha256(
@@ -520,8 +510,7 @@ def _checked_fields(rule: dict, check: StepCheck, f_tilde: StepFunction,
 def step_input(config: PipelineConfig, action: GammaAction, triple: Triple,
                f: StepFunction, n: int, eps: Fraction) -> StepInput:
     """The construction step's input for a scheduled round."""
-    return StepInput(f=f, n=n, action=action,
-                     family=tuple(map(config.model.parse, config.family)),
+    return StepInput(f=f, n=n, action=action, family=config.closure,
                      target=triple.base,
                      candidate=config.model.parse(triple.candidate),
                      u_index=triple.u_index, eps=eps, mu=config.mu,
@@ -900,6 +889,13 @@ def _restart_checkpoint(config: PipelineConfig, out_dir: str,
 # Report certification
 # ---------------------------------------------------------------------------
 
+# a round record's fields besides `_checked_fields`, by section (None
+# being the record itself): its sections and what certify replays from
+REPLAYED = {None: ("record", "round", "triple", "refined_level", "delta",
+                   "conjugate", "certificates", "conditions", "witness",
+                   "artifacts"), "conditions": ("evc_search",),
+            "witness": ("core", "moves"), "artifacts": ("f",)}
+
 # terminal records that certify takes from the report: rebuilding them
 # would rerun their witness searches
 SEARCHED = ("essential_values",)
@@ -957,8 +953,13 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
     change_history = []
     n = config.start_level
     for i, rec in enumerate(rounds):
-        t = rec["round"]
+        t = i + 1
         where = f"round {t}"
+        if type(rec["round"]) is not int:
+            raise MalformedInput("a round's number must be an integer")
+        if rec["round"] != t:
+            fail("round", where, f"stored {rec['round']}, the record's position "
+                 f"is round {t}")
         action = config.build_action(t)
         triple = config.schedule.round_triple(t - 1)
         if triple.to_mapping() != rec["triple"]:
@@ -986,8 +987,11 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
                                   delta, triple.base.measure(config.mu))
         if problem is not None:
             fail("conditions.evc_search", where, problem)
-        replay = StepArtifacts(f, theta, core, rec["refined_level"],
-                               config.model.parse(rec["conjugate"]), delta)
+        h = config.model.parse(rec["conjugate"])
+        if (spelled := config.model.format(h)) != rec["conjugate"]:
+            fail("conjugate", where, f"stored {rec['conjugate']!r}, which "
+                 f"the model spells {spelled!r}")
+        replay = StepArtifacts(f, theta, core, rec["refined_level"], h, delta)
         try:
             # a forged nonpositive eps fails when the input is built
             inp = step_input(config, action, triple, functions[i], n, eps)
@@ -1015,6 +1019,11 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
                 if found != value:
                     fail(f"{section}.{field}" if section else field, where,
                          f"stored {found!r}, recomputed {value!r}")
+            for section, replayed in REPLAYED.items():
+                for field in view.get(section, {}) if section else view:
+                    if field not in replayed and (section, field) not in fields:
+                        fail(f"{section}.{field}" if section else field,
+                             where, "not a field of a round record")
             if not check.witness.ok:
                 fail(f"evc-{check.witness.clause}", where,
                      check.witness.detail or "")

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .cocycles import StepFunction
 from .errors import PostconditionFailure, SearchExhausted, SizeGuard
-from .groups import Cover, Element, GroupModel, covering_number
+from .groups import Cover, Element, GroupModel
 from .measure import CylinderSet, ProductMeasure, index_word, worst_deviation
 from .odometer import FiniteDepthMap
 
@@ -36,7 +36,7 @@ def target_set(model: GroupModel, g: Element, u_index: int) -> tuple:
 
 def delta_for(model: GroupModel, g: Element, u_index: int) -> tuple[Fraction, Cover]:
     """The tolerance 1/(3 * covering number) attached to (g, U)."""
-    cover = covering_number(model, g, u_index)
+    cover = model.covering(g, u_index)
     return Fraction(1, 3 * cover.number), cover
 
 

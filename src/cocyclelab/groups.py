@@ -15,6 +15,7 @@ tables stay cheap and deterministic to sort via :meth:`GroupModel.key`.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -77,6 +78,18 @@ class GroupModel(ABC):
     def conjugacy_class(self, g: Element) -> tuple:
         """The class of g, the members x g x^-1, sorted by key; raises
         :class:`UnboundedClass` beyond ``CLASS_BUDGET`` members."""
+
+    def covering(self, g: Element, u_index: int) -> "Cover":
+        """:func:`covering_number` of g and U; the model keeps each
+        (element, neighborhood) pair's cover, so it is computed once."""
+        key = (self.key(g), u_index)
+        if key not in self._coverings:
+            self._coverings[key] = covering_number(self, g, u_index)
+        return self._coverings[key]
+
+    @functools.cached_property
+    def _coverings(self) -> dict:
+        return {}
 
 
 class FiniteTableGroup(GroupModel):

@@ -66,7 +66,8 @@ class StepInput:
     """All data of one construction step.
 
     ``family`` is the value family the input increments are confined to
-    (possibly empty); ``u_index`` selects a neighborhood from the group
+    (possibly empty), taken as given: a run passes its config's
+    conjugate closure; ``u_index`` selects a neighborhood from the group
     model's base; ``depth_budget`` caps every working depth.
     """
 
@@ -147,44 +148,26 @@ class StepArtifacts:
 
 @dataclass(frozen=True)
 class StepCheck:
-    """The exact numbers behind the step's shared clauses (overflow_small
-    through distance) and the validator's delta consistency, computed by
-    :func:`validate_step_output`; the report's two clause lists and its
-    admission clause are rendered from one instance.  ``inp`` fixes eps,
-    the required delta and the target mass; ``witness`` is
-    :func:`evc.validate_witness` on the core and the pairing at delta,
-    whose numbers the core clauses read; ``agreement`` holds each
-    generator's agreement set, by label."""
+    """What :func:`validate_step_output` computes.  ``clauses`` maps each
+    shared clause (overflow_small through distance), in the step's
+    order, to its verdict and its wordings in the step's and the
+    validator's lists, which are views of it.  ``inp`` fixes eps, the
+    required delta and the target mass; ``witness`` is
+    :func:`evc.validate_witness` on the core and the pairing at delta;
+    ``agreement`` holds each generator's agreement set, by label."""
 
     inp: StepInput
-    m: int
     delta: Fraction
-    overflow_mass: Fraction
-    inner_ok: bool
-    enlarged_size: int
-    confined: bool
     witness: WitnessValidation
-    core_disjoint: bool
     core_mass: Fraction
     agreement: Mapping[str, CylinderSet]
     agreement_mass: Fraction
     distance: Fraction
+    clauses: Mapping[str, tuple[bool, str, str]]
 
     def verdicts(self) -> dict[str, bool]:
         """Clause name -> verdict for the ten shared clauses."""
-        eps, witness = self.inp.eps, self.witness
-        return {
-            "overflow_small": self.overflow_mass < eps,
-            "inner": self.inner_ok,
-            "incremental": self.confined,
-            "core_inside": witness.part_inside and witness.image_inside,
-            "core_disjoint": self.core_disjoint,
-            "core_mass": self.core_mass > self.delta * self.inp.target_mass,
-            "core_membership": witness.misses == 0,
-            "core_derivative": witness.worst < eps,
-            "agreement": self.agreement_mass > 1 - eps,
-            "distance": self.distance < eps,
-        }
+        return {clause: ok for clause, (ok, _, _) in self.clauses.items()}
 
     @property
     def witness_reserve(self) -> Fraction:
@@ -201,61 +184,20 @@ class StepCheck:
             f"eps = {self.inp.eps} vs target mass/({ADMISSION_FACTOR} covering) = "
             f"{bound} (advisory)")
 
-    def _render(self, details: dict[str, str]) -> tuple[Certificate, ...]:
-        verdicts = self.verdicts()
-        return tuple(Certificate(clause, verdicts[clause], detail)
-                     for clause, detail in details.items())
-
     def step_certificates(self) -> tuple[Certificate, ...]:
         """The shared clauses as worded in the step's certificate list."""
-        m, eps = self.m, self.inp.eps
-        return self._render({
-            "overflow_small":
-                f"overflow measure at level {m}: {self.overflow_mass} < {eps}",
-            "inner": f"update is identity on the level-{m} overflow",
-            "incremental":
-                f"update increments stay in the enlarged value family "
-                f"({self.enlarged_size} elements)",
-            "core_inside": "core and its pairing image lie in the target set",
-            "core_disjoint":
-                "pairing image of the core is disjoint from the core",
-            "core_mass":
-                f"core mass {self.core_mass} > delta * target mass "
-                f"{self.delta * self.inp.target_mass}",
-            "core_membership":
-                f"{self.witness.misses} core words leave the "
-                f"neighborhood translate",
-            "core_derivative":
-                f"core derivative deviation {self.witness.worst} < {eps}",
-            "agreement":
-                f"increment agreement measure {self.agreement_mass} > {1 - eps}",
-            "distance":
-                f"increment distance at most {self.distance} < {eps}",
-        })
+        return tuple(Certificate(clause, ok, step)
+                     for clause, (ok, step, _) in self.clauses.items())
 
     def validator_certificates(self) -> tuple[Certificate, ...]:
         """Delta consistency, then the shared clauses as worded in the
         validator's list."""
-        m, eps = self.m, self.inp.eps
         delta = Certificate(
             "delta_consistency", self.delta == self.inp.delta,
             f"delta {self.delta} vs 1/(3 * {self.inp.cover.number})")
-        return (delta,) + self._render({
-            "overflow_small":
-                f"overflow measure at level {m}: {self.overflow_mass} < {eps}",
-            "inner": f"identity on level-{m} overflow",
-            "incremental":
-                f"update increments confined to {self.enlarged_size} values",
-            "core_inside": "core and pairing image inside the target",
-            "core_disjoint": "pairing image disjoint from the core",
-            "core_mass":
-                f"core mass {self.core_mass} > "
-                f"{self.delta * self.inp.target_mass}",
-            "core_membership": f"{self.witness.misses} core words fall outside",
-            "core_derivative": f"deviation {self.witness.worst} < {eps}",
-            "agreement": f"agreement measure {self.agreement_mass} > {1 - eps}",
-            "distance": f"distance at most {self.distance} < {eps}",
-        })
+        return (delta,) + tuple(Certificate(clause, ok, validator)
+                                for clause, (ok, _, validator)
+                                in self.clauses.items())
 
 
 # clause order of the step's certificate list, which reports store as is
@@ -413,12 +355,11 @@ def construct_step(inp: StepInput) -> StepOutput:
     data condition) and :class:`EmptyCore` if the core mass cannot beat
     delta times the target mass under the given eps."""
     f, mu, action = inp.f, inp.mu, inp.action
-    model = f.model
     if not inp.target_mass > 0:
         raise ConfigError("the target set must have positive measure")
     if not trivial_on_overflow(f, orbit_overflow(action, inp.n)):
         raise ConfigError(f"input function is not inner at level {inp.n}")
-    if not increments_within(f, action, conjugate_closure(model, inp.family)):
+    if not increments_within(f, action, inp.family):
         raise ConfigError("input increments leave the declared value family")
 
     selection = select_core_and_conjugate(inp)
@@ -532,34 +473,68 @@ def _masked_labels(f: StepFunction, z0: CylinderSet, depth: int) -> list[str]:
 def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     """The step's shared clauses (and delta's covering number) from the
     input and the artifact slice `out` alone (a :class:`StepOutput` is
-    one).  :func:`construct_step` runs it once on
-    its finished artifacts, certification on artifacts rebuilt from a
-    report."""
-    f, mu, action = inp.f, inp.mu, inp.action
+    one).  :func:`construct_step` runs it once on its finished
+    artifacts, certification on artifacts rebuilt from a report."""
+    f, mu, action, eps = inp.f, inp.mu, inp.action, inp.eps
     model = f.model
     f_tilde, theta, core, m, h = out.f_tilde, out.theta, out.core, out.m, out.h
 
     over = orbit_overflow(action, m)
+    overflow = over.measure(mu)
     enlarged = conjugate_closure(model, tuple(inp.family) + (h, model.inv(h)))
     witness = validate_witness(f_tilde, inp.target, inp.targets, out.delta, mu,
                                core, theta)
+    misses, worst = witness.misses, witness.worst
     # at the working depth the core and its image are unions of whole
     # cylinders, and a canonical set holds a whole cylinder exactly when
     # its membership table marks it, so disjointness is a table lookup
     depth = f_tilde.depth
     table, in_core = theta.index_map(depth), core.mask(depth)
+    core_mass, bound = core.measure(mu), out.delta * inp.target_mass
 
     agreement = increment_agreement(f, f_tilde, action)
     agree = CylinderSet.full()
     for same in agreement.values():
         agree = agree.intersection(same)
-    return StepCheck(
-        inp=inp, m=m, delta=out.delta, overflow_mass=over.measure(mu),
-        inner_ok=trivial_on_overflow(f_tilde, over),
-        enlarged_size=len(enlarged),
-        confined=increments_within(f_tilde, action, enlarged),
-        witness=witness,
-        core_disjoint=not any(in_core[table[w]] for lo, hi in core.ranges(depth)
-                              for w in range(lo, hi)),
-        core_mass=core.measure(mu), agreement=agreement, agreement_mass=agree.measure(mu),
-        distance=cocycle_distance(agreement, mu))
+    agreement_mass, floor = agree.measure(mu), 1 - eps
+    distance = cocycle_distance(agreement, mu)
+    overflow_text = f"overflow measure at level {m}: {overflow} < {eps}"
+    # clause: (verdict, its wording in the step's list, in the validator's)
+    clauses = {
+        "overflow_small": (overflow < eps, overflow_text, overflow_text),
+        "inner": (trivial_on_overflow(f_tilde, over),
+                  f"update is identity on the level-{m} overflow",
+                  f"identity on level-{m} overflow"),
+        "incremental": (
+            increments_within(f_tilde, action, enlarged),
+            f"update increments stay in the enlarged value family "
+            f"({len(enlarged)} elements)",
+            f"update increments confined to {len(enlarged)} values"),
+        "core_inside": (witness.part_inside and witness.image_inside,
+                        "core and its pairing image lie in the target set",
+                        "core and pairing image inside the target"),
+        "core_disjoint": (
+            not any(in_core[table[w]] for lo, hi in core.ranges(depth)
+                    for w in range(lo, hi)),
+            "pairing image of the core is disjoint from the core",
+            "pairing image disjoint from the core"),
+        "core_mass": (core_mass > bound,
+                      f"core mass {core_mass} > delta * target mass {bound}",
+                      f"core mass {core_mass} > {bound}"),
+        "core_membership": (misses == 0, f"{misses} core words leave the "
+                            f"neighborhood translate",
+                            f"{misses} core words fall outside"),
+        "core_derivative": (worst < eps,
+                            f"core derivative deviation {worst} < {eps}",
+                            f"deviation {worst} < {eps}"),
+        "agreement": (agreement_mass > floor, f"increment agreement measure "
+                      f"{agreement_mass} > {floor}",
+                      f"agreement measure {agreement_mass} > {floor}"),
+        "distance": (distance < eps,
+                     f"increment distance at most {distance} < {eps}",
+                     f"distance at most {distance} < {eps}"),
+    }
+    return StepCheck(inp=inp, delta=out.delta, witness=witness,
+                     core_mass=core_mass, agreement=agreement,
+                     agreement_mass=agreement_mass, distance=distance,
+                     clauses=clauses)

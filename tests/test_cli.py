@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import yaml
 
 import cocyclelab.driver as driver
+import cocyclelab.evc as evc
+import cocyclelab.groups as groups
+import cocyclelab.stepper as stepper
 from cocyclelab.cli import YAML_LOADER, main
 from cocyclelab.driver import PRESETS, PipelineConfig
 from cocyclelab.errors import ConfigError
@@ -380,6 +384,42 @@ class TestReportWrites:
             kinds = [json.loads(line)["record"] for line in fh]
         assert writes == [(kind, out) for kind in kinds]
         assert kinds[-1] in ("final", "compact_range", "norm_bounds")
+
+
+class TestComputedOnce:
+    """A command computes a covering number once per (candidate,
+    neighborhood) pair, and a conjugate closure once for its config and
+    once per round for the family enlarged by the round's conjugate."""
+
+    @pytest.mark.parametrize("argv,run,certify", [
+        # six rounds on one pair; the sweep asks for no other
+        (("run", "--config", "z2-flips"), (1, 7), (1, 7)),
+        # three rounds on the candidates 1, 1 and -1; the sweep covers
+        # all four family members, which certify takes from the report
+        (("norm-bounded", "--config", "sum-z"), (4, 4), (2, 4)),
+    ])
+    def test_calls_per_command(self, argv, run, certify, tmp_path, capsys,
+                               monkeypatch):
+        calls = Counter()
+        for name in ("covering_number", "conjugate_closure"):
+            real = getattr(groups, name)
+
+            def counting(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+            # rebound wherever the name was imported
+            for module in (groups, evc, driver, stepper):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+
+        def counted(*command):
+            calls.clear()
+            assert main(list(command)) == 0
+            return calls["covering_number"], calls["conjugate_closure"]
+        out = str(tmp_path)
+        assert counted(*argv, "--out", out) == run
+        capsys.readouterr()
+        assert counted("certify", os.path.join(out, "report.jsonl")) == certify
 
 
 class TestConfigHandling:

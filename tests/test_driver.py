@@ -739,6 +739,31 @@ class TestCertifyTampering:
         failures = self.tampered(adding_report, forge)
         assert self.clauses(failures) == {f"artifacts.{field}"}
 
+    # forgeries of a round record into one that no run writes: (report,
+    # index of the round, forgery of its record, the clause it fails under)
+    ROUND_RECORD = {
+        "adding-round-number": ("adding", 0, lambda r: r.update(round=5),
+                                "round"),
+        "flips-round-number": ("flips", 1, lambda r: r.update(round=1),
+                               "round"),
+        "conditions-key": ("flips", 1, lambda r: r["conditions"].update(
+            unchecked=True), "conditions.unchecked"),
+        "witness-key": ("flips", 1, lambda r: r["witness"].update(
+            unchecked=True), "witness.unchecked"),
+        "artifacts-key": ("adding", 0, lambda r: r["artifacts"].update(
+            unchecked=True), "artifacts.unchecked"),
+        "conjugate-spelling": ("adding", 0, lambda r: r.update(
+            conjugate="0" + r["conjugate"]), "conjugate"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROUND_RECORD))
+    def test_round_record_no_run_writes(self, name, flips_run, adding_report):
+        report, index, forge, clause = self.ROUND_RECORD[name]
+        run = {"adding": adding_report, "flips": flips_run}[report]
+        def mutate(records):
+            forge([r for r in records if r["record"] == "round"][index])
+        assert self.clauses(self.tampered(run, mutate)) == {clause}
+
     # one forgery per record kind that certify rebuilds, keyed by kind and
     # forged field: (report, forgery of that record)
     REBUILT = {
@@ -799,8 +824,9 @@ class TestCertifyTampering:
 
 class TestCertifyCoverage:
     """Every record kind a pipeline writes is checked by certify: a round
-    field by field (TestCertifyTampering.FORGED), a SEARCHED record not
-    at all, and every other record by rebuilding it whole."""
+    field by field (TestCertifyTampering.FORGED), with any key a run does
+    not write failing, a SEARCHED record not at all, and every other
+    record by rebuilding it whole."""
 
     @pytest.mark.parametrize("command,name", [
         ("run", "z2-flips"), ("run-infinite", "z2-flip-stream"),
@@ -813,14 +839,17 @@ class TestCertifyCoverage:
         assert certify_report(records) == []
         for i, rec in enumerate(records):
             kind = rec["record"]
-            if kind == "round" or kind in driver.SEARCHED:
+            if kind in driver.SEARCHED:
                 continue
             forged = copy.deepcopy(records)
             forged[i]["unchecked"] = True
             failures = certify_report(forged)
-            assert {"clause": kind, "where": "report",
-                    "detail": "'unchecked' differs from the rebuilt record"
-                    } in failures, kind
+            assert ({"clause": "unchecked", "where": f"round {rec['round']}",
+                     "detail": "not a field of a round record"}
+                    if kind == "round" else
+                    {"clause": kind, "where": "report",
+                     "detail": "'unchecked' differs from the rebuilt record"}
+                    ) in failures, kind
 
 
 class TestCheckpoints:

@@ -409,7 +409,8 @@ class TestCoreTables:
         assert check.witness.part_inside == core.difference(target).is_empty()
         assert (check.witness.image_inside
                 == image.difference(target).is_empty())
-        assert check.core_disjoint == image.intersection(core).is_empty()
+        assert (check.verdicts()["core_disjoint"]
+                == image.intersection(core).is_empty())
 
 
 class TestTolerances:
