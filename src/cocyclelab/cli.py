@@ -15,6 +15,7 @@ including failed certification (which names the violated clause).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -116,7 +117,9 @@ def _cmd_export(args) -> int:
     return 0
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command grammar, built on first use; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="cocyclelab",
         description="exact-arithmetic construction and certification of "
@@ -161,8 +164,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_exp = sub.add_parser("export", help="write CSV artifacts from a report")
     p_exp.add_argument("report", help="path to a report.jsonl")
     p_exp.add_argument("--out", default=None, help="output directory")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "step":
             return _cmd_step(args)

@@ -1,7 +1,7 @@
 """Group-valued step functions on the sequence space and their cocycles.
 
 A step function assigns a group element to every word of a fixed depth.
-Its values are one dense tuple indexed by `measure.word_index`, so every
+Its values are one dense tuple in word order (`measure.index_word`), so every
 loop here runs over integer indices; words appear only where tables are
 read or written.  Its coboundary increments f(sigma x) f(x)^-1 along the
 generators are step functions at the potential's own depth: a generator
@@ -31,8 +31,8 @@ from typing import Iterable, Mapping
 
 from .errors import DepthMismatch
 from .groups import GroupModel, Element
-from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_words,
-                      word_index)
+from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_binary,
+                      all_words, index_word)
 from .odometer import Flip, GammaAction, Odometer
 
 KERNEL_EXPORT_DEPTH = 8  # deepest potential whose kernel is exported as CSV
@@ -41,7 +41,7 @@ KERNEL_EXPORT_DEPTH = 8  # deepest potential whose kernel is exported as CSV
 @dataclass(frozen=True)
 class StepFunction:
     """A total map from depth-`depth` words to group elements: `values`
-    holds the value of each word at its `word_index`."""
+    holds the value of each word at its index (see `index_word`)."""
 
     model: GroupModel
     depth: int
@@ -57,20 +57,22 @@ class StepFunction:
     def from_table(model: GroupModel,
                    table: Mapping[Word, Element]) -> "StepFunction":
         """The step function of a word-keyed table, whose keys must be
-        exactly the words of one depth."""
+        exactly the words of one depth: 2^depth 0/1 keys of that length."""
         if not table:
             raise DepthMismatch("table has no words")
         depth = len(next(iter(table)))
-        values = [None] * (1 << depth)
-        for w, v in table.items():
+        if (len(table) == 1 << depth and set(map(len, table)) == {depth}
+                and all_binary(table)):
+            return StepFunction(model, depth,
+                                tuple(map(table.__getitem__, sorted(table))))
+        for w in table:
             if len(w) != depth or w.strip("01"):
                 raise DepthMismatch(
                     f"table key {w!r} is not a 0/1 word of depth {depth}")
-            values[word_index(w)] = v
-        if len(table) != len(values):
-            missing = next(w for w in all_words(depth) if w not in table)
-            raise DepthMismatch(f"table lacks the word {missing!r}")
-        return StepFunction(model, depth, tuple(values))
+        # lazily, listing no depth of words: one key of length 60 sets depth 60
+        missing = next(w for w in map(index_word, range(1 << depth),
+                                      repeat(depth)) if w not in table)
+        raise DepthMismatch(f"table lacks the word {missing!r}")
 
     @cached_property
     def _increments(self) -> dict:

@@ -26,6 +26,8 @@ import json
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice, repeat
+from operator import lt, ne
 from typing import Callable, Mapping, Optional, Sequence
 
 from .cocycles import (KERNEL_EXPORT_DEPTH, StepFunction, coboundary_increment,
@@ -343,16 +345,19 @@ def _frac(x: Fraction) -> str:
 
 
 def _function_table(f: StepFunction) -> dict:
-    return dict(zip(all_words(f.depth), map(f.model.format, f.values)))
+    """Each word's label; each distinct value is formatted once."""
+    labels = {v: f.model.format(v) for v in dict.fromkeys(f.values)}
+    return dict(zip(all_words(f.depth), map(labels.__getitem__, f.values)))
 
 
 def _parse_table(model: GroupModel, table: Mapping[str, str]) -> StepFunction:
     """The step function a stored table renders (see `_function_table`);
-    its depth is the length of its words."""
+    its depth is the length of its words.  Each label is parsed once."""
     if not isinstance(table, Mapping) or not all(
-            isinstance(v, str) for v in table.values()):
+            map(isinstance, table.values(), repeat(str))):
         raise MalformedInput("a function table must map words to label text")
-    parsed = {w: model.parse(v) for w, v in table.items()}
+    elements = {v: model.parse(v) for v in dict.fromkeys(table.values())}
+    parsed = dict(zip(table, map(elements.__getitem__, table.values())))
     try:
         return StepFunction.from_table(model, parsed)
     except DepthMismatch as exc:
@@ -991,6 +996,25 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         if (spelled := config.model.format(h)) != rec["conjugate"]:
             fail("conjugate", where, f"stored {rec['conjugate']!r}, which "
                  f"the model spells {spelled!r}")
+        # the table, moves and core must be a run's renderings of what was
+        # read from them; the table's words were checked when it was read
+        for label in dict.fromkeys(rec["artifacts"]["f"].values()):
+            spelled = config.model.format(config.model.parse(label))
+            if spelled != label:
+                fail("artifacts.f", where, f"stored {label!r}, which the "
+                     f"model spells {spelled!r}")
+                break
+        # moves that ascend, as many as theta moves, are its `word_moves`:
+        # a repeated word or a listed fixed one would leave one uncounted
+        moves = rec["witness"]["moves"]
+        if not (all(map(lt, moves, islice(moves, 1, None)))
+                and len(moves) == sum(map(ne, theta.table, count()))):
+            fail("witness.moves", where, "not the map's moves in word order")
+        # a fresh copy's words: the core's own would stay cached to the peak
+        if rec["witness"]["core"] != list(
+                CylinderSet(core.max_depth, core.edges).words):
+            fail("witness.core", where,
+                 "not the core's maximal cylinders, shorter first")
         replay = StepArtifacts(f, theta, core, rec["refined_level"], h, delta)
         try:
             # a forged nonpositive eps fails when the input is built
@@ -1081,9 +1105,11 @@ def export_report(records: Sequence[dict], out_dir: str) -> list[str]:
         emit("final_function.csv", f.to_csv())
         if f.depth <= KERNEL_EXPORT_DEPTH:
             emit("terminal_kernel.csv", kernel_csv(f))
-    for rec in (r for r in records if r.get("record") == "round"):
+    # by position, as certify numbers rounds: a stored number is unchecked
+    for t, rec in enumerate((r for r in records
+                             if r.get("record") == "round"), 1):
         core = CylinderSet.of(rec["witness"]["core"])
-        emit(f"round_{rec['round']:02d}_core.csv", core.to_csv(config.mu))
+        emit(f"round_{t:02d}_core.csv", core.to_csv(config.mu))
     ladders = [r for r in records if r.get("record") == "ladder"]
     if ladders:
         buf = io.StringIO()

@@ -19,7 +19,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, cycle, islice, product
+from itertools import chain, cycle, islice, repeat
 from math import lcm
 from operator import lt
 from typing import Iterable, Iterator, Sequence
@@ -33,11 +33,20 @@ ONE = Fraction(1)
 
 
 def all_words(depth: int) -> Iterator[Word]:
-    """Yield all 0/1 words of the given depth in lexicographic order."""
+    """Yield all 0/1 words of the given depth in lexicographic order:
+    each first half followed by each second half (held as a list)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    for bits in product("01", repeat=depth):
-        yield "".join(bits)
+    if depth < 2:
+        return iter(("0", "1") if depth else ("",))
+    tails = list(all_words(depth - depth // 2))
+    return (w + t for w in all_words(depth // 2) for t in tails)
+
+
+def all_binary(words: Iterable[Word]) -> bool:
+    """Whether the words hold only 0s and 1s: one C pass deletes them
+    from their concatenation (``strip`` tests a character at a time)."""
+    return not "".join(words).translate(dict.fromkeys(b"01"))
 
 
 def check_word(w: Word) -> Word:
@@ -46,16 +55,9 @@ def check_word(w: Word) -> Word:
     return w
 
 
-def word_index(w: Word) -> int:
-    """The word read as a binary number, coordinate 1 the top bit: its
-    position among the words of its depth in lexicographic order, which
-    is how dense tables of a depth are indexed.  `w` must be a 0/1 word
-    (``int`` would also take signs, spaces and underscores)."""
-    return int(w, 2) if w else 0
-
-
 def index_word(i: int, depth: int) -> Word:
-    """The depth-`depth` word with index `i`: `word_index` inverted."""
+    """The depth-`depth` word with index `i` in binary, coordinate 1 the
+    top bit: dense tables are in word order; a word's index is int(w, 2)."""
     return format(i, f"0{depth}b") if depth else ""
 
 
@@ -182,7 +184,7 @@ class ProductMeasure:
         """The masses of all depth-`depth` cylinders over one common
         denominator, `level_weights`' denominator: ``(numerators,
         denominator)`` with the numerators by word index, so
-        ``cylinder(w)`` equals ``Fraction(numerators[word_index(w)],
+        ``cylinder(w)`` equals ``Fraction(numerators[int(w, 2)],
         denominator)``.  Kept per depth on the measure."""
         cached = self._level_masses.get(depth)
         if cached is None:
@@ -245,10 +247,12 @@ def _word_edges(words: Sequence[Word]) -> tuple[int, list[int]]:
     """``(depth, edges)`` of the union of the words' cylinders, `depth`
     the deepest word's: the word of index i and length d holds the
     indices [i 2^(depth-d), (i+1) 2^(depth-d))."""
+    if "" in words:  # the whole space; `int` does not read ""
+        return 0, [0, 1]
     depth = max(map(len, words), default=0)
     ranges = []
-    for w in words:
-        shift, i = depth - len(w), word_index(w)
+    for w, i in zip(words, map(int, words, repeat(2))):
+        shift = depth - len(w)
         ranges.append((i << shift, (i + 1) << shift))
     return depth, _coalesce(sorted(ranges))
 
@@ -360,8 +364,8 @@ class CylinderSet:
     @staticmethod
     def of(words: Iterable[Word]) -> "CylinderSet":
         ws = list(words)
-        # one test for all words: strip stops at the first character not 0/1
-        if "".join(ws).strip("01"):
+        # one test for all words; the loop names a bad one
+        if not all_binary(ws):
             for w in ws:
                 check_word(w)
         return CylinderSet(*_word_edges(ws))
@@ -369,7 +373,7 @@ class CylinderSet:
     @staticmethod
     def from_indices(depth: int, indices: Sequence[int]) -> "CylinderSet":
         """The union of the depth-`depth` cylinders with the given word
-        indices (see `word_index`), ascending and distinct; the same
+        indices (see `index_word`), ascending and distinct; the same
         canonical form `of` gives for their words."""
         if not indices:
             return _EMPTY

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Collection, Iterable, Sequence
 
 from .errors import BudgetExhausted, ConfigError, DepthMismatch, MalformedInput
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word,
-                      check_word, index_word, word_index)
+                      all_binary, all_words, check_word)
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class FiniteDepthMap:
     """A permutation of the depth-`depth` words, identity beyond.
 
     ``table`` holds the image of each depth word by word index (see
-    `measure.word_index`), so the map moves the top `depth` bits of a
+    `measure.index_word`), so the map moves the top `depth` bits of a
     deeper index and keeps the rest.  Words appear only in `from_moves`
     and `word_moves`, the map's form in reports.
     """
@@ -63,20 +63,31 @@ class FiniteDepthMap:
 
     @staticmethod
     def from_moves(depth: int,
-                   moves: Iterable[tuple[Word, Word]]) -> "FiniteDepthMap":
+                   moves: Collection[tuple[Word, Word]]) -> "FiniteDepthMap":
         """The map of (word, image) pairs as `word_moves` lists them;
-        unlisted words are fixed."""
+        unlisted words are fixed.  The moves are checked as a whole; the
+        loop names the first bad one."""
         table = list(range(1 << depth))
-        for s, t in moves:
+        try:
+            whole = (set(map(len, moves)) <= {2}
+                     and set(map(len, chain.from_iterable(moves))) <= {depth}
+                     and all_binary(chain.from_iterable(moves)))
+        except TypeError:  # a move or a word of another type
+            whole = False
+        for s, t in () if whole else moves:
             if len(s) != depth or len(t) != depth:
                 raise DepthMismatch("all moved words must have the map's depth")
-            table[word_index(check_word(s))] = word_index(check_word(t))
+            check_word(s), check_word(t)
+        # the one map of depth 0 is the identity (and `int` does not read "")
+        indices = map(int, chain.from_iterable(moves) if depth else (), repeat(2))
+        for s, t in zip(indices, indices):
+            table[s] = t
         return FiniteDepthMap(depth, tuple(table))
 
     def word_moves(self) -> list[tuple[Word, Word]]:
         """(word, image) for each word the map moves, in word order."""
-        return [(index_word(i, self.depth), index_word(j, self.depth))
-                for i, j in enumerate(self.table) if i != j]
+        words = list(all_words(self.depth))
+        return [(words[i], words[j]) for i, j in enumerate(self.table) if i != j]
 
     def index_map(self, depth: int) -> tuple[int, ...]:
         """The table restated at `depth`, at least the map's own: entry i
@@ -131,7 +142,7 @@ class Odometer:
 
     def index_map(self, depth: int) -> tuple[int, ...]:
         """The exact carry on the depth-`depth` prefixes, by word index
-        (see `word_index`): entry i is the index of the image of word i
+        (see `index_word`): entry i is the index of the image of word i
         under adding `step` modulo 2^depth, so T maps 1^depth to 0^depth.
         A prefix's image does not depend on the coordinates beyond it;
         the truncation is `remainder`, kept beside the table.  The carry

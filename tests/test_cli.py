@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import cocyclelab.cli as cli
 import cocyclelab.driver as driver
 import cocyclelab.evc as evc
 import cocyclelab.groups as groups
@@ -331,6 +332,28 @@ class TestMalformedReport:
         assert record["error"] == "MalformedInput"
         assert str(path) in record["message"]
 
+    # one key of length 60 sets the table's depth to 60: the word it lacks
+    # is named at once, without listing the 2^60 words
+    @pytest.mark.parametrize("command, kind", [("certify", "round"),
+                                               ("export", "final")])
+    def test_one_deep_key(self, command, kind, report_lines, tmp_path,
+                          capsys):
+        records = [json.loads(line) for line in report_lines]
+        record = next(r for r in records if r["record"] == kind)
+        (record["artifacts"] if kind == "round" else record)["f"] = {
+            "0" * 60: "0"}
+        path = tmp_path / "report.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc, out, err = run_cli(capsys, command, str(path),
+                               *(["--out", str(tmp_path / "csv")]
+                                 if command == "export" else []))
+        assert rc == 1 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line) == {
+            "error": "MalformedInput",
+            "message": "a function table must hold the words of one depth "
+                       f"(table lacks the word {'0' * 59 + '1'!r})"}
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_SUM_Z))
     def test_sum_z_certify_reports_an_error_record(self, case, sum_z_lines,
                                                    tmp_path, capsys):
@@ -420,6 +443,64 @@ class TestComputedOnce:
         assert counted(*argv, "--out", out) == run
         capsys.readouterr()
         assert counted("certify", os.path.join(out, "report.jsonl")) == certify
+
+
+class TestGrammarPerProcess:
+    """`main` builds its argument grammar on its first call in a process
+    and shares it with every later call; each call still parses alone."""
+
+    def test_import_builds_no_grammar(self):
+        probe = subprocess.run(
+            [sys.executable, "-c", "import cocyclelab.cli as cli; "
+             "print(cli._parser.cache_info().currsize)"],
+            capture_output=True, text=True)
+        assert probe.returncode == 0, probe.stderr
+        assert probe.stdout == "0\n"
+
+    def test_no_option_carries_over(self, tmp_path, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_run",
+                            lambda args, pipeline: seen.append(vars(args)) or 0)
+        out = str(tmp_path)
+        assert main(["run", "--config", "z2-flips", "--depth", "9",
+                     "--out", out, "--resume", "--rounds", "2"]) == 0
+        assert main(["run", "--config", "z2-flips"]) == 0
+        assert main(["bounded", "--config", "z2-flips"]) == 0
+        common = {"config": "z2-flips", "seedless": False}
+        assert seen == [
+            {**common, "command": "run", "depth": 9, "out": out,
+             "resume": True, "rounds": 2},
+            {**common, "command": "run", "depth": None, "out": None,
+             "resume": False, "rounds": None},
+            {**common, "command": "bounded", "depth": None, "out": None,
+             "rounds": None},
+        ]
+
+    # usage output and exit codes: (arguments, exit code)
+    USAGE = [(["--help"], 0), (["run", "--help"], 0), (["certify", "-h"], 0),
+             ([], 2), (["nonsense"], 2), (["certify"], 2),
+             (["run", "--config", "z2-flips", "--depth", "deep"], 2),
+             (["step", "--config", "z2-flips", "--resume"], 2)]
+
+    @pytest.mark.parametrize("argv,code", USAGE)
+    def test_usage_matches_a_fresh_grammar(self, argv, code, capsys,
+                                           monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def usage(parse):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            captured = capsys.readouterr()
+            return exc.value.code, captured.out, captured.err
+        fresh = usage(cli._parser.__wrapped__().parse_args)
+        assert fresh[0] == code
+        # the shared grammar prints the same before and after other calls
+        assert usage(main) == fresh
+        for other, _ in self.USAGE:
+            with pytest.raises(SystemExit):
+                main(other)
+        capsys.readouterr()
+        assert usage(main) == fresh
 
 
 class TestConfigHandling:

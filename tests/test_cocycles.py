@@ -20,12 +20,12 @@ from cocyclelab.errors import DepthMismatch
 from cocyclelab.groups import (DirectProductGroup, DirectSumZGroup,
                                FreeAbelianGroup, cyclic_group,
                                symmetric_group_3)
-from cocyclelab.measure import CylinderSet, ProductMeasure, all_words, word_index
+from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
 from cocyclelab.odometer import (Flip, GammaAction, Odometer,
                                  adding_machine_action,
                                  flip_action, orbit_overflow)
 from word_oracles import (cocycle_check, covers, distance_words,
-                          increment_words, piece_remainder, pieces)
+                          increment_words, piece_remainder, pieces, word_index)
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)

@@ -29,7 +29,7 @@ from cocyclelab.driver import (PRESETS, PipelineConfig, RunReport, Schedule,
                                norm_bounded_pipeline, run_theorem_02i,
                                run_theorem_02ii)
 from cocyclelab.errors import ConfigError, SearchExhausted
-from cocyclelab.measure import CylinderSet
+from cocyclelab.measure import CylinderSet, all_words
 from cocyclelab.odometer import (FiniteDepthMap, GammaAction,
                                  adding_machine_action, flip_action)
 from cocyclelab.stepper import construct_step
@@ -756,6 +756,50 @@ class TestCertifyTampering:
             conjugate="0" + r["conjugate"]), "conjugate"),
     }
 
+    # respellings of the second round's replayed artifacts that read back
+    # as the same function, map and core, so every step check holds;
+    # certify compares each with the run's rendering of what it holds
+    def relabel(rec):
+        table = rec["artifacts"]["f"]
+        word = next(w for w in sorted(table) if table[w] == "1")
+        table[word] = "01"
+
+    def swap_moves(rec):
+        moves = rec["witness"]["moves"]
+        moves[0], moves[1] = moves[1], moves[0]
+
+    def split_core_word(rec):
+        core = rec["witness"]["core"]
+        i = next(i for i, w in enumerate(core) if w)
+        core[i:i + 1] = [core[i] + "0", core[i] + "1"]
+
+    RESPELLED = {"artifacts.f": relabel, "witness.moves": swap_moves,
+                 "witness.core": split_core_word}
+
+    @pytest.mark.parametrize("clause", sorted(RESPELLED))
+    def test_respelled_artifact(self, clause, flips_run):
+        def forge(records):
+            self.RESPELLED[clause]([r for r in records
+                                    if r["record"] == "round"][1])
+        failures = self.tampered(flips_run, forge)
+        assert [(f["clause"], f["where"]) for f in failures] == [
+            (clause, "round 2")]
+
+    def test_listed_fixed_word(self, adding_report):
+        # a word the map fixes, listed as moved to itself, leaves the map
+        # as it was; the moves still ascend, but are one too many
+        def forge(records):
+            moves = [r for r in records if r["record"] == "round"][0][
+                "witness"]["moves"]
+            moved = {s for s, _ in moves}
+            word = next(w for w in all_words(len(moves[0][0]))
+                        if w not in moved)
+            moves.append((word, word))
+            moves.sort()
+        failures = self.tampered(adding_report, forge)
+        assert [(f["clause"], f["where"]) for f in failures] == [
+            ("witness.moves", "round 1")]
+
     @pytest.mark.parametrize("name", sorted(ROUND_RECORD))
     def test_round_record_no_run_writes(self, name, flips_run, adding_report):
         report, index, forge, clause = self.ROUND_RECORD[name]
@@ -1327,6 +1371,15 @@ class TestExports:
         assert {f"round_{i:02d}_core.csv" for i in range(1, 7)} <= names
         for path in written:
             assert os.path.exists(path)
+
+    def test_round_files_are_named_by_position(self, tmp_path, flips_run):
+        # a stored round number is not checked on export: a repeated one
+        # names no file twice
+        records = copy.deepcopy(list(flips_run.records))
+        [r for r in records if r["record"] == "round"][1]["round"] = 1
+        written = export_report(records, str(tmp_path))
+        assert len(set(written)) == len(written) == 9
+        assert str(tmp_path / "round_02_core.csv") in written
 
     def test_final_function_csv_parses(self, tmp_path, flips_run):
         report = flips_run

@@ -23,11 +23,11 @@ from cocyclelab.evc import (EvcWitness, WitnessValidation, check_evc,
 from cocyclelab.groups import (FreeAbelianGroup, cyclic_group,
                                symmetric_group_3)
 from cocyclelab.measure import (CylinderSet, ProductMeasure, all_words,
-                                index_word, word_index)
+                                index_word)
 from cocyclelab.odometer import FiniteDepthMap
 from word_oracles import (WordMap, deviation, image_of, kernel_value,
                           map_apply, step_at, union_find_components,
-                          word_pairs_map, words_at)
+                          word_index, word_pairs_map, words_at)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from cocyclelab.errors import DepthMismatch, MalformedInput
 from cocyclelab.measure import (ONE, ZERO, CylinderSet, ProductMeasure,
                                 all_words, check_word, index_word,
-                                word_index, worst_deviation)
+                                worst_deviation)
 from cocyclelab.odometer import FiniteDepthMap
-from word_oracles import cylinder_sum
+from word_oracles import cylinder_sum, word_index
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from cocyclelab.errors import BudgetExhausted, ConfigError, DepthMismatch
 from cocyclelab.measure import (CylinderSet, ProductMeasure, all_words,
-                                index_word, word_index)
+                                index_word)
 from cocyclelab.odometer import (FiniteDepthMap, Flip, GammaAction, Odometer,
                                  adding_machine_action, exchange_involution,
                                  flip_action, orbit_overflow)
 from word_oracles import (WordMap, apply_piece, apply_rule, covers, image_of,
                           map_apply, piece_distortion, piece_index_map,
-                          piece_overflow, piece_remainder, pieces, words_at)
+                          piece_overflow, piece_remainder, pieces, word_index,
+                          words_at)
 
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))

@@ -8,9 +8,14 @@ so the index forms can be checked against them.
 from fractions import Fraction
 
 from cocyclelab.errors import DepthMismatch
-from cocyclelab.measure import (CylinderSet, all_words, check_word,
-                                index_word, word_index)
+from cocyclelab.measure import CylinderSet, all_words, check_word, index_word
 from cocyclelab.odometer import FiniteDepthMap, Flip, Odometer
+
+
+def word_index(w: str) -> int:
+    """The index of a 0/1 word (`index_word` inverted): the word read as
+    a binary number, coordinate 1 the top bit."""
+    return int(w, 2) if w else 0
 
 
 def pieces(g) -> list:
