@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, count, repeat
-from operator import ne
+from operator import eq, ne
 from typing import Iterable, Mapping
 
 from .errors import DepthMismatch
@@ -116,8 +117,8 @@ class StepFunction:
         return tuple(seen[k] for k in sorted(seen))
 
     def level_set(self, value: Element) -> CylinderSet:
-        return CylinderSet.from_indices(
-            self.depth, [i for i, v in enumerate(self.values) if v == value])
+        return CylinderSet.from_indices(self.depth, list(compress(
+            count(), map(eq, self.values, repeat(value)))))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -173,11 +174,9 @@ def coboundary_increment(f: StepFunction,
     """The increment x -> f(sigma x) f(x)^-1 at the depth of `f`, with
     the remainder of the truncated `sigma`: `sigma` maps the prefixes of
     that depth among themselves (`index_map`), so the increment depends
-    on them alone.
-
-    Computed once per generator and kept on `f`, so a repeated call
-    returns the same object, whose values are a tuple.  The generator is
-    keyed by value: actions are rebuilt every round."""
+    on them alone.  Kept on `f` per generator, keyed by value (rounds'
+    actions share generators): a repeated call returns the same object,
+    whose values are a tuple."""
     memo = f._increments
     try:
         return memo[sigma]
@@ -236,15 +235,20 @@ def increment_agreement(old: StepFunction, new: StepFunction,
     the complement of the cells whose values differ at the increments'
     depth, less the generator's remainder, whose undecided mass is
     excluded (conservative).  Only the differing cells are listed, so a
-    nearly full set costs little."""
+    nearly full set costs little; the remainder's whole cells join them,
+    and only a remainder deeper than the cells is subtracted as a set."""
     agreement: dict[str, CylinderSet] = {}
     for g in action.generators:
         u_old = coboundary_increment(old, g)
         u_new = coboundary_increment(new, g)
-        e = _paired_depth(u_old, u_new)
-        moved = CylinderSet.from_indices(e, list(compress(
-            count(), map(ne, u_old.values_at(e), u_new.values_at(e)))))
-        agreement[g.label] = moved.complement().difference(u_old.remainder)
+        e, remainder = _paired_depth(u_old, u_new), u_old.remainder
+        moved = list(compress(
+            count(), map(ne, u_old.values_at(e), u_new.values_at(e))))
+        for lo, hi in remainder.cells(e):
+            moved[bisect_left(moved, lo):bisect_left(moved, hi)] = range(lo, hi)
+        same = CylinderSet.from_indices(e, moved).complement()
+        agreement[g.label] = (same.difference(remainder)
+                              if remainder.max_depth > e else same)
     return agreement
 
 

@@ -166,17 +166,28 @@ class PipelineConfig:
         raise ConfigError(f"unknown measure kind {kind!r}")
 
     def build_action(self, round_index: Optional[int] = None) -> GammaAction:
-        kind = self.action.get("kind")
-        if kind == "adding-machine":
-            return adding_machine_action(int(self.action.get("depth", 12)))
-        if kind == "flips":
-            return flip_action(tuple(int(c) for c in self.action["coords"]))
-        if kind == "flip-stream":
-            # enumerated generator branch: round n sees the first n flips
-            if round_index is None:
-                round_index = self.rounds
-            return flip_action(tuple(range(1, max(round_index, 1) + 1)))
-        raise ConfigError(f"unknown action kind {kind!r}")
+        """The action of round `round_index` (None: the last round), one
+        instance per equal action, so what an action keeps is kept once."""
+        kind, spec = self.action.get("kind"), self.action
+        # enumerated generator branch: round n sees the first n flips
+        n = max(self.rounds if round_index is None else round_index, 1)
+        key = n if kind == "flip-stream" else None
+        action = self._actions.get(key)
+        if action is None:
+            if kind == "adding-machine":
+                action = adding_machine_action(int(spec.get("depth", 12)))
+            elif kind == "flips":
+                action = flip_action(tuple(int(c) for c in spec["coords"]))
+            elif kind == "flip-stream":
+                action = flip_action(tuple(range(1, n + 1)))
+            else:
+                raise ConfigError(f"unknown action kind {kind!r}")
+            self._actions[key] = action
+        return action
+
+    @functools.cached_property
+    def _actions(self) -> dict:
+        return {}
 
     @functools.cached_property
     def closure(self) -> tuple:
@@ -341,7 +352,7 @@ class Schedule:
 # ---------------------------------------------------------------------------
 
 def _frac(x: Fraction) -> str:
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def _function_table(f: StepFunction) -> dict:
@@ -604,8 +615,10 @@ def _run_recursion(config: PipelineConfig,
         emit(record)
         n = out.m
 
+    # the last round record's table renders the last function
+    table = records[-1]["artifacts"]["f"] if len(records) > 1 else None
     for record in _terminal_records(config, functions, change_history,
-                                    eps_history, n, {}):
+                                    eps_history, n, {}, table):
         emit(record)
     if closing is not None:
         emit(closing(config, functions[-1], records))
@@ -619,9 +632,12 @@ def _terminal_records(config: PipelineConfig,
                       functions: Sequence[StepFunction],
                       change_history: Sequence[dict],
                       eps_history: Sequence[Fraction], final_level: int,
-                      searched: Mapping[str, dict]) -> list[dict]:
+                      searched: Mapping[str, dict],
+                      final_table: Optional[dict]) -> list[dict]:
     """The records after the rounds; a record whose kind is in `searched`
-    is taken from there instead of computed (certify passes SEARCHED)."""
+    is taken from there instead of computed (certify passes SEARCHED).
+    `final_table` renders the last function (a round record's table,
+    which certify checks as one), or is None, and it is rendered here."""
     model, mu, closure = config.model, config.mu, config.closure
     f_final = functions[-1]
     action = config.build_action(config.rounds)
@@ -739,7 +755,7 @@ def _terminal_records(config: PipelineConfig,
         "record": "final",
         "depth": f_final.depth,
         "level": final_level,
-        "f": _function_table(f_final),
+        "f": _function_table(f_final) if final_table is None else final_table,
         "eps_history": [_frac(e) for e in eps_history],
         # strict halving: the tolerances after the last round sum below it
         "tail_bound": _frac(eps_history[-1]) if eps_history else "0",
@@ -955,7 +971,42 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
 
     rounds = [r for r in records if r.get("record") == "round"]
     functions, eps_history, _ = _replay_rounds(config, rounds)
-    change_history = []
+    change_history, n = _certify_rounds(config, rounds, functions,
+                                        eps_history, fail)
+
+    # the first record of each kind
+    stored = {r.get("record"): r for r in reversed(records)}
+    rebuilt = _terminal_records(
+        config, functions, change_history, eps_history, n,
+        {kind: stored.get(kind, {"record": kind}) for kind in SEARCHED},
+        rounds[-1]["artifacts"]["f"] if rounds else None)
+    # norm bounds over a model without a norm fail under their kind
+    for kind in (kind for kind in CLOSING if kind in stored):
+        try:
+            rebuilt.append(CLOSING[kind](config, functions[-1], rebuilt))
+        except ConfigError as exc:
+            fail(kind, "report", str(exc))
+    if not next(r for r in rebuilt if r["record"] == "boundedness")["ok"]:
+        fail("boundedness", "report", "increments leave {identity} u closure")
+    kinds = ["header"] + ["round"] * len(rounds) + [r["record"] for r in rebuilt]
+    if [r.get("record") for r in records] != kinds:
+        fail("records", "report", "record kinds or their order differ from a run's")
+    for record in [header] + rebuilt:
+        kind = record["record"]
+        if kind not in stored:
+            fail(kind, "report", "record missing")
+        elif (key := _first_difference(stored[kind], record)) is not None:
+            fail(kind, "report", f"{key!r} differs from the rebuilt record")
+    return failures
+
+
+def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
+                    functions: Sequence[StepFunction], eps_history: list,
+                    fail: Callable) -> tuple[list[dict], int]:
+    """Replay the round records through the step check, naming failures
+    to `fail`; returns their change sets and the final level.  A function
+    so that the last round's artifacts die before `_terminal_records`."""
+    change_history: list[dict] = []
     n = config.start_level
     for i, rec in enumerate(rounds):
         t = i + 1
@@ -1010,9 +1061,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
         if not (all(map(lt, moves, islice(moves, 1, None)))
                 and len(moves) == sum(map(ne, theta.table, count()))):
             fail("witness.moves", where, "not the map's moves in word order")
-        # a fresh copy's words: the core's own would stay cached to the peak
-        if rec["witness"]["core"] != list(
-                CylinderSet(core.max_depth, core.edges).words):
+        if rec["witness"]["core"] != list(core.words):
             fail("witness.core", where,
                  "not the core's maximal cylinders, shorter first")
         replay = StepArtifacts(f, theta, core, rec["refined_level"], h, delta)
@@ -1053,30 +1102,7 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
                      check.witness.detail or "")
 
         n = rec["refined_level"]
-
-    # the first record of each kind
-    stored = {r.get("record"): r for r in reversed(records)}
-    rebuilt = _terminal_records(
-        config, functions, change_history, eps_history, n,
-        {kind: stored.get(kind, {"record": kind}) for kind in SEARCHED})
-    # norm bounds over a model without a norm fail under their kind
-    for kind in (kind for kind in CLOSING if kind in stored):
-        try:
-            rebuilt.append(CLOSING[kind](config, functions[-1], rebuilt))
-        except ConfigError as exc:
-            fail(kind, "report", str(exc))
-    if not next(r for r in rebuilt if r["record"] == "boundedness")["ok"]:
-        fail("boundedness", "report", "increments leave {identity} u closure")
-    kinds = ["header"] + ["round"] * len(rounds) + [r["record"] for r in rebuilt]
-    if [r.get("record") for r in records] != kinds:
-        fail("records", "report", "record kinds or their order differ from a run's")
-    for record in [header] + rebuilt:
-        kind = record["record"]
-        if kind not in stored:
-            fail(kind, "report", "record missing")
-        elif (key := _first_difference(stored[kind], record)) is not None:
-            fail(kind, "report", f"{key!r} differs from the rebuilt record")
-    return failures
+    return change_history, n
 
 
 # ---------------------------------------------------------------------------

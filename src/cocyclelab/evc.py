@@ -71,15 +71,10 @@ class EvcWitness:
     measure_slack: Fraction
 
 
-def validate_witness(
-    f: StepFunction,
-    base: CylinderSet,
-    target: Sequence[Element],
-    delta: Fraction,
-    mu: ProductMeasure,
-    part: CylinderSet,
-    theta: FiniteDepthMap,
-) -> WitnessValidation:
+def validate_witness(f: StepFunction, base: CylinderSet,
+                     target: Sequence[Element], delta: Fraction,
+                     mu: ProductMeasure, part: CylinderSet,
+                     theta: FiniteDepthMap) -> WitnessValidation:
     """Re-check every clause of the condition from scratch, trusting only
     (part, theta) and the potential `f` itself.  The clauses, in the
     order the first failing one is named: part-inside, image-inside,
@@ -120,8 +115,8 @@ def validate_witness(
             misses += 1
             if missed is None:
                 missed = w
-    worst = worst_deviation(mu.level_masses(level)[0],
-                            ((w, table[w]) for w in words))
+    worst = worst_deviation(mu.level_masses(level)[0], words,
+                            map(table.__getitem__, words))
 
     def verdict(clause: Optional[str] = None,
                 detail: Optional[str] = None) -> WitnessValidation:
@@ -149,14 +144,9 @@ def validate_witness(
     return verdict()
 
 
-def check_evc(
-    f: StepFunction,
-    base: CylinderSet,
-    target: Sequence[Element],
-    delta: Fraction,
-    mu: ProductMeasure,
-    search_depth: int = 14,
-) -> EvcWitness:
+def check_evc(f: StepFunction, base: CylinderSet, target: Sequence[Element],
+              delta: Fraction, mu: ProductMeasure,
+              search_depth: int = 14) -> EvcWitness:
     """Find and validate a witness, or raise :class:`SearchExhausted`
     with the best margins reached.
 
@@ -227,16 +217,9 @@ def _search_witness(f, base, target, delta, mu, search_depth) -> EvcWitness:
     return EvcWitness(part, theta, check.measure_slack)
 
 
-def _pair_search(
-    f: StepFunction,
-    base: CylinderSet,
-    target: tuple,
-    target_keys: set,
-    delta: Fraction,
-    mu: ProductMeasure,
-    level: int,
-    need: Fraction,
-) -> tuple[list, list, Fraction]:
+def _pair_search(f: StepFunction, base: CylinderSet, target: tuple,
+                 target_keys: set, delta: Fraction, mu: ProductMeasure,
+                 level: int, need: Fraction) -> tuple[list, list, Fraction]:
     """Greedy disjoint pairing at one word level.  A pair (x, y) admits x
     into B when the kernel value of (y, x) is a target and the x-side
     derivative is within delta; both sides may qualify.  Returns (pairs,
@@ -253,7 +236,8 @@ def _pair_search(
     b_words: list[int] = []
     mass = 0  # numerator over the level's denominator
     for _, members in sorted(by_class.items()):
-        members.sort(key=lambda w: (-masses[w], w))
+        # the members ascend, and the sort is stable: (-mass, word) order
+        members.sort(key=masses.__getitem__, reverse=True)
         found = _match_by_value(f, members, target, target_keys, delta,
                                 masses, level)
         for x, y, x_ok, y_ok in found:
@@ -273,52 +257,59 @@ def _match_by_value(f, members, target, target_keys, delta, masses, level):
     """Pairing within one class via potential-value lookup: the value of
     (y, x) lands in the target iff f(y) lies in target * f(x).  A
     derivative deviation |n_y - n_x| / n_x is below delta = p/q when
-    |n_y - n_x| * q < p * n_x."""
+    |n_y - n_x| * q < p * n_x.  Members are read by position, grouped by
+    potential value; each group's target groups, and whether a group
+    pair's back value lands, are decided once per group."""
     model = f.model
     shift = level - f.depth
     values = f.values
     p, q = delta.numerator, delta.denominator
-    pot = {w: values[w >> shift] for w in members}
-    groups: dict = {}
-    for w in members:
-        groups.setdefault(model.key(pot[w]), []).append(w)
+    pots = [values[w >> shift] for w in members]
+    ms = list(map(masses.__getitem__, members))
+    number: dict = {}  # potential key -> group number
+    group_of = {v: number.setdefault(model.key(v), len(number))
+                for v in dict.fromkeys(pots)}
+    gids = list(map(group_of.__getitem__, pots))
+    groups: list[list[int]] = [[] for _ in number]
+    for i, g in enumerate(gids):
+        groups[g].append(i)
+    reps = [pots[group[0]] for group in groups]
+    # per group, in target order: each group holding t * potential, t a
+    # target, and whether its back value potential * its^-1 lands
+    wanted = [[(g, model.key(model.mul(rep, model.inv(reps[g]))) in target_keys)
+               for g in (number.get(model.key(model.mul(t, rep)))
+                         for t in target) if g is not None] for rep in reps]
     # members get used roughly in group order, so each group keeps a
     # cursor past its used front, where the next scan of it starts; a scan
     # from the front would make the pass quadratic in the class size
-    start = dict.fromkeys(groups, 0)
-    wanted: dict = {}  # potential key -> group keys of target * potential
-    used: set[int] = set()
+    start = [0] * len(groups)
+    used = bytearray(len(members))
     out = []
-    for x in members:
-        if x in used:
+    for a, nx in enumerate(ms):
+        if used[a]:
             continue
-        nx, px = masses[x], pot[x]
-        keys = wanted.get(model.key(px))
-        if keys is None:
-            keys = wanted[model.key(px)] = [model.key(model.mul(t, px))
-                                            for t in target]
-        for k in keys:
-            group = groups.get(k)
-            if group is None:
-                continue
-            i = start[k]
-            while i < len(group) and group[i] in used:
+        limit = p * nx
+        for g, y_lands in wanted[gids[a]]:
+            group = groups[g]
+            i = start[g]
+            while i < len(group) and used[group[i]]:
                 i += 1
-            start[k] = i
+            start[g] = i
             for j in range(i, len(group)):
-                y = group[j]
-                if y in used or y == x:
+                b = group[j]
+                if used[b] or b == a:
                     continue
-                ny = masses[y]
+                ny = ms[b]
                 gap = abs(ny - nx) * q
-                if not gap < p * nx:
+                if not gap < limit:
+                    if ny < nx:  # the group descends: later gaps only grow
+                        break
                     continue
-                back = model.mul(px, model.inv(pot[y]))
-                y_ok = model.key(back) in target_keys and gap < p * ny
-                used.update((x, y))
-                out.append((x, y, True, y_ok))
+                used[a] = used[b] = 1
+                out.append((members[a], members[b], True,
+                            y_lands and gap < p * ny))
                 break
-            if x in used:
+            if used[a]:
                 break
     return out
 
@@ -398,8 +389,8 @@ def skew_connectivity(f: StepFunction, depth: int) -> int:
     values = f.values
     for w in range(1 << depth):
         # the potential values under w fill a slice of its table
-        under = list({model.key(v): v
-                      for v in values[w << shift:(w + 1) << shift]}.values())
+        under = list({model.key(v): v for v in dict.fromkeys(
+            values[w << shift:(w + 1) << shift])}.values())
         back = model.inv(under[0])
         for p in under[1:]:
             subgroup.add(model.mul(back, p))

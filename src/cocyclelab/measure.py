@@ -61,18 +61,18 @@ def index_word(i: int, depth: int) -> Word:
     return format(i, f"0{depth}b") if depth else ""
 
 
-def worst_deviation(masses: Sequence[int],
-                    pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """The largest derivative deviation |mu(y) / mu(x) - 1| over index
-    pairs (x, y) of one depth, `masses` being that depth's
-    `ProductMeasure.level_masses` numerators: |n_y - n_x| / n_x, compared
-    by cross-multiplication and reduced once, at the end; zero for no
-    pairs.  The strict test ``deviation < p/q`` of one pair is
-    ``|n_y - n_x| * q < p * n_x``."""
+def worst_deviation(masses: Sequence[int], xs: Iterable[int],
+                    ys: Iterable[int]) -> Fraction:
+    """The largest derivative deviation |mu(y) / mu(x) - 1| over the
+    index pairs (x, y) of one depth listed side by side in `xs` and `ys`,
+    `masses` being that depth's `ProductMeasure.level_masses` numerators:
+    |n_y - n_x| / n_x per distinct pair of masses, compared by
+    cross-multiplication and reduced once; zero for no pairs.  The strict
+    test ``deviation < p/q`` of one pair is ``|n_y - n_x| * q < p * n_x``."""
     num, den = 0, 1
-    for x, y in pairs:
-        nx = masses[x]
-        gap = abs(masses[y] - nx)
+    for nx, ny in set(zip(map(masses.__getitem__, xs),
+                          map(masses.__getitem__, ys))):
+        gap = abs(ny - nx)
         if gap * den > num * nx:
             num, den = gap, nx
     return Fraction(num, den)
@@ -208,14 +208,26 @@ class ProductMeasure:
             raise DepthMismatch(f"ratio needs equal depths, got {len(x)} and {len(y)}")
         return self.cylinder(y) / self.cylinder(x)
 
+    @cached_property
+    def _shifts(self) -> dict:
+        return {}
+
     def shift(self, n: int) -> "ProductMeasure":
-        """The product measure seen by coordinates beyond the n-th."""
+        """The product measure seen by coordinates beyond the n-th, the
+        measure itself where its schedule repeats (the uniform measure
+        everywhere); kept per distinct shift, with its level tables."""
         if n < 0:
             raise ValueError("shift must be >= 0")
-        if n <= len(self.head):
-            return ProductMeasure(head=self.head[n:], cycle=self.cycle)
-        k = (n - len(self.head)) % len(self.cycle)
-        return ProductMeasure(head=(), cycle=self.cycle[k:] + self.cycle[:k])
+        head = len(self.head)
+        if n > head:  # the cycle repeats: equal shifts share one entry
+            n = head + (n - head) % len(self.cycle)
+        shifted = self._shifts.get(n)
+        if shifted is None:
+            k = max(n - head, 0)
+            shifted = ProductMeasure(self.head[n:],
+                                     self.cycle[k:] + self.cycle[:k])
+            shifted = self._shifts[n] = self if shifted == self else shifted
+        return shifted
 
     def schedule_key(self) -> tuple:
         """Hashable canonical form (used in reports)."""
@@ -401,14 +413,22 @@ class CylinderSet:
         return {}
 
     def measure(self, mu: ProductMeasure) -> Fraction:
-        """The set's mass under `mu`: one integer pass over the edges of
-        its index ranges (`_edge_mass_sum`) and one `Fraction`.  Kept per
-        measure on the set."""
+        """The set's mass under `mu`: 1 or 0 at depth 0; with many ranges
+        for its depth, its cells' `level_masses` summed in one C pass; else
+        one pass over its edges (`_edge_mass_sum`).  Kept per measure."""
+        depth, edges = self.max_depth, self.edges
+        if not depth:
+            return ONE if edges else ZERO
         mass = self._measures.get(mu)
         if mass is None:
-            steps, den = mu.level_weights(self.max_depth)
-            mass = self._measures[mu] = Fraction(
-                _edge_mass_sum(steps, den, self.edges), den)
+            if len(edges) << 6 >= 1 << depth:
+                masses, den = mu.level_masses(depth)
+                num = sum(map(sum, map(masses.__getitem__,
+                                       map(slice, edges[::2], edges[1::2]))))
+            else:
+                steps, den = mu.level_weights(depth)
+                num = _edge_mass_sum(steps, den, edges)
+            mass = self._measures[mu] = Fraction(num, den)
         return mass
 
     def _combine(self, other: "CylinderSet", keep) -> "CylinderSet":
@@ -416,11 +436,18 @@ class CylinderSet:
         in_other)` accepts (`keep(0, 0)` false), in one left-to-right
         pass over both sets' edges at the deeper of their depths: a point
         lies in a set when an odd number of its edges are at or below
-        it."""
-        if not other.edges:
-            return self if keep(1, 0) else _EMPTY
-        if not self.edges:
-            return other if keep(0, 1) else _EMPTY
+        it.  With the whole space or the empty set as an operand the
+        result is the other operand, its complement, full or empty."""
+        if not self.max_depth or not other.max_depth:
+            if self.max_depth:
+                rest, c = self, bool(other.edges)
+                inside, outside = keep(1, c), keep(0, c)
+            else:
+                rest, c = other, bool(self.edges)
+                inside, outside = keep(c, 1), keep(c, 0)
+            if inside:
+                return _FULL if outside else rest
+            return rest.complement() if outside else _EMPTY
         da, a, db, b = self.max_depth, self.edges, other.max_depth, other.edges
         depth = max(da, db)
         a = [x << (depth - da) for x in a] if da < depth else a
@@ -487,21 +514,23 @@ class CylinderSet:
 
     def ranges(self, depth: int) -> list[tuple[int, int]]:
         """The set as ascending, disjoint index ranges [lo, hi) of
-        depth-`depth` words (all member cylinders must fit, i.e. depth
-        >= max_depth), read off the edges without listing an index."""
+        depth-`depth` words, read off the edges (depth >= max_depth)."""
+        return list(zip(*self._bounds(depth)))
+
+    def _bounds(self, depth: int) -> tuple[Sequence[int], Sequence[int]]:
+        """The lower and the upper ends of `ranges(depth)`, unpaired."""
         if depth < self.max_depth:
             raise DepthMismatch(
                 f"set has cylinders of depth {self.max_depth}, cannot list at {depth}")
         shift = depth - self.max_depth
-        edges = [x << shift for x in self.edges]
-        return list(zip(edges[::2], edges[1::2]))
+        edges = [x << shift for x in self.edges] if shift else self.edges
+        return edges[::2], edges[1::2]
 
     def indices(self, depth: int) -> list[int]:
         """The set as the ascending indices of depth-`depth` words (all
         member cylinders must fit, i.e. depth >= max_depth): what
         `from_indices` takes."""
-        return list(chain.from_iterable(
-            range(lo, hi) for lo, hi in self.ranges(depth)))
+        return list(chain.from_iterable(map(range, *self._bounds(depth))))
 
     def saturate(self, n: int) -> "CylinderSet":
         """Hull under the level-`n` relation: free the first n coordinates.

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, reduce
 from itertools import chain, repeat
 from typing import Collection, Iterable, Sequence
 
@@ -251,8 +252,17 @@ class GammaAction:
                 out.append((g.label,) if inverse == g else (g.label, inverse.label))
         return out
 
+    @cached_property
+    def _memo(self) -> dict:  # distortion sums by measure, overflows by level
+        return {}
+
     def max_distortion_sum(self, mu: ProductMeasure) -> Fraction:
-        return sum((g.distortion(mu) for g in self.generators), ZERO)
+        """The generators' distortions summed, kept per measure."""
+        total = self._memo.get(mu)
+        if total is None:
+            total = self._memo[mu] = sum(
+                (g.distortion(mu) for g in self.generators), ZERO)
+        return total
 
 
 def adding_machine_action(depth: int) -> GammaAction:
@@ -269,13 +279,14 @@ def flip_action(coords: Sequence[int]) -> GammaAction:
 
 def orbit_overflow(action: GammaAction, level: int) -> CylinderSet:
     """The set of points that some generator throws out of their
-    level-`level` class, together with the generators' undefined
-    remainders, where escape cannot be decided: a sound upper bound."""
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    over = CylinderSet.empty()
-    for g in action.generators:
-        over = over.union(g.overflow(level))
+    level-`level` class, with the generators' undefined remainders,
+    where escape cannot be decided: a sound upper bound, kept per level."""
+    over = action._memo.get(level)
+    if over is None:
+        if level < 0:
+            raise ValueError("level must be >= 0")
+        over = action._memo[level] = reduce(
+            CylinderSet.union, (g.overflow(level) for g in action.generators))
     return over
 
 

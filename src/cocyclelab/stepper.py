@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import ne
 from typing import Mapping, Optional
 
 from .cocycles import (StepFunction, cocycle_distance, increment_agreement,
@@ -429,9 +430,8 @@ def _certify(inp: StepInput, selection: CoreSelection,
         "product measure: the distribution beyond any level is the same "
         f"shifted weight schedule on every fiber (schedule {mu.schedule_key()})"))
 
-    worst_pair = worst_deviation(
-        mu.shift(m).level_masses(tau.depth)[0],
-        ((s, t) for s, t in enumerate(tau.table) if s != t))
+    worst_pair = worst_deviation(mu.shift(m).level_masses(tau.depth)[0],
+                                 range(len(tau.table)), tau.table)
     certs.append(Certificate(
         "suffix_derivative", worst_pair < eps,
         f"exchange derivative deviation {worst_pair} < {eps} "
@@ -443,10 +443,10 @@ def _certify(inp: StepInput, selection: CoreSelection,
         "each class is a middle-block set, hence exactly invariant under "
         f"the deep exchange (budget {[str(4 * eps * x) for x in masses]})"))
 
-    moves = [(w, image) for w, image in enumerate(theta.table) if w != image]
-    worst_move = worst_deviation(mu.level_masses(theta.depth)[0], moves)
+    worst_move = worst_deviation(mu.level_masses(theta.depth)[0],
+                                 range(len(theta.table)), theta.table)
     labels = _masked_labels(f, selection.z0, theta.depth)
-    worst_print = sum(labels[w] != labels[image] for w, image in moves)
+    worst_print = sum(map(ne, labels, map(labels.__getitem__, theta.table)))
     certs.append(Certificate(
         "transfer_derivative", worst_move < 3 * eps,
         f"pairing derivative deviation {worst_move} < {3 * eps}"))
@@ -514,8 +514,8 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
                         "core and its pairing image lie in the target set",
                         "core and pairing image inside the target"),
         "core_disjoint": (
-            not any(in_core[table[w]] for lo, hi in core.ranges(depth)
-                    for w in range(lo, hi)),
+            not any(map(in_core.__getitem__,
+                        map(table.__getitem__, core.indices(depth)))),
             "pairing image of the core is disjoint from the core",
             "pairing image disjoint from the core"),
         "core_mass": (core_mass > bound,

@@ -30,8 +30,9 @@ from cocyclelab.driver import (PRESETS, PipelineConfig, RunReport, Schedule,
                                run_theorem_02ii)
 from cocyclelab.errors import ConfigError, SearchExhausted
 from cocyclelab.measure import CylinderSet, all_words
-from cocyclelab.odometer import (FiniteDepthMap, GammaAction,
-                                 adding_machine_action, flip_action)
+from cocyclelab.odometer import (FiniteDepthMap, Flip, GammaAction,
+                                 adding_machine_action, flip_action,
+                                 orbit_overflow)
 from cocyclelab.stepper import construct_step
 
 
@@ -603,6 +604,18 @@ class TestCertifyTampering:
         assert failures
         assert self.clauses(failures) & {"inner", "agreement", "distance",
                                          "final", "evc-membership"}
+
+    def test_final_table_differs_from_the_last_round(self, flips_run):
+        # the final record's table is the last round's, which certify
+        # has checked; one label changed in the final record alone fails
+        # under "final"
+        def respell(records):
+            table = next(r for r in records if r["record"] == "final")["f"]
+            word = sorted(table)[0]
+            table[word] = "1" if table[word] == "0" else "0"
+        failures = self.tampered(flips_run, respell)
+        assert failures == [{"clause": "final", "where": "report",
+                             "detail": "'f' differs from the rebuilt record"}]
 
     def test_core_padding(self, flips_run):
         report = flips_run
@@ -1298,12 +1311,14 @@ class TestEvcSearch:
 
 
 class TestComputedOnce:
-    """What the config builds (its group model and schedule) and what a
-    step's data fixes (the action's distortion sum) is computed once: per
-    command, one model, one schedule and one distortion sum per round."""
+    """What the config builds (its group model, schedule and actions)
+    and what a step's data fixes (the action's distortion sum) is
+    computed once: per command, one model, one schedule, one distortion
+    sum per round and one distortion per generator."""
 
     def test_counts_per_command(self, tmp_path, monkeypatch):
-        counts = {"distortion": 0, "model": 0, "schedule": 0}
+        counts = {"distortion": 0, "generator_distortion": 0, "model": 0,
+                  "schedule": 0}
 
         def count(owner, name, key, wrap=lambda fn: fn):
             real = getattr(owner, name)
@@ -1314,6 +1329,7 @@ class TestComputedOnce:
             monkeypatch.setattr(owner, name, wrap(counting))
 
         count(GammaAction, "max_distortion_sum", "distortion")
+        count(Flip, "distortion", "generator_distortion")
         count(driver, "model_from_config", "model")
         count(Schedule, "from_config", "schedule", staticmethod)
         out = str(tmp_path)
@@ -1321,7 +1337,24 @@ class TestComputedOnce:
                      ["certify", os.path.join(out, "report.jsonl")]):
             counts.update(dict.fromkeys(counts, 0))
             assert cli.main(argv) == 0
-            assert counts == {"distortion": 6, "model": 1, "schedule": 1}, argv
+            # the rounds share one action, which keeps its sum: each of
+            # its two flips' distortions is computed once
+            assert counts == {"distortion": 6, "generator_distortion": 2,
+                              "model": 1, "schedule": 1}, argv
+
+    def test_one_instance_per_equal_action(self):
+        flips = PipelineConfig.from_mapping(PRESETS["z2-flips"])
+        action = flips.build_action(1)
+        assert flips.build_action(3) is action and flips.build_action() is action
+        stream = PipelineConfig.from_mapping(PRESETS["z2-flip-stream"])
+        assert stream.build_action(2) is stream.build_action(2)
+        assert stream.build_action(2) is not stream.build_action(3)
+        assert stream.build_action() is stream.build_action(stream.rounds)
+        # what the action keeps: its distortion sum and its overflows
+        assert action.max_distortion_sum(flips.mu) is \
+            action.max_distortion_sum(flips.mu)
+        assert orbit_overflow(action, 1) is orbit_overflow(action, 1)
+        assert orbit_overflow(action, 3) is orbit_overflow(action, 3)
 
 
 class TestEssentialValueSweep:

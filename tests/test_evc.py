@@ -25,14 +25,16 @@ from cocyclelab.groups import (FreeAbelianGroup, cyclic_group,
 from cocyclelab.measure import (CylinderSet, ProductMeasure, all_words,
                                 index_word)
 from cocyclelab.odometer import FiniteDepthMap
-from word_oracles import (WordMap, deviation, image_of, kernel_value,
-                          map_apply, step_at, union_find_components,
-                          word_index, word_pairs_map, words_at)
+from word_oracles import (WordMap, class_order, deviation, image_of,
+                          kernel_value, map_apply, reference_match_by_value,
+                          step_at, union_find_components, word_index,
+                          word_pairs_map, words_at)
 
 Z2 = cyclic_group(2)
 Z3 = cyclic_group(3)
 Z4 = cyclic_group(4)
 S3 = symmetric_group_3()
+ZZ = FreeAbelianGroup(2)
 UNIFORM = ProductMeasure.uniform()
 BIASED = ProductMeasure.iid(Fraction(1, 3))
 
@@ -426,6 +428,52 @@ class TestSingleLevelSearch:
         assert (validate_witness(f, base, target, delta, mu, part, theta)
                 == word_validate_witness(f, base, target, delta, mu, part,
                                          oracle_theta))
+
+
+@st.composite
+def class_pairings(draw):
+    """One kernel class of a potential on Z2, Z3, S3 or Z^2 of depth up
+    to 8, read up to two levels deeper, its members a drawn part of the
+    class; a uniform, iid(1/3) or period-2 measure; a target of one to
+    three elements, the identity among them."""
+    model = draw(st.sampled_from([Z2, Z3, S3, ZZ]))
+    elements = model.elements() or [(0, 0), (1, 0), (0, 1), (1, 1), (-1, 2)]
+    palette = draw(st.lists(st.sampled_from(elements), min_size=1,
+                            max_size=4, unique=True))
+    depth = draw(st.integers(0, 8))
+    f = StepFunction(model, depth, tuple(
+        draw(st.lists(st.sampled_from(palette), min_size=1 << depth,
+                      max_size=1 << depth))))
+    extra = draw(st.integers(0, 2))
+    level, tail = depth + extra, draw(st.integers(0, (1 << extra) - 1))
+    members = [(i << extra) | tail for i in range(1 << depth)
+               if draw(st.integers(0, 3))]
+    mu = draw(st.sampled_from([UNIFORM, BIASED, ProductMeasure.from_schedule(
+        (), [(Fraction(1, 2), Fraction(1, 2)),
+             (Fraction(1, 3), Fraction(2, 3))])]))
+    others = [e for e in elements if e != model.identity()]
+    target = [model.identity()] + draw(st.lists(
+        st.sampled_from(others), max_size=2, unique=True))
+    delta = draw(st.sampled_from([Fraction(1, 9), Fraction(1, 3),
+                                  Fraction(1, 2), Fraction(1)]))
+    return f, members, tuple(draw(st.permutations(target))), delta, mu, level
+
+
+class TestMatchByValue:
+    @settings(max_examples=300, deadline=None)
+    @given(class_pairings())
+    def test_matches_member_by_member_pairing(self, case):
+        # grouping by value must return the very list the per-member
+        # pairing returns, in the order the search sorts a class into
+        f, members, target, delta, mu, level = case
+        masses = mu.level_masses(level)[0]
+        ordered = sorted(members, key=masses.__getitem__, reverse=True)
+        assert ordered == class_order(members, masses)
+        keys = {f.model.key(t) for t in target}
+        assert (evc._match_by_value(f, ordered, target, keys, delta, masses,
+                                    level)
+                == reference_match_by_value(f, ordered, target, keys, delta,
+                                            masses, level))
 
 
 class TestDerivativeBoundary:

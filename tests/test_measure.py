@@ -103,6 +103,17 @@ def test_shift_drops_coordinates():
     assert nu.cylinder("00") == Fraction(1, 3) * Fraction(1, 2)
 
 
+def test_shifts_are_kept():
+    # one object per shift, and the measure itself where its schedule
+    # repeats, so a shift's level tables are built once
+    for mu in SCHEDULES:
+        for k in range(5):
+            assert mu.shift(k) is mu.shift(k)
+    assert all(UNIFORM.shift(k) is UNIFORM for k in range(5))
+    assert BIASED.shift(3) is BIASED and PERIOD2.shift(2) is PERIOD2
+    assert PERIOD2.shift(1) is not PERIOD2 and PERIOD2.shift(3) is PERIOD2.shift(1)
+
+
 def test_schedule_key_distinguishes():
     assert UNIFORM.schedule_key() != BIASED.schedule_key()
     assert PERIOD2.schedule_key() == ProductMeasure.from_schedule(
@@ -408,15 +419,26 @@ def test_ratio_and_deviation_match_weight_product(case):
         assert mu.ratio(x, y) == expected
         # the integer derivative deviation, from the level's masses
         masses, _ = mu.level_masses(len(x))
-        assert (worst_deviation(masses, [(word_index(x), word_index(y))])
+        assert (worst_deviation(masses, [word_index(x)], [word_index(y)])
                 == abs(expected - 1))
     # the worst over all pairs of one depth, compared by cross-multiplying
     for depth in {len(x) for x, _ in pairs}:
         same = [(x, y) for x, y in pairs if len(x) == depth]
         masses, _ = mu.level_masses(depth)
-        assert worst_deviation(
-            masses, [(word_index(x), word_index(y)) for x, y in same]) == max(
+        assert worst_deviation(masses, [word_index(x) for x, _ in same],
+                               [word_index(y) for _, y in same]) == max(
                 abs(naive_ratio(mu, x, y) - 1) for x, y in same)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=16), st.data())
+def test_worst_deviation_is_the_pair_loop(masses, data):
+    index = st.integers(0, len(masses) - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=12))
+    expected = max((abs(Fraction(masses[y], masses[x]) - 1) for x, y in pairs),
+                   default=Fraction(0))
+    assert worst_deviation(masses, [x for x, _ in pairs],
+                           (y for _, y in pairs)) == expected
 
 
 @pytest.mark.parametrize("mu", SCHEDULES, ids=["uniform", "iid13", "period2"])
@@ -559,6 +581,23 @@ def measured_sets(draw):
 @given(level_measures(), measured_sets())
 def test_measure_matches_cylinder_sum(mu, s):
     assert s.measure(mu) == cylinder_sum(s, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(level_measures(), st.integers(9, 12), st.randoms(use_true_random=False))
+def test_both_mass_paths_match_cylinder_sum(mu, depth, rng):
+    # single cells apart, each with an odd edge, so the depth stays: at
+    # least every fourth cell gives many ranges for the depth, summed off
+    # the level table; one to three odd cells give few, summed by the
+    # edge walk
+    many = CylinderSet.from_indices(depth, [
+        i for i in range(0, 1 << depth, 2) if i % 4 == 0 or rng.random() < 0.5])
+    few = CylinderSet.from_indices(depth, sorted(
+        rng.sample(range(1, 1 << depth, 2), rng.randint(1, 3))))
+    for s, table in ((many, True), (few, False)):
+        assert s.max_depth == depth
+        assert (len(s.edges) << 6 >= 1 << depth) is table
+        assert s.measure(mu) == cylinder_sum(s, mu)
 
 
 deep_words = st.lists(st.text(alphabet="01", min_size=60, max_size=70),

@@ -3,7 +3,9 @@
 The library reads words only at its edges (configs, reports, CSVs); its
 loops run over word indices.  These helpers restate the word-level
 definitions those loops replaced, each written directly on `str` words,
-so the index forms can be checked against them.
+so the index forms can be checked against them.  A few index loops that
+faster forms replaced are kept here too, as the references those forms
+must match.
 """
 from fractions import Fraction
 
@@ -263,3 +265,63 @@ def union_find_components(f, level: int, exhaustive: bool = False) -> int:
                 parent[find(second * n_elements + gi)] = find(
                     first * n_elements + gj)
     return len({find(i) for i in range(n_words * n_elements)})
+
+
+def class_order(members: list, masses) -> list:
+    """The members of one kernel class, word indices, largest mass
+    first and ascending within a mass: the order the pairing reads."""
+    return sorted(members, key=lambda w: (-masses[w], w))
+
+
+def reference_match_by_value(f, members, target, target_keys, delta, masses,
+                             level):
+    """The pairing within one class, member by member: the value of
+    (y, x) lands in the target iff f(y) lies in target * f(x), and the
+    derivative test |n_y - n_x| * q < p * n_x, delta = p/q.  Each
+    member's potential is keyed, and each back value multiplied, per
+    member; the form `evc._match_by_value` replaced, which decides them
+    per group of equal potential values."""
+    model = f.model
+    shift = level - f.depth
+    values = f.values
+    p, q = delta.numerator, delta.denominator
+    pot = {w: values[w >> shift] for w in members}
+    groups: dict = {}
+    for w in members:
+        groups.setdefault(model.key(pot[w]), []).append(w)
+    start = dict.fromkeys(groups, 0)
+    wanted: dict = {}
+    used: set = set()
+    out = []
+    for x in members:
+        if x in used:
+            continue
+        nx, px = masses[x], pot[x]
+        keys = wanted.get(model.key(px))
+        if keys is None:
+            keys = wanted[model.key(px)] = [model.key(model.mul(t, px))
+                                            for t in target]
+        for k in keys:
+            group = groups.get(k)
+            if group is None:
+                continue
+            i = start[k]
+            while i < len(group) and group[i] in used:
+                i += 1
+            start[k] = i
+            for j in range(i, len(group)):
+                y = group[j]
+                if y in used or y == x:
+                    continue
+                ny = masses[y]
+                gap = abs(ny - nx) * q
+                if not gap < p * nx:
+                    continue
+                back = model.mul(px, model.inv(pot[y]))
+                y_ok = model.key(back) in target_keys and gap < p * ny
+                used.update((x, y))
+                out.append((x, y, True, y_ok))
+                break
+            if x in used:
+                break
+    return out
