@@ -24,11 +24,9 @@ from typing import Optional, Sequence
 import yaml
 
 from .driver import (PRESETS, PipelineConfig, bounded_cocycle_pipeline,
-                     certify_report, export_report, initial_function,
-                     load_report, norm_bounded_pipeline, round_eps,
-                     run_theorem_02i, run_theorem_02ii, step_input)
+                     certify_report, export_report, first_round, load_report,
+                     norm_bounded_pipeline, run_theorem_02i, run_theorem_02ii)
 from .errors import CocycleLabError, ConfigError
-from .stepper import construct_step
 
 
 # libyaml's parser when PyYAML was built with it; the same mappings
@@ -61,28 +59,17 @@ def _load_config(text: str, rounds: Optional[int],
     return PipelineConfig.from_mapping(raw)
 
 
+# the fields of a run's first round record that `step` prints
+STEP_KEYS = ("triple", "level", "refined_level", "working_depth", "eps",
+             "delta", "conjugate", "certificates", "validator")
+
+
 def _cmd_step(args) -> int:
-    config = _load_config(args.config, None, args.depth)
-    triple = config.schedule.round_triple(0)
-    eps, _ = round_eps(config, triple, ())
-    inp = step_input(config, config.build_action(1), triple,
-                     initial_function(config), config.start_level, eps)
-    out = construct_step(inp)
-    checks = out.check.validator_certificates()
-    record = {
-        "triple": triple.to_mapping(),
-        "level": config.start_level,
-        "refined_level": out.m,
-        "working_depth": out.f_tilde.depth,
-        "eps": str(eps),
-        "delta": str(out.delta),
-        "conjugate": config.model.format(out.h),
-        "certificates": [c.to_mapping() for c in out.certificates],
-        "validator": [c.to_mapping() for c in checks],
-    }
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")))
-    ok = all(c.ok for c in out.certificates) and all(c.ok for c in checks)
-    return 0 if ok else 1
+    record = first_round(_load_config(args.config, None, args.depth))
+    print(json.dumps({key: record[key] for key in STEP_KEYS},
+                     sort_keys=True, separators=(",", ":")))
+    held = [c["ok"] for c in record["certificates"] + record["validator"]]
+    return 0 if all(held) else 1
 
 
 def _cmd_run(args, pipeline) -> int:

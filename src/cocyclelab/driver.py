@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
-from operator import lt, ne
+from operator import gt, lt, ne
 from typing import Callable, Mapping, Optional, Sequence
 
 from .cocycles import (KERNEL_EXPORT_DEPTH, StepFunction, coboundary_increment,
@@ -43,8 +43,8 @@ from .measure import ZERO, CylinderSet, ProductMeasure, all_words
 from .odometer import (FiniteDepthMap, Flip, GammaAction,
                        adding_machine_action, flip_action)
 from .stepper import (CERTIFICATE_ORDER, StepArtifacts, StepCheck, StepInput,
-                      admission_bound, construct_step, discard_set,
-                      overflow_hull, select_core_and_conjugate,
+                      StepOutput, admission_bound, construct_step,
+                      discard_set, overflow_hull, select_core_and_conjugate,
                       validate_step_output)
 
 SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
@@ -55,6 +55,11 @@ _REQUIRED = object()  # `PipelineConfig.from_mapping`: a key with no default
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
+
+def _digest(mapping: Mapping) -> str:
+    """The sha256 of a config's JSON data, as its header stores it."""
+    return hashlib.sha256(json.dumps(mapping, sort_keys=True).encode()).hexdigest()
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -138,13 +143,16 @@ class PipelineConfig:
         return config
 
     def to_mapping(self) -> dict:
-        """The config's fields as JSON data, as its header stores them."""
+        """The config's fields as JSON data, as its header stores them.  A
+        report holds no floats, so a YAML float is stored as an integer
+        when it is one, else as the decimal text a measure weight reads."""
         return json.loads(json.dumps(
-            {name: getattr(self, name) for name in self.__dataclass_fields__}))
+            {name: getattr(self, name) for name in self.__dataclass_fields__}),
+            parse_float=lambda text: int(float(text)) if float(text).is_integer()
+            else text)
 
     def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_mapping(), sort_keys=True).encode()).hexdigest()
+        return _digest(self.to_mapping())
 
     @functools.cached_property
     def model(self) -> GroupModel:
@@ -409,11 +417,18 @@ def _reads_report(read: Callable) -> Callable:
     return reading
 
 
+def _no_float(text: str):
+    raise MalformedInput(f"a report holds no floats, and {text} is one")
+
+
 @_reads_report
 def load_report(path: str) -> list[dict]:
+    """The report's records; no run writes a float, so none is read."""
+    decode = json.JSONDecoder(parse_float=_no_float,
+                              parse_constant=_no_float).decode
     try:
         with open(path) as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+            return [decode(line) for line in fh if line.strip()]
     except OSError as exc:
         raise MalformedInput(f"cannot read the report {path!r} "
                              f"({type(exc).__name__}: {exc.strerror})") from None
@@ -425,11 +440,12 @@ def load_report(path: str) -> list[dict]:
 
 def _header(config: PipelineConfig) -> dict:
     """The report's first record."""
+    mapping = config.to_mapping()
     return {
         "record": "header",
         "format": 1,
-        "config": config.to_mapping(),
-        "config_digest": config.digest(),
+        "config": mapping,
+        "config_digest": _digest(mapping),
         "schedule": [t.to_mapping() for t in config.schedule.triples],
         "closure": sorted(map(config.model.format, config.closure)),
     }
@@ -482,45 +498,53 @@ def _change_sets(action: GammaAction, agreement: Mapping[str, CylinderSet]
     return change_sets
 
 
-def _checked_fields(rule: dict, check: StepCheck, f_tilde: StepFunction,
-                    closure: tuple, changes: Mapping[tuple[str, ...], CylinderSet],
-                    z0: CylinderSet, b_set: CylinderSet
-                    ) -> dict[tuple[Optional[str], str], object]:
-    """The round record's fields that the round's tolerance rule, the
-    step check (which holds the round's input), the update, the selected
-    set z0 and the discard set determine, keyed by (section, field),
-    section None being the record itself and ``certificates`` its list
-    keyed by clause; a run writes them and certify compares them."""
-    inp, verdicts = check.inp, check.verdicts()
-    fields = {
-        (None, "level"): inp.n,
-        (None, "working_depth"): f_tilde.depth,
-        (None, "eps"): rule["chosen"],
-        (None, "eps_rule"): rule,
-        (None, "eps_prime"): _frac(inp.eps_prime),
-        (None, "admission"): check.admission().to_mapping(),
-        (None, "validator"): [c.to_mapping()
-                              for c in check.validator_certificates()],
-        ("conditions", "inner"): verdicts["inner"],
-        ("conditions", "agreement"): _frac(check.agreement_mass),
-        ("conditions", "agreement_ok"): verdicts["agreement"],
-        ("conditions", "distance"): _frac(check.distance),
-        ("conditions", "distance_ok"): verdicts["distance"],
-        ("conditions", "evc_witness_ok"): check.witness.ok,
-        ("conditions", "incremental"):
-            increments_within(f_tilde, inp.action, closure),
-        ("conditions", "finite_values"): len(f_tilde.value_set()),
-        ("witness", "measure_slack"): _frac(check.witness.measure_slack),
-        ("witness", "reserve"): _frac(check.witness_reserve),
-        ("artifacts", "core_mass"): _frac(check.core_mass),
-        ("artifacts", "change_mass"): {"+".join(k): _frac(v.measure(inp.mu))
-                                       for k, v in changes.items()},
-        ("artifacts", "z0"): list(z0.words),
-        ("artifacts", "b_set"): list(b_set.words),
+def _round_record(config: PipelineConfig, t: int, rule: dict,
+                  step: StepArtifacts, check: StepCheck, z0: CylinderSet,
+                  b_set: CylinderSet, changes: Mapping, given: Mapping) -> dict:
+    """Round t's record, the one writer of a round record's fields, from
+    its tolerance rule, artifacts, step check, selected and discard sets
+    and change sets.  `given` holds what a run renders or searches and
+    certify reads back: the table `f`, the witness's `core` and `moves`,
+    `evc_search` and the certificates by clause (the shared ones are
+    taken from `check`)."""
+    inp, verdicts, f = check.inp, check.verdicts(), step.f_tilde
+    certificates = {**given["certificates"], **{
+        c.clause: c.to_mapping() for c in check.step_certificates()}}
+    return {
+        "record": "round",
+        "round": t,
+        "triple": config.schedule.round_triple(t - 1).to_mapping(),
+        "level": inp.n,
+        "refined_level": step.m,
+        "working_depth": f.depth,
+        "eps": rule["chosen"],
+        "eps_rule": rule,
+        "eps_prime": _frac(inp.eps_prime),
+        "delta": _frac(step.delta),
+        "conjugate": config.model.format(step.h),
+        "admission": check.admission().to_mapping(),
+        "certificates": [certificates[clause] for clause in CERTIFICATE_ORDER
+                         if clause in certificates],
+        "validator": [c.to_mapping() for c in check.validator_certificates()],
+        "conditions": {
+            "evc_search": given["evc_search"],
+            "inner": verdicts["inner"],
+            "agreement": _frac(check.agreement_mass),
+            "agreement_ok": verdicts["agreement"],
+            "distance": _frac(check.distance),
+            "distance_ok": verdicts["distance"],
+            "evc_witness_ok": check.witness.ok,
+            "incremental": increments_within(f, inp.action, config.closure),
+            "finite_values": len(f.value_set()),
+        },
+        "witness": {"core": given["core"], "moves": given["moves"],
+                    "measure_slack": _frac(check.witness.measure_slack),
+                    "reserve": _frac(check.witness_reserve)},
+        "artifacts": {"f": given["f"], "core_mass": _frac(check.core_mass),
+                      "change_mass": {"+".join(k): _frac(v.measure(inp.mu))
+                                      for k, v in changes.items()},
+                      "z0": list(z0.words), "b_set": list(b_set.words)},
     }
-    for c in check.step_certificates():
-        fields["certificates", c.clause] = c.to_mapping()
-    return fields
 
 
 def step_input(config: PipelineConfig, action: GammaAction, triple: Triple,
@@ -543,6 +567,37 @@ def _replay_rounds(config: PipelineConfig, rounds: Sequence[dict]
     eps_history = [Fraction(r["eps"]) for r in rounds]
     level = rounds[-1]["refined_level"] if rounds else config.start_level
     return functions, eps_history, level
+
+
+def _run_round(config: PipelineConfig, t: int, rounds: Sequence[dict],
+               f: StepFunction, n: int) -> tuple[dict, StepOutput, dict]:
+    """Round t of a run from the round records before it, the function
+    `f` and the level `n`: its record, its step's output, its changes."""
+    action, triple = config.build_action(t), config.schedule.round_triple(t - 1)
+    eps, rule = round_eps(config, triple, rounds)
+    if eps <= 0:
+        raise ConfigError(f"round {t}: tolerance collapsed to {eps}")
+    inp = step_input(config, action, triple, f, n, eps)
+    out = construct_step(inp)
+    try:
+        fresh = check_evc(out.f_tilde, inp.target, inp.targets, inp.delta,
+                          inp.mu, search_depth=config.depth_budget)
+        evc_search = {"ok": True, "mass": _frac(fresh.part.measure(inp.mu)),
+                      "measure_slack": _frac(fresh.measure_slack)}
+    except SearchExhausted as exc:
+        evc_search = {"ok": False, "failure": str(exc)}
+    changes = _change_sets(action, out.check.agreement)
+    given = {"f": _function_table(out.f_tilde), "core": list(out.core.words),
+             "moves": out.theta.word_moves(), "evc_search": evc_search,
+             "certificates": {c.clause: c.to_mapping() for c in out.certificates}}
+    return (_round_record(config, t, rule, out, out.check, out.z0, out.b_set,
+                          changes, given), out, changes)
+
+
+def first_round(config: PipelineConfig) -> dict:
+    """A run's first round record, which `cocyclelab step` prints in part."""
+    return _run_round(config, 1, (), initial_function(config),
+                      config.start_level)[0]
 
 
 def _run_recursion(config: PipelineConfig,
@@ -570,48 +625,12 @@ def _run_recursion(config: PipelineConfig,
         change_history.append(_change_sets(action, increment_agreement(
             functions[t - 1], functions[t], action)))
 
-    for t in range(len(eps_history), config.rounds):
-        action = config.build_action(t + 1)
-        triple = config.schedule.round_triple(t)
-        eps, rule = round_eps(config, triple, records[1:])
-        if eps <= 0:
-            raise ConfigError(f"round {t + 1}: tolerance collapsed to {eps}")
-
-        inp = step_input(config, action, triple, functions[-1], n, eps)
-        out = construct_step(inp)
-        check = out.check
-
-        try:
-            fresh = check_evc(out.f_tilde, inp.target, inp.targets, inp.delta,
-                              inp.mu, search_depth=config.depth_budget)
-            fresh_rec = {"ok": True, "mass": _frac(fresh.part.measure(inp.mu)),
-                         "measure_slack": _frac(fresh.measure_slack)}
-        except SearchExhausted as exc:
-            fresh_rec = {"ok": False, "failure": str(exc)}
-
-        changes = _change_sets(action, check.agreement)
+    for t in range(len(eps_history) + 1, config.rounds + 1):
+        record, out, changes = _run_round(config, t, records[1:],
+                                          functions[-1], n)
         change_history.append(changes)
-        eps_history.append(eps)
+        eps_history.append(out.check.inp.eps)
         functions.append(out.f_tilde)
-
-        record = {
-            "record": "round",
-            "round": t + 1,
-            "triple": triple.to_mapping(),
-            "refined_level": out.m,
-            "delta": _frac(out.delta),
-            "conjugate": config.model.format(out.h),
-            "certificates": {c.clause: c.to_mapping() for c in out.certificates},
-            "conditions": {"evc_search": fresh_rec},
-            "witness": {"core": list(out.core.words),
-                        "moves": out.theta.word_moves()},
-            "artifacts": {"f": _function_table(out.f_tilde)},
-        }
-        for (section, field), value in _checked_fields(
-                rule, check, out.f_tilde, config.closure, changes, out.z0,
-                out.b_set).items():
-            (record[section] if section else record)[field] = value
-        record["certificates"] = list(record["certificates"].values())
         emit(record)
         n = out.m
 
@@ -910,41 +929,74 @@ def _restart_checkpoint(config: PipelineConfig, out_dir: str,
 # Report certification
 # ---------------------------------------------------------------------------
 
-# a round record's fields besides `_checked_fields`, by section (None
-# being the record itself): its sections and what certify replays from
-REPLAYED = {None: ("record", "round", "triple", "refined_level", "delta",
-                   "conjugate", "certificates", "conditions", "witness",
-                   "artifacts"), "conditions": ("evc_search",),
-            "witness": ("core", "moves"), "artifacts": ("f",)}
-
 # terminal records that certify takes from the report: rebuilding them
 # would rerun their witness searches
 SEARCHED = ("essential_values",)
+
+# a round record's sections, whose fields are compared one by one
+_SECTIONS = ("conditions", "witness", "artifacts")
+
+_ABSENT = object()  # `_differences`: a field a record lacks
+_bits = functools.partial(int.from_bytes, byteorder="big")  # of a mask
 
 
 def _search_problem(stored, delta: Fraction,
                     base_mass: Fraction) -> Optional[str]:
     """What a round's stored witness-search outcome gets wrong, or None.
     The record keeps no witness, so the search is not rerun: a found
-    witness must hold its slack mass - delta * mu(base) and a mass in
-    (0, mu(base)], an exhausted search only its keys."""
+    witness must hold a mass in (0, mu(base)] and its slack mass - delta
+    * mu(base), spelled as a run writes them, an exhausted search only
+    its keys."""
     keys = sorted(stored) if isinstance(stored, Mapping) else None
     if (keys not in (["failure", "ok"], ["mass", "measure_slack", "ok"])
             or stored["ok"] is not ("mass" in stored)):
         return "neither a found witness's nor an exhausted search's keys and ok"
     if stored["ok"]:
-        mass, slack = Fraction(stored["mass"]), Fraction(stored["measure_slack"])
-        if slack != mass - delta * base_mass or not 0 < mass <= base_mass:
-            return (f"mass {mass} and slack {slack}, against mu(base) "
-                    f"{base_mass} and delta {delta}")
+        mass = Fraction(stored["mass"])
+        if (not 0 < mass <= base_mass or stored["mass"] != _frac(mass)
+                or stored["measure_slack"] != _frac(mass - delta * base_mass)):
+            return (f"mass {stored['mass']} and slack {stored['measure_slack']}, "
+                    f"against mu(base) {base_mass} and delta {delta}")
     return None
 
 
-def _first_difference(stored: Mapping, rebuilt: Mapping) -> Optional[str]:
-    """The first key, in sorted order, on which two records differ."""
-    return next((key for key in sorted(set(stored) | set(rebuilt))
-                 if key not in stored or key not in rebuilt
-                 or stored[key] != rebuilt[key]), None)
+def _round_fields(record: Mapping) -> dict:
+    """A round's fields by name: ``section.field``, ``certificates.<clause>``."""
+    fields = dict(record)
+    for key in _SECTIONS:
+        section = fields.pop(key, {})
+        fields.update(zip(map(f"{key}.".__add__, section), section.values()))
+    fields.update((f"certificates.{c.get('clause')}", c)
+                  for c in fields.pop("certificates", ()))
+    return fields
+
+
+def _differences(stored: Mapping, rebuilt: Mapping) -> list[tuple[str, str]]:
+    """(clause, detail) for each field, in name order, in which a stored
+    record differs from the rebuilt one: a field differs unless it has
+    the rebuilt value's type and equals it, so ``1`` is not ``true``.  A
+    round names the field (`_round_fields`), or a key no run writes as
+    "not a field of a round record"; another record fails under its
+    kind, the detail naming the key."""
+    kind = rebuilt["record"]
+    # equal records: the field types of each level are read in one pass
+    if stored == rebuilt and all(
+            list(map(type, map(found.__getitem__, want)))
+            == list(map(type, want.values())) for found, want in [
+                (stored, rebuilt), *((stored[key], rebuilt[key]) for key in
+                                     _SECTIONS if kind == "round")]):
+        return []
+    if kind == "round":
+        stored, rebuilt = _round_fields(stored), _round_fields(rebuilt)
+    names = [name for name in sorted(stored.keys() | rebuilt.keys())
+             if type(stored.get(name, _ABSENT)) is not type(
+                 want := rebuilt.get(name, _ABSENT)) or stored[name] != want]
+    if kind != "round":
+        return [(kind, f"{name!r} differs from the rebuilt record")
+                for name in names]
+    return [(name, f"stored {stored.get(name)!r}, recomputed {rebuilt[name]!r}"
+             if name in rebuilt else "not a field of a round record")
+            for name in names]
 
 
 @_reads_report
@@ -952,9 +1004,9 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
     """Re-validate a stored report from its embedded artifacts; returns a
     list of failure records (empty means the report is sound).
 
-    Each round is replayed through the step check; every other record
-    is rebuilt by the builder the run used and compared whole, except
-    the SEARCHED ones."""
+    Each round is replayed through the step check, and every record
+    but the SEARCHED ones is rebuilt by the run's builder and compared
+    with the stored one by `_differences`."""
     failures: list[dict] = []
 
     def fail(clause: str, where: str, detail: str = "") -> None:
@@ -964,10 +1016,11 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
     if len(headers) != 1:
         return [{"clause": "header", "where": "report",
                  "detail": "expected exactly one header record"}]
+    # nothing is rebuilt from a config that does not match its digest
+    if headers[0].get("config_digest") != _digest(headers[0]["config"]):
+        return [{"clause": "config_digest", "where": "header",
+                 "detail": "config does not match its digest"}]
     config = PipelineConfig.from_mapping(headers[0]["config"])
-    header = _header(config)
-    if headers[0].get("config_digest") != header["config_digest"]:
-        fail("config_digest", "header", "config does not match its digest")
 
     rounds = [r for r in records if r.get("record") == "round"]
     functions, eps_history, _ = _replay_rounds(config, rounds)
@@ -991,12 +1044,13 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
     kinds = ["header"] + ["round"] * len(rounds) + [r["record"] for r in rebuilt]
     if [r.get("record") for r in records] != kinds:
         fail("records", "report", "record kinds or their order differ from a run's")
-    for record in [header] + rebuilt:
+    for record in [_header(config)] + rebuilt:
         kind = record["record"]
         if kind not in stored:
             fail(kind, "report", "record missing")
-        elif (key := _first_difference(stored[kind], record)) is not None:
-            fail(kind, "report", f"{key!r} differs from the rebuilt record")
+        else:
+            for clause, detail in _differences(stored[kind], record):
+                fail(clause, "report", detail)
     return failures
 
 
@@ -1009,15 +1063,12 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
     change_history: list[dict] = []
     n = config.start_level
     for i, rec in enumerate(rounds):
-        t = i + 1
-        where = f"round {t}"
-        if type(rec["round"]) is not int:
-            raise MalformedInput("a round's number must be an integer")
-        if rec["round"] != t:
-            fail("round", where, f"stored {rec['round']}, the record's position "
-                 f"is round {t}")
-        action = config.build_action(t)
-        triple = config.schedule.round_triple(t - 1)
+        t, where = i + 1, f"round {i + 1}"
+        # a round number or level that does not read as an integer is
+        # malformed; one stored as another type differs from the rebuilt
+        int(rec["round"])
+        m = int(rec["refined_level"])
+        action, triple = config.build_action(t), config.schedule.round_triple(i)
         if triple.to_mapping() != rec["triple"]:
             fail("schedule", where, "triple differs from the configured schedule")
         eps = eps_history[i]
@@ -1030,48 +1081,40 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
         certificates = rec.get("certificates", ())
         if [c.get("clause") for c in certificates] != list(CERTIFICATE_ORDER):
             fail("certificates", where, "clauses differ from the step's list")
-        for c in certificates:
-            if c.get("ok") is not True:
-                fail(f"certificates.{c.get('clause')}", where,
-                     "stored as not held")
+        # a run writes only certificates and validator entries that hold
+        for section in ("certificates", "validator"):
+            for c in rec.get(section, ()):
+                if c.get("ok") is not True:
+                    fail(f"{section}.{c.get('clause')}", where, "stored as not held")
 
-        f = functions[i + 1]
-        theta = FiniteDepthMap.from_moves(f.depth, rec["witness"]["moves"])
-        core = CylinderSet.of(rec["witness"]["core"])
+        f, witness, table = functions[i + 1], rec["witness"], rec["artifacts"]["f"]
+        core, moves = CylinderSet.of(witness["core"]), witness["moves"]
         delta = Fraction(rec["delta"])
-        problem = _search_problem(rec.get("conditions", {}).get("evc_search"),
-                                  delta, triple.base.measure(config.mu))
-        if problem is not None:
+        evc_search = rec.get("conditions", {}).get("evc_search")
+        if (problem := _search_problem(evc_search, delta, triple.base.measure(
+                config.mu))) is not None:
             fail("conditions.evc_search", where, problem)
-        h = config.model.parse(rec["conjugate"])
-        if (spelled := config.model.format(h)) != rec["conjugate"]:
-            fail("conjugate", where, f"stored {rec['conjugate']!r}, which "
-                 f"the model spells {spelled!r}")
-        # the table, moves and core must be a run's renderings of what was
-        # read from them; the table's words were checked when it was read
-        for label in dict.fromkeys(rec["artifacts"]["f"].values()):
+        # the table and core must be a run's renderings of what was read
+        # from them; the table's words were checked when it was read
+        for label in dict.fromkeys(table.values()):
             spelled = config.model.format(config.model.parse(label))
             if spelled != label:
                 fail("artifacts.f", where, f"stored {label!r}, which the "
                      f"model spells {spelled!r}")
                 break
-        # moves that ascend, as many as theta moves, are its `word_moves`:
-        # a repeated word or a listed fixed one would leave one uncounted
-        moves = rec["witness"]["moves"]
-        if not (all(map(lt, moves, islice(moves, 1, None)))
-                and len(moves) == sum(map(ne, theta.table, count()))):
-            fail("witness.moves", where, "not the map's moves in word order")
-        if rec["witness"]["core"] != list(core.words):
+        if witness["core"] != list(core.words):
             fail("witness.core", where,
                  "not the core's maximal cylinders, shorter first")
-        replay = StepArtifacts(f, theta, core, rec["refined_level"], h, delta)
         try:
-            # a forged nonpositive eps fails when the input is built
+            # moves that are not a map's fail when they are read, a forged
+            # nonpositive eps when the input is built
+            theta = FiniteDepthMap.from_moves(f.depth, moves)
+            replay = StepArtifacts(f, theta, core, m,
+                                   config.model.parse(rec["conjugate"]), delta)
             inp = step_input(config, action, triple, functions[i], n, eps)
             check = validate_step_output(inp, replay)
             z0 = select_core_and_conjugate(inp).z0
-            _, b_set = discard_set(inp, replay.m,
-                                   overflow_hull(action, n, replay.m))
+            _, b_set = discard_set(inp, m, overflow_hull(action, n, m))
         except CocycleLabError as exc:
             fail("validator", where, str(exc))
             # the report fails already; its ledger is rebuilt without
@@ -1080,28 +1123,32 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
         else:
             changes = _change_sets(action, check.agreement)
             change_history.append(changes)
-            fields = _checked_fields(rule, check, f, config.closure, changes,
-                                     z0, b_set)
-            for c in fields[None, "validator"]:
+            # moves that ascend, as many as theta moves, are its
+            # `word_moves`: a repeated word or a listed fixed one would
+            # leave one uncounted
+            if not (all(map(lt, moves, islice(moves, 1, None)))
+                    and len(moves) == sum(map(ne, theta.table, count()))):
+                fail("witness.moves", where, "not the map's moves in word order")
+            # the core is the part of z0 that the pairing moves up
+            up = bytes(map(gt, theta.table, count()))
+            if _bits(core.mask(f.depth)) != _bits(z0.mask(f.depth)) & _bits(up):
+                fail("witness.core", where,
+                     "not the part of z0 that the pairing moves up")
+            # what was checked above as a run writes it is passed through
+            rebuilt = _round_record(config, t, rule, replay, check, z0, b_set,
+                                    changes, {
+                "f": table, "core": witness["core"], "moves": moves,
+                "evc_search": evc_search,
+                "certificates": {c.get("clause"): c for c in certificates}})
+            for c in rebuilt["validator"]:
                 if not c["ok"]:
                     fail(c["clause"], where, c["detail"])
-            view = {**rec, "certificates": {
-                c.get("clause"): c for c in certificates}}
-            for (section, field), value in fields.items():
-                found = (view.get(section, {}) if section else view).get(field)
-                if found != value:
-                    fail(f"{section}.{field}" if section else field, where,
-                         f"stored {found!r}, recomputed {value!r}")
-            for section, replayed in REPLAYED.items():
-                for field in view.get(section, {}) if section else view:
-                    if field not in replayed and (section, field) not in fields:
-                        fail(f"{section}.{field}" if section else field,
-                             where, "not a field of a round record")
+            for clause, detail in _differences(rec, rebuilt):
+                fail(clause, where, detail)
             if not check.witness.ok:
                 fail(f"evc-{check.witness.clause}", where,
                      check.witness.detail or "")
-
-        n = rec["refined_level"]
+        n = m
     return change_history, n
 
 

@@ -88,6 +88,46 @@ EXPORT_CSV_SHA256 = {
 }
 
 
+class TestStepIsTheFirstRound:
+    # `step` prints these fields of the first round record of a run
+    KEYS = ("triple", "level", "refined_level", "working_depth", "eps",
+            "delta", "conjugate", "certificates", "validator")
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_projection_of_round_one(self, preset, capsys):
+        rc, step, _ = run_cli(capsys, "step", "--config", preset)
+        assert rc == 0
+        command = ("run-infinite" if PRESETS[preset]["action"]["kind"]
+                   == "flip-stream" else "run")
+        rc, out, _ = run_cli(capsys, command, "--config", preset,
+                             "--rounds", "1")
+        assert rc == 0
+        first = next(r for r in map(json.loads, out.splitlines())
+                     if r["record"] == "round")
+        assert step == json.dumps({key: first[key] for key in self.KEYS},
+                                  sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class TestFloatConfig:
+    def test_floats_are_stored_without_floats(self, tmp_path, capsys):
+        # a YAML float weight is read by its decimal text, and a whole
+        # float as its integer; the header stores those, since a report
+        # holds no floats, and the report certifies
+        raw = {**PRESETS["z2-flips"], "group": {"kind": "cyclic", "order": 2.0},
+               "measure": {"kind": "iid", "p0": 0.5}, "rounds": 2}
+        path = tmp_path / "iid.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        report = out / "report.jsonl"
+        config = json.loads(report.read_text().splitlines()[0])["config"]
+        assert config["measure"] == {"kind": "iid", "p0": "0.5"}
+        assert config["group"] == {"kind": "cyclic", "order": 2}
+        capsys.readouterr()
+        rc, stdout, _ = run_cli(capsys, "certify", str(report))
+        assert rc == 0 and json.loads(stdout)["ok"] is True
+
+
 class TestFirstRoundEps:
     def test_step_matches_first_run_round(self, tmp_path, capsys):
         # eps_start above the admission bound (1/40) is capped by it

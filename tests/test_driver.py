@@ -12,8 +12,10 @@ import inspect
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,8 @@ from cocyclelab.driver import (PRESETS, PipelineConfig, RunReport, Schedule,
                                export_report, load_report,
                                norm_bounded_pipeline, run_theorem_02i,
                                run_theorem_02ii)
-from cocyclelab.errors import ConfigError, SearchExhausted
+from cocyclelab.errors import (CocycleLabError, ConfigError, MalformedInput,
+                               SearchExhausted)
 from cocyclelab.measure import CylinderSet, all_words
 from cocyclelab.odometer import (FiniteDepthMap, Flip, GammaAction,
                                  adding_machine_action, flip_action,
@@ -863,6 +866,44 @@ class TestCertifyTampering:
         assert [f["detail"] for f in failures] == [
             f"{field!r} differs from the rebuilt record"]
 
+    # forgeries that keep a field equal under Python's == but change its
+    # JSON type: (record kind, index among the records of that kind, path,
+    # the forged value's type, the clause it fails under)
+    RETYPED = {
+        "round-inner": ("round", 1, "conditions.inner", int,
+                        "conditions.inner"),
+        "round-finite-values": ("round", 1, "conditions.finite_values", float,
+                                "conditions.finite_values"),
+        "round-level": ("round", 1, "level", float, "level"),
+        "round-validator-ok": ("round", 1, "validator.0.ok", int,
+                               "validator.delta_consistency"),
+        "boundedness-ok": ("boundedness", 0, "ok", int, "boundedness"),
+        "ladder-terminal-components": ("ladder", 0, "terminal_components",
+                                       float, "ladder"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RETYPED))
+    def test_retyped_field(self, name, flips_run):
+        kind, index, path, retype, clause = self.RETYPED[name]
+        *sections, field = path.split(".")
+
+        def forge(records):
+            rec = [r for r in records if r["record"] == kind][index]
+            for section in sections:
+                rec = rec[int(section)] if isinstance(rec, list) else rec[section]
+            assert type(rec[field]) is not retype
+            rec[field] = retype(rec[field])
+        failures = self.tampered(flips_run, forge)
+        assert clause in self.clauses(failures)
+
+    def test_loader_reads_no_float(self, flips_run, tmp_path):
+        # no run writes a float; a report line that holds one is malformed
+        path = tmp_path / "report.jsonl"
+        path.write_text(flips_run.text().replace(
+            '"finite_values":2,', '"finite_values":2.0,', 1))
+        with pytest.raises(MalformedInput, match="no floats, and 2.0"):
+            load_report(str(path))
+
     @pytest.mark.parametrize("kind", ["ladder", "final", "distances"])
     def test_missing_record(self, kind, flips_run):
         report = flips_run
@@ -878,6 +919,54 @@ class TestCertifyTampering:
             records[0]["config_digest"] = "0" * 64
         assert "config_digest" in self.clauses(self.tampered(report, corrupt))
 
+    def test_nothing_is_rebuilt_from_a_config_off_its_digest(self, flips_run):
+        # a config that no longer matches its digest is not read, so one
+        # that would not even parse fails under config_digest alone
+        def corrupt(records):
+            records[0]["config"]["measure"]["kind"] = "0uniform"
+        assert self.tampered(flips_run, corrupt) == [
+            {"clause": "config_digest", "where": "header",
+             "detail": "config does not match its digest"}]
+
+    def test_missing_section(self, flips_run):
+        # a round without its conditions names each of their fields
+        def drop(records):
+            del [r for r in records if r["record"] == "round"][1]["conditions"]
+        failures = self.tampered(flips_run, drop)
+        assert {(f["clause"], f["where"]) for f in failures} == {
+            (f"conditions.{field}", "round 2") for field in (
+                "agreement", "agreement_ok", "distance", "distance_ok",
+                "evc_search", "evc_witness_ok", "finite_values",
+                "incremental", "inner")}
+
+    def test_core_is_the_part_of_z0_moved_up(self, flips_run):
+        # the core with one word's last letter flipped passes every
+        # witness clause, but is not the part of z0 that the pairing
+        # moves up, which the step takes
+        def flip(records):
+            core = [r for r in records if r["record"] == "round"][1][
+                "witness"]["core"]
+            core[0] = core[0][:-1] + "10"[int(core[0][-1])]
+        failures = self.tampered(flips_run, flip)
+        assert [(f["clause"], f["where"]) for f in failures] == [
+            ("witness.core", "round 2")]
+
+
+# a two-round report of each pipeline on its preset
+PIPELINES = [("run", "z2-flips"), ("run-infinite", "z2-flip-stream"),
+             ("bounded", "z2-flips"), ("norm-bounded", "sum-z")]
+
+
+@pytest.fixture(scope="module")
+def two_round_reports(tmp_path_factory):
+    reports = {}
+    for command, name in PIPELINES:
+        out = str(tmp_path_factory.mktemp(command))
+        assert cli.main([command, "--config", name, "--rounds", "2",
+                         "--out", out]) == 0
+        reports[command] = load_report(os.path.join(out, "report.jsonl"))
+    return reports
+
 
 class TestCertifyCoverage:
     """Every record kind a pipeline writes is checked by certify: a round
@@ -885,14 +974,10 @@ class TestCertifyCoverage:
     not write failing, a SEARCHED record not at all, and every other
     record by rebuilding it whole."""
 
-    @pytest.mark.parametrize("command,name", [
-        ("run", "z2-flips"), ("run-infinite", "z2-flip-stream"),
-        ("bounded", "z2-flips"), ("norm-bounded", "sum-z")])
-    def test_every_record_kind_is_rebuilt(self, command, name, tmp_path):
-        out = str(tmp_path)
-        assert cli.main([command, "--config", name, "--rounds", "2",
-                         "--out", out]) == 0
-        records = load_report(os.path.join(out, "report.jsonl"))
+    @pytest.mark.parametrize("command,name", PIPELINES)
+    def test_every_record_kind_is_rebuilt(self, command, name,
+                                          two_round_reports):
+        records = two_round_reports[command]
         assert certify_report(records) == []
         for i, rec in enumerate(records):
             kind = rec["record"]
@@ -907,6 +992,119 @@ class TestCertifyCoverage:
                     {"clause": kind, "where": "report",
                      "detail": "'unchecked' differs from the rebuilt record"}
                     ) in failures, kind
+
+
+class TestLeafFalsification:
+    """Each leaf of each record of a two-round report, changed alone,
+    fails certify with a named clause, except the changes in UNCHECKED,
+    which README's "Left unchecked" list names as well.  A fraction gets
+    1/7 added, a boolean is flipped, an integer gets 1 added, a group
+    label is respelled as the same element, a word or other text gets a
+    leading "0", a word also its last letter flipped, and a null becomes
+    1/7.  Besides, a boolean is set to its integer and an integer to its
+    float, which equal them in Python.  A table of more than 12 entries
+    that are not objects is sampled at its first, middle and last
+    entry."""
+
+    UNCHECKED = {
+        "essential_values": "the SEARCHED record: rebuilding it would "
+                            "rerun its witness searches",
+        "certificates.<construction clause>.detail":
+            "the ten construction certificates' texts need the "
+            "construction's intermediates",
+        "conditions.evc_search.failure": "an exhausted search's text "
+                                         "needs the search",
+        "<field>.<number inside>": "a number's JSON type inside a field "
+                                   "(a ledger row's ok: 1): typing every "
+                                   "node costs 4-8 % of certify",
+    }
+    WORDS = {"base", "bases", "core", "moves", "z0", "b_set"}
+    LABELS = {"f", "conjugate", "candidate", "family", "closure"}
+    FRACTION = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+    @classmethod
+    def leaves(cls, node, path=()):
+        """(path, container, key) of each leaf to change."""
+        items = list(node.items() if isinstance(node, dict) else enumerate(node))
+        if path and len(items) > 12 and not any(
+                isinstance(v, dict) for _, v in items):
+            items = [items[0], items[len(items) // 2], items[-1]]
+        for key, value in items:
+            if isinstance(value, (dict, list)):
+                yield from cls.leaves(value, path + (key,))
+            else:
+                yield path + (key,), node, key
+
+    @classmethod
+    def changes(cls, path, value):
+        """The changed values of a leaf."""
+        keys = {k for k in path if isinstance(k, str)}
+        if value is None:
+            return ["1/7"]
+        if type(value) is bool:
+            return [not value, int(value)]
+        if type(value) is int:
+            return [value + 1, float(value)]
+        if keys & cls.WORDS:
+            return ["0" + value] + ([value[:-1] + "10"[int(value[-1])]]
+                                    if value else [])
+        if keys & cls.LABELS:
+            sign = "-" if value.startswith("-") else ""
+            return [sign + "0" + value[len(sign):]]
+        if cls.FRACTION.fullmatch(value):
+            return [str(Fraction(value) + Fraction(1, 7))]
+        return ["0" + value]
+
+    @staticmethod
+    def unchecked(record, path, value, changed):
+        """The UNCHECKED entry a change falls under, or None."""
+        kind = record["record"]
+        sectioned = kind == "round" and path[0] in (
+            "conditions", "witness", "artifacts", "certificates")
+        construction = set(stepper.CERTIFICATE_ORDER) - {
+            c["clause"] for c in record.get("validator", ())}
+        if kind == "essential_values":
+            return "essential_values"
+        if (path[0] == "certificates" and path[2] == "detail"
+                and record["certificates"][path[1]]["clause"] in construction):
+            return "certificates.<construction clause>.detail"
+        if path == ("conditions", "evc_search", "failure"):
+            return "conditions.evc_search.failure"
+        if changed == value and len(path) > 1 + sectioned:
+            return "<field>.<number inside>"
+        return None
+
+    @pytest.mark.parametrize("command,name", PIPELINES)
+    def test_every_leaf(self, command, name, two_round_reports):
+        records = copy.deepcopy(two_round_reports[command])
+        passed, excluded = [], set()
+        for index, record in enumerate(records):
+            for path, node, key in list(self.leaves(record)):
+                value = node[key]
+                for changed in self.changes(path, value):
+                    reason = self.unchecked(record, path, value, changed)
+                    if reason is not None:
+                        excluded.add(reason)
+                        continue
+                    node[key] = changed
+                    try:
+                        failures = certify_report(records)
+                    except CocycleLabError as exc:
+                        failures = [exc.record()]
+                    node[key] = value
+                    if not failures or "clause" not in failures[0]:
+                        passed.append((index, path, changed, failures))
+        assert passed == []
+        assert excluded <= set(self.UNCHECKED)
+        assert records == two_round_reports[command]
+
+    def test_exclusions_are_readmes(self):
+        # README's "Left unchecked" list: one bullet per entry, its name
+        # in backquotes first
+        text = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = text.split("Left unchecked", 1)[1].split("\n\n", 1)[0]
+        names = re.findall(r"^ *- `([^`]+)`", listed, re.MULTILINE)
+        assert sorted(names) == sorted(self.UNCHECKED)
 
 
 class TestCheckpoints:
