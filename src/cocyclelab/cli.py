@@ -24,8 +24,9 @@ from typing import Optional, Sequence
 import yaml
 
 from .driver import (PRESETS, PipelineConfig, bounded_cocycle_pipeline,
-                     certify_report, export_report, first_round, load_report,
-                     norm_bounded_pipeline, run_theorem_02i, run_theorem_02ii)
+                     certify_report, export_report, initial_function,
+                     load_report, norm_bounded_pipeline, run_round,
+                     run_theorem_02i, run_theorem_02ii)
 from .errors import CocycleLabError, ConfigError
 
 
@@ -65,7 +66,9 @@ STEP_KEYS = ("triple", "level", "refined_level", "working_depth", "eps",
 
 
 def _cmd_step(args) -> int:
-    record = first_round(_load_config(args.config, None, args.depth))
+    config = _load_config(args.config, None, args.depth)
+    record, _, _ = run_round(config, 1, (), initial_function(config),
+                             config.start_level, searched=False)
     print(json.dumps({key: record[key] for key in STEP_KEYS},
                      sort_keys=True, separators=(",", ":")))
     held = [c["ok"] for c in record["certificates"] + record["validator"]]

@@ -51,6 +51,13 @@ SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
 
 _REQUIRED = object()  # `PipelineConfig.from_mapping`: a key with no default
 
+# `PipelineConfig.from_mapping`: a report holds no floats, so a YAML float
+# is read as its integer when it is whole, else as its text (.inf and
+# .nan too), which a measure weight reads and a count refuses
+_EXACT = json.JSONDecoder(parse_float=lambda text: int(float(text))
+                          if float(text).is_integer() else text,
+                          parse_constant=str)
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -111,10 +118,13 @@ class PipelineConfig:
             return tuple((e,) if isinstance(e, str) else tuple(str(w) for w in e)
                          for e in listed(entries))
 
+        def exact(value) -> dict:
+            return _EXACT.decode(json.dumps(dict(value)))
+
         config = PipelineConfig(
-            group=read("group", dict),
-            measure=read("measure", dict, {"kind": "uniform"}),
-            action=read("action", dict),
+            group=read("group", exact),
+            measure=read("measure", exact, {"kind": "uniform"}),
+            action=read("action", exact),
             family=read("family", lambda v: tuple(map(str, listed(v)))),
             bases=read("bases", word_tuples, [""]),
             u_indices=read("u_indices", lambda v: tuple(map(count, listed(v))), [1]),
@@ -143,13 +153,9 @@ class PipelineConfig:
         return config
 
     def to_mapping(self) -> dict:
-        """The config's fields as JSON data, as its header stores them.  A
-        report holds no floats, so a YAML float is stored as an integer
-        when it is one, else as the decimal text a measure weight reads."""
+        """The config's fields as JSON data, as its header stores them."""
         return json.loads(json.dumps(
-            {name: getattr(self, name) for name in self.__dataclass_fields__}),
-            parse_float=lambda text: int(float(text)) if float(text).is_integer()
-            else text)
+            {name: getattr(self, name) for name in self.__dataclass_fields__}))
 
     def digest(self) -> str:
         return _digest(self.to_mapping())
@@ -421,14 +427,15 @@ def _no_float(text: str):
     raise MalformedInput(f"a report holds no floats, and {text} is one")
 
 
+# no run writes a float, so a report line that holds one is malformed
+_REPORT_LINE = json.JSONDecoder(parse_float=_no_float, parse_constant=_no_float)
+
+
 @_reads_report
 def load_report(path: str) -> list[dict]:
-    """The report's records; no run writes a float, so none is read."""
-    decode = json.JSONDecoder(parse_float=_no_float,
-                              parse_constant=_no_float).decode
     try:
         with open(path) as fh:
-            return [decode(line) for line in fh if line.strip()]
+            return [_REPORT_LINE.decode(line) for line in fh if line.strip()]
     except OSError as exc:
         raise MalformedInput(f"cannot read the report {path!r} "
                              f"({type(exc).__name__}: {exc.strerror})") from None
@@ -503,10 +510,11 @@ def _round_record(config: PipelineConfig, t: int, rule: dict,
                   b_set: CylinderSet, changes: Mapping, given: Mapping) -> dict:
     """Round t's record, the one writer of a round record's fields, from
     its tolerance rule, artifacts, step check, selected and discard sets
-    and change sets.  `given` holds what a run renders or searches and
-    certify reads back: the table `f`, the witness's `core` and `moves`,
-    `evc_search` and the certificates by clause (the shared ones are
-    taken from `check`)."""
+    and change sets.  `given` holds the construction certificates by
+    clause (the shared ones are taken from `check`) and, by section, what
+    a run renders or searches and certify reads back: the table
+    `artifacts.f`, the witness's `core` and `moves` and
+    `conditions.evc_search` (see `run_round`)."""
     inp, verdicts, f = check.inp, check.verdicts(), step.f_tilde
     certificates = {**given["certificates"], **{
         c.clause: c.to_mapping() for c in check.step_certificates()}}
@@ -527,7 +535,7 @@ def _round_record(config: PipelineConfig, t: int, rule: dict,
                          if clause in certificates],
         "validator": [c.to_mapping() for c in check.validator_certificates()],
         "conditions": {
-            "evc_search": given["evc_search"],
+            **given.get("conditions", {}),
             "inner": verdicts["inner"],
             "agreement": _frac(check.agreement_mass),
             "agreement_ok": verdicts["agreement"],
@@ -537,10 +545,11 @@ def _round_record(config: PipelineConfig, t: int, rule: dict,
             "incremental": increments_within(f, inp.action, config.closure),
             "finite_values": len(f.value_set()),
         },
-        "witness": {"core": given["core"], "moves": given["moves"],
+        "witness": {**given.get("witness", {}),
                     "measure_slack": _frac(check.witness.measure_slack),
                     "reserve": _frac(check.witness_reserve)},
-        "artifacts": {"f": given["f"], "core_mass": _frac(check.core_mass),
+        "artifacts": {**given.get("artifacts", {}),
+                      "core_mass": _frac(check.core_mass),
                       "change_mass": {"+".join(k): _frac(v.measure(inp.mu))
                                       for k, v in changes.items()},
                       "z0": list(z0.words), "b_set": list(b_set.words)},
@@ -569,35 +578,36 @@ def _replay_rounds(config: PipelineConfig, rounds: Sequence[dict]
     return functions, eps_history, level
 
 
-def _run_round(config: PipelineConfig, t: int, rounds: Sequence[dict],
-               f: StepFunction, n: int) -> tuple[dict, StepOutput, dict]:
+def run_round(config: PipelineConfig, t: int, rounds: Sequence[dict],
+              f: StepFunction, n: int, searched: bool = True
+              ) -> tuple[dict, StepOutput, dict]:
     """Round t of a run from the round records before it, the function
-    `f` and the level `n`: its record, its step's output, its changes."""
+    `f` and the level `n`: its record, its step's output, its changes.
+    Unless `searched`, the record lacks the table, the witness's core and
+    moves and the fresh witness search, which `cocyclelab step` does not
+    print (at working depth 19 they take about as long as the step)."""
     action, triple = config.build_action(t), config.schedule.round_triple(t - 1)
     eps, rule = round_eps(config, triple, rounds)
     if eps <= 0:
         raise ConfigError(f"round {t}: tolerance collapsed to {eps}")
     inp = step_input(config, action, triple, f, n, eps)
     out = construct_step(inp)
-    try:
-        fresh = check_evc(out.f_tilde, inp.target, inp.targets, inp.delta,
-                          inp.mu, search_depth=config.depth_budget)
-        evc_search = {"ok": True, "mass": _frac(fresh.part.measure(inp.mu)),
-                      "measure_slack": _frac(fresh.measure_slack)}
-    except SearchExhausted as exc:
-        evc_search = {"ok": False, "failure": str(exc)}
+    given = {"certificates": {c.clause: c.to_mapping() for c in out.certificates}}
+    if searched:
+        try:
+            fresh = check_evc(out.f_tilde, inp.target, inp.targets, inp.delta,
+                              inp.mu, search_depth=config.depth_budget)
+            evc_search = {"ok": True, "mass": _frac(fresh.part.measure(inp.mu)),
+                          "measure_slack": _frac(fresh.measure_slack)}
+        except SearchExhausted as exc:
+            evc_search = {"ok": False, "failure": str(exc)}
+        given.update(conditions={"evc_search": evc_search},
+                     witness={"core": list(out.core.words),
+                              "moves": out.theta.word_moves()},
+                     artifacts={"f": _function_table(out.f_tilde)})
     changes = _change_sets(action, out.check.agreement)
-    given = {"f": _function_table(out.f_tilde), "core": list(out.core.words),
-             "moves": out.theta.word_moves(), "evc_search": evc_search,
-             "certificates": {c.clause: c.to_mapping() for c in out.certificates}}
     return (_round_record(config, t, rule, out, out.check, out.z0, out.b_set,
                           changes, given), out, changes)
-
-
-def first_round(config: PipelineConfig) -> dict:
-    """A run's first round record, which `cocyclelab step` prints in part."""
-    return _run_round(config, 1, (), initial_function(config),
-                      config.start_level)[0]
 
 
 def _run_recursion(config: PipelineConfig,
@@ -626,8 +636,8 @@ def _run_recursion(config: PipelineConfig,
             functions[t - 1], functions[t], action)))
 
     for t in range(len(eps_history) + 1, config.rounds + 1):
-        record, out, changes = _run_round(config, t, records[1:],
-                                          functions[-1], n)
+        record, out, changes = run_round(config, t, records[1:],
+                                         functions[-1], n)
         change_history.append(changes)
         eps_history.append(out.check.inp.eps)
         functions.append(out.f_tilde)
@@ -944,19 +954,17 @@ def _search_problem(stored, delta: Fraction,
                     base_mass: Fraction) -> Optional[str]:
     """What a round's stored witness-search outcome gets wrong, or None.
     The record keeps no witness, so the search is not rerun: a found
-    witness must hold a mass in (0, mu(base)] and its slack mass - delta
-    * mu(base), spelled as a run writes them, an exhausted search only
-    its keys."""
+    witness must hold its slack mass - delta * mu(base) and a mass in
+    (0, mu(base)], an exhausted search only its keys."""
     keys = sorted(stored) if isinstance(stored, Mapping) else None
     if (keys not in (["failure", "ok"], ["mass", "measure_slack", "ok"])
             or stored["ok"] is not ("mass" in stored)):
         return "neither a found witness's nor an exhausted search's keys and ok"
     if stored["ok"]:
-        mass = Fraction(stored["mass"])
-        if (not 0 < mass <= base_mass or stored["mass"] != _frac(mass)
-                or stored["measure_slack"] != _frac(mass - delta * base_mass)):
-            return (f"mass {stored['mass']} and slack {stored['measure_slack']}, "
-                    f"against mu(base) {base_mass} and delta {delta}")
+        mass, slack = Fraction(stored["mass"]), Fraction(stored["measure_slack"])
+        if slack != mass - delta * base_mass or not 0 < mass <= base_mass:
+            return (f"mass {mass} and slack {slack}, against mu(base) "
+                    f"{base_mass} and delta {delta}")
     return None
 
 
@@ -979,7 +987,9 @@ def _differences(stored: Mapping, rebuilt: Mapping) -> list[tuple[str, str]]:
     "not a field of a round record"; another record fails under its
     kind, the detail naming the key."""
     kind = rebuilt["record"]
-    # equal records: the field types of each level are read in one pass
+    # a record equal to the rebuilt one, with the same field types, is
+    # read in C by one comparison and one type list per level; naming
+    # each field of every record cost an in-process certify 1-5 % more
     if stored == rebuilt and all(
             list(map(type, map(found.__getitem__, want)))
             == list(map(type, want.values())) for found, want in [
@@ -1137,9 +1147,10 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
             # what was checked above as a run writes it is passed through
             rebuilt = _round_record(config, t, rule, replay, check, z0, b_set,
                                     changes, {
-                "f": table, "core": witness["core"], "moves": moves,
-                "evc_search": evc_search,
-                "certificates": {c.get("clause"): c for c in certificates}})
+                "certificates": {c.get("clause"): c for c in certificates},
+                "conditions": {"evc_search": evc_search},
+                "witness": {"core": witness["core"], "moves": moves},
+                "artifacts": {"f": table}})
             for c in rebuilt["validator"]:
                 if not c["ok"]:
                     fail(c["clause"], where, c["detail"])

@@ -127,6 +127,21 @@ class TestFloatConfig:
         rc, stdout, _ = run_cli(capsys, "certify", str(report))
         assert rc == 0 and json.loads(stdout)["ok"] is True
 
+    @pytest.mark.parametrize("key,value,text", [
+        ("group", {"kind": "cyclic", "order": 2.5}, "'2.5'"),
+        ("action", {"kind": "flips", "coords": [1, 2.5]}, "'2.5'"),
+        ("action", {"kind": "adding-machine", "depth": 12.5}, "'12.5'"),
+        ("group", {"kind": "cyclic", "order": float("inf")}, "'Infinity'")],
+        ids=["order", "flip-coordinate", "adding-depth", "infinite-order"])
+    def test_a_count_must_be_whole(self, key, value, text, tmp_path, capsys):
+        # a float count is read as its text, which no count takes, so the
+        # config fails to load rather than run truncated
+        path = tmp_path / "count.yaml"
+        path.write_text(yaml.safe_dump({**PRESETS["z2-flips"], key: value}))
+        rc, _, err = run_cli(capsys, "step", "--config", str(path))
+        assert rc == 2 and json.loads(err)["error"] == "ConfigError"
+        assert text in json.loads(err)["message"]
+
 
 class TestFirstRoundEps:
     def test_step_matches_first_run_round(self, tmp_path, capsys):

@@ -1002,9 +1002,10 @@ class TestLeafFalsification:
     label is respelled as the same element, a word or other text gets a
     leading "0", a word also its last letter flipped, and a null becomes
     1/7.  Besides, a boolean is set to its integer and an integer to its
-    float, which equal them in Python.  A table of more than 12 entries
-    that are not objects is sampled at its first, middle and last
-    entry."""
+    float, which equal them in Python; a round certificate's or validator
+    entry's ``ok`` set to 1 must fail under that certificate's clause.  A
+    table of more than 12 entries that are not objects is sampled at its
+    first, middle and last entry."""
 
     UNCHECKED = {
         "essential_values": "the SEARCHED record: rebuilding it would "
@@ -1070,9 +1071,20 @@ class TestLeafFalsification:
             return "certificates.<construction clause>.detail"
         if path == ("conditions", "evc_search", "failure"):
             return "conditions.evc_search.failure"
-        if changed == value and len(path) > 1 + sectioned:
+        if (changed == value and len(path) > 1 + sectioned
+                and TestLeafFalsification.held(record, path) is None):
             return "<field>.<number inside>"
         return None
+
+    @staticmethod
+    def held(record, path):
+        """The clause a round's certificate or validator entry fails under
+        when its ``ok`` changes, or None for any other leaf: certify
+        requires each to be stored as ``true`` itself, not as ``1``."""
+        if (record["record"] != "round" or path[0] not in (
+                "certificates", "validator") or path[-1] != "ok"):
+            return None
+        return f"{path[0]}.{record[path[0]][path[1]]['clause']}"
 
     @pytest.mark.parametrize("command,name", PIPELINES)
     def test_every_leaf(self, command, name, two_round_reports):
@@ -1092,7 +1104,9 @@ class TestLeafFalsification:
                     except CocycleLabError as exc:
                         failures = [exc.record()]
                     node[key] = value
-                    if not failures or "clause" not in failures[0]:
+                    clauses = {f.get("clause") for f in failures}
+                    if not failures or "clause" not in failures[0] or (
+                            self.held(record, path) not in clauses | {None}):
                         passed.append((index, path, changed, failures))
         assert passed == []
         assert excluded <= set(self.UNCHECKED)
