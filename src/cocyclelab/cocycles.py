@@ -25,7 +25,6 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress, count, repeat
 from operator import eq, ne
 from typing import Iterable, Mapping
@@ -33,7 +32,7 @@ from typing import Iterable, Mapping
 from .errors import DepthMismatch
 from .groups import GroupModel, Element
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word, all_binary,
-                      all_words, index_word)
+                      all_words, index_word, kept)
 from .odometer import Flip, GammaAction, Odometer
 
 KERNEL_EXPORT_DEPTH = 8  # deepest potential whose kernel is exported as CSV
@@ -75,36 +74,18 @@ class StepFunction:
                                       repeat(depth)) if w not in table)
         raise DepthMismatch(f"table lacks the word {missing!r}")
 
-    @cached_property
-    def _increments(self) -> dict:
-        """`coboundary_increment`'s results for this function, keyed by
-        generator; they live exactly as long as the function."""
-        return {}
-
-    @cached_property
-    def _witnesses(self) -> dict:
-        """`evc.check_evc`'s outcomes on this function's kernel, keyed by
-        the search's inputs."""
-        return {}
-
-    @cached_property
-    def _refinements(self) -> dict:
-        return {}
-
+    @kept
     def values_at(self, depth: int) -> tuple:
         """The values restated at `depth`, at least this function's own,
         by word index: each value repeated over the extensions of its
-        word.  Kept per depth on the function."""
+        word."""
         if depth == self.depth:
             return self.values
-        refinements = self._refinements
-        if depth not in refinements:
-            if depth < self.depth:
-                raise DepthMismatch(
-                    f"cannot restate depth {self.depth} at depth {depth}")
-            refinements[depth] = tuple(chain.from_iterable(
-                repeat(v, 1 << (depth - self.depth)) for v in self.values))
-        return refinements[depth]
+        if depth < self.depth:
+            raise DepthMismatch(
+                f"cannot restate depth {self.depth} at depth {depth}")
+        return tuple(chain.from_iterable(
+            repeat(v, 1 << (depth - self.depth)) for v in self.values))
 
     def _judged_values(self) -> Iterable:
         """The values a predicate reads: all of them."""
@@ -169,26 +150,20 @@ class PartialStepFunction(StepFunction):
                                    for lo, hi in zip(edges[::2], edges[1::2]))
 
 
+@kept
 def coboundary_increment(f: StepFunction,
                          sigma: Odometer | Flip) -> PartialStepFunction:
     """The increment x -> f(sigma x) f(x)^-1 at the depth of `f`, with
     the remainder of the truncated `sigma`: `sigma` maps the prefixes of
     that depth among themselves (`index_map`), so the increment depends
     on them alone.  Kept on `f` per generator, keyed by value (rounds'
-    actions share generators): a repeated call returns the same object,
-    whose values are a tuple."""
-    memo = f._increments
-    try:
-        return memo[sigma]
-    except KeyError:
-        pass
+    actions share generators)."""
     # a generator expression: on Python 3.11 it calls the model's
     # Python-level mul and inv faster than map does
     mul, inv, values = f.model.mul, f.model.inv, f.values
-    part = memo[sigma] = PartialStepFunction(f.model, f.depth, tuple(
+    return PartialStepFunction(f.model, f.depth, tuple(
         mul(values[j], inv(v))
         for j, v in zip(sigma.index_map(f.depth), values)), sigma.remainder)
-    return part
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +191,6 @@ def increments_within(f: StepFunction, action: GammaAction,
                for v in set(coboundary_increment(f, g)._judged_values()))
 
 
-def _paired_depth(u1: PartialStepFunction, u2: PartialStepFunction) -> int:
-    """The depth two increments of one generator are compared at, the
-    deeper of theirs; raises `DepthMismatch` when their remainders
-    differ, which only increments of different generators do."""
-    r1, r2 = u1.remainder, u2.remainder
-    if r1 is not r2 and r1 != r2:
-        raise DepthMismatch(
-            f"paired increments have the remainders {r1.words} and "
-            f"{r2.words}: they come from different generators")
-    return max(u1.depth, u2.depth)
-
-
 def increment_agreement(old: StepFunction, new: StepFunction,
                         action: GammaAction) -> dict[str, CylinderSet]:
     """Per generator label, in the action's generator order, the set
@@ -241,7 +204,7 @@ def increment_agreement(old: StepFunction, new: StepFunction,
     for g in action.generators:
         u_old = coboundary_increment(old, g)
         u_new = coboundary_increment(new, g)
-        e, remainder = _paired_depth(u_old, u_new), u_old.remainder
+        e, remainder = max(u_old.depth, u_new.depth), u_old.remainder
         moved = list(compress(
             count(), map(ne, u_old.values_at(e), u_new.values_at(e))))
         for lo, hi in remainder.cells(e):

@@ -39,7 +39,7 @@ from .evc import (check_evc, delta_for, skew_connectivity, target_set,
                   within_skew_budget)
 from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
                      model_from_config)
-from .measure import ZERO, CylinderSet, ProductMeasure, all_words
+from .measure import ZERO, CylinderSet, ProductMeasure, all_words, kept
 from .odometer import (FiniteDepthMap, Flip, GammaAction,
                        adding_machine_action, flip_action)
 from .stepper import (CERTIFICATE_ORDER, StepArtifacts, StepCheck, StepInput,
@@ -103,7 +103,8 @@ class PipelineConfig:
                                   f"({type(exc).__name__}: {exc})") from None
 
         def count(value) -> int:
-            n = int(value)
+            # a float as the mappings read it: a non-whole one as its text
+            n = int(_EXACT.decode(json.dumps(value)))
             if n < 0:
                 raise ValueError("must be >= 0")
             return n
@@ -182,26 +183,20 @@ class PipelineConfig:
     def build_action(self, round_index: Optional[int] = None) -> GammaAction:
         """The action of round `round_index` (None: the last round), one
         instance per equal action, so what an action keeps is kept once."""
-        kind, spec = self.action.get("kind"), self.action
         # enumerated generator branch: round n sees the first n flips
         n = max(self.rounds if round_index is None else round_index, 1)
-        key = n if kind == "flip-stream" else None
-        action = self._actions.get(key)
-        if action is None:
-            if kind == "adding-machine":
-                action = adding_machine_action(int(spec.get("depth", 12)))
-            elif kind == "flips":
-                action = flip_action(tuple(int(c) for c in spec["coords"]))
-            elif kind == "flip-stream":
-                action = flip_action(tuple(range(1, n + 1)))
-            else:
-                raise ConfigError(f"unknown action kind {kind!r}")
-            self._actions[key] = action
-        return action
+        return self._action(n if self.enumerated else None)
 
-    @functools.cached_property
-    def _actions(self) -> dict:
-        return {}
+    @kept
+    def _action(self, n: Optional[int]) -> GammaAction:
+        kind, spec = self.action.get("kind"), self.action
+        if kind == "adding-machine":
+            return adding_machine_action(int(spec.get("depth", 12)))
+        if kind == "flips":
+            return flip_action(tuple(int(c) for c in spec["coords"]))
+        if kind == "flip-stream":
+            return flip_action(tuple(range(1, n + 1)))
+        raise ConfigError(f"unknown action kind {kind!r}")
 
     @functools.cached_property
     def closure(self) -> tuple:
@@ -400,9 +395,6 @@ class RunReport:
 
     def text(self) -> str:
         return "".join(map(_report_line, self.records))
-
-    def by_kind(self, kind: str) -> list[dict]:
-        return [r for r in self.records if r.get("record") == kind]
 
 
 def _reads_report(read: Callable) -> Callable:
@@ -918,21 +910,21 @@ def _restart_checkpoint(config: PipelineConfig, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "checkpoint.json")
     source = path if os.path.exists(path) else os.path.join(out_dir, "report.jsonl")
-    kept: list[dict] = []
+    records: list[dict] = []
     # AttributeError: a line that holds JSON but not a record
     with contextlib.suppress(OSError, ValueError, AttributeError), \
             open(source) as fh:
         for line in fh if resume else ():
             record = json.loads(line)
             if (not line.endswith("\n")
-                    or record.get("record") != ("round" if kept else "header")
-                    or not kept and record.get("config_digest") != config.digest()):
+                    or record.get("record") != ("round" if records else "header")
+                    or not records and record.get("config_digest") != config.digest()):
                 break
-            kept.append(record)
+            records.append(record)
     with open(path + ".tmp", "w") as fh:
-        fh.writelines(map(_report_line, kept))
+        fh.writelines(map(_report_line, records))
     os.replace(path + ".tmp", path)
-    return kept
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -965,6 +957,9 @@ def _search_problem(stored, delta: Fraction,
         if slack != mass - delta * base_mass or not 0 < mass <= base_mass:
             return (f"mass {mass} and slack {slack}, against mu(base) "
                     f"{base_mass} and delta {delta}")
+        spelled = {"mass": _frac(mass), "measure_slack": _frac(slack), "ok": True}
+        if stored != spelled:
+            return f"stored {stored}, which a run writes as {spelled}"
     return None
 
 

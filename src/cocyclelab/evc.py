@@ -20,7 +20,8 @@ from typing import Optional, Sequence
 from .cocycles import StepFunction
 from .errors import PostconditionFailure, SearchExhausted, SizeGuard
 from .groups import Cover, Element, GroupModel
-from .measure import CylinderSet, ProductMeasure, index_word, worst_deviation
+from .measure import (CylinderSet, ProductMeasure, index_word, kept,
+                      worst_deviation)
 from .odometer import FiniteDepthMap
 
 SKEW_BUDGET = 1 << 18  # most vertices a connectivity count may stand for
@@ -160,31 +161,23 @@ def check_evc(f: StepFunction, base: CylinderSet, target: Sequence[Element],
     so a repeated search returns the same witness or raises the same
     exhaustion without searching again.
     """
-    delta = Fraction(delta)
-    target = tuple(target)
-    key = (base, tuple(f.model.key(t) for t in target), delta, mu,
-           search_depth)
-    memo = f._witnesses
-    outcome = memo.get(key)
-    if outcome is None:
-        try:
-            outcome = _search_witness(f, base, target, delta, mu,
-                                      search_depth)
-        except SearchExhausted as exc:
-            outcome = (str(exc), exc.best)
-        memo[key] = outcome
+    outcome = _search_witness(f, base, tuple(target), Fraction(delta), mu,
+                              search_depth)
     if isinstance(outcome, EvcWitness):
         return outcome
     message, best = outcome
     raise SearchExhausted(message, best)
 
 
-def _search_witness(f, base, target, delta, mu, search_depth) -> EvcWitness:
-    """The search behind :func:`check_evc`, run once per distinct input."""
+@kept
+def _search_witness(f, base, target, delta, mu,
+                    search_depth) -> EvcWitness | tuple[str, dict]:
+    """The search behind :func:`check_evc`: the witness it finds, or the
+    exhaustion's message and best margins."""
     model = f.model
     target_keys = {model.key(t) for t in target}
     if base.is_empty():
-        raise SearchExhausted("the base set is empty", best={})
+        return "the base set is empty", {}
 
     if model.key(model.identity()) in target_keys and delta < 1:
         theta = FiniteDepthMap.identity(f.depth)
@@ -198,15 +191,14 @@ def _search_witness(f, base, target, delta, mu, search_depth) -> EvcWitness:
     # (-mass, word) order: the pairing only gains those bits, at equal mass.
     level = max(f.depth, base.max_depth)
     if level > search_depth:
-        raise SearchExhausted(
-            f"kernel depth {level} already exceeds search depth {search_depth}",
-            best={"required_mass": str(need)})
+        return (f"kernel depth {level} already exceeds search depth "
+                f"{search_depth}", {"required_mass": str(need)})
     pairs, b_words, mass = _pair_search(f, base, target, target_keys,
                                         delta, mu, level, need)
     if not mass > need:
-        raise SearchExhausted(
-            f"no witness with mass above {need} within depth {search_depth}",
-            best={"required_mass": str(need), "achieved_mass": str(mass)})
+        return (f"no witness with mass above {need} within depth "
+                f"{search_depth}",
+                {"required_mass": str(need), "achieved_mass": str(mass)})
     theta = FiniteDepthMap.from_pairs(level, pairs)
     part = CylinderSet.from_indices(level, sorted(b_words))
     check = validate_witness(f, base, target, delta, mu, part, theta)

@@ -15,7 +15,6 @@ tables stay cheap and deterministic to sort via :meth:`GroupModel.key`.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
 from .errors import ConfigError, MalformedInput, UnboundedClass
+from .measure import kept
 
 Element = Any
 
@@ -79,17 +79,11 @@ class GroupModel(ABC):
         """The class of g, the members x g x^-1, sorted by key; raises
         :class:`UnboundedClass` beyond ``CLASS_BUDGET`` members."""
 
+    @kept
     def covering(self, g: Element, u_index: int) -> "Cover":
-        """:func:`covering_number` of g and U; the model keeps each
-        (element, neighborhood) pair's cover, so it is computed once."""
-        key = (self.key(g), u_index)
-        if key not in self._coverings:
-            self._coverings[key] = covering_number(self, g, u_index)
-        return self._coverings[key]
-
-    @functools.cached_property
-    def _coverings(self) -> dict:
-        return {}
+        """:func:`covering_number` of g and U, kept per (element,
+        neighborhood) pair."""
+        return covering_number(self, g, u_index)
 
 
 class FiniteTableGroup(GroupModel):

@@ -18,11 +18,11 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import chain, cycle, islice, repeat
 from math import lcm
 from operator import lt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DepthMismatch, MalformedInput
 
@@ -30,6 +30,32 @@ Word = str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def kept(compute: Callable) -> Callable:
+    """The one memo rule for a derived value: ``compute(obj, *args)`` runs
+    once per distinct positional `args` on each object, and its result is
+    kept in the object's ``__dict__``, where `cached_property` keeps an
+    argument-less value, so it lives exactly as long as the object.  A
+    call that raises keeps nothing.  With one argument, the argument is
+    the key, and the call packs no tuple."""
+    slot = f"{compute.__module__}.{compute.__qualname__}"  # no attribute's name
+
+    if compute.__code__.co_argcount == 2:
+        def keeping(obj, arg):
+            memo = obj.__dict__.get(slot) or obj.__dict__.setdefault(slot, {})
+            value = memo.get(arg, memo)  # the memo itself: nothing kept yet
+            if value is memo:
+                value = memo[arg] = compute(obj, arg)
+            return value
+    else:
+        def keeping(obj, *args):
+            memo = obj.__dict__.get(slot) or obj.__dict__.setdefault(slot, {})
+            value = memo.get(args, memo)
+            if value is memo:
+                value = memo[args] = compute(obj, *args)
+            return value
+    return wraps(compute)(keeping)
 
 
 def all_words(depth: int) -> Iterator[Word]:
@@ -154,46 +180,33 @@ class ProductMeasure:
             den *= d
         return Fraction(num, den)
 
-    @cached_property
-    def _level_masses(self) -> dict:
-        return {}
-
-    @cached_property
-    def _level_weights(self) -> dict:
-        return {}
-
+    @kept
     def level_weights(self, depth: int) -> tuple[tuple[WeightStep, ...], int]:
         """The first `depth` coordinates' weights as integers: ``(steps,
         denominator)`` with one ``(a0, a1, c)`` per coordinate, where
         a0 / c and a1 / c are the masses of symbols 0 and 1 and c is the
         least common multiple of the two weights' denominators, and the
-        denominator the product of the c.  Kept per depth on the
-        measure."""
-        cached = self._level_weights.get(depth)
-        if cached is None:
-            head, period = self._integer_weights
-            steps, den = [], 1
-            for (n0, d0), (n1, d1) in islice(chain(head, cycle(period)), depth):
-                common = lcm(d0, d1)
-                steps.append((n0 * (common // d0), n1 * (common // d1), common))
-                den *= common
-            cached = self._level_weights[depth] = (tuple(steps), den)
-        return cached
+        denominator the product of the c."""
+        head, period = self._integer_weights
+        steps, den = [], 1
+        for (n0, d0), (n1, d1) in islice(chain(head, cycle(period)), depth):
+            common = lcm(d0, d1)
+            steps.append((n0 * (common // d0), n1 * (common // d1), common))
+            den *= common
+        return tuple(steps), den
 
+    @kept
     def level_masses(self, depth: int) -> tuple[tuple[int, ...], int]:
         """The masses of all depth-`depth` cylinders over one common
         denominator, `level_weights`' denominator: ``(numerators,
         denominator)`` with the numerators by word index, so
         ``cylinder(w)`` equals ``Fraction(numerators[int(w, 2)],
-        denominator)``.  Kept per depth on the measure."""
-        cached = self._level_masses.get(depth)
-        if cached is None:
-            steps, den = self.level_weights(depth)
-            nums = [1]
-            for a0, a1, _ in steps:
-                nums = [y for x in nums for y in (x * a0, x * a1)]
-            cached = self._level_masses[depth] = (tuple(nums), den)
-        return cached
+        denominator)``."""
+        steps, den = self.level_weights(depth)
+        nums = [1]
+        for a0, a1, _ in steps:
+            nums = [y for x in nums for y in (x * a0, x * a1)]
+        return tuple(nums), den
 
     def ratio(self, x: Word, y: Word) -> Fraction:
         """Radon-Nikodym ratio: the product over coordinates i of the
@@ -208,26 +221,24 @@ class ProductMeasure:
             raise DepthMismatch(f"ratio needs equal depths, got {len(x)} and {len(y)}")
         return self.cylinder(y) / self.cylinder(x)
 
-    @cached_property
-    def _shifts(self) -> dict:
-        return {}
-
     def shift(self, n: int) -> "ProductMeasure":
         """The product measure seen by coordinates beyond the n-th, the
         measure itself where its schedule repeats (the uniform measure
-        everywhere); kept per distinct shift, with its level tables."""
+        everywhere); one instance per distinct shift, with its level
+        tables."""
         if n < 0:
             raise ValueError("shift must be >= 0")
         head = len(self.head)
-        if n > head:  # the cycle repeats: equal shifts share one entry
+        if n > head:  # the cycle repeats: equal shifts share one instance
             n = head + (n - head) % len(self.cycle)
-        shifted = self._shifts.get(n)
-        if shifted is None:
-            k = max(n - head, 0)
-            shifted = ProductMeasure(self.head[n:],
-                                     self.cycle[k:] + self.cycle[:k])
-            shifted = self._shifts[n] = self if shifted == self else shifted
-        return shifted
+        return self._shifted(n)
+
+    @kept
+    def _shifted(self, n: int) -> "ProductMeasure":
+        k = max(n - len(self.head), 0)
+        shifted = ProductMeasure(self.head[n:],
+                                 self.cycle[k:] + self.cycle[:k])
+        return self if shifted == self else shifted
 
     def schedule_key(self) -> tuple:
         """Hashable canonical form (used in reports)."""
@@ -348,10 +359,6 @@ class CylinderSet:
         object.__setattr__(self, "edges", edges)
 
     @cached_property
-    def _masks(self) -> dict:
-        return {}
-
-    @cached_property
     def words(self) -> tuple[Word, ...]:
         """The set's maximal cylinders, shorter first and lexicographic
         within a depth.  Each range is cut, left to right, into the
@@ -408,28 +415,22 @@ class CylinderSet:
     def is_full(self) -> bool:
         return self.max_depth == 0 and self.edges == (0, 1)
 
-    @cached_property
-    def _measures(self) -> dict:
-        return {}
-
+    @kept
     def measure(self, mu: ProductMeasure) -> Fraction:
         """The set's mass under `mu`: 1 or 0 at depth 0; with many ranges
         for its depth, its cells' `level_masses` summed in one C pass; else
-        one pass over its edges (`_edge_mass_sum`).  Kept per measure."""
+        one pass over its edges (`_edge_mass_sum`)."""
         depth, edges = self.max_depth, self.edges
         if not depth:
             return ONE if edges else ZERO
-        mass = self._measures.get(mu)
-        if mass is None:
-            if len(edges) << 6 >= 1 << depth:
-                masses, den = mu.level_masses(depth)
-                num = sum(map(sum, map(masses.__getitem__,
-                                       map(slice, edges[::2], edges[1::2]))))
-            else:
-                steps, den = mu.level_weights(depth)
-                num = _edge_mass_sum(steps, den, edges)
-            mass = self._measures[mu] = Fraction(num, den)
-        return mass
+        if len(edges) << 6 >= 1 << depth:
+            masses, den = mu.level_masses(depth)
+            num = sum(map(sum, map(masses.__getitem__,
+                                   map(slice, edges[::2], edges[1::2]))))
+        else:
+            steps, den = mu.level_weights(depth)
+            num = _edge_mass_sum(steps, den, edges)
+        return Fraction(num, den)
 
     def _combine(self, other: "CylinderSet", keep) -> "CylinderSet":
         """The points whose memberships in self and other `keep(in_self,
@@ -481,19 +482,17 @@ class CylinderSet:
         edges = edges[:-1] if edges[-1:] == (whole,) else (*edges, whole)
         return CylinderSet(self.max_depth, edges)
 
+    @kept
     def mask(self, depth: int) -> bytes:
         """Membership table at `depth`: byte i is 1 when the cylinder of
         the depth-`depth` word with index i lies in the set, that is when
         some member word is a prefix of that word (a member deeper than
         `depth` contains no whole depth-`depth` cylinder).  Filled from
-        the ranges of `cells(depth)`, and kept per depth on the set."""
-        table = self._masks.get(depth)
-        if table is None:
-            buf = bytearray(1 << depth)
-            for lo, hi in self.cells(depth):
-                buf[lo:hi] = b"\x01" * (hi - lo)
-            table = self._masks[depth] = bytes(buf)
-        return table
+        the ranges of `cells(depth)`."""
+        buf = bytearray(1 << depth)
+        for lo, hi in self.cells(depth):
+            buf[lo:hi] = b"\x01" * (hi - lo)
+        return bytes(buf)
 
     def cells(self, depth: int, meeting: bool = False) -> list[tuple[int, int]]:
         """The depth-`depth` cylinders that lie wholly in the set, or with

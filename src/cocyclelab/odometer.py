@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, repeat
 from typing import Collection, Iterable, Sequence
 
 from .errors import BudgetExhausted, ConfigError, DepthMismatch, MalformedInput
 from .measure import (ONE, ZERO, CylinderSet, ProductMeasure, Word,
-                      all_binary, all_words, check_word)
+                      all_binary, all_words, check_word, kept)
 
 
 @dataclass(frozen=True)
@@ -252,17 +252,10 @@ class GammaAction:
                 out.append((g.label,) if inverse == g else (g.label, inverse.label))
         return out
 
-    @cached_property
-    def _memo(self) -> dict:  # distortion sums by measure, overflows by level
-        return {}
-
+    @kept
     def max_distortion_sum(self, mu: ProductMeasure) -> Fraction:
-        """The generators' distortions summed, kept per measure."""
-        total = self._memo.get(mu)
-        if total is None:
-            total = self._memo[mu] = sum(
-                (g.distortion(mu) for g in self.generators), ZERO)
-        return total
+        """The generators' distortions summed."""
+        return sum((g.distortion(mu) for g in self.generators), ZERO)
 
 
 def adding_machine_action(depth: int) -> GammaAction:
@@ -277,17 +270,15 @@ def flip_action(coords: Sequence[int]) -> GammaAction:
 # Orbit overflow and hulls
 # ---------------------------------------------------------------------------
 
+@kept
 def orbit_overflow(action: GammaAction, level: int) -> CylinderSet:
     """The set of points that some generator throws out of their
     level-`level` class, with the generators' undefined remainders,
-    where escape cannot be decided: a sound upper bound, kept per level."""
-    over = action._memo.get(level)
-    if over is None:
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        over = action._memo[level] = reduce(
-            CylinderSet.union, (g.overflow(level) for g in action.generators))
-    return over
+    where escape cannot be decided: a sound upper bound."""
+    if level < 0:
+        raise ValueError("level must be >= 0")
+    return reduce(CylinderSet.union,
+                  (g.overflow(level) for g in action.generators))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from fractions import Fraction
 import pytest
 
 from cocyclelab.cocycles import StepFunction
-from cocyclelab.driver import (PRESETS, PipelineConfig, certify_report,
-                               norm_bounded_pipeline, run_theorem_02i)
+from cocyclelab.driver import (PRESETS, PipelineConfig, RunReport,
+                               certify_report, norm_bounded_pipeline,
+                               run_theorem_02i)
 from cocyclelab.evc import (skew_connectivity, target_set, validate_witness)
 from cocyclelab.groups import (FreeAbelianGroup, covering_number,
                                cyclic_group, symmetric_group_3)
@@ -55,6 +56,10 @@ def preset(name: str, **overrides) -> PipelineConfig:
     raw = dict(PRESETS[name])
     raw.update(overrides)
     return PipelineConfig.from_mapping(raw)
+
+
+def records_of(report: RunReport, kind: str) -> list[dict]:
+    return [r for r in report.records if r["record"] == kind]
 
 
 # reference single step: two-element group over the adding machine,
@@ -197,9 +202,9 @@ def test_a3_witnesses_revalidate(step_outputs, flips_run, z3_run):
     # recursion rounds, replayed from the stored artifacts alone
     for report in (flips_run[0], z3_run):
         config = PipelineConfig.from_mapping(
-            report.by_kind("header")[0]["config"])
+            records_of(report, "header")[0]["config"])
         model, mu = config.model, config.mu
-        for rec in report.by_kind("round"):
+        for rec in records_of(report, "round"):
             table = rec["artifacts"]["f"]
             f = StepFunction.from_table(
                 model, {w: model.parse(v) for w, v in table.items()})
@@ -224,7 +229,7 @@ def test_a4_recursion_invariants(flips_run):
     are 0; the first run whose rounds change increments (two adding
     rounds) needs working depth 20, beyond DEPTH_CAP."""
     report, seconds = flips_run
-    rounds = report.by_kind("round")
+    rounds = records_of(report, "round")
     assert len(rounds) == 6
     for r in rounds:
         cond = r["conditions"]
@@ -237,9 +242,9 @@ def test_a4_recursion_invariants(flips_run):
     eps = [Fraction(r["eps"]) for r in rounds]
     assert all(b < a / 2 for a, b in zip(eps, eps[1:]))
     assert sum(eps) < 2 * eps[0]
-    for rows in report.by_kind("stabilization")[0]["ledger"].values():
+    for rows in records_of(report, "stabilization")[0]["ledger"].values():
         assert all(row["ok"] for row in rows)
-    bound = report.by_kind("boundedness")[0]
+    bound = records_of(report, "boundedness")[0]
     assert bound["ok"]
     assert bound["closure"] == ["1"]  # range set {identity} u closure
     assert seconds < RUN_BUDGET_S
@@ -247,7 +252,7 @@ def test_a4_recursion_invariants(flips_run):
 
 def test_a5_connectivity_ladder(flips_run, z3_run):
     for report, order in ((flips_run[0], 2), (z3_run, 3)):
-        ladder = report.by_kind("ladder")[0]
+        ladder = records_of(report, "ladder")[0]
         assert ladder["nonincreasing"]
         assert ladder["terminal_components"] == 1
         assert ladder["control_components"] == [order] * len(
@@ -291,7 +296,7 @@ def test_a7_norm_pipeline():
     start = time.monotonic()
     for rounds in (1, 2, 3):
         report = norm_bounded_pipeline(preset("sum-z", rounds=rounds))
-        record = report.by_kind("norm_bounds")[0]
+        record = records_of(report, "norm_bounds")[0]
         assert record["ok"]
         assert record["sup_family_norm"] == "1"
         assert all(row["ok"] for row in record["per_generator"].values())

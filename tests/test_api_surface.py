@@ -10,6 +10,9 @@ attribute, and for a field an attribute read only), so a method or
 field is reached when any attribute of that name is read; an
 allowlisted name may also be reached that way (`main` by the module's
 `__main__` guard), and is listed for its reason all the same.
+
+A value derived with arguments is kept by one rule, `measure.kept`, so
+no module may write a cache of its own (`hand_written_caches`).
 """
 import ast
 from pathlib import Path
@@ -19,7 +22,6 @@ SRC = Path(__file__).parents[1] / "src" / "cocyclelab"
 # public names that nothing in src calls, each kept for a stated reason
 ALLOWED = {
     "cli.main": "the console-script entry point, called by the installer's wrapper",
-    "driver.RunReport.by_kind": "documented accessor of a report's records",
     "groups.DirectSumZGroup.generator_span":
         "the `generator_span` key of the sum-z presets and of the "
         "benchmark's copies of them; stored, and has no effect",
@@ -104,3 +106,34 @@ def test_every_public_function_is_used_in_src():
 def test_every_public_field_is_read_in_src():
     missing = unreferenced(public_fields, fields=True)
     assert sorted(set(missing) - set(ALLOWED)) == []
+
+
+def hand_written_caches(tree: ast.Module, module: str):
+    """(module, line) of each per-object cache a module writes by hand:
+    a `cached_property` that returns an empty dict, or an object's
+    ``__dict__`` (or ``vars()``) reached outside `measure.kept`, the one
+    memo rule for values with arguments."""
+    rule = [range(node.lineno, node.end_lineno + 1) for node in tree.body
+            if module == "measure" and isinstance(node, ast.FunctionDef)
+            and node.name == "kept"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and any(
+                getattr(d, "id", getattr(d, "attr", None)) == "cached_property"
+                for d in node.decorator_list):
+            body = [s for s in node.body if not (
+                isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))]
+            if (len(body) == 1 and isinstance(body[0], ast.Return)
+                    and ast.unparse(body[0].value) in ("{}", "dict()")):
+                yield module, node.lineno
+        reached = (isinstance(node, ast.Attribute) and node.attr == "__dict__"
+                   or isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "vars")
+        if reached and not any(node.lineno in lines for lines in rule):
+            yield module, node.lineno
+
+
+def test_every_per_object_cache_is_kept():
+    found = [place for path in sorted(SRC.glob("*.py"))
+             for place in hand_written_caches(ast.parse(path.read_text()),
+                                              path.stem)]
+    assert found == []

@@ -131,16 +131,29 @@ class TestFloatConfig:
         ("group", {"kind": "cyclic", "order": 2.5}, "'2.5'"),
         ("action", {"kind": "flips", "coords": [1, 2.5]}, "'2.5'"),
         ("action", {"kind": "adding-machine", "depth": 12.5}, "'12.5'"),
-        ("group", {"kind": "cyclic", "order": float("inf")}, "'Infinity'")],
-        ids=["order", "flip-coordinate", "adding-depth", "infinite-order"])
+        ("group", {"kind": "cyclic", "order": float("inf")}, "'Infinity'"),
+        ("rounds", 2.5, "'2.5'"), ("depth_budget", 14.5, "'14.5'"),
+        ("start_level", 1.5, "'1.5'"), ("u_indices", [1, 1.5], "'1.5'")],
+        ids=["order", "flip-coordinate", "adding-depth", "infinite-order",
+             "rounds", "depth-budget", "start-level", "u-index"])
     def test_a_count_must_be_whole(self, key, value, text, tmp_path, capsys):
         # a float count is read as its text, which no count takes, so the
-        # config fails to load rather than run truncated
+        # config fails to load, naming the key, rather than run truncated
         path = tmp_path / "count.yaml"
         path.write_text(yaml.safe_dump({**PRESETS["z2-flips"], key: value}))
         rc, _, err = run_cli(capsys, "step", "--config", str(path))
         assert rc == 2 and json.loads(err)["error"] == "ConfigError"
         assert text in json.loads(err)["message"]
+        assert f"config key {key!r}" in json.loads(err)["message"]
+
+    def test_a_whole_count_keeps_its_meaning(self):
+        config = PipelineConfig.from_mapping({
+            **PRESETS["z2-flips"], "rounds": 2.0, "depth_budget": "12",
+            "start_level": 1.0, "u_indices": [1.0, "2"]})
+        counts = (config.rounds, config.depth_budget, config.start_level,
+                  *config.u_indices)
+        assert counts == (2, 12, 1, 1, 2)
+        assert {type(n) for n in counts} == {int}
 
 
 class TestFirstRoundEps:

@@ -193,15 +193,6 @@ class TestIncrements:
         assert list(same) == ["s1", "s2"]
         assert all(s.is_full() for s in same.values())
 
-    def test_agreement_refuses_increments_of_different_generators(self):
-        f, g = parity_function(2), first_bit(2)
-        action = adding_machine_action(3)
-        t, t_inv = action.generators
-        # a memo entry filed under T holds the increment along T~
-        g._increments[t] = coboundary_increment(g, t_inv)
-        with pytest.raises(DepthMismatch, match="different generators"):
-            increment_agreement(f, g, action)
-
     def test_agreement_is_the_intersection_of_its_generators(self):
         f = StepFunction.from_table(Z4, {"00": 0, "01": 1, "10": 0, "11": 3})
         g = StepFunction.from_table(Z4, {"00": 0, "01": 1, "10": 2, "11": 3})

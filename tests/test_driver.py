@@ -45,6 +45,10 @@ def preset(name: str, **overrides) -> PipelineConfig:
     return PipelineConfig.from_mapping(raw)
 
 
+def records_of(report: RunReport, kind: str) -> list[dict]:
+    return [r for r in report.records if r["record"] == kind]
+
+
 def labels(action: GammaAction) -> list[str]:
     return [g.label for g in action.generators]
 
@@ -123,7 +127,7 @@ class TestSchedule:
 
     def test_recurrence_record(self, flips_run):
         report = flips_run
-        record = report.by_kind("recurrence")[0]
+        record = records_of(report, "recurrence")[0]
         assert record["executed"] == 6
         assert record["next_occurrence"] == {
             "(X, 1, U1)": 6, "(0, 1, U1)": 7, "(1, 1, U1)": 8}
@@ -137,7 +141,7 @@ class TestSchedule:
 class TestFlipCascade:
     def test_level_cascade(self, flips_run):
         report = flips_run
-        rounds = report.by_kind("round")
+        rounds = records_of(report, "round")
         assert [r["refined_level"] for r in rounds] == [2, 3, 4, 5, 6, 7]
         assert [r["working_depth"] for r in rounds] == [3, 4, 5, 6, 7, 8]
         assert all(r["working_depth"] <= 14 for r in rounds)
@@ -146,7 +150,7 @@ class TestFlipCascade:
         # nothing binds except the previous tolerance, so each round
         # shrinks by exactly 7/16
         report = flips_run
-        got = [Fraction(r["eps"]) for r in report.by_kind("round")]
+        got = [Fraction(r["eps"]) for r in records_of(report, "round")]
         expected = [Fraction(1, 40) * Fraction(7, 16) ** k for k in range(6)]
         assert got == expected
         assert all(b < a / 2 for a, b in zip(got, got[1:]))
@@ -154,7 +158,7 @@ class TestFlipCascade:
 
     def test_round_conditions(self, flips_run):
         report = flips_run
-        for r in report.by_kind("round"):
+        for r in records_of(report, "round"):
             cond = r["conditions"]
             assert cond["inner"] and cond["incremental"]
             assert cond["agreement_ok"] and cond["distance_ok"]
@@ -163,13 +167,13 @@ class TestFlipCascade:
 
     def test_ladder_reaches_one(self, flips_run):
         report = flips_run
-        ladder = report.by_kind("ladder")[0]
+        ladder = records_of(report, "ladder")[0]
         assert ladder["rung_depths"] == list(range(1, 8))
         assert ladder["components"] == [1] * 7
         assert ladder["control_components"] == [2] * 7
         assert ladder["nonincreasing"] and ladder["control_constant"]
         assert ladder["terminal_components"] == 1
-        assert report.by_kind("final")[0]["depth"] == ladder["kernel_depth"] == 8
+        assert records_of(report, "final")[0]["depth"] == ladder["kernel_depth"] == 8
 
     @pytest.mark.parametrize("budget,depths", [(32, [1, 2, 3, 4]), (3, [])])
     def test_ladder_stops_within_budget(self, flips_run, monkeypatch, budget,
@@ -178,21 +182,21 @@ class TestFlipCascade:
         # Z2 gives 2^(d + 1) skew vertices at rung depth d
         monkeypatch.setattr(evc, "SKEW_BUDGET", budget)
         report = run_theorem_02i(preset("z2-flips"))
-        ladder = report.by_kind("ladder")[0]
+        ladder = records_of(report, "ladder")[0]
         assert ladder["rung_depths"] == depths
         assert (ladder["components"]
-                == whole.by_kind("ladder")[0]["components"][:len(depths)])
+                == records_of(whole, "ladder")[0]["components"][:len(depths)])
         assert certify_report(report.records) == []
 
     def test_boundedness(self, flips_run):
         report = flips_run
-        bound = report.by_kind("boundedness")[0]
+        bound = records_of(report, "boundedness")[0]
         assert bound["ok"] and bound["closure"] == ["1"]
         assert set(bound["per_generator"]) == {"s1", "s2"}
 
     def test_stabilization_ledger(self, flips_run):
         report = flips_run
-        ledger = report.by_kind("stabilization")[0]["ledger"]
+        ledger = records_of(report, "stabilization")[0]["ledger"]
         assert set(ledger) == {"s1", "s2"}
         for rows in ledger.values():
             assert [r["after_round"] for r in rows] == list(range(6))
@@ -200,13 +204,13 @@ class TestFlipCascade:
 
     def test_distances(self, flips_run):
         report = flips_run
-        rows = report.by_kind("distances")[0]["rows"]
+        rows = records_of(report, "distances")[0]["rows"]
         assert len(rows) == 6
         assert all(r["ok"] for r in rows)
 
     def test_final_record(self, flips_run):
         report = flips_run
-        final = report.by_kind("final")[0]
+        final = records_of(report, "final")[0]
         assert final["depth"] == 8
         assert final["halving_ok"]
         assert final["tail_bound"] == final["eps_history"][-1]
@@ -222,14 +226,14 @@ class TestAddingRoundProfile:
         # one full adding-machine round; the update genuinely moves the
         # increments, unlike the shallow-flip cascade
         report = run_theorem_02i(preset("z2-adding"))
-        r = report.by_kind("round")[0]
+        r = records_of(report, "round")[0]
         assert r["refined_level"] == 9
         assert r["working_depth"] == 10
         assert r["conditions"]["agreement"] == "2039/2048"
         assert r["conditions"]["distance"] == "27/16384"
         assert Fraction(r["artifacts"]["core_mass"]) == Fraction(127, 256)
         assert all(c["ok"] for c in r["validator"])
-        ledger = report.by_kind("stabilization")[0]["ledger"]
+        ledger = records_of(report, "stabilization")[0]["ledger"]
         assert set(ledger) == {"T+T~"}
         assert certify_report(report.records) == []
 
@@ -258,7 +262,7 @@ def test_deep_adding_second_refinement():
     # and the refinement level its round 2 chooses from that record
     config = preset("z2-adding", depth_budget=20,
                     action={"kind": "adding-machine", "depth": 19})
-    [r] = run_theorem_02i(config).by_kind("round")
+    [r] = records_of(run_theorem_02i(config), "round")
     assert (r["refined_level"], r["working_depth"], r["eps"]) == (9, 10, "1/40")
     assert r["witness"]["reserve"] == "125/3072"
     # the change set includes the truncated odometer's undefined
@@ -304,16 +308,16 @@ Z_ADDING = {
 
 def test_integers_over_the_adding_machine():
     report = norm_bounded_pipeline(PipelineConfig.from_mapping(Z_ADDING))
-    [r] = report.by_kind("round")
+    [r] = records_of(report, "round")
     assert (r["refined_level"], r["working_depth"], r["eps"]) == (9, 10, "1/40")
     assert r["artifacts"]["change_mass"] == {"T+T~": "9/2048"}
-    per_generator = report.by_kind("boundedness")[0]["per_generator"]
+    per_generator = records_of(report, "boundedness")[0]["per_generator"]
     assert per_generator == {"T": ["-1", "0", "1"], "T~": ["-1", "0", "1"]}
-    sweeps = report.by_kind("essential_values")[0]["sweeps"]
+    sweeps = records_of(report, "essential_values")[0]["sweeps"]
     assert [s["verdict"] for s in sweeps] == ["certified", "certified"]
     assert [e["mass"] for s in sweeps for e in s["entries"]] == \
         ["127/256", "127/256"]
-    assert report.by_kind("norm_bounds")[0]["max_c"] == "1"
+    assert records_of(report, "norm_bounds")[0]["max_c"] == "1"
     assert certify_report(report.records) == []
 
 
@@ -351,7 +355,7 @@ class TestIncrementReuse:
 
         monkeypatch.setattr(driver, "construct_step", recording)
         report = run_theorem_02i(preset(name))
-        rounds = report.by_kind("round")
+        rounds = records_of(report, "round")
         assert len(rounds) == len(steps) == PRESETS[name]["rounds"]
         for rec, (inp, out) in zip(rounds, steps):
             old, new, action, mu = fresh(inp.f), fresh(out.f_tilde), inp.action, inp.mu
@@ -399,7 +403,7 @@ class TestSingleCheck:
         report = run_theorem_02i(preset(name))
         monkeypatch.setattr(driver, "validate_step_output", recording)
         assert certify_report(report.records) == []
-        stored = [r["validator"] for r in report.by_kind("round")]
+        stored = [r["validator"] for r in records_of(report, "round")]
         assert len(stored) == PRESETS[name]["rounds"]
         assert replayed == stored
 
@@ -420,7 +424,7 @@ class TestWitnessOnce:
 
         monkeypatch.setattr(driver, "construct_step", recording)
         report = self.RUNNERS[name](preset(name))
-        rounds = report.by_kind("round")
+        rounds = records_of(report, "round")
         assert len(rounds) == len(steps) == PRESETS[name]["rounds"]
         for rec, (inp, out) in zip(rounds, steps):
             targets = evc.target_set(out.f_tilde.model, inp.candidate,
@@ -497,7 +501,7 @@ class TestStreamRun:
 
     def test_value_bounds_per_generator(self, stream_run):
         report = stream_run
-        record = report.by_kind("stream_bounds")[0]
+        record = records_of(report, "stream_bounds")[0]
         assert record["ok"]
         rows = record["rows"]
         assert [r["generator"] for r in rows] == ["s1", "s2", "s3", "s4"]
@@ -509,7 +513,7 @@ class TestStreamRun:
         # their increments are nontrivial; realized values are listed as
         # group keys
         report = stream_run
-        rows = report.by_kind("stream_bounds")[0]["rows"]
+        rows = records_of(report, "stream_bounds")[0]["rows"]
         by_gen = {r["generator"]: r["realized"] for r in rows}
         assert by_gen["s1"] == ["(0,)"] and by_gen["s2"] == ["(0,)"]
         assert by_gen["s3"] == ["(1,)"] and by_gen["s4"] == ["(1,)"]
@@ -533,11 +537,11 @@ class TestZeroRounds:
     def test_trivial_terminal(self):
         config = preset("z2-flips", rounds=0)
         report = run_theorem_02i(config)
-        final = report.by_kind("final")[0]
+        final = records_of(report, "final")[0]
         assert final["eps_history"] == [] and final["level"] == 1
         f = driver._parse_table(config.model, final["f"])
         assert set(f.value_set()) == {0}
-        ladder = report.by_kind("ladder")[0]
+        ladder = records_of(report, "ladder")[0]
         assert ladder["rung_depths"] == [1]
         assert ladder["components"] == [2]
         assert ladder["terminal_components"] == 2
@@ -552,7 +556,7 @@ class TestDeterminism:
 
     def test_header_digest_matches_config(self, flips_run):
         report = flips_run
-        header = report.by_kind("header")[0]
+        header = records_of(report, "header")[0]
         assert header["config_digest"] == preset("z2-flips").digest()
 
 
@@ -708,6 +712,11 @@ class TestCertifyTampering:
         "mass-beyond-the-base": lambda rec: rec.update(
             mass="2", measure_slack=str(Fraction(2) - Fraction(rec["mass"])
                                         + Fraction(rec["measure_slack"]))),
+        # an equal fraction over a doubled numerator and denominator
+        "mass-respelled": lambda rec: rec.update(mass="{}/{}".format(
+            *(2 * n for n in Fraction(rec["mass"]).as_integer_ratio()))),
+        "slack-respelled": lambda rec: rec.update(measure_slack="{}/{}".format(
+            *(2 * n for n in Fraction(rec["measure_slack"]).as_integer_ratio()))),
         "found-with-a-failure": lambda rec: rec.update(failure="forged"),
         "failed-without-a-failure": lambda rec: rec.update(ok=False),
         "missing": lambda rec: rec.clear(),
@@ -1399,28 +1408,28 @@ class TestCheckpoints:
         run_theorem_02i(preset("z2-flips", rounds=2), out_dir=out)
         report = run_theorem_02i(preset("z2-flips", rounds=3),
                                     out_dir=out, resume=True)
-        assert len(report.by_kind("round")) == 3
+        assert len(records_of(report, "round")) == 3
         assert certify_report(report.records) == []
 
 
 class TestBoundedPipelines:
     def test_compact_range(self):
         report = bounded_cocycle_pipeline(preset("z2-flips", rounds=2))
-        record = report.by_kind("compact_range")[0]
+        record = records_of(report, "compact_range")[0]
         assert record["ok"]
         assert record["range_set"] == ["identity", "1"]
         assert record["rounds"] == 2
 
     def test_norm_bound_unit_family(self):
         report = norm_bounded_pipeline(preset("sum-z"))
-        record = report.by_kind("norm_bounds")[0]
+        record = records_of(report, "norm_bounds")[0]
         assert record["ok"]
         assert record["sup_family_norm"] == "1"
         assert Fraction(record["max_c"]) <= 1
 
     def test_norm_bound_wide_family(self):
         report = norm_bounded_pipeline(preset("sum-z-wide"))
-        record = report.by_kind("norm_bounds")[0]
+        record = records_of(report, "norm_bounds")[0]
         assert record["ok"]
         assert record["sup_family_norm"] == "5"
 
@@ -1487,7 +1496,7 @@ class TestEvcSearch:
 
     def test_repeated_exhaustion_is_replayed(self, monkeypatch):
         config = preset("sum-z")
-        final = run_theorem_02i(config).by_kind("final")[0]
+        final = records_of(run_theorem_02i(config), "final")[0]
         model, mu = config.model, config.mu
         f = driver._parse_table(model, final["f"])
         candidate = model.parse("0/1")
@@ -1517,8 +1526,9 @@ class TestEvcSearch:
         assert tighter.best["required_mass"] == str(delta / 2)
 
     def test_essential_values_do_not_depend_on_budget(self):
-        records = [norm_bounded_pipeline(preset("sum-z", depth_budget=budget))
-                   .by_kind("essential_values") for budget in (14, 18)]
+        records = [records_of(norm_bounded_pipeline(preset(
+            "sum-z", depth_budget=budget)), "essential_values")
+            for budget in (14, 18)]
         assert records[0] == records[1]
 
 
@@ -1578,8 +1588,8 @@ class TestEssentialValueSweep:
         config = preset("z2-flips", u_indices=[0, 1])
         report = run_theorem_02i(config)
         model, mu = config.model, config.mu
-        f = driver._parse_table(model, report.by_kind("final")[0]["f"])
-        [sweep] = report.by_kind("essential_values")[0]["sweeps"]
+        f = driver._parse_table(model, records_of(report, "final")[0]["f"])
+        [sweep] = records_of(report, "essential_values")[0]["sweeps"]
         assert sweep["candidate"] == "1" and sweep["verdict"] == "certified"
         # neighborhoods outside, bases inside; U0 is the whole group
         assert [(e["u_index"], e["base"], e["delta"]) for e in sweep["entries"]] \
@@ -1596,7 +1606,7 @@ class TestEssentialValueSweep:
         # gets no entry
         report = run_theorem_02i(preset("z2-flips", rounds=0,
                                         bases=["", []]))
-        [sweep] = report.by_kind("essential_values")[0]["sweeps"]
+        [sweep] = records_of(report, "essential_values")[0]["sweeps"]
         assert sweep == {"candidate": "1", "verdict": "inconclusive",
                          "entries": [{"base": [""], "u_index": 1,
                                       "delta": "1/3", "ok": False,
