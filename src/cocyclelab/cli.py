@@ -67,12 +67,12 @@ STEP_KEYS = ("triple", "level", "refined_level", "working_depth", "eps",
 
 def _cmd_step(args) -> int:
     config = _load_config(args.config, None, args.depth)
-    record, _, _ = run_round(config, 1, (), initial_function(config),
-                             config.start_level, searched=False)
+    # a failing step raises, so every printed certificate holds
+    record, _ = run_round(config, 1, (), initial_function(config),
+                          searched=False)
     print(json.dumps({key: record[key] for key in STEP_KEYS},
                      sort_keys=True, separators=(",", ":")))
-    held = [c["ok"] for c in record["certificates"] + record["validator"]]
-    return 0 if all(held) else 1
+    return 0
 
 
 def _cmd_run(args, pipeline) -> int:

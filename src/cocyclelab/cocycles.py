@@ -191,6 +191,7 @@ def increments_within(f: StepFunction, action: GammaAction,
                for v in set(coboundary_increment(f, g)._judged_values()))
 
 
+@kept
 def increment_agreement(old: StepFunction, new: StepFunction,
                         action: GammaAction) -> dict[str, CylinderSet]:
     """Per generator label, in the action's generator order, the set
@@ -199,7 +200,9 @@ def increment_agreement(old: StepFunction, new: StepFunction,
     depth, less the generator's remainder, whose undecided mass is
     excluded (conservative).  Only the differing cells are listed, so a
     nearly full set costs little; the remainder's whole cells join them,
-    and only a remainder deeper than the cells is subtracted as a set."""
+    and only a remainder deeper than the cells is subtracted as a set.
+    Kept on `old` by `new` and `action`, so the step check's sets serve
+    the run's change sets."""
     agreement: dict[str, CylinderSet] = {}
     for g in action.generators:
         u_old = coboundary_increment(old, g)

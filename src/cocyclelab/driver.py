@@ -63,6 +63,16 @@ _EXACT = json.JSONDecoder(parse_float=lambda text: int(float(text))
 # Configuration
 # ---------------------------------------------------------------------------
 
+def _refuse_booleans(data) -> None:
+    """Raise TypeError if JSON data holds a boolean, which Python would
+    read as the number 1 or 0."""
+    if isinstance(data, bool):
+        raise TypeError("a boolean is not a number")
+    if isinstance(data, (dict, list)):
+        for item in data.values() if isinstance(data, dict) else data:
+            _refuse_booleans(item)
+
+
 def _digest(mapping: Mapping) -> str:
     """The sha256 of a config's JSON data, as its header stores it."""
     return hashlib.sha256(json.dumps(mapping, sort_keys=True).encode()).hexdigest()
@@ -104,6 +114,7 @@ class PipelineConfig:
 
         def count(value) -> int:
             # a float as the mappings read it: a non-whole one as its text
+            _refuse_booleans(value)
             n = int(_EXACT.decode(json.dumps(value)))
             if n < 0:
                 raise ValueError("must be >= 0")
@@ -120,7 +131,9 @@ class PipelineConfig:
                          for e in listed(entries))
 
         def exact(value) -> dict:
-            return _EXACT.decode(json.dumps(dict(value)))
+            data = _EXACT.decode(json.dumps(dict(value)))
+            _refuse_booleans(data)
+            return data
 
         config = PipelineConfig(
             group=read("group", exact),
@@ -325,28 +338,18 @@ class Schedule:
 
     def round_triple(self, index: int) -> Triple:
         """Triple for 0-based round `index` of the flattened sequence."""
-        block = 1
-        pos = index
-        while True:
+        for block in count(1):
             size = min(block, len(self.triples))
-            if pos < size:
-                return self.triples[pos]
-            pos -= size
-            block += 1
+            if index < size:
+                return self.triples[index]
+            index -= size
 
     def next_occurrence(self, triple: Triple, after: int) -> int:
-        pos = after + 1
-        while True:
-            if self.round_triple(pos) == triple:
-                return pos
-            pos += 1
+        return next(pos for pos in count(after + 1)
+                    if self.round_triple(pos) == triple)
 
     def recurrence_record(self, executed: int) -> dict:
-        seen = []
-        for i in range(executed):
-            t = self.round_triple(i)
-            if t not in seen:
-                seen.append(t)
+        seen = dict.fromkeys(map(self.round_triple, range(executed)))
         return {
             "record": "recurrence",
             "executed": executed,
@@ -488,21 +491,17 @@ def _change_sets(action: GammaAction, agreement: Mapping[str, CylinderSet]
                  ) -> dict[tuple[str, ...], CylinderSet]:
     """Each generator group's change set: where the increment of some
     generator in the group changed, from the per-generator agreement sets."""
-    change_sets = {}
-    for labels in action.inverse_groups():
-        agree = CylinderSet.full()
-        for label in labels:
-            agree = agree.intersection(agreement[label])
-        change_sets[labels] = agree.complement()
-    return change_sets
+    return {labels: functools.reduce(CylinderSet.intersection, map(
+                agreement.__getitem__, labels)).complement()
+            for labels in action.inverse_groups()}
 
 
 def _round_record(config: PipelineConfig, t: int, rule: dict,
                   step: StepArtifacts, check: StepCheck, z0: CylinderSet,
-                  b_set: CylinderSet, changes: Mapping, given: Mapping) -> dict:
+                  b_set: CylinderSet, given: Mapping) -> dict:
     """Round t's record, the one writer of a round record's fields, from
-    its tolerance rule, artifacts, step check, selected and discard sets
-    and change sets.  `given` holds the construction certificates by
+    its tolerance rule, artifacts, step check and selected and discard
+    sets.  `given` holds the construction certificates by
     clause (the shared ones are taken from `check`) and, by section, what
     a run renders or searches and certify reads back: the table
     `artifacts.f`, the witness's `core` and `moves` and
@@ -543,7 +542,8 @@ def _round_record(config: PipelineConfig, t: int, rule: dict,
         "artifacts": {**given.get("artifacts", {}),
                       "core_mass": _frac(check.core_mass),
                       "change_mass": {"+".join(k): _frac(v.measure(inp.mu))
-                                      for k, v in changes.items()},
+                                      for k, v in _change_sets(
+                                          inp.action, check.agreement).items()},
                       "z0": list(z0.words), "b_set": list(b_set.words)},
     }
 
@@ -558,31 +558,31 @@ def step_input(config: PipelineConfig, action: GammaAction, triple: Triple,
                      depth_budget=config.depth_budget)
 
 
-def _replay_rounds(config: PipelineConfig, rounds: Sequence[dict]
-                   ) -> tuple[list[StepFunction], list[Fraction], int]:
-    """Rebuild the round loop's state from its round records: the step
-    functions (the initial one first), the tolerances and the current
-    level."""
-    functions = [initial_function(config)] + [
+def _replay_rounds(config: PipelineConfig,
+                   rounds: Sequence[dict]) -> list[StepFunction]:
+    """The step functions of a run's round records, the initial one first:
+    with the records, a run's whole state."""
+    return [initial_function(config)] + [
         _parse_table(config.model, r["artifacts"]["f"]) for r in rounds]
-    eps_history = [Fraction(r["eps"]) for r in rounds]
-    level = rounds[-1]["refined_level"] if rounds else config.start_level
-    return functions, eps_history, level
+
+
+def _level_after(config: PipelineConfig, rounds: Sequence[dict]) -> int:
+    """The level after the round records: the last one's refined level."""
+    return int(rounds[-1]["refined_level"]) if rounds else config.start_level
 
 
 def run_round(config: PipelineConfig, t: int, rounds: Sequence[dict],
-              f: StepFunction, n: int, searched: bool = True
-              ) -> tuple[dict, StepOutput, dict]:
-    """Round t of a run from the round records before it, the function
-    `f` and the level `n`: its record, its step's output, its changes.
-    Unless `searched`, the record lacks the table, the witness's core and
-    moves and the fresh witness search, which `cocyclelab step` does not
-    print (at working depth 19 they take about as long as the step)."""
+              f: StepFunction, searched: bool = True) -> tuple[dict, StepOutput]:
+    """Round t of a run from the round records before it and the last
+    function `f`: its record and its step's output.  Unless `searched`,
+    the record lacks the table, the witness's core and moves and the
+    fresh witness search, which `cocyclelab step` does not print (at
+    working depth 19 they take about as long as the step)."""
     action, triple = config.build_action(t), config.schedule.round_triple(t - 1)
     eps, rule = round_eps(config, triple, rounds)
     if eps <= 0:
         raise ConfigError(f"round {t}: tolerance collapsed to {eps}")
-    inp = step_input(config, action, triple, f, n, eps)
+    inp = step_input(config, action, triple, f, _level_after(config, rounds), eps)
     out = construct_step(inp)
     given = {"certificates": {c.clause: c.to_mapping() for c in out.certificates}}
     if searched:
@@ -597,9 +597,8 @@ def run_round(config: PipelineConfig, t: int, rounds: Sequence[dict],
                      witness={"core": list(out.core.words),
                               "moves": out.theta.word_moves()},
                      artifacts={"f": _function_table(out.f_tilde)})
-    changes = _change_sets(action, out.check.agreement)
-    return (_round_record(config, t, rule, out, out.check, out.z0, out.b_set,
-                          changes, given), out, changes)
+    return _round_record(config, t, rule, out, out.check, out.z0, out.b_set,
+                         given), out
 
 
 def _run_recursion(config: PipelineConfig,
@@ -618,28 +617,14 @@ def _run_recursion(config: PipelineConfig,
 
     if not records:
         emit(_header(config))
-    functions, eps_history, n = _replay_rounds(config, records[1:])
-    # per round, each generator group's change set; a resumed run
-    # rebuilds those of its replayed rounds
-    change_history = []
-    for t in range(1, len(functions)):
-        action = config.build_action(t)
-        change_history.append(_change_sets(action, increment_agreement(
-            functions[t - 1], functions[t], action)))
-
-    for t in range(len(eps_history) + 1, config.rounds + 1):
-        record, out, changes = run_round(config, t, records[1:],
-                                         functions[-1], n)
-        change_history.append(changes)
-        eps_history.append(out.check.inp.eps)
+    # the state: the round records and their step functions
+    functions = _replay_rounds(config, records[1:])
+    for t in range(len(functions), config.rounds + 1):
+        record, out = run_round(config, t, records[1:], functions[-1])
         functions.append(out.f_tilde)
         emit(record)
-        n = out.m
 
-    # the last round record's table renders the last function
-    table = records[-1]["artifacts"]["f"] if len(records) > 1 else None
-    for record in _terminal_records(config, functions, change_history,
-                                    eps_history, n, {}, table):
+    for record in _terminal_records(config, functions, records[1:], {}):
         emit(record)
     if closing is not None:
         emit(closing(config, functions[-1], records))
@@ -651,17 +636,21 @@ def _run_recursion(config: PipelineConfig,
 
 def _terminal_records(config: PipelineConfig,
                       functions: Sequence[StepFunction],
-                      change_history: Sequence[dict],
-                      eps_history: Sequence[Fraction], final_level: int,
-                      searched: Mapping[str, dict],
-                      final_table: Optional[dict]) -> list[dict]:
-    """The records after the rounds; a record whose kind is in `searched`
-    is taken from there instead of computed (certify passes SEARCHED).
-    `final_table` renders the last function (a round record's table,
-    which certify checks as one), or is None, and it is rendered here."""
+                      rounds: Sequence[dict],
+                      searched: Mapping[str, dict]) -> list[dict]:
+    """The records after the rounds, from the round records and their
+    step functions (the initial one first); a record whose kind is in
+    `searched` is taken from there instead of computed (certify passes
+    SEARCHED)."""
     model, mu, closure = config.model, config.mu, config.closure
     f_final = functions[-1]
     action = config.build_action(config.rounds)
+    eps_history = [Fraction(r["eps"]) for r in rounds]
+    # each round's change sets, from the step check's kept agreement
+    change_history = [
+        _change_sets(act, increment_agreement(old, new, act))
+        for act, old, new in zip(map(config.build_action, count(1)),
+                                 functions, functions[1:])]
     records = [config.schedule.recurrence_record(config.rounds)]
 
     # value boundedness: all increments inside {identity} u closure
@@ -738,11 +727,8 @@ def _terminal_records(config: PipelineConfig,
     # (the suffix unions are built once, from the last round back)
     ledger = {}
     for labels in action.inverse_groups():
-        rows = []
-        union = CylinderSet.empty()
-        bound = ZERO
-        for n_idx in reversed(range(len(change_history))):
-            changes = change_history[n_idx]
+        rows, union, bound = [], CylinderSet.empty(), ZERO
+        for n_idx, changes in reversed([*enumerate(change_history)]):
             # rounds before a generator joins contribute no changes
             if labels in changes:
                 union = union.union(changes[labels])
@@ -775,8 +761,9 @@ def _terminal_records(config: PipelineConfig,
     records.append({
         "record": "final",
         "depth": f_final.depth,
-        "level": final_level,
-        "f": _function_table(f_final) if final_table is None else final_table,
+        "level": _level_after(config, rounds),
+        # the last round's table, which certify checks as one
+        "f": rounds[-1]["artifacts"]["f"] if rounds else _function_table(f_final),
         "eps_history": [_frac(e) for e in eps_history],
         # strict halving: the tolerances after the last round sum below it
         "tail_bound": _frac(eps_history[-1]) if eps_history else "0",
@@ -1028,16 +1015,14 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
     config = PipelineConfig.from_mapping(headers[0]["config"])
 
     rounds = [r for r in records if r.get("record") == "round"]
-    functions, eps_history, _ = _replay_rounds(config, rounds)
-    change_history, n = _certify_rounds(config, rounds, functions,
-                                        eps_history, fail)
+    functions = _replay_rounds(config, rounds)
+    _certify_rounds(config, rounds, functions, fail)
 
     # the first record of each kind
     stored = {r.get("record"): r for r in reversed(records)}
     rebuilt = _terminal_records(
-        config, functions, change_history, eps_history, n,
-        {kind: stored.get(kind, {"record": kind}) for kind in SEARCHED},
-        rounds[-1]["artifacts"]["f"] if rounds else None)
+        config, functions, rounds,
+        {kind: stored.get(kind, {"record": kind}) for kind in SEARCHED})
     # norm bounds over a model without a norm fail under their kind
     for kind in (kind for kind in CLOSING if kind in stored):
         try:
@@ -1060,13 +1045,10 @@ def certify_report(records: Sequence[dict]) -> list[dict]:
 
 
 def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
-                    functions: Sequence[StepFunction], eps_history: list,
-                    fail: Callable) -> tuple[list[dict], int]:
+                    functions: Sequence[StepFunction], fail: Callable) -> None:
     """Replay the round records through the step check, naming failures
-    to `fail`; returns their change sets and the final level.  A function
-    so that the last round's artifacts die before `_terminal_records`."""
-    change_history: list[dict] = []
-    n = config.start_level
+    to `fail`.  A function so that the last round's artifacts die before
+    `_terminal_records`."""
     for i, rec in enumerate(rounds):
         t, where = i + 1, f"round {i + 1}"
         # a round number or level that does not read as an integer is
@@ -1074,12 +1056,6 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
         int(rec["round"])
         m = int(rec["refined_level"])
         action, triple = config.build_action(t), config.schedule.round_triple(i)
-        if triple.to_mapping() != rec["triple"]:
-            fail("schedule", where, "triple differs from the configured schedule")
-        eps = eps_history[i]
-        if i and not eps < eps_history[i - 1] / 2:
-            fail("eps_halving", where,
-                 f"{eps} is not below half of {eps_history[i - 1]}")
         _, rule = round_eps(config, triple, rounds[:i])
         # the stored certificate list: the step's clauses in its order,
         # each held (the shared ones are also recomputed below)
@@ -1116,18 +1092,15 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
             theta = FiniteDepthMap.from_moves(f.depth, moves)
             replay = StepArtifacts(f, theta, core, m,
                                    config.model.parse(rec["conjugate"]), delta)
-            inp = step_input(config, action, triple, functions[i], n, eps)
+            inp = step_input(config, action, triple, functions[i],
+                             _level_after(config, rounds[:i]),
+                             Fraction(rec["eps"]))
             check = validate_step_output(inp, replay)
             z0 = select_core_and_conjugate(inp).z0
-            _, b_set = discard_set(inp, m, overflow_hull(action, n, m))
+            _, b_set = discard_set(inp, m, overflow_hull(action, inp.n, m))
         except CocycleLabError as exc:
             fail("validator", where, str(exc))
-            # the report fails already; its ledger is rebuilt without
-            # this round's changes
-            change_history.append({})
         else:
-            changes = _change_sets(action, check.agreement)
-            change_history.append(changes)
             # moves that ascend, as many as theta moves, are its
             # `word_moves`: a repeated word or a listed fixed one would
             # leave one uncounted
@@ -1140,8 +1113,7 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
                 fail("witness.core", where,
                      "not the part of z0 that the pairing moves up")
             # what was checked above as a run writes it is passed through
-            rebuilt = _round_record(config, t, rule, replay, check, z0, b_set,
-                                    changes, {
+            rebuilt = _round_record(config, t, rule, replay, check, z0, b_set, {
                 "certificates": {c.get("clause"): c for c in certificates},
                 "conditions": {"evc_search": evc_search},
                 "witness": {"core": witness["core"], "moves": moves},
@@ -1154,8 +1126,6 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
             if not check.witness.ok:
                 fail(f"evc-{check.witness.clause}", where,
                      check.witness.detail or "")
-        n = m
-    return change_history, n
 
 
 # ---------------------------------------------------------------------------

@@ -415,14 +415,19 @@ class CylinderSet:
     def is_full(self) -> bool:
         return self.max_depth == 0 and self.edges == (0, 1)
 
-    @kept
     def measure(self, mu: ProductMeasure) -> Fraction:
-        """The set's mass under `mu`: 1 or 0 at depth 0; with many ranges
-        for its depth, its cells' `level_masses` summed in one C pass; else
-        one pass over its edges (`_edge_mass_sum`)."""
+        """The set's mass under `mu`: 1 or 0 at depth 0, kept nowhere
+        (`full` and `empty` live as long as the process), else `_mass`."""
+        if not self.max_depth:
+            return ONE if self.edges else ZERO
+        return self._mass(mu)
+
+    @kept
+    def _mass(self, mu: ProductMeasure) -> Fraction:
+        """The mass of a set of positive depth: with many ranges for its
+        depth, its cells' `level_masses` summed in one C pass; else one
+        pass over its edges (`_edge_mass_sum`)."""
         depth, edges = self.max_depth, self.edges
-        if not depth:
-            return ONE if edges else ZERO
         if len(edges) << 6 >= 1 << depth:
             masses, den = mu.level_masses(depth)
             num = sum(map(sum, map(masses.__getitem__,

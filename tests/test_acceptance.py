@@ -281,7 +281,7 @@ def test_a6_negative_controls(flips_run):
     rounds = [r for r in records if r["record"] == "round"]
     rounds[2]["eps"] = rounds[1]["eps"]
     failures = certify_report(records)
-    assert any(f["clause"] == "eps_halving" for f in failures)
+    assert any(f["clause"] == "eps" for f in failures)
 
     records = [copy.deepcopy(r) for r in report.records]
     rounds = [r for r in records if r["record"] == "round"]

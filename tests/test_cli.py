@@ -156,6 +156,25 @@ class TestFloatConfig:
         assert {type(n) for n in counts} == {int}
 
 
+class TestBooleanConfig:
+    @pytest.mark.parametrize("key,value", [
+        ("rounds", True), ("depth_budget", True), ("start_level", False),
+        ("u_indices", [True]), ("group", {"kind": "cyclic", "order": True}),
+        ("measure", {"kind": "iid", "p0": True}),
+        ("action", {"kind": "flips", "coords": [1, True]})],
+        ids=["rounds", "depth-budget", "start-level", "u-index", "order",
+             "measure", "flip-coordinate"])
+    def test_a_boolean_is_not_a_number(self, key, value, tmp_path, capsys):
+        # YAML's true reads as the number 1 in Python, so `rounds: true`
+        # would run one round and `order: true` build the trivial group
+        path = tmp_path / "boolean.yaml"
+        path.write_text(yaml.safe_dump({**PRESETS["z2-flips"], key: value}))
+        rc, _, err = run_cli(capsys, "step", "--config", str(path))
+        assert rc == 2 and json.loads(err)["error"] == "ConfigError"
+        assert f"config key {key!r}" in json.loads(err)["message"]
+        assert "boolean" in json.loads(err)["message"]
+
+
 class TestFirstRoundEps:
     def test_step_matches_first_run_round(self, tmp_path, capsys):
         # eps_start above the admission bound (1/40) is capped by it
@@ -277,7 +296,7 @@ class TestRun:
         rc, _, err = run_cli(capsys, "certify", path)
         assert rc == 1
         failures = [json.loads(line) for line in err.splitlines()]
-        assert any(f["clause"] == "eps_halving" for f in failures)
+        assert any(f["clause"] == "eps" for f in failures)
 
     def test_run_resume(self, tmp_path, capsys):
         out = str(tmp_path)

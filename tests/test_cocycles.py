@@ -205,6 +205,19 @@ class TestIncrements:
         # every increment agrees on their intersection, the step's agreement
         assert agree["s1"].intersection(agree["s2"]) == CylinderSet.of(["01"])
 
+    def test_agreement_is_kept(self):
+        # the step check's agreement sets serve the run's change sets: a
+        # second call returns the kept sets, which equal a word loop
+        f = StepFunction.from_table(Z4, {"00": 0, "01": 1, "10": 0, "11": 3})
+        g = StepFunction.from_table(Z4, {"00": 0, "01": 1, "10": 2, "11": 3})
+        action = adding_machine_action(3)
+        agree = increment_agreement(f, g, action)
+        assert increment_agreement(f, g, action) is agree
+        for s in action.generators:
+            old, new = increment_words(f, s, 3), increment_words(g, s, 3)
+            assert agree[s.label] == CylinderSet.of(
+                w for w, a in old.items() if a is not None and a == new[w])
+
 
 class TestTrivialOnOverflow:
     def test_identity_passes(self):

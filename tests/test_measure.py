@@ -641,6 +641,17 @@ def test_measure_is_kept_per_measure():
     assert s.measure(first) is mass
 
 
+def test_depth_zero_masses_keep_nothing():
+    # the whole space and the empty set are module singletons: a memo on
+    # them would gather an entry per measure for the life of the process
+    fresh = ProductMeasure.iid(Fraction(2, 7))
+    assert CylinderSet.full().measure(fresh) == 1
+    assert CylinderSet.empty().measure(fresh) == 0
+    for s in (CylinderSet.full(), CylinderSet.empty()):
+        assert not [memo for memo in vars(s).values()
+                    if isinstance(memo, dict) and fresh in memo]
+
+
 @settings(max_examples=100, deadline=None)
 @given(cylinder_sets(), st.integers(0, 3))
 def test_ranges_list_the_indices(s, extra):
