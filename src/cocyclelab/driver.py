@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice, repeat
-from operator import gt, lt, ne
+from operator import lt, ne
 from typing import Callable, Mapping, Optional, Sequence
 
 from .cocycles import (KERNEL_EXPORT_DEPTH, StepFunction, coboundary_increment,
@@ -44,8 +44,7 @@ from .odometer import (FiniteDepthMap, Flip, GammaAction,
                        adding_machine_action, flip_action)
 from .stepper import (CERTIFICATE_ORDER, StepArtifacts, StepCheck, StepInput,
                       StepOutput, admission_bound, construct_step,
-                      discard_set, overflow_hull, select_core_and_conjugate,
-                      validate_step_output)
+                      discard_set, overflow_hull, validate_step_output)
 
 SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
 
@@ -497,11 +496,12 @@ def _change_sets(action: GammaAction, agreement: Mapping[str, CylinderSet]
 
 
 def _round_record(config: PipelineConfig, t: int, rule: dict,
-                  step: StepArtifacts, check: StepCheck, z0: CylinderSet,
+                  step: StepArtifacts, check: StepCheck,
                   b_set: CylinderSet, given: Mapping) -> dict:
     """Round t's record, the one writer of a round record's fields, from
-    its tolerance rule, artifacts, step check and selected and discard
-    sets.  `given` holds the construction certificates by
+    its tolerance rule, artifacts, step check and discard set (the
+    conjugate and z0 are the input's selection).  `given` holds the
+    construction certificates by
     clause (the shared ones are taken from `check`) and, by section, what
     a run renders or searches and certify reads back: the table
     `artifacts.f`, the witness's `core` and `moves` and
@@ -520,7 +520,7 @@ def _round_record(config: PipelineConfig, t: int, rule: dict,
         "eps_rule": rule,
         "eps_prime": _frac(inp.eps_prime),
         "delta": _frac(step.delta),
-        "conjugate": config.model.format(step.h),
+        "conjugate": config.model.format(inp.selection.h),
         "admission": check.admission().to_mapping(),
         "certificates": [certificates[clause] for clause in CERTIFICATE_ORDER
                          if clause in certificates],
@@ -544,18 +544,9 @@ def _round_record(config: PipelineConfig, t: int, rule: dict,
                       "change_mass": {"+".join(k): _frac(v.measure(inp.mu))
                                       for k, v in _change_sets(
                                           inp.action, check.agreement).items()},
-                      "z0": list(z0.words), "b_set": list(b_set.words)},
+                      "z0": list(inp.selection.z0.words),
+                      "b_set": list(b_set.words)},
     }
-
-
-def step_input(config: PipelineConfig, action: GammaAction, triple: Triple,
-               f: StepFunction, n: int, eps: Fraction) -> StepInput:
-    """The construction step's input for a scheduled round."""
-    return StepInput(f=f, n=n, action=action, family=config.closure,
-                     target=triple.base,
-                     candidate=config.model.parse(triple.candidate),
-                     u_index=triple.u_index, eps=eps, mu=config.mu,
-                     depth_budget=config.depth_budget)
 
 
 def _replay_rounds(config: PipelineConfig,
@@ -571,6 +562,23 @@ def _level_after(config: PipelineConfig, rounds: Sequence[dict]) -> int:
     return int(rounds[-1]["refined_level"]) if rounds else config.start_level
 
 
+def round_input(config: PipelineConfig, t: int, rounds: Sequence[dict],
+                f: StepFunction) -> tuple[StepInput, dict]:
+    """Round t's step input and tolerance rule, from the round records
+    before it and the last function `f`: the run builds the round from
+    them, and certify replays it under them."""
+    triple = config.schedule.round_triple(t - 1)
+    eps, rule = round_eps(config, triple, rounds)
+    if eps <= 0:
+        raise ConfigError(f"round {t}: tolerance collapsed to {eps}")
+    return StepInput(f=f, n=_level_after(config, rounds),
+                     action=config.build_action(t), family=config.closure,
+                     target=triple.base,
+                     candidate=config.model.parse(triple.candidate),
+                     u_index=triple.u_index, eps=eps, mu=config.mu,
+                     depth_budget=config.depth_budget), rule
+
+
 def run_round(config: PipelineConfig, t: int, rounds: Sequence[dict],
               f: StepFunction, searched: bool = True) -> tuple[dict, StepOutput]:
     """Round t of a run from the round records before it and the last
@@ -578,11 +586,7 @@ def run_round(config: PipelineConfig, t: int, rounds: Sequence[dict],
     the record lacks the table, the witness's core and moves and the
     fresh witness search, which `cocyclelab step` does not print (at
     working depth 19 they take about as long as the step)."""
-    action, triple = config.build_action(t), config.schedule.round_triple(t - 1)
-    eps, rule = round_eps(config, triple, rounds)
-    if eps <= 0:
-        raise ConfigError(f"round {t}: tolerance collapsed to {eps}")
-    inp = step_input(config, action, triple, f, _level_after(config, rounds), eps)
+    inp, rule = round_input(config, t, rounds, f)
     out = construct_step(inp)
     given = {"certificates": {c.clause: c.to_mapping() for c in out.certificates}}
     if searched:
@@ -594,10 +598,10 @@ def run_round(config: PipelineConfig, t: int, rounds: Sequence[dict],
         except SearchExhausted as exc:
             evc_search = {"ok": False, "failure": str(exc)}
         given.update(conditions={"evc_search": evc_search},
-                     witness={"core": list(out.core.words),
+                     witness={"core": list(out.check.core.words),
                               "moves": out.theta.word_moves()},
                      artifacts={"f": _function_table(out.f_tilde)})
-    return _round_record(config, t, rule, out, out.check, out.z0, out.b_set,
+    return _round_record(config, t, rule, out, out.check, out.b_set,
                          given), out
 
 
@@ -926,7 +930,6 @@ SEARCHED = ("essential_values",)
 _SECTIONS = ("conditions", "witness", "artifacts")
 
 _ABSENT = object()  # `_differences`: a field a record lacks
-_bits = functools.partial(int.from_bytes, byteorder="big")  # of a mask
 
 
 def _search_problem(stored, delta: Fraction,
@@ -1055,8 +1058,6 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
         # malformed; one stored as another type differs from the rebuilt
         int(rec["round"])
         m = int(rec["refined_level"])
-        action, triple = config.build_action(t), config.schedule.round_triple(i)
-        _, rule = round_eps(config, triple, rounds[:i])
         # the stored certificate list: the step's clauses in its order,
         # each held (the shared ones are also recomputed below)
         certificates = rec.get("certificates", ())
@@ -1068,55 +1069,43 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
                 if c.get("ok") is not True:
                     fail(f"{section}.{c.get('clause')}", where, "stored as not held")
 
-        f, witness, table = functions[i + 1], rec["witness"], rec["artifacts"]["f"]
-        core, moves = CylinderSet.of(witness["core"]), witness["moves"]
+        f, table = functions[i + 1], rec["artifacts"]["f"]
+        moves = rec["witness"]["moves"]
         delta = Fraction(rec["delta"])
         evc_search = rec.get("conditions", {}).get("evc_search")
-        if (problem := _search_problem(evc_search, delta, triple.base.measure(
-                config.mu))) is not None:
-            fail("conditions.evc_search", where, problem)
-        # the table and core must be a run's renderings of what was read
-        # from them; the table's words were checked when it was read
+        # the table must be a run's rendering of what was read from it;
+        # its words were checked when it was read
         for label in dict.fromkeys(table.values()):
             spelled = config.model.format(config.model.parse(label))
             if spelled != label:
                 fail("artifacts.f", where, f"stored {label!r}, which the "
                      f"model spells {spelled!r}")
                 break
-        if witness["core"] != list(core.words):
-            fail("witness.core", where,
-                 "not the core's maximal cylinders, shorter first")
         try:
-            # moves that are not a map's fail when they are read, a forged
-            # nonpositive eps when the input is built
+            # a tolerance rule that collapses, and moves that are not a
+            # map's, fail when they are read
+            inp, rule = round_input(config, t, rounds[:i], functions[i])
             theta = FiniteDepthMap.from_moves(f.depth, moves)
-            replay = StepArtifacts(f, theta, core, m,
-                                   config.model.parse(rec["conjugate"]), delta)
-            inp = step_input(config, action, triple, functions[i],
-                             _level_after(config, rounds[:i]),
-                             Fraction(rec["eps"]))
+            replay = StepArtifacts(f, theta, m, delta)
             check = validate_step_output(inp, replay)
-            z0 = select_core_and_conjugate(inp).z0
-            _, b_set = discard_set(inp, m, overflow_hull(action, inp.n, m))
+            _, b_set = discard_set(inp, m, overflow_hull(inp.action, inp.n, m))
         except CocycleLabError as exc:
             fail("validator", where, str(exc))
         else:
+            if (problem := _search_problem(evc_search, delta,
+                                           inp.target_mass)) is not None:
+                fail("conditions.evc_search", where, problem)
             # moves that ascend, as many as theta moves, are its
             # `word_moves`: a repeated word or a listed fixed one would
             # leave one uncounted
             if not (all(map(lt, moves, islice(moves, 1, None)))
                     and len(moves) == sum(map(ne, theta.table, count()))):
                 fail("witness.moves", where, "not the map's moves in word order")
-            # the core is the part of z0 that the pairing moves up
-            up = bytes(map(gt, theta.table, count()))
-            if _bits(core.mask(f.depth)) != _bits(z0.mask(f.depth)) & _bits(up):
-                fail("witness.core", where,
-                     "not the part of z0 that the pairing moves up")
             # what was checked above as a run writes it is passed through
-            rebuilt = _round_record(config, t, rule, replay, check, z0, b_set, {
+            rebuilt = _round_record(config, t, rule, replay, check, b_set, {
                 "certificates": {c.get("clause"): c for c in certificates},
                 "conditions": {"evc_search": evc_search},
-                "witness": {"core": witness["core"], "moves": moves},
+                "witness": {"core": list(check.core.words), "moves": moves},
                 "artifacts": {"f": table}})
             for c in rebuilt["validator"]:
                 if not c["ok"]:

@@ -63,6 +63,13 @@ class Certificate:
 
 
 @dataclass(frozen=True)
+class CoreSelection:
+    z0: CylinderSet
+    h: Element
+    mass: Fraction
+
+
+@dataclass(frozen=True)
 class StepInput:
     """All data of one construction step.
 
@@ -122,28 +129,47 @@ class StepInput:
         unpaired remainder share; D >= 1, so it is at most eps'."""
         return self.eps / (1 + self.distortion)
 
-
-@dataclass(frozen=True)
-class CoreSelection:
-    z0: CylinderSet
-    h: Element
-    mass: Fraction
+    @cached_property
+    def selection(self) -> CoreSelection:
+        """The conjugate h and z0, the part of the target where the
+        twisted candidate lands in U h, with z0's mass: h maximizes that
+        mass (pigeonhole over the covering gives at least a
+        1/covering-number share); ties break by element key."""
+        f, model = self.f, self.f.model
+        pieces: list[tuple[Element, CylinderSet]] = []
+        for v in f.value_set():
+            piece = self.target.intersection(f.level_set(v))
+            if not piece.is_empty():
+                twisted = model.mul(model.mul(model.inv(v), self.candidate), v)
+                pieces.append((twisted, piece))
+        best: Optional[CoreSelection] = None
+        for h in sorted(self.cover.centers, key=model.key):
+            keys = {model.key(t) for t in target_set(model, h, self.u_index)}
+            z0 = CylinderSet.empty()
+            for twisted, piece in pieces:
+                if model.key(twisted) in keys:
+                    z0 = z0.union(piece)
+            mass = z0.measure(self.mu)
+            if best is None or mass > best.mass:
+                best = CoreSelection(z0, h, mass)
+        assert best is not None  # cover.centers is never empty
+        return best
 
 
 @dataclass(frozen=True)
 class StepArtifacts:
     """The slice of a step's output that :func:`validate_step_output`
-    reads: the update, the pairing, the core, the refinement level, the
-    conjugate and delta.  The working depth is the update's depth.  The
-    construction's intermediates (z0, the partition, the refinement, the
+    reads: what the construction chooses beyond its input (the update,
+    the pairing and the refinement level) and delta.  The working depth
+    is the update's depth; the conjugate and z0 are the input's
+    `selection`, and the core follows from z0 and the pairing.  The
+    construction's intermediates (the partition, the refinement, the
     involution, the discard set) are not part of it, so the check cannot
-    depend on them; :class:`StepOutput` adds the ones a report records."""
+    depend on them; :class:`StepOutput` adds the one a report records."""
 
     f_tilde: StepFunction
     theta: FiniteDepthMap
-    core: CylinderSet
     m: int
-    h: Element
     delta: Fraction
 
 
@@ -153,12 +179,14 @@ class StepCheck:
     shared clause (overflow_small through distance), in the step's
     order, to its verdict and its wordings in the step's and the
     validator's lists, which are views of it.  ``inp`` fixes eps, the
-    required delta and the target mass; ``witness`` is
+    required delta and the target mass; ``core`` is the part of the
+    input's z0 that the pairing moves to a later word; ``witness`` is
     :func:`evc.validate_witness` on the core and the pairing at delta;
     ``agreement`` holds each generator's agreement set, by label."""
 
     inp: StepInput
     delta: Fraction
+    core: CylinderSet
     witness: WitnessValidation
     core_mass: Fraction
     agreement: Mapping[str, CylinderSet]
@@ -213,42 +241,14 @@ CERTIFICATE_ORDER = (
 
 @dataclass(frozen=True)
 class StepOutput(StepArtifacts):
-    """The step's artifacts, the selected set z0 and the discard set b
-    that its report records, and its certificates.  ``check`` holds the
-    exact numbers behind the shared clauses, among them the
-    per-generator agreement sets, the agreement measure and the
-    distance bound."""
+    """The step's artifacts, the discard set b that its report records,
+    and its certificates.  ``check`` holds the core and the exact
+    numbers behind the shared clauses, among them the per-generator
+    agreement sets, the agreement measure and the distance bound."""
 
-    z0: CylinderSet
     b_set: CylinderSet
     certificates: tuple[Certificate, ...]
     check: StepCheck
-
-
-def select_core_and_conjugate(inp: StepInput) -> CoreSelection:
-    """Pick the conjugate h and the part of the target where the twisted
-    candidate lands in U h, maximizing that part's mass (pigeonhole over
-    the covering gives at least a 1/covering-number share); ties break
-    by element key."""
-    f, model = inp.f, inp.f.model
-    pieces: list[tuple[Element, CylinderSet]] = []
-    for v in f.value_set():
-        piece = inp.target.intersection(f.level_set(v))
-        if not piece.is_empty():
-            twisted = model.mul(model.mul(model.inv(v), inp.candidate), v)
-            pieces.append((twisted, piece))
-    best: Optional[CoreSelection] = None
-    for h in sorted(inp.cover.centers, key=model.key):
-        keys = {model.key(t) for t in target_set(model, h, inp.u_index)}
-        z0 = CylinderSet.empty()
-        for twisted, piece in pieces:
-            if model.key(twisted) in keys:
-                z0 = z0.union(piece)
-        mass = z0.measure(inp.mu)
-        if best is None or mass > best.mass:
-            best = CoreSelection(z0, h, mass)
-    assert best is not None  # cover.centers is never empty
-    return best
 
 
 def fingerprint_partition(f: StepFunction, z0: CylinderSet, n: int,
@@ -335,19 +335,15 @@ def assemble_update(f: StepFunction, h: Element, tau: FiniteDepthMap,
         else v for i, v in enumerate(f.values_at(depth))))
 
 
-def build_transfer(z0: CylinderSet, b_set: CylinderSet, tau: FiniteDepthMap,
-                   depth: int) -> tuple[FiniteDepthMap, CylinderSet]:
-    """The pairing transformation (deep exchange off the discard set,
-    identity on it) and the core: the part of z0 on the first exchange
-    side, clear of the discard set."""
+def build_transfer(b_set: CylinderSet, tau: FiniteDepthMap,
+                   depth: int) -> FiniteDepthMap:
+    """The pairing transformation: the deep exchange off the discard
+    set, the identity on it."""
     table, low = tau.table, (1 << tau.depth) - 1
     discard = b_set.mask(depth)
-    pairing = tuple(i if discard[i] else i - (i & low) + table[i & low]
-                    for i in range(1 << depth))
-    core = [i for i in z0.indices(depth)
-            if table[i & low] > i & low and not discard[i]]
-    return (FiniteDepthMap(depth, pairing),
-            CylinderSet.from_indices(depth, core))
+    return FiniteDepthMap(depth, tuple(
+        i if discard[i] else i - (i & low) + table[i & low]
+        for i in range(1 << depth)))
 
 
 def construct_step(inp: StepInput) -> StepOutput:
@@ -363,9 +359,7 @@ def construct_step(inp: StepInput) -> StepOutput:
     if not increments_within(f, action, inp.family):
         raise ConfigError("input increments leave the declared value family")
 
-    selection = select_core_and_conjugate(inp)
-    z0, h, delta = selection.z0, selection.h, inp.delta
-
+    z0, h, delta = inp.selection.z0, inp.selection.h, inp.delta
     partition = fingerprint_partition(f, z0, inp.n, mu)
 
     floor = max(inp.n + 1, f.depth, inp.target.max_depth, z0.max_depth)
@@ -373,10 +367,9 @@ def construct_step(inp: StepInput) -> StepOutput:
     tau, b_set = discard_set(inp, m, hull)
     depth = m + tau.depth
     f_tilde = assemble_update(f, h, tau, b_set, depth)
-    theta, core = build_transfer(z0, b_set, tau, depth)
+    theta = build_transfer(b_set, tau, depth)
 
-    check = validate_step_output(
-        inp, StepArtifacts(f_tilde, theta, core, m, h, delta))
+    check = validate_step_output(inp, StepArtifacts(f_tilde, theta, m, delta))
     if not check.verdicts()["core_mass"]:
         raise EmptyCore(
             f"core mass {check.core_mass} does not exceed delta * target mass "
@@ -384,19 +377,17 @@ def construct_step(inp: StepInput) -> StepOutput:
             f"this target")
 
     by_clause = {c.clause: c for c in _certify(
-        inp, selection, partition, hull, tau, theta, check.core_mass, m)
+        inp, partition, hull, tau, theta, check.core_mass, m)
         + check.step_certificates()}
     certificates = tuple(by_clause[clause] for clause in CERTIFICATE_ORDER)
     for cert in certificates:
         if not cert.ok:
             raise PostconditionFailure(cert.clause, cert.detail)
-    return StepOutput(f_tilde, theta, core, m, h, delta, z0, b_set,
-                      certificates, check)
+    return StepOutput(f_tilde, theta, m, delta, b_set, certificates, check)
 
 
-def _certify(inp: StepInput, selection: CoreSelection,
-             partition: tuple[CylinderSet, ...], hull: CylinderSet,
-             tau: FiniteDepthMap, theta: FiniteDepthMap,
+def _certify(inp: StepInput, partition: tuple[CylinderSet, ...],
+             hull: CylinderSet, tau: FiniteDepthMap, theta: FiniteDepthMap,
              core_mass: Fraction, m: int) -> tuple[Certificate, ...]:
     """The construction clauses: those that read the construction's
     intermediates, which :func:`validate_step_output` never sees."""
@@ -410,8 +401,8 @@ def _certify(inp: StepInput, selection: CoreSelection,
         f"product {distortion * eps_prime} <= {eps}"))
 
     certs.append(Certificate(
-        "core_selection", selection.mass * number >= inp.target_mass,
-        f"selected share {selection.mass} of {inp.target_mass} "
+        "core_selection", inp.selection.mass * number >= inp.target_mass,
+        f"selected share {inp.selection.mass} of {inp.target_mass} "
         f"with covering number {number}"))
 
     hull_mass = hull.measure(mu)
@@ -445,7 +436,7 @@ def _certify(inp: StepInput, selection: CoreSelection,
 
     worst_move = worst_deviation(mu.level_masses(theta.depth)[0],
                                  range(len(theta.table)), theta.table)
-    labels = _masked_labels(f, selection.z0, theta.depth)
+    labels = _masked_labels(f, inp.selection.z0, theta.depth)
     worst_print = sum(map(ne, labels, map(labels.__getitem__, theta.table)))
     certs.append(Certificate(
         "transfer_derivative", worst_move < 3 * eps,
@@ -455,9 +446,9 @@ def _certify(inp: StepInput, selection: CoreSelection,
         f"{worst_print} moved words change their masked value"))
 
     certs.append(Certificate(
-        "core_half_ledger", core_mass > selection.mass / 2 - 10 * eps,
+        "core_half_ledger", core_mass > inp.selection.mass / 2 - 10 * eps,
         f"core mass {core_mass} vs selected share/2 - 10 eps "
-        f"{selection.mass / 2 - 10 * eps}"))
+        f"{inp.selection.mass / 2 - 10 * eps}"))
     return tuple(certs)
 
 
@@ -473,23 +464,27 @@ def _masked_labels(f: StepFunction, z0: CylinderSet, depth: int) -> list[str]:
 def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     """The step's shared clauses (and delta's covering number) from the
     input and the artifact slice `out` alone (a :class:`StepOutput` is
-    one).  :func:`construct_step` runs it once on its finished
-    artifacts, certification on artifacts rebuilt from a report."""
+    one), on the core they fix: the z0 words the pairing moves up.
+    :func:`construct_step` runs it on its finished artifacts, certify
+    on artifacts rebuilt from a report."""
     f, mu, action, eps = inp.f, inp.mu, inp.action, inp.eps
     model = f.model
-    f_tilde, theta, core, m, h = out.f_tilde, out.theta, out.core, out.m, out.h
+    f_tilde, theta, m, h = out.f_tilde, out.theta, out.m, inp.selection.h
 
     over = orbit_overflow(action, m)
     overflow = over.measure(mu)
     enlarged = conjugate_closure(model, tuple(inp.family) + (h, model.inv(h)))
+    depth = f_tilde.depth
+    table = theta.index_map(depth)
+    core = CylinderSet.from_indices(depth, [
+        i for i in inp.selection.z0.indices(depth) if table[i] > i])
     witness = validate_witness(f_tilde, inp.target, inp.targets, out.delta, mu,
                                core, theta)
     misses, worst = witness.misses, witness.worst
     # at the working depth the core and its image are unions of whole
     # cylinders, and a canonical set holds a whole cylinder exactly when
     # its membership table marks it, so disjointness is a table lookup
-    depth = f_tilde.depth
-    table, in_core = theta.index_map(depth), core.mask(depth)
+    in_core = core.mask(depth)
     core_mass, bound = core.measure(mu), out.delta * inp.target_mass
 
     agreement = increment_agreement(f, f_tilde, action)
@@ -534,7 +529,7 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
                      f"increment distance at most {distance} < {eps}",
                      f"distance at most {distance} < {eps}"),
     }
-    return StepCheck(inp=inp, delta=out.delta, witness=witness,
+    return StepCheck(inp=inp, delta=out.delta, core=core, witness=witness,
                      core_mass=core_mass, agreement=agreement,
                      agreement_mass=agreement_mass, distance=distance,
                      clauses=clauses)

@@ -196,7 +196,7 @@ def test_a3_witnesses_revalidate(step_outputs, flips_run, z3_run):
         model = inp.f.model
         targets = target_set(model, inp.candidate, inp.u_index)
         check = validate_witness(out.f_tilde, inp.target, targets, out.delta,
-                                 inp.mu, out.core, out.theta)
+                                 inp.mu, out.check.core, out.theta)
         assert check.ok, (tag, check.clause, check.detail)
         checked += 1
     # recursion rounds, replayed from the stored artifacts alone

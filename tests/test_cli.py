@@ -338,7 +338,6 @@ MALFORMED = {
     "record-list": lambda rs: rs.__setitem__(2, list(rs[2].items())),
     "table-key": lambda rs: _rename_first_key(_round_table(rs), "0x1"),
     "empty-table": lambda rs: _round_table(rs).clear(),
-    "core-word": lambda rs: rs[1]["witness"].update(core=["0x0"]),
     "element-label": lambda rs: _round_table(rs).update(
         {sorted(_round_table(rs))[0]: "7"}),
     "negative-label": lambda rs: _round_table(rs).update(
@@ -440,6 +439,25 @@ class TestMalformedReport:
             "error": "MalformedInput",
             "message": "a function table must hold the words of one depth "
                        f"(table lacks the word {'0' * 59 + '1'!r})"}
+
+    # certify rebuilds a round's core and compares the stored words with
+    # it, so a malformed core word fails as a differing field; export
+    # reads the stored core, so there it is malformed input
+    @pytest.mark.parametrize("command, key, value", [
+        ("certify", "clause", "witness.core"),
+        ("export", "error", "MalformedInput")], ids=["certify", "export"])
+    def test_malformed_core_word(self, command, key, value, report_lines,
+                                 tmp_path, capsys):
+        records = [json.loads(line) for line in report_lines]
+        records[1]["witness"]["core"] = ["0x0"]
+        path = tmp_path / "report.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rc, out, err = run_cli(capsys, command, str(path),
+                               *(["--out", str(tmp_path / "csv")]
+                                 if command == "export" else []))
+        assert rc == 1 and out == ""
+        [line] = err.splitlines()
+        assert json.loads(line)[key] == value
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SUM_Z))
     def test_sum_z_certify_reports_an_error_record(self, case, sum_z_lines,

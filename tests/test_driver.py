@@ -276,7 +276,8 @@ def test_deep_adding_second_refinement():
     eps, _ = driver.round_eps(config, triple, [r])
     assert eps == Fraction(7, 640)
     f = driver._parse_table(config.model, r["artifacts"]["f"])
-    inp = driver.step_input(config, action, triple, f, 9, eps)
+    inp, _ = driver.round_input(config, 2, [r], f)
+    assert (inp.n, inp.eps) == (9, eps)
     assert inp.threshold == Fraction(7, 1920)
     m, hull = stepper.choose_refinement_depth(inp, r["working_depth"])
     assert m == 19
@@ -430,7 +431,7 @@ class TestWitnessOnce:
             targets = evc.target_set(out.f_tilde.model, inp.candidate,
                                      inp.u_index)
             oracle = evc.validate_witness(out.f_tilde, inp.target, targets,
-                                          out.delta, inp.mu, out.core,
+                                          out.delta, inp.mu, out.check.core,
                                           out.theta)
             assert out.check.witness == oracle
             assert rec["conditions"]["evc_witness_ok"] == oracle.ok
@@ -438,7 +439,7 @@ class TestWitnessOnce:
             assert rec["witness"]["reserve"] == str(oracle.measure_slack / 4)
 
     @pytest.mark.parametrize("tamper", ["delta_zero", "delta_one",
-                                        "identity_theta", "core_outside"])
+                                        "identity_theta"])
     def test_failing_witness_agrees(self, tamper, monkeypatch):
         steps = []
 
@@ -451,20 +452,18 @@ class TestWitnessOnce:
         run_theorem_02i(preset("z2-flips", rounds=3))
         inp, out = steps[-1]
         assert not inp.target.is_full()
-        art = stepper.StepArtifacts(out.f_tilde, out.theta, out.core, out.m,
-                                    out.h, out.delta)
+        art = stepper.StepArtifacts(out.f_tilde, out.theta, out.m, out.delta)
         art = dataclasses.replace(art, **{
             "delta_zero": {"delta": Fraction(0)},
             "delta_one": {"delta": Fraction(1)},
             "identity_theta": {
                 "theta": FiniteDepthMap.identity(out.f_tilde.depth)},
-            "core_outside": {"core": inp.target.complement()},
         }[tamper])
+        check = stepper.validate_step_output(inp, art)
         targets = evc.target_set(art.f_tilde.model, inp.candidate, inp.u_index)
         oracle = evc.validate_witness(art.f_tilde, inp.target, targets,
-                                      art.delta, inp.mu, art.core, art.theta)
+                                      art.delta, inp.mu, check.core, art.theta)
         assert not oracle.ok
-        check = stepper.validate_step_output(inp, art)
         assert check.witness == oracle and check.witness.ok is False
 
     def test_run_validates_in_the_step_check_and_the_search(self, monkeypatch):
@@ -580,13 +579,13 @@ class TestCertifyTampering:
 
     @pytest.mark.parametrize("eps", ["0", "-1/2"])
     def test_nonpositive_eps(self, eps, flips_run):
-        # the round's discard set cannot be rebuilt: certify names the
-        # round under "validator" and does not raise
+        # certify replays the round under its rule's tolerance, so the
+        # forged one fails under "eps" alone and does not raise
         def zero(records):
             records[2]["eps"] = eps
         failures = self.tampered(flips_run, zero)
-        assert {"clause": "validator", "where": "round 2",
-                "detail": "eps must be positive"} in failures
+        assert [(f["clause"], f["where"]) for f in failures
+                if f["where"] == "round 2"] == [("eps", "round 2")]
 
     def test_norm_bounds_without_a_norm(self, flips_run, tmp_path, capsys):
         # no run over Z/2, which carries no norm, writes this record:
@@ -632,9 +631,10 @@ class TestCertifyTampering:
             image = {img for _, img in witness["moves"]}
             extra = next(w for w in witness["core"] if w)
             witness["core"] = sorted(set(witness["core"]) | image | {extra})
+        # the core is rebuilt from z0 and the pairing, and compared
         failures = self.tampered(report, pad)
-        assert self.clauses(failures) & {"core_disjoint", "evc-part-inside",
-                                         "validator"}
+        assert [(f["clause"], f["where"]) for f in failures] == [
+            ("witness.core", "round 1")]
 
     def test_schedule_swap(self, flips_run):
         report = flips_run
@@ -959,6 +959,26 @@ class TestCertifyTampering:
         failures = self.tampered(flips_run, flip)
         assert [(f["clause"], f["where"]) for f in failures] == [
             ("witness.core", "round 2")]
+
+    @pytest.fixture(scope="class")
+    def conjugate_reports(self):
+        return {"run": run_theorem_02i(preset("z3-flips", rounds=2)),
+                "norm-bounded": norm_bounded_pipeline(
+                    preset("sum-z", rounds=2))}
+
+    @pytest.mark.parametrize("command", ["run", "norm-bounded"])
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_forged_conjugate(self, command, index, conjugate_reports):
+        # the conjugate is the step input's selection, which certify
+        # rebuilds: another member of the closure fails under "conjugate"
+        def forge(records):
+            closure = records[0]["closure"]
+            rec = [r for r in records if r["record"] == "round"][index]
+            rec["conjugate"] = next(h for h in closure
+                                    if h != rec["conjugate"])
+        failures = self.tampered(conjugate_reports[command], forge)
+        assert [(f["clause"], f["where"]) for f in failures] == [
+            ("conjugate", f"round {index + 1}")]
 
 
 # a two-round report of each pipeline on its preset

@@ -23,10 +23,9 @@ from cocyclelab.odometer import (FiniteDepthMap, adding_machine_action,
 from cocyclelab.stepper import (CERTIFICATE_ORDER, StepArtifacts, StepInput,
                                 construct_step, discard_set,
                                 fingerprint_partition, overflow_hull,
-                                select_core_and_conjugate,
                                 validate_step_output)
-from word_oracles import (apply_piece, covers, image_of, pieces, step_at,
-                          words_at)
+from word_oracles import (apply_piece, covers, image_of, map_apply, pieces,
+                          step_at, words_at)
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -100,12 +99,12 @@ class TestReferenceCase:
         out = construct_step(inp)
         assert out.m == 6
         assert out.f_tilde.depth == 7
-        assert out.h == 1
+        assert inp.selection.h == 1
         assert out.delta == Fraction(1, 3)
         assert inp.eps_prime == Fraction(1, 8)
         assert overflow_hull(inp.action, inp.n,
                              out.m).measure(inp.mu) == Fraction(1, 16)
-        assert out.core.measure(inp.mu) == Fraction(15, 32)
+        assert out.check.core.measure(inp.mu) == Fraction(15, 32)
         assert all(c.ok for c in out.certificates)
         # eps = 1/4 deliberately exceeds the mass/(40 covering) admission
         # bound; the certificate records this without failing the step
@@ -139,7 +138,7 @@ class TestReferenceCase:
         a_set = CylinderSet.from_indices(tau.depth, up).prepend_free(out.m)
         c_set = CylinderSet.from_indices(tau.depth, down).prepend_free(out.m)
         assert on == c_set.difference(b_set)
-        assert out.core.difference(a_set).is_empty()
+        assert out.check.core.difference(a_set).is_empty()
 
     def test_idempotent(self):
         inp = reference_input()
@@ -201,12 +200,21 @@ class TestVariants:
         out = construct_step(inp)
         assert out.m == m
         assert out.f_tilde.depth == depth
-        assert inp.f.model.format(out.h) == h
+        assert inp.f.model.format(inp.selection.h) == h
         assert out.delta == delta
-        assert out.core.measure(inp.mu) == core
+        assert out.check.core.measure(inp.mu) == core
         assert all(c.ok for c in out.certificates)
         assert all(c.ok for c in
                    validate_step_output(inp, out).validator_certificates())
+
+    @pytest.mark.parametrize("inp", [v[1] for v in VARIANTS],
+                             ids=[v[0] for v in VARIANTS])
+    def test_core_is_the_z0_words_moved_later(self, inp):
+        out = construct_step(inp)
+        depth = out.f_tilde.depth
+        later = [w for w in all_words(depth) if covers(inp.selection.z0, w)
+                 and map_apply(out.theta, w) > w]
+        assert words_at(out.check.core, depth) == later
 
     @pytest.mark.parametrize(
         "tag,inp,m,depth,h,delta,core", VARIANTS[:2],
@@ -275,9 +283,36 @@ def _lift_top_word(out):
         out, f_tilde=StepFunction(Z2, out.f_tilde.depth, values))
 
 
+def _pairing(out, pairs):
+    # the core follows from the pairing: the z0 words it moves up
+    return dataclasses.replace(out, theta=FiniteDepthMap.from_pairs(
+        out.f_tilde.depth, pairs))
+
+
 def _first_core_word(out):
-    return dataclasses.replace(out, core=CylinderSet.of(
-        words_at(out.core, out.f_tilde.depth)[:1]))
+    # a pairing that moves the first core word alone
+    first = out.check.core.indices(out.f_tilde.depth)[0]
+    return _pairing(out, [(first, out.theta.table[first])])
+
+
+def _core_onto_core(out):
+    # each core word paired with the next, where the update is the same
+    core = out.check.core.indices(out.f_tilde.depth)
+    return _pairing(out, zip(core[::2], core[1::2]))
+
+
+def _three_cycle(out):
+    # the words 0 -> 1 -> 2 -> 0: the core holds 0 and 1, its image 1 and 2
+    depth = out.f_tilde.depth
+    return dataclasses.replace(out, theta=FiniteDepthMap(
+        depth, (1, 2, 0) + tuple(range(3, 1 << depth))))
+
+
+def _first_z0_word_onto_the_last_word(out):
+    # the last word lies outside the target ["0", "10"]
+    depth = out.f_tilde.depth
+    first = out.check.inp.selection.z0.indices(depth)[0]
+    return _pairing(out, [(first, (1 << depth) - 1)])
 
 
 # (clause, input, tampering of the constructed output); each tampering
@@ -286,15 +321,13 @@ TAMPERED = [
     ("overflow_small", reference_input(),
      lambda out: dataclasses.replace(out, m=1)),
     ("inner", reference_input(), _lift_top_word),
-    ("incremental", VARIANTS[2][1],  # Z4: h = 0 shrinks the enlarged family
-     lambda out: dataclasses.replace(out, h=0)),
-    ("core_inside", VARIANTS[5][1],
-     lambda out: dataclasses.replace(
-         out, core=out.core.union(CylinderSet.of(["11"])))),
+    ("incremental", VARIANTS[0][1],  # S3: a 3-cycle leaves the transpositions
+     lambda out: dataclasses.replace(out, f_tilde=right_translate_on(
+         out.f_tilde, CylinderSet.of(["0001"]), S3.parse("r")))),
+    ("core_inside", VARIANTS[5][1], _first_z0_word_onto_the_last_word),
+    ("core_disjoint", reference_input(), _three_cycle),
     ("core_mass", reference_input(), _first_core_word),
-    ("core_membership", reference_input(),
-     lambda out: dataclasses.replace(
-         out, theta=FiniteDepthMap.identity(out.f_tilde.depth))),
+    ("core_membership", reference_input(), _core_onto_core),
     ("core_derivative", VARIANTS[1][1],  # biased measure, first-coordinate flip
      lambda out: dataclasses.replace(out, theta=FiniteDepthMap.from_pairs(
          1, [(0, 1)]))),
@@ -313,13 +346,6 @@ class TestValidatorIndependence:
         out = dataclasses.replace(construct_step(inp), delta=Fraction(1, 2))
         bad = failing_clauses(inp, out)
         assert "delta_consistency" in bad
-
-    def test_tampered_core(self):
-        inp = reference_input()
-        out = construct_step(inp)
-        out = dataclasses.replace(out, core=CylinderSet.full())
-        bad = failing_clauses(inp, out)
-        assert "core_disjoint" in bad
 
     def test_tampered_update(self):
         inp = reference_input()
@@ -364,8 +390,7 @@ class TestSharedCheck:
     def test_artifact_slice_is_enough(self):
         inp = reference_input()
         out = construct_step(inp)
-        art = StepArtifacts(out.f_tilde, out.theta, out.core, out.m, out.h,
-                            out.delta)
+        art = StepArtifacts(out.f_tilde, out.theta, out.m, out.delta)
         assert isinstance(out, StepArtifacts)
         assert validate_step_output(inp, art) == validate_step_output(inp, out)
 
@@ -391,20 +416,17 @@ class TestCoreTables:
     def test_match_set_operations(self, data):
         inp, out = reference_step()
         depth = out.f_tilde.depth
-        # targets may be deeper than the working depth, cores may not
+        # the core is the part of z0, a part of the target, that the
+        # pairing moves up, listed at the working depth, so the target
+        # may not be deeper
         target = data.draw(st.one_of(st.just(CylinderSet.full()),
-                                     cylinder_sets(depth + 2)))
-        core = data.draw(cylinder_sets(depth))
-        if data.draw(st.booleans()):
-            inside = core.intersection(target)
-            if inside.max_depth <= depth:
-                core = inside
+                                     cylinder_sets(depth)))
         theta_depth = data.draw(st.integers(0, min(depth, 4)))
         theta = FiniteDepthMap(theta_depth, tuple(data.draw(
             st.permutations(range(1 << theta_depth)))))
         check = validate_step_output(dataclasses.replace(inp, target=target),
-                                     dataclasses.replace(out, core=core,
-                                                         theta=theta))
+                                     dataclasses.replace(out, theta=theta))
+        core = check.core
         image = image_of(theta, core)
         assert check.witness.part_inside == core.difference(target).is_empty()
         assert (check.witness.image_inside
@@ -441,15 +463,14 @@ class TestDerivativeBoundary:
     def construction_clauses(eps):
         inp = VARIANTS[1][1]
         out = construct_step(inp)
-        selection = select_core_and_conjugate(inp)
         flip = FiniteDepthMap.from_pairs(1, [(0, 1)])
         theta = FiniteDepthMap(out.f_tilde.depth,
                                flip.index_map(out.f_tilde.depth))
         certificates = stepper._certify(
-            dataclasses.replace(inp, eps=eps), selection,
-            fingerprint_partition(inp.f, selection.z0, inp.n, inp.mu),
+            dataclasses.replace(inp, eps=eps),
+            fingerprint_partition(inp.f, inp.selection.z0, inp.n, inp.mu),
             overflow_hull(inp.action, inp.n, out.m), flip,
-            theta, out.core.measure(inp.mu), out.m)
+            theta, out.check.core.measure(inp.mu), out.m)
         return {c.clause: c for c in certificates}
 
     @pytest.mark.parametrize("eps,ok", [
