@@ -42,9 +42,9 @@ from .groups import (GroupModel, closure_norm_bound, conjugate_closure,
 from .measure import ZERO, CylinderSet, ProductMeasure, all_words, kept
 from .odometer import (FiniteDepthMap, Flip, GammaAction,
                        adding_machine_action, flip_action)
-from .stepper import (CERTIFICATE_ORDER, StepArtifacts, StepCheck, StepInput,
+from .stepper import (ADMISSION_FACTOR, StepArtifacts, StepCheck, StepInput,
                       StepOutput, admission_bound, construct_step,
-                      discard_set, overflow_hull, validate_step_output)
+                      validate_step_output)
 
 SCHEDULE_SHRINK = Fraction(7, 8)  # makes the halving strict
 
@@ -497,18 +497,17 @@ def _change_sets(action: GammaAction, agreement: Mapping[str, CylinderSet]
 
 def _round_record(config: PipelineConfig, t: int, rule: dict,
                   step: StepArtifacts, check: StepCheck,
-                  b_set: CylinderSet, given: Mapping) -> dict:
+                  given: Mapping) -> dict:
     """Round t's record, the one writer of a round record's fields, from
-    its tolerance rule, artifacts, step check and discard set (the
-    conjugate and z0 are the input's selection).  `given` holds the
-    construction certificates by
-    clause (the shared ones are taken from `check`) and, by section, what
-    a run renders or searches and certify reads back: the table
-    `artifacts.f`, the witness's `core` and `moves` and
+    its tolerance rule, artifacts and step check (the conjugate and z0
+    are the input's selection, the discard set its `discard` at the
+    step's level).  The certificate and validator lists are the check's
+    clause table, each clause in the lists that word it.  `given` holds,
+    by section, what a run renders or searches and certify reads back:
+    the table `artifacts.f`, the witness's `core` and `moves` and
     `conditions.evc_search` (see `run_round`)."""
     inp, verdicts, f = check.inp, check.verdicts(), step.f_tilde
-    certificates = {**given["certificates"], **{
-        c.clause: c.to_mapping() for c in check.step_certificates()}}
+    admission = admission_bound(inp.target_mass, inp.cover.number)
     return {
         "record": "round",
         "round": t,
@@ -521,10 +520,16 @@ def _round_record(config: PipelineConfig, t: int, rule: dict,
         "eps_prime": _frac(inp.eps_prime),
         "delta": _frac(step.delta),
         "conjugate": config.model.format(inp.selection.h),
-        "admission": check.admission().to_mapping(),
-        "certificates": [certificates[clause] for clause in CERTIFICATE_ORDER
-                         if clause in certificates],
-        "validator": [c.to_mapping() for c in check.validator_certificates()],
+        "admission": {"clause": "admission", "ok": inp.eps <= admission,
+                      "detail": f"eps = {inp.eps} vs target mass/"
+                                f"({ADMISSION_FACTOR} covering) = {admission} "
+                                f"(advisory)"},
+        "certificates": [{"clause": clause, "ok": ok, "detail": wording}
+                         for clause, (ok, wording, _) in check.clauses.items()
+                         if wording is not None],
+        "validator": [{"clause": clause, "ok": ok, "detail": wording}
+                      for clause, (ok, _, wording) in check.clauses.items()
+                      if wording is not None],
         "conditions": {
             **given.get("conditions", {}),
             "inner": verdicts["inner"],
@@ -545,7 +550,7 @@ def _round_record(config: PipelineConfig, t: int, rule: dict,
                                       for k, v in _change_sets(
                                           inp.action, check.agreement).items()},
                       "z0": list(inp.selection.z0.words),
-                      "b_set": list(b_set.words)},
+                      "b_set": list(inp.discard(step.m)[1].words)},
     }
 
 
@@ -588,7 +593,7 @@ def run_round(config: PipelineConfig, t: int, rounds: Sequence[dict],
     working depth 19 they take about as long as the step)."""
     inp, rule = round_input(config, t, rounds, f)
     out = construct_step(inp)
-    given = {"certificates": {c.clause: c.to_mapping() for c in out.certificates}}
+    given: dict = {}
     if searched:
         try:
             fresh = check_evc(out.f_tilde, inp.target, inp.targets, inp.delta,
@@ -601,8 +606,7 @@ def run_round(config: PipelineConfig, t: int, rounds: Sequence[dict],
                      witness={"core": list(out.check.core.words),
                               "moves": out.theta.word_moves()},
                      artifacts={"f": _function_table(out.f_tilde)})
-    return _round_record(config, t, rule, out, out.check, out.b_set,
-                         given), out
+    return _round_record(config, t, rule, out, out.check, given), out
 
 
 def _run_recursion(config: PipelineConfig,
@@ -954,13 +958,15 @@ def _search_problem(stored, delta: Fraction,
 
 
 def _round_fields(record: Mapping) -> dict:
-    """A round's fields by name: ``section.field``, ``certificates.<clause>``."""
+    """A round's fields by name: ``section.field``,
+    ``certificates.<clause>``, and ``certificates``, the clause order."""
     fields = dict(record)
     for key in _SECTIONS:
         section = fields.pop(key, {})
         fields.update(zip(map(f"{key}.".__add__, section), section.values()))
-    fields.update((f"certificates.{c.get('clause')}", c)
-                  for c in fields.pop("certificates", ()))
+    certificates = fields.pop("certificates", ())
+    fields.update((f"certificates.{c.get('clause')}", c) for c in certificates)
+    fields["certificates"] = [c.get("clause") for c in certificates]
     return fields
 
 
@@ -1058,12 +1064,8 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
         # malformed; one stored as another type differs from the rebuilt
         int(rec["round"])
         m = int(rec["refined_level"])
-        # the stored certificate list: the step's clauses in its order,
-        # each held (the shared ones are also recomputed below)
-        certificates = rec.get("certificates", ())
-        if [c.get("clause") for c in certificates] != list(CERTIFICATE_ORDER):
-            fail("certificates", where, "clauses differ from the step's list")
-        # a run writes only certificates and validator entries that hold
+        # a run writes only certificates and validator entries that hold;
+        # ``ok: 1`` equals the rebuilt ``true``, so this is checked apart
         for section in ("certificates", "validator"):
             for c in rec.get(section, ()):
                 if c.get("ok") is not True:
@@ -1088,7 +1090,12 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
             theta = FiniteDepthMap.from_moves(f.depth, moves)
             replay = StepArtifacts(f, theta, m, delta)
             check = validate_step_output(inp, replay)
-            _, b_set = discard_set(inp, m, overflow_hull(inp.action, inp.n, m))
+            # what is checked below as a run writes it is passed through;
+            # a level the step never chooses has no discard set
+            rebuilt = _round_record(config, t, rule, replay, check, {
+                "conditions": {"evc_search": evc_search},
+                "witness": {"core": list(check.core.words), "moves": moves},
+                "artifacts": {"f": table}})
         except CocycleLabError as exc:
             fail("validator", where, str(exc))
         else:
@@ -1101,15 +1108,9 @@ def _certify_rounds(config: PipelineConfig, rounds: Sequence[dict],
             if not (all(map(lt, moves, islice(moves, 1, None)))
                     and len(moves) == sum(map(ne, theta.table, count()))):
                 fail("witness.moves", where, "not the map's moves in word order")
-            # what was checked above as a run writes it is passed through
-            rebuilt = _round_record(config, t, rule, replay, check, b_set, {
-                "certificates": {c.get("clause"): c for c in certificates},
-                "conditions": {"evc_search": evc_search},
-                "witness": {"core": list(check.core.words), "moves": moves},
-                "artifacts": {"f": table}})
-            for c in rebuilt["validator"]:
-                if not c["ok"]:
-                    fail(c["clause"], where, c["detail"])
+            for clause, (ok, step, validator) in check.clauses.items():
+                if not ok:
+                    fail(clause, where, validator or step)
             for clause, detail in _differences(rec, rebuilt):
                 fail(clause, where, detail)
             if not check.witness.ok:

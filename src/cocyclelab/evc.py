@@ -45,13 +45,12 @@ def delta_for(model: GroupModel, g: Element, u_index: int) -> tuple[Fraction, Co
 class WitnessValidation:
     """The first clause a candidate witness fails (None when it holds),
     and the numbers behind every clause, computed whatever the verdict:
-    whether the part and its image lie in the base, the measure slack
+    whether the part's image lies in the base, the measure slack
     mu(B) - delta mu(A), the number of part words whose kernel value
     misses the target set, and the worst derivative deviation."""
 
     clause: Optional[str]
     detail: Optional[str]
-    part_inside: bool
     image_inside: bool
     measure_slack: Fraction
     misses: int
@@ -121,8 +120,8 @@ def validate_witness(f: StepFunction, base: CylinderSet,
 
     def verdict(clause: Optional[str] = None,
                 detail: Optional[str] = None) -> WitnessValidation:
-        return WitnessValidation(clause, detail, part_inside, image_inside,
-                                 mass - need, misses, worst)
+        return WitnessValidation(clause, detail, image_inside, mass - need,
+                                 misses, worst)
 
     if not part_inside:
         return verdict("part-inside", "B is not contained in A")

@@ -17,7 +17,13 @@ certificate bundle:
       core;
   (d) the per-generator increments of the update agree with those of
       the input outside a set of measure below eps, and the two
-      increment families are eps-close in the exact weighted distance.
+      increment families are eps-close in the exact weighted distance;
+
+beside the clauses about the construction's intermediates (tolerances,
+core selection, hull, partition, exchange, pairing).  One function,
+:func:`validate_step_output`, computes every clause from the input,
+what the input derives and the step's artifacts; the step runs it on
+its own output, and certify on the artifacts a report stores.
 
 All arithmetic is rational and every tie-break is fixed, so identical
 inputs produce identical outputs.
@@ -32,11 +38,11 @@ from typing import Mapping, Optional
 
 from .cocycles import (StepFunction, cocycle_distance, increment_agreement,
                        increments_within, trivial_on_overflow)
-from .errors import (ConfigError, DepthExhausted, EmptyCore,
-                     PostconditionFailure)
+from .errors import (BudgetExhausted, ConfigError, DepthExhausted,
+                     EmptyCore, PostconditionFailure)
 from .evc import WitnessValidation, delta_for, target_set, validate_witness
 from .groups import Cover, Element, conjugate_closure
-from .measure import CylinderSet, ProductMeasure, worst_deviation
+from .measure import CylinderSet, ProductMeasure, kept, worst_deviation
 from .odometer import (FiniteDepthMap, GammaAction, exchange_involution,
                        orbit_overflow)
 
@@ -48,18 +54,6 @@ def admission_bound(target_mass: Fraction, cover_number: int) -> Fraction:
     """The largest tolerance the step admits for a target of the given
     mass: target mass / (ADMISSION_FACTOR * covering number)."""
     return target_mass / (ADMISSION_FACTOR * cover_number)
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """One checked inequality or identity, with its exact numbers."""
-
-    clause: str
-    ok: bool
-    detail: str
-
-    def to_mapping(self) -> dict:
-        return {"clause": self.clause, "ok": self.ok, "detail": self.detail}
 
 
 @dataclass(frozen=True)
@@ -155,17 +149,74 @@ class StepInput:
         assert best is not None  # cover.centers is never empty
         return best
 
+    @cached_property
+    def partition(self) -> tuple[CylinderSet, ...]:
+        """The fingerprint partition: suffix words grouped by the
+        multiset of (masked value, prefix weight) pairs their prefix
+        column produces, the masked value being f's off z0 (see
+        `_masked_labels`) and the prefix weight its mass numerator at
+        level n.  The classes are sets of suffix words (the coordinates
+        beyond n), ordered by their mass under the shifted measure, then
+        by least member."""
+        z0, n, mu = self.selection.z0, self.n, self.mu
+        depth = max(self.f.depth, z0.max_depth, n)
+        suffix_depth = depth - n
+        labels = _masked_labels(self.f, z0, depth)
+        weights = mu.level_masses(n)[0]
+        # the column of suffix w holds the indices t * stride + w, t a prefix
+        stride = 1 << suffix_depth
+        groups: dict[tuple, list[int]] = {}
+        for w in range(stride):
+            column = sorted(zip(labels[w::stride], weights))
+            groups.setdefault(tuple(column), []).append(w)
+        suffix_mu = mu.shift(n)
+        parts = [CylinderSet.from_indices(suffix_depth, words)
+                 for words in groups.values()]
+        parts.sort(key=lambda part: (-part.measure(suffix_mu), part.words[0]))
+        return tuple(parts)
+
+    @kept
+    def hull(self, m: int) -> CylinderSet:
+        """The level-m orbit-overflow hull, saturated over the first n
+        coordinates."""
+        return orbit_overflow(self.action, m).saturate(self.n)
+
+    @kept
+    def discard(self, m: int) -> tuple[FiniteDepthMap, CylinderSet]:
+        """The suffix involution tau and the discard set b at refinement
+        level m.
+
+        tau pairs the coordinates beyond m against themselves, with
+        derivative within eps and unpaired mass below what the level-m
+        hull leaves of the threshold.  b is the hull united with tau's
+        fixed points, the unpaired remainder, freed over the first m
+        coordinates.  A level that leaves no coordinates beyond it, or
+        none of the threshold, has neither: :class:`DepthExhausted`."""
+        if self.depth_budget <= m:
+            raise DepthExhausted(f"no coordinates left beyond level {m} "
+                                 f"within depth {self.depth_budget}")
+        hull = self.hull(m)
+        room = self.threshold - hull.measure(self.mu)
+        if room <= 0:
+            raise DepthExhausted(f"the level-{m} overflow hull leaves none "
+                                 f"of the threshold {self.threshold}")
+        tau = exchange_involution(self.mu.shift(m), self.eps,
+                                  self.depth_budget - m, room)
+        fixed = CylinderSet.from_indices(
+            tau.depth, [s for s, t in enumerate(tau.table) if s == t])
+        return tau, hull.union(fixed.prepend_free(m))
+
 
 @dataclass(frozen=True)
 class StepArtifacts:
     """The slice of a step's output that :func:`validate_step_output`
-    reads: what the construction chooses beyond its input (the update,
-    the pairing and the refinement level) and delta.  The working depth
-    is the update's depth; the conjugate and z0 are the input's
-    `selection`, and the core follows from z0 and the pairing.  The
-    construction's intermediates (the partition, the refinement, the
-    involution, the discard set) are not part of it, so the check cannot
-    depend on them; :class:`StepOutput` adds the one a report records."""
+    reads beside the input: what the construction chooses beyond its
+    input (the update, the pairing and the refinement level) and delta.
+    The working depth is the update's depth; the conjugate and z0 are
+    the input's `selection`, and the core follows from z0 and the
+    pairing.  The construction's intermediates (the partition, the hull,
+    the involution, the discard set) are derived from the input and the
+    level, and kept on the input, so the check reads them from there."""
 
     f_tilde: StepFunction
     theta: FiniteDepthMap
@@ -175,27 +226,29 @@ class StepArtifacts:
 
 @dataclass(frozen=True)
 class StepCheck:
-    """What :func:`validate_step_output` computes.  ``clauses`` maps each
-    shared clause (overflow_small through distance), in the step's
-    order, to its verdict and its wordings in the step's and the
-    validator's lists, which are views of it.  ``inp`` fixes eps, the
-    required delta and the target mass; ``core`` is the part of the
-    input's z0 that the pairing moves to a later word; ``witness`` is
-    :func:`evc.validate_witness` on the core and the pairing at delta;
-    ``agreement`` holds each generator's agreement set, by label."""
+    """What :func:`validate_step_output` computes.  ``clauses`` maps
+    each clause, in report order, to its verdict, its wording in the
+    step's certificate list and its wording in the validator's list,
+    either None where the clause is not in that list: delta_consistency
+    is the validator's alone, the ten construction clauses are the
+    step's alone, and the ten shared ones are in both.  ``inp`` fixes
+    eps, the required delta and the target mass; ``core`` is the part
+    of the input's z0 that the pairing moves to a later word;
+    ``witness`` is :func:`evc.validate_witness` on the core and the
+    pairing at delta; ``agreement`` holds each generator's agreement
+    set, by label."""
 
     inp: StepInput
-    delta: Fraction
     core: CylinderSet
     witness: WitnessValidation
     core_mass: Fraction
     agreement: Mapping[str, CylinderSet]
     agreement_mass: Fraction
     distance: Fraction
-    clauses: Mapping[str, tuple[bool, str, str]]
+    clauses: Mapping[str, tuple[bool, Optional[str], Optional[str]]]
 
     def verdicts(self) -> dict[str, bool]:
-        """Clause name -> verdict for the ten shared clauses."""
+        """Clause name -> verdict, for every clause."""
         return {clause: ok for clause, (ok, _, _) in self.clauses.items()}
 
     @property
@@ -205,116 +258,27 @@ class StepCheck:
         image costs twice the mass, and half the slack is kept spare."""
         return self.witness.measure_slack / 4
 
-    def admission(self) -> Certificate:
-        """The advisory admission clause: eps within the admission bound."""
-        bound = admission_bound(self.inp.target_mass, self.inp.cover.number)
-        return Certificate(
-            "admission", self.inp.eps <= bound,
-            f"eps = {self.inp.eps} vs target mass/({ADMISSION_FACTOR} covering) = "
-            f"{bound} (advisory)")
-
-    def step_certificates(self) -> tuple[Certificate, ...]:
-        """The shared clauses as worded in the step's certificate list."""
-        return tuple(Certificate(clause, ok, step)
-                     for clause, (ok, step, _) in self.clauses.items())
-
-    def validator_certificates(self) -> tuple[Certificate, ...]:
-        """Delta consistency, then the shared clauses as worded in the
-        validator's list."""
-        delta = Certificate(
-            "delta_consistency", self.delta == self.inp.delta,
-            f"delta {self.delta} vs 1/(3 * {self.inp.cover.number})")
-        return (delta,) + tuple(Certificate(clause, ok, validator)
-                                for clause, (ok, _, validator)
-                                in self.clauses.items())
-
-
-# clause order of the step's certificate list, which reports store as is
-CERTIFICATE_ORDER = (
-    "eps_prime", "core_selection", "saturation_mass", "partition_defect",
-    "conditional_uniformity", "suffix_derivative", "class_stability",
-    "overflow_small", "inner", "incremental", "transfer_derivative",
-    "transfer_fingerprint", "core_inside", "core_disjoint", "core_mass",
-    "core_membership", "core_derivative", "agreement", "distance",
-    "core_half_ledger")
-
 
 @dataclass(frozen=True)
 class StepOutput(StepArtifacts):
-    """The step's artifacts, the discard set b that its report records,
-    and its certificates.  ``check`` holds the core and the exact
-    numbers behind the shared clauses, among them the per-generator
-    agreement sets, the agreement measure and the distance bound."""
+    """The step's artifacts and its check, which holds the core, every
+    clause and the exact numbers behind the shared ones, among them the
+    per-generator agreement sets, the agreement measure and the
+    distance bound.  The discard set b that a report records is the
+    input's `discard` at level m."""
 
-    b_set: CylinderSet
-    certificates: tuple[Certificate, ...]
     check: StepCheck
 
 
-def fingerprint_partition(f: StepFunction, z0: CylinderSet, n: int,
-                          mu: ProductMeasure) -> tuple[CylinderSet, ...]:
-    """Group suffix words by the multiset of (masked value, prefix
-    weight) pairs their prefix column produces, the masked value being
-    f's off `z0` (see `_masked_labels`) and the prefix weight its mass
-    numerator at level n.  The classes are sets of suffix words (the
-    coordinates beyond n), ordered by their mass under the shifted
-    measure, then by least member."""
-    depth = max(f.depth, z0.max_depth, n)
-    suffix_depth = depth - n
-    labels = _masked_labels(f, z0, depth)
-    weights = mu.level_masses(n)[0]
-    # the column of suffix w holds the indices t * stride + w, t a prefix
-    stride = 1 << suffix_depth
-    groups: dict[tuple, list[int]] = {}
-    for w in range(stride):
-        column = sorted(zip(labels[w::stride], weights))
-        groups.setdefault(tuple(column), []).append(w)
-    suffix_mu = mu.shift(n)
-    parts = [CylinderSet.from_indices(suffix_depth, words)
-             for words in groups.values()]
-    parts.sort(key=lambda part: (-part.measure(suffix_mu), part.words[0]))
-    return tuple(parts)
-
-
-def overflow_hull(action: GammaAction, n: int, m: int) -> CylinderSet:
-    """The level-m orbit-overflow hull, saturated over the first n
-    coordinates."""
-    return orbit_overflow(action, m).saturate(n)
-
-
-def choose_refinement_depth(inp: StepInput,
-                            floor: int) -> tuple[int, CylinderSet]:
+def choose_refinement_depth(inp: StepInput, floor: int) -> int:
     """The smallest refinement level m at or above `floor` whose
-    saturated orbit-overflow hull has mass below the input's threshold,
-    and that hull."""
+    saturated orbit-overflow hull has mass below the input's threshold."""
     for m in range(max(floor, inp.n + 1), inp.depth_budget + 1):
-        hull = overflow_hull(inp.action, inp.n, m)
-        if hull.measure(inp.mu) < inp.threshold:
-            return m, hull
+        if inp.hull(m).measure(inp.mu) < inp.threshold:
+            return m
     raise DepthExhausted(
         f"no refinement level within depth {inp.depth_budget} brings the "
         f"overflow hull below {inp.threshold}")
-
-
-def discard_set(inp: StepInput, m: int, hull: CylinderSet
-                ) -> tuple[FiniteDepthMap, CylinderSet]:
-    """The suffix involution tau and the discard set b.
-
-    tau pairs the coordinates beyond the refinement level m against
-    themselves, with derivative within eps and unpaired mass below what
-    the level-m overflow `hull` leaves of the threshold.  b is the hull
-    united with tau's fixed points, the unpaired remainder, freed over
-    the first m coordinates.  The step builds b here, and certification
-    rebuilds it here from a stored refinement level."""
-    if inp.depth_budget <= m:
-        raise DepthExhausted(
-            f"no coordinates left beyond level {m} within depth {inp.depth_budget}")
-    tau = exchange_involution(
-        inp.mu.shift(m), inp.eps, inp.depth_budget - m,
-        inp.threshold - hull.measure(inp.mu))
-    fixed = CylinderSet.from_indices(
-        tau.depth, [s for s, t in enumerate(tau.table) if s == t])
-    return tau, hull.union(fixed.prepend_free(m))
 
 
 # In the two functions below the suffix involution tau acts on the low
@@ -351,7 +315,7 @@ def construct_step(inp: StepInput) -> StepOutput:
     :class:`PostconditionFailure` if any exact check fails (a bug, not a
     data condition) and :class:`EmptyCore` if the core mass cannot beat
     delta times the target mass under the given eps."""
-    f, mu, action = inp.f, inp.mu, inp.action
+    f, action = inp.f, inp.action
     if not inp.target_mass > 0:
         raise ConfigError("the target set must have positive measure")
     if not trivial_on_overflow(f, orbit_overflow(action, inp.n)):
@@ -360,11 +324,9 @@ def construct_step(inp: StepInput) -> StepOutput:
         raise ConfigError("input increments leave the declared value family")
 
     z0, h, delta = inp.selection.z0, inp.selection.h, inp.delta
-    partition = fingerprint_partition(f, z0, inp.n, mu)
-
     floor = max(inp.n + 1, f.depth, inp.target.max_depth, z0.max_depth)
-    m, hull = choose_refinement_depth(inp, floor)
-    tau, b_set = discard_set(inp, m, hull)
+    m = choose_refinement_depth(inp, floor)
+    tau, b_set = inp.discard(m)
     depth = m + tau.depth
     f_tilde = assemble_update(f, h, tau, b_set, depth)
     theta = build_transfer(b_set, tau, depth)
@@ -375,81 +337,10 @@ def construct_step(inp: StepInput) -> StepOutput:
             f"core mass {check.core_mass} does not exceed delta * target mass "
             f"{delta * inp.target_mass}; eps = {inp.eps} is too large for "
             f"this target")
-
-    by_clause = {c.clause: c for c in _certify(
-        inp, partition, hull, tau, theta, check.core_mass, m)
-        + check.step_certificates()}
-    certificates = tuple(by_clause[clause] for clause in CERTIFICATE_ORDER)
-    for cert in certificates:
-        if not cert.ok:
-            raise PostconditionFailure(cert.clause, cert.detail)
-    return StepOutput(f_tilde, theta, m, delta, b_set, certificates, check)
-
-
-def _certify(inp: StepInput, partition: tuple[CylinderSet, ...],
-             hull: CylinderSet, tau: FiniteDepthMap, theta: FiniteDepthMap,
-             core_mass: Fraction, m: int) -> tuple[Certificate, ...]:
-    """The construction clauses: those that read the construction's
-    intermediates, which :func:`validate_step_output` never sees."""
-    f, mu, eps, number = inp.f, inp.mu, inp.eps, inp.cover.number
-    eps_prime, distortion = inp.eps_prime, inp.distortion
-    certs: list[Certificate] = []
-
-    certs.append(Certificate(
-        "eps_prime", eps_prime < eps and distortion * eps_prime <= eps,
-        f"eps' = {eps_prime}; distortion sum {distortion}; "
-        f"product {distortion * eps_prime} <= {eps}"))
-
-    certs.append(Certificate(
-        "core_selection", inp.selection.mass * number >= inp.target_mass,
-        f"selected share {inp.selection.mass} of {inp.target_mass} "
-        f"with covering number {number}"))
-
-    hull_mass = hull.measure(mu)
-    certs.append(Certificate(
-        "saturation_mass", hull_mass < eps_prime,
-        f"overflow hull mass {hull_mass} < {eps_prime} at level {m}"))
-
-    masses = [part.measure(mu.shift(inp.n)) for part in partition]
-    certs.append(Certificate(
-        "partition_defect", all(mass > 0 for mass in masses),
-        "middle-block alignment is exact per class "
-        f"(defect 0 against budgets {[str(eps * mass) for mass in masses]})"))
-
-    certs.append(Certificate(
-        "conditional_uniformity", True,
-        "product measure: the distribution beyond any level is the same "
-        f"shifted weight schedule on every fiber (schedule {mu.schedule_key()})"))
-
-    worst_pair = worst_deviation(mu.shift(m).level_masses(tau.depth)[0],
-                                 range(len(tau.table)), tau.table)
-    certs.append(Certificate(
-        "suffix_derivative", worst_pair < eps,
-        f"exchange derivative deviation {worst_pair} < {eps} "
-        f"(and below the 3 eps ledger {3 * eps})"))
-
-    stable = all(part.max_depth <= m - inp.n for part in partition)
-    certs.append(Certificate(
-        "class_stability", stable,
-        "each class is a middle-block set, hence exactly invariant under "
-        f"the deep exchange (budget {[str(4 * eps * x) for x in masses]})"))
-
-    worst_move = worst_deviation(mu.level_masses(theta.depth)[0],
-                                 range(len(theta.table)), theta.table)
-    labels = _masked_labels(f, inp.selection.z0, theta.depth)
-    worst_print = sum(map(ne, labels, map(labels.__getitem__, theta.table)))
-    certs.append(Certificate(
-        "transfer_derivative", worst_move < 3 * eps,
-        f"pairing derivative deviation {worst_move} < {3 * eps}"))
-    certs.append(Certificate(
-        "transfer_fingerprint", worst_print == 0,
-        f"{worst_print} moved words change their masked value"))
-
-    certs.append(Certificate(
-        "core_half_ledger", core_mass > inp.selection.mass / 2 - 10 * eps,
-        f"core mass {core_mass} vs selected share/2 - 10 eps "
-        f"{inp.selection.mass / 2 - 10 * eps}"))
-    return tuple(certs)
+    for clause, (ok, detail, _) in check.clauses.items():
+        if detail is not None and not ok:
+            raise PostconditionFailure(clause, detail)
+    return StepOutput(f_tilde, theta, m, delta, check)
 
 
 def _masked_labels(f: StepFunction, z0: CylinderSet, depth: int) -> list[str]:
@@ -462,22 +353,40 @@ def _masked_labels(f: StepFunction, z0: CylinderSet, depth: int) -> list[str]:
 
 
 def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
-    """The step's shared clauses (and delta's covering number) from the
-    input and the artifact slice `out` alone (a :class:`StepOutput` is
-    one), on the core they fix: the z0 words the pairing moves up.
-    :func:`construct_step` runs it on its finished artifacts, certify
-    on artifacts rebuilt from a report."""
+    """Every clause of the step, in report order, from the input, what
+    the input derives at level m, and the artifact slice `out` (a
+    :class:`StepOutput` is one), on the core they fix: the z0 words the
+    pairing moves up.  :func:`construct_step` runs it on its finished
+    artifacts, certify on artifacts rebuilt from a report."""
     f, mu, action, eps = inp.f, inp.mu, inp.action, inp.eps
-    model = f.model
-    f_tilde, theta, m, h = out.f_tilde, out.theta, out.m, inp.selection.h
+    model, selected, number = f.model, inp.selection, inp.cover.number
+    eps_prime, distortion = inp.eps_prime, inp.distortion
+    f_tilde, theta, m, h = out.f_tilde, out.theta, out.m, selected.h
 
     over = orbit_overflow(action, m)
     overflow = over.measure(mu)
+    hull_mass = inp.hull(m).measure(mu)
+    try:
+        tau, _ = inp.discard(m)
+    except (BudgetExhausted, DepthExhausted) as exc:
+        # a level the step never chooses: the suffix exchange fails
+        suffix = (False, f"no suffix exchange at level {m}: {exc}", None)
+    else:
+        worst_pair = worst_deviation(mu.shift(m).level_masses(tau.depth)[0],
+                                     range(len(tau.table)), tau.table)
+        suffix = (worst_pair < eps, f"exchange derivative deviation "
+                  f"{worst_pair} < {eps} (and below the 3 eps ledger "
+                  f"{3 * eps})", None)
+    masses = [part.measure(mu.shift(inp.n)) for part in inp.partition]
     enlarged = conjugate_closure(model, tuple(inp.family) + (h, model.inv(h)))
     depth = f_tilde.depth
     table = theta.index_map(depth)
+    worst_move = worst_deviation(mu.level_masses(depth)[0],
+                                 range(len(table)), table)
+    labels = _masked_labels(f, selected.z0, depth)
+    worst_print = sum(map(ne, labels, map(labels.__getitem__, table)))
     core = CylinderSet.from_indices(depth, [
-        i for i in inp.selection.z0.indices(depth) if table[i] > i])
+        i for i in selected.z0.indices(depth) if table[i] > i])
     witness = validate_witness(f_tilde, inp.target, inp.targets, out.delta, mu,
                                core, theta)
     misses, worst = witness.misses, witness.worst
@@ -486,6 +395,7 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     # its membership table marks it, so disjointness is a table lookup
     in_core = core.mask(depth)
     core_mass, bound = core.measure(mu), out.delta * inp.target_mass
+    ledger = selected.mass / 2 - 10 * eps
 
     agreement = increment_agreement(f, f_tilde, action)
     agree = CylinderSet.full()
@@ -496,6 +406,31 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
     overflow_text = f"overflow measure at level {m}: {overflow} < {eps}"
     # clause: (verdict, its wording in the step's list, in the validator's)
     clauses = {
+        "delta_consistency": (out.delta == inp.delta, None,
+                              f"delta {out.delta} vs 1/(3 * {number})"),
+        "eps_prime": (eps_prime < eps and distortion * eps_prime <= eps,
+                      f"eps' = {eps_prime}; distortion sum {distortion}; "
+                      f"product {distortion * eps_prime} <= {eps}", None),
+        "core_selection": (selected.mass * number >= inp.target_mass,
+                           f"selected share {selected.mass} of "
+                           f"{inp.target_mass} with covering number {number}",
+                           None),
+        "saturation_mass": (hull_mass < eps_prime, f"overflow hull mass "
+                            f"{hull_mass} < {eps_prime} at level {m}", None),
+        "partition_defect": (
+            all(mass > 0 for mass in masses),
+            "middle-block alignment is exact per class (defect 0 against "
+            f"budgets {[str(eps * mass) for mass in masses]})", None),
+        "conditional_uniformity": (
+            True, "product measure: the distribution beyond any level is "
+            "the same shifted weight schedule on every fiber (schedule "
+            f"{mu.schedule_key()})", None),
+        "suffix_derivative": suffix,
+        "class_stability": (
+            all(part.max_depth <= m - inp.n for part in inp.partition),
+            "each class is a middle-block set, hence exactly invariant under "
+            f"the deep exchange (budget {[str(4 * eps * x) for x in masses]})",
+            None),
         "overflow_small": (overflow < eps, overflow_text, overflow_text),
         "inner": (trivial_on_overflow(f_tilde, over),
                   f"update is identity on the level-{m} overflow",
@@ -505,7 +440,15 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
             f"update increments stay in the enlarged value family "
             f"({len(enlarged)} elements)",
             f"update increments confined to {len(enlarged)} values"),
-        "core_inside": (witness.part_inside and witness.image_inside,
+        "transfer_derivative": (worst_move < 3 * eps, f"pairing derivative "
+                                f"deviation {worst_move} < {3 * eps}", None),
+        "transfer_fingerprint": (worst_print == 0, f"{worst_print} moved "
+                                 f"words change their masked value", None),
+        # the core is derived inside z0, which lies inside the target, so
+        # only its image can leave the target; the witness's own
+        # part-inside clause (certify's evc-part-inside) still checks the
+        # core's half
+        "core_inside": (witness.image_inside,
                         "core and its pairing image lie in the target set",
                         "core and pairing image inside the target"),
         "core_disjoint": (
@@ -528,8 +471,9 @@ def validate_step_output(inp: StepInput, out: StepArtifacts) -> StepCheck:
         "distance": (distance < eps,
                      f"increment distance at most {distance} < {eps}",
                      f"distance at most {distance} < {eps}"),
+        "core_half_ledger": (core_mass > ledger, f"core mass {core_mass} vs "
+                             f"selected share/2 - 10 eps {ledger}", None),
     }
-    return StepCheck(inp=inp, delta=out.delta, core=core, witness=witness,
-                     core_mass=core_mass, agreement=agreement,
-                     agreement_mass=agreement_mass, distance=distance,
-                     clauses=clauses)
+    return StepCheck(inp=inp, core=core, witness=witness, core_mass=core_mass,
+                     agreement=agreement, agreement_mass=agreement_mass,
+                     distance=distance, clauses=clauses)

@@ -182,9 +182,8 @@ def test_a2_single_step_postconditions(step_outputs):
     for tag, inp, out, seconds in step_outputs:
         cover = covering_number(inp.f.model, inp.candidate, inp.u_index)
         assert out.delta == Fraction(1, 3 * cover.number), tag
-        assert all(c.ok for c in out.certificates), tag
-        assert all(c.ok for c in validate_step_output(
-            inp, out).validator_certificates()), tag
+        assert all(out.check.verdicts().values()), tag
+        assert validate_step_output(inp, out) == out.check, tag
         assert out.f_tilde.depth <= DEPTH_CAP, tag
         assert seconds < STEP_BUDGET_S, tag
 

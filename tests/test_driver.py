@@ -37,6 +37,7 @@ from cocyclelab.odometer import (FiniteDepthMap, Flip, GammaAction,
                                  adding_machine_action, flip_action,
                                  orbit_overflow)
 from cocyclelab.stepper import construct_step
+from word_oracles import covers
 
 
 def preset(name: str, **overrides) -> PipelineConfig:
@@ -271,7 +272,6 @@ def test_deep_adding_second_refinement():
         Fraction(1, 256) + 2 * Fraction(1, 2 ** 19)
 
     mu = config.mu
-    action = config.build_action(2)
     triple = config.schedule.round_triple(1)
     eps, _ = driver.round_eps(config, triple, [r])
     assert eps == Fraction(7, 640)
@@ -279,7 +279,7 @@ def test_deep_adding_second_refinement():
     inp, _ = driver.round_input(config, 2, [r], f)
     assert (inp.n, inp.eps) == (9, eps)
     assert inp.threshold == Fraction(7, 1920)
-    m, hull = stepper.choose_refinement_depth(inp, r["working_depth"])
+    m = stepper.choose_refinement_depth(inp, r["working_depth"])
     assert m == 19
 
     # the level-m overflow of T and its inverse is the points whose first
@@ -288,9 +288,8 @@ def test_deep_adding_second_refinement():
     def hull_mass(level: int) -> Fraction:
         return Fraction(2, 2 ** (level - 9))
 
-    assert stepper.overflow_hull(action, 9, 18).measure(mu) == hull_mass(18) \
-        == Fraction(1, 256)
-    assert hull.measure(mu) == hull_mass(19) == Fraction(1, 512)
+    assert inp.hull(18).measure(mu) == hull_mass(18) == Fraction(1, 256)
+    assert inp.hull(m).measure(mu) == hull_mass(19) == Fraction(1, 512)
 
 
 # the paper's headline case: G = Z, acting values 1 and -1, over the
@@ -397,8 +396,10 @@ class TestSingleCheck:
 
         def recording(inp, out):
             check = real(inp, out)
-            replayed.append([{"clause": c.clause, "ok": c.ok, "detail": c.detail}
-                             for c in check.validator_certificates()])
+            replayed.append([
+                {"clause": clause, "ok": ok, "detail": detail}
+                for clause, (ok, _, detail) in check.clauses.items()
+                if detail is not None])
             return check
 
         report = run_theorem_02i(preset(name))
@@ -739,6 +740,62 @@ class TestCertifyTampering:
                 "certificates"])
         assert clause in self.clauses(self.tampered(flips_run, mutate))
 
+    @staticmethod
+    def repair(records, differ):
+        """Re-pair round 2's pairing: its first two pairs (a, b) and
+        (c, d), a < b and c < d, whose lower words a and c satisfy
+        `differ(round, a, c)`, become (a, d) and (c, b); the moves are
+        stored in word order, as a run writes them."""
+        rounds = [r for r in records if r["record"] == "round"]
+        image = dict(rounds[1]["witness"]["moves"])
+        pairs = [(a, b) for a, b in image.items() if a < b]
+        (a, b), (c, d) = next((p, q) for p in pairs for q in pairs
+                              if differ(rounds, p[0], q[0]))
+        image.update({a: d, d: a, c: b, b: c})
+        rounds[1]["witness"]["moves"] = [list(move)
+                                         for move in sorted(image.items())]
+
+    @staticmethod
+    def masked(rounds, w):
+        """Round 2's masked value of word w: round 1's label on round
+        2's z0, None elsewhere."""
+        table = rounds[0]["artifacts"]["f"]
+        z0 = CylinderSet.of(rounds[1]["artifacts"]["z0"])
+        return table[w[:len(next(iter(table)))]] if covers(z0, w) else None
+
+    def test_pairing_across_masked_values(self, two_round_reports):
+        # under the uniform measure a re-paired word keeps its mass, but
+        # it moves across masked values; certify recomputes the pairing's
+        # fingerprint clause instead of passing its stored text through
+        records = two_round_reports["run"]
+
+        def across(records):
+            self.repair(records, lambda rounds, a, c: self.masked(rounds, a)
+                        != self.masked(rounds, c))
+        clauses = self.clauses(self.tampered(RunReport(tuple(records)), across))
+        assert "certificates.transfer_fingerprint" in clauses
+        assert "certificates.transfer_derivative" not in clauses
+
+    def test_pairing_beyond_the_derivative_ledger(self):
+        # under a schedule whose even coordinates weigh 1/3 and 2/3 a
+        # re-paired word within its masked class doubles or halves its
+        # mass, a derivative deviation far above 3 eps
+        config = PipelineConfig.from_mapping({
+            **PRESETS["z2-flips"], "name": "s3-flips", "rounds": 2,
+            "group": {"kind": "symmetric", "n": 3}, "family": ["t01"],
+            "measure": {"kind": "schedule",
+                        "cycle": [["1/2", "1/2"], ["1/3", "2/3"]]}})
+        report = run_theorem_02i(config)
+        assert certify_report(report.records) == []
+
+        def heavier(records):
+            self.repair(records, lambda rounds, a, c: (
+                self.masked(rounds, a) == self.masked(rounds, c)
+                and config.mu.cylinder(a) != config.mu.cylinder(c)))
+        clauses = self.clauses(self.tampered(report, heavier))
+        assert "certificates.transfer_derivative" in clauses
+        assert "certificates.transfer_fingerprint" not in clauses
+
     def test_working_depth_beyond_the_budget(self, flips_run):
         # the check reads the update's own depth, so a forged depth far
         # beyond the budget fails at once instead of building its tables
@@ -1032,16 +1089,14 @@ class TestLeafFalsification:
     leading "0", a word also its last letter flipped, and a null becomes
     1/7.  Besides, a boolean is set to its integer and an integer to its
     float, which equal them in Python; a round certificate's or validator
-    entry's ``ok`` set to 1 must fail under that certificate's clause.  A
-    table of more than 12 entries that are not objects is sampled at its
-    first, middle and last entry."""
+    entry's ``ok`` set to 1 must fail under that certificate's clause, and
+    so must a certificate's changed detail, since certify rebuilds every
+    certificate.  A table of more than 12 entries that are not objects is
+    sampled at its first, middle and last entry."""
 
     UNCHECKED = {
         "essential_values": "the SEARCHED record: rebuilding it would "
                             "rerun its witness searches",
-        "certificates.<construction clause>.detail":
-            "the ten construction certificates' texts need the "
-            "construction's intermediates",
         "conditions.evc_search.failure": "an exhausted search's text "
                                          "needs the search",
         "<field>.<number inside>": "a number's JSON type inside a field "
@@ -1091,27 +1146,25 @@ class TestLeafFalsification:
         kind = record["record"]
         sectioned = kind == "round" and path[0] in (
             "conditions", "witness", "artifacts", "certificates")
-        construction = set(stepper.CERTIFICATE_ORDER) - {
-            c["clause"] for c in record.get("validator", ())}
         if kind == "essential_values":
             return "essential_values"
-        if (path[0] == "certificates" and path[2] == "detail"
-                and record["certificates"][path[1]]["clause"] in construction):
-            return "certificates.<construction clause>.detail"
         if path == ("conditions", "evc_search", "failure"):
             return "conditions.evc_search.failure"
         if (changed == value and len(path) > 1 + sectioned
-                and TestLeafFalsification.held(record, path) is None):
+                and TestLeafFalsification.entry_clause(record, path) is None):
             return "<field>.<number inside>"
         return None
 
     @staticmethod
-    def held(record, path):
+    def entry_clause(record, path):
         """The clause a round's certificate or validator entry fails under
-        when its ``ok`` changes, or None for any other leaf: certify
-        requires each to be stored as ``true`` itself, not as ``1``."""
-        if (record["record"] != "round" or path[0] not in (
-                "certificates", "validator") or path[-1] != "ok"):
+        when its ``ok`` changes, or a certificate when its detail does;
+        None for any other leaf.  Certify requires each entry to be
+        stored as ``true`` itself, not as ``1``, and rebuilds every
+        certificate."""
+        if record["record"] != "round" or not (
+                path[0] in ("certificates", "validator") and path[-1] == "ok"
+                or path[0] == "certificates" and path[-1] == "detail"):
             return None
         return f"{path[0]}.{record[path[0]][path[1]]['clause']}"
 
@@ -1135,7 +1188,7 @@ class TestLeafFalsification:
                     node[key] = value
                     clauses = {f.get("clause") for f in failures}
                     if not failures or "clause" not in failures[0] or (
-                            self.held(record, path) not in clauses | {None}):
+                            self.entry_clause(record, path) not in clauses | {None}):
                         passed.append((index, path, changed, failures))
         assert passed == []
         assert excluded <= set(self.UNCHECKED)

@@ -65,7 +65,7 @@ class TestValidateWitness:
         check = validate_witness(FIRST_BIT, CylinderSet.full(),
                                  self.TARGET, self.DELTA, UNIFORM, part, theta)
         assert check.ok and check.clause is None
-        assert check.part_inside and check.image_inside
+        assert check.image_inside
         assert check.measure_slack == Fraction(1, 2) - Fraction(1, 3)
         # flipping the first bit keeps uniform mass: deviation 0
         assert check.misses == 0 and check.worst == 0
@@ -75,7 +75,7 @@ class TestValidateWitness:
         check = validate_witness(FIRST_BIT, CylinderSet.of(["1"]),
                                  self.TARGET, self.DELTA, UNIFORM, part, theta)
         assert not check.ok and check.clause == "part-inside"
-        assert not check.part_inside and check.image_inside
+        assert check.image_inside
         # the later clauses' numbers are computed all the same
         assert check.measure_slack == Fraction(1, 2) - Fraction(1, 6)
         assert check.misses == 0 and check.worst == 0
@@ -286,8 +286,8 @@ def word_validate_witness(f, base, target, delta, mu, part, theta):
         worst = max(worst, deviation(mu, w, img))
 
     def verdict(clause=None, detail=None):
-        return WitnessValidation(clause, detail, part_inside, image_inside,
-                                 slack, misses, worst)
+        return WitnessValidation(clause, detail, image_inside, slack, misses,
+                                 worst)
 
     if not part_inside:
         return verdict("part-inside", "B is not contained in A")

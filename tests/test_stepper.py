@@ -20,10 +20,8 @@ from cocyclelab.groups import cyclic_group, symmetric_group_3
 from cocyclelab.measure import CylinderSet, ProductMeasure, all_words
 from cocyclelab.odometer import (FiniteDepthMap, adding_machine_action,
                                  flip_action)
-from cocyclelab.stepper import (CERTIFICATE_ORDER, StepArtifacts, StepInput,
-                                construct_step, discard_set,
-                                fingerprint_partition, overflow_hull,
-                                validate_step_output)
+from cocyclelab.stepper import (StepArtifacts, StepInput, admission_bound,
+                                construct_step, validate_step_output)
 from word_oracles import (apply_piece, covers, image_of, map_apply, pieces,
                           step_at, words_at)
 
@@ -102,13 +100,13 @@ class TestReferenceCase:
         assert inp.selection.h == 1
         assert out.delta == Fraction(1, 3)
         assert inp.eps_prime == Fraction(1, 8)
-        assert overflow_hull(inp.action, inp.n,
-                             out.m).measure(inp.mu) == Fraction(1, 16)
+        assert inp.hull(out.m).measure(inp.mu) == Fraction(1, 16)
         assert out.check.core.measure(inp.mu) == Fraction(15, 32)
-        assert all(c.ok for c in out.certificates)
+        assert all(out.check.verdicts().values())
         # eps = 1/4 deliberately exceeds the mass/(40 covering) admission
-        # bound; the certificate records this without failing the step
-        assert not out.check.admission().ok
+        # bound; the record's advisory clause notes this without failing
+        # the step
+        assert inp.eps > admission_bound(inp.target_mass, inp.cover.number)
 
     def test_agreement_against_oracle(self):
         inp = reference_input()
@@ -129,9 +127,7 @@ class TestReferenceCase:
         out = construct_step(inp)
         on = CylinderSet.of([w for w in all_words(out.f_tilde.depth)
                              if step_at(out.f_tilde, w) == 1])
-        tau, b_set = discard_set(
-            inp, out.m, overflow_hull(inp.action, inp.n, out.m))
-        assert b_set == out.b_set
+        tau, b_set = inp.discard(out.m)
         # the exchange sides: the suffix words tau moves up, and down
         up = [s for s, t in enumerate(tau.table) if s < t]
         down = [s for s, t in enumerate(tau.table) if s > t]
@@ -147,8 +143,7 @@ class TestReferenceCase:
     def test_validator_accepts(self):
         inp = reference_input()
         out = construct_step(inp)
-        checks = validate_step_output(inp, out).validator_certificates()
-        assert all(c.ok for c in checks)
+        assert all(validate_step_output(inp, out).verdicts().values())
 
 
 # (input, m, working depth, formatted h, delta, core mass)
@@ -203,9 +198,7 @@ class TestVariants:
         assert inp.f.model.format(inp.selection.h) == h
         assert out.delta == delta
         assert out.check.core.measure(inp.mu) == core
-        assert all(c.ok for c in out.certificates)
-        assert all(c.ok for c in
-                   validate_step_output(inp, out).validator_certificates())
+        assert all(validate_step_output(inp, out).verdicts().values())
 
     @pytest.mark.parametrize("inp", [v[1] for v in VARIANTS],
                              ids=[v[0] for v in VARIANTS])
@@ -262,8 +255,8 @@ class TestErrorPaths:
 
 
 def failing_clauses(inp, out) -> list[str]:
-    return [c.clause for c in validate_step_output(inp, out).validator_certificates()
-            if not c.ok]
+    return [clause for clause, ok
+            in validate_step_output(inp, out).verdicts().items() if not ok]
 
 
 def right_translate_on(f: StepFunction, s: CylinderSet, g) -> StepFunction:
@@ -316,9 +309,12 @@ def _first_z0_word_onto_the_last_word(out):
 
 
 # (clause, input, tampering of the constructed output); each tampering
-# breaks the named shared clause, possibly others with it
+# breaks the named clause, possibly others with it
 TAMPERED = [
     ("overflow_small", reference_input(),
+     lambda out: dataclasses.replace(out, m=1)),
+    # a level whose hull leaves none of the threshold has no exchange
+    ("suffix_derivative", reference_input(),
      lambda out: dataclasses.replace(out, m=1)),
     ("inner", reference_input(), _lift_top_word),
     ("incremental", VARIANTS[0][1],  # S3: a 3-cycle leaves the transpositions
@@ -370,10 +366,24 @@ class TestValidatorIndependence:
         # non-identity value there fails innerness
         inp = reference_input()
         out = _lift_top_word(construct_step(inp))
-        checks = validate_step_output(inp, out).validator_certificates()
-        inner = next(c for c in checks if c.clause == "inner")
-        assert not inner.ok
-        assert inner.detail == f"identity on level-{out.m} overflow"
+        ok, _, detail = validate_step_output(inp, out).clauses["inner"]
+        assert not ok
+        assert detail == f"identity on level-{out.m} overflow"
+
+
+# the clause table in report order: the validator's delta consistency,
+# then the twenty clauses of the step's certificate list, among them the
+# ten shared ones that the validator's list words again
+STEP_CLAUSES = (
+    "eps_prime", "core_selection", "saturation_mass", "partition_defect",
+    "conditional_uniformity", "suffix_derivative", "class_stability",
+    "overflow_small", "inner", "incremental", "transfer_derivative",
+    "transfer_fingerprint", "core_inside", "core_disjoint", "core_mass",
+    "core_membership", "core_derivative", "agreement", "distance",
+    "core_half_ledger")
+SHARED = ("overflow_small", "inner", "incremental", "core_inside",
+          "core_disjoint", "core_mass", "core_membership", "core_derivative",
+          "agreement", "distance")
 
 
 class TestSharedCheck:
@@ -381,11 +391,16 @@ class TestSharedCheck:
                              ids=["reference"] + [v[0] for v in VARIANTS])
     def test_both_lists_come_from_the_step_check(self, inp):
         out = construct_step(inp)
-        assert tuple(c.clause for c in out.certificates) == CERTIFICATE_ORDER
+        # the step's certificate list is the check's, recomputed from the
+        # input and the artifact slice alone
         assert validate_step_output(inp, out) == out.check
-        shared = {c.clause: c for c in out.check.step_certificates()}
-        assert [c for c in out.certificates if c.clause in shared] == \
-            list(shared.values())
+        clauses = out.check.clauses
+        assert list(clauses) == ["delta_consistency", *STEP_CLAUSES]
+        assert [c for c, (_, step, _) in clauses.items()
+                if step is not None] == list(STEP_CLAUSES)
+        assert [c for c, (_, _, validator) in clauses.items()
+                if validator is not None] == ["delta_consistency", *SHARED]
+        assert all(ok for ok, _, _ in clauses.values())
 
     def test_artifact_slice_is_enough(self):
         inp = reference_input()
@@ -428,11 +443,22 @@ class TestCoreTables:
                                      dataclasses.replace(out, theta=theta))
         core = check.core
         image = image_of(theta, core)
-        assert check.witness.part_inside == core.difference(target).is_empty()
+        assert ((check.witness.clause == "part-inside")
+                != core.difference(target).is_empty())
         assert (check.witness.image_inside
                 == image.difference(target).is_empty())
         assert (check.verdicts()["core_disjoint"]
                 == image.intersection(core).is_empty())
+        # the pairing moves no word across masked values, the input's
+        # label on z0 and a mark elsewhere, read at the working depth
+        check_inp = check.inp
+
+        def masked(w):
+            return (step_at(check_inp.f, w)
+                    if covers(check_inp.selection.z0, w) else None)
+        assert check.verdicts()["transfer_fingerprint"] == all(
+            masked(w) == masked(map_apply(theta, w))
+            for w in all_words(depth))
 
 
 class TestTolerances:
@@ -457,32 +483,33 @@ class TestDerivativeBoundary:
     """Under iid(1/3) flipping the first coordinate moves mass 1/3 to
     2/3, a derivative deviation of exactly 1 (and 1/2 back).  The strict
     construction clauses must fail when their bound equals it: eps for
-    the suffix exchange, 3 eps for the pairing transformation."""
+    the suffix exchange, 3 eps for the pairing transformation.  The step
+    check computes both, on the input with the replaced eps, the flip as
+    the pairing and, for the exchange, as the suffix involution."""
 
     @staticmethod
-    def construction_clauses(eps):
-        inp = VARIANTS[1][1]
-        out = construct_step(inp)
+    def clause(name, eps, monkeypatch):
+        inp = dataclasses.replace(VARIANTS[1][1], eps=eps)
+        out = construct_step(VARIANTS[1][1])
         flip = FiniteDepthMap.from_pairs(1, [(0, 1)])
-        theta = FiniteDepthMap(out.f_tilde.depth,
-                               flip.index_map(out.f_tilde.depth))
-        certificates = stepper._certify(
-            dataclasses.replace(inp, eps=eps),
-            fingerprint_partition(inp.f, inp.selection.z0, inp.n, inp.mu),
-            overflow_hull(inp.action, inp.n, out.m), flip,
-            theta, out.check.core.measure(inp.mu), out.m)
-        return {c.clause: c for c in certificates}
+        monkeypatch.setattr(stepper, "exchange_involution",
+                            lambda *args: flip)
+        depth = out.f_tilde.depth
+        check = validate_step_output(inp, dataclasses.replace(
+            out, theta=FiniteDepthMap(depth, flip.index_map(depth))))
+        ok, detail, _ = check.clauses[name]
+        return ok, detail
 
     @pytest.mark.parametrize("eps,ok", [
         (Fraction(1), False), (Fraction(1001, 1000), True)])
-    def test_suffix_derivative(self, eps, ok):
-        clause = self.construction_clauses(eps)["suffix_derivative"]
-        assert clause.ok == ok
-        assert clause.detail.startswith(f"exchange derivative deviation 1 < {eps}")
+    def test_suffix_derivative(self, eps, ok, monkeypatch):
+        verdict, detail = self.clause("suffix_derivative", eps, monkeypatch)
+        assert verdict == ok
+        assert detail.startswith(f"exchange derivative deviation 1 < {eps}")
 
     @pytest.mark.parametrize("eps,ok", [
         (Fraction(1, 3), False), (Fraction(1001, 3000), True)])
-    def test_transfer_derivative(self, eps, ok):
-        clause = self.construction_clauses(eps)["transfer_derivative"]
-        assert clause.ok == ok
-        assert clause.detail == f"pairing derivative deviation 1 < {3 * eps}"
+    def test_transfer_derivative(self, eps, ok, monkeypatch):
+        verdict, detail = self.clause("transfer_derivative", eps, monkeypatch)
+        assert verdict == ok
+        assert detail == f"pairing derivative deviation 1 < {3 * eps}"
